@@ -1072,6 +1072,8 @@ let run_meta ~jobs =
       ("kernels_active", Bool (Kernel.native_active ()));
       ("cpu_model", opt cpu_model);
       ("cpu_isa", opt cpu_isa);
+      (* How many threads B8's domain sweep actually had to run on. *)
+      ("hardware_threads", Int (Domain.recommended_domain_count ()));
     ]
 
 let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13 ~b14 ~b15 =

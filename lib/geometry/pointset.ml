@@ -176,6 +176,12 @@ let counts_within idx ~radius =
     | Dense rows -> Array.map (fun row -> count_row row radius) rows
     | Tree tree -> Kdtree.counts_within_rows tree idx.ps.st ~offs:idx.ps.offs ~radius
 
+(* On a sorted row, count_row row radius >= k iff row.(k-1) <= radius. *)
+let holds_at_least idx ~radius ~k i =
+  match idx.backend with
+  | Dense rows -> rows.(i).(k - 1) <= radius
+  | Tree tree -> Kdtree.count_within_row tree idx.ps.st ~off:idx.ps.offs.(i) ~radius >= k
+
 let score_l idx ~cap ~radius =
   if radius < 0. then 0.
   else begin

@@ -156,6 +156,13 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
     per-radius path (exact integer counts; top-k sums below 2^53).  This
     is GoodRadius's candidate sweep on the RecConcave backend. *)
 
+val holds_at_least : index -> radius:float -> k:int -> int -> bool
+(** [holds_at_least idx ~radius ~k i] — whether at least [k] input points
+    lie within [radius] of point [i] (inclusive), i.e.
+    [(counts_within idx ~radius).(i) >= k] for one point: a single read of
+    the sorted row on the dense backend, one tree query on the tree
+    backend.  Monotone in [radius].  [k] must be in [1, n]. *)
+
 val kth_neighbor_distance : index -> k:int -> int -> float
 (** [kth_neighbor_distance idx ~k i] — distance from point [i] to its
     [k]-th nearest input point, counting the point itself as the 1st

@@ -45,10 +45,21 @@ let two_approx_indexed idx ~t =
   if t < 1 || t > n then invalid_arg "Seb.two_approx_indexed: t must be in [1, n]";
   let best = ref infinity and best_i = ref 0 in
   for i = 0 to n - 1 do
-    let r = Pointset.kth_neighbor_distance idx ~k:t i in
-    if r < !best then begin
-      best := r;
-      best_i := i
+    (* Pruned but exact: evaluate point i only if its ball of the running
+       best radius already holds t points.  A skip happens when
+       count(best) < t.  On the dense backend that is row.(t-1) > best,
+       the very value the full scan would compare.  On the tree backend
+       the bisection's final [hi] always satisfies count(hi) >= t, and the
+       count is non-decreasing in the radius, so hi > best.  Either way
+       the strict [<] below would not have fired, so the skip changes
+       neither radius nor center (first index still wins ties).  The first
+       probe, at radius infinity, always holds. *)
+    if Pointset.holds_at_least idx ~radius:!best ~k:t i then begin
+      let r = Pointset.kth_neighbor_distance idx ~k:t i in
+      if r < !best then begin
+        best := r;
+        best_i := i
+      end
     end
   done;
   { center = Pointset.point ps !best_i; radius = !best }

@@ -26,7 +26,21 @@ val two_approx : Pointset.t -> t:int -> ball
     its radius is at most [2·r_opt] (Section 3, fact 3).  O(n²·d). *)
 
 val two_approx_indexed : Pointset.index -> t:int -> ball
-(** Same via a prebuilt distance index: O(n) lookups. *)
+(** Same via a prebuilt distance index.  The scan is pruned: point [i]'s
+    [t]-th neighbor distance is computed only when
+    {!Pointset.holds_at_least} says the ball of the running best radius
+    around it holds [t] points.  Otherwise that distance exceeds the best
+    (dense: it is the sorted row's [t]-th entry; tree: the bisection's
+    answer has count >= [t] and counts are non-decreasing in the
+    radius), so the skipped point could not have won, and the ball —
+    radius bits and center, first index on ties — equals the unpruned
+    scan's.  Cost: n probes (one row read
+    dense, one tree query on the tree) plus one exact evaluation (O(1)
+    dense, a ~100-query bisection on the tree) per point whose distance
+    is at most the running best: each improvement of the minimum, and
+    each tie with it.  On spread-out data that is a handful of
+    evaluations; the worst case (every point tied, e.g. all duplicates)
+    costs what the unpruned scan did plus the n probes. *)
 
 val min_enclosing_ball : ?iterations:int -> Vec.t array -> ball
 (** Bădoiu–Clarkson: after [k] iterations the radius is within a factor

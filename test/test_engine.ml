@@ -123,6 +123,30 @@ let test_registry_caches_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate registration accepted")
 
+(* Above the 4096-point dense threshold the registry keeps a k-d tree, and
+   the r_opt scan runs on it: the cached sandwich must equal the one from
+   a freshly built tree over the same points, bit for bit. *)
+let test_registry_bounds_on_tree () =
+  let _, grid, w = small_workload ~n:4200 () in
+  let reg = Engine.Registry.create () in
+  let ds =
+    Engine.Registry.register reg ~name:"big" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
+      w.Workload.Synth.points
+  in
+  check_true "tree-backed" (not (Geometry.Pointset.index_is_dense (Engine.Registry.index ds)));
+  let fresh = Geometry.Pointset.build_tree_index (Engine.Registry.pointset ds) in
+  let ts = [ 1260; 1680; 2100 ] in
+  List.iter
+    (fun t ->
+      let lo, hi = Engine.Registry.r_opt_bounds ds ~t in
+      let lo', hi' = Workload.Metrics.r_opt_bounds_indexed fresh ~t in
+      check_float ~tol:0. (Printf.sprintf "r_lo t=%d" t) lo' lo;
+      check_float ~tol:0. (Printf.sprintf "r_hi t=%d" t) hi' hi)
+    ts;
+  check_true "three misses" (Engine.Registry.bounds_cache_stats ds = (3, 0));
+  ignore (Engine.Registry.r_opt_bounds ds ~t:1680);
+  check_true "then a hit" (Engine.Registry.bounds_cache_stats ds = (4, 1))
+
 (* --- Job parsing -------------------------------------------------------- *)
 
 let test_job_parsing () =
@@ -347,4 +371,5 @@ let suite =
     slow_case "service: 4 domains bit-identical to 1 domain" test_service_parallel_equals_sequential;
     case "service refuses over-budget jobs without running them" test_service_refuses_over_budget_jobs;
     case "service deadline-exceeded job reports timeout" test_service_deadline_reports_timeout;
+    case "registry r_opt sandwich on a k-d tree dataset" test_registry_bounds_on_tree;
   ]

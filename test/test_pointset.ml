@@ -88,7 +88,25 @@ let test_counts_within () =
   let counts = Geometry.Pointset.counts_within idx ~radius:0.15 in
   Alcotest.(check (array int)) "counts" [| 2; 3; 2; 1 |] counts;
   let zero = Geometry.Pointset.counts_within idx ~radius:(-1.) in
-  Alcotest.(check (array int)) "negative radius" [| 0; 0; 0; 0 |] zero
+  Alcotest.(check (array int)) "negative radius" [| 0; 0; 0; 0 |] zero;
+  (* [holds_at_least] is the per-point [counts_within .. >= k], on both
+     backends. *)
+  let tree = Geometry.Pointset.build_tree_index (Geometry.Pointset.create pts) in
+  List.iter
+    (fun radius ->
+      let counts = Geometry.Pointset.counts_within idx ~radius in
+      List.iter
+        (fun index ->
+          Array.iteri
+            (fun i c ->
+              for k = 1 to Array.length pts do
+                check_true
+                  (Printf.sprintf "holds_at_least r=%g i=%d k=%d" radius i k)
+                  (Geometry.Pointset.holds_at_least index ~radius ~k i = (c >= k))
+              done)
+            counts)
+        [ idx; tree ])
+    [ -1.; 0.; 0.1; 0.15; 0.2; 1. ]
 
 let test_kth_neighbor () =
   let pts = [| [| 0. |]; [| 0.3 |]; [| 1.0 |] |] in
