@@ -17,13 +17,18 @@
    (it is only chosen for small n, where the O(n²) rebuild is the same
    cost a fresh registration would pay).
 
-   The r_opt-bounds cache lives inside the epoch state, so a mutation
-   invalidates it wholesale: a new epoch starts with an empty table. *)
+   An epoch holds its view, its index and two caches that are pure
+   functions of its rows: the r_opt-bounds table (in the epoch state) and
+   the index's one-entry memo of GoodRadius's count matrix (inside
+   [Pointset.index]).  Every mutation publishes a fresh index — rebuilt,
+   or wrapped around the incrementally maintained tree by
+   [Pointset.index_of_tree] — and a fresh table, so it invalidates both
+   wholesale: a new epoch starts cold. *)
 
 type epoch_state = {
   epoch : int;
   pointset : Geometry.Pointset.t;
-  index : Geometry.Pointset.index;
+  index : Geometry.Pointset.index;  (** carries the epoch's count-matrix memo *)
   bounds : (int, float * float) Hashtbl.t;
   tree_base : int;  (** size at the last full (re)build of a tree index *)
   drift : int;  (** rows inserted/removed incrementally since then *)

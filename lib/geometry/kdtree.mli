@@ -1,11 +1,16 @@
 (** A k-d tree over R^d for ball-counting queries.
 
-    The O(n²)-memory distance index of {!Pointset} is the fastest way to
-    evaluate GoodRadius's score when the same point set is probed at many
-    radii, but it stops scaling around a few thousand points.  This tree
-    answers single ball-count / ball-membership queries in
-    O(n^{1−1/d} + out) without any quadratic precomputation, which is what
-    the large-n experiment paths and the outlier predicates use.
+    This tree answers single ball-count / ball-membership queries in
+    O(n^{1−1/d} + out) without any quadratic precomputation, and a whole
+    ascending radius grid per point in one traversal
+    ({!count_within_row_many}).  It is {!Pointset}'s index backend beyond
+    a few thousand points, where the O(n²)-memory dense distance index
+    stops scaling, and what the large-n experiment paths and the outlier
+    predicates use.  A GoodRadius candidate sweep costs one traversal per
+    point on the tree against shared binary searches over sorted rows on
+    the dense index; either way the count matrix it produces is memoized
+    on the {!Pointset.index}, so only an epoch's first sweep over a grid
+    pays for it.
 
     The tree is a {e view}: built from flat row-major storage, it keeps a
     reference to the backing store and permutes only an array of row

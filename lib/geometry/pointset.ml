@@ -106,7 +106,17 @@ type backend =
   | Dense of float array array  (** per-point sorted distance rows *)
   | Tree of Kdtree.t
 
-type index = { ps : t; backend : backend }
+(* One-entry memo of the count matrix [score_l_many] sweeps: the
+   non-negative radii it was filled for ([key]; empty = no entry) and the
+   radius-major counts.  The matrix depends only on the index's rows and
+   the radii — not on the cap — so every later sweep over the same grid is
+   a lookup.  [mu] also serializes the fill: a concurrent first caller
+   waits for the sweep in flight instead of redoing it. *)
+type memo = { mu : Mutex.t; mutable key : float array; mutable counts : int array }
+
+type index = { ps : t; backend : backend; memo : memo }
+
+let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
 
 (* One dense row: distances from point [i] to every point, sorted.  Scans
    the flat storage once per row; identical float sequence to the boxed
@@ -138,10 +148,14 @@ let build_index ?(domains = 1) ps =
         Domain.spawn (fun () -> fill lo hi))
     |> List.iter Domain.join
   end;
-  { ps; backend = Dense rows }
+  { ps; backend = Dense rows; memo = fresh_memo () }
 
 let build_tree_index ?domains ps =
-  { ps; backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ()) }
+  {
+    ps;
+    backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
+    memo = fresh_memo ();
+  }
 
 let auto_index ?(dense_threshold = 4096) ?domains ps =
   if n ps <= dense_threshold then build_index ?domains ps else build_tree_index ?domains ps
@@ -153,7 +167,9 @@ let index_tree idx = match idx.backend with Tree t -> Some t | Dense _ -> None
 let index_of_tree ps tree =
   if Kdtree.size tree <> n ps then
     invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; backend = Tree tree }
+  { ps; backend = Tree tree; memo = fresh_memo () }
+
+let cold_copy idx = { idx with memo = fresh_memo () }
 
 (* Number of entries in the sorted row that are <= radius. *)
 let count_row row radius =
@@ -190,13 +206,60 @@ let score_l idx ~cap ~radius =
       ~k:(min cap (n idx.ps))
   end
 
+(* Per-point counts for every radius of [rblock] (ascending), radius-major:
+   [counts.(j * n + i)] is the number of points within [rblock.(j)] of
+   point [i] — binary searches over each sorted dense row, or a single
+   multi-radius k-d traversal per point.  The one fill loop behind both
+   the memo and the blocked path of [score_l_many]. *)
+let fill_counts idx rblock =
+  let count = n idx.ps and bnr = Array.length rblock in
+  let counts = Array.make (bnr * count) 0 in
+  (match idx.backend with
+  | Dense rows ->
+      for i = 0 to count - 1 do
+        let row = rows.(i) in
+        Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr ~out:counts
+          ~stride:count ~col:i
+      done
+  | Tree tree ->
+      for i = 0 to count - 1 do
+        Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock
+          ~out:counts ~stride:count ~col:i
+      done);
+  counts
+
+(* The memoized matrix for [key], filling (and replacing the entry) on a
+   miss.  Radii compare by float equality, under which every [<=] count
+   agrees, so a hit returns exactly the matrix a fill would. *)
+let memo_counts idx key =
+  let m = idx.memo in
+  Mutex.protect m.mu (fun () ->
+      if m.key <> key then begin
+        m.counts <- fill_counts idx key;
+        m.key <- key
+      end;
+      m.counts)
+
+(* Index of the first non-negative radius of an ascending [radii]. *)
+let first_non_negative radii =
+  let j = ref 0 in
+  while !j < Array.length radii && radii.(!j) < 0. do
+    incr j
+  done;
+  !j
+
+let memo_holds idx ~radii =
+  let first = first_non_negative radii in
+  let key = Array.sub radii first (Array.length radii - first) in
+  Mutex.protect idx.memo.mu (fun () -> Array.length key > 0 && idx.memo.key = key)
+
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
-   over [radii] but sharing the per-point work across all radii — binary
-   searches over each sorted dense row, or a single multi-radius k-d
-   traversal per point.  Counts are exact integers and the capped top-k
+   over [radii] but sharing the per-point work across all radii
+   ([fill_counts]).  Counts are exact integers and the capped top-k
    average sums integers below 2^53, so every output is bit-identical to
-   the per-radius path.  Radii blocks are bounded so the transient count
-   matrix stays under ~32 MB regardless of |radii|·n. *)
+   the per-radius path.  The count matrix does not depend on [cap]: when
+   it fits one block it is memoized on the index, so only the first sweep
+   over a grid pays for it. *)
 let score_l_many idx ~cap ~radii =
   let nr = Array.length radii in
   let count = n idx.ps in
@@ -212,31 +275,19 @@ let score_l_many idx ~cap ~radii =
     (* Out-of-order radii: no batching contract; score one by one. *)
     Array.iteri (fun j r -> out.(j) <- score_l idx ~cap ~radius:r) radii
   else begin
-    (* Negative radii score 0 (same guard as [score_l]). *)
-    let first_nn = ref 0 in
-    while !first_nn < nr && radii.(!first_nn) < 0. do
-      out.(!first_nn) <- 0.;
-      incr first_nn
-    done;
+    (* Negative radii score 0 (same guard as [score_l]); [out] starts at 0. *)
+    let first = first_non_negative radii in
     let k = min cap count in
+    (* Radii per count-matrix block: bounds the matrix at ~4 M counts
+       (~32 MB) regardless of |radii|·n. *)
     let block = max 1 (4_000_000 / count) in
-    let j0 = ref !first_nn in
+    let j0 = ref first in
     while !j0 < nr do
       let bnr = min block (nr - !j0) in
       let rblock = Array.sub radii !j0 bnr in
-      let counts = Array.make (bnr * count) 0 in
-      (match idx.backend with
-      | Dense rows ->
-          for i = 0 to count - 1 do
-            let row = rows.(i) in
-            Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr
-              ~out:counts ~stride:count ~col:i
-          done
-      | Tree tree ->
-          for i = 0 to count - 1 do
-            Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i)
-              ~radii:rblock ~out:counts ~stride:count ~col:i
-          done);
+      (* A sweep that fits one block is memoized; larger grids stream
+         their blocks unmemoized. *)
+      let counts = if bnr = nr - first then memo_counts idx rblock else fill_counts idx rblock in
       for j = 0 to bnr - 1 do
         out.(!j0 + j) <- Kernel.top_avg_capped ~counts ~off:(j * count) ~len:count ~cap ~k
       done;

@@ -23,8 +23,10 @@
     is read-only by contract — see DESIGN.md, "Memory layout".
 
     An optional {!index} precomputes, for every input point, the sorted
-    array of distances to all input points, turning each [L] evaluation
-    into [n] binary searches instead of an O(n²·d) scan. *)
+    array of distances to all input points (or a k-d tree), turning each
+    [L] evaluation into [n] binary searches (or tree queries) instead of an
+    O(n²·d) scan, and memoizes the count matrix of the last candidate
+    sweep. *)
 
 type t
 
@@ -102,7 +104,15 @@ val score_l_direct : t -> cap:int -> radius:float -> float
 (** {1 Indexed evaluation} *)
 
 type index
-(** Either backend below; all query functions dispatch transparently. *)
+(** Either backend below; all query functions dispatch transparently.
+
+    An index also carries a one-entry memo of the count matrix behind
+    {!score_l_many} (points × non-negative candidate radii, at most about
+    4 M counts).  The matrix is a deterministic function of the index's
+    rows and the radii — never of the cap, ε or a seed — so sharing it
+    across jobs changes no result.  Indexes are immutable snapshots: every
+    epoch of a mutating dataset gets a fresh index ({!build_index},
+    {!build_tree_index}, {!index_of_tree}) and with it an empty memo. *)
 
 val build_index : ?domains:int -> t -> index
 (** Dense backend: O(n²·d) time, O(n²) memory — precomputes per-point
@@ -138,6 +148,10 @@ val index_of_tree : t -> Kdtree.t -> index
     exactly [ps]'s points (same storage, same rows).
     @raise Invalid_argument if the sizes disagree. *)
 
+val cold_copy : index -> index
+(** The same index (backend shared, nothing copied) with an empty
+    {!score_l_many} memo — for timing the cold sweep. *)
+
 val counts_within : index -> radius:float -> int array
 (** For every input point, the number of input points within [radius]
     (inclusive); one binary search per point. *)
@@ -154,7 +168,19 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
     ({!Kdtree.count_within_row_many}), and the capped top-[cap] average
     runs on a counting histogram.  Results are bit-identical to the
     per-radius path (exact integer counts; top-k sums below 2^53).  This
-    is GoodRadius's candidate sweep on the RecConcave backend. *)
+    is GoodRadius's candidate sweep on the RecConcave backend.
+
+    The count matrix does not depend on [cap], so when the non-negative
+    radii fit one block of about 4 M counts (n · |radii| ≤ 4·10⁶) it is
+    memoized on the index, keyed on those radii: a repeat sweep over the
+    same grid is one lookup plus a top-[cap] average per radius.  The memo
+    holds one entry (a sweep over a different grid replaces it) and is
+    mutex-guarded, so a concurrent first caller waits for the fill in
+    flight.  Larger grids are swept block by block and never memoized. *)
+
+val memo_holds : index -> radii:float array -> bool
+(** Whether {!score_l_many} over the ascending [radii] would be answered
+    from the memo (exposed for tests). *)
 
 val holds_at_least : index -> radius:float -> k:int -> int -> bool
 (** [holds_at_least idx ~radius ~k i] — whether at least [k] input points

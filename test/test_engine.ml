@@ -147,6 +147,84 @@ let test_registry_bounds_on_tree () =
   ignore (Engine.Registry.r_opt_bounds ds ~t:1680);
   check_true "then a hit" (Engine.Registry.bounds_cache_stats ds = (4, 1))
 
+(* Every epoch gets a fresh index, so the count-matrix memo can never
+   outlive the rows it was filled from: after an append and a retire,
+   [score_l_many] on the registry's index must equal a fresh index over
+   the new pointset — on the incremental k-d tree path (dense threshold
+   below n, drift under the rebuild threshold) and on the dense rebuild.
+   The superseded epoch's index keeps answering for its own rows. *)
+let test_registry_memo_per_epoch () =
+  let _, grid, w = small_workload () in
+  let radii =
+    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+  in
+  let sweep idx cap = Array.map Int64.bits_of_float (Geometry.Pointset.score_l_many idx ~cap ~radii) in
+  let caps = [ 60; 150 ] in
+  List.iter
+    (fun (label, dense_threshold, fresh) ->
+      let reg = Engine.Registry.create () in
+      let ds =
+        Engine.Registry.register reg ~name:label ~grid ~budget:(p ~eps:10. ~delta:1e-4)
+          ~dense_threshold w.Workload.Synth.points
+      in
+      let check_epoch what =
+        let idx = Engine.Registry.index ds in
+        check_true (Printf.sprintf "%s %s: new epoch starts cold" label what)
+          (not (Geometry.Pointset.memo_holds idx ~radii));
+        let fresh_idx = fresh (Engine.Registry.pointset ds) in
+        List.iter
+          (fun cap ->
+            check_true
+              (Printf.sprintf "%s %s: cap %d equals a fresh index" label what cap)
+              (sweep idx cap = sweep fresh_idx cap))
+          caps;
+        check_true (Printf.sprintf "%s %s: memo filled" label what)
+          (Geometry.Pointset.memo_holds idx ~radii)
+      in
+      let epoch0 = Engine.Registry.index ds in
+      let before = sweep epoch0 60 in
+      ignore (Engine.Registry.append ds (Array.sub w.Workload.Synth.points 0 30));
+      check_epoch "after append";
+      ignore (Engine.Registry.retire ds ~from_:10 ~count:20);
+      check_epoch "after retire";
+      check_true (label ^ ": old epoch unchanged") (sweep epoch0 60 = before);
+      check_true (label ^ ": backend as intended")
+        (Geometry.Pointset.index_is_dense (Engine.Registry.index ds) = (dense_threshold > 400)))
+    [
+      ("tree", 50, fun ps -> Geometry.Pointset.build_tree_index ps);
+      ("dense", 4096, fun ps -> Geometry.Pointset.build_index ps);
+    ]
+
+(* Two domains racing to fill one index's memo: the second waits for the
+   first's sweep, and both get the vector a cold index computes. *)
+let test_memo_concurrent_first_calls () =
+  let _, grid, w = small_workload () in
+  let ps = Geometry.Pointset.create w.Workload.Synth.points in
+  let radii =
+    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+  in
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun (label, idx) ->
+      let expected = bits (Geometry.Pointset.score_l_many (Geometry.Pointset.cold_copy idx) ~cap:120 ~radii) in
+      let ready = Atomic.make 0 in
+      let racer cap () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        bits (Geometry.Pointset.score_l_many idx ~cap ~radii)
+      in
+      let d1 = Domain.spawn (racer 120) and d2 = Domain.spawn (racer 120) in
+      let v1 = Domain.join d1 and v2 = Domain.join d2 in
+      check_true (label ^ ": concurrent first calls agree") (v1 = v2);
+      check_true (label ^ ": and equal a cold index") (v1 = expected);
+      check_true (label ^ ": memo filled once for both")
+        (Geometry.Pointset.memo_holds idx ~radii))
+    [
+      ("dense", Geometry.Pointset.build_index ps); ("tree", Geometry.Pointset.build_tree_index ps);
+    ]
+
 (* --- Job parsing -------------------------------------------------------- *)
 
 let test_job_parsing () =
@@ -372,4 +450,6 @@ let suite =
     case "service refuses over-budget jobs without running them" test_service_refuses_over_budget_jobs;
     case "service deadline-exceeded job reports timeout" test_service_deadline_reports_timeout;
     case "registry r_opt sandwich on a k-d tree dataset" test_registry_bounds_on_tree;
+    case "registry: every epoch's score_l_many memo matches a fresh index" test_registry_memo_per_epoch;
+    case "two domains' first score_l_many calls on one index agree" test_memo_concurrent_first_calls;
   ]

@@ -219,6 +219,103 @@ let test_score_l_many_matches_score_l =
         [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
       true)
 
+(* The count-matrix memo on an index must be invisible: interleaving caps
+   and alternating two grids (each switch replaces the one memo entry),
+   with a negative-radius prefix the memo key skips, every sweep must
+   still equal fresh per-radius scoring bit for bit. *)
+let test_score_l_many_memo_matches_score_l =
+  let sorted_radii =
+    QCheck2.Gen.(array_size (int_range 1 12) (float_range (-2.) 5.) >|= fun a ->
+                 Array.sort Float.compare a;
+                 a)
+  in
+  qcheck ~count:60 "score_l_many memo = fresh per-radius score_l (both backends)"
+    QCheck2.Gen.(
+      pair cloud_gen (triple sorted_radii sorted_radii (list_size (int_range 1 4) (int_range 1 10))))
+    (fun ((_d, pts), (ra, rb, caps)) ->
+      with_native @@ fun () ->
+      let ps = Geometry.Pointset.create pts in
+      let key radii = List.filter (fun r -> r >= 0.) (Array.to_list radii) in
+      List.iter
+        (fun idx ->
+          List.iter
+            (fun cap ->
+              List.iter
+                (fun radii ->
+                  let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
+                  Array.iteri
+                    (fun j r ->
+                      check_bits
+                        (Printf.sprintf "L(%g) cap=%d" r cap)
+                        (Geometry.Pointset.score_l idx ~cap ~radius:r)
+                        batched.(j))
+                    radii;
+                  if Geometry.Pointset.memo_holds idx ~radii <> (key radii <> []) then
+                    Alcotest.fail "memo entry does not match the last sweep")
+                [ ra; rb; ra ])
+            caps;
+          (* The last sweep with a non-negative radius owns the entry. *)
+          let rb_owns = key rb <> [] && (key ra = [] || key ra = key rb) in
+          if Geometry.Pointset.memo_holds idx ~radii:rb <> rb_owns then
+            Alcotest.fail "a replaced memo entry still answers")
+        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
+      true)
+
+(* The memo's bound: a sweep is memoized only when its non-negative radii
+   fit one count block (n · |radii| <= 4·10⁶, see [Pointset.score_l_many]).
+   At exactly the bound the sweep is memoized; one radius above it, the
+   blocked path runs, leaves the memo entry alone, and still matches
+   per-radius scoring (checked on a stride through the grid, across the
+   block boundary and at both ends). *)
+let test_score_l_many_above_memo_bound =
+  qcheck ~count:3 "score_l_many above the memo bound: unmemoized, still exact"
+    (* Shrinking a thousand-point cloud only burns time; failures report
+       the full instance. *)
+    QCheck2.Gen.(
+      no_shrink
+        ( int_range 1 3 >>= fun d ->
+          int_range 900 1100 >>= fun n ->
+          let coord = oneof [ float_range 0. 4.; (int_range 0 3 >|= fun i -> float_of_int i) ] in
+          array_size (return n) (array_size (return d) coord) >|= fun pts -> (d, pts) ))
+    (fun (d, pts) ->
+      with_native @@ fun () ->
+      let ps = Geometry.Pointset.create pts in
+      let n = Array.length pts in
+      let block = 4_000_000 / n in
+      let span = 4. *. sqrt (float_of_int d) in
+      (* Two negative radii, then [block] or [block + 1] non-negative ones. *)
+      let grid nnr =
+        Array.append [| -1.; -0.5 |]
+          (Array.init nnr (fun j -> span *. float_of_int j /. float_of_int nnr))
+      in
+      let at_bound = grid block and above = grid (block + 1) in
+      let cap = n / 3 in
+      List.iter
+        (fun idx ->
+          ignore (Geometry.Pointset.score_l_many idx ~cap ~radii:at_bound);
+          check_true "at the bound: memoized"
+            (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+          let batched = Geometry.Pointset.score_l_many idx ~cap ~radii:above in
+          check_true "above the bound: not memoized"
+            (not (Geometry.Pointset.memo_holds idx ~radii:above));
+          check_true "above the bound: earlier entry kept"
+            (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+          let len = Array.length above in
+          let probes =
+            List.sort_uniq compare
+              (List.init ((len + 52) / 53) (fun k -> k * 53)
+              @ [ 0; 1; 2; block; block + 1; block + 2; len - 1 ])
+          in
+          List.iter
+            (fun j ->
+              check_bits
+                (Printf.sprintf "L(%g) above the bound" above.(j))
+                (Geometry.Pointset.score_l idx ~cap ~radius:above.(j))
+                batched.(j))
+            probes)
+        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
+      true)
+
 let test_parallel_build_equals_serial =
   qcheck ~count:40 "parallel kd build = serial (row_order + structure)"
     QCheck2.Gen.(pair cloud_gen (int_range 2 4))
@@ -303,6 +400,8 @@ let suite =
     case "kernel edge cases (empty/singleton/duplicates)" test_edge_cases;
     test_count_within_row_many_matches_per_radius;
     test_score_l_many_matches_score_l;
+    test_score_l_many_memo_matches_score_l;
+    test_score_l_many_above_memo_bound;
     test_parallel_build_equals_serial;
     case "parallel kd build, large cloud, 2/4/8 domains" test_parallel_build_large_cloud;
     case "pipeline bit-identical with kernels on/off" test_native_off_matches_native_on;
