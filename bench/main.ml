@@ -720,17 +720,33 @@ let run_epoch_bench ~jobs =
   if not recomputed then fail "a post-mutation query was not recomputed";
   (n_jobs, cold_ms, warm_ms, append_ms, requery_ms, speedup, hits_free && recomputed)
 
-(* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
+(* B13 — the kernel layer (lib/kernel).  Four gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
    shadow, on the same workload GoodRadius runs (the full candidate
    sweep) and on the JL projection; (b) the parallel k-d tree build must
-   produce exactly the serial tree; (c) the native kernels must actually
-   be faster than the references by at least [floor] — guarding against
-   a build where the stubs silently compiled to a slow path.  The
-   speedup measurement uses its own fixed-size fixture so the gate does
-   not loosen when --smoke shrinks the shared one. *)
+   produce exactly the serial tree; (c) the dense index built with the
+   native kernels (distance fill and row sort) must hold exactly the
+   reference rows at n = 3000, the daemon's dense workload size — its
+   build times are reported, not gated; (d) the native kernels must
+   actually be faster than the references by at least [floor] — guarding
+   against a build where the stubs silently compiled to a slow path.  The
+   dense build and the speedup measurement use their own fixed-size
+   fixtures so the gates do not loosen when --smoke shrinks the shared
+   one. *)
+type kernel_gates = {
+  identity_ok : bool;
+  parallel_ok : bool;
+  dense_rows_ok : bool;
+  dense_n : int;
+  dense_native_ms : float;
+  dense_ref_ms : float;
+  rows : (string * float * float * float) list;  (** name, reference ms, native ms, speedup *)
+  floor : float;
+  enforced : bool;
+}
+
 let run_kernel_gates fx =
-  Workload.Report.headline "B13 - native kernels: identity, parallel build, speedup floor";
+  Workload.Report.headline "B13 - native kernels: identity, parallel build, dense rows, speedup floor";
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B13 FAILED: " ^ m); exit 1) fmt in
   let entry_native = Kernel.native_active () in
   let with_native b f =
@@ -781,7 +797,36 @@ let run_kernel_gates fx =
   in
   Workload.Report.kv "parallel k-d build identical to serial (2 and 4 domains)"
     (if parallel_ok then "yes" else "NO");
-  (* (c) speedup floor, native vs reference, best-of-3 per path. *)
+  (* (c) dense index rows, native vs reference, one build each. *)
+  let dense_n = 3000 in
+  let dense_ps =
+    let drng = Prim.Rng.create ~seed:99 () in
+    let w =
+      Workload.Synth.planted_ball drng ~grid:fx.grid ~n:dense_n ~cluster_fraction:0.5
+        ~cluster_radius:0.05
+    in
+    Geometry.Pointset.create w.Workload.Synth.points
+  in
+  let build b =
+    with_native b (fun () -> Workload.Harness.time (fun () -> Geometry.Pointset.build_index dense_ps))
+  in
+  let dense_native, dense_native_ms = build true in
+  let dense_ref, dense_ref_ms = build false in
+  let dense_rows_ok =
+    let same i k =
+      let kth idx = Int64.bits_of_float (Geometry.Pointset.kth_neighbor_distance idx ~k i) in
+      kth dense_native = kth dense_ref
+    in
+    Seq.for_all
+      (fun i -> Seq.for_all (same i) (Seq.init dense_n succ))
+      (Seq.init dense_n Fun.id)
+  in
+  Workload.Report.kv
+    (Printf.sprintf "dense index rows bit-identical at n = %d (native vs reference)" dense_n)
+    (if dense_rows_ok then "yes" else "NO");
+  Workload.Report.kv "dense index build (native / reference)"
+    (Printf.sprintf "%.1f ms / %.1f ms" dense_native_ms dense_ref_ms);
+  (* (d) speedup floor, native vs reference, best-of-3 per path. *)
   let mrng = Prim.Rng.create ~seed:424242 () in
   let mn = 600 in
   let m8 = Geometry.Pointset.of_storage ~dim:8 (Prim.Rng.gaussian_vector mrng ~dim:(mn * 8) ~sigma:1.0) in
@@ -851,9 +896,20 @@ let run_kernel_gates fx =
      else "not enforced (native kernels disabled)");
   if not identity_ok then fail "a native kernel diverged from its pure-OCaml reference";
   if not parallel_ok then fail "parallel k-d build differs from the serial build";
+  if not dense_rows_ok then fail "native dense index rows differ from the reference rows";
   if enforced && min_speedup < floor then
     fail "kernel speedup %.2fx below the %.1fx floor" min_speedup floor;
-  (identity_ok, parallel_ok, rows, floor, enforced)
+  {
+    identity_ok;
+    parallel_ok;
+    dense_rows_ok;
+    dense_n;
+    dense_native_ms;
+    dense_ref_ms;
+    rows;
+    floor;
+    enforced;
+  }
 
 (* B14 — the five-way E1 competitors, end to end on the shared fixture:
    the paper's centralized pipeline vs the local-model (LDP) protocol vs
@@ -1189,13 +1245,21 @@ let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13
   let b13_json =
     match b13 with
     | None -> Null
-    | Some (identity_ok, parallel_ok, rows, floor, enforced) ->
+    | Some g ->
         Obj
           [
-            ("identity_bitwise", Bool identity_ok);
-            ("parallel_build_identical", Bool parallel_ok);
-            ("speedup_floor", Float floor);
-            ("floor_enforced", Bool enforced);
+            ("identity_bitwise", Bool g.identity_ok);
+            ("parallel_build_identical", Bool g.parallel_ok);
+            ("dense_rows_identical", Bool g.dense_rows_ok);
+            ( "dense_build",
+              Obj
+                [
+                  ("n", Int g.dense_n);
+                  ("native_ms", Float g.dense_native_ms);
+                  ("reference_ms", Float g.dense_ref_ms);
+                ] );
+            ("speedup_floor", Float g.floor);
+            ("floor_enforced", Bool g.enforced);
             ( "speedups",
               List
                 (List.map
@@ -1207,7 +1271,7 @@ let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13
                          ("native_ms", Float on_ms);
                          ("speedup", Float s);
                        ])
-                   rows) );
+                   g.rows) );
           ]
   in
   let b14_json =

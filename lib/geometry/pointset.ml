@@ -123,7 +123,7 @@ let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
    per-point [Vec.dist] map it replaces. *)
 let dense_row ps i =
   let count = n ps in
-  let row = Array.make count 0. in
+  let row = Array.create_float count in
   Kernel.dists_to_rows ~st:ps.st ~offs:ps.offs ~n:count ~q:ps.st ~qoff:ps.offs.(i)
     ~dim:ps.dim ~out:row;
   Kernel.sort_floats row;

@@ -117,10 +117,12 @@ type index
 val build_index : ?domains:int -> t -> index
 (** Dense backend: O(n²·d) time, O(n²) memory — precomputes per-point
     sorted distance arrays in one pass over the flat storage, making every
-    radius probe a batch of binary searches.  The fastest choice up to a
-    few thousand points.  [domains > 1] splits the row construction across
-    that many OCaml domains; rows are independent, so the result is
-    identical for any value. *)
+    radius probe a batch of binary searches.  Each row's sort
+    ({!Kernel.sort_floats}) takes expected linear time, so the build is
+    no longer dominated by n comparison sorts.  The fastest choice up to
+    a few thousand points.  [domains > 1] splits the row construction
+    across that many OCaml domains; rows are independent, so the result
+    is identical for any value. *)
 
 val build_tree_index : ?domains:int -> t -> index
 (** k-d-tree backend ({!Kdtree}): O(n log n) memory-light construction

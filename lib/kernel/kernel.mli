@@ -40,7 +40,11 @@ val dists_to_rows :
 
 val sort_floats : float array -> unit
 (** In-place ascending sort.  The inputs are distances (no NaN, no -0.0),
-    so the result equals [Array.sort Float.compare]. *)
+    so the result equals [Array.sort Float.compare].  The C path is a
+    bucket sort keyed on [floor (x * n / max)], expected O(n) on distance
+    rows; it falls back to a quicksort for short rows and for rows whose
+    maximum is 0 or infinite, and sorts an oversized bucket with the same
+    quicksort, so the worst case stays O(n log n). *)
 
 val kth_smallest : float array -> len:int -> k:int -> float
 (** The [k]-th smallest (1-based) of the first [len] entries.  Destroys

@@ -136,10 +136,70 @@ static void qsort_d(double *a, long lo, long hi)
   ins_sort_d(a, lo, hi);
 }
 
+/* Bucket of x >= 0 under scale = nb / max: floor(x * scale), clamped to
+ * the last bucket (x = max may round to nb). */
+static inline long bucket_of(double x, double scale, long nb)
+{
+  long b = (long)(x * scale); /* x * scale >= 0: truncation is floor */
+  return b < nb ? b : nb - 1;
+}
+
+/* Ascending sort of a dense-index row: a bucket sort in expected linear
+ * time.  bucket_of is monotone in x (a correctly rounded product by a
+ * positive constant and floor both are), so x < y whenever
+ * bucket_of(x) < bucket_of(y): concatenating the buckets, each sorted by
+ * qsort_d, gives the unique ascending order of the multiset — the same
+ * bits as qsort_d alone.  Rows of at most 64 entries, rows holding a
+ * negative, NaN or +inf entry (never a distance), a zero maximum, a
+ * non-finite scale (subnormal-only rows) and a failed scratch allocation
+ * all take qsort_d directly.  A bucket holding most of the row
+ * (all-equal rows, one far outlier) is sorted by qsort_d, so the worst
+ * case stays O(n log n). */
 CAMLprim value pc_sort_floats(value arr, value vlen)
 {
+  double *a = DBL(arr);
   long n = Long_val(vlen);
-  if (n > 1) qsort_d(DBL(arr), 0, n - 1);
+  if (n <= 64) {
+    if (n > 1) qsort_d(a, 0, n - 1);
+    return Val_unit;
+  }
+  double max = 0.;
+  for (long i = 0; i < n; i++) {
+    double x = a[i];
+    if (!(x >= 0.)) {
+      qsort_d(a, 0, n - 1);
+      return Val_unit;
+    }
+    if (x > max) max = x;
+  }
+  long nb = n;
+  double scale = (double)nb / max;
+  long *start = NULL;
+  double *tmp = NULL;
+  if (isfinite(max) && isfinite(scale)) { /* max = 0 gives scale = +inf */
+    start = malloc((size_t)(nb + 1) * sizeof(long));
+    tmp = malloc((size_t)n * sizeof(double));
+  }
+  if (start == NULL || tmp == NULL) {
+    free(start);
+    free(tmp);
+    qsort_d(a, 0, n - 1);
+    return Val_unit;
+  }
+  memset(start, 0, (size_t)(nb + 1) * sizeof(long));
+  for (long i = 0; i < n; i++) start[bucket_of(a[i], scale, nb) + 1]++;
+  for (long b = 0; b < nb; b++) start[b + 1] += start[b];
+  /* start[b] is now the first slot of bucket b; scatter advances it to
+   * the first slot of bucket b + 1. */
+  for (long i = 0; i < n; i++) tmp[start[bucket_of(a[i], scale, nb)]++] = a[i];
+  memcpy(a, tmp, (size_t)n * sizeof(double));
+  long lo = 0;
+  for (long b = 0; b < nb; b++) {
+    if (start[b] - lo > 1) qsort_d(a, lo, start[b] - 1);
+    lo = start[b];
+  }
+  free(start);
+  free(tmp);
   return Val_unit;
 }
 

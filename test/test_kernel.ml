@@ -75,6 +75,69 @@ let test_dists_sort_kth_diff =
       check_float_array "sorted" out_r out_c;
       true)
 
+(* Distance rows built to reach every branch of the native row sort: the
+   lengths straddle its cutoffs (insertion sort, short-row quicksort,
+   buckets, beyond the dense threshold), and the shapes hit its
+   duplicate-heavy buckets, its single oversized bucket (all equal, one
+   far outlier) and its quicksort fallbacks (+0.-only rows, subnormal-only
+   rows, a +inf entry). *)
+let distance_row_gen =
+  QCheck2.Gen.(
+    no_shrink
+      ( oneofl [ 0; 1; 2; 15; 16; 64; 65; 4097 ] >>= fun len ->
+        let row elt = array_size (return len) elt in
+        let set_one a x pos = if len > 0 then a.(pos mod len) <- x; a in
+        oneof
+          [
+            (* Grid-snapped: many exact duplicates. *)
+            ( float_range 1e-3 1. >>= fun h ->
+              row (int_range 0 12 >|= fun k -> h *. float_of_int k) );
+            (* All equal, zero included. *)
+            (oneof [ return 0.; float_range 1e-3 5. ] >|= fun c -> Array.make len c);
+            (* Mostly +0. *)
+            row (frequency [ (3, return 0.); (1, float_range 0. 2.) ]);
+            (* One far outlier: every other entry lands in the first bucket. *)
+            ( pair (row (float_range 0. 1.)) nat >|= fun (a, pos) -> set_one a 1e300 pos );
+            (* Subnormal only: [len / max] overflows. *)
+            row (int_range 1 1000 >|= fun k -> Int64.float_of_bits (Int64.of_int k));
+            (* A trailing +inf. *)
+            (row (float_range 0. 3.) >|= fun a -> set_one a infinity (len - 1));
+            (* Plain spread-out distances. *)
+            row (float_range 0. 1.5);
+          ] ))
+
+let test_sort_floats_rows_diff =
+  qcheck ~count:300 "sort_floats: C = Ref bitwise (adversarial distance rows)"
+    distance_row_gen (fun row ->
+      with_native @@ fun () ->
+      let c = Array.copy row and r = Array.copy row in
+      Kernel.sort_floats c;
+      Kernel.Ref.sort_floats r;
+      check_float_array "sorted row" r c;
+      true)
+
+(* The dense index is n sorted rows: under the native kernels and under
+   Kernel.Ref every k-th neighbour distance must carry the same bits, on
+   a planted set the size of the daemon's dense workloads. *)
+let test_dense_index_rows_native_vs_ref () =
+  let _, _, w = small_workload ~seed:5 ~n:3000 ~axis:256 () in
+  let ps = Geometry.Pointset.create w.Workload.Synth.points in
+  let build native =
+    let before = Kernel.native_active () in
+    Kernel.set_native native;
+    Fun.protect ~finally:(fun () -> Kernel.set_native before) @@ fun () ->
+    Geometry.Pointset.build_index ps
+  in
+  let c = build true and r = build false in
+  let n = Geometry.Pointset.n ps in
+  for i = 0 to n - 1 do
+    for k = 1 to n do
+      let kth idx = Geometry.Pointset.kth_neighbor_distance idx ~k i in
+      if Int64.bits_of_float (kth c) <> Int64.bits_of_float (kth r) then
+        Alcotest.failf "row %d, entry %d: native %h, reference %h" i k (kth c) (kth r)
+    done
+  done
+
 let test_counts_le_sorted_diff =
   qcheck "counts_le_sorted: C = Ref"
     QCheck2.Gen.(
@@ -393,6 +456,8 @@ let suite =
   [
     test_count_within_diff;
     test_dists_sort_kth_diff;
+    test_sort_floats_rows_diff;
+    case "dense index rows: native = reference (n = 3000)" test_dense_index_rows_native_vs_ref;
     test_counts_le_sorted_diff;
     test_top_avg_capped_diff;
     test_jl_sum_rows_diff;

@@ -108,6 +108,27 @@ let test_counts_within () =
         [ idx; tree ])
     [ -1.; 0.; 0.1; 0.15; 0.2; 1. ]
 
+(* The two backends test ball membership differently: a dense row holds
+   [sqrt acc] and counts [sqrt acc <= r]; the k-d tree counts
+   [acc <= r *. r].  Rounding can split the two (DESIGN.md §6: on these
+   planted sets the linear grid's r = 1.0 does, for seeds 3 and 4).  On
+   the geometric grid, the engine's default, they must agree exactly. *)
+let test_backends_agree_on_geometric_grid () =
+  List.iter
+    (fun seed ->
+      let _, grid, w = small_workload ~seed ~n:1500 ~axis:256 ~radius:0.05 () in
+      let ps = Geometry.Pointset.create w.Workload.Synth.points in
+      let dense = Geometry.Pointset.build_index ps in
+      let tree = Geometry.Pointset.build_tree_index ps in
+      for j = 0 to Geometry.Grid.geometric_candidates grid - 1 do
+        let radius = Geometry.Grid.geometric_radius_of_index grid j in
+        Alcotest.(check (array int))
+          (Printf.sprintf "seed %d, r = %h" seed radius)
+          (Geometry.Pointset.counts_within dense ~radius)
+          (Geometry.Pointset.counts_within tree ~radius)
+      done)
+    [ 1; 2; 3; 4 ]
+
 let test_kth_neighbor () =
   let pts = [| [| 0. |]; [| 0.3 |]; [| 1.0 |] |] in
   let idx = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
@@ -138,6 +159,7 @@ let suite =
     qcheck_l_sensitivity_two;
     qcheck_l_bounds;
     case "counts_within" test_counts_within;
+    case "dense and tree counts agree on the geometric grid" test_backends_agree_on_geometric_grid;
     case "kth neighbor distance" test_kth_neighbor;
     case "subset / filter / map" test_subset_filter_map;
   ]
