@@ -261,6 +261,102 @@ let test_job_parse_errors () =
       | Error e -> check_true "error names line 1" (String.length e > 0 && String.sub e 0 6 = "line 1"))
     bad
 
+(* Golden bytes: a signature is a Result_cache key and is journaled in WAL
+   [cached] records, and the two output encodings are the reply JSON and
+   the journaled answer, so all three must keep their exact bytes. *)
+let golden_spec kind ~eps ~delta =
+  {
+    Engine.Job.id = "g";
+    kind;
+    eps;
+    delta;
+    beta = 0.1;
+    deadline_s = Some 30.;
+    fallback = false;
+  }
+
+let test_job_golden_bytes () =
+  let third = 1. /. 3. and tenth = 0.1 +. 0.2 in
+  let t_fraction = third in
+  let signatures =
+    [
+      ( golden_spec (Engine.Job.One_cluster { t_fraction }) ~eps:tenth ~delta:1e-7,
+        "one_cluster t_fraction=0x1.5555555555555p-2 eps=0x1.3333333333334p-2 \
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.K_cluster { k = 3; t_fraction = 0.2 }) ~eps:1. ~delta:1e-7,
+        "k_cluster k=3 t_fraction=0x1.999999999999ap-3 eps=0x1p+0 delta=0x1.ad7f29abcaf48p-24 \
+         beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.Quantile { axis = 1; q = 0.25 }) ~eps:0.1234567 ~delta:0.,
+        "quantile axis=1 q=0x1p-2 eps=0x1.f9adbb8f8da72p-4 delta=0x0p+0 beta=0x1.999999999999ap-4" );
+      ( golden_spec
+          (Engine.Job.Mutate
+             (Engine.Job.Append_synth { n = 500; seed = 11; frac = 0.5; radius = 0.05 }))
+          ~eps:0. ~delta:0.,
+        "mutate op=append n=500 seed=11 frac=0x1p-1 radius=0x1.999999999999ap-5 eps=0x0p+0 \
+         delta=0x0p+0 beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.Mutate (Engine.Job.Retire_range { from_ = 7; count = 100 }))
+          ~eps:0. ~delta:0.,
+        "mutate op=retire from=7 count=100 eps=0x0p+0 delta=0x0p+0 beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.Standing { t_fraction = 0.45; periods = 4 }) ~eps:0.8 ~delta:4e-7,
+        "standing t_fraction=0x1.ccccccccccccdp-2 periods=4 eps=0x1.999999999999ap-1 \
+         delta=0x1.ad7f29abcaf48p-22 beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.Local_cluster { t_fraction = 0.6 }) ~eps:2. ~delta:0.,
+        "local_cluster t_fraction=0x1.3333333333333p-1 eps=0x1p+1 delta=0x0p+0 \
+         beta=0x1.999999999999ap-4" );
+      ( golden_spec (Engine.Job.Meb { t_fraction = 0.8; coreset = 200 }) ~eps:1. ~delta:1e-7,
+        "meb_fptas t_fraction=0x1.999999999999ap-1 coreset=200 eps=0x1p+0 \
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4" );
+    ]
+  in
+  List.iter
+    (fun (spec, expected) ->
+      Alcotest.(check string) "signature" expected (Engine.Job.signature spec))
+    signatures;
+  let ball = { Engine.Job.center = [| tenth; -.third |]; radius = 0.0625 +. 1e-9; covered = 17 } in
+  let ball_json = {|{"center":[0.3,-0.333333333333],"radius":0.062500001,"covered":17}|} in
+  let ball_wire =
+    {|{"center":["0x1.3333333333334p-2","-0x1.5555555555555p-2"],"radius":"0x1.00000044b82fap-4",|}
+    ^ {|"covered":17}|}
+  in
+  let outputs =
+    [
+      ( Engine.Job.Cluster { ball; t = 40; ratio_vs_hi = 1.5 +. 1e-12; delta_bound = third },
+        {|{"ball":|} ^ ball_json ^ {|,"t":40,"ratio_vs_hi":1.5,"delta_bound":0.333333333333}|},
+        {|{"kind":"cluster","ball":|} ^ ball_wire
+        ^ {|,"t":40,"ratio_vs_hi":"0x1.8000000001198p+0","delta_bound":"0x1.5555555555555p-2"}|} );
+      ( Engine.Job.Clusters { balls = [ ball; ball ]; uncovered = 3; failures = 1 },
+        {|{"balls":[|} ^ ball_json ^ "," ^ ball_json ^ {|],"uncovered":3,"failures":1}|},
+        {|{"kind":"clusters","balls":[|} ^ ball_wire ^ "," ^ ball_wire
+        ^ {|],"uncovered":3,"failures":1}|} );
+      ( Engine.Job.Quantile_value { value = tenth; target_rank = 200.5 },
+        {|{"value":0.3,"target_rank":200.5}|},
+        {|{"kind":"quantile","value":"0x1.3333333333334p-2","target_rank":"0x1.91p+7"}|} );
+      ( Engine.Job.Radius { radius = third; t = 9; delta_bound = 1e-7 },
+        {|{"radius":0.333333333333,"t":9,"delta_bound":1e-07}|},
+        {|{"kind":"radius","radius":"0x1.5555555555555p-2","t":9,"delta_bound":"0x1.ad7f29abcaf48p-24"}|}
+      );
+      ( Engine.Job.Epoch_advanced { epoch = 2; n = 500 },
+        {|{"epoch":2,"n":500}|},
+        {|{"kind":"epoch","epoch":2,"n":500}|} );
+      ( Engine.Job.Standing_accepted { periods = 4 },
+        {|{"periods":4}|},
+        {|{"kind":"standing","periods":4}|} );
+    ]
+  in
+  let spec, _ = List.hd signatures in
+  List.iter
+    (fun (o, json, wire) ->
+      let reply =
+        Engine.Job.result_to_json
+          { Engine.Job.spec; status = Engine.Job.Completed o; latency_ms = 0.; attempts = 1 }
+      in
+      (match Obs.Json.member "output" reply with
+      | Some j -> Alcotest.(check string) "output_json" json (Obs.Json.to_string ~indent:false j)
+      | None -> Alcotest.fail "reply has no output");
+      Alcotest.(check string) "output_to_wire" wire
+        (Obs.Json.to_string ~indent:false (Engine.Job.output_to_wire o)))
+    outputs
+
 (* --- Pool --------------------------------------------------------------- *)
 
 let test_pool_outcomes_in_order () =
@@ -443,6 +539,7 @@ let suite =
     case "registry caches the r_opt sandwich per t" test_registry_caches_bounds;
     case "jobs-file parsing" test_job_parsing;
     case "jobs-file parse errors name the line" test_job_parse_errors;
+    case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
     case "pool returns outcomes in submission order" test_pool_outcomes_in_order;
     case "pool confines a task exception to its task" test_pool_failure_isolation;
     case "pool deadline: expired jobs skip, overruns report timeout" test_pool_deadline_timeout;
