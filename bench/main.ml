@@ -375,13 +375,13 @@ let run_daemon_bench ~quick ~jobs =
     in
     if !daemon_statuses = [] then
       daemon_statuses :=
-        (match Option.bind (Engine.Json.member "results" payload) Engine.Json.to_list with
+        (match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
         | None -> fail "run reply has no results"
         | Some rs ->
             List.map
               (fun r ->
                 Option.value ~default:"?"
-                  (Option.bind (Engine.Json.member "status" r) Engine.Json.to_str))
+                  (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
               rs);
     ms
   in
@@ -493,13 +493,13 @@ let run_serving_bench ~quick ~jobs =
     (dir, d, c)
   in
   let statuses payload =
-    match Option.bind (Engine.Json.member "results" payload) Engine.Json.to_list with
+    match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
     | None -> fail "run reply has no results"
     | Some rs ->
         List.map
           (fun r ->
             Option.value ~default:"?"
-              (Option.bind (Engine.Json.member "status" r) Engine.Json.to_str))
+              (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
           rs
   in
   let dir_off, d_off, c_off = arm ~telemetry:false ~sample:false in
@@ -520,7 +520,7 @@ let run_serving_bench ~quick ~jobs =
   (* prove the sampling arm really collected: the ring has exemplars *)
   let stats = rpc "stats" (Server.Client.stats c_s) in
   let exemplars =
-    match Option.bind (Engine.Json.member "exemplars" stats) Engine.Json.to_int with
+    match Option.bind (Obs.Json.member "exemplars" stats) Obs.Json.to_int with
     | Some e -> e
     | None -> fail "sampling arm reports no stats"
   in
@@ -1135,7 +1135,7 @@ let run_meta ~jobs =
       (!model, isa)
     with Sys_error _ -> (None, None)
   in
-  let open Engine.Json in
+  let open Obs.Json in
   let opt = function Some s -> String s | None -> Null in
   Obj
     [
@@ -1153,7 +1153,7 @@ let run_meta ~jobs =
     ]
 
 let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13 ~b14 ~b15 =
-  let open Engine.Json in
+  let open Obs.Json in
   let timing_json =
     List.map
       (fun (name, ns, r2) ->
@@ -1336,7 +1336,7 @@ let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13
 
 let write_json path json =
   let oc = open_out path in
-  output_string oc (Engine.Json.to_string json);
+  output_string oc (Obs.Json.to_string json);
   output_string oc "\n";
   close_out oc;
   Printf.printf "bench results written to %s\n" path

@@ -281,7 +281,7 @@ let batch_cmd =
     | None -> ()
     | Some dest ->
         let json =
-          Engine.Json.to_string (Engine.Service.report_json service ~dataset results) ^ "\n"
+          Obs.Json.to_string (Engine.Service.report_json service ~dataset results) ^ "\n"
         in
         if dest = "-" then print_string json
         else begin
@@ -602,7 +602,7 @@ let check_cmd =
       | None -> ()
       | Some dest ->
           let json =
-            Engine.Json.to_string (Check.Suite.report_json cfg results) ^ "\n"
+            Obs.Json.to_string (Check.Suite.report_json cfg results) ^ "\n"
           in
           if dest = "-" then print_string json
           else begin
@@ -929,7 +929,7 @@ let client_cmd =
   in
   let finish = function
     | Ok json ->
-        print_string (Engine.Json.to_string json ^ "\n")
+        print_string (Obs.Json.to_string json ^ "\n")
     | Error (`Server e) when (match e.Server.Wire.code with Server.Wire.Rejected _ -> true | _ -> false) ->
         prerr_endline ("client: " ^ Server.Client.fail_message (`Server e));
         exit 3
@@ -1246,8 +1246,8 @@ let client_cmd =
           Stdlib.exit 1
       | Ok (status, verdicts, payload) ->
           let draining =
-            match Engine.Json.member "draining" payload with
-            | Some (Engine.Json.Bool b) -> b
+            match Obs.Json.member "draining" payload with
+            | Some (Obs.Json.Bool b) -> b
             | _ -> false
           in
           Printf.printf "status: %s%s\n"

@@ -26,7 +26,7 @@ type result = {
   kind : string;
   status : status;
   detail : string;
-  json : Engine.Json.t;
+  json : Obs.Json.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -112,31 +112,31 @@ let scaled cfg ~cost =
 (* JSON rendering *)
 
 let interval_json (i : Stats.interval) =
-  Engine.Json.Obj [ ("lo", Engine.Json.Float i.Stats.lo); ("hi", Engine.Json.Float i.Stats.hi) ]
+  Obs.Json.Obj [ ("lo", Obs.Json.Float i.Stats.lo); ("hi", Obs.Json.Float i.Stats.hi) ]
 
 let estimate_json (e : Distinguisher.estimate) =
-  Engine.Json.Obj
+  Obs.Json.Obj
     [
-      ("event", Engine.Json.String e.Distinguisher.event);
-      ("p_hat", Engine.Json.Float e.Distinguisher.p_hat);
-      ("q_hat", Engine.Json.Float e.Distinguisher.q_hat);
+      ("event", Obs.Json.String e.Distinguisher.event);
+      ("p_hat", Obs.Json.Float e.Distinguisher.p_hat);
+      ("q_hat", Obs.Json.Float e.Distinguisher.q_hat);
       ("p_ci", interval_json e.Distinguisher.p_ci);
       ("q_ci", interval_json e.Distinguisher.q_ci);
-      ("eps_lb", Engine.Json.Float e.Distinguisher.eps_lb);
-      ("violation", Engine.Json.Bool e.Distinguisher.violation);
+      ("eps_lb", Obs.Json.Float e.Distinguisher.eps_lb);
+      ("violation", Obs.Json.Bool e.Distinguisher.violation);
     ]
 
 let verdict_json (v : Distinguisher.verdict) =
-  Engine.Json.Obj
+  Obs.Json.Obj
     [
-      ("claimed_eps", Engine.Json.Float v.Distinguisher.claimed.Prim.Dp.eps);
-      ("claimed_delta", Engine.Json.Float v.Distinguisher.claimed.Prim.Dp.delta);
-      ("slack", Engine.Json.Float v.Distinguisher.slack);
-      ("alpha", Engine.Json.Float v.Distinguisher.alpha);
-      ("trials_per_side", Engine.Json.Int v.Distinguisher.trials);
-      ("eps_lb", Engine.Json.Float v.Distinguisher.eps_lb);
-      ("violation", Engine.Json.Bool v.Distinguisher.violation);
-      ("events", Engine.Json.List (List.map estimate_json v.Distinguisher.estimates));
+      ("claimed_eps", Obs.Json.Float v.Distinguisher.claimed.Prim.Dp.eps);
+      ("claimed_delta", Obs.Json.Float v.Distinguisher.claimed.Prim.Dp.delta);
+      ("slack", Obs.Json.Float v.Distinguisher.slack);
+      ("alpha", Obs.Json.Float v.Distinguisher.alpha);
+      ("trials_per_side", Obs.Json.Int v.Distinguisher.trials);
+      ("eps_lb", Obs.Json.Float v.Distinguisher.eps_lb);
+      ("violation", Obs.Json.Bool v.Distinguisher.violation);
+      ("events", Obs.Json.List (List.map estimate_json v.Distinguisher.estimates));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -153,14 +153,14 @@ let ks_result cfg ~name ~cdf samples =
       Printf.sprintf "KS D=%.4f p=%.3g n=%d (reject < %g)" r.Stats.d r.Stats.p_value r.Stats.n
         cfg.significance;
     json =
-      Engine.Json.Obj
+      Obs.Json.Obj
         [
-          ("test", Engine.Json.String "ks");
-          ("d", Engine.Json.Float r.Stats.d);
-          ("p_value", Engine.Json.Float r.Stats.p_value);
-          ("n", Engine.Json.Int r.Stats.n);
-          ("significance", Engine.Json.Float cfg.significance);
-          ("violation", Engine.Json.Bool violation);
+          ("test", Obs.Json.String "ks");
+          ("d", Obs.Json.Float r.Stats.d);
+          ("p_value", Obs.Json.Float r.Stats.p_value);
+          ("n", Obs.Json.Int r.Stats.n);
+          ("significance", Obs.Json.Float cfg.significance);
+          ("violation", Obs.Json.Bool violation);
         ];
   }
 
@@ -176,15 +176,15 @@ let ad_result cfg ~name ~cdf samples =
       Printf.sprintf "AD A2=%.3f p~%.3g n=%d (crit %.3f at %g)" r.Stats.a2 r.Stats.p_value
         r.Stats.n crit cfg.significance;
     json =
-      Engine.Json.Obj
+      Obs.Json.Obj
         [
-          ("test", Engine.Json.String "ad");
-          ("a2", Engine.Json.Float r.Stats.a2);
-          ("p_value", Engine.Json.Float r.Stats.p_value);
-          ("critical", Engine.Json.Float crit);
-          ("n", Engine.Json.Int r.Stats.n);
-          ("significance", Engine.Json.Float cfg.significance);
-          ("violation", Engine.Json.Bool violation);
+          ("test", Obs.Json.String "ad");
+          ("a2", Obs.Json.Float r.Stats.a2);
+          ("p_value", Obs.Json.Float r.Stats.p_value);
+          ("critical", Obs.Json.Float crit);
+          ("n", Obs.Json.Int r.Stats.n);
+          ("significance", Obs.Json.Float cfg.significance);
+          ("violation", Obs.Json.Bool violation);
         ];
   }
 
@@ -199,16 +199,16 @@ let chi2_result cfg ~name ~expected ~observed ~n =
       Printf.sprintf "chi2 X2=%.2f df=%d p=%.3g n=%d (reject < %g)" r.Stats.stat r.Stats.df
         r.Stats.p_value n cfg.significance;
     json =
-      Engine.Json.Obj
+      Obs.Json.Obj
         [
-          ("test", Engine.Json.String "chi2");
-          ("stat", Engine.Json.Float r.Stats.stat);
-          ("df", Engine.Json.Int r.Stats.df);
-          ("p_value", Engine.Json.Float r.Stats.p_value);
-          ("pooled_cells", Engine.Json.Int r.Stats.pooled_cells);
-          ("n", Engine.Json.Int n);
-          ("significance", Engine.Json.Float cfg.significance);
-          ("violation", Engine.Json.Bool violation);
+          ("test", Obs.Json.String "chi2");
+          ("stat", Obs.Json.Float r.Stats.stat);
+          ("df", Obs.Json.Int r.Stats.df);
+          ("p_value", Obs.Json.Float r.Stats.p_value);
+          ("pooled_cells", Obs.Json.Int r.Stats.pooled_cells);
+          ("n", Obs.Json.Int n);
+          ("significance", Obs.Json.Float cfg.significance);
+          ("violation", Obs.Json.Bool violation);
         ];
   }
 
@@ -572,8 +572,8 @@ let local_cluster_negative ~stream cfg =
         (if v.Distinguisher.violation then "caught" else "MISSED")
         Distinguisher.pp_verdict v;
     json =
-      Engine.Json.Obj
-        [ ("negative_control", Engine.Json.Bool true); ("verdict", verdict_json v) ];
+      Obs.Json.Obj
+        [ ("negative_control", Obs.Json.Bool true); ("verdict", verdict_json v) ];
   }
 
 let certifier_result ~name (spec : Certifier.spec) (o : Certifier.outcome) =
@@ -589,20 +589,20 @@ let certifier_result ~name (spec : Certifier.spec) (o : Certifier.outcome) =
         o.Certifier.solver_failures o.Certifier.coverage_failures o.Certifier.radius_failures
         o.Certifier.median_w;
     json =
-      Engine.Json.Obj
+      Obs.Json.Obj
         [
-          ("runs", Engine.Json.Int spec.Certifier.runs);
-          ("beta", Engine.Json.Float spec.Certifier.beta);
-          ("w_max", Engine.Json.Float spec.Certifier.w_max);
-          ("failures", Engine.Json.Int o.Certifier.failures);
-          ("solver_failures", Engine.Json.Int o.Certifier.solver_failures);
-          ("coverage_failures", Engine.Json.Int o.Certifier.coverage_failures);
-          ("radius_failures", Engine.Json.Int o.Certifier.radius_failures);
-          ("failure_rate", Engine.Json.Float o.Certifier.failure_rate);
+          ("runs", Obs.Json.Int spec.Certifier.runs);
+          ("beta", Obs.Json.Float spec.Certifier.beta);
+          ("w_max", Obs.Json.Float spec.Certifier.w_max);
+          ("failures", Obs.Json.Int o.Certifier.failures);
+          ("solver_failures", Obs.Json.Int o.Certifier.solver_failures);
+          ("coverage_failures", Obs.Json.Int o.Certifier.coverage_failures);
+          ("radius_failures", Obs.Json.Int o.Certifier.radius_failures);
+          ("failure_rate", Obs.Json.Float o.Certifier.failure_rate);
           ("failure_ci", interval_json ci);
-          ("median_w", Engine.Json.Float o.Certifier.median_w);
-          ("median_coverage_margin", Engine.Json.Float o.Certifier.median_coverage_margin);
-          ("violation", Engine.Json.Bool o.Certifier.violation);
+          ("median_w", Obs.Json.Float o.Certifier.median_w);
+          ("median_coverage_margin", Obs.Json.Float o.Certifier.median_coverage_margin);
+          ("violation", Obs.Json.Bool o.Certifier.violation);
         ];
   }
 
@@ -721,39 +721,39 @@ let run ?only cfg =
 let report_json cfg results =
   let passes = List.length (List.filter (fun r -> r.status = Pass) results) in
   let violations = List.length (List.filter (fun r -> r.status = Violation) results) in
-  Engine.Json.Obj
+  Obs.Json.Obj
     [
       ( "config",
-        Engine.Json.Obj
+        Obs.Json.Obj
           [
-            ("seed", Engine.Json.Int cfg.seed);
-            ("trials", Engine.Json.Int cfg.trials);
-            ("deep", Engine.Json.Bool cfg.deep);
-            ("significance", Engine.Json.Float cfg.significance);
-            ("alpha", Engine.Json.Float cfg.alpha);
-            ("slack", Engine.Json.Float cfg.slack);
-            ("domains", Engine.Json.Int cfg.domains);
+            ("seed", Obs.Json.Int cfg.seed);
+            ("trials", Obs.Json.Int cfg.trials);
+            ("deep", Obs.Json.Bool cfg.deep);
+            ("significance", Obs.Json.Float cfg.significance);
+            ("alpha", Obs.Json.Float cfg.alpha);
+            ("slack", Obs.Json.Float cfg.slack);
+            ("domains", Obs.Json.Int cfg.domains);
           ] );
       ( "checks",
-        Engine.Json.List
+        Obs.Json.List
           (List.map
              (fun r ->
-               Engine.Json.Obj
+               Obs.Json.Obj
                  [
-                   ("name", Engine.Json.String r.name);
-                   ("kind", Engine.Json.String r.kind);
+                   ("name", Obs.Json.String r.name);
+                   ("kind", Obs.Json.String r.kind);
                    ( "status",
-                     Engine.Json.String
+                     Obs.Json.String
                        (match r.status with Pass -> "pass" | Violation -> "violation") );
-                   ("detail", Engine.Json.String r.detail);
+                   ("detail", Obs.Json.String r.detail);
                    ("data", r.json);
                  ])
              results) );
       ( "summary",
-        Engine.Json.Obj
+        Obs.Json.Obj
           [
-            ("checks", Engine.Json.Int (List.length results));
-            ("passes", Engine.Json.Int passes);
-            ("violations", Engine.Json.Int violations);
+            ("checks", Obs.Json.Int (List.length results));
+            ("passes", Obs.Json.Int passes);
+            ("violations", Obs.Json.Int violations);
           ] );
     ]

@@ -40,7 +40,7 @@ type result = {
   kind : string;  (** ["distribution"], ["distinguisher"] or ["utility"]. *)
   status : status;
   detail : string;  (** One-line human rendering of the headline numbers. *)
-  json : Engine.Json.t;
+  json : Obs.Json.t;
 }
 
 val names : unit -> string list
@@ -60,6 +60,6 @@ val run : ?only:string list -> config -> result list
 (** Run the registered checks ([only] filters by exact name or by
     [prefix/] group name, e.g. ["laplace"]). *)
 
-val report_json : config -> result list -> Engine.Json.t
+val report_json : config -> result list -> Obs.Json.t
 (** The machine-readable report the CLI emits: config, per-check records,
     and a pass/violation summary. *)

@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type mode = Basic | Advanced of { slack : float } | Zcdp of { slack : float }
 
 let mode_name = function Basic -> "basic" | Advanced _ -> "advanced" | Zcdp _ -> "zcdp"

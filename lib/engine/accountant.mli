@@ -148,4 +148,4 @@ val pp_refusal : Format.formatter -> refusal -> unit
 val refusal_message : refusal -> string
 (** One-line human rendering, used verbatim in job results. *)
 
-val to_json : t -> Json.t
+val to_json : t -> Obs.Json.t

@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type mutation_op =
   | Append_synth of { n : int; seed : int; frac : float; radius : float }
   | Retire_range of { from_ : int; count : int }
@@ -41,202 +43,216 @@ let fallback_cost spec =
       Some { Prim.Dp.eps = spec.eps /. 2.; delta = spec.delta /. 2. }
   | _ -> None
 
-(* --- parsing ----------------------------------------------------------- *)
+(* A kind's target-size fraction: [t = ⌈t_fraction · n⌉] for the kinds that
+   locate a cluster, none for the others. *)
+let t_fraction = function
+  | One_cluster { t_fraction }
+  | K_cluster { t_fraction; _ }
+  | Standing { t_fraction; _ }
+  | Local_cluster { t_fraction }
+  | Meb { t_fraction; _ } ->
+      Some t_fraction
+  | Quantile _ | Mutate _ -> None
+
+(* --- the jobs-file format ---------------------------------------------- *)
+
+let ( let* ) = Result.bind
+let ( let+ ) r f = Result.map f r
+
+type _ key =
+  | Float : float key
+  | Int : int key
+  | Pos_int : int key
+  | Bool : bool key
+  | Str : string key
+
+(* One line's key=value pairs (the last of a repeated key wins), and the
+   keys read from it so far: a key its kind never reads is an error. *)
+type fields = { kind_tok : string; kvs : (string * string) list; mutable read : string list }
+
+let get : type a. fields -> a key -> ?default:a -> string -> (a, string) result =
+ fun f key ?default k ->
+  f.read <- k :: f.read;
+  let value : string -> a option =
+    match key with
+    | Float -> float_of_string_opt
+    | Int -> int_of_string_opt
+    | Pos_int -> fun v -> Option.bind (int_of_string_opt v) (fun i -> if i > 0 then Some i else None)
+    | Bool -> ( function "true" | "1" -> Some true | "false" | "0" -> Some false | _ -> None)
+    | Str -> Option.some
+  in
+  let what =
+    match key with
+    | Float -> "a number"
+    | Int -> "an integer"
+    | Pos_int -> "a positive integer"
+    | Bool -> "true or false"
+    | Str -> "a string"
+  in
+  match (List.assoc_opt k f.kvs, default) with
+  | Some v, _ -> Option.to_result ~none:(Printf.sprintf "key %s: not %s: %S" k what v) (value v)
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "%s requires %s=" f.kind_tok k)
+
+(* How a kind reads its price: [Approx] requires both eps and delta;
+   [Pure] is an (ε, 0) query, so delta defaults to 0; [Free] kinds touch no
+   private data through a mechanism (mutations), so both default to 0. *)
+type price = Approx | Pure | Free
+
+(* The per-kind key table: each kind's name, price, and the keys its
+   arguments are read from. *)
+let kinds : (string * price * (fields -> (kind, string) result)) list =
+  [
+    ( "one_cluster",
+      Approx,
+      fun f ->
+        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        One_cluster { t_fraction } );
+    ( "k_cluster",
+      Approx,
+      fun f ->
+        let* k = get f Pos_int "k" in
+        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        K_cluster { k; t_fraction } );
+    ( "quantile",
+      Pure,
+      fun f ->
+        let* q = get f Float ~default:0.5 "q" in
+        let* axis = get f Int ~default:0 "axis" in
+        if q < 0. || q > 1. then Error "key q: must be in [0, 1]" else Ok (Quantile { axis; q }) );
+    ( "mutate",
+      Free,
+      fun f ->
+        let* op = get f Str "op" in
+        match op with
+        | "append" ->
+            let* n = get f Pos_int "n" in
+            let* seed = get f Int "seed" in
+            let* frac = get f Float ~default:0.5 "frac" in
+            let+ radius = get f Float ~default:0.05 "radius" in
+            Mutate (Append_synth { n; seed; frac; radius })
+        | "retire" ->
+            let* from_ = get f Int "from" in
+            let* count = get f Pos_int "count" in
+            if from_ < 0 then Error "key from: must be >= 0"
+            else Ok (Mutate (Retire_range { from_; count }))
+        | op -> Error (Printf.sprintf "key op: expected append|retire, got %S" op) );
+    ( "standing",
+      Approx,
+      fun f ->
+        let* t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let+ periods = get f Pos_int "periods" in
+        Standing { t_fraction; periods } );
+    ( "local_cluster",
+      Pure,
+      fun f ->
+        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        Local_cluster { t_fraction } );
+    ( "meb_fptas",
+      Approx,
+      fun f ->
+        let* t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let+ coreset = get f Pos_int ~default:400 "coreset" in
+        Meb { t_fraction; coreset } );
+  ]
 
 let split_ws s =
   String.split_on_char ' ' s
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun tok -> tok <> "")
 
-let parse_line ~default_beta ~lineno ~ordinal line =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt in
-  match split_ws line with
-  | [] -> Ok None
-  | kind_tok :: kv_toks -> (
-      let kvs = ref [] in
-      let bad = ref None in
-      List.iter
-        (fun tok ->
-          match String.index_opt tok '=' with
-          | None -> if !bad = None then bad := Some tok
-          | Some i ->
-              kvs :=
-                (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)) :: !kvs)
-        kv_toks;
-      match !bad with
-      | Some tok -> fail "expected key=value, got %S" tok
-      | None -> (
-          let lookup k = List.assoc_opt k !kvs in
-          let known_keys =
-            [
-              "eps"; "delta"; "beta"; "t_fraction"; "k"; "q"; "axis"; "deadline"; "id"; "fallback";
-              "op"; "n"; "seed"; "frac"; "radius"; "from"; "count"; "periods"; "coreset";
-            ]
-          in
-          match List.find_opt (fun (k, _) -> not (List.mem k known_keys)) !kvs with
-          | Some (k, _) -> fail "unknown key %S" k
-          | None -> (
-              let float_of k default =
-                match lookup k with
-                | None -> Ok default
-                | Some v -> (
-                    match float_of_string_opt v with
-                    | Some f -> Ok f
-                    | None -> fail "key %s: not a number: %S" k v)
-              in
-              let ( let* ) = Result.bind in
-              let require_float k =
-                match lookup k with
-                | None -> fail "%s requires %s=" kind_tok k
-                | Some v -> (
-                    match float_of_string_opt v with
-                    | Some f -> Ok f
-                    | None -> fail "key %s: not a number: %S" k v)
-              in
-              let require_int k =
-                match lookup k with
-                | None -> fail "%s requires %s=" kind_tok k
-                | Some v -> (
-                    match int_of_string_opt v with
-                    | Some i -> Ok i
-                    | None -> fail "key %s: not an integer: %S" k v)
-              in
-              (* [free_of_charge] kinds (mutations) touch no private data
-                 through a mechanism, so eps/delta default to 0 instead of
-                 being required. *)
-              let* kind, default_delta, free_of_charge =
-                match kind_tok with
-                | "one_cluster" ->
-                    let* t_fraction = float_of "t_fraction" 0.5 in
-                    Ok (One_cluster { t_fraction }, None, false)
-                | "k_cluster" -> (
-                    match lookup "k" with
-                    | None -> fail "k_cluster requires k="
-                    | Some kv -> (
-                        match int_of_string_opt kv with
-                        | None | Some 0 -> fail "key k: not a positive integer: %S" kv
-                        | Some k when k < 0 -> fail "key k: not a positive integer: %S" kv
-                        | Some k ->
-                            let* t_fraction = float_of "t_fraction" 0.5 in
-                            Ok (K_cluster { k; t_fraction }, None, false)))
-                | "quantile" ->
-                    let* q = float_of "q" 0.5 in
-                    let* axis = float_of "axis" 0. in
-                    if q < 0. || q > 1. then fail "key q: must be in [0, 1]"
-                    else Ok (Quantile { axis = int_of_float axis; q }, Some 0., false)
-                | "mutate" -> (
-                    match lookup "op" with
-                    | None -> fail "mutate requires op=append|retire"
-                    | Some "append" ->
-                        let* n = require_int "n" in
-                        let* seed = require_int "seed" in
-                        let* frac = float_of "frac" 0.5 in
-                        let* radius = float_of "radius" 0.05 in
-                        if n < 1 then fail "key n: must be >= 1"
-                        else Ok (Mutate (Append_synth { n; seed; frac; radius }), Some 0., true)
-                    | Some "retire" ->
-                        let* from_ = require_int "from" in
-                        let* count = require_int "count" in
-                        if from_ < 0 then fail "key from: must be >= 0"
-                        else if count < 1 then fail "key count: must be >= 1"
-                        else Ok (Mutate (Retire_range { from_; count }), Some 0., true)
-                    | Some op -> fail "key op: expected append|retire, got %S" op)
-                | "standing" ->
-                    let* t_fraction = float_of "t_fraction" 0.5 in
-                    let* periods = require_int "periods" in
-                    if periods < 1 then fail "key periods: must be >= 1"
-                    else Ok (Standing { t_fraction; periods }, None, false)
-                | "local_cluster" ->
-                    (* The LDP pipeline is pure ε, so delta defaults to 0. *)
-                    let* t_fraction = float_of "t_fraction" 0.5 in
-                    Ok (Local_cluster { t_fraction }, Some 0., false)
-                | "meb_fptas" -> (
-                    let* t_fraction = float_of "t_fraction" 0.5 in
-                    match lookup "coreset" with
-                    | None -> Ok (Meb { t_fraction; coreset = 400 }, None, false)
-                    | Some cv -> (
-                        match int_of_string_opt cv with
-                        | None | Some 0 -> fail "key coreset: not a positive integer: %S" cv
-                        | Some c when c < 0 -> fail "key coreset: not a positive integer: %S" cv
-                        | Some coreset -> Ok (Meb { t_fraction; coreset }, None, false)))
-                | k ->
-                    fail
-                      "unknown job kind %S (expected \
-                       one_cluster|k_cluster|quantile|mutate|standing|local_cluster|meb_fptas)"
-                      k
-              in
-              let* eps = if free_of_charge then float_of "eps" 0. else require_float "eps" in
-              let* delta =
-                match default_delta with Some d -> float_of "delta" d | None -> require_float "delta"
-              in
-              let* beta = float_of "beta" default_beta in
-              let* deadline = float_of "deadline" Float.nan in
-              let* fallback =
-                match lookup "fallback" with
-                | None -> Ok false
-                | Some ("true" | "1") -> Ok true
-                | Some ("false" | "0") -> Ok false
-                | Some v -> fail "key fallback: expected true|false, got %S" v
-              in
-              if (not free_of_charge) && eps <= 0. then fail "key eps: must be > 0"
-              else if delta < 0. || delta >= 1. then fail "key delta: must be in [0, 1)"
-              else if fallback && (match kind with One_cluster _ -> false | _ -> true) then
-                fail "key fallback: only one_cluster jobs have a degradation fallback"
-              else
-                Ok
-                  (Some
-                     {
-                       id =
-                         (match lookup "id" with
-                         | Some id -> id
-                         | None -> Printf.sprintf "j%d" ordinal);
-                       kind;
-                       eps;
-                       delta;
-                       beta;
-                       deadline_s = (if Float.is_nan deadline then None else Some deadline);
-                       fallback;
-                     }))))
+let parse_fields kind_tok toks =
+  List.fold_left
+    (fun acc tok ->
+      let* kvs = acc in
+      match String.index_opt tok '=' with
+      | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
+      | Some i ->
+          Ok ((String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)) :: kvs))
+    (Ok []) toks
+  |> Result.map (fun kvs -> { kind_tok; kvs; read = [] })
+
+let parse_spec ~default_beta ~ordinal kind_tok toks =
+  let* f = parse_fields kind_tok toks in
+  let* price, read_kind =
+    match List.find_opt (fun (name, _, _) -> name = kind_tok) kinds with
+    | Some (_, price, read_kind) -> Ok (price, read_kind)
+    | None ->
+        Error
+          (Printf.sprintf "unknown job kind %S (expected %s)" kind_tok
+             (String.concat "|" (List.map (fun (name, _, _) -> name) kinds)))
+  in
+  let* kind = read_kind f in
+  let* eps = get f Float ?default:(if price = Free then Some 0. else None) "eps" in
+  let* delta = get f Float ?default:(if price = Approx then None else Some 0.) "delta" in
+  let* beta = get f Float ~default:default_beta "beta" in
+  let* deadline = get f Float ~default:Float.nan "deadline" in
+  let* fallback = get f Bool ~default:false "fallback" in
+  let* id = get f Str ~default:(Printf.sprintf "j%d" ordinal) "id" in
+  match List.find_opt (fun (k, _) -> not (List.mem k f.read)) f.kvs with
+  | Some (k, _) -> Error (Printf.sprintf "unknown key %S for %s" k kind_tok)
+  | None ->
+      if price <> Free && eps <= 0. then Error "key eps: must be > 0"
+      else if delta < 0. || delta >= 1. then Error "key delta: must be in [0, 1)"
+      else if fallback && (match kind with One_cluster _ -> false | _ -> true) then
+        Error "key fallback: only one_cluster jobs have a degradation fallback"
+      else
+        let deadline_s = if Float.is_nan deadline then None else Some deadline in
+        Ok { id; kind; eps; delta; beta; deadline_s; fallback }
 
 let parse ?(default_beta = 0.1) contents =
-  let lines = String.split_on_char '\n' contents in
   let rec go lineno ordinal acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
         let line =
           match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line
         in
-        match parse_line ~default_beta ~lineno ~ordinal (String.trim line) with
-        | Error e -> Error e
-        | Ok None -> go (lineno + 1) ordinal acc rest
-        | Ok (Some spec) -> go (lineno + 1) (ordinal + 1) (spec :: acc) rest)
+        match split_ws line with
+        | [] -> go (lineno + 1) ordinal acc rest
+        | kind_tok :: toks -> (
+            match parse_spec ~default_beta ~ordinal kind_tok toks with
+            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
+            | Ok spec -> go (lineno + 1) (ordinal + 1) (spec :: acc) rest))
   in
-  go 1 1 [] lines
+  go 1 1 [] (String.split_on_char '\n' contents)
 
-let spec_to_line spec =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (kind_name spec.kind);
-  (match spec.kind with
-  | One_cluster { t_fraction } -> Buffer.add_string b (Printf.sprintf " t_fraction=%g" t_fraction)
-  | K_cluster { k; t_fraction } ->
-      Buffer.add_string b (Printf.sprintf " k=%d t_fraction=%g" k t_fraction)
-  | Quantile { axis; q } -> Buffer.add_string b (Printf.sprintf " q=%g axis=%d" q axis)
+(* A kind's arguments in their one printed order, floats exact. *)
+let hex = Printf.sprintf "%h"
+
+let args = function
+  | One_cluster { t_fraction } | Local_cluster { t_fraction } -> [ ("t_fraction", hex t_fraction) ]
+  | K_cluster { k; t_fraction } -> [ ("k", string_of_int k); ("t_fraction", hex t_fraction) ]
+  | Quantile { axis; q } -> [ ("axis", string_of_int axis); ("q", hex q) ]
   | Mutate (Append_synth { n; seed; frac; radius }) ->
-      Buffer.add_string b (Printf.sprintf " op=append n=%d seed=%d frac=%g radius=%g" n seed frac radius)
+      [
+        ("op", "append");
+        ("n", string_of_int n);
+        ("seed", string_of_int seed);
+        ("frac", hex frac);
+        ("radius", hex radius);
+      ]
   | Mutate (Retire_range { from_; count }) ->
-      Buffer.add_string b (Printf.sprintf " op=retire from=%d count=%d" from_ count)
-  | Standing { t_fraction; periods } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%g periods=%d" t_fraction periods)
-  | Local_cluster { t_fraction } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%g" t_fraction)
-  | Meb { t_fraction; coreset } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%g coreset=%d" t_fraction coreset));
-  Buffer.add_string b (Printf.sprintf " eps=%g delta=%g beta=%g id=%s" spec.eps spec.delta spec.beta spec.id);
-  (match spec.deadline_s with
-  | Some d -> Buffer.add_string b (Printf.sprintf " deadline=%g" d)
-  | None -> ());
-  if spec.fallback then Buffer.add_string b " fallback=true";
-  Buffer.contents b
+      [ ("op", "retire"); ("from", string_of_int from_); ("count", string_of_int count) ]
+  | Standing { t_fraction; periods } -> [ ("t_fraction", hex t_fraction); ("periods", string_of_int periods) ]
+  | Meb { t_fraction; coreset } -> [ ("t_fraction", hex t_fraction); ("coreset", string_of_int coreset) ]
+
+(* The mechanism parameters of a spec, excluding identity and scheduling
+   knobs (id, deadline, fallback): two specs with equal signatures drive
+   the pipeline identically, so given the same dataset epoch and derived
+   RNG stream they produce bit-identical outputs.  Floats are rendered
+   with %h (exact hex) — no two distinct parameterizations collide. *)
+let signature spec =
+  args spec.kind @ [ ("eps", hex spec.eps); ("delta", hex spec.delta); ("beta", hex spec.beta) ]
+  |> List.map (fun (k, v) -> k ^ "=" ^ v)
+  |> String.concat " "
+  |> Printf.sprintf "%s %s" (kind_name spec.kind)
+
+(* The signature's exact rendering, then the identity and scheduling knobs:
+   [parse] returns the same spec bit for bit. *)
+let spec_to_line spec =
+  signature spec ^ " id=" ^ spec.id
+  ^ (match spec.deadline_s with Some d -> " deadline=" ^ hex d | None -> "")
+  ^ if spec.fallback then " fallback=true" else ""
 
 (* --- results ----------------------------------------------------------- *)
 
@@ -266,41 +282,48 @@ let status_name = function
 
 type result = { spec : spec; status : status; latency_ms : float; attempts : int }
 
-let ball_json { center; radius; covered } =
-  Json.Obj
-    [
-      ("center", Json.List (Array.to_list (Array.map (fun c -> Json.Float c) center)));
-      ("radius", Json.Float radius);
-      ("covered", Json.Int covered);
-    ]
+(* The one output encoder.  [exact] selects the journal form: hex floats
+   (bit-exact through {!output_of_wire}) and a [kind] tag; otherwise floats
+   are decimal and untagged, the human-readable reply form. *)
+let encode_output ~exact output =
+  let float x = if exact then Json.String (hex x) else Json.Float x in
+  let ball { center; radius; covered } =
+    Json.Obj
+      [
+        ("center", Json.List (Array.to_list (Array.map float center)));
+        ("radius", float radius);
+        ("covered", Json.Int covered);
+      ]
+  in
+  let tag, fields =
+    match output with
+    | Cluster { ball = b; t; ratio_vs_hi; delta_bound } ->
+        ( "cluster",
+          [
+            ("ball", ball b);
+            ("t", Json.Int t);
+            ("ratio_vs_hi", float ratio_vs_hi);
+            ("delta_bound", float delta_bound);
+          ] )
+    | Clusters { balls; uncovered; failures } ->
+        ( "clusters",
+          [
+            ("balls", Json.List (List.map ball balls));
+            ("uncovered", Json.Int uncovered);
+            ("failures", Json.Int failures);
+          ] )
+    | Quantile_value { value; target_rank } ->
+        ("quantile", [ ("value", float value); ("target_rank", float target_rank) ])
+    | Radius { radius; t; delta_bound } ->
+        ( "radius",
+          [ ("radius", float radius); ("t", Json.Int t); ("delta_bound", float delta_bound) ] )
+    | Epoch_advanced { epoch; n } -> ("epoch", [ ("epoch", Json.Int epoch); ("n", Json.Int n) ])
+    | Standing_accepted { periods } -> ("standing", [ ("periods", Json.Int periods) ])
+  in
+  Json.Obj (if exact then ("kind", Json.String tag) :: fields else fields)
 
-let output_json = function
-  | Cluster { ball; t; ratio_vs_hi; delta_bound } ->
-      Json.Obj
-        [
-          ("ball", ball_json ball);
-          ("t", Json.Int t);
-          ("ratio_vs_hi", Json.Float ratio_vs_hi);
-          ("delta_bound", Json.Float delta_bound);
-        ]
-  | Clusters { balls; uncovered; failures } ->
-      Json.Obj
-        [
-          ("balls", Json.List (List.map ball_json balls));
-          ("uncovered", Json.Int uncovered);
-          ("failures", Json.Int failures);
-        ]
-  | Quantile_value { value; target_rank } ->
-      Json.Obj [ ("value", Json.Float value); ("target_rank", Json.Float target_rank) ]
-  | Radius { radius; t; delta_bound } ->
-      Json.Obj
-        [
-          ("radius", Json.Float radius);
-          ("t", Json.Int t);
-          ("delta_bound", Json.Float delta_bound);
-        ]
-  | Epoch_advanced { epoch; n } -> Json.Obj [ ("epoch", Json.Int epoch); ("n", Json.Int n) ]
-  | Standing_accepted { periods } -> Json.Obj [ ("periods", Json.Int periods) ]
+let output_json = encode_output ~exact:false
+let output_to_wire = encode_output ~exact:true
 
 let result_to_json r =
   let base =
@@ -348,168 +371,69 @@ let pp_result ppf r =
   Format.fprintf ppf "%-12s %-12s %-8s %6.1fms  %s" r.spec.id (kind_name r.spec.kind)
     (status_name r.status) r.latency_ms (detail r)
 
-(* --- result caching ----------------------------------------------------- *)
-
-(* The mechanism parameters of a spec, excluding identity and scheduling
-   knobs (id, deadline, fallback): two specs with equal signatures drive
-   the pipeline identically, so given the same dataset epoch and derived
-   RNG stream they produce bit-identical outputs.  Floats are rendered
-   with %h (exact hex) — no two distinct parameterizations collide. *)
-let signature spec =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (kind_name spec.kind);
-  (match spec.kind with
-  | One_cluster { t_fraction } -> Buffer.add_string b (Printf.sprintf " t_fraction=%h" t_fraction)
-  | K_cluster { k; t_fraction } ->
-      Buffer.add_string b (Printf.sprintf " k=%d t_fraction=%h" k t_fraction)
-  | Quantile { axis; q } -> Buffer.add_string b (Printf.sprintf " axis=%d q=%h" axis q)
-  | Mutate (Append_synth { n; seed; frac; radius }) ->
-      Buffer.add_string b (Printf.sprintf " op=append n=%d seed=%d frac=%h radius=%h" n seed frac radius)
-  | Mutate (Retire_range { from_; count }) ->
-      Buffer.add_string b (Printf.sprintf " op=retire from=%d count=%d" from_ count)
-  | Standing { t_fraction; periods } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%h periods=%d" t_fraction periods)
-  | Local_cluster { t_fraction } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%h" t_fraction)
-  | Meb { t_fraction; coreset } ->
-      Buffer.add_string b (Printf.sprintf " t_fraction=%h coreset=%d" t_fraction coreset));
-  Buffer.add_string b (Printf.sprintf " eps=%h delta=%h beta=%h" spec.eps spec.delta spec.beta);
-  Buffer.contents b
-
-(* Exact (hex-float) codec for outputs, used by the result cache's WAL
-   journaling: a replayed cache entry must reproduce the recorded answer
-   bit-for-bit, which the human-readable %.17g-free [output_json] cannot
-   promise. *)
-
-let hex x = Json.String (Printf.sprintf "%h" x)
-
+(* Decoding of the exact form: a replayed cache entry must reproduce the
+   recorded answer bit-for-bit. *)
 let dehex = function
   | Json.String s -> ( match float_of_string_opt s with Some f -> Ok f | None -> Error "bad float")
   | Json.Float f -> Ok f
   | Json.Int i -> Ok (float_of_int i)
   | _ -> Error "expected float"
 
-let ball_to_wire { center; radius; covered } =
-  Json.Obj
-    [
-      ("center", Json.List (Array.to_list (Array.map hex center)));
-      ("radius", hex radius);
-      ("covered", Json.Int covered);
-    ]
-
-let output_to_wire = function
-  | Cluster { ball; t; ratio_vs_hi; delta_bound } ->
-      Json.Obj
-        [
-          ("kind", Json.String "cluster");
-          ("ball", ball_to_wire ball);
-          ("t", Json.Int t);
-          ("ratio_vs_hi", hex ratio_vs_hi);
-          ("delta_bound", hex delta_bound);
-        ]
-  | Clusters { balls; uncovered; failures } ->
-      Json.Obj
-        [
-          ("kind", Json.String "clusters");
-          ("balls", Json.List (List.map ball_to_wire balls));
-          ("uncovered", Json.Int uncovered);
-          ("failures", Json.Int failures);
-        ]
-  | Quantile_value { value; target_rank } ->
-      Json.Obj
-        [ ("kind", Json.String "quantile"); ("value", hex value); ("target_rank", hex target_rank) ]
-  | Radius { radius; t; delta_bound } ->
-      Json.Obj
-        [
-          ("kind", Json.String "radius");
-          ("radius", hex radius);
-          ("t", Json.Int t);
-          ("delta_bound", hex delta_bound);
-        ]
-  | Epoch_advanced { epoch; n } ->
-      Json.Obj [ ("kind", Json.String "epoch"); ("epoch", Json.Int epoch); ("n", Json.Int n) ]
-  | Standing_accepted { periods } ->
-      Json.Obj [ ("kind", Json.String "standing"); ("periods", Json.Int periods) ]
-
 let output_of_wire json =
-  let ( let* ) = Result.bind in
-  let field k =
-    match Json.member k json with Some v -> Ok v | None -> Error ("missing field " ^ k)
+  let field obj k = Option.to_result ~none:("missing field " ^ k) (Json.member k obj) in
+  let int obj k =
+    let* v = field obj k in
+    Option.to_result ~none:("field " ^ k ^ ": expected int") (Json.to_int v)
   in
-  let int_field k =
-    let* v = field k in
-    match Json.to_int v with Some i -> Ok i | None -> Error ("field " ^ k ^ ": expected int")
+  let float obj k = Result.bind (field obj k) dehex in
+  let list obj k decode =
+    match field obj k with
+    | Ok (Json.List xs) ->
+        List.fold_right
+          (fun x acc ->
+            let* acc = acc in
+            let+ y = decode x in
+            y :: acc)
+          xs (Ok [])
+    | Ok _ -> Error ("field " ^ k ^ ": expected list")
+    | Error _ as e -> e
   in
-  let float_field k =
-    let* v = field k in
-    dehex v
+  let ball b =
+    let* center = list b "center" dehex in
+    let* radius = float b "radius" in
+    let+ covered = int b "covered" in
+    { center = Array.of_list center; radius; covered }
   in
-  let ball_of = function
-    | Json.Obj _ as b -> (
-        let bfield k =
-          match Json.member k b with Some v -> Ok v | None -> Error ("ball: missing " ^ k)
-        in
-        let* center = bfield "center" in
-        let* radius = Result.bind (bfield "radius") dehex in
-        let* covered =
-          Result.bind (bfield "covered") (fun v ->
-              match Json.to_int v with Some i -> Ok i | None -> Error "ball: covered not an int")
-        in
-        match center with
-        | Json.List cs ->
-            let* coords =
-              List.fold_left
-                (fun acc c ->
-                  let* acc = acc in
-                  let* f = dehex c in
-                  Ok (f :: acc))
-                (Ok []) cs
-            in
-            Ok { center = Array.of_list (List.rev coords); radius; covered }
-        | _ -> Error "ball: center not a list")
-    | _ -> Error "expected ball object"
-  in
-  let* kind = Result.bind (field "kind") (fun v ->
-      match Json.to_str v with Some s -> Ok s | None -> Error "field kind: expected string")
+  let* kind =
+    Result.bind (field json "kind") (fun v ->
+        Option.to_result ~none:"field kind: expected string" (Json.to_str v))
   in
   match kind with
   | "cluster" ->
-      let* ball = Result.bind (field "ball") ball_of in
-      let* t = int_field "t" in
-      let* ratio_vs_hi = float_field "ratio_vs_hi" in
-      let* delta_bound = float_field "delta_bound" in
-      Ok (Cluster { ball; t; ratio_vs_hi; delta_bound })
+      let* ball = Result.bind (field json "ball") ball in
+      let* t = int json "t" in
+      let* ratio_vs_hi = float json "ratio_vs_hi" in
+      let+ delta_bound = float json "delta_bound" in
+      Cluster { ball; t; ratio_vs_hi; delta_bound }
   | "clusters" ->
-      let* balls_json = field "balls" in
-      let* balls =
-        match balls_json with
-        | Json.List bs ->
-            List.fold_left
-              (fun acc b ->
-                let* acc = acc in
-                let* ball = ball_of b in
-                Ok (ball :: acc))
-              (Ok []) bs
-            |> Result.map List.rev
-        | _ -> Error "field balls: expected list"
-      in
-      let* uncovered = int_field "uncovered" in
-      let* failures = int_field "failures" in
-      Ok (Clusters { balls; uncovered; failures })
+      let* balls = list json "balls" ball in
+      let* uncovered = int json "uncovered" in
+      let+ failures = int json "failures" in
+      Clusters { balls; uncovered; failures }
   | "quantile" ->
-      let* value = float_field "value" in
-      let* target_rank = float_field "target_rank" in
-      Ok (Quantile_value { value; target_rank })
+      let* value = float json "value" in
+      let+ target_rank = float json "target_rank" in
+      Quantile_value { value; target_rank }
   | "radius" ->
-      let* radius = float_field "radius" in
-      let* t = int_field "t" in
-      let* delta_bound = float_field "delta_bound" in
-      Ok (Radius { radius; t; delta_bound })
+      let* radius = float json "radius" in
+      let* t = int json "t" in
+      let+ delta_bound = float json "delta_bound" in
+      Radius { radius; t; delta_bound }
   | "epoch" ->
-      let* epoch = int_field "epoch" in
-      let* n = int_field "n" in
-      Ok (Epoch_advanced { epoch; n })
+      let* epoch = int json "epoch" in
+      let+ n = int json "n" in
+      Epoch_advanced { epoch; n }
   | "standing" ->
-      let* periods = int_field "periods" in
-      Ok (Standing_accepted { periods })
+      let+ periods = int json "periods" in
+      Standing_accepted { periods }
   | k -> Error ("unknown output kind " ^ k)

@@ -3,8 +3,8 @@
     A job is one private query against a registered dataset, carrying its
     own [(ε, δ)] price (what the accountant is asked for), a failure
     probability β where the underlying solver takes one, and an optional
-    deadline.  Three kinds map onto the three entry points the engine
-    serves:
+    deadline.  Seven kinds; each maps onto one entry point or coordinator
+    action:
 
     - [one_cluster] — {!Privcluster.One_cluster.run_indexed} at
       [t = ⌈t_fraction · n⌉];
@@ -50,7 +50,16 @@
     [retire]), [n]/[seed] (required for append), [frac] (default 0.5),
     [radius] (default 0.05), [from]/[count] (required for retire); for
     [standing]: [periods] (required, ≥ 1); for [meb_fptas]: [coreset]
-    (default 400). *)
+    (default 400).  [k], [coreset], [n], [count] and [periods] are
+    positive integers, [axis], [seed] and [from] integers.  A key the
+    line's kind does not read is an error.
+
+    This module is the one place a kind's facts are stated: its name,
+    the keys and defaults it is parsed from, the order its arguments are
+    printed in, its price and its target fraction.  Adding a kind touches
+    this module and its one arm in [Service.execute] (a coordinator kind,
+    like [mutate] and [standing], also its arm in [Service.run_batch]);
+    the compiler's exhaustiveness check finds them. *)
 
 type mutation_op =
   | Append_synth of { n : int; seed : int; frac : float; radius : float }
@@ -95,12 +104,20 @@ val fallback_cost : spec -> Prim.Dp.params option
     [fallback = true] — the GoodRadius stage share of the full pipeline's
     even split — and [None] otherwise. *)
 
+val t_fraction : kind -> float option
+(** The fraction of the dataset a cluster-locating kind targets, [t =
+    ⌈t_fraction · n⌉]: [Some] for [one_cluster], [k_cluster], [standing],
+    [local_cluster] and [meb_fptas]; [None] for [quantile] and [mutate]. *)
+
 val parse : ?default_beta:float -> string -> (spec list, string) result
 (** Parse a whole jobs file (the contents, not a path).  [Error] carries a
     one-line message with the offending line number. *)
 
 val spec_to_line : spec -> string
-(** Render a spec back to the file format ([parse]-roundtrippable). *)
+(** Render a spec back to the file format: its {!signature}, then [id],
+    [deadline] and [fallback].  Floats are exact (hex), so [parse]
+    returns the same spec bit for bit; this is the line a standing query
+    is journaled as. *)
 
 (** {1 Results} *)
 
@@ -143,7 +160,7 @@ type result = { spec : spec; status : status; latency_ms : float; attempts : int
 (** [attempts] — execution attempts consumed (0 for refused jobs, 1 for
     a first-try success, more after retries). *)
 
-val result_to_json : result -> Json.t
+val result_to_json : result -> Obs.Json.t
 
 val detail : result -> string
 (** The headline numbers (or the refusal/failure message) alone — the
@@ -162,8 +179,9 @@ val signature : spec -> string
     RNG stream, produce bit-identical outputs; the signature is therefore
     the job-parameter component of {!Result_cache} keys. *)
 
-val output_to_wire : output -> Json.t
-(** Exact JSON encoding (hex floats) for WAL journaling; round-trips
+val output_to_wire : output -> Obs.Json.t
+(** Exact JSON encoding for WAL journaling: the fields of the reply's
+    [output] object, floats in hex, plus a [kind] tag.  Round-trips
     bit-for-bit through {!output_of_wire}. *)
 
-val output_of_wire : Json.t -> (output, string) Stdlib.result
+val output_of_wire : Obs.Json.t -> (output, string) Stdlib.result

@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 (* Epoch-versioned datasets.
 
    A dataset owns an append-only arena (one flat row-major [float array]);

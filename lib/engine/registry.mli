@@ -107,5 +107,5 @@ val bounds_cache_stats : dataset -> int * int
     epochs — the reuse the registry exists to provide, surfaced for
     telemetry and tests. *)
 
-val to_json : dataset -> Json.t
+val to_json : dataset -> Obs.Json.t
 (** Shape, epoch, index backend, budget state, cache stats. *)

@@ -76,14 +76,9 @@ let register t ~name ~grid ?mode ~budget ?dense_threshold points =
     ~index_domains:t.domains points
 
 let target_of spec dataset =
-  match spec.Job.kind with
-  | Job.One_cluster { t_fraction }
-  | Job.K_cluster { t_fraction; _ }
-  | Job.Standing { t_fraction; _ }
-  | Job.Local_cluster { t_fraction }
-  | Job.Meb { t_fraction; _ } ->
-      max 1 (int_of_float (ceil (t_fraction *. float_of_int (Registry.n dataset))))
-  | Job.Quantile _ | Job.Mutate _ -> 1
+  match Job.t_fraction spec.Job.kind with
+  | Some f -> max 1 (int_of_float (ceil (f *. float_of_int (Registry.n dataset))))
+  | None -> 1
 
 (* One admitted job, on a worker domain.  Everything read from [dataset] is
    immutable after registration except the r_opt-bounds cache, which locks
@@ -91,45 +86,56 @@ let target_of spec dataset =
 let execute t dataset rng (spec : Job.spec) : Job.status =
   let grid = Registry.grid dataset in
   let ps = Registry.pointset dataset in
+  let eps = spec.Job.eps and delta = spec.Job.delta and beta = spec.Job.beta in
+  (* The three 1-cluster solvers share one output: the released ball, its
+     true coverage, and its radius against the registry's r_opt sandwich. *)
+  let cluster run pp_failure answer =
+    let target = target_of spec dataset in
+    match run target with
+    | Error f -> Job.Solver_failed (Format.asprintf "%a" pp_failure f)
+    | Ok r ->
+        let center, radius, delta_bound = answer r in
+        let covered = Geometry.Pointset.ball_count ps ~center ~radius in
+        let _, r_hi = Registry.r_opt_bounds dataset ~t:target in
+        Job.Completed
+          (Job.Cluster
+             {
+               ball = { Job.center; radius; covered };
+               t = target;
+               ratio_vs_hi = (if r_hi > 0. then radius /. r_hi else Float.infinity);
+               delta_bound;
+             })
+  in
   match spec.Job.kind with
-  | Job.One_cluster _ -> (
-      let target = target_of spec dataset in
-      match
-        Privcluster.One_cluster.run_indexed rng t.profile ~grid ~eps:spec.Job.eps
-          ~delta:spec.Job.delta ~beta:spec.Job.beta ~t:target (Registry.index dataset)
-      with
-      | Ok r ->
-          let center = r.Privcluster.One_cluster.center in
-          let radius = r.Privcluster.One_cluster.radius in
-          let covered = Geometry.Pointset.ball_count ps ~center ~radius in
-          let _, r_hi = Registry.r_opt_bounds dataset ~t:target in
-          Job.Completed
-            (Job.Cluster
-               {
-                 ball = { Job.center; radius; covered };
-                 t = target;
-                 ratio_vs_hi = (if r_hi > 0. then radius /. r_hi else Float.infinity);
-                 delta_bound = r.Privcluster.One_cluster.delta_bound;
-               })
-      | Error f ->
-          Job.Solver_failed (Format.asprintf "%a" Privcluster.One_cluster.pp_failure f))
+  | Job.One_cluster _ ->
+      cluster
+        (fun target ->
+          Privcluster.One_cluster.run_indexed rng t.profile ~grid ~eps ~delta ~beta ~t:target
+            (Registry.index dataset))
+        Privcluster.One_cluster.pp_failure
+        (fun r -> Privcluster.One_cluster.(r.center, r.radius, r.delta_bound))
+  | Job.Local_cluster _ ->
+      cluster
+        (fun target -> Privcluster.Local_cluster.run rng ~grid ~eps ~beta ~t:target ps)
+        Privcluster.Local_cluster.pp_failure
+        (fun r -> Privcluster.Local_cluster.(r.center, r.radius, r.delta_bound))
+  | Job.Meb { coreset; _ } ->
+      (* MEB certifies no coverage slack of its own; the radius stage's
+         accuracy is reported by the check suite. *)
+      cluster
+        (fun target -> Baselines.Meb_fptas.run rng ~grid ~eps ~delta ~coreset ~t:target ps)
+        Baselines.Meb_fptas.pp_failure
+        (fun r -> Baselines.Meb_fptas.(r.center, r.radius, 0.))
   | Job.K_cluster { k; t_fraction } ->
       let r =
         (* Zero-copy: peeling inside run_ps produces index views over the
            registry's flat storage. *)
-        Privcluster.K_cluster.run_ps rng t.profile ~grid ~eps:spec.Job.eps
-          ~delta:spec.Job.delta ~beta:spec.Job.beta ~k ~t_fraction ps
+        Privcluster.K_cluster.run_ps rng t.profile ~grid ~eps ~delta ~beta ~k ~t_fraction ps
       in
       let balls =
         List.map
-          (fun (b : Privcluster.K_cluster.ball) ->
-            {
-              Job.center = b.Privcluster.K_cluster.center;
-              radius = b.Privcluster.K_cluster.radius;
-              covered =
-                Geometry.Pointset.ball_count ps ~center:b.Privcluster.K_cluster.center
-                  ~radius:b.Privcluster.K_cluster.radius;
-            })
+          (fun { Privcluster.K_cluster.center; radius; _ } ->
+            { Job.center; radius; covered = Geometry.Pointset.ball_count ps ~center ~radius })
           r.Privcluster.K_cluster.balls
       in
       Job.Completed
@@ -148,60 +154,13 @@ let execute t dataset rng (spec : Job.spec) : Job.status =
         let grid1 =
           Geometry.Grid.create ~axis_size:(Geometry.Grid.axis_size grid) ~dim:1
         in
-        let res =
-          Privcluster.Quantile.quantile rng ~profile:t.profile ~grid:grid1 ~eps:spec.Job.eps ~q
-            values
-        in
+        let res = Privcluster.Quantile.quantile rng ~profile:t.profile ~grid:grid1 ~eps ~q values in
         Job.Completed
           (Job.Quantile_value
              {
                value = res.Privcluster.Quantile.value;
                target_rank = res.Privcluster.Quantile.target_rank;
              })
-  | Job.Local_cluster _ -> (
-      let target = target_of spec dataset in
-      match
-        Privcluster.Local_cluster.run rng ~grid ~eps:spec.Job.eps ~beta:spec.Job.beta ~t:target
-          ps
-      with
-      | Ok r ->
-          let center = r.Privcluster.Local_cluster.center in
-          let radius = r.Privcluster.Local_cluster.radius in
-          let covered = Geometry.Pointset.ball_count ps ~center ~radius in
-          let _, r_hi = Registry.r_opt_bounds dataset ~t:target in
-          Job.Completed
-            (Job.Cluster
-               {
-                 ball = { Job.center; radius; covered };
-                 t = target;
-                 ratio_vs_hi = (if r_hi > 0. then radius /. r_hi else Float.infinity);
-                 delta_bound = r.Privcluster.Local_cluster.delta_bound;
-               })
-      | Error f ->
-          Job.Solver_failed (Format.asprintf "%a" Privcluster.Local_cluster.pp_failure f))
-  | Job.Meb { coreset; _ } -> (
-      let target = target_of spec dataset in
-      match
-        Baselines.Meb_fptas.run rng ~grid ~eps:spec.Job.eps ~delta:spec.Job.delta ~coreset
-          ~t:target ps
-      with
-      | Ok r ->
-          let center = r.Baselines.Meb_fptas.center in
-          let radius = r.Baselines.Meb_fptas.radius in
-          let covered = Geometry.Pointset.ball_count ps ~center ~radius in
-          let _, r_hi = Registry.r_opt_bounds dataset ~t:target in
-          Job.Completed
-            (Job.Cluster
-               {
-                 ball = { Job.center; radius; covered };
-                 t = target;
-                 ratio_vs_hi = (if r_hi > 0. then radius /. r_hi else Float.infinity);
-                 (* MEB certifies no coverage slack of its own; the radius
-                    stage's accuracy is reported by the check suite. *)
-                 delta_bound = 0.;
-               })
-      | Error f ->
-          Job.Solver_failed (Format.asprintf "%a" Baselines.Meb_fptas.pp_failure f))
   | Job.Mutate _ | Job.Standing _ ->
       (* Run on the batch coordinator, never on a worker domain. *)
       Job.Solver_failed "internal: coordinator-only job kind reached a worker"
@@ -239,11 +198,12 @@ type admission =
   | Cache_hit of Job.output  (* recorded answer returned; nothing charged *)
   | Admitted of Accountant.reservation option  (* the fallback reservation, if held *)
 
-let cacheable (spec : Job.spec) =
-  match spec.Job.kind with
-  | Job.One_cluster _ | Job.K_cluster _ | Job.Quantile _ | Job.Local_cluster _ | Job.Meb _ ->
-      true
-  | Job.Mutate _ | Job.Standing _ -> false
+(* One of a standing query's [periods] equal slices of its declared total. *)
+let slice (spec : Job.spec) ~periods =
+  {
+    Prim.Dp.eps = spec.Job.eps /. float_of_int periods;
+    delta = spec.Job.delta /. float_of_int periods;
+  }
 
 let charge_of (p : Prim.Dp.params) =
   Obs.Span.charge ~eps:p.Prim.Dp.eps ~delta:p.Prim.Dp.delta ()
@@ -360,13 +320,8 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
     List.iter (fun st -> if st.dataset_name = dataset_name then tick_standing st)
       (List.rev t.standing)
   in
-  let register_standing i (spec : Job.spec) ~periods =
-    let per_cost =
-      {
-        Prim.Dp.eps = spec.Job.eps /. float_of_int periods;
-        delta = spec.Job.delta /. float_of_int periods;
-      }
-    in
+  let register_standing i (spec : Job.spec) ~t_fraction ~periods =
+    let per_cost = slice spec ~periods in
     let label k = Printf.sprintf "%s#%d" spec.Job.id k in
     let rec take k acc =
       if k > periods then Ok (List.rev acc)
@@ -392,8 +347,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           {
             dataset_name;
             base_id = spec.Job.id;
-            st_t_fraction =
-              (match spec.Job.kind with Job.Standing { t_fraction; _ } -> t_fraction | _ -> 0.5);
+            st_t_fraction = t_fraction;
             st_beta = spec.Job.beta;
             per_cost;
             periods;
@@ -650,34 +604,32 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
               | Pool.Failed msg -> settle i spec resv (Job.Solver_failed msg, 0., retries + 1)
             in
             (match r.Job.status with
-            | Job.Completed output when cacheable spec ->
-                Result_cache.store t.result_cache (cache_key i spec) output
+            | Job.Completed output -> Result_cache.store t.result_cache (cache_key i spec) output
             | _ -> ());
             push r)
       pairs admitted
   in
-  (* Split the batch at coordinator jobs (mutations, standing-query
-     registrations): worker segments run the three phases unchanged;
-     coordinator jobs run between them, so a query after a [mutate] line
-     sees — and is cache-keyed on — the new epoch. *)
-  let rec segments acc cur = function
-    | [] -> List.rev (if cur = [] then acc else `Seg (List.rev cur) :: acc)
-    | ((i, (spec : Job.spec)) as item) :: rest -> (
-        match spec.Job.kind with
-        | Job.Mutate _ | Job.Standing _ ->
-            let acc = if cur = [] then acc else `Seg (List.rev cur) :: acc in
-            segments (`Coord (i, spec) :: acc) [] rest
-        | _ -> segments acc (item :: cur) rest)
+  (* Coordinator jobs (mutations, standing-query registrations) split the
+     batch: the worker jobs between them run as one segment of the three
+     phases, so a query after a [mutate] line sees — and is cache-keyed
+     on — the new epoch. *)
+  let segment = ref [] in
+  let flush () =
+    if !segment <> [] then run_segment (List.rev !segment);
+    segment := []
   in
-  List.iter
-    (function
-      | `Seg pairs -> run_segment pairs
-      | `Coord (i, (spec : Job.spec)) -> (
-          match spec.Job.kind with
-          | Job.Mutate op -> run_mutation i spec op
-          | Job.Standing { periods; _ } -> register_standing i spec ~periods
-          | _ -> assert false))
-    (segments [] [] (List.mapi (fun i s -> (i, s)) specs));
+  List.iteri
+    (fun i (spec : Job.spec) ->
+      match spec.Job.kind with
+      | Job.Mutate op ->
+          flush ();
+          run_mutation i spec op
+      | Job.Standing { t_fraction; periods } ->
+          flush ();
+          register_standing i spec ~t_fraction ~periods
+      | _ -> segment := (i, spec) :: !segment)
+    specs;
+  flush ();
   let results = List.rev !results_rev in
   List.iter
     (fun (r : Job.result) ->
@@ -725,12 +677,7 @@ let restore_standing t ~dataset ~line ~seed ~stream =
   | Ok [ ({ Job.kind = Job.Standing { t_fraction; periods }; _ } as spec) ] ->
       let dataset_name = Registry.name dataset in
       let accountant = Registry.accountant dataset in
-      let per_cost =
-        {
-          Prim.Dp.eps = spec.Job.eps /. float_of_int periods;
-          delta = spec.Job.delta /. float_of_int periods;
-        }
-      in
+      let per_cost = slice spec ~periods in
       let prefix = spec.Job.id ^ "#" in
       let tick_of label =
         if String.length label > String.length prefix
@@ -777,9 +724,9 @@ let attribution ~dataset () =
   Obs.Attribution.reconcile ~ledger:(ledger ~dataset) (Obs.Span.spans ())
 
 let report_json t ~dataset results =
-  Json.Obj
+  Obs.Json.Obj
     [
       ("dataset", Registry.to_json dataset);
-      ("jobs", Json.List (List.map Job.result_to_json results));
+      ("jobs", Obs.Json.List (List.map Job.result_to_json results));
       ("telemetry", Telemetry.to_json t.telemetry);
     ]

@@ -125,7 +125,7 @@ val run_batch_named :
 (** {!run_batch} against {!find_dataset}; [Error] is the lookup failure
     (nothing is charged — the batch never reaches admission). *)
 
-val report_json : t -> dataset:Registry.dataset -> Job.result list -> Json.t
+val report_json : t -> dataset:Registry.dataset -> Job.result list -> Obs.Json.t
 (** The batch report the CLI emits: dataset (with ledger, including
     outstanding reservations), per-job results, telemetry. *)
 

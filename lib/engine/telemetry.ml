@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 let log_src = Logs.Src.create "privcluster.engine" ~doc:"Concurrent private-query engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)

@@ -75,7 +75,7 @@ val bucket_upper_bounds : float array
 val export : t -> export_stats list
 (** Thread-safe snapshot, sorted by kind. *)
 
-val to_json : t -> Json.t
+val to_json : t -> Obs.Json.t
 (** Per-kind: counts by status, min/mean/max latency, p50/p90/p99, and the
     raw bucket counts (upper bounds included so the dump is
     self-describing). *)

@@ -5,10 +5,8 @@
     The parser is strict standard JSON; numbers without a fraction or
     exponent that fit an OCaml [int] parse to {!Int}, everything else to
     {!Float}; [\uXXXX] escapes (including surrogate pairs) decode to
-    UTF-8.
-
-    [Engine.Json] re-exports this module, so existing engine call sites
-    are unchanged. *)
+    UTF-8.  The engine's reports, the WAL and the wire protocol all use
+    this one module. *)
 
 type t =
   | Null

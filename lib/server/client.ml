@@ -1,4 +1,4 @@
-module Json = Engine.Json
+module Json = Obs.Json
 
 type fail = [ `Transport of string | `Server of Wire.error ]
 

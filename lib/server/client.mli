@@ -18,7 +18,7 @@ val connect :
 
 val close : t -> unit
 
-val request : t -> Wire.request -> (Engine.Json.t, fail) result
+val request : t -> Wire.request -> (Obs.Json.t, fail) result
 (** Send one request, wait for its reply. *)
 
 (** Convenience wrappers over {!request}: *)
@@ -35,12 +35,12 @@ val register :
   budget:Prim.Dp.params ->
   ?mode:Engine.Accountant.mode ->
   unit ->
-  (Engine.Json.t, fail) result
+  (Obs.Json.t, fail) result
 (** Defaults mirror the CLI batch command: [n = 3000], [dim = 2],
     [axis = 256], [frac = 0.5], [radius = 0.05], [seed = 1],
     [mode = Basic]. *)
 
-val run : t -> dataset:string -> ?seed:int -> jobs:string -> unit -> (Engine.Json.t, fail) result
+val run : t -> dataset:string -> ?seed:int -> jobs:string -> unit -> (Obs.Json.t, fail) result
 
 val append :
   t ->
@@ -50,14 +50,14 @@ val append :
   ?frac:float ->
   ?radius:float ->
   unit ->
-  (Engine.Json.t, fail) result
+  (Obs.Json.t, fail) result
 (** Append [n] synthetic planted-ball points ([frac = 0.5],
     [radius = 0.05] by default), advancing the dataset's epoch. *)
 
-val retire : t -> dataset:string -> from_:int -> count:int -> (Engine.Json.t, fail) result
+val retire : t -> dataset:string -> from_:int -> count:int -> (Obs.Json.t, fail) result
 (** Retire rows [[from_, from_ + count)], advancing the epoch. *)
 
-val epoch : t -> dataset:string -> (Engine.Json.t, fail) result
+val epoch : t -> dataset:string -> (Obs.Json.t, fail) result
 (** Current epoch, size, index backend, and cache statistics. *)
 
 val standing :
@@ -70,7 +70,7 @@ val standing :
   periods:int ->
   ?seed:int ->
   unit ->
-  (Engine.Json.t, fail) result
+  (Obs.Json.t, fail) result
 (** Register a standing 1-cluster query: [eps]/[delta] is the {e total}
     budget, reserved up front as [periods] equal slices. *)
 
@@ -84,17 +84,17 @@ val settle :
 (** Commit or release reservations orphaned by a crash; [label] narrows
     the settlement to one reservation label. *)
 
-val ledger : t -> dataset:string -> (Engine.Json.t, fail) result
-val datasets : t -> (Engine.Json.t, fail) result
+val ledger : t -> dataset:string -> (Obs.Json.t, fail) result
+val datasets : t -> (Obs.Json.t, fail) result
 
 val metrics : t -> (string, fail) result
 (** The Prometheus text body itself. *)
 
-val health : t -> (Obs.Slo.status * Obs.Slo.verdict list * Engine.Json.t, fail) result
+val health : t -> (Obs.Slo.status * Obs.Slo.verdict list * Obs.Json.t, fail) result
 (** Overall status (the worst across rules), the per-rule verdicts, and
     the raw reply (carries [draining]). *)
 
-val stats : t -> (Engine.Json.t, fail) result
+val stats : t -> (Obs.Json.t, fail) result
 (** The full serving-telemetry dump ({!Serving.stats_json}). *)
 
-val ping : t -> (Engine.Json.t, fail) result
+val ping : t -> (Obs.Json.t, fail) result

@@ -1,4 +1,4 @@
-module Json = Engine.Json
+module Json = Obs.Json
 module Accountant = Engine.Accountant
 module Registry = Engine.Registry
 module Service = Engine.Service

@@ -1,4 +1,4 @@
-module Json = Engine.Json
+module Json = Obs.Json
 module Hist = Obs.Hist
 module Slo = Obs.Slo
 

@@ -104,4 +104,4 @@ val submissions : t -> int
 val health : t -> now_ns:int64 -> Obs.Slo.verdict list
 (** Evaluate the configured rules against current observations. *)
 
-val stats_json : t -> now_ns:int64 -> Engine.Json.t
+val stats_json : t -> now_ns:int64 -> Obs.Json.t

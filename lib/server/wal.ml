@@ -1,4 +1,4 @@
-module Json = Engine.Json
+module Json = Obs.Json
 module Accountant = Engine.Accountant
 
 type synth = {

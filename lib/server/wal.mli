@@ -82,7 +82,7 @@ type op =
   | Retire of { epoch : int; from_ : int; count : int }
       (** Epoch transition: rows [[from_, from_ + count)] of the previous
           epoch's pointset retired, producing epoch [epoch]. *)
-  | Cached of { epoch : int; signature : string; seed : int; stream : int; output : Engine.Json.t }
+  | Cached of { epoch : int; signature : string; seed : int; stream : int; output : Obs.Json.t }
       (** A result-cache entry: the recorded answer ([output], the
           {!Engine.Job.output_to_wire} encoding) for the job whose
           {!Engine.Job.signature} is [signature], run against [epoch]

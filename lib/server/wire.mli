@@ -125,11 +125,11 @@ val request_of_line : string -> (envelope, error) result
 val rid_of_line : string -> int
 (** Best-effort [id] extraction for error replies ([0] if unreadable). *)
 
-val reply_to_line : rid:int -> (Engine.Json.t, error) result -> string
+val reply_to_line : rid:int -> (Obs.Json.t, error) result -> string
 (** Server side: render an ok (payload fields are spliced into the
     envelope object) or error reply as one newline-terminated line. *)
 
-val reply_of_line : string -> (int * (Engine.Json.t, error) result, string) result
+val reply_of_line : string -> (int * (Obs.Json.t, error) result, string) result
 (** Client side: parse a reply line into [(id, Ok payload | Error e)];
     the outer [Error] means the line was not a valid reply at all. *)
 
@@ -147,5 +147,5 @@ type settle_reply = {
   remaining : int;  (** Orphans still held after this settle. *)
 }
 
-val settle_reply_to_json : settle_reply -> Engine.Json.t
-val settle_reply_of_json : Engine.Json.t -> (settle_reply, string) result
+val settle_reply_to_json : settle_reply -> Obs.Json.t
+val settle_reply_of_json : Obs.Json.t -> (settle_reply, string) result

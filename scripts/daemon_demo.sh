@@ -6,7 +6,9 @@
 #   3. restart on the same WAL and re-register: the replayed ledger must
 #      equal the pre-crash ledger and Obs.Attribution must reconcile,
 #   4. an over-budget job must still be refused after recovery,
-#   5. a shed request (per-tenant in-flight cap) must charge nothing.
+#   5. a standing query's first post-restart tick must run at the same
+#      per-slice eps as its pre-crash tick,
+#   6. a shed request (per-tenant in-flight cap) must charge nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +36,10 @@ client() { "$CLI" client "$@" --socket "$SOCK" --tenant acme --token s3cret; }
 
 spent_block() { sed -n '/"spent"/,/}/p' "$1"; }
 
+tick_eps() { # tick_eps REPLY LABEL: the eps a standing-query tick ran at
+  grep -A4 "\"id\": \"$2\"" "$1" | sed -n 's/.*"eps": \([^,]*\),*$/\1/p'
+}
+
 cat > "$OUT_DIR/jobs.txt" <<'EOF'
 one_cluster t_fraction=0.45 eps=0.3 delta=1e-7 id=cluster
 quantile    q=0.5 axis=0 eps=0.1 id=median
@@ -50,6 +56,13 @@ client run --dataset d1 --seed 1 "$OUT_DIR/jobs.txt" >/dev/null
 client run --dataset d1 --seed 2 "$OUT_DIR/jobs.txt" >/dev/null
 client ledger --dataset d1 > "$OUT_DIR/ledger_before.json"
 spent_block "$OUT_DIR/ledger_before.json"
+# a standing query whose total eps has no short decimal form: the WAL
+# journals its registration line, and the restart re-arms it from there
+client register --dataset d3 --points 800 --axis 128 \
+  --budget-eps 1 --budget-delta 1e-5 >/dev/null
+client standing --dataset d3 --id sq --eps 0.1234567 --periods 3 --seed 6 \
+  > "$OUT_DIR/standing.json"
+echo "standing tick sq#1 ran at eps $(tick_eps "$OUT_DIR/standing.json" 'sq#1')"
 
 echo "== crash: kill -9, no drain =="
 kill -9 "$SERVE_PID"
@@ -80,6 +93,19 @@ echo "== over-budget job refused after recovery =="
 client run --dataset d1 --seed 3 "$OUT_DIR/jobs.txt" > "$OUT_DIR/run3.json"
 grep -q '"refused"' "$OUT_DIR/run3.json"   # 0.8 + 0.3 > 1.0: cluster job refused
 grep -q '"ok"' "$OUT_DIR/run3.json"        # 0.1 median still fits
+
+echo "== standing query ticks at its exact slice after recovery =="
+client register --dataset d3 --points 800 --axis 128 \
+  --budget-eps 1 --budget-delta 1e-5 > "$OUT_DIR/reregister_d3.json"
+grep -q '"replayed": true' "$OUT_DIR/reregister_d3.json"
+client append --dataset d3 --points 100 --seed 7 > "$OUT_DIR/append_d3.json"
+before=$(tick_eps "$OUT_DIR/standing.json" 'sq#1')
+after=$(tick_eps "$OUT_DIR/append_d3.json" 'sq#2')
+if [ -z "$before" ] || [ "$before" != "$after" ]; then
+  echo "FAIL: post-restart tick ran at ${after:-nothing}, pre-crash tick at ${before:-nothing}" >&2
+  exit 1
+fi
+echo "post-restart tick sq#2 ran at the pre-crash slice, eps $after"
 
 echo "== shed request charges nothing (in-flight cap 1) =="
 # The batch must still be in flight when the concurrent request lands;

@@ -168,7 +168,7 @@ let test_suite_fast_checks () =
       check_true (r.Check.Suite.name ^ " passes") (r.Check.Suite.status = Check.Suite.Pass))
     results;
   (* The JSON report is well-formed enough to round-trip names. *)
-  let json = Engine.Json.to_string (Check.Suite.report_json fast_cfg results) in
+  let json = Obs.Json.to_string (Check.Suite.report_json fast_cfg results) in
   check_true "report mentions laplace/ks"
     (String.length json > 0
     && contains json "laplace/ks"

@@ -247,13 +247,67 @@ let test_job_parsing () =
       (match j3.Engine.Job.kind with
       | Engine.Job.K_cluster { k = 3; _ } -> ()
       | _ -> Alcotest.fail "k_cluster kind");
-      (* Round-trip through the writer. *)
-      (match Engine.Job.parse (String.concat "\n" (List.map Engine.Job.spec_to_line specs)) with
-      | Ok specs' -> check_true "spec_to_line round-trips" (specs = specs')
-      | Error e -> Alcotest.failf "round-trip failed: %s" e)
+      (* A standing line journaled with the earlier decimal (%g) rendering
+         still parses. *)
+      match
+        Engine.Job.parse
+          "standing t_fraction=0.333333 periods=3 eps=0.123457 delta=3e-07 beta=0.1 id=sq"
+      with
+      | Ok [ { Engine.Job.kind = Engine.Job.Standing { periods = 3; _ }; eps; _ } ] ->
+          check_float ~tol:0. "decimal eps" 0.123457 eps
+      | _ -> Alcotest.fail "decimal standing line must parse"
+
+(* Every kind with arbitrary finite, in-range parameters: [spec_to_line]
+   must hand [parse] back the same spec, bit for bit. *)
+let spec_gen =
+  let open QCheck2.Gen in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let unit = float_range 0. 1. and pos = int_range 1 1_000_000 in
+  let* kind =
+    oneof
+      [
+        map (fun t_fraction -> Engine.Job.One_cluster { t_fraction }) finite;
+        map2 (fun k t_fraction -> Engine.Job.K_cluster { k; t_fraction }) pos finite;
+        map2 (fun axis q -> Engine.Job.Quantile { axis; q }) int unit;
+        map4
+          (fun n seed frac radius -> Engine.Job.Mutate (Engine.Job.Append_synth { n; seed; frac; radius }))
+          pos int finite finite;
+        map2 (fun from_ count -> Engine.Job.Mutate (Engine.Job.Retire_range { from_; count })) nat pos;
+        map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) finite pos;
+        map (fun t_fraction -> Engine.Job.Local_cluster { t_fraction }) finite;
+        map2 (fun t_fraction coreset -> Engine.Job.Meb { t_fraction; coreset }) finite pos;
+      ]
+  in
+  let* eps =
+    match kind with
+    | Engine.Job.Mutate _ -> finite
+    | _ -> map (fun x -> if x > 0. then x else 1.) (float_range 0. 100.)
+  in
+  let* delta = float_range 0. 0.999 in
+  let* beta = finite in
+  let* deadline_s = opt (float_range 0. 1e4) in
+  let* fallback = match kind with Engine.Job.One_cluster _ -> bool | _ -> return false in
+  let+ id = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
+  { Engine.Job.id; kind; eps; delta; beta; deadline_s; fallback }
+
+let test_job_line_roundtrip =
+  qcheck "every kind round-trips bit-exactly through spec_to_line" spec_gen (fun spec ->
+      match Engine.Job.parse (Engine.Job.spec_to_line spec) with
+      | Ok [ spec' ] -> spec' = spec && Engine.Job.signature spec' = Engine.Job.signature spec
+      | _ -> false)
 
 let test_job_parse_errors () =
-  let bad = [ "one_cluster"; "mystery eps=1"; "one_cluster eps=zero delta=1e-7"; "quantile q=2 eps=1" ] in
+  let bad =
+    [
+      "one_cluster";
+      "mystery eps=1";
+      "one_cluster eps=zero delta=1e-7";
+      "quantile q=2 eps=1";
+      "quantile t_fraction=0.9 eps=1";
+      "one_cluster coreset=5 eps=1 delta=1e-7";
+      "quantile axis=1.7 eps=1";
+    ]
+  in
   List.iter
     (fun line ->
       match Engine.Job.parse line with
@@ -356,6 +410,30 @@ let test_job_golden_bytes () =
       Alcotest.(check string) "output_to_wire" wire
         (Obs.Json.to_string ~indent:false (Engine.Job.output_to_wire o)))
     outputs
+
+(* The journal form decodes back to the same output, bit for bit. *)
+let test_output_wire_roundtrip () =
+  let ball = { Engine.Job.center = [| 0.1 +. 0.2; -1. /. 3. |]; radius = 1e-300; covered = 5 } in
+  List.iter
+    (fun o ->
+      let wire = Engine.Job.output_to_wire o in
+      match Engine.Job.output_of_wire wire with
+      | Ok o' ->
+          check_true "decodes to the same output" (o' = o);
+          check_true "re-encodes to the same bytes"
+            (Obs.Json.to_string (Engine.Job.output_to_wire o') = Obs.Json.to_string wire)
+      | Error e -> Alcotest.failf "output_of_wire: %s" e)
+    [
+      Engine.Job.Cluster { ball; t = 40; ratio_vs_hi = Float.infinity; delta_bound = 1e-7 };
+      Engine.Job.Clusters { balls = [ ball; ball ]; uncovered = 3; failures = 1 };
+      Engine.Job.Clusters { balls = []; uncovered = 0; failures = 0 };
+      Engine.Job.Quantile_value { value = 0.3; target_rank = 200.5 };
+      Engine.Job.Radius { radius = 1. /. 3.; t = 9; delta_bound = 0. };
+      Engine.Job.Epoch_advanced { epoch = 2; n = 500 };
+      Engine.Job.Standing_accepted { periods = 4 };
+    ];
+  check_true "unknown kind rejected"
+    (Result.is_error (Engine.Job.output_of_wire (Obs.Json.Obj [ ("kind", Obs.Json.String "?") ])))
 
 (* --- Pool --------------------------------------------------------------- *)
 
@@ -539,7 +617,9 @@ let suite =
     case "registry caches the r_opt sandwich per t" test_registry_caches_bounds;
     case "jobs-file parsing" test_job_parsing;
     case "jobs-file parse errors name the line" test_job_parse_errors;
+    test_job_line_roundtrip;
     case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
+    case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
     case "pool returns outcomes in submission order" test_pool_outcomes_in_order;
     case "pool confines a task exception to its task" test_pool_failure_isolation;
     case "pool deadline: expired jobs skip, overruns report timeout" test_pool_deadline_timeout;

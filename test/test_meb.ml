@@ -191,16 +191,11 @@ let test_job_line_parse () =
   (match Engine.Job.parse "meb_fptas t_fraction=0.8 coreset=200 eps=1 delta=1e-7 id=m" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok [ spec ] -> (
-      (match spec.Engine.Job.kind with
+      match spec.Engine.Job.kind with
       | Engine.Job.Meb { t_fraction; coreset } ->
           check_float "t_fraction" 0.8 t_fraction;
           check_int "coreset" 200 coreset
-      | _ -> Alcotest.fail "wrong kind");
-      match Engine.Job.parse (Engine.Job.spec_to_line spec) with
-      | Ok [ spec' ] ->
-          check_true "spec_to_line roundtrips"
-            (Engine.Job.signature spec = Engine.Job.signature spec')
-      | _ -> Alcotest.fail "rendered line does not parse")
+      | _ -> Alcotest.fail "wrong kind")
   | Ok _ -> Alcotest.fail "expected one spec");
   (match Engine.Job.parse "meb_fptas eps=1 delta=1e-7 id=m" with
   | Ok [ { Engine.Job.kind = Engine.Job.Meb { coreset; _ }; _ } ] ->
@@ -220,5 +215,5 @@ let suite =
     case "derived-stream replay is bit-identical" test_replay_determinism;
     case "native and reference kernel tiers agree" test_kernel_tier_identity;
     slow_case "engine job kind: run, output, domain independence" test_engine_job_kind;
-    case "jobs-file lines: roundtrip, default, rejection" test_job_line_parse;
+    case "jobs-file lines: parse, default, rejection" test_job_line_parse;
   ]

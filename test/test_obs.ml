@@ -512,7 +512,7 @@ let test_prom_of_spans_and_exposition () =
   in
   let results = Engine.Service.run_batch service ~dataset [ oc ~eps:1.0 "a"; qt "b" ] in
   let report = Engine.Service.report_json service ~dataset results in
-  match Obs.Json.parse (Engine.Json.to_string report) with
+  match Obs.Json.parse (Obs.Json.to_string report) with
   | Error e -> Alcotest.failf "report JSON does not parse: %s" e
   | Ok doc -> (
       match Engine.Exposition.of_report_json doc with

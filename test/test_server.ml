@@ -435,7 +435,7 @@ let test_replay_applies_engine_ops_in_order () =
       Wal.Append { epoch = 1; dim = 2; points = [| 0.5; 0.5 |] };
       Wal.Cached
         { epoch = 1; signature = "sig"; seed = 5; stream = 0;
-          output = Engine.Json.Obj [ ("kind", Engine.Json.String "radius") ] };
+          output = Obs.Json.Obj [ ("kind", Obs.Json.String "radius") ] };
       Wal.Standing { line = "standing periods=2 eps=0.5 delta=1e-7"; seed = 5; stream = 0 };
       Wal.Retire { epoch = 2; from_ = 0; count = 1 };
     ]
@@ -580,11 +580,11 @@ let test_settle_reply_roundtrip () =
     && Wire.settle_action_of_string "shrug" = None)
 
 let test_wire_reply_roundtrip () =
-  let ok_line = Wire.reply_to_line ~rid:7 (Ok (Engine.Json.Obj [ ("x", Engine.Json.Int 1) ])) in
+  let ok_line = Wire.reply_to_line ~rid:7 (Ok (Obs.Json.Obj [ ("x", Obs.Json.Int 1) ])) in
   (match Wire.reply_of_line (String.trim ok_line) with
   | Ok (7, Ok payload) ->
       check_true "payload field survives"
-        (Option.bind (Engine.Json.member "x" payload) Engine.Json.to_int = Some 1)
+        (Option.bind (Obs.Json.member "x" payload) Obs.Json.to_int = Some 1)
   | _ -> Alcotest.fail "ok reply roundtrip");
   let errs =
     [
@@ -658,7 +658,7 @@ let test_daemon_lifecycle () =
              ~budget:(p ~eps:2.0 ~delta:1e-5) ())
       in
       check_true "fresh dataset is not a replay"
-        (Engine.Json.member "replayed" reg = Some (Engine.Json.Bool false));
+        (Obs.Json.member "replayed" reg = Some (Obs.Json.Bool false));
       (* duplicate registration conflicts *)
       (match
          Server.Client.register c ~dataset:"d1" ~n:400 ~budget:(p ~eps:2.0 ~delta:1e-5) ()
@@ -672,17 +672,17 @@ let test_daemon_lifecycle () =
           check_true "lists registered" (contains_sub e.Wire.message "\"d1\"")
       | _ -> Alcotest.fail "unknown dataset must fail");
       let run1 = expect_ok "run" (Server.Client.run c ~dataset:"d1" ~seed:42 ~jobs:soak_jobs ()) in
-      (match Option.bind (Engine.Json.member "results" run1) Engine.Json.to_list with
+      (match Option.bind (Obs.Json.member "results" run1) Obs.Json.to_list with
       | Some rs -> check_int "both jobs answered" 2 (List.length rs)
       | None -> Alcotest.fail "run reply has results");
       let ledger = expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1") in
       check_true "ledger names the dataset"
-        (Engine.Json.member "dataset" ledger = Some (Engine.Json.String "d1"));
+        (Obs.Json.member "dataset" ledger = Some (Obs.Json.String "d1"));
       let metrics = expect_ok "metrics" (Server.Client.metrics c) in
       check_true "metrics exposes budget" (contains_sub metrics "privcluster_budget_epsilon");
       check_true "metrics exposes daemon gauges" (contains_sub metrics "privclusterd_queue_depth");
       let ds = expect_ok "datasets" (Server.Client.datasets c) in
-      (match Option.bind (Engine.Json.member "datasets" ds) Engine.Json.to_list with
+      (match Option.bind (Obs.Json.member "datasets" ds) Obs.Json.to_list with
       | Some l -> check_int "one dataset" 1 (List.length l)
       | None -> Alcotest.fail "datasets reply");
       Server.Client.close c)
@@ -694,7 +694,7 @@ let test_daemon_lifecycle () =
 let test_daemon_crash_recovery () =
   let dir = temp_dir () in
   let cfg = daemon_cfg ~dir () in
-  let spent_before = ref Engine.Json.Null in
+  let spent_before = ref Obs.Json.Null in
   with_daemon cfg (fun _d ->
       let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
       ignore
@@ -706,8 +706,8 @@ let test_daemon_crash_recovery () =
       ignore (expect_ok "run2" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:soak_jobs ()));
       let ledger = expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1") in
       spent_before :=
-        Option.value ~default:Engine.Json.Null
-          (Option.bind (Engine.Json.member "ledger" ledger) (Engine.Json.member "spent"));
+        Option.value ~default:Obs.Json.Null
+          (Option.bind (Obs.Json.member "ledger" ledger) (Obs.Json.member "spent"));
       Server.Client.close c);
   (* simulate the crash window: a torn half-frame at the tail *)
   Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 cfg.Server.Daemon.wal_path
@@ -738,38 +738,38 @@ let test_daemon_crash_recovery () =
           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
              ~budget:(p ~eps:1.0 ~delta:1e-5) ())
       in
-      check_true "recovered by replay" (Engine.Json.member "replayed" reg = Some (Engine.Json.Bool true));
+      check_true "recovered by replay" (Obs.Json.member "replayed" reg = Some (Obs.Json.Bool true));
       let ledger = expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1") in
       let spent_after =
-        Option.value ~default:Engine.Json.Null
-          (Option.bind (Engine.Json.member "ledger" ledger) (Engine.Json.member "spent"))
+        Option.value ~default:Obs.Json.Null
+          (Option.bind (Obs.Json.member "ledger" ledger) (Obs.Json.member "spent"))
       in
-      check_true "spend survived the crash exactly" (!spent_before = spent_after && spent_after <> Engine.Json.Null);
+      check_true "spend survived the crash exactly" (!spent_before = spent_after && spent_after <> Obs.Json.Null);
       (* budget is nearly exhausted (0.8 of 1.0 spent): the next batch's
          one_cluster (0.3) must be refused, and refusal is free *)
       let run3 = expect_ok "run3" (Server.Client.run c ~dataset:"d1" ~seed:3 ~jobs:soak_jobs ()) in
-      (match Option.bind (Engine.Json.member "results" run3) Engine.Json.to_list with
+      (match Option.bind (Obs.Json.member "results" run3) Obs.Json.to_list with
       | Some [ r1; r2 ] ->
           check_true "over-budget job still refused after recovery"
-            (Option.bind (Engine.Json.member "status" r1) Engine.Json.to_str = Some "refused");
+            (Option.bind (Obs.Json.member "status" r1) Obs.Json.to_str = Some "refused");
           check_true "affordable job still runs"
-            (Option.bind (Engine.Json.member "status" r2) Engine.Json.to_str = Some "ok")
+            (Option.bind (Obs.Json.member "status" r2) Obs.Json.to_str = Some "ok")
       | _ -> Alcotest.fail "run3 results");
       Server.Client.close c);
   ()
 
-let get_int k j = Option.bind (Engine.Json.member k j) Engine.Json.to_int
+let get_int k j = Option.bind (Obs.Json.member k j) Obs.Json.to_int
 
 let attempts_of payload =
-  match Option.bind (Engine.Json.member "results" payload) Engine.Json.to_list with
+  match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
   | None -> Alcotest.fail "results missing"
   | Some rs -> List.map (fun r -> Option.value ~default:(-1) (get_int "attempts" r)) rs
 
 let spent_eps_of ledger =
   match
-    Option.bind (Engine.Json.member "ledger" ledger) (fun l ->
-        Option.bind (Engine.Json.member "spent" l) (fun s ->
-            Option.bind (Engine.Json.member "eps" s) Engine.Json.to_float))
+    Option.bind (Obs.Json.member "ledger" ledger) (fun l ->
+        Option.bind (Obs.Json.member "spent" l) (fun s ->
+            Option.bind (Obs.Json.member "eps" s) Obs.Json.to_float))
   with
   | Some e -> e
   | None -> Alcotest.fail "ledger.spent.eps missing"
@@ -803,7 +803,7 @@ let test_daemon_epoch_crash_recovery () =
       let ep = expect_ok "epoch" (Server.Client.epoch c ~dataset:"d1") in
       check_true "epoch verb reports the transition"
         (get_int "epoch" ep = Some 1 && get_int "n" ep = Some 500);
-      (match Engine.Json.member "result_cache" ep with
+      (match Obs.Json.member "result_cache" ep with
       | Some rc -> check_true "epoch verb reports the cache hits" (get_int "hits" rc = Some 2)
       | None -> Alcotest.fail "epoch reply lacks result_cache");
       spent_before :=
@@ -819,7 +819,7 @@ let test_daemon_epoch_crash_recovery () =
           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
              ~budget:(p ~eps:6.0 ~delta:1e-4) ())
       in
-      check_true "recovered by replay" (Engine.Json.member "replayed" reg = Some (Engine.Json.Bool true));
+      check_true "recovered by replay" (Obs.Json.member "replayed" reg = Some (Obs.Json.Bool true));
       let ep = expect_ok "epoch" (Server.Client.epoch c ~dataset:"d1") in
       check_true "replayed to the same epoch"
         (get_int "epoch" ep = Some 1 && get_int "n" ep = Some 500);
@@ -850,7 +850,7 @@ let test_daemon_settle () =
           (Server.Client.standing c ~dataset:"d1" ~id:"sq" ~t_fraction:0.45 ~eps:1.5
              ~delta:3e-7 ~periods:3 ~seed:9 ())
       in
-      (match Option.bind (Engine.Json.member "results" st) Engine.Json.to_list with
+      (match Option.bind (Obs.Json.member "results" st) Obs.Json.to_list with
       | Some rs -> check_int "acceptance plus first tick" 2 (List.length rs)
       | None -> Alcotest.fail "standing reply has results");
       check_float ~tol:1e-12 "tick 1 committed one slice" 0.5
@@ -882,6 +882,65 @@ let test_daemon_settle () =
       check_true "nothing left to settle" (again.Wire.settled = [] && again.Wire.remaining = 0);
       Server.Client.close c);
   ()
+
+(* A standing query's registration line is journaled and re-parsed on
+   restart, so it must carry its parameters exactly: a tick answered after
+   the restart runs at the same per-slice (eps, delta) and target size as
+   the ticks before it — the slices the ledger reserved. *)
+let test_daemon_standing_survives_restart_exactly () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let register c =
+    expect_ok "register"
+      (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+         ~budget:(p ~eps:4.0 ~delta:1e-4) ())
+  in
+  let ticks payload =
+    match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
+    | None -> Alcotest.fail "results missing"
+    | Some rs ->
+        List.filter_map
+          (fun r ->
+            match Option.bind (Obs.Json.member "id" r) Obs.Json.to_str with
+            | Some id when String.length id > 3 && String.sub id 0 3 = "sq#" ->
+                Some
+                  ( Obs.Json.member "eps" r,
+                    Obs.Json.member "delta" r,
+                    Option.bind (Obs.Json.member "output" r) (Obs.Json.member "t") )
+            | _ -> None)
+          rs
+  in
+  let append c = ticks (expect_ok "append" (Server.Client.append c ~dataset:"d1" ~n:100 ~seed:7 ())) in
+  let before =
+    with_daemon cfg (fun _d ->
+        let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+        ignore (register c);
+        let first =
+          ticks
+            (expect_ok "standing"
+               (Server.Client.standing c ~dataset:"d1" ~id:"sq" ~t_fraction:(1. /. 3.)
+                  ~eps:0.1234567 ~delta:3e-7 ~periods:3 ~seed:9 ()))
+        in
+        let second = append c in
+        Server.Client.close c;
+        first @ second)
+  in
+  check_int "two ticks before the restart" 2 (List.length before);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      check_true "recovered by replay" (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+      (match append c with
+      | [ (eps, delta, t) ] ->
+          List.iter
+            (fun (eps', delta', t') ->
+              check_true "post-restart tick runs at the reserved eps" (eps = eps');
+              check_true "post-restart tick runs at the reserved delta" (delta = delta');
+              (* [t] is reported only by a tick that completed *)
+              check_true "post-restart tick targets the same t"
+                (t = None || t' = None || t = t'))
+            before
+      | ticks -> Alcotest.failf "expected one post-restart tick, got %d" (List.length ticks));
+      Server.Client.close c)
 
 (* Malformed registration parameters must come back as bad_request — not
    raise on the executor thread, which would strand the connection in its
@@ -969,13 +1028,13 @@ let test_daemon_concurrent_soak () =
   let n_clients = 3 and n_runs = 3 in
   let cfg = daemon_cfg ~dir () in
   let statuses_of_json payload =
-    match Option.bind (Engine.Json.member "results" payload) Engine.Json.to_list with
+    match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
     | None -> Alcotest.fail "results missing"
     | Some rs ->
         List.map
           (fun r ->
             Option.value ~default:"?"
-              (Option.bind (Engine.Json.member "status" r) Engine.Json.to_str))
+              (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
           rs
   in
   let daemon_verdicts = Array.make n_clients [] in
@@ -1042,7 +1101,7 @@ let test_daemon_health_stats_metrics () =
       check_true "idle daemon is healthy" (st = Obs.Slo.Ok);
       check_true "default rules all evaluated" (List.length verdicts >= 3);
       check_true "health carries draining:false"
-        (Engine.Json.member "draining" payload = Some (Engine.Json.Bool false));
+        (Obs.Json.member "draining" payload = Some (Obs.Json.Bool false));
       ignore
         (expect_ok "register"
            (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
@@ -1051,13 +1110,13 @@ let test_daemon_health_stats_metrics () =
       (* stats reflects the traffic per verb x tenant *)
       let stats = expect_ok "stats" (Server.Client.stats c) in
       check_true "stats says serving_stats on"
-        (Engine.Json.member "serving_stats" stats = Some (Engine.Json.Bool true));
+        (Obs.Json.member "serving_stats" stats = Some (Obs.Json.Bool true));
       let rows =
-        match Option.bind (Engine.Json.member "requests" stats) Engine.Json.to_list with
+        match Option.bind (Obs.Json.member "requests" stats) Obs.Json.to_list with
         | Some l -> l
         | None -> Alcotest.fail "stats reply has no requests"
       in
-      let field k r = Option.bind (Engine.Json.member k r) Engine.Json.to_str in
+      let field k r = Option.bind (Obs.Json.member k r) Obs.Json.to_str in
       check_true "run latency recorded for the tenant"
         (List.exists (fun r -> field "verb" r = Some "run" && field "tenant" r = Some "acme") rows);
       (* the serving families land in the exposition, with summary quantiles *)
@@ -1106,10 +1165,10 @@ let test_daemon_health_stats_metrics () =
       check_true "disabled health is ok" (st = Obs.Slo.Ok);
       check_true "disabled health has no verdicts" (verdicts = []);
       check_true "disabled health says so"
-        (Engine.Json.member "serving_stats" payload = Some (Engine.Json.Bool false));
+        (Obs.Json.member "serving_stats" payload = Some (Obs.Json.Bool false));
       let stats = expect_ok "stats" (Server.Client.stats c) in
       check_true "disabled stats says so"
-        (Engine.Json.member "serving_stats" stats = Some (Engine.Json.Bool false));
+        (Obs.Json.member "serving_stats" stats = Some (Obs.Json.Bool false));
       Server.Client.close c)
 
 let test_daemon_exemplar_ring () =
@@ -1176,13 +1235,13 @@ let test_daemon_exemplar_ring () =
    the result-cache hit/miss counters, which pin cache-key identity — are
    bit-identical to a sampling-off daemon, timing fields aside. *)
 let rec strip_timing = function
-  | Engine.Json.Obj fields ->
-      Engine.Json.Obj
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj
         (List.filter_map
            (fun (k, v) ->
              if k = "latency_ms" || k = "elapsed_ms" then None else Some (k, strip_timing v))
            fields)
-  | Engine.Json.List l -> Engine.Json.List (List.map strip_timing l)
+  | Obs.Json.List l -> Obs.Json.List (List.map strip_timing l)
   | j -> j
 
 let test_daemon_sampling_deterministic () =
@@ -1201,7 +1260,7 @@ let test_daemon_sampling_deterministic () =
         let ep = expect_ok "epoch" (Server.Client.epoch c ~dataset:"d1") in
         Server.Client.close c;
         List.map
-          (fun j -> Engine.Json.to_string (strip_timing j))
+          (fun j -> Obs.Json.to_string (strip_timing j))
           [ reg; r1; r2; ep ])
   in
   let dir_a = temp_dir () and dir_b = temp_dir () in
@@ -1225,10 +1284,10 @@ let test_daemon_sampling_deterministic () =
   (match Obs.Json.parse (List.nth a 3) with
   | Ok ep ->
       let hits =
-        Option.bind (Engine.Json.member "result_cache" ep) (Engine.Json.member "hits")
+        Option.bind (Obs.Json.member "result_cache" ep) (Obs.Json.member "hits")
       in
       check_true "second run hit the result cache"
-        (match Option.bind hits Engine.Json.to_int with Some h -> h > 0 | None -> false)
+        (match Option.bind hits Obs.Json.to_int with Some h -> h > 0 | None -> false)
   | Error e -> Alcotest.failf "epoch reply does not parse back: %s" e);
   (* sampling was genuinely active: every request left an exemplar *)
   check_true "sampled daemon wrote exemplars"
@@ -1265,6 +1324,7 @@ let suite =
     slow_case "daemon crash recovery" test_daemon_crash_recovery;
     slow_case "daemon epoch and cache crash recovery" test_daemon_epoch_crash_recovery;
     slow_case "daemon settle" test_daemon_settle;
+    slow_case "daemon standing query exact across a restart" test_daemon_standing_survives_restart_exactly;
     slow_case "daemon register validation" test_daemon_register_validation;
     slow_case "daemon request line cap" test_daemon_request_line_cap;
     slow_case "daemon concurrent soak" test_daemon_concurrent_soak;
