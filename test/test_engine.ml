@@ -617,9 +617,6 @@ let suite =
     case "registry caches the r_opt sandwich per t" test_registry_caches_bounds;
     case "jobs-file parsing" test_job_parsing;
     case "jobs-file parse errors name the line" test_job_parse_errors;
-    test_job_line_roundtrip;
-    case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
-    case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
     case "pool returns outcomes in submission order" test_pool_outcomes_in_order;
     case "pool confines a task exception to its task" test_pool_failure_isolation;
     case "pool deadline: expired jobs skip, overruns report timeout" test_pool_deadline_timeout;
@@ -629,4 +626,7 @@ let suite =
     case "registry r_opt sandwich on a k-d tree dataset" test_registry_bounds_on_tree;
     case "registry: every epoch's score_l_many memo matches a fresh index" test_registry_memo_per_epoch;
     case "two domains' first score_l_many calls on one index agree" test_memo_concurrent_first_calls;
+    test_job_line_roundtrip;
+    case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
+    case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
   ]
