@@ -1,14 +1,11 @@
 (* Families are built from a plain intermediate so the live path
    (Telemetry/Accountant values) and the post-hoc path (a report JSON)
-   render identically. *)
+   render identically.  Job latency travels as an [Obs.Hist.snapshot],
+   which the report stores exactly ([Obs.Hist.to_json] and
+   [snapshot_of_json] are inverses), so the two paths' [privcluster_job*]
+   lines agree byte for byte; every latency family is in seconds. *)
 
-type kind_row = {
-  kind : string;
-  statuses : (string * int) list;
-  buckets : int array;  (* telemetry layout: bounds buckets + overflow *)
-  observations : int;
-  total_ms : float;
-}
+type kind_row = { kind : string; statuses : (string * int) list; latency : Obs.Hist.snapshot }
 
 type acct_row = {
   dataset : string;
@@ -29,6 +26,16 @@ type source = {
   result_cache : (string * int * int) list;  (* (dataset, hits, misses) *)
 }
 
+let summary_quantiles = [ 0.5; 0.9; 0.99 ]
+
+let summary_of_hist snap =
+  {
+    Obs.Prom.quantiles =
+      List.map (fun q -> (q, Obs.Hist.quantile_ns snap ~q /. 1e9)) summary_quantiles;
+    sum = float_of_int snap.Obs.Hist.sum_ns /. 1e9;
+    count = snap.Obs.Hist.count;
+  }
+
 let families_of_source src =
   let open Obs.Prom in
   let jobs =
@@ -46,44 +53,24 @@ let families_of_source src =
             src.kinds;
       }
   in
-  let bounds = Telemetry.bucket_upper_bounds in
   let latency =
     Histogram
       {
-        name = "privcluster_job_latency_ms";
-        help = "Job latency histogram (milliseconds) by kind.";
-        samples =
-          List.map
-            (fun r ->
-              let counts = Array.sub r.buckets 0 (min (Array.length bounds) (Array.length r.buckets)) in
-              ( [ ("kind", r.kind) ],
-                { bounds; counts; sum = r.total_ms; count = r.observations } ))
-            src.kinds;
+        name = "privcluster_job_latency_seconds";
+        help = "Job latency histogram (seconds) by kind.";
+        samples = List.map (fun r -> ([ ("kind", r.kind) ], Obs.Hist.to_prom r.latency)) src.kinds;
       }
   in
   let latency_quantiles =
     Summary
       {
-        name = "privcluster_job_latency_quantile_ms";
-        help = "Estimated job latency quantiles (milliseconds) by kind.";
+        name = "privcluster_job_latency_quantile_seconds";
+        help = "Estimated job latency quantiles (seconds) by kind.";
         samples =
           List.filter_map
             (fun r ->
-              if r.observations = 0 then None
-              else
-                Some
-                  ( [ ("kind", r.kind) ],
-                    {
-                      quantiles =
-                        List.map
-                          (fun q ->
-                            ( q,
-                              Telemetry.quantile_of_buckets ~buckets:r.buckets
-                                ~observations:r.observations ~q () ))
-                          [ 0.5; 0.9; 0.99 ];
-                      sum = r.total_ms;
-                      count = r.observations;
-                    } ))
+              if r.latency.Obs.Hist.count = 0 then None
+              else Some ([ ("kind", r.kind) ], summary_of_hist r.latency))
             src.kinds;
       }
   in
@@ -189,16 +176,6 @@ type serving_rows = {
   sheds : (string * int) list;  (* (reason, count) *)
 }
 
-let serving_quantiles = [ 0.5; 0.9; 0.99 ]
-
-let serving_summary snap =
-  {
-    Obs.Prom.quantiles =
-      List.map (fun q -> (q, Obs.Hist.quantile_ns snap ~q /. 1e9)) serving_quantiles;
-    sum = float_of_int snap.Obs.Hist.sum_ns /. 1e9;
-    count = snap.Obs.Hist.count;
-  }
-
 let serving_families rows =
   let open Obs.Prom in
   [
@@ -209,7 +186,7 @@ let serving_families rows =
         samples =
           List.map
             (fun (verb, tenant, snap) ->
-              ([ ("verb", verb); ("tenant", tenant) ], serving_summary snap))
+              ([ ("verb", verb); ("tenant", tenant) ], summary_of_hist snap))
             rows.requests;
       };
     Histogram
@@ -245,15 +222,8 @@ let serving_families rows =
 let source_of_live ?dataset ?(datasets = []) ?result_cache telemetry =
   let kinds =
     List.map
-      (fun (e : Telemetry.export_stats) ->
-        {
-          kind = e.Telemetry.kind;
-          statuses = e.Telemetry.statuses;
-          buckets = e.Telemetry.buckets;
-          observations = e.Telemetry.observations;
-          total_ms = e.Telemetry.total_ms;
-        })
-      (Telemetry.export telemetry)
+      (fun (kind, statuses, latency) -> { kind; statuses; latency })
+      (Telemetry.kinds telemetry)
   in
   let acct =
     List.map
@@ -310,33 +280,12 @@ let kind_of_json (kind, j) =
   let statuses =
     List.filter_map (fun (s, v) -> Option.map (fun c -> (s, c)) (Obs.Json.to_int v)) statuses
   in
-  let* count =
-    match Option.bind (Obs.Json.member "count" j) Obs.Json.to_int with
-    | Some c -> Ok c
-    | None -> Error (kind ^ ".count missing")
+  let* latency =
+    match Obs.Json.member "latency" j with
+    | None -> Error (Printf.sprintf "missing field %S" (kind ^ ".latency"))
+    | Some l -> Result.map_error (( ^ ) (kind ^ ".latency: ")) (Obs.Hist.snapshot_of_json l)
   in
-  let* bucket_list =
-    match Option.bind (Obs.Json.member "latency_buckets" j) Obs.Json.to_list with
-    | Some l -> Ok l
-    | None -> Error (kind ^ ".latency_buckets missing")
-  in
-  let buckets =
-    Array.of_list
-      (List.map
-         (fun b ->
-           Option.value ~default:0 (Option.bind (Obs.Json.member "count" b) Obs.Json.to_int))
-         bucket_list)
-  in
-  (* The report stores mean, not sum; reconstruct (0 when no jobs —
-     mean_ms is null/NaN then). *)
-  let total_ms =
-    if count = 0 then 0.
-    else
-      match Option.bind (Obs.Json.member "mean_ms" j) Obs.Json.to_float with
-      | Some m when Float.is_finite m -> m *. float_of_int count
-      | _ -> 0.
-  in
-  Ok { kind; statuses; buckets; observations = count; total_ms }
+  Ok { kind; statuses; latency }
 
 let acct_of_json ~dataset ?(epoch = 0) ?(bounds = (0, 0)) j =
   let* budget = field "budget" j in

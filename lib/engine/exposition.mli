@@ -5,8 +5,10 @@
     {!Obs.Span} aggregates — into {!Obs.Prom} families:
 
     - [privcluster_jobs_total{kind,status}] — finished jobs;
-    - [privcluster_job_latency_ms{kind}] — latency histogram on the
-      telemetry buckets;
+    - [privcluster_job_latency_seconds{kind}] — latency histogram on
+      the {!Obs.Hist} buckets, and
+      [privcluster_job_latency_quantile_seconds{kind,quantile}] — its
+      p50/p90/p99 summary;
     - [privcluster_engine_events_total{event}] — named counters
       (retries, worker restarts, degradations);
     - [privcluster_budget_epsilon] / [..._delta]
@@ -21,7 +23,8 @@
 
     {!of_report_json} rebuilds the same families from a batch report
     written earlier ({!Service.report_json}), so [privcluster-cli
-    metrics] can expose a run after the fact without re-running it. *)
+    metrics] can expose a run after the fact without re-running it; its
+    [privcluster_job*] lines equal the live ones byte for byte. *)
 
 val families :
   ?spans:Obs.Span.span list ->
@@ -51,7 +54,8 @@ val render :
 val of_report_json : Obs.Json.t -> (Obs.Prom.family list, string) result
 (** Rebuild families from a {!Service.report_json} document (its
     [telemetry] and [dataset.accountant] sections).  Errors name the
-    missing or malformed field. *)
+    missing or malformed field; a report written before job latency moved
+    onto {!Obs.Hist} fails with [missing field "<kind>.latency"]. *)
 
 (** {2 Serving telemetry}
 

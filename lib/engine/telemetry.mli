@@ -1,10 +1,11 @@
-(** Engine observability: per-job-kind counters and latency histograms.
+(** Engine observability: per-job-kind status counts and latency, plus
+    named event counters.
 
     Worker domains record one observation per finished job; recording is
-    mutex-protected and cheap (a few counter bumps).  Latencies land in
-    fixed log-spaced buckets (1 ms … 60 s), from which quantiles are
-    estimated by linear interpolation inside the bucket — the standard
-    Prometheus-style tradeoff: bounded memory, ~bucket-width error.
+    mutex-protected and cheap (a few counter bumps).  Each kind's latency
+    lands in one {!Obs.Hist} — the same histogram as every other latency
+    the program reports — so bucket bounds and quantile estimation live
+    in {!Obs.Hist} only.
 
     Every record also emits a [Logs] debug span on the
     ["privcluster.engine"] source, so setting a reporter at debug level
@@ -34,51 +35,16 @@ val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** All named counters, sorted by name. *)
 
-val total : t -> int
-(** Observations recorded so far. *)
-
 val count : t -> ?kind:string -> ?status:string -> unit -> int
 (** Observations matching both filters (absent filter = match all). *)
 
-val quantile_ms : t -> kind:string -> q:float -> float
-(** Estimated latency quantile for a kind; [nan] when nothing recorded. *)
-
-val quantile_of_buckets :
-  ?max_ms:float -> buckets:int array -> observations:int -> q:float -> unit -> float
-(** The same estimator over a raw bucket snapshot (the {!export_stats}
-    layout: {!bucket_upper_bounds} buckets plus overflow), so renderers
-    working from an exported or journaled snapshot — {!Exposition}'s
-    post-hoc path — agree with the live {!quantile_ms}.  [max_ms] caps
-    interpolation inside the overflow bucket (defaults to the last
-    bound). *)
-
-(** {2 Exposition}
-
-    A plain snapshot of the per-kind stats, for renderers that cannot
-    reach inside the mutex-protected tables ({!Exposition} turns it into
-    Prometheus text). *)
-
-type export_stats = {
-  kind : string;
-  statuses : (string * int) list;  (** Sorted by status name. *)
-  buckets : int array;
-      (** Per-bucket (non-cumulative) latency counts; the last entry is
-          the overflow bucket beyond {!bucket_upper_bounds}. *)
-  observations : int;
-  total_ms : float;
-}
-
-val bucket_upper_bounds : float array
-(** Upper bounds (ms) of the latency buckets, ascending; the overflow
-    bucket is implicit. *)
-
-val export : t -> export_stats list
-(** Thread-safe snapshot, sorted by kind. *)
+val kinds : t -> (string * (string * int) list * Obs.Hist.snapshot) list
+(** Thread-safe snapshot, one [(kind, statuses, latency)] row per kind
+    sorted by kind; [statuses] is sorted by status name. *)
 
 val to_json : t -> Obs.Json.t
-(** Per-kind: counts by status, min/mean/max latency, p50/p90/p99, and the
-    raw bucket counts (upper bounds included so the dump is
-    self-describing). *)
+(** [total_jobs], [counters], and per kind its [count], [by_status] and
+    [latency] ({!Obs.Hist.to_json}). *)
 
 val pp_summary : Format.formatter -> t -> unit
-(** Compact human summary, one line per kind. *)
+(** Compact human summary, one line per kind, latencies in ms. *)

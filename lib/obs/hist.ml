@@ -190,3 +190,39 @@ let to_json s =
      ]
     @ qs
     @ [ ("buckets_ns", Json.List buckets) ])
+
+let snapshot_of_json j =
+  let ( let* ) = Result.bind in
+  let field name =
+    match Json.member name j with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing field %S" name)
+  in
+  let int_field name =
+    let* v = field name in
+    match v with Json.Int i -> Ok i | _ -> Error (name ^ " is not an integer")
+  in
+  let* count = int_field "count" in
+  let* sum_ns = int_field "sum_ns" in
+  let* min_ns = int_field "min_ns" in
+  let* max_ns = int_field "max_ns" in
+  let* buckets = field "buckets_ns" in
+  let* buckets =
+    match buckets with Json.List l -> Ok l | _ -> Error "buckets_ns is not a list"
+  in
+  let counts = Array.make n_buckets 0 in
+  let add = function
+    | Json.List [ Json.Int le; Json.Int c ] when c >= 0 ->
+        let i = bucket_of_ns le in
+        if (i = n_bounds && le = max_int) || (i < n_bounds && bucket_bounds_ns.(i) = le)
+        then Ok (counts.(i) <- counts.(i) + c)
+        else Error (Printf.sprintf "buckets_ns: %d is not a bucket bound" le)
+    | _ -> Error "buckets_ns: an entry is not an [le_ns, count] pair"
+  in
+  let* () = List.fold_left (fun acc b -> Result.bind acc (fun () -> add b)) (Ok ()) buckets in
+  let total = Array.fold_left ( + ) 0 counts in
+  if total <> count then
+    Error (Printf.sprintf "buckets_ns counts sum to %d but count is %d" total count)
+  else
+    (* [to_json] writes an empty histogram's [max_int] minimum as 0. *)
+    Ok { counts; count; sum_ns; min_ns = (if count = 0 then max_int else min_ns); max_ns }

@@ -70,3 +70,9 @@ val to_json : snapshot -> Json.t
 (** Compact dump: count, sum/min/max in ns, default quantiles
     (p50/p90/p99/max) in seconds, and the non-zero buckets as
     [[le_ns, count]] pairs. *)
+
+val snapshot_of_json : Json.t -> (snapshot, string) result
+(** Inverse of {!to_json}: [snapshot_of_json (to_json s) = Ok s].  The
+    quantile fields are derived and ignored.  Errors name the missing or
+    malformed field; a [buckets_ns] entry must be an [[le_ns, count]]
+    pair on a bucket bound, and the counts must sum to [count]. *)

@@ -88,6 +88,12 @@ let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 exception Parse_error of int * string
 
+(* Recursion depth is the one parser cost not bounded by input length
+   alone: without a cap, a line made only of '[' costs time superlinear
+   in its length.  The deepest document the program writes nests far
+   less (json.mli). *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -224,12 +230,16 @@ let parse s =
     if !is_float then Float (float_of_string text)
     else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
   in
-  let rec parse_value () =
+  let open_nested depth =
+    if depth >= max_depth then fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '{' ->
-        advance ();
+        open_nested depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -241,7 +251,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -255,7 +265,7 @@ let parse s =
           Obj (fields [])
         end
     | Some '[' ->
-        advance ();
+        open_nested depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -263,7 +273,7 @@ let parse s =
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -284,7 +294,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character %c" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage after JSON value";
     v

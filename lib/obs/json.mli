@@ -27,7 +27,11 @@ val pp : Format.formatter -> t -> unit
 
 val parse : string -> (t, string) result
 (** Parse one JSON value; the whole input must be consumed (trailing
-    whitespace allowed).  Errors carry a byte offset. *)
+    whitespace allowed).  Errors carry a byte offset.  Arrays and objects
+    may nest at most 512 deep; a deeper input is an [Error] ("nesting
+    deeper than 512"), returned as soon as the limit is crossed.  The
+    deepest documents the program writes (a batch report, a [check]
+    report) nest 7 deep. *)
 
 (** {2 Accessors} *)
 

@@ -515,7 +515,7 @@ let test_prom_of_spans_and_exposition () =
   match Obs.Json.parse (Obs.Json.to_string report) with
   | Error e -> Alcotest.failf "report JSON does not parse: %s" e
   | Ok doc -> (
-      match Engine.Exposition.of_report_json doc with
+      (match Engine.Exposition.of_report_json doc with
       | Error e -> Alcotest.failf "of_report_json: %s" e
       | Ok families ->
           let text = Obs.Prom.render families in
@@ -525,10 +525,39 @@ let test_prom_of_spans_and_exposition () =
             [
               "privcluster_jobs_total{kind=\"one_cluster\",status=\"ok\"} 1";
               "privcluster_jobs_total{kind=\"quantile\",status=\"ok\"} 1";
-              "privcluster_job_latency_ms_bucket";
+              "privcluster_job_latency_seconds_bucket";
               "privcluster_budget_epsilon{dataset=\"expo\",quantity=\"budget\"} 2";
               "privcluster_budget_refusals_total{dataset=\"expo\"} 0";
-            ])
+            ];
+          (* The report stores each kind's latency histogram exactly, so
+             the job families rendered from it equal the live ones byte
+             for byte. *)
+          let job_lines text =
+            List.filter
+              (fun l -> contains_sub l "privcluster_job")
+              (String.split_on_char '\n' text)
+          in
+          let live =
+            Engine.Exposition.render ~dataset ~telemetry:(Engine.Service.telemetry service) ()
+          in
+          check_true "live output has job lines" (job_lines live <> []);
+          Alcotest.(check (list string))
+            "post-hoc job lines == live job lines" (job_lines live) (job_lines text));
+      (* A report whose kinds lack the [latency] object (the format before
+         it moved onto Obs.Hist) is refused with the field named. *)
+      let rec drop_latency = function
+        | Obs.Json.Obj fields ->
+            Obs.Json.Obj
+              (List.filter_map
+                 (fun (k, v) -> if k = "latency" then None else Some (k, drop_latency v))
+                 fields)
+        | v -> v
+      in
+      match Engine.Exposition.of_report_json (drop_latency doc) with
+      | Ok _ -> Alcotest.fail "of_report_json accepted a report without latency"
+      | Error e ->
+          check_true ("old report error names the field: " ^ e)
+            (contains_sub e "missing field \"one_cluster.latency\""))
 
 (* --- latency histograms --------------------------------------------------- *)
 
@@ -669,6 +698,79 @@ let test_hist_prom_and_json () =
         (List.assoc_opt "sum_ns" fields = Some (Obs.Json.Int 3_002_001_000));
       check_true "json carries quantiles" (List.mem_assoc "p99" fields)
   | _ -> Alcotest.fail "hist json is not an object"
+
+let test_hist_json_roundtrip () =
+  (* Every snapshot, empty, singleton or reaching the overflow bucket,
+     survives its JSON dump; the post-hoc exposition depends on it. *)
+  let prop values =
+    let s = snap_of values in
+    let back = Obs.Json.parse (Obs.Json.to_string (Obs.Hist.to_json s)) in
+    check_true "snapshot_of_json (to_json s) = s"
+      (Result.bind back Obs.Hist.snapshot_of_json = Ok s);
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:200 ~name:"hist json roundtrip"
+       QCheck2.Gen.(
+         oneof
+           [
+             return [];
+             map (fun v -> [ v ]) ns_gen;
+             map (fun (v, vs) -> 60_000_000_000 :: v :: vs) (pair ns_gen (list_size (0 -- 100) ns_gen));
+             list_size (0 -- 200) ns_gen;
+           ])
+       prop);
+  let with_buckets b =
+    match Obs.Hist.to_json (snap_of [ 1_000 ]) with
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj (List.map (fun (k, v) -> if k = "buckets_ns" then (k, b) else (k, v)) fields)
+    | _ -> Alcotest.fail "hist json is not an object"
+  in
+  let open Obs.Json in
+  List.iter
+    (fun (b, needle) ->
+      match Obs.Hist.snapshot_of_json (with_buckets b) with
+      | Ok _ -> Alcotest.failf "accepted buckets_ns %s" (to_string ~indent:false b)
+      | Error e -> check_true (Printf.sprintf "error %S names %S" e needle) (contains_sub e needle))
+    [
+      (String "1000", "buckets_ns is not a list");
+      (List [ Int 1000 ], "not an [le_ns, count] pair");
+      (List [ List [ Int 1000; Int (-1) ] ], "not an [le_ns, count] pair");
+      (List [ List [ Int 1001; Int 1 ] ], "1001 is not a bucket bound");
+      (List [ List [ Int 1000; Int 2 ] ], "sum to 2 but count is 1");
+    ]
+
+let test_json_depth_limit () =
+  let deep = String.make 1_000_000 '[' in
+  let t0 = Unix.gettimeofday () in
+  let r = Obs.Json.parse deep in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Ok _ -> Alcotest.fail "parsed 10^6 unclosed ["
+  | Error e -> check_true ("depth error: " ^ e) (contains_sub e "nesting deeper than 512"));
+  check_true (Printf.sprintf "rejected in %.4f s" dt) (dt < 0.1);
+  let nest k = String.make k '[' ^ String.make k ']' in
+  check_true "512 levels parse" (Result.is_ok (Obs.Json.parse (nest 512)));
+  check_true "513 levels rejected" (Result.is_error (Obs.Json.parse (nest 513)));
+  (* The deepest document the program writes is a batch report: report,
+     telemetry, kinds, kind, latency, buckets_ns, one [le_ns, count]. *)
+  let service = Engine.Service.create ~domains:1 ~seed:5 ~faults:Engine.Faults.none () in
+  let _, grid, w = small_workload ~n:400 ~axis:128 ~radius:0.06 () in
+  let dataset =
+    Engine.Service.register service ~name:"deep" ~grid
+      ~budget:(Prim.Dp.v ~eps:2.0 ~delta:1e-4)
+      w.Workload.Synth.points
+  in
+  let results = Engine.Service.run_batch service ~dataset [ oc "a"; qt "b" ] in
+  let report = Engine.Service.report_json service ~dataset results in
+  let rec depth = function
+    | Obs.Json.List l -> 1 + List.fold_left (fun acc v -> max acc (depth v)) 0 l
+    | Obs.Json.Obj f -> 1 + List.fold_left (fun acc (_, v) -> max acc (depth v)) 0 f
+    | _ -> 0
+  in
+  match Obs.Json.parse (Obs.Json.to_string report) with
+  | Error e -> Alcotest.failf "batch report does not parse: %s" e
+  | Ok doc -> check_int "batch report nests 7 deep" 7 (depth doc)
 
 (* --- SLO rules ------------------------------------------------------------ *)
 
@@ -854,4 +956,6 @@ let suite =
     case "slo: rule line roundtrip and rejection" test_slo_line_roundtrip;
     case "slo: evaluation grades and expands subjects" test_slo_eval;
     case "prometheus exposition is deterministic (golden)" test_prom_deterministic_golden;
+    case "hist: json roundtrip and malformed buckets (qcheck)" test_hist_json_roundtrip;
+    case "json parser nesting depth limit" test_json_depth_limit;
   ]
