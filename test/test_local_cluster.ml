@@ -13,13 +13,22 @@ let eps_k_gen =
   QCheck2.Gen.(
     triple (float_range 0.05 4.0) (int_range 2 40) (int_range 0 1000))
 
-let test_law_sums_to_one =
-  qcheck "randomizer law sums to 1 exactly" eps_k_gen (fun (eps, k, cell_raw) ->
-      let cell = cell_raw mod k in
-      let law = L.law ~eps ~k ~cell in
-      (* p_keep and p_other share one denominator, so the sum telescopes
-         exactly: tolerance is a few ulp of 1.0, not a statistical slack. *)
-      Float.abs (Array.fold_left ( +. ) 0. law -. 1.) <= 8. *. epsilon_float)
+(* The exact law sums to 1, but its k computed terms do not telescope
+   under naive left-to-right summation: by the recursive-summation bound
+   the sum errs by at most (k - 1) u (u = epsilon_float / 2, the unit
+   roundoff; the terms are nonnegative and sum to 1), and the terms carry
+   a few u of their own rounding.  k * epsilon_float covers both; it is an
+   ulp-scale bound, not a statistical slack. *)
+let law_sums_to_one (eps, k, cell_raw) =
+  let law = L.law ~eps ~k ~cell:(cell_raw mod k) in
+  Float.abs (Array.fold_left ( +. ) 0. law -. 1.) <= float_of_int k *. epsilon_float
+
+let test_law_sums_to_one = qcheck "randomizer law sums to 1 exactly" eps_k_gen law_sums_to_one
+
+(* QCHECK_SEED=719177435 drew a law whose sum is 10 ulp off 1.0, over the
+   former fixed 8-ulp tolerance. *)
+let test_law_sums_to_one_pinned =
+  qcheck ~seed:719177435 "randomizer law sums to 1, seed 719177435" eps_k_gen law_sums_to_one
 
 let test_law_ratio =
   qcheck "p_keep / p_other = e^eps exactly" eps_k_gen (fun (eps, k, _) ->
@@ -251,4 +260,5 @@ let suite =
     case "native and reference kernel tiers agree" test_kernel_tier_identity;
     slow_case "engine job kind: run, certificate, domain independence" test_engine_job_kind;
     case "jobs-file line parse" test_job_line_parse;
+    test_law_sums_to_one_pinned;
   ]

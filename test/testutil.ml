@@ -44,8 +44,11 @@ let stats samples =
   in
   (mean, var)
 
-let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* [seed] pins the generator, for a regression case found under one
+   QCHECK_SEED; without it the seed is QCheck's (QCHECK_SEED or random). *)
+let qcheck ?(count = 200) ?seed name gen prop =
+  let rand = Option.map (fun s -> Random.State.make [| s |]) seed in
+  QCheck_alcotest.to_alcotest ?rand (QCheck2.Test.make ~count ~name gen prop)
 
 (* A small deterministic planted-cluster workload used by several suites. *)
 let small_workload ?(seed = 3) ?(n = 400) ?(dim = 2) ?(axis = 128) ?(fraction = 0.5)
