@@ -1,16 +1,23 @@
 (* Benchmark harness: runs the experiment suite (E1–E14, one per table /
    figure / theorem claim — see EXPERIMENTS.md) followed by the Bechamel
    timing benches (B1–B7, one per pipeline stage, plus B9 for the
-   statistical-check estimators), the engine throughput bench (B8), the
+   statistical-check estimators), the engine throughput bench (B8, gated:
+   outputs identical across domain counts and under injected faults), the
    one-cluster allocation check, the disabled-tracing overhead gate
    (B10), the daemon round-trip overhead bench (B11), the
    mutate-then-requery epoch/result-cache bench (B12, gated: cache hits
    must charge zero), the native-kernel gates (B13: C fast paths
    bit-identical to the pure-OCaml references, parallel k-d build equal
-   to serial, and a kernel speedup floor), and the competitor e2e bench
+   to serial, and a kernel speedup floor), the competitor e2e bench
    (B14: centralized one-cluster vs the LDP protocol vs the private MEB
    fPTAS, gated: the LDP path stays within its documented overhead
-   envelope of the centralized call).
+   envelope of the centralized call), and the serving-telemetry overhead
+   bench (B15, gated: at most 2% of the daemon batch round-trip).
+
+   Every bench after the Bechamel stage has one shape: a [bench] whose
+   [run] returns a [section] — its key in the --json document, its
+   fields, and its named gates.  One driver runs the same list under
+   --smoke and the full run, and exits 1 naming the first false gate.
 
    Usage:
      dune exec bench/main.exe                 # full suite
@@ -19,7 +26,7 @@
      dune exec bench/main.exe -- --jobs 4     # experiments on 4 engine-pool domains
      dune exec bench/main.exe -- --no-timing  # experiments only
      dune exec bench/main.exe -- --timing-only
-     dune exec bench/main.exe -- --json out.json   # machine-readable B1-B8 results
+     dune exec bench/main.exe -- --json out.json   # machine-readable bench results
      dune exec bench/main.exe -- --fix-n 10000 --fix-d 32  # timing fixture size
      dune exec bench/main.exe -- --smoke      # one tiny call per bench (CI) *)
 
@@ -51,6 +58,150 @@ let fixture ?(n = 1500) ?(dim = 2) () =
   let ps = Geometry.Pointset.create w.Workload.Synth.points in
   let idx = Geometry.Pointset.auto_index ps in
   { rng; grid; points = w.Workload.Synth.points; ps; idx; t = 2 * n / 5; radius = 0.1 }
+
+(* The size tier a bench runs at.  [smoke] shrinks the loops that CI only
+   needs to run once; [quick] is --quick (and set under --smoke);
+   [sweep_max] is the widest domain count in B8's sweep; [domains] is the
+   worker-domain count of the services B11, B12 and B15 start. *)
+type tier = { smoke : bool; quick : bool; sweep_max : int; domains : int }
+
+(* What a bench returns: its key in the --json document, its fields, and
+   its named gates, each true when the bench's claim holds. *)
+type section = {
+  key : string;
+  fields : (string * Obs.Json.t) list;
+  gates : (string * bool) list;
+}
+
+type bench = { id : string; headline : string; run : tier -> fixture -> section }
+
+(* Setup errors — a daemon that does not start, a malformed reply — are
+   not gates: the bench cannot measure anything. *)
+let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+
+let yes_no ok = if ok then "yes" else "NO"
+
+(* Interleaved best-of timing: one warm-up call per arm, then [rounds]
+   rounds that each time every arm once, in order; each arm's time is its
+   fastest round, in ms.  Interleaving spreads machine drift over all
+   arms alike. *)
+let best_of ~rounds arms =
+  Array.iter (fun arm -> arm ()) arms;
+  let best = Array.make (Array.length arms) infinity in
+  for _ = 1 to rounds do
+    Array.iteri
+      (fun i arm -> best.(i) <- Float.min best.(i) (snd (Workload.Harness.time arm)))
+      arms
+  done;
+  best
+
+(* The job bag B8, B11, B12 and B15 run: [n_jobs] identical one-cluster
+   jobs. *)
+let one_cluster_specs ~n_jobs ~eps =
+  List.init n_jobs (fun i ->
+      {
+        Engine.Job.id = Printf.sprintf "j%d" (i + 1);
+        kind = Engine.Job.One_cluster { t_fraction = 0.4 };
+        eps;
+        delta = 1e-7;
+        beta;
+        deadline_s = None;
+        fallback = false;
+      })
+
+(* A result's status name and, for a completed job, its exact output
+   (floats in hex) — what the bit-for-bit comparisons of two runs
+   compare. *)
+let fingerprint (r : Engine.Job.result) =
+  let output =
+    match r.Engine.Job.status with
+    | Engine.Job.Completed o -> Some (Engine.Job.output_to_wire o)
+    | _ -> None
+  in
+  (Engine.Job.status_name r.Engine.Job.status, output)
+
+(* The services of B11, B12 and B15 share one seed and solve the points a
+   daemon generates for a registered dataset (seed + 7919, the daemon's
+   convention), so in-process and daemon paths see the same data. *)
+let service_seed = 99
+
+let service_points ~grid ~n =
+  (Workload.Synth.planted_ball
+     (Prim.Rng.create ~seed:(service_seed + 7919) ())
+     ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.05)
+    .Workload.Synth.points
+
+(* A resident privclusterd on a unix socket in a fresh temp dir, with a
+   client connected, the [service_points] dataset registered as "bench",
+   and the jobs text of the batch it runs. *)
+type daemon_arm = {
+  dir : string;
+  daemon : Server.Daemon.t;
+  client : Server.Client.t;
+  jobs : string;
+}
+
+let rpc what = function
+  | Ok v -> v
+  | Error f -> die "privclusterd %s: %s" what (Server.Client.fail_message f)
+
+let start_daemon ~domains ~n ~budget ~specs ~sync ~telemetry ~sample =
+  let dir = Filename.temp_file "privcluster_bench" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let cfg =
+    {
+      Server.Daemon.default_config with
+      listen = `Unix (Filename.concat dir "b.sock");
+      wal_path = Filename.concat dir "b.wal";
+      tenants = [ { Server.Tenants.name = "bench"; token = "bench"; max_in_flight = 8 } ];
+      capacity = 64;
+      domains;
+      retries = 0;
+      seed = service_seed;
+      sync;
+      serving_stats = telemetry;
+      trace_sample = (if sample then 1 else 0);
+      slow_log = (if sample then Some (Filename.concat dir "slow") else None);
+      slow_keep = 8;
+    }
+  in
+  let daemon =
+    match Server.Daemon.start cfg with Ok d -> d | Error e -> die "privclusterd start: %s" e
+  in
+  let client =
+    rpc "connect" (Server.Client.connect cfg.Server.Daemon.listen ~tenant:"bench" ~token:"bench")
+  in
+  ignore
+    (rpc "register"
+       (Server.Client.register client ~dataset:"bench" ~n ~dim:2 ~axis:256 ~frac:0.5
+          ~radius:0.05 ~seed:service_seed ~budget ()));
+  let jobs = String.concat "\n" (List.map Engine.Job.spec_to_line specs) ^ "\n" in
+  { dir; daemon; client; jobs }
+
+let run_on arm = rpc "run" (Server.Client.run arm.client ~dataset:"bench" ~jobs:arm.jobs ())
+
+let stop_daemon arm =
+  Server.Client.close arm.client;
+  Server.Daemon.stop arm.daemon;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+      try Unix.rmdir path with Unix.Unix_error (_, _, _) -> ()
+    end
+    else try Sys.remove path with Sys_error _ -> ()
+  in
+  rm arm.dir
+
+(* The status of every result in a daemon [run] reply. *)
+let statuses payload =
+  match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
+  | None -> die "privclusterd run reply has no results"
+  | Some rs ->
+      List.map
+        (fun r ->
+          Option.value ~default:"?" (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
+        rs
 
 (* Each stage bench as a plain thunk so the smoke path can execute every
    bench exactly once without the Bechamel measurement machinery.
@@ -137,45 +288,56 @@ let stage_thunks fx : (string * (unit -> unit)) list =
         ignore (Check.Stats.clopper_pearson ~alpha:0.05 ~k:37 ~n:4096) );
   ]
 
-let timing_tests fx =
-  List.map
-    (fun (name, thunk) -> Test.make ~name (Staged.stage thunk))
-    (stage_thunks fx)
-
-let run_timing ~quick fx =
-  Workload.Report.headline "B1-B7 - Bechamel timing benches (per-call wall clock)";
-  let quota = if quick then 0.5 else 2.0 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"privcluster" (timing_tests fx)) in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-      in
-      let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan in
-      rows := (name, ns, r2) :: !rows)
-    results;
-  let rows = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !rows in
-  Workload.Report.table
-    ~header:[ "bench"; "time/call"; "r^2" ]
-    (List.map
-       (fun (name, ns, r2) ->
-         let human =
-           if Float.is_nan ns then "-"
-           else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-           else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-           else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-           else Printf.sprintf "%.0f ns" ns
-         in
-         [ name; human; Workload.Report.f3 r2 ])
-       rows);
-  rows
+(* The stage benches: under --smoke each thunk runs once; otherwise
+   Bechamel times each one.  Returns the --json [timing] rows. *)
+let run_timing tier fx =
+  if tier.smoke then begin
+    Workload.Report.headline "smoke - one tiny call per bench stage";
+    List.iter
+      (fun (name, thunk) ->
+        let _, ms = Workload.Harness.time thunk in
+        Workload.Report.kv name (Printf.sprintf "ok (%.1f ms)" ms))
+      (stage_thunks fx);
+    []
+  end
+  else begin
+    Workload.Report.headline "B1-B7 - Bechamel timing benches (per-call wall clock)";
+    let quota = if tier.quick then 0.5 else 2.0 in
+    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
+    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+    let instance = Toolkit.Instance.monotonic_clock in
+    let tests =
+      List.map (fun (name, thunk) -> Test.make ~name (Staged.stage thunk)) (stage_thunks fx)
+    in
+    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"privcluster" tests) in
+    let results = Analyze.all ols instance raw in
+    let rows = ref [] in
+    Hashtbl.iter
+      (fun name ols ->
+        let ns = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
+        let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan in
+        rows := (name, ns, r2) :: !rows)
+      results;
+    let rows = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !rows in
+    Workload.Report.table
+      ~header:[ "bench"; "time/call"; "r^2" ]
+      (List.map
+         (fun (name, ns, r2) ->
+           let human =
+             if Float.is_nan ns then "-"
+             else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+             else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+             else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
+             else Printf.sprintf "%.0f ns" ns
+           in
+           [ name; human; Workload.Report.f3 r2 ])
+         rows);
+    List.map
+      (fun (name, ns, r2) ->
+        Obs.Json.Obj
+          [ ("name", Obs.Json.String name); ("ns_per_call", Float ns); ("r_square", Float r2) ])
+      rows
+  end
 
 (* The experiment suite goes through the engine pool — the same worker-domain
    code path the CLI's batch subcommand uses — with each experiment's report
@@ -204,54 +366,38 @@ let run_experiments ~jobs cfg selected =
   end
 
 (* B8 — throughput of the batch engine itself: a bag of identical 1-cluster
-   jobs on the shared fixture, swept over worker-domain counts.  Also checks
-   the engine's determinism claim: every domain count must produce the same
-   outputs (per-job RNG streams are derived from the submission index). *)
-let run_engine_bench ~quick ~max_jobs fx =
-  Workload.Report.headline "B8 - engine throughput (one-cluster batch over worker domains)";
+   jobs on the shared fixture, swept over worker-domain counts.  Also gates
+   the engine's determinism claim: every domain count must produce the
+   same statuses and bit-identical outputs (per-job RNG streams are
+   derived from the submission index).  Only [run_batch] is timed, not
+   service creation or registration (the index build), but each fresh
+   service's batch pays its first r_opt bounds and count-matrix fill. *)
+let run_engine_bench tier fx =
   Workload.Report.kv "hardware threads" (string_of_int (Domain.recommended_domain_count ()));
-  let n_jobs = if quick then 6 else 12 in
-  let specs =
-    List.init n_jobs (fun i ->
-        {
-          Engine.Job.id = Printf.sprintf "j%d" (i + 1);
-          kind = Engine.Job.One_cluster { t_fraction = 0.4 };
-          eps = 0.5;
-          delta = 1e-7;
-          beta;
-          deadline_s = None;
-          fallback = false;
-        })
-  in
+  let n_jobs = if tier.quick then 6 else 12 in
+  let specs = one_cluster_specs ~n_jobs ~eps:0.5 in
   let domain_counts =
-    List.sort_uniq compare (1 :: 2 :: 4 :: (if max_jobs > 1 then [ max_jobs ] else []))
+    List.sort_uniq compare (1 :: 2 :: 4 :: (if tier.sweep_max > 1 then [ tier.sweep_max ] else []))
   in
-  let summaries = Hashtbl.create 4 in
   let run_once ~domains ~faults ~retries =
-    let service =
-      Engine.Service.create ~domains ~seed:99 ~retries ~faults ()
-    in
+    let service = Engine.Service.create ~domains ~seed:99 ~retries ~faults () in
     let dataset =
       Engine.Service.register service ~name:"bench" ~grid:fx.grid
         ~budget:(Prim.Dp.v ~eps:(float_of_int n_jobs) ~delta:1e-3)
         fx.points
     in
-    Workload.Harness.time (fun () -> Engine.Service.run_batch service ~dataset specs)
+    let results, ms =
+      Workload.Harness.time (fun () -> Engine.Service.run_batch service ~dataset specs)
+    in
+    (List.map fingerprint results, ms)
   in
-  let rows =
+  let runs =
     List.map
-      (fun domains ->
-        let results, ms = run_once ~domains ~faults:Engine.Faults.none ~retries:0 in
-        Hashtbl.replace summaries domains
-          (String.concat ";" (List.map Engine.Job.detail results));
-        (domains, ms))
+      (fun domains -> (domains, run_once ~domains ~faults:Engine.Faults.none ~retries:0))
       domain_counts
   in
-  let base_ms = match rows with (_, ms) :: _ -> ms | [] -> Float.nan in
-  let reference = Hashtbl.find summaries (List.hd domain_counts) in
-  let deterministic =
-    List.for_all (fun d -> Hashtbl.find summaries d = reference) domain_counts
-  in
+  let reference, base_ms = snd (List.hd runs) in
+  let deterministic = List.for_all (fun (_, (prints, _)) -> prints = reference) runs in
   (* The robustness half of the determinism claim: crash-before-output faults
      on half the jobs, retried in place or rescheduled after worker kills,
      must leave every output bit-identical to the fault-free reference. *)
@@ -263,27 +409,48 @@ let run_engine_bench ~quick ~max_jobs fx =
                Engine.Faults.rule
                  (if i mod 2 = 0 then Engine.Faults.Crash else Engine.Faults.Kill_worker) )))
     in
-    let results, _ = run_once ~domains:(List.nth domain_counts (List.length domain_counts - 1))
-        ~faults ~retries:3
-    in
-    String.concat ";" (List.map Engine.Job.detail results) = reference
+    let domains = List.nth domain_counts (List.length domain_counts - 1) in
+    fst (run_once ~domains ~faults ~retries:3) = reference
   in
+  let jobs_per_s ms = 1000. *. float_of_int n_jobs /. ms in
   Workload.Report.table ~csv:"b8_engine_throughput"
     ~header:[ "domains"; "wall"; "jobs/s"; "speedup" ]
     (List.map
-       (fun (domains, ms) ->
+       (fun (domains, (_, ms)) ->
          [
            string_of_int domains;
            Printf.sprintf "%.0f ms" ms;
-           Workload.Report.f2 (1000. *. float_of_int n_jobs /. ms);
+           Workload.Report.f2 (jobs_per_s ms);
            Workload.Report.f2 (base_ms /. ms);
          ])
-       rows);
-  Workload.Report.kv "outputs identical across domain counts"
-    (if deterministic then "yes" else "NO (engine determinism bug)");
+       runs);
+  Workload.Report.kv "outputs identical across domain counts" (yes_no deterministic);
   Workload.Report.kv "outputs identical under injected crash/kill faults"
-    (if faulted_identical then "yes" else "NO (retry-replay bug)");
-  (n_jobs, rows, deterministic && faulted_identical)
+    (yes_no faulted_identical);
+  {
+    key = "engine";
+    fields =
+      [
+        ("jobs", Int n_jobs);
+        ("deterministic", Bool (deterministic && faulted_identical));
+        ( "sweep",
+          List
+            (List.map
+               (fun (domains, (_, ms)) ->
+                 Obs.Json.Obj
+                   [
+                     ("domains", Int domains);
+                     ("wall_ms", Float ms);
+                     ("jobs_per_s", Float (jobs_per_s ms));
+                   ])
+               runs) );
+      ];
+    gates =
+      [
+        ("outputs identical across domain counts", deterministic);
+        ("outputs identical under injected crash/kill faults", faulted_identical);
+      ];
+  }
 
 (* B11 — daemon round-trip: the B8 job bag submitted to a resident
    privclusterd over a unix socket, versus the same batch run in-process
@@ -291,106 +458,45 @@ let run_engine_bench ~quick ~max_jobs fx =
    protocol, admission queue, and per-charge WAL fsync together; the
    verdicts and the ledger must be identical — the daemon may add
    latency, never change answers or charges. *)
-let run_daemon_bench ~quick ~jobs =
-  Workload.Report.headline "B11 - daemon round-trip vs in-process batch";
-  let n_jobs = if quick then 6 else 12 in
-  let iters = if quick then 2 else 5 in
-  let n = if quick then 300 else 1000 in
-  let seed = 99 in
-  let specs =
-    List.init n_jobs (fun i ->
-        {
-          Engine.Job.id = Printf.sprintf "j%d" (i + 1);
-          kind = Engine.Job.One_cluster { t_fraction = 0.4 };
-          eps = 0.5;
-          delta = 1e-7;
-          beta;
-          deadline_s = None;
-          fallback = false;
-        })
-  in
+let run_daemon_bench tier _fx =
+  let n_jobs = if tier.quick then 6 else 12 in
+  let iters = if tier.quick then 2 else 5 in
+  let n = if tier.quick then 300 else 1000 in
+  let specs = one_cluster_specs ~n_jobs ~eps:0.5 in
   (* warm-up batch + iters measured batches, all charged to one ledger *)
-  let batches = iters + 1 in
-  let budget =
-    Prim.Dp.v ~eps:(0.5 *. float_of_int (n_jobs * batches) +. 1.) ~delta:1e-3
-  in
-  let jobs_text =
-    String.concat "\n" (List.map Engine.Job.spec_to_line specs) ^ "\n"
-  in
+  let budget = Prim.Dp.v ~eps:((0.5 *. float_of_int (n_jobs * (iters + 1))) +. 1.) ~delta:1e-3 in
   let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-  let statuses results =
-    List.map (fun (r : Engine.Job.result) -> Engine.Job.status_name r.Engine.Job.status) results
+  let svc =
+    Engine.Service.create ~domains:tier.domains ~seed:service_seed ~retries:0
+      ~faults:Engine.Faults.none ()
   in
-  (* in-process reference: replicate the daemon's dataset generation
-     convention exactly (seed + 7919) so both paths solve the same points *)
-  let svc = Engine.Service.create ~domains:jobs ~seed ~retries:0 ~faults:Engine.Faults.none () in
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let w =
-    Workload.Synth.planted_ball
-      (Prim.Rng.create ~seed:(seed + 7919) ())
-      ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.05
-  in
-  let ds = Engine.Service.register svc ~name:"bench" ~grid ~budget w.Workload.Synth.points in
+  let ds = Engine.Service.register svc ~name:"bench" ~grid ~budget (service_points ~grid ~n) in
   let local_statuses = ref [] in
   let run_local () =
-    let results, ms = Workload.Harness.time (fun () -> Engine.Service.run_batch svc ~dataset:ds specs) in
-    if !local_statuses = [] then local_statuses := statuses results;
+    let results, ms =
+      Workload.Harness.time (fun () -> Engine.Service.run_batch svc ~dataset:ds specs)
+    in
+    if !local_statuses = [] then
+      local_statuses := List.map (fun r -> fst (fingerprint r)) results;
     ms
   in
   ignore (run_local ());
   let local_ms = List.init iters (fun _ -> run_local ()) in
   (* daemon path: resident process state, unix socket, fsync'd WAL *)
-  let dir = Filename.temp_file "privcluster_bench" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let cfg =
-    {
-      Server.Daemon.default_config with
-      listen = `Unix (Filename.concat dir "b.sock");
-      wal_path = Filename.concat dir "b.wal";
-      tenants = [ { Server.Tenants.name = "bench"; token = "bench"; max_in_flight = 8 } ];
-      capacity = 64;
-      domains = jobs;
-      retries = 0;
-      seed;
-      sync = true;
-    }
+  let arm =
+    start_daemon ~domains:tier.domains ~n ~budget ~specs ~sync:true ~telemetry:true
+      ~sample:false
   in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B11: " ^ m); exit 1) fmt in
-  let d = match Server.Daemon.start cfg with Ok d -> d | Error e -> fail "start: %s" e in
-  let c =
-    match Server.Client.connect cfg.Server.Daemon.listen ~tenant:"bench" ~token:"bench" with
-    | Ok c -> c
-    | Error f -> fail "connect: %s" (Server.Client.fail_message f)
-  in
-  let rpc what = function Ok v -> v | Error f -> fail "%s: %s" what (Server.Client.fail_message f) in
-  ignore
-    (rpc "register"
-       (Server.Client.register c ~dataset:"bench" ~n ~dim:2 ~axis:256 ~frac:0.5
-          ~radius:0.05 ~seed ~budget ()));
   let daemon_statuses = ref [] in
   let run_remote () =
-    let payload, ms =
-      Workload.Harness.time (fun () -> rpc "run" (Server.Client.run c ~dataset:"bench" ~jobs:jobs_text ()))
-    in
-    if !daemon_statuses = [] then
-      daemon_statuses :=
-        (match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
-        | None -> fail "run reply has no results"
-        | Some rs ->
-            List.map
-              (fun r ->
-                Option.value ~default:"?"
-                  (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
-              rs);
+    let payload, ms = Workload.Harness.time (fun () -> run_on arm) in
+    if !daemon_statuses = [] then daemon_statuses := statuses payload;
     ms
   in
   ignore (run_remote ());
   let daemon_ms = List.init iters (fun _ -> run_remote ()) in
-  Server.Client.close c;
-  Server.Daemon.stop d;
-  List.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) [ "b.wal"; "b.sock" ];
-  (try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ());
+  stop_daemon arm;
   let lm = mean local_ms and dm = mean daemon_ms in
   let overhead_pct = (dm -. lm) /. lm *. 100. in
   let identical = !local_statuses = !daemon_statuses && !local_statuses <> [] in
@@ -402,13 +508,21 @@ let run_daemon_bench ~quick ~jobs =
     ];
   Workload.Report.kv "round-trip overhead per batch"
     (Printf.sprintf "%.1f ms (%.1f%%)" (dm -. lm) overhead_pct);
-  Workload.Report.kv "verdicts identical across paths"
-    (if identical then "yes" else "NO (daemon changed answers)");
-  if not identical then begin
-    prerr_endline "B11 FAILED: daemon verdicts differ from the in-process batch";
-    exit 1
-  end;
-  (n_jobs, iters, lm, dm, overhead_pct, identical)
+  Workload.Report.kv "verdicts identical across paths" (yes_no identical);
+  {
+    key = "daemon_roundtrip";
+    fields =
+      [
+        ("jobs", Int n_jobs);
+        ("iters", Int iters);
+        ("in_process_ms", Float lm);
+        ("daemon_ms", Float dm);
+        ("overhead_ms", Float (dm -. lm));
+        ("overhead_pct", Float overhead_pct);
+        ("verdicts_identical", Bool identical);
+      ];
+    gates = [ ("verdicts identical across paths", identical) ];
+  }
 
 (* B15 — serving-telemetry overhead: the B11 fixture against three
    resident daemons — [serving_stats = false]; the always-on telemetry
@@ -429,202 +543,116 @@ let run_daemon_bench ~quick ~jobs =
    is that cost over the measured batch round-trip.  The wall-clock A/B
    is reported alongside but not gated: at millisecond batch times its
    run-to-run noise is an order of magnitude above the sub-µs signal. *)
-let run_serving_bench ~quick ~jobs =
-  Workload.Report.headline "B15 - serving-telemetry overhead on the daemon round-trip";
-  let n_jobs = if quick then 6 else 12 in
-  let iters = if quick then 3 else 7 in
-  let n = if quick then 300 else 1000 in
-  let seed = 99 in
+let run_serving_bench tier _fx =
+  let n_jobs = if tier.quick then 6 else 12 in
+  let iters = if tier.quick then 3 else 7 in
+  let n = if tier.quick then 300 else 1000 in
   let max_pct = 2.0 in
-  let specs =
-    List.init n_jobs (fun i ->
-        {
-          Engine.Job.id = Printf.sprintf "j%d" (i + 1);
-          kind = Engine.Job.One_cluster { t_fraction = 0.4 };
-          eps = 0.5;
-          delta = 1e-7;
-          beta;
-          deadline_s = None;
-          fallback = false;
-        })
+  let specs = one_cluster_specs ~n_jobs ~eps:0.5 in
+  let budget = Prim.Dp.v ~eps:((0.5 *. float_of_int (n_jobs * (iters + 1))) +. 1.) ~delta:1e-3 in
+  let start = start_daemon ~domains:tier.domains ~n ~budget ~specs ~sync:false in
+  let arms =
+    [|
+      start ~telemetry:false ~sample:false;
+      start ~telemetry:true ~sample:false;
+      start ~telemetry:true ~sample:true;
+    |]
   in
-  let batches = iters + 1 in
-  let budget =
-    Prim.Dp.v ~eps:(0.5 *. float_of_int (n_jobs * batches) +. 1.) ~delta:1e-3
+  (* Each arm's warm-up batch records its verdicts. *)
+  let verdicts = Array.make (Array.length arms) [] in
+  let times =
+    best_of ~rounds:iters
+      (Array.mapi
+         (fun i arm () ->
+           let payload = run_on arm in
+           if verdicts.(i) = [] then verdicts.(i) <- statuses payload)
+         arms)
   in
-  let jobs_text = String.concat "\n" (List.map Engine.Job.spec_to_line specs) ^ "\n" in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B15: " ^ m); exit 1) fmt in
-  let rpc what = function
-    | Ok v -> v
-    | Error f -> fail "%s: %s" what (Server.Client.fail_message f)
-  in
-  let arm ~telemetry ~sample =
-    let dir = Filename.temp_file "privcluster_b15" ".d" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let slow = Filename.concat dir "slow" in
-    let cfg =
-      {
-        Server.Daemon.default_config with
-        listen = `Unix (Filename.concat dir "b.sock");
-        wal_path = Filename.concat dir "b.wal";
-        tenants = [ { Server.Tenants.name = "bench"; token = "bench"; max_in_flight = 8 } ];
-        capacity = 64;
-        domains = jobs;
-        retries = 0;
-        seed;
-        sync = false;
-        serving_stats = telemetry;
-        trace_sample = (if sample then 1 else 0);
-        slow_log = (if sample then Some slow else None);
-        slow_keep = 8;
-      }
-    in
-    let d = match Server.Daemon.start cfg with Ok d -> d | Error e -> fail "start: %s" e in
-    let c =
-      match Server.Client.connect cfg.Server.Daemon.listen ~tenant:"bench" ~token:"bench" with
-      | Ok c -> c
-      | Error f -> fail "connect: %s" (Server.Client.fail_message f)
-    in
-    ignore
-      (rpc "register"
-         (Server.Client.register c ~dataset:"bench" ~n ~dim:2 ~axis:256 ~frac:0.5 ~radius:0.05
-            ~seed ~budget ()));
-    (dir, d, c)
-  in
-  let statuses payload =
-    match Option.bind (Obs.Json.member "results" payload) Obs.Json.to_list with
-    | None -> fail "run reply has no results"
-    | Some rs ->
-        List.map
-          (fun r ->
-            Option.value ~default:"?"
-              (Option.bind (Obs.Json.member "status" r) Obs.Json.to_str))
-          rs
-  in
-  let dir_off, d_off, c_off = arm ~telemetry:false ~sample:false in
-  let dir_on, d_on, c_on = arm ~telemetry:true ~sample:false in
-  let dir_s, d_s, c_s = arm ~telemetry:true ~sample:true in
-  let run c = rpc "run" (Server.Client.run c ~dataset:"bench" ~jobs:jobs_text ()) in
-  let off_statuses = statuses (run c_off) and on_statuses = statuses (run c_on) in
-  let sampled_statuses = statuses (run c_s) in
-  let off_ms = ref infinity and on_ms = ref infinity and sampled_ms = ref infinity in
-  for _ = 1 to iters do
-    let _, ms = Workload.Harness.time (fun () -> run c_off) in
-    off_ms := Float.min !off_ms ms;
-    let _, ms = Workload.Harness.time (fun () -> run c_on) in
-    on_ms := Float.min !on_ms ms;
-    let _, ms = Workload.Harness.time (fun () -> run c_s) in
-    sampled_ms := Float.min !sampled_ms ms
-  done;
+  let off_ms = times.(0) and on_ms = times.(1) and sampled_ms = times.(2) in
   (* prove the sampling arm really collected: the ring has exemplars *)
-  let stats = rpc "stats" (Server.Client.stats c_s) in
   let exemplars =
+    let stats = rpc "stats" (Server.Client.stats arms.(2).client) in
     match Option.bind (Obs.Json.member "exemplars" stats) Obs.Json.to_int with
     | Some e -> e
-    | None -> fail "sampling arm reports no stats"
+    | None -> die "privclusterd stats reply has no exemplar count"
   in
-  if exemplars = 0 then fail "trace_sample=1 wrote no exemplars";
-  let cleanup dir d c =
-    Server.Client.close c;
-    Server.Daemon.stop d;
-    let rec rm path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        try Unix.rmdir path with Unix.Unix_error (_, _, _) -> ()
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-    in
-    rm dir
-  in
-  cleanup dir_off d_off c_off;
-  cleanup dir_on d_on c_on;
-  cleanup dir_s d_s c_s;
+  Array.iter stop_daemon arms;
   (* The gated number: one full record cycle — everything the daemon adds
      per wire request when [serving_stats] is on (clock reads included),
-     timed in a tight loop, best of 3.  The advancing [now_ns] walks the
-     burn window across its 1 s coalescing interval so both the coalesce
-     and the prune-and-append branches are priced. *)
+     timed in a tight loop.  The advancing [now_ns] walks the burn window
+     across its 1 s coalescing interval so both the coalesce and the
+     prune-and-append branches are priced. *)
   let record_ns =
     let sv = Server.Serving.create () in
     let reps = 100_000 in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let _, ms =
-        Workload.Harness.time (fun () ->
-            for i = 0 to reps - 1 do
-              Server.Serving.record_submit sv;
-              Server.Serving.record_queue_wait sv ~verb:"run"
-                ~ns:(Int64.to_int (Int64.logand (Obs.Clock.now_ns ()) 0xFFFFFL));
-              Server.Serving.record_request sv ~verb:"run" ~tenant:"bench"
-                ~ns:(Int64.to_int (Int64.logand (Obs.Clock.now_ns ()) 0xFFFFFL));
-              Server.Serving.record_burn sv ~tenant:"bench" ~dataset:"bench"
-                ~budget_eps:10.
-                ~spent_eps:(float_of_int i *. 1e-4)
-                ~now_ns:(Int64.mul (Int64.of_int i) 1_000_000L)
-            done)
-      in
-      best := Float.min !best (ms *. 1e6 /. float_of_int reps)
-    done;
-    !best
+    let cycles () =
+      for i = 0 to reps - 1 do
+        Server.Serving.record_submit sv;
+        Server.Serving.record_queue_wait sv ~verb:"run"
+          ~ns:(Int64.to_int (Int64.logand (Obs.Clock.now_ns ()) 0xFFFFFL));
+        Server.Serving.record_request sv ~verb:"run" ~tenant:"bench"
+          ~ns:(Int64.to_int (Int64.logand (Obs.Clock.now_ns ()) 0xFFFFFL));
+        Server.Serving.record_burn sv ~tenant:"bench" ~dataset:"bench" ~budget_eps:10.
+          ~spent_eps:(float_of_int i *. 1e-4)
+          ~now_ns:(Int64.mul (Int64.of_int i) 1_000_000L)
+      done
+    in
+    (best_of ~rounds:3 [| cycles |]).(0) *. 1e6 /. float_of_int reps
   in
   (* One record cycle per wire request; a batch is one request. *)
-  let implied_pct = record_ns /. (!off_ms *. 1e6) *. 100. in
-  let overhead_pct = (!on_ms -. !off_ms) /. !off_ms *. 100. in
-  let sampled_pct = (!sampled_ms -. !off_ms) /. !off_ms *. 100. in
+  let implied_pct = record_ns /. (off_ms *. 1e6) *. 100. in
+  let overhead_pct = (on_ms -. off_ms) /. off_ms *. 100. in
+  let sampled_pct = (sampled_ms -. off_ms) /. off_ms *. 100. in
   let identical =
-    off_statuses = on_statuses && on_statuses = sampled_statuses && off_statuses <> []
+    verdicts.(0) = verdicts.(1) && verdicts.(1) = verdicts.(2) && verdicts.(0) <> []
   in
   Workload.Report.table ~csv:"b15_serving_overhead"
     ~header:[ "daemon"; "wall/batch"; "jobs/s" ]
-    [
-      [
-        "telemetry off";
-        Printf.sprintf "%.1f ms" !off_ms;
-        Workload.Report.f2 (1000. *. float_of_int n_jobs /. !off_ms);
-      ];
-      [
-        "telemetry on";
-        Printf.sprintf "%.1f ms" !on_ms;
-        Workload.Report.f2 (1000. *. float_of_int n_jobs /. !on_ms);
-      ];
-      [
-        "telemetry + sample every request";
-        Printf.sprintf "%.1f ms" !sampled_ms;
-        Workload.Report.f2 (1000. *. float_of_int n_jobs /. !sampled_ms);
-      ];
-    ];
-  Workload.Report.kv "record path, one full cycle"
-    (Printf.sprintf "%.0f ns" record_ns);
+    (List.map
+       (fun (name, ms) ->
+         [
+           name;
+           Printf.sprintf "%.1f ms" ms;
+           Workload.Report.f2 (1000. *. float_of_int n_jobs /. ms);
+         ])
+       [
+         ("telemetry off", off_ms);
+         ("telemetry on", on_ms);
+         ("telemetry + sample every request", sampled_ms);
+       ]);
+  Workload.Report.kv "record path, one full cycle" (Printf.sprintf "%.0f ns" record_ns);
   Workload.Report.kv "implied overhead per batch (gated)"
     (Printf.sprintf "%.4f%% (max %.1f%%)" implied_pct max_pct);
   Workload.Report.kv "wall-clock A/B delta (noise-dominated, not gated)"
-    (Printf.sprintf "%.2f ms (%.2f%%)" (!on_ms -. !off_ms) overhead_pct);
+    (Printf.sprintf "%.2f ms (%.2f%%)" (on_ms -. off_ms) overhead_pct);
   Workload.Report.kv "exhaustive sampling overhead (not gated)"
-    (Printf.sprintf "%.2f ms (%.2f%%)" (!sampled_ms -. !off_ms) sampled_pct);
+    (Printf.sprintf "%.2f ms (%.2f%%)" (sampled_ms -. off_ms) sampled_pct);
   Workload.Report.kv "exemplars written" (string_of_int exemplars);
-  Workload.Report.kv "verdicts identical across arms"
-    (if identical then "yes" else "NO (telemetry changed answers)");
-  if not identical then begin
-    prerr_endline "B15 FAILED: telemetry arms returned different verdicts";
-    exit 1
-  end;
-  if implied_pct > max_pct then begin
-    Printf.eprintf "B15 FAILED: serving-telemetry overhead %.4f%% exceeds %.1f%%\n" implied_pct
-      max_pct;
-    exit 1
-  end;
-  ( n_jobs,
-    iters,
-    !off_ms,
-    !on_ms,
-    overhead_pct,
-    !sampled_ms,
-    sampled_pct,
-    exemplars,
-    identical,
-    record_ns,
-    implied_pct )
+  Workload.Report.kv "verdicts identical across arms" (yes_no identical);
+  {
+    key = "serving_overhead";
+    fields =
+      [
+        ("jobs", Int n_jobs);
+        ("iters", Int iters);
+        ("plain_ms", Float off_ms);
+        ("telemetry_ms", Float on_ms);
+        ("wall_delta_pct", Float overhead_pct);
+        ("record_ns_per_request", Float record_ns);
+        ("implied_overhead_pct", Float implied_pct);
+        ("gate_pct", Float max_pct);
+        ("sampled_ms", Float sampled_ms);
+        ("sampled_overhead_pct", Float sampled_pct);
+        ("exemplars_written", Int exemplars);
+        ("verdicts_identical", Bool identical);
+      ];
+    gates =
+      [
+        ("trace_sample=1 wrote exemplars", exemplars > 0);
+        ("verdicts identical across arms", identical);
+        (Printf.sprintf "implied overhead <= %.1f%%" max_pct, implied_pct <= max_pct);
+      ];
+  }
 
 (* B12 — mutate-then-requery: the epoch / result-cache path.  A cold
    1-cluster batch, the identical batch again (must be answered from the
@@ -633,48 +661,22 @@ let run_serving_bench ~quick ~jobs =
    more (must recompute against the new epoch and pay again — also
    gated).  Prices what a cache hit saves and what an epoch transition
    costs. *)
-let run_epoch_bench ~jobs =
-  Workload.Report.headline "B12 - mutate-then-requery (epochs and the result cache)";
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B12 FAILED: " ^ m); exit 1) fmt in
+let run_epoch_bench tier _fx =
   (* n is pinned: at this size every job completes on both epochs, so the
      bit-identical-outputs gate is meaningful (solver failures are honest
      DP outcomes, but they are not cached and would muddy the gate). *)
   let n = 1500 in
   let n_jobs = 4 in
-  let seed = 99 in
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let w =
-    Workload.Synth.planted_ball
-      (Prim.Rng.create ~seed:(seed + 7919) ())
-      ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.05
+  let svc =
+    Engine.Service.create ~domains:tier.domains ~seed:service_seed ~retries:0
+      ~faults:Engine.Faults.none ()
   in
-  let svc = Engine.Service.create ~domains:jobs ~seed ~retries:0 ~faults:Engine.Faults.none () in
-  let budget = Prim.Dp.v ~eps:(2.0 *. float_of_int (2 * n_jobs) +. 1.) ~delta:1e-3 in
-  let ds = Engine.Service.register svc ~name:"bench" ~grid ~budget w.Workload.Synth.points in
-  let specs =
-    List.init n_jobs (fun i ->
-        {
-          Engine.Job.id = Printf.sprintf "j%d" (i + 1);
-          kind = Engine.Job.One_cluster { t_fraction = 0.4 };
-          eps = 2.0;
-          delta = 1e-7;
-          beta;
-          deadline_s = None;
-          fallback = false;
-        })
-  in
+  let budget = Prim.Dp.v ~eps:((2.0 *. float_of_int (2 * n_jobs)) +. 1.) ~delta:1e-3 in
+  let ds = Engine.Service.register svc ~name:"bench" ~grid ~budget (service_points ~grid ~n) in
+  let specs = one_cluster_specs ~n_jobs ~eps:2.0 in
   let acct = Engine.Registry.accountant ds in
   let spent () = (Engine.Accountant.spent acct).Prim.Dp.eps in
-  let outputs phase results =
-    List.map
-      (fun (r : Engine.Job.result) ->
-        match r.Engine.Job.status with
-        | Engine.Job.Completed o -> Engine.Job.output_to_wire o
-        | st ->
-            fail "%s: job %s finished %s, not ok" phase r.Engine.Job.spec.Engine.Job.id
-              (Engine.Job.status_name st))
-      results
-  in
   let run () = Workload.Harness.time (fun () -> Engine.Service.run_batch svc ~dataset:ds specs) in
   let cold, cold_ms = run () in
   let cold_spent = spent () in
@@ -683,7 +685,7 @@ let run_epoch_bench ~jobs =
   let mutate_specs =
     match Engine.Job.parse (Printf.sprintf "mutate op=append n=%d seed=5\n" (n / 5)) with
     | Ok s -> s
-    | Error e -> fail "mutate parse: %s" e
+    | Error e -> die "B12: mutate parse: %s" e
   in
   let _, append_ms =
     Workload.Harness.time (fun () -> Engine.Service.run_batch svc ~dataset:ds mutate_specs)
@@ -691,17 +693,19 @@ let run_epoch_bench ~jobs =
   let requery, requery_ms = run () in
   let requery_spent = spent () in
   (* The gates: a hit is free and exact; a new epoch is neither. *)
+  let completed =
+    List.for_all (fun r -> fst (fingerprint r) = "ok") (cold @ warm @ requery)
+  in
   let hits_free =
     List.for_all (fun (r : Engine.Job.result) -> r.Engine.Job.attempts = 0) warm
     && warm_spent = cold_spent
-    && outputs "warm" warm = outputs "cold" cold
+    && List.map fingerprint warm = List.map fingerprint cold
   in
   let recomputed =
     List.for_all (fun (r : Engine.Job.result) -> r.Engine.Job.attempts >= 1) requery
     && requery_spent > warm_spent
     && Engine.Registry.epoch ds = 1
   in
-  ignore (outputs "requery" requery);
   let speedup = cold_ms /. Float.max warm_ms 1e-6 in
   Workload.Report.table ~csv:"b12_epoch_requery"
     ~header:[ "phase"; "wall"; "spent eps after" ]
@@ -712,13 +716,27 @@ let run_epoch_bench ~jobs =
       [ "re-query on epoch 1"; Printf.sprintf "%.1f ms" requery_ms; Workload.Report.f2 requery_spent ];
     ];
   Workload.Report.kv "cache-hit speedup" (Printf.sprintf "%.0fx" speedup);
-  Workload.Report.kv "cache hits charged zero"
-    (if hits_free then "yes" else "NO (cache charged the ledger)");
-  Workload.Report.kv "new epoch recomputed and paid"
-    (if recomputed then "yes" else "NO (stale answer served across a mutation)");
-  if not hits_free then fail "a cache hit executed or charged";
-  if not recomputed then fail "a post-mutation query was not recomputed";
-  (n_jobs, cold_ms, warm_ms, append_ms, requery_ms, speedup, hits_free && recomputed)
+  Workload.Report.kv "cache hits charged zero" (yes_no hits_free);
+  Workload.Report.kv "new epoch recomputed and paid" (yes_no recomputed);
+  {
+    key = "epoch_requery";
+    fields =
+      [
+        ("jobs", Int n_jobs);
+        ("cold_ms", Float cold_ms);
+        ("cached_rerun_ms", Float warm_ms);
+        ("append_ms", Float append_ms);
+        ("requery_ms", Float requery_ms);
+        ("cache_hit_speedup", Float speedup);
+        ("cache_hits_charged_zero", Bool (hits_free && recomputed));
+      ];
+    gates =
+      [
+        ("every job completed", completed);
+        ("cache hits charged zero", hits_free);
+        ("new epoch recomputed and paid", recomputed);
+      ];
+  }
 
 (* B13 — the kernel layer (lib/kernel).  Four gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
@@ -733,21 +751,7 @@ let run_epoch_bench ~jobs =
    dense build and the speedup measurement use their own fixed-size
    fixtures so the gates do not loosen when --smoke shrinks the shared
    one. *)
-type kernel_gates = {
-  identity_ok : bool;
-  parallel_ok : bool;
-  dense_rows_ok : bool;
-  dense_n : int;
-  dense_native_ms : float;
-  dense_ref_ms : float;
-  rows : (string * float * float * float) list;  (** name, reference ms, native ms, speedup *)
-  floor : float;
-  enforced : bool;
-}
-
-let run_kernel_gates fx =
-  Workload.Report.headline "B13 - native kernels: identity, parallel build, dense rows, speedup floor";
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B13 FAILED: " ^ m); exit 1) fmt in
+let run_kernel_gates _tier fx =
   let entry_native = Kernel.native_active () in
   let with_native b f =
     Kernel.set_native b;
@@ -777,9 +781,8 @@ let run_kernel_gates fx =
   let identity_jl = bits (project true) = bits (project false) in
   let identity_ok = identity_sweep && identity_jl in
   Workload.Report.kv "good-radius sweep bit-identical (native vs reference)"
-    (if identity_sweep then "yes" else "NO");
-  Workload.Report.kv "jl projection bit-identical (native vs reference)"
-    (if identity_jl then "yes" else "NO");
+    (yes_no identity_sweep);
+  Workload.Report.kv "jl projection bit-identical (native vs reference)" (yes_no identity_jl);
   (* (b) parallel build == serial build (same idx permutation ⇒ same tree:
      structure is a deterministic function of the row order). *)
   let st = Geometry.Pointset.storage fx.ps and offs = Geometry.Pointset.row_offsets fx.ps in
@@ -796,7 +799,7 @@ let run_kernel_gates fx =
       [ 2; 4 ]
   in
   Workload.Report.kv "parallel k-d build identical to serial (2 and 4 domains)"
-    (if parallel_ok then "yes" else "NO");
+    (yes_no parallel_ok);
   (* (c) dense index rows, native vs reference, one build each. *)
   let dense_n = 3000 in
   let dense_ps =
@@ -823,13 +826,11 @@ let run_kernel_gates fx =
   in
   Workload.Report.kv
     (Printf.sprintf "dense index rows bit-identical at n = %d (native vs reference)" dense_n)
-    (if dense_rows_ok then "yes" else "NO");
+    (yes_no dense_rows_ok);
   Workload.Report.kv "dense index build (native / reference)"
     (Printf.sprintf "%.1f ms / %.1f ms" dense_native_ms dense_ref_ms);
-  (* (d) speedup floor, native vs reference: one warm-up call per path,
-     then three rounds that each time the reference and then the native
-     path, best round per path.  Interleaving the paths spreads machine
-     drift over both alike. *)
+  (* (d) speedup floor, native vs reference: the two paths interleaved,
+     best of three rounds each. *)
   let mrng = Prim.Rng.create ~seed:424242 () in
   let mn = 600 in
   let m8 = Geometry.Pointset.of_storage ~dim:8 (Prim.Rng.gaussian_vector mrng ~dim:(mn * 8) ~sigma:1.0) in
@@ -845,18 +846,9 @@ let run_kernel_gates fx =
   let wide_sel = Array.init wide_n (fun i -> i * wide_d) in
   let wide_acc = Array.make wide_d 0. in
   let measure (name, iters, thunk) =
-    let timed b =
-      with_native b (fun () ->
-          snd (Workload.Harness.time (fun () -> for _ = 1 to iters do thunk () done)))
-    in
-    with_native false thunk;
-    with_native true thunk;
-    let off_ms = ref infinity and on_ms = ref infinity in
-    for _ = 1 to 3 do
-      off_ms := Float.min !off_ms (timed false);
-      on_ms := Float.min !on_ms (timed true)
-    done;
-    (name, !off_ms, !on_ms, !off_ms /. Float.max !on_ms 1e-9)
+    let path b () = with_native b (fun () -> for _ = 1 to iters do thunk () done) in
+    let t = best_of ~rounds:3 [| path false; path true |] in
+    (name, t.(0), t.(1), t.(0) /. Float.max t.(1) 1e-9)
   in
   let rows =
     List.map measure
@@ -876,9 +868,10 @@ let run_kernel_gates fx =
       ]
   in
   let floor = 1.2 in
-  (* The floor only binds when the C stubs are present and enabled; under
-     PRIVCLUSTER_NO_NATIVE=1 both paths are the reference and the ratio
-     is ~1 by construction. *)
+  (* The floor only binds when the C stubs are compiled and the run is on
+     the native tier.  Under PRIVCLUSTER_NO_NATIVE=1 the ratio is still
+     measured ([with_native] switches compiled stubs on for the native
+     path) but not gated. *)
   let enforced = Kernel.compiled && entry_native in
   Workload.Report.table ~csv:"b13_kernel_speedup"
     ~header:[ "kernel"; "reference"; "native"; "speedup" ]
@@ -892,66 +885,78 @@ let run_kernel_gates fx =
          ])
        rows);
   let min_speedup = List.fold_left (fun a (_, _, _, s) -> Float.min a s) infinity rows in
+  let floor_ok = (not enforced) || min_speedup >= floor in
   Workload.Report.kv "speedup floor"
     (if enforced then
        Printf.sprintf "%.1fx (min observed %.2fx): %s" floor min_speedup
-         (if min_speedup >= floor then "ok" else "FAIL")
+         (if floor_ok then "ok" else "FAIL")
      else "not enforced (native kernels disabled)");
-  if not identity_ok then fail "a native kernel diverged from its pure-OCaml reference";
-  if not parallel_ok then fail "parallel k-d build differs from the serial build";
-  if not dense_rows_ok then fail "native dense index rows differ from the reference rows";
-  if enforced && min_speedup < floor then
-    fail "kernel speedup %.2fx below the %.1fx floor" min_speedup floor;
   {
-    identity_ok;
-    parallel_ok;
-    dense_rows_ok;
-    dense_n;
-    dense_native_ms;
-    dense_ref_ms;
-    rows;
-    floor;
-    enforced;
+    key = "kernel_gates";
+    fields =
+      [
+        ("identity_bitwise", Bool identity_ok);
+        ("parallel_build_identical", Bool parallel_ok);
+        ("dense_rows_identical", Bool dense_rows_ok);
+        ( "dense_build",
+          Obj
+            [
+              ("n", Int dense_n);
+              ("native_ms", Float dense_native_ms);
+              ("reference_ms", Float dense_ref_ms);
+            ] );
+        ("speedup_floor", Float floor);
+        ("floor_enforced", Bool enforced);
+        ( "speedups",
+          List
+            (List.map
+               (fun (name, off_ms, on_ms, s) ->
+                 Obs.Json.Obj
+                   [
+                     ("name", String name);
+                     ("reference_ms", Float off_ms);
+                     ("native_ms", Float on_ms);
+                     ("speedup", Float s);
+                   ])
+               rows) );
+      ];
+    gates =
+      [
+        ("native kernels bit-identical to their references", identity_ok);
+        ("parallel k-d build identical to the serial build", parallel_ok);
+        ("native dense index rows identical to the reference rows", dense_rows_ok);
+        (Printf.sprintf "kernel speedup >= %.1fx" floor, floor_ok);
+      ];
   }
 
 (* B14 — the five-way E1 competitors, end to end on the shared fixture:
    the paper's centralized pipeline vs the local-model (LDP) protocol vs
-   the private MEB fPTAS, one call each, best-of-[reps].  The gate: the
-   LDP path is n randomized responses plus histogram arithmetic over at
-   most max_cells buckets per scale — asymptotically lighter than the
-   centralized candidate sweep — so its wall clock must stay within
+   the private MEB fPTAS, one call each, interleaved best-of-rounds.  The
+   gate: the LDP path is n randomized responses plus histogram arithmetic
+   over at most max_cells buckets per scale — asymptotically lighter than
+   the centralized candidate sweep — so its wall clock must stay within
    [envelope]x of the one-cluster call on the same fixture (the envelope
    is documented in PERFORMANCE.md; a regression here means the ladder
    or the debias loop grew a hidden quadratic). *)
-let run_competitor_bench ~smoke fx =
-  Workload.Report.headline "B14 - competitor e2e (one-cluster vs local-model vs MEB fPTAS)";
+let run_competitor_bench tier fx =
   let profile = Privcluster.Profile.practical in
-  let reps = if smoke then 1 else 3 in
-  let best thunk =
-    thunk ();
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let _, ms = Workload.Harness.time thunk in
-      if ms < !best then best := ms
-    done;
-    !best
+  let t =
+    best_of
+      ~rounds:(if tier.smoke then 1 else 3)
+      [|
+        (* The cold sweep, as in B7: the envelope prices the LDP ladder
+           against the centralized call's full work, not a memo hit. *)
+        (fun () ->
+          ignore
+            (Privcluster.One_cluster.run_indexed fx.rng profile ~grid:fx.grid ~eps:2.0 ~delta
+               ~beta ~t:fx.t (Geometry.Pointset.cold_copy fx.idx)));
+        (fun () ->
+          ignore (Privcluster.Local_cluster.run fx.rng ~grid:fx.grid ~eps:2.0 ~beta ~t:fx.t fx.ps));
+        (fun () ->
+          ignore (Baselines.Meb_fptas.run fx.rng ~grid:fx.grid ~eps:2.0 ~delta ~t:fx.t fx.ps));
+      |]
   in
-  (* The cold sweep, as in B7: the envelope prices the LDP ladder against
-     the centralized call's full work, not against a memo hit. *)
-  let central_ms =
-    best (fun () ->
-        ignore
-          (Privcluster.One_cluster.run_indexed fx.rng profile ~grid:fx.grid ~eps:2.0 ~delta
-             ~beta ~t:fx.t (Geometry.Pointset.cold_copy fx.idx)))
-  in
-  let local_ms =
-    best (fun () ->
-        ignore (Privcluster.Local_cluster.run fx.rng ~grid:fx.grid ~eps:2.0 ~beta ~t:fx.t fx.ps))
-  in
-  let meb_ms =
-    best (fun () ->
-        ignore (Baselines.Meb_fptas.run fx.rng ~grid:fx.grid ~eps:2.0 ~delta ~t:fx.t fx.ps))
-  in
+  let central_ms = t.(0) and local_ms = t.(1) and meb_ms = t.(2) in
   let envelope = 3.0 in
   let ratio = local_ms /. Float.max central_ms 1e-9 in
   let pass = ratio <= envelope in
@@ -964,12 +969,18 @@ let run_competitor_bench ~smoke fx =
     ];
   Workload.Report.kv "ldp/centralized ratio"
     (Printf.sprintf "%.2f (envelope %.1fx): %s" ratio envelope (if pass then "ok" else "FAIL"));
-  if not pass then begin
-    Printf.eprintf "B14 FAILED: LDP e2e %.2fx the centralized call, envelope is %.1fx\n" ratio
-      envelope;
-    exit 1
-  end;
-  (central_ms, local_ms, meb_ms, envelope, ratio)
+  {
+    key = "competitors";
+    fields =
+      [
+        ("one_cluster_ms", Float central_ms);
+        ("local_cluster_ms", Float local_ms);
+        ("meb_fptas_ms", Float meb_ms);
+        ("ldp_envelope", Float envelope);
+        ("ldp_ratio", Float ratio);
+      ];
+    gates = [ (Printf.sprintf "ldp/centralized ratio <= %.1fx" envelope, pass) ];
+  }
 
 (* Allocation regression check: with the flat layout, one end-to-end
    1-cluster call (prebuilt index) must allocate minor-heap words roughly
@@ -977,9 +988,8 @@ let run_competitor_bench ~smoke fx =
    d-length vector per point per stage.  Run the same workload at d and
    8·d; the boxed path grew close to proportionally, the flat path must
    stay under [max_ratio]. *)
-let run_alloc_check ~smoke =
-  Workload.Report.headline "B7-alloc - one-cluster minor-heap allocation vs dimension";
-  let n = if smoke then 200 else 400 in
+let run_alloc_check tier _fx =
+  let n = if tier.smoke then 200 else 400 in
   let profile = Privcluster.Profile.practical in
   let words_at dim =
     let rng = Prim.Rng.create ~seed:7 () in
@@ -1013,13 +1023,19 @@ let run_alloc_check ~smoke =
   Workload.Report.kv
     (Printf.sprintf "ratio (d x%d)" (d_hi / d_lo))
     (Printf.sprintf "%.2f (max %.1f): %s" ratio max_ratio (if pass then "ok" else "FAIL"));
-  if not pass then begin
-    Printf.eprintf
-      "B7-alloc FAILED: allocation grew %.2fx when d grew %dx (O(n*d) regression)\n" ratio
-      (d_hi / d_lo);
-    exit 1
-  end;
-  (n, d_lo, d_hi, w_lo, w_hi, ratio)
+  {
+    key = "alloc_check";
+    fields =
+      [
+        ("n", Int n);
+        ("d_lo", Int d_lo);
+        ("d_hi", Int d_hi);
+        ("minor_words_lo", Float w_lo);
+        ("minor_words_hi", Float w_hi);
+        ("ratio", Float ratio);
+      ];
+    gates = [ (Printf.sprintf "allocation ratio (d x%d) < %.1f" (d_hi / d_lo) max_ratio, pass) ];
+  }
 
 (* B10 — cost of the tracing switch on the hot path.  Tracing is off by
    default and every instrumented call site must then cost no more than
@@ -1027,52 +1043,37 @@ let run_alloc_check ~smoke =
    disabled [Obs.Span.with_span], baseline-subtracted), counts how many
    spans one end-to-end 1-cluster call records when enabled, and gates
    the implied whole-pipeline overhead at [max_pct] of the B7 time. *)
-let run_tracing_overhead ~smoke fx =
-  Workload.Report.headline "B10 - disabled-tracing overhead on the one-cluster path";
-  if Obs.Span.enabled () then begin
-    prerr_endline "B10: tracing unexpectedly enabled";
-    exit 1
-  end;
-  let time_ns_per f iters =
-    let t0 = Obs.Clock.now_ns () in
+let run_tracing_overhead tier fx =
+  if Obs.Span.enabled () then die "B10: tracing unexpectedly enabled";
+  let iters = if tier.smoke then 500_000 else 5_000_000 in
+  let loop f () =
     for _ = 1 to iters do
       f ()
-    done;
-    Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0) /. float_of_int iters
+    done
   in
-  let iters = if smoke then 500_000 else 5_000_000 in
   let bare () = ignore (Sys.opaque_identity 0) in
   let spanned () = Obs.Span.with_span "b10.probe" (fun () -> ignore (Sys.opaque_identity 0)) in
-  (* Warm up both loops, then take the best of three to shed scheduler noise
-     (the gate must be deterministic in CI, not a coin flip). *)
-  ignore (time_ns_per bare iters);
-  ignore (time_ns_per spanned iters);
-  let best f = List.fold_left Float.min infinity (List.init 3 (fun _ -> time_ns_per f iters)) in
-  let ns_per_span = Float.max 0. (best spanned -. best bare) in
+  (* Best of three to shed scheduler noise (the gate must be deterministic
+     in CI, not a coin flip). *)
+  let t = best_of ~rounds:3 [| loop bare; loop spanned |] in
+  let ns_per_span = Float.max 0. ((t.(1) -. t.(0)) *. 1e6 /. float_of_int iters) in
+  let one_cluster () =
+    ignore
+      (Privcluster.One_cluster.run_indexed fx.rng Privcluster.Profile.practical ~grid:fx.grid
+         ~eps:2.0 ~delta ~beta ~t:fx.t (Geometry.Pointset.cold_copy fx.idx))
+  in
   (* How many disabled-path crossings one B7 call performs = how many spans
      it records when enabled. *)
   let span_count =
     Obs.Span.set_enabled true;
     Obs.Span.reset ();
-    ignore
-      (Privcluster.One_cluster.run_indexed fx.rng Privcluster.Profile.practical ~grid:fx.grid
-         ~eps:2.0 ~delta ~beta ~t:fx.t (Geometry.Pointset.cold_copy fx.idx));
+    one_cluster ();
     let c = Obs.Span.count () in
     Obs.Span.reset ();
     Obs.Span.set_enabled false;
     c
   in
-  let b7_ns =
-    let call () =
-      ignore
-        (Privcluster.One_cluster.run_indexed fx.rng Privcluster.Profile.practical ~grid:fx.grid
-           ~eps:2.0 ~delta ~beta ~t:fx.t (Geometry.Pointset.cold_copy fx.idx))
-    in
-    call ();
-    let reps = if smoke then 1 else 3 in
-    let _, ms = Workload.Harness.time (fun () -> for _ = 1 to reps do call () done) in
-    ms *. 1e6 /. float_of_int reps
-  in
+  let b7_ns = (best_of ~rounds:(if tier.smoke then 1 else 3) [| one_cluster |]).(0) *. 1e6 in
   let overhead_pct = 100. *. ns_per_span *. float_of_int span_count /. b7_ns in
   let max_pct = 2.0 in
   let pass = overhead_pct <= max_pct in
@@ -1081,12 +1082,17 @@ let run_tracing_overhead ~smoke fx =
   Workload.Report.kv "one-cluster e2e" (Printf.sprintf "%.2f ms" (b7_ns /. 1e6));
   Workload.Report.kv "implied overhead"
     (Printf.sprintf "%.4f%% (max %.1f%%): %s" overhead_pct max_pct (if pass then "ok" else "FAIL"));
-  if not pass then begin
-    Printf.eprintf "B10 FAILED: disabled-tracing overhead %.4f%% exceeds %.1f%%\n" overhead_pct
-      max_pct;
-    exit 1
-  end;
-  (ns_per_span, span_count, b7_ns, overhead_pct)
+  {
+    key = "tracing_overhead";
+    fields =
+      [
+        ("ns_per_disabled_span", Float ns_per_span);
+        ("spans_per_one_cluster", Int span_count);
+        ("one_cluster_ns", Float b7_ns);
+        ("overhead_pct", Float overhead_pct);
+      ];
+    gates = [ (Printf.sprintf "implied overhead <= %.1f%%" max_pct, pass) ];
+  }
 
 (* Run metadata stamped into --json output so archived results say what
    produced them. *)
@@ -1155,221 +1161,90 @@ let run_meta ~jobs =
       ("hardware_threads", Int (Domain.recommended_domain_count ()));
     ]
 
-let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13 ~b14 ~b15 =
-  let open Obs.Json in
-  let timing_json =
+(* Every gated bench, in run order, which is also the --json section
+   order. *)
+let benches =
+  [
+    {
+      id = "B8";
+      headline = "engine throughput (one-cluster batch over worker domains)";
+      run = run_engine_bench;
+    };
+    {
+      id = "B7-alloc";
+      headline = "one-cluster minor-heap allocation vs dimension";
+      run = run_alloc_check;
+    };
+    {
+      id = "B10";
+      headline = "disabled-tracing overhead on the one-cluster path";
+      run = run_tracing_overhead;
+    };
+    { id = "B11"; headline = "daemon round-trip vs in-process batch"; run = run_daemon_bench };
+    {
+      id = "B12";
+      headline = "mutate-then-requery (epochs and the result cache)";
+      run = run_epoch_bench;
+    };
+    {
+      id = "B13";
+      headline = "native kernels: identity, parallel build, dense rows, speedup floor";
+      run = run_kernel_gates;
+    };
+    {
+      id = "B14";
+      headline = "competitor e2e (one-cluster vs local-model vs MEB fPTAS)";
+      run = run_competitor_bench;
+    };
+    {
+      id = "B15";
+      headline = "serving-telemetry overhead on the daemon round-trip";
+      run = run_serving_bench;
+    };
+  ]
+
+(* The one driver, for --smoke and the full run alike: the stage benches,
+   then every bench in [benches], each stopped at its first false gate
+   (exit 1); then the --json document. *)
+let run_benches tier fx ~jobs ~json_path =
+  let timing = run_timing tier fx in
+  let sections =
     List.map
-      (fun (name, ns, r2) ->
-        Obj
-          [
-            ("name", String name);
-            ("ns_per_call", Float ns);
-            ("r_square", Float r2);
-          ])
-      timing
+      (fun b ->
+        Workload.Report.headline (b.id ^ " - " ^ b.headline);
+        let s = b.run tier fx in
+        (match List.find_opt (fun (_, ok) -> not ok) s.gates with
+        | Some (gate, _) ->
+            Printf.eprintf "%s FAILED: %s\n%!" b.id gate;
+            exit 1
+        | None -> ());
+        (s.key, Obs.Json.Obj s.fields))
+      benches
   in
-  let engine_json =
-    match engine with
-    | None -> Null
-    | Some (n_jobs, rows, deterministic) ->
-        Obj
-          [
-            ("jobs", Int n_jobs);
-            ("deterministic", Bool deterministic);
-            ( "sweep",
-              List
-                (List.map
-                   (fun (domains, ms) ->
-                     Obj
-                       [
-                         ("domains", Int domains);
-                         ("wall_ms", Float ms);
-                         ("jobs_per_s", Float (1000. *. float_of_int n_jobs /. ms));
-                       ])
-                   rows) );
-          ]
-  in
-  let alloc_json =
-    match alloc with
-    | None -> Null
-    | Some (n, d_lo, d_hi, w_lo, w_hi, ratio) ->
-        Obj
-          [
-            ("n", Int n);
-            ("d_lo", Int d_lo);
-            ("d_hi", Int d_hi);
-            ("minor_words_lo", Float w_lo);
-            ("minor_words_hi", Float w_hi);
-            ("ratio", Float ratio);
-          ]
-  in
-  let b10_json =
-    match b10 with
-    | None -> Null
-    | Some (ns_per_span, span_count, b7_ns, overhead_pct) ->
-        Obj
-          [
-            ("ns_per_disabled_span", Float ns_per_span);
-            ("spans_per_one_cluster", Int span_count);
-            ("one_cluster_ns", Float b7_ns);
-            ("overhead_pct", Float overhead_pct);
-          ]
-  in
-  let b11_json =
-    match b11 with
-    | None -> Null
-    | Some (n_jobs, iters, local_ms, daemon_ms, overhead_pct, identical) ->
-        Obj
-          [
-            ("jobs", Int n_jobs);
-            ("iters", Int iters);
-            ("in_process_ms", Float local_ms);
-            ("daemon_ms", Float daemon_ms);
-            ("overhead_ms", Float (daemon_ms -. local_ms));
-            ("overhead_pct", Float overhead_pct);
-            ("verdicts_identical", Bool identical);
-          ]
-  in
-  let b12_json =
-    match b12 with
-    | None -> Null
-    | Some (n_jobs, cold_ms, warm_ms, append_ms, requery_ms, speedup, gates_pass) ->
-        Obj
-          [
-            ("jobs", Int n_jobs);
-            ("cold_ms", Float cold_ms);
-            ("cached_rerun_ms", Float warm_ms);
-            ("append_ms", Float append_ms);
-            ("requery_ms", Float requery_ms);
-            ("cache_hit_speedup", Float speedup);
-            ("cache_hits_charged_zero", Bool gates_pass);
-          ]
-  in
-  let b13_json =
-    match b13 with
-    | None -> Null
-    | Some g ->
-        Obj
-          [
-            ("identity_bitwise", Bool g.identity_ok);
-            ("parallel_build_identical", Bool g.parallel_ok);
-            ("dense_rows_identical", Bool g.dense_rows_ok);
-            ( "dense_build",
-              Obj
-                [
-                  ("n", Int g.dense_n);
-                  ("native_ms", Float g.dense_native_ms);
-                  ("reference_ms", Float g.dense_ref_ms);
-                ] );
-            ("speedup_floor", Float g.floor);
-            ("floor_enforced", Bool g.enforced);
-            ( "speedups",
-              List
-                (List.map
-                   (fun (name, off_ms, on_ms, s) ->
-                     Obj
-                       [
-                         ("name", String name);
-                         ("reference_ms", Float off_ms);
-                         ("native_ms", Float on_ms);
-                         ("speedup", Float s);
-                       ])
-                   g.rows) );
-          ]
-  in
-  let b14_json =
-    match b14 with
-    | None -> Null
-    | Some (central_ms, local_ms, meb_ms, envelope, ratio) ->
-        Obj
-          [
-            ("one_cluster_ms", Float central_ms);
-            ("local_cluster_ms", Float local_ms);
-            ("meb_fptas_ms", Float meb_ms);
-            ("ldp_envelope", Float envelope);
-            ("ldp_ratio", Float ratio);
-          ]
-  in
-  let b15_json =
-    match b15 with
-    | None -> Null
-    | Some
-        ( n_jobs,
-          iters,
-          off_ms,
-          on_ms,
-          overhead_pct,
-          sampled_ms,
-          sampled_pct,
-          exemplars,
-          identical,
-          record_ns,
-          implied_pct ) ->
-        Obj
-          [
-            ("jobs", Int n_jobs);
-            ("iters", Int iters);
-            ("plain_ms", Float off_ms);
-            ("telemetry_ms", Float on_ms);
-            ("wall_delta_pct", Float overhead_pct);
-            ("record_ns_per_request", Float record_ns);
-            ("implied_overhead_pct", Float implied_pct);
-            ("gate_pct", Float 2.0);
-            ("sampled_ms", Float sampled_ms);
-            ("sampled_overhead_pct", Float sampled_pct);
-            ("exemplars_written", Int exemplars);
-            ("verdicts_identical", Bool identical);
-          ]
-  in
-  Obj
-    [
-      ("schema", String "privcluster-bench/6");
-      ("meta", meta);
-      ("fixture", Obj [ ("n", Int fx_n); ("dim", Int fx_d) ]);
-      ("timing", List timing_json);
-      ("engine", engine_json);
-      ("alloc_check", alloc_json);
-      ("tracing_overhead", b10_json);
-      ("daemon_roundtrip", b11_json);
-      ("epoch_requery", b12_json);
-      ("kernel_gates", b13_json);
-      ("competitors", b14_json);
-      ("serving_overhead", b15_json);
-    ]
-
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "bench results written to %s\n" path
-
-(* CI mode: execute every bench path exactly once on a tiny fixture — no
-   measurement loops, just "does each stage still run end to end". *)
-let run_smoke ~jobs ~json_path =
-  Workload.Report.headline "smoke - one tiny call per bench stage";
-  let fx = fixture ~n:160 ~dim:2 () in
-  List.iter
-    (fun (name, thunk) ->
-      let _, ms = Workload.Harness.time thunk in
-      Workload.Report.kv name (Printf.sprintf "ok (%.1f ms)" ms))
-    (stage_thunks fx);
-  let engine = run_engine_bench ~quick:true ~max_jobs:2 fx in
-  let alloc = run_alloc_check ~smoke:true in
-  let b10 = run_tracing_overhead ~smoke:true fx in
-  let b11 = run_daemon_bench ~quick:true ~jobs:2 in
-  let b12 = run_epoch_bench ~jobs:2 in
-  let b13 = run_kernel_gates fx in
-  let b14 = run_competitor_bench ~smoke:true fx in
-  let b15 = run_serving_bench ~quick:true ~jobs:2 in
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      write_json path
-        (json_of_results ~meta:(run_meta ~jobs) ~fx_n:160 ~fx_d:2 ~timing:[]
-           ~engine:(Some engine) ~alloc:(Some alloc) ~b10:(Some b10) ~b11:(Some b11)
-           ~b12:(Some b12) ~b13:(Some b13) ~b14:(Some b14) ~b15:(Some b15)));
-  print_endline "smoke OK"
+  Option.iter
+    (fun path ->
+      let json =
+        Obs.Json.Obj
+          ([
+             ("schema", Obs.Json.String "privcluster-bench/6");
+             ("meta", run_meta ~jobs);
+             ( "fixture",
+               Obj
+                 [
+                   ("n", Int (Geometry.Pointset.n fx.ps));
+                   ("dim", Int (Geometry.Pointset.dim fx.ps));
+                 ] );
+             ("timing", List timing);
+           ]
+          @ sections)
+      in
+      let oc = open_out path in
+      output_string oc (Obs.Json.to_string json);
+      output_string oc "\n";
+      close_out oc;
+      Printf.printf "bench results written to %s\n" path)
+    json_path;
+  if tier.smoke then print_endline "smoke OK"
 
 let () =
   let quick = ref false and only = ref [] and timing = ref true and experiments = ref true in
@@ -1393,7 +1268,8 @@ let () =
       ("--csv", Arg.String (fun d -> csv := Some d), "also write each table as CSV into this directory");
       ( "--json",
         Arg.String (fun f -> json_path := Some f),
-        "write B1-B8 and allocation-check results as JSON to this file" );
+        "write the stage timings and every bench's section (B7-alloc, B8, B10-B15) as JSON to \
+         this file" );
       ("--fix-n", Arg.Set_int fix_n, "timing-fixture point count (default 1500)");
       ("--fix-d", Arg.Set_int fix_d, "timing-fixture dimension (default 2)");
       ("--smoke", Arg.Set smoke, "one tiny call per bench stage and exit (CI mode)");
@@ -1401,7 +1277,10 @@ let () =
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "privcluster bench";
   Workload.Report.set_csv_dir !csv;
-  if !smoke then run_smoke ~jobs:!jobs ~json_path:!json_path
+  if !smoke then
+    run_benches
+      { smoke = true; quick = true; sweep_max = 2; domains = 2 }
+      (fixture ~n:160 ~dim:2 ()) ~jobs:!jobs ~json_path:!json_path
   else begin
     let cfg = { Workload.Experiments.quick = !quick; seed = !seed } in
     if !experiments then begin
@@ -1414,24 +1293,9 @@ let () =
       in
       run_experiments ~jobs:!jobs cfg selected
     end;
-    if !timing then begin
-      let fx = fixture ~n:!fix_n ~dim:!fix_d () in
-      let timing_rows = run_timing ~quick:!quick fx in
-      let engine = run_engine_bench ~quick:!quick ~max_jobs:!jobs fx in
-      let alloc = run_alloc_check ~smoke:false in
-      let b10 = run_tracing_overhead ~smoke:false fx in
-      let b11 = run_daemon_bench ~quick:!quick ~jobs:(max !jobs 4) in
-      let b12 = run_epoch_bench ~jobs:(max !jobs 4) in
-      let b13 = run_kernel_gates fx in
-      let b14 = run_competitor_bench ~smoke:false fx in
-      let b15 = run_serving_bench ~quick:!quick ~jobs:(max !jobs 4) in
-      match !json_path with
-      | None -> ()
-      | Some path ->
-          write_json path
-            (json_of_results ~meta:(run_meta ~jobs:!jobs) ~fx_n:!fix_n ~fx_d:!fix_d
-               ~timing:timing_rows ~engine:(Some engine) ~alloc:(Some alloc) ~b10:(Some b10)
-               ~b11:(Some b11) ~b12:(Some b12) ~b13:(Some b13) ~b14:(Some b14)
-               ~b15:(Some b15))
-    end
+    if !timing then
+      run_benches
+        { smoke = false; quick = !quick; sweep_max = !jobs; domains = max !jobs 4 }
+        (fixture ~n:!fix_n ~dim:!fix_d ())
+        ~jobs:!jobs ~json_path:!json_path
   end
