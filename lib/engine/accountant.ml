@@ -53,6 +53,24 @@ let subscribe t f = t.listeners <- f :: t.listeners
    state change, in subscription order, and the decision that produced them
    is already final. *)
 let emit t ev = List.iter (fun f -> f ev) (List.rev t.listeners)
+
+(* One [cat="budget"] instant per ledger operation.  Attribution counts
+   [charge] and [commit] — exactly the operations that create [entries] —
+   so the event stream and the ledger reconcile term by term. *)
+let trace ev =
+  let instant ?cost op label =
+    let charge =
+      Option.map (fun (c : Prim.Dp.params) -> Obs.Span.charge ~eps:c.eps ~delta:c.delta ()) cost
+    in
+    Obs.Span.event ~cat:"budget" ~label ?charge op
+  in
+  match ev with
+  | Charged { label; cost } -> instant "charge" label ~cost
+  | Refused { label; cost; _ } -> instant "refuse" label ~cost
+  | Reserved { label; cost; _ } -> instant "reserve" label ~cost
+  | Committed { label; cost; _ } -> instant "commit" label ~cost
+  | Released { label; _ } -> instant "release" label
+
 let mode t = t.mode
 let budget (t : t) = t.budget
 

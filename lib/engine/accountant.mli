@@ -93,6 +93,15 @@ val subscribe : t -> (event -> unit) -> unit
 (** Add a listener; listeners fire in subscription order, synchronously,
     on the thread performing the ledger operation. *)
 
+val trace : event -> unit
+(** The tracing listener: one [cat="budget"] {!Obs.Span.event} per ledger
+    operation, named [charge], [refuse], [reserve], [commit] or [release],
+    labelled with the event's label, and carrying its cost as the span
+    charge (a release carries none).  {!Registry.register} subscribes it
+    to every dataset's ledger, so this is the one place that maps ledger
+    operations to trace events; {!Obs.Attribution} reconciles the
+    [charge] and [commit] instants against {!entries}. *)
+
 val create : ?mode:mode -> budget:Prim.Dp.params -> unit -> t
 (** Fresh ledger with nothing spent.  [mode] defaults to {!Basic}. *)
 

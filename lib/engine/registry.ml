@@ -77,11 +77,13 @@ let register t ~name ~grid ?mode ~budget ?dense_threshold ?index_domains points 
     invalid_arg (Printf.sprintf "Registry.register: duplicate dataset %S" name);
   let pointset = Geometry.Pointset.create points in
   let index = Geometry.Pointset.auto_index ?dense_threshold ?domains:index_domains pointset in
+  let accountant = Accountant.create ?mode ~budget () in
+  Accountant.subscribe accountant Accountant.trace;
   let dataset =
     {
       name;
       grid;
-      accountant = Accountant.create ?mode ~budget ();
+      accountant;
       dense_threshold;
       index_domains;
       arena = Geometry.Pointset.storage pointset;
@@ -113,6 +115,28 @@ let reindex d ps =
   Geometry.Pointset.auto_index ?dense_threshold:d.dense_threshold ?domains:d.index_domains ps
 
 let rebuild_threshold base = max 64 (base / 2)
+
+(* Publish the epoch after the current one over [ps'].  On the k-d-tree
+   backend [update] maintains the current tree incrementally ([moved] rows
+   inserted or removed) until the accumulated drift passes
+   [rebuild_threshold]; past it, and on the dense backend, the index is
+   rebuilt from scratch. *)
+let publish d ps' ~moved ~update =
+  let cur = d.current in
+  let epoch = cur.epoch + 1 in
+  let state =
+    match Geometry.Pointset.index_tree cur.index with
+    | Some tree when cur.drift + moved <= rebuild_threshold cur.tree_base ->
+        let tree = update (Geometry.Kdtree.with_storage tree ~storage:d.arena) in
+        {
+          (fresh_epoch ~epoch ps' (Geometry.Pointset.index_of_tree ps' tree)) with
+          tree_base = cur.tree_base;
+          drift = cur.drift + moved;
+        }
+    | Some _ | None -> fresh_epoch ~epoch ps' (reindex d ps')
+  in
+  d.current <- state;
+  epoch
 
 (* Grow the arena so [extra] more elements fit past the high-water mark.
    Live epochs keep referencing the array that backed them; only the new
@@ -147,31 +171,9 @@ let append d points =
       d.used <- d.used + (k * ps_dim);
       let offs' = Array.append (Geometry.Pointset.row_offsets cur.pointset) new_offs in
       let ps' = Geometry.Pointset.view ~storage:d.arena ~offs:offs' ~dim:ps_dim in
-      let epoch' = cur.epoch + 1 in
-      let state =
-        match Geometry.Pointset.index_tree cur.index with
-        | None -> fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-        | Some tree ->
-            let drift = cur.drift + k in
-            if drift > rebuild_threshold cur.tree_base then
-              fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-            else begin
-              let tree =
-                Geometry.Kdtree.insert_bulk
-                  (Geometry.Kdtree.with_storage tree ~storage:d.arena)
-                  ~offs:new_offs
-              in
-              {
-                epoch = epoch';
-                pointset = ps';
-                index = Geometry.Pointset.index_of_tree ps' tree;
-                bounds = Hashtbl.create 8;
-                tree_base = cur.tree_base;
-                drift;
-              }
-            end
+      let epoch' =
+        publish d ps' ~moved:k ~update:(fun tree -> Geometry.Kdtree.insert_bulk tree ~offs:new_offs)
       in
-      d.current <- state;
       notify d (Appended { epoch = epoch'; dim = ps_dim; points = flat });
       epoch')
 
@@ -193,35 +195,14 @@ let retire d ~from_ ~count =
         Geometry.Pointset.view ~storage:d.arena ~offs:offs'
           ~dim:(Geometry.Pointset.dim cur.pointset)
       in
-      let epoch' = cur.epoch + 1 in
-      let state =
-        match Geometry.Pointset.index_tree cur.index with
-        | None -> fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-        | Some tree ->
-            let drift = cur.drift + count in
-            if drift > rebuild_threshold cur.tree_base then
-              fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-            else begin
-              let dead = Hashtbl.create count in
-              for i = from_ to from_ + count - 1 do
-                Hashtbl.replace dead offs.(i) ()
-              done;
-              let tree =
-                Geometry.Kdtree.remove_bulk
-                  (Geometry.Kdtree.with_storage tree ~storage:d.arena)
-                  ~dead:(Hashtbl.mem dead)
-              in
-              {
-                epoch = epoch';
-                pointset = ps';
-                index = Geometry.Pointset.index_of_tree ps' tree;
-                bounds = Hashtbl.create 8;
-                tree_base = cur.tree_base;
-                drift;
-              }
-            end
+      let epoch' =
+        publish d ps' ~moved:count ~update:(fun tree ->
+            let dead = Hashtbl.create count in
+            for i = from_ to from_ + count - 1 do
+              Hashtbl.replace dead offs.(i) ()
+            done;
+            Geometry.Kdtree.remove_bulk tree ~dead:(Hashtbl.mem dead))
       in
-      d.current <- state;
       notify d (Retired { epoch = epoch'; from_; count });
       epoch')
 

@@ -49,8 +49,9 @@ val register :
   Geometry.Vec.t array ->
   dataset
 (** Build the index ({!Geometry.Pointset.auto_index} with the given dense
-    threshold) and the accountant, and file the dataset under [name] at
-    epoch 0.  The points are packed once into flat storage, which becomes
+    threshold) and the accountant — subscribed to {!Accountant.trace}, so
+    every ledger operation on it is traced — and file the dataset under
+    [name] at epoch 0.  The points are packed once into flat storage, which becomes
     the dataset's arena; every job then reads that storage through
     zero-copy views.  [index_domains > 1] parallelizes the dense-index
     construction (the result is identical for any value).

@@ -57,12 +57,6 @@ let restore t key output =
   if not (Hashtbl.mem t.entries key) then Hashtbl.replace t.entries key output;
   Mutex.unlock t.mu
 
-let size t =
-  Mutex.lock t.mu;
-  let s = Hashtbl.length t.entries in
-  Mutex.unlock t.mu;
-  s
-
 let stats t ~dataset =
   Mutex.lock t.mu;
   let get tbl = Option.value ~default:0 (Hashtbl.find_opt tbl dataset) in

@@ -45,8 +45,6 @@ val subscribe : t -> (key -> Job.output -> unit) -> unit
 (** [f] runs synchronously after each fresh {!store}, in subscription
     order. *)
 
-val size : t -> int
-
 val stats : t -> dataset:string -> int * int
 (** [(hits, misses)] for one dataset. *)
 

@@ -58,10 +58,6 @@ let create ?(profile = Privcluster.Profile.practical) ?domains ?(seed = 1) ?(ret
 
 let registry t = t.registry
 let telemetry t = t.telemetry
-let domains t = t.domains
-let seed t = t.seed
-let retries t = t.retries
-let faults t = t.faults
 let result_cache t = t.result_cache
 
 let subscribe_standing t f = t.standing_listeners <- f :: t.standing_listeners
@@ -205,15 +201,30 @@ let slice (spec : Job.spec) ~periods =
     delta = spec.Job.delta /. float_of_int periods;
   }
 
-let charge_of (p : Prim.Dp.params) =
-  Obs.Span.charge ~eps:p.Prim.Dp.eps ~delta:p.Prim.Dp.delta ()
+(* Tick [k]'s slice label, and the label of its job and result. *)
+let tick_label base_id k = Printf.sprintf "%s#%d" base_id k
 
-(* One [cat="budget"] instant per ledger operation.  Attribution counts
-   [charge] and [commit] — exactly the operations that create
-   [Accountant.entries] — so the event stream and the ledger reconcile
-   term by term. *)
-let budget_event op ~label cost =
-  Obs.Span.event ~cat:"budget" ~label ~charge:(charge_of cost) op
+(* File a standing query on [dataset], registered by [spec] at batch
+   [seed] and submission index [stream]. *)
+let add_standing t dataset (spec : Job.spec) ~t_fraction ~periods ~seed ~stream ~ticks
+    ~last_epoch resvs =
+  let st =
+    {
+      dataset_name = Registry.name dataset;
+      base_id = spec.Job.id;
+      st_t_fraction = t_fraction;
+      st_beta = spec.Job.beta;
+      per_cost = slice spec ~periods;
+      periods;
+      st_seed = seed;
+      st_stream = stream;
+      ticks;
+      last_epoch;
+      resvs;
+    }
+  in
+  t.standing <- st :: t.standing;
+  st
 
 let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
   let domains = max 1 (Option.value ~default:t.domains domains) in
@@ -241,6 +252,19 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
       "service.batch"
   in
   let batch_id = Obs.Span.h_id batch in
+  (* A job's [cat="job"] span, parented to the batch span across the
+     domain boundary.  The label keys budget attribution; [stream] (with
+     an [attempt] attr) lets the reconciler collapse bit-identical retry
+     replays. *)
+  let job_span (spec : Job.spec) ~stream ~attrs f =
+    Obs.Span.with_span ~cat:"job" ?parent:batch_id
+      ~attrs:(fun () ->
+        ("id", Obs.Span.S spec.Job.id) :: ("stream", Obs.Span.I stream) :: attrs ())
+      (Job.kind_name spec.Job.kind)
+    @@ fun () ->
+    Obs.Span.set_label spec.Job.id;
+    f ()
+  in
   let dataset_name = Registry.name dataset in
   let results_rev = ref [] in
   let push r = results_rev := r :: !results_rev in
@@ -261,7 +285,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
       match List.assoc_opt k st.resvs with
       | None -> () (* slice settled externally (operator settle) — stop ticking *)
       | Some resv ->
-          let tick_id = Printf.sprintf "%s#%d" st.base_id k in
+          let tick_id = tick_label st.base_id k in
           let tick_spec =
             {
               Job.id = tick_id;
@@ -275,21 +299,16 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           in
           st.resvs <- List.remove_assoc k st.resvs;
           Accountant.commit accountant resv;
-          budget_event "commit" ~label:tick_id st.per_cost;
           let t0 = Unix.gettimeofday () in
           let status =
-            Obs.Span.with_span ~cat:"job" ?parent:batch_id
+            job_span tick_spec ~stream:st.st_stream
               ~attrs:(fun () ->
                 [
-                  ("id", Obs.Span.S tick_id);
-                  ("stream", Obs.Span.I st.st_stream);
                   ("tick", Obs.Span.I k);
                   ("epoch", Obs.Span.I e);
                   ("attempt", Obs.Span.I 1);
                 ])
-              (Job.kind_name tick_spec.Job.kind)
             @@ fun () ->
-            Obs.Span.set_label tick_id;
             let rng =
               Prim.Rng.derive
                 (Prim.Rng.derive
@@ -322,43 +341,22 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
   in
   let register_standing i (spec : Job.spec) ~t_fraction ~periods =
     let per_cost = slice spec ~periods in
-    let label k = Printf.sprintf "%s#%d" spec.Job.id k in
     let rec take k acc =
       if k > periods then Ok (List.rev acc)
       else
-        match Accountant.reserve accountant ~label:(label k) per_cost with
-        | Ok resv ->
-            budget_event "reserve" ~label:(label k) per_cost;
-            take (k + 1) ((k, resv) :: acc)
+        match Accountant.reserve accountant ~label:(tick_label spec.Job.id k) per_cost with
+        | Ok resv -> take (k + 1) ((k, resv) :: acc)
         | Error refusal ->
-            List.iter
-              (fun (j, r) ->
-                Accountant.release accountant r;
-                Obs.Span.event ~cat:"budget" ~label:(label j) "release")
-              (List.rev acc);
+            List.iter (fun (_, r) -> Accountant.release accountant r) (List.rev acc);
             Error (Accountant.refusal_message refusal)
     in
     match take 1 [] with
-    | Error msg ->
-        budget_event "refuse" ~label:spec.Job.id (Job.cost spec);
-        push { Job.spec; status = Job.Refused msg; latency_ms = 0.; attempts = 0 }
+    | Error msg -> push { Job.spec; status = Job.Refused msg; latency_ms = 0.; attempts = 0 }
     | Ok resvs ->
         let st =
-          {
-            dataset_name;
-            base_id = spec.Job.id;
-            st_t_fraction = t_fraction;
-            st_beta = spec.Job.beta;
-            per_cost;
-            periods;
-            st_seed = seed;
-            st_stream = i;
-            ticks = 0;
-            last_epoch = -1;
-            resvs;
-          }
+          add_standing t dataset spec ~t_fraction ~periods ~seed ~stream:i ~ticks:0
+            ~last_epoch:(-1) resvs
         in
-        t.standing <- st :: t.standing;
         let line = Job.spec_to_line spec in
         List.iter
           (fun f -> f ~dataset:dataset_name ~line ~seed ~stream:i)
@@ -377,16 +375,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
   let run_mutation i (spec : Job.spec) op =
     let t0 = Unix.gettimeofday () in
     let status =
-      Obs.Span.with_span ~cat:"job" ?parent:batch_id
-        ~attrs:(fun () ->
-          [
-            ("id", Obs.Span.S spec.Job.id);
-            ("stream", Obs.Span.I i);
-            ("attempt", Obs.Span.I 1);
-          ])
-        (Job.kind_name spec.Job.kind)
-      @@ fun () ->
-      Obs.Span.set_label spec.Job.id;
+      job_span spec ~stream:i ~attrs:(fun () -> [ ("attempt", Obs.Span.I 1) ]) @@ fun () ->
       match op with
       | Job.Append_synth { n; seed = mseed; frac; radius } -> (
           (* A dedicated RNG seeded by the op itself: the same mutate line
@@ -439,35 +428,22 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
               (* Trace the hit as a zero-cost job span; the [cached] attr
                  exempts it from attribution's retry-consistency grouping
                  (it is a replay, not an attempt). *)
-              (Obs.Span.with_span ~cat:"job" ?parent:batch_id
-                 ~attrs:(fun () ->
-                   [
-                     ("id", Obs.Span.S spec.Job.id);
-                     ("stream", Obs.Span.I i);
-                     ("epoch", Obs.Span.I epoch);
-                     ("cached", Obs.Span.B true);
-                   ])
-                 (Job.kind_name spec.Job.kind)
-               @@ fun () -> Obs.Span.set_label spec.Job.id);
+              job_span spec ~stream:i
+                ~attrs:(fun () -> [ ("epoch", Obs.Span.I epoch); ("cached", Obs.Span.B true) ])
+                ignore;
               Cache_hit output
           | None -> (
               match Accountant.charge accountant ~label:spec.Job.id (Job.cost spec) with
-              | Error refusal ->
-                  budget_event "refuse" ~label:spec.Job.id (Job.cost spec);
-                  Refused_at_admission (Accountant.refusal_message refusal)
+              | Error refusal -> Refused_at_admission (Accountant.refusal_message refusal)
               | Ok () -> (
-                  budget_event "charge" ~label:spec.Job.id (Job.cost spec);
                   match Job.fallback_cost spec with
                   | None -> Admitted None
                   | Some c -> (
                       match
                         Accountant.reserve accountant ~label:(spec.Job.id ^ ":fallback") c
                       with
-                      | Ok resv ->
-                          budget_event "reserve" ~label:(spec.Job.id ^ ":fallback") c;
-                          Admitted (Some resv)
+                      | Ok resv -> Admitted (Some resv)
                       | Error _ ->
-                          budget_event "refuse" ~label:(spec.Job.id ^ ":fallback") c;
                           Log.warn (fun m ->
                               m
                                 "job %s: no budget headroom for its fallback — degradation disabled"
@@ -494,20 +470,10 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
     let outcomes =
       Pool.run ~retries ~backoff_s:t.backoff_s ~on_event ?trace_parent:batch_id ~domains
         ~f:(fun ~index:_ ~attempt (stream, spec) ->
-          (* Per-job root span, parented to the batch span across the domain
-             boundary.  The label keys budget attribution; stream and attempt
-             let the reconciler collapse bit-identical retry replays. *)
-          Obs.Span.with_span ~cat:"job" ?parent:batch_id
+          job_span spec ~stream
             ~attrs:(fun () ->
-              [
-                ("id", Obs.Span.S spec.Job.id);
-                ("stream", Obs.Span.I stream);
-                ("epoch", Obs.Span.I epoch);
-                ("attempt", Obs.Span.I (attempt + 1));
-              ])
-            (Job.kind_name spec.Job.kind)
+              [ ("epoch", Obs.Span.I epoch); ("attempt", Obs.Span.I (attempt + 1)) ])
           @@ fun () ->
-          Obs.Span.set_label spec.Job.id;
           let rng = Prim.Rng.derive base_rng ~stream in
           (* Faults are armed before any randomness is drawn, so an injected
              crash or kill is always a crash *before output*. *)
@@ -526,13 +492,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
     (* Phase 3 — settlement, sequential, in submission order: map outcomes to
        results, run fallbacks for jobs that could not complete, and settle
        every reservation (commit on degrade, release otherwise). *)
-    let release_resv (spec : Job.spec) resv =
-    Option.iter
-      (fun r ->
-        Accountant.release accountant r;
-        Obs.Span.event ~cat:"budget" ~label:(spec.Job.id ^ ":fallback") "release")
-      resv
-  in
+    let release_resv resv = Option.iter (Accountant.release accountant) resv in
   let settle i (spec : Job.spec) resv (status, latency_ms, attempts) =
     let degrade () =
       match (resv, Job.fallback_cost spec) with
@@ -558,7 +518,6 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
               Obs.Span.h_set_label h (spec.Job.id ^ ":fallback");
               Obs.Span.finish h;
               Accountant.commit accountant resv;
-              budget_event "commit" ~label:(spec.Job.id ^ ":fallback") cost;
               Telemetry.incr t.telemetry "degraded";
               Some (Job.Degraded { output; reason })
           | exception exn ->
@@ -568,23 +527,22 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
                   m "job %s: fallback itself failed (%s) — keeping original status" spec.Job.id
                     (Printexc.to_string exn));
               Accountant.release accountant resv;
-              Obs.Span.event ~cat:"budget" ~label:(spec.Job.id ^ ":fallback") "release";
               None)
       | _ -> None
     in
     match status with
     | Job.Completed _ | Job.Refused _ ->
-        release_resv spec resv;
+        release_resv resv;
         { Job.spec; status; latency_ms; attempts }
     | Job.Timed_out _ | Job.Solver_failed _ -> (
         match degrade () with
         | Some status -> { Job.spec; status; latency_ms; attempts }
         | None ->
-            release_resv spec resv;
+            release_resv resv;
             { Job.spec; status; latency_ms; attempts })
     | Job.Degraded _ ->
         (* execute never produces Degraded; keep the match exhaustive. *)
-        release_resv spec resv;
+        release_resv resv;
         { Job.spec; status; latency_ms; attempts }
   in
     Obs.Span.with_span ~cat:"phase" ?parent:batch_id "service.settlement" @@ fun () ->
@@ -675,17 +633,9 @@ let restore_standing t ~dataset ~line ~seed ~stream =
   match Job.parse line with
   | Error e -> Error (Printf.sprintf "standing restore: %s" e)
   | Ok [ ({ Job.kind = Job.Standing { t_fraction; periods }; _ } as spec) ] ->
-      let dataset_name = Registry.name dataset in
       let accountant = Registry.accountant dataset in
-      let per_cost = slice spec ~periods in
-      let prefix = spec.Job.id ^ "#" in
       let tick_of label =
-        if String.length label > String.length prefix
-           && String.sub label 0 (String.length prefix) = prefix
-        then
-          int_of_string_opt
-            (String.sub label (String.length prefix) (String.length label - String.length prefix))
-        else None
+        List.find_opt (fun k -> tick_label spec.Job.id k = label) (List.init periods succ)
       in
       let resvs =
         List.filter_map
@@ -696,28 +646,15 @@ let restore_standing t ~dataset ~line ~seed ~stream =
         List.length
           (List.filter (fun (label, _) -> tick_of label <> None) (Accountant.entries accountant))
       in
-      let st =
-        {
-          dataset_name;
-          base_id = spec.Job.id;
-          st_t_fraction = t_fraction;
-          st_beta = spec.Job.beta;
-          per_cost;
-          periods;
-          st_seed = seed;
-          st_stream = stream;
-          ticks;
-          last_epoch = Registry.epoch dataset;
-          resvs;
-        }
-      in
-      t.standing <- st :: t.standing;
+      ignore
+        (add_standing t dataset spec ~t_fraction ~periods ~seed ~stream ~ticks
+           ~last_epoch:(Registry.epoch dataset) resvs);
       Ok ()
   | Ok _ -> Error "standing restore: expected exactly one standing job line"
 
 let ledger ~dataset =
   List.map
-    (fun (label, p) -> (label, charge_of p))
+    (fun (label, (p : Prim.Dp.params)) -> (label, Obs.Span.charge ~eps:p.eps ~delta:p.delta ()))
     (Accountant.entries (Registry.accountant dataset))
 
 let attribution ~dataset () =

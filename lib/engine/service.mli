@@ -67,10 +67,6 @@ val create :
 
 val registry : t -> Registry.t
 val telemetry : t -> Telemetry.t
-val domains : t -> int
-val seed : t -> int
-val retries : t -> int
-val faults : t -> Faults.t
 
 val result_cache : t -> Result_cache.t
 (** The service-wide result cache ({!Result_cache}): consulted at
@@ -136,8 +132,8 @@ val report_json : t -> dataset:Registry.dataset -> Job.result list -> Obs.Json.t
     per-job execution / [service.settlement], one [cat="job"] root span
     per job attempt (labelled with the job id, stitched to the batch
     span across worker domains), a separate labelled root for a
-    committed fallback run, and one [cat="budget"] instant event per
-    accountant operation.  Tracing draws no randomness: batch outputs
+    committed fallback run; the dataset's accountant adds one
+    [cat="budget"] instant per ledger operation ({!Accountant.trace}).  Tracing draws no randomness: batch outputs
     are bit-identical with tracing on or off. *)
 
 val ledger : dataset:Registry.dataset -> (string * Obs.Span.charge) list

@@ -6,9 +6,10 @@
     + the {e ledger} — what the engine's accountant actually recorded
       (one entry per admitted charge, plus committed fallback
       reservations labelled [<id>:fallback]);
-    + {e budget events} — zero-duration [cat="budget"] spans the engine
-      emits at each ledger operation ([charge] / [reserve] / [commit] /
-      [release] / [refuse]), carrying the label and parameters;
+    + {e budget events} — zero-duration [cat="budget"] spans the
+      accountant's tracing listener emits at each ledger operation
+      ([charge] / [reserve] / [commit] / [release] / [refuse]), carrying
+      the label and parameters;
     + {e execution spans} — [cat="job"] root spans wrapping each job's
       mechanism work, whose {!Span.attributed} total is what the traced
       mechanisms say they consumed.

@@ -81,9 +81,6 @@ let observe_ns ?shard t v =
   atomic_min s.s_min v;
   atomic_max s.s_max v
 
-let observe_span_ns t ~start_ns ~stop_ns =
-  observe_ns t (Int64.to_int (Int64.sub stop_ns start_ns))
-
 type snapshot = {
   counts : int array;
   count : int;

@@ -34,9 +34,6 @@ val observe_ns : ?shard:int -> t -> int -> unit
     The shard is chosen by [Domain.self ()] unless [~shard] is given
     (tests use the hint to pin streams to specific shards). *)
 
-val observe_span_ns : t -> start_ns:int64 -> stop_ns:int64 -> unit
-(** [observe_ns] of [stop_ns - start_ns] from {!Clock.now_ns} stamps. *)
-
 (** {2 Snapshots} *)
 
 type snapshot = {

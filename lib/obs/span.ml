@@ -154,14 +154,6 @@ let set_attr key v =
 let set_label label =
   match top () with None -> () | Some sp -> sp.label <- Some label
 
-let add_charge_to sp ?(rho = 0.) ~eps ~delta () =
-  let c = { eps; delta; rho } in
-  sp.span_charge <-
-    Some (match sp.span_charge with None -> c | Some prev -> add_charges prev c)
-
-let add_charge ?rho ~eps ~delta () =
-  match top () with None -> () | Some sp -> add_charge_to sp ?rho ~eps ~delta ()
-
 (* --- handle API -------------------------------------------------------- *)
 
 type h = span option
@@ -174,21 +166,7 @@ let h_id = Option.map (fun sp -> sp.id)
 let h_set_attr h key v = Option.iter (fun sp -> sp.attrs <- (key, v) :: sp.attrs) h
 let h_set_label h label = Option.iter (fun sp -> sp.label <- Some label) h
 
-let h_add_charge h ?rho ~eps ~delta () =
-  Option.iter (fun sp -> add_charge_to sp ?rho ~eps ~delta ()) h
-
 (* --- tree helpers ------------------------------------------------------ *)
-
-let children all sp = List.filter (fun c -> c.parent = Some sp.id) all
-
-let roots all =
-  let ids = Hashtbl.create (List.length all) in
-  List.iter (fun sp -> Hashtbl.replace ids sp.id ()) all;
-  List.filter
-    (fun sp -> match sp.parent with None -> true | Some p -> not (Hashtbl.mem ids p))
-    all
-
-let find all id = List.find_opt (fun sp -> sp.id = id) all
 
 let attributed all sp =
   let by_parent = Hashtbl.create (max 16 (List.length all)) in
@@ -207,5 +185,4 @@ let attributed all sp =
 (* Attrs are consed newest-first; the newest binding for a key wins. *)
 let attr sp key = List.assoc_opt key sp.attrs
 let attr_int sp key = match attr sp key with Some (I i) -> Some i | _ -> None
-let attr_string sp key = match attr sp key with Some (S s) -> Some s | _ -> None
 let attr_bool sp key = match attr sp key with Some (B b) -> Some b | _ -> None

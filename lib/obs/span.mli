@@ -120,10 +120,6 @@ val set_attr : string -> attr -> unit
 val set_label : string -> unit
 (** Set the budget-attribution label of the innermost open span. *)
 
-val add_charge : ?rho:float -> eps:float -> delta:float -> unit -> unit
-(** Add a charge onto the innermost open span (sums with any charge
-    already present). *)
-
 (** {2 Handle API}
 
     For spans whose extent does not fit one lexical scope (the engine's
@@ -139,7 +135,6 @@ val finish : h -> unit
 val h_id : h -> id option
 val h_set_attr : h -> string -> attr -> unit
 val h_set_label : h -> string -> unit
-val h_add_charge : h -> ?rho:float -> eps:float -> delta:float -> unit -> unit
 
 (** {2 Tree helpers (for exporters and tests)} *)
 
@@ -148,10 +143,6 @@ val attributed : span list -> span -> charge
     the sum of its children's [attributed] — the stage-budget convention
     described above. *)
 
-val children : span list -> span -> span list
-val roots : span list -> span list
-val find : span list -> id -> span option
 val attr : span -> string -> attr option
 val attr_int : span -> string -> int option
-val attr_string : span -> string -> string option
 val attr_bool : span -> string -> bool option

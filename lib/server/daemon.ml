@@ -80,9 +80,6 @@ type t = {
   wal : Wal.t;
   mutable histories : ((string * string) * Wal.op list) list;
       (* journal streams awaiting re-registration; executor thread only *)
-  mutable svc_hooked : string list;
-      (* tenants whose service-level journaling hooks (result cache,
-         standing registrations) are subscribed; executor thread only *)
   tenants : Tenants.t;
   admission : Admission.t;
   serving : Serving.t option;
@@ -108,24 +105,6 @@ let err code fmt =
   Printf.ksprintf (fun message -> Error { Wire.code; message }) fmt
 
 (* --- executor-side handlers ---------------------------------------------- *)
-
-let charge_of (p : Prim.Dp.params) =
-  Obs.Span.charge ~eps:p.Prim.Dp.eps ~delta:p.Prim.Dp.delta ()
-
-(* Replayed ledger operations re-enter the tracing stream exactly as
-   [Service.run_batch] emits them live, so [Obs.Attribution.reconcile]'s
-   hard ledger = events check holds across a restart. *)
-let emit_budget_event (ev : Accountant.event) =
-  match ev with
-  | Accountant.Charged { label; cost } ->
-      Obs.Span.event ~cat:"budget" ~label ~charge:(charge_of cost) "charge"
-  | Accountant.Refused { label; cost; _ } ->
-      Obs.Span.event ~cat:"budget" ~label ~charge:(charge_of cost) "refuse"
-  | Accountant.Reserved { label; cost; _ } ->
-      Obs.Span.event ~cat:"budget" ~label ~charge:(charge_of cost) "reserve"
-  | Accountant.Committed { label; cost; _ } ->
-      Obs.Span.event ~cat:"budget" ~label ~charge:(charge_of cost) "commit"
-  | Accountant.Released { label; _ } -> Obs.Span.event ~cat:"budget" ~label "release"
 
 let tenant_datasets tenant =
   let reg = Service.registry (Tenants.service tenant) in
@@ -183,7 +162,9 @@ let exec_register t tenant ~dataset ~n ~dim ~axis ~frac ~radius ~seed ~budget ~m
     | Ok () -> (
         (* Dry-run the journal against a scratch ledger first: a diverging
            journal must fail the request without leaving a half-registered
-           dataset behind (the registry has no unregister). *)
+           dataset behind (the registry has no unregister).  The scratch
+           ledger is not a registered dataset's, so its replay is not
+           traced. *)
         let dry =
           if ops = [] then Ok 0
           else Wal.replay ops (Accountant.create ~mode ~budget ())
@@ -271,7 +252,7 @@ let exec_register t tenant ~dataset ~n ~dim ~axis ~frac ~radius ~seed ~budget ~m
                   end
                   else begin
                     t.histories <- List.remove_assoc key t.histories;
-                    Wal.replay ~on_event:emit_budget_event ~on_apply ops acct
+                    Wal.replay ~on_apply ops acct
                   end
                 in
                 match replayed with
@@ -306,30 +287,6 @@ let exec_register t tenant ~dataset ~n ~dim ~axis ~frac ~radius ~seed ~budget ~m
                           Wal.Retire { epoch; from_; count }
                     in
                     Wal.append t.wal { Wal.tenant = tname; dataset; op });
-                if not (List.mem tname t.svc_hooked) then begin
-                  (* Once per tenant: these hooks live on the service, not
-                     the dataset — subscribing them again on the tenant's
-                     next registration would journal every entry twice. *)
-                  t.svc_hooked <- tname :: t.svc_hooked;
-                  Result_cache.subscribe (Service.result_cache svc) (fun ck out ->
-                      Wal.append t.wal
-                        {
-                          Wal.tenant = tname;
-                          dataset = ck.Result_cache.dataset;
-                          op =
-                            Wal.Cached
-                              {
-                                epoch = ck.Result_cache.epoch;
-                                signature = ck.Result_cache.signature;
-                                seed = ck.Result_cache.seed;
-                                stream = ck.Result_cache.stream;
-                                output = Job.output_to_wire out;
-                              };
-                        });
-                  Service.subscribe_standing svc (fun ~dataset ~line ~seed ~stream ->
-                      Wal.append t.wal
-                        { Wal.tenant = tname; dataset; op = Wal.Standing { line; seed; stream } })
-                end;
                 if ops <> [] then
                   Log.info (fun m ->
                       m "tenant %s: dataset %s recovered from journal (%d ops, %d orphaned \
@@ -469,20 +426,15 @@ let exec_settle _t tenant ~dataset ~action ~label =
         | None -> all
         | Some l -> List.filter (fun (_, lbl, _) -> lbl = l) all
       in
-      (* Settlement reuses the ordinary commit/release path, so the WAL
-         subscription journals each operation and a later replay holds no
-         orphan twice.  The tracing events mirror what a live settlement
-         inside [run_batch] would have emitted. *)
+      (* Settlement reuses the ordinary commit/release path, so the
+         accountant's listeners journal and trace each operation, and a
+         later replay holds no orphan twice. *)
       let settled =
         List.map
           (fun (r, lbl, (cost : Prim.Dp.params)) ->
             (match action with
-            | Wire.Commit_orphans ->
-                Accountant.commit acct r;
-                Obs.Span.event ~cat:"budget" ~label:lbl ~charge:(charge_of cost) "commit"
-            | Wire.Release_orphans ->
-                Accountant.release acct r;
-                Obs.Span.event ~cat:"budget" ~label:lbl "release");
+            | Wire.Commit_orphans -> Accountant.commit acct r
+            | Wire.Release_orphans -> Accountant.release acct r);
             { Wire.label = lbl; eps = cost.Prim.Dp.eps; delta = cost.Prim.Dp.delta })
           chosen
       in
@@ -919,6 +871,26 @@ let bind_listen = function
       Unix.listen fd 64;
       fd
 
+(* A tenant's service-level journaling hooks (result cache, standing
+   registrations), subscribed once at startup.  Replay restores both
+   through paths that notify no listener, so it never re-journals. *)
+let journal_service t tenant =
+  let tenant_name = Tenants.name tenant in
+  let svc = Tenants.service tenant in
+  let journal dataset op = Wal.append t.wal { Wal.tenant = tenant_name; dataset; op } in
+  Result_cache.subscribe (Service.result_cache svc) (fun ck out ->
+      journal ck.Result_cache.dataset
+        (Wal.Cached
+           {
+             epoch = ck.Result_cache.epoch;
+             signature = ck.Result_cache.signature;
+             seed = ck.Result_cache.seed;
+             stream = ck.Result_cache.stream;
+             output = Job.output_to_wire out;
+           }));
+  Service.subscribe_standing svc (fun ~dataset ~line ~seed ~stream ->
+      journal dataset (Wal.Standing { line; seed; stream }))
+
 let start cfg =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
@@ -994,7 +966,6 @@ let start cfg =
                           cfg;
                           wal;
                           histories = Wal.histories records;
-                          svc_hooked = [];
                           tenants;
                           admission = Admission.create ~capacity:cfg.capacity;
                           serving;
@@ -1012,6 +983,7 @@ let start cfg =
                           executor_thread = None;
                         }
                       in
+                      List.iter (journal_service t) (Tenants.list tenants);
                       t.executor_thread <- Some (Thread.create Admission.run t.admission);
                       t.accept_thread <- Some (Thread.create accept_loop t);
                       Log.info (fun m ->

@@ -390,11 +390,7 @@ let opening ops =
     (function Open { mode; budget; synth } -> Some (mode, budget, synth) | _ -> None)
     ops
 
-let replay ?on_event ?(on_apply = fun (_ : op) -> Ok ()) ops acc =
-  let active = ref true in
-  (match on_event with
-  | Some f -> Accountant.subscribe acc (fun ev -> if !active then f ev)
-  | None -> ());
+let replay ?(on_apply = fun (_ : op) -> Ok ()) ops acc =
   let outstanding = Hashtbl.create 8 in
   let fail fmt = Printf.ksprintf (fun m -> Error ("replay diverged: " ^ m)) fmt in
   let result =
@@ -446,5 +442,4 @@ let replay ?on_event ?(on_apply = fun (_ : op) -> Ok ()) ops acc =
             | None -> fail "release of unknown reservation %d" rid))
       (Ok ()) ops
   in
-  active := false;
   Result.map (fun () -> Hashtbl.length outstanding) result

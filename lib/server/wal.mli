@@ -140,17 +140,17 @@ val opening : op list -> (Engine.Accountant.mode * Prim.Dp.params * synth option
 (** The stream's [Open] record, if any. *)
 
 val replay :
-  ?on_event:(Engine.Accountant.event -> unit) ->
   ?on_apply:(op -> (unit, string) result) ->
   op list ->
   Engine.Accountant.t ->
   (int, string) result
 (** Re-execute the op stream against a fresh accountant (created by the
     caller with the {!opening} mode and budget).  Returns the number of
-    orphaned reservations restored as held.  [on_event] observes the
-    replayed operations as ordinary accountant events (the daemon uses it
-    to re-emit tracing budget events so {!Obs.Attribution} reconciles
-    across a restart); it stops firing once replay returns.  [on_apply]
+    orphaned reservations restored as held.  The replayed operations go
+    through the ordinary accountant API, so they reach the accountant's
+    own listeners — on a registered dataset that includes
+    {!Engine.Accountant.trace}, which is how {!Obs.Attribution} still
+    reconciles after a restart.  [on_apply]
     receives the engine-state ops ({!Append}, {!Retire}, {!Cached},
     {!Standing}) in journal order, interleaved with the budget replay —
     the daemon uses it to re-apply mutations and restore cache entries so

@@ -883,6 +883,114 @@ let test_daemon_settle () =
       Server.Client.close c);
   ()
 
+(* Every ledger operation leaves exactly one [cat="budget"] span, named and
+   labelled like the accountant event it mirrors and carrying that event's
+   exact cost (a release carries none): live in a batch, on an operator
+   settle, and again on the journal replay after a restart.  The expected
+   stream is recorded by a listener on a fresh accountant that the
+   daemon's journal is replayed into — replay re-runs the journaled
+   operations through the same accountant API, so it re-emits the live
+   event stream one for one. *)
+let budget_line name label charge =
+  match charge with
+  | None -> Printf.sprintf "%s %s" name label
+  | Some (eps, delta, rho) -> Printf.sprintf "%s %s eps=%h delta=%h rho=%h" name label eps delta rho
+
+let event_line ev =
+  let costed name label (c : Prim.Dp.params) =
+    budget_line name label (Some (c.Prim.Dp.eps, c.Prim.Dp.delta, 0.))
+  in
+  match ev with
+  | Acct.Charged { label; cost } -> costed "charge" label cost
+  | Acct.Refused { label; cost; _ } -> costed "refuse" label cost
+  | Acct.Reserved { label; cost; _ } -> costed "reserve" label cost
+  | Acct.Committed { label; cost; _ } -> costed "commit" label cost
+  | Acct.Released { label; _ } -> budget_line "release" label None
+
+let span_line (sp : Obs.Span.span) =
+  budget_line sp.Obs.Span.name
+    (Option.value ~default:"-" sp.Obs.Span.label)
+    (Option.map
+       (fun (c : Obs.Span.charge) -> (c.Obs.Span.eps, c.Obs.Span.delta, c.Obs.Span.rho))
+       sp.Obs.Span.span_charge)
+
+let mirror_jobs =
+  String.concat "\n"
+    [
+      "one_cluster t_fraction=0.45 eps=0.4 delta=1e-7 id=a";
+      "one_cluster t_fraction=0.45 eps=50 delta=1e-7 id=greedy";
+      "one_cluster t_fraction=0.45 eps=0.4 delta=1e-7 fallback=true deadline=0 id=slow";
+      "one_cluster t_fraction=0.45 eps=1.0 delta=1e-7 fallback=true id=fine";
+      "standing t_fraction=0.45 eps=0.8 delta=4e-7 periods=4 id=sq";
+      "mutate op=append n=100 seed=7 id=grow";
+      (* 2.8 of the 4.0 is spent or held by now: the first 1.0 slice fits,
+         the second does not. *)
+      "standing t_fraction=0.45 eps=3.0 delta=3e-7 periods=3 id=big";
+    ]
+
+let test_daemon_budget_spans_mirror_accountant () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let register c =
+    expect_ok "register"
+      (Server.Client.register c ~dataset:"d1" ~n:1500 ~axis:256 ~radius:0.05 ~seed:3
+         ~budget:(p ~eps:4.0 ~delta:1e-4) ())
+  in
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Span.set_enabled false;
+      Obs.Span.reset ())
+  @@ fun () ->
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore (register c);
+      ignore (expect_ok "run" (Server.Client.run c ~dataset:"d1" ~jobs:mirror_jobs ()));
+      ignore
+        (expect_ok "settle commit"
+           (Server.Client.settle c ~dataset:"d1" ~action:Wire.Commit_orphans ~label:"sq#3" ()));
+      ignore
+        (expect_ok "settle release"
+           (Server.Client.settle c ~dataset:"d1" ~action:Wire.Release_orphans ()));
+      Server.Client.close c);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      check_true "re-registration replayed the journal"
+        (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+      Server.Client.close c);
+  let spans =
+    List.filter_map
+      (fun (sp : Obs.Span.span) ->
+        if sp.Obs.Span.cat = "budget" then Some (span_line sp) else None)
+      (Obs.Span.spans ())
+  in
+  let recorded =
+    match Wal.load cfg.Server.Daemon.wal_path with
+    | Error e -> Alcotest.failf "load: %s" e
+    | Ok (records, _) -> (
+        let ops = List.assoc ("acme", "d1") (Wal.histories records) in
+        match Wal.opening ops with
+        | None -> Alcotest.fail "journal has no open record"
+        | Some (mode, budget, _) -> (
+            let acct = Acct.create ~mode ~budget () in
+            let events = ref [] in
+            Acct.subscribe acct (fun ev -> events := event_line ev :: !events);
+            match Wal.replay ops acct with
+            | Ok _ -> List.rev !events
+            | Error e -> Alcotest.failf "replay: %s" e))
+  in
+  List.iter
+    (fun op ->
+      check_true ("the run exercised " ^ op)
+        (List.exists (fun l -> String.starts_with ~prefix:(op ^ " ") (l ^ " ")) recorded))
+    [
+      "charge a"; "refuse greedy"; "reserve slow:fallback"; "commit slow:fallback";
+      "release fine:fallback"; "commit sq#2"; "commit sq#3"; "release sq#4"; "refuse big#2";
+      "release big#1";
+    ];
+  Alcotest.(check (list string)) "live, settle and replay spans = accountant events"
+    (recorded @ recorded) spans
+
 (* A standing query's registration line is journaled and re-parsed on
    restart, so it must carry its parameters exactly: a tick answered after
    the restart runs at the same per-slice (eps, delta) and target size as
@@ -1331,4 +1439,5 @@ let suite =
     slow_case "daemon health, stats and serving metrics" test_daemon_health_stats_metrics;
     slow_case "daemon exemplar ring bounded and valid" test_daemon_exemplar_ring;
     slow_case "daemon sampling leaves outputs bit-identical" test_daemon_sampling_deterministic;
+    slow_case "daemon budget spans mirror the accountant" test_daemon_budget_spans_mirror_accountant;
   ]
