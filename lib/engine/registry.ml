@@ -218,11 +218,12 @@ let r_opt_bounds d ~t =
   | None ->
       (* Computed under the lock: concurrent first requests for the same [t]
          would otherwise both pay the scan.  The pruned 2-approximation
-         scan is short on both backends: n probes (one read per dense
-         row, one query per tree point) plus one exact t-th
-         neighbor evaluation per improvement of (or tie with) the running
-         best — tens of milliseconds on a k-d tree at n ≈ 4000, well
-         under a millisecond dense. *)
+         scan is short on both backends: one probe per distinct point
+         (one read per dense row, one query per tree point; duplicates
+         are skipped) plus one exact t-th neighbor evaluation per
+         improvement of (or tie with) the running best — about ten
+         milliseconds on a k-d tree at n ≈ 4000, well under a
+         millisecond dense. *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock d.mu)
         (fun () ->

@@ -436,9 +436,6 @@ let nearest t query =
 let counts_within_all t centers ~radius =
   Array.map (fun c -> count_within t ~center:c ~radius) centers
 
-let counts_within_rows t cst ~offs ~radius =
-  Array.map (fun off -> count_within_row t cst ~off ~radius) offs
-
 let row_order t = Array.copy t.idx
 
 (* One query, many radii in a single traversal.  [radii] must be ascending

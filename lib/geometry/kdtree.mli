@@ -102,9 +102,6 @@ val counts_within_all : t -> Vec.t array -> radius:float -> int array
 (** [count_within] for a batch of centers (the per-point counts feeding
     GoodRadius's score on large inputs). *)
 
-val counts_within_rows : t -> float array -> offs:int array -> radius:float -> int array
-(** Batch {!count_within_row}: one count per row offset in [offs]. *)
-
 val count_within_row_many :
   t -> float array -> off:int -> radii:float array -> out:int array -> stride:int ->
   col:int -> unit

@@ -114,9 +114,59 @@ type backend =
    waits for the sweep in flight instead of redoing it. *)
 type memo = { mu : Mutex.t; mutable key : float array; mutable counts : int array }
 
-type index = { ps : t; backend : backend; memo : memo }
+(* The index's row grouping ([group_rows]), computed at most once: the
+   dense build fills it, a tree index on its first sweep ([||] = not yet
+   grouped; a pointset is never empty).  [gmu] is only ever taken alone or
+   inside [memo.mu], never the other way round. *)
+type groups = { gmu : Mutex.t; mutable reps : int array }
+
+type index = { ps : t; backend : backend; memo : memo; groups : groups }
 
 let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
+let groups_of reps = { gmu = Mutex.create (); reps }
+
+(* [reps.(i)]: the first row whose coordinates are bit-identical to row
+   [i]'s (so [reps.(i) <= i]), keyed on [Int64.bits_of_float] of every
+   coordinate — [0.0] and [-0.0] stay apart.  A point's distance to every
+   other point is a function of its own coordinates alone, so a
+   duplicate's distance row, ball counts and k-th neighbour distance are
+   exactly its representative's: every per-row sweep below runs once per
+   distinct point and copies the rest. *)
+let group_rows ps =
+  let count = n ps and d = ps.dim and st = ps.st and offs = ps.offs in
+  let module H = Hashtbl.Make (struct
+    type nonrec t = int
+
+    let equal a b =
+      let oa = offs.(a) and ob = offs.(b) in
+      let j = ref 0 in
+      while
+        !j < d && (Int64.bits_of_float st.(oa + !j) : int64) = Int64.bits_of_float st.(ob + !j)
+      do
+        incr j
+      done;
+      !j = d
+
+    let hash i =
+      let off = offs.(i) and h = ref 0 in
+      for j = 0 to d - 1 do
+        h := (!h * 31) + Int64.to_int (Int64.bits_of_float st.(off + j))
+      done;
+      Hashtbl.hash !h
+  end) in
+  let first = H.create count in
+  Array.init count (fun i ->
+      match H.find_opt first i with
+      | Some r -> r
+      | None ->
+          H.add first i i;
+          i)
+
+let row_reps idx =
+  let g = idx.groups in
+  Mutex.protect g.gmu (fun () ->
+      if Array.length g.reps = 0 then g.reps <- group_rows idx.ps;
+      g.reps)
 
 (* One dense row: distances from point [i] to every point, sorted.  Scans
    the flat storage once per row; identical float sequence to the boxed
@@ -131,30 +181,41 @@ let dense_row ps i =
 
 let build_index ?(domains = 1) ps =
   let count = n ps in
+  let reps = group_rows ps in
+  let distinct = Array.of_seq (Seq.filter (fun i -> reps.(i) = i) (Seq.init count Fun.id)) in
+  let m = Array.length distinct in
   let rows = Array.make count [||] in
   let fill lo hi =
-    for i = lo to hi - 1 do
+    for j = lo to hi - 1 do
+      let i = distinct.(j) in
       rows.(i) <- dense_row ps i
     done
   in
-  let domains = max 1 (min domains count) in
-  if domains <= 1 then fill 0 count
+  let domains = max 1 (min domains m) in
+  if domains <= 1 then fill 0 m
   else begin
-    (* Rows are independent; each domain fills a contiguous chunk, so the
-       result (and every downstream query) is identical for any [domains]. *)
-    let chunk = (count + domains - 1) / domains in
+    (* Rows are independent; each domain fills a contiguous chunk of the
+       distinct rows (not of the index range, where a planted cluster's
+       contiguous duplicates would leave one domain most of the work), so
+       the result (and every downstream query) is identical for any
+       [domains]. *)
+    let chunk = (m + domains - 1) / domains in
     List.init domains (fun k ->
-        let lo = k * chunk and hi = min count ((k + 1) * chunk) in
+        let lo = k * chunk and hi = min m ((k + 1) * chunk) in
         Domain.spawn (fun () -> fill lo hi))
     |> List.iter Domain.join
   end;
-  { ps; backend = Dense rows; memo = fresh_memo () }
+  (* A duplicate shares its representative's row array; rows are never
+     written after this point. *)
+  Array.iteri (fun i r -> if r < i then rows.(i) <- rows.(r)) reps;
+  { ps; backend = Dense rows; memo = fresh_memo (); groups = groups_of reps }
 
 let build_tree_index ?domains ps =
   {
     ps;
     backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
     memo = fresh_memo ();
+    groups = groups_of [||];
   }
 
 let auto_index ?(dense_threshold = 4096) ?domains ps =
@@ -167,7 +228,7 @@ let index_tree idx = match idx.backend with Tree t -> Some t | Dense _ -> None
 let index_of_tree ps tree =
   if Kdtree.size tree <> n ps then
     invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; backend = Tree tree; memo = fresh_memo () }
+  { ps; backend = Tree tree; memo = fresh_memo (); groups = groups_of [||] }
 
 let cold_copy idx = { idx with memo = fresh_memo () }
 
@@ -186,11 +247,21 @@ let count_row row radius =
   end
 
 let counts_within idx ~radius =
-  if radius < 0. then Array.make (n idx.ps) 0
-  else
-    match idx.backend with
-    | Dense rows -> Array.map (fun row -> count_row row radius) rows
-    | Tree tree -> Kdtree.counts_within_rows tree idx.ps.st ~offs:idx.ps.offs ~radius
+  let count = n idx.ps in
+  let counts = Array.make count 0 in
+  if radius >= 0. then begin
+    let count_of =
+      match idx.backend with
+      | Dense rows -> fun i -> count_row rows.(i) radius
+      | Tree tree -> fun i -> Kdtree.count_within_row tree idx.ps.st ~off:idx.ps.offs.(i) ~radius
+    in
+    let reps = row_reps idx in
+    for i = 0 to count - 1 do
+      let r = reps.(i) in
+      counts.(i) <- (if r = i then count_of i else counts.(r))
+    done
+  end;
+  counts
 
 (* On a sorted row, count_row row radius >= k iff row.(k-1) <= radius. *)
 let holds_at_least idx ~radius ~k i =
@@ -209,23 +280,34 @@ let score_l idx ~cap ~radius =
 (* Per-point counts for every radius of [rblock] (ascending), radius-major:
    [counts.(j * n + i)] is the number of points within [rblock.(j)] of
    point [i] — binary searches over each sorted dense row, or a single
-   multi-radius k-d traversal per point.  The one fill loop behind both
-   the memo and the blocked path of [score_l_many]. *)
+   multi-radius k-d traversal per point, run for distinct points only; a
+   duplicate's column is a copy of its representative's (filled earlier,
+   since [reps.(i) < i]).  The one fill loop behind both the memo and the
+   blocked path of [score_l_many]. *)
 let fill_counts idx rblock =
   let count = n idx.ps and bnr = Array.length rblock in
   let counts = Array.make (bnr * count) 0 in
-  (match idx.backend with
-  | Dense rows ->
-      for i = 0 to count - 1 do
-        let row = rows.(i) in
-        Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr ~out:counts
-          ~stride:count ~col:i
+  let fill_col =
+    match idx.backend with
+    | Dense rows ->
+        fun i ->
+          let row = rows.(i) in
+          Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr ~out:counts
+            ~stride:count ~col:i
+    | Tree tree ->
+        fun i ->
+          Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock
+            ~out:counts ~stride:count ~col:i
+  in
+  let reps = row_reps idx in
+  for i = 0 to count - 1 do
+    let r = reps.(i) in
+    if r = i then fill_col i
+    else
+      for j = 0 to bnr - 1 do
+        counts.((j * count) + i) <- counts.((j * count) + r)
       done
-  | Tree tree ->
-      for i = 0 to count - 1 do
-        Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock
-          ~out:counts ~stride:count ~col:i
-      done);
+  done;
   counts
 
 (* The memoized matrix for [key], filling (and replacing the entry) on a
@@ -252,6 +334,14 @@ let memo_holds idx ~radii =
   let first = first_non_negative radii in
   let key = Array.sub radii first (Array.length radii - first) in
   Mutex.protect idx.memo.mu (fun () -> Array.length key > 0 && idx.memo.key = key)
+
+let count_matrix idx ~radii =
+  Array.iteri
+    (fun j r ->
+      if r < 0. || (j > 0 && r < radii.(j - 1)) then
+        invalid_arg "Pointset.count_matrix: radii must be ascending and non-negative")
+    radii;
+  fill_counts idx radii
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
    over [radii] but sharing the per-point work across all radii

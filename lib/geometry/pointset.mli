@@ -26,7 +26,9 @@
     array of distances to all input points (or a k-d tree), turning each
     [L] evaluation into [n] binary searches (or tree queries) instead of an
     O(n²·d) scan, and memoizes the count matrix of the last candidate
-    sweep. *)
+    sweep.  Points with bit-identical coordinates ({!row_reps}) share one
+    distance row and one count-matrix column: every per-row sweep runs
+    once per distinct point. *)
 
 type t
 
@@ -115,14 +117,15 @@ type index
     {!build_tree_index}, {!index_of_tree}) and with it an empty memo. *)
 
 val build_index : ?domains:int -> t -> index
-(** Dense backend: O(n²·d) time, O(n²) memory — precomputes per-point
-    sorted distance arrays in one pass over the flat storage, making every
-    radius probe a batch of binary searches.  Each row's sort
+(** Dense backend: O(m·n·d) time, O(m·n) memory for m distinct points
+    among n — precomputes one sorted distance array per distinct point in
+    one pass over the flat storage, making every radius probe a batch of
+    binary searches; identical points share one array.  Each row's sort
     ({!Kernel.sort_floats}) takes expected linear time, so the build is
     no longer dominated by n comparison sorts.  The fastest choice up to
-    a few thousand points.  [domains > 1] splits the row construction
-    across that many OCaml domains; rows are independent, so the result
-    is identical for any value. *)
+    a few thousand points.  [domains > 1] splits the distinct rows across
+    that many OCaml domains; rows are independent, so the result is
+    identical for any value. *)
 
 val build_tree_index : ?domains:int -> t -> index
 (** k-d-tree backend ({!Kdtree}): O(n log n) memory-light construction
@@ -183,6 +186,20 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
 val memo_holds : index -> radii:float array -> bool
 (** Whether {!score_l_many} over the ascending [radii] would be answered
     from the memo (exposed for tests). *)
+
+val count_matrix : index -> radii:float array -> int array
+(** A fresh, unmemoized fill of the count matrix behind {!score_l_many}:
+    radius-major, [(count_matrix idx ~radii).(j * n + i)] is the number of
+    input points within [radii.(j)] of point [i] (exposed for tests).
+    @raise Invalid_argument unless [radii] is ascending and non-negative. *)
+
+val row_reps : index -> int array
+(** The index's grouping of identical points: [(row_reps idx).(i)] is the
+    first row whose coordinates are bit-identical to row [i]'s
+    ([Int64.bits_of_float] of every coordinate, so [0.0] and [-0.0] are
+    distinct), hence [<= i]; the rows with [reps.(i) = i] are the distinct
+    points.  Computed once per index — by {!build_index}, or by a tree
+    index's first sweep — and shared, read-only by contract. *)
 
 val holds_at_least : index -> radius:float -> k:int -> int -> bool
 (** [holds_at_least idx ~radius ~k i] — whether at least [k] input points

@@ -27,20 +27,22 @@ val two_approx : Pointset.t -> t:int -> ball
 
 val two_approx_indexed : Pointset.index -> t:int -> ball
 (** Same via a prebuilt distance index.  The scan is pruned: point [i]'s
-    [t]-th neighbor distance is computed only when
-    {!Pointset.holds_at_least} says the ball of the running best radius
-    around it holds [t] points.  Otherwise that distance exceeds the best
-    (dense: it is the sorted row's [t]-th entry; tree: the bisection's
-    answer has count >= [t] and counts are non-decreasing in the
-    radius), so the skipped point could not have won, and the ball —
-    radius bits and center, first index on ties — equals the unpruned
-    scan's.  Cost: n probes (one row read
-    dense, one tree query on the tree) plus one exact evaluation (O(1)
-    dense, a ~100-query bisection on the tree) per point whose distance
-    is at most the running best: each improvement of the minimum, and
-    each tie with it.  On spread-out data that is a handful of
-    evaluations; the worst case (every point tied, e.g. all duplicates)
-    costs what the unpruned scan did plus the n probes. *)
+    [t]-th neighbor distance is computed only when [i] is the first of its
+    identical points ({!Pointset.row_reps}) and {!Pointset.holds_at_least}
+    says the ball of the running best radius around it holds [t] points.
+    A duplicate's distance is its representative's, already evaluated or
+    pruned; otherwise that distance exceeds the best (dense: it is the
+    sorted row's [t]-th entry; tree: the bisection's answer has count >=
+    [t] and counts are non-decreasing in the radius).  Either way the
+    skipped point could not have won, and the ball — radius bits and
+    center, first index on ties — equals the unpruned scan's.  Cost: one
+    probe per distinct point (one row read dense, one tree query on the
+    tree) plus one exact evaluation (O(1) dense, a ~100-query bisection on
+    the tree) per distinct point whose distance is at most the running
+    best: each improvement of the minimum, and each tie with it.  On
+    spread-out data that is a handful of evaluations; the worst case
+    (every distinct point tied) costs what the unpruned scan over the
+    distinct points did plus their probes. *)
 
 val min_enclosing_ball : ?iterations:int -> Vec.t array -> ball
 (** Bădoiu–Clarkson: after [k] iterations the radius is within a factor

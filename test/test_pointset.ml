@@ -149,6 +149,180 @@ let test_subset_filter_map () =
   let mapped = Geometry.Pointset.map_points (Geometry.Vec.scale 2.) ps in
   check_float "map" 4. (Geometry.Pointset.point mapped 2).(0)
 
+(* Identical points share one dense row and one count-matrix column
+   ([Pointset.row_reps]).  Every grouped answer, on both backends, must
+   equal bit for bit a per-row reference scan that never groups: fresh
+   sorted distance rows for the dense backend, one [Kdtree.count_within_row]
+   per row and radius for the tree. *)
+module P = Geometry.Pointset
+
+let bits = Int64.bits_of_float
+
+(* The first row whose coordinates are bit-identical, by pairwise scan. *)
+let ref_reps ps =
+  let same i j = Array.for_all2 (fun a b -> bits a = bits b) (P.point ps i) (P.point ps j) in
+  Array.init (P.n ps) (fun i ->
+      let j = ref 0 in
+      while not (same !j i) do
+        incr j
+      done;
+      !j)
+
+(* Point [i]'s sorted distances to every point, one fresh row per point. *)
+let ref_rows ps =
+  let pts = P.points ps in
+  Array.map
+    (fun p ->
+      let row = Array.map (Geometry.Vec.dist p) pts in
+      Array.sort Float.compare row;
+      row)
+    pts
+
+let count_le row r = Array.fold_left (fun acc x -> if x <= r then acc + 1 else acc) 0 row
+
+(* [Pointset.kth_neighbor_distance]'s tree bisection, on the reference
+   per-row count. *)
+let ref_tree_kth count ps ~k i =
+  let p = P.point ps i in
+  let norm_inf = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. p in
+  let lo = ref 0. and hi = ref (norm_inf +. (2. *. sqrt (float_of_int (P.dim ps)))) in
+  while count i !hi < k do
+    hi := 2. *. Float.max 1. !hi
+  done;
+  for _ = 1 to 100 do
+    let mid = 0.5 *. (!lo +. !hi) in
+    if count i mid >= k then hi := mid else lo := mid
+  done;
+  !hi
+
+(* The unpruned, ungrouped 2-approximation scan: first index wins ties. *)
+let ref_two_approx kth n ~t =
+  let best = ref infinity and best_i = ref 0 in
+  for i = 0 to n - 1 do
+    let r = kth ~k:t i in
+    if r < !best then begin
+      best := r;
+      best_i := i
+    end
+  done;
+  (!best_i, !best)
+
+let check_grouping ps =
+  let n = P.n ps in
+  let fail fmt = Alcotest.failf fmt in
+  let rows = ref_rows ps in
+  (* Ascending radii holding row 0's exact distances (ball boundaries) and
+     a few beyond, at most 24. *)
+  let radii =
+    let cand = Array.of_list (List.sort_uniq Float.compare (0.25 :: 4. :: Array.to_list rows.(0))) in
+    let step = max 1 (Array.length cand / 24) in
+    Array.of_list (List.filteri (fun j _ -> j mod step = 0) (Array.to_list cand))
+  in
+  let nr = Array.length radii in
+  let dense = P.build_index ~domains:2 ps and tree = P.build_tree_index ps in
+  let tree_count =
+    let t = Option.get (P.index_tree tree) in
+    fun i radius -> Geometry.Kdtree.count_within_row t (P.storage ps) ~off:(P.row_offset ps i) ~radius
+  in
+  let backends =
+    [
+      ("dense", dense, (fun i r -> count_le rows.(i) r), (fun ~k i -> rows.(i).(k - 1)),
+        List.init n succ);
+      ( "tree",
+        tree,
+        tree_count,
+        ref_tree_kth tree_count ps,
+        if n <= 40 then List.init n succ else List.sort_uniq compare [ 1; 2; (n + 1) / 2; n ] );
+    ]
+  in
+  let reps = ref_reps ps in
+  List.iter
+    (fun (name, idx, count, kth, ks) ->
+      if P.row_reps idx <> reps then fail "%s: row_reps differ from the pairwise scan" name;
+      let ref_counts = Array.make (nr * n) 0 in
+      Array.iteri
+        (fun j r ->
+          for i = 0 to n - 1 do
+            ref_counts.((j * n) + i) <- count i r
+          done)
+        radii;
+      if P.count_matrix idx ~radii <> ref_counts then fail "%s: count matrix column differs" name;
+      List.iter
+        (fun cap ->
+          let expect =
+            Array.init nr (fun j ->
+                bits (Kernel.top_avg_capped ~counts:ref_counts ~off:(j * n) ~len:n ~cap ~k:(min cap n)))
+          in
+          let sweep i = Array.map bits (P.score_l_many i ~cap ~radii) in
+          (* Cold, then filling the memo, then a memo hit. *)
+          if sweep (P.cold_copy idx) <> expect || sweep idx <> expect || sweep idx <> expect then
+            fail "%s: score_l_many differs at cap %d" name cap)
+        [ 1; max 1 (n / 3); n ];
+      for i = 0 to n - 1 do
+        List.iter
+          (fun k ->
+            if bits (P.kth_neighbor_distance idx ~k i) <> bits (kth ~k i) then
+              fail "%s: kth_neighbor_distance k=%d i=%d" name k i;
+            Array.iteri
+              (fun j radius ->
+                if P.holds_at_least idx ~radius ~k i <> (ref_counts.((j * n) + i) >= k) then
+                  fail "%s: holds_at_least r=%h k=%d i=%d" name radius k i)
+              radii)
+          ks
+      done;
+      List.iter
+        (fun t ->
+          let ball = Geometry.Seb.two_approx_indexed idx ~t in
+          let best_i, best = ref_two_approx kth n ~t in
+          if bits ball.radius <> bits best
+             || Array.map bits ball.center <> Array.map bits (P.point ps best_i)
+          then fail "%s: two_approx_indexed differs at t=%d" name t)
+        (List.sort_uniq compare [ 1; (n + 1) / 2; n ]))
+    backends
+
+(* Coarse grids (3–8 cells per axis, d in 1..3, up to 300 points): most
+   rows repeat. *)
+let coarse_gen =
+  QCheck2.Gen.(
+    let* axis = int_range 3 8 and* d = int_range 1 3 and* n = int_range 1 300 in
+    let+ cells = array_size (return (n * d)) (int_range 0 (axis - 1)) in
+    (d, Array.map (fun c -> float_of_int c /. float_of_int (axis - 1)) cells))
+
+let qcheck_grouping_bit_exact =
+  qcheck "identical points share rows and columns: bit-exact on both backends" ~count:25
+    coarse_gen (fun (dim, st) ->
+      check_grouping (P.of_storage ~dim st);
+      true)
+
+let test_grouping_edge_cases () =
+  (* All points identical: one distinct row. *)
+  let same = P.of_storage ~dim:2 (Array.init 80 (fun j -> if j mod 2 = 0 then 0.25 else 0.5)) in
+  check_grouping same;
+  check_true "all identical: one representative"
+    (Array.for_all (( = ) 0) (P.row_reps (P.build_index same)));
+  (* No duplicates. *)
+  let spread = P.of_storage ~dim:2 (Prim.Rng.gaussian_vector (rng ()) ~dim:120 ~sigma:1.0) in
+  check_grouping spread;
+  check_true "no duplicates: every row its own representative"
+    (P.row_reps (P.build_tree_index spread) = Array.init 60 Fun.id);
+  (* 0.0 and -0.0 are distinct keys with equal answers. *)
+  let signed =
+    P.create [| [| 0.; 0. |]; [| -0.; 0. |]; [| 0.; -0. |]; [| 1.; 0. |]; [| 0.; 0. |]; [| -0.; 0. |] |]
+  in
+  check_grouping signed;
+  let dense = P.build_index signed in
+  Alcotest.(check (array int)) "signed zeros kept apart" [| 0; 1; 2; 3; 0; 1 |] (P.row_reps dense);
+  let radii = [| 0.; 0.5; 1.; 2. |] in
+  let m = P.count_matrix dense ~radii in
+  for j = 0 to Array.length radii - 1 do
+    check_true "signed zeros: equal count columns"
+      (m.(j * 6) = m.((j * 6) + 1) && m.(j * 6) = m.((j * 6) + 2))
+  done;
+  for k = 1 to 6 do
+    check_true "signed zeros: equal k-th distances"
+      (bits (P.kth_neighbor_distance dense ~k 0) = bits (P.kth_neighbor_distance dense ~k 1))
+  done
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -162,4 +336,6 @@ let suite =
     case "dense and tree counts agree on the geometric grid" test_backends_agree_on_geometric_grid;
     case "kth neighbor distance" test_kth_neighbor;
     case "subset / filter / map" test_subset_filter_map;
+    qcheck_grouping_bit_exact;
+    case "grouping edge cases: all identical, none, signed zeros" test_grouping_edge_cases;
   ]
