@@ -745,8 +745,7 @@ let run_epoch_bench tier _fx =
    produce exactly the serial tree; (c) the dense index built with the
    native kernels (distance fill and row sort) must hold exactly the
    reference rows at n = 3000, the daemon's dense workload size — its
-   build times are reported, not gated, beside a duplicate-free Gaussian
-   control of the same size; (d) the native kernels must
+   build times are reported, not gated; (d) the native kernels must
    actually be faster than the references by at least [floor] — guarding
    against a build where the stubs silently compiled to a slow path.  The
    dense build and the speedup measurement use their own fixed-size
@@ -830,18 +829,6 @@ let run_kernel_gates _tier fx =
     (yes_no dense_rows_ok);
   Workload.Report.kv "dense index build (native / reference)"
     (Printf.sprintf "%.1f ms / %.1f ms" dense_native_ms dense_ref_ms);
-  (* Report-only control: a Gaussian set of the same size, where no two
-     rows repeat, prices the row grouping when it saves nothing. *)
-  let gauss_ps =
-    Geometry.Pointset.of_storage ~dim:2
-      (Prim.Rng.gaussian_vector (Prim.Rng.create ~seed:99 ()) ~dim:(dense_n * 2) ~sigma:1.0)
-  in
-  let _, gauss_native_ms =
-    with_native true (fun () ->
-        Workload.Harness.time (fun () -> Geometry.Pointset.build_index gauss_ps))
-  in
-  Workload.Report.kv "dense index build, duplicate-free Gaussian control (native)"
-    (Printf.sprintf "%.1f ms" gauss_native_ms);
   (* (d) speedup floor, native vs reference: the two paths interleaved,
      best of three rounds each. *)
   let mrng = Prim.Rng.create ~seed:424242 () in
@@ -917,7 +904,6 @@ let run_kernel_gates _tier fx =
               ("n", Int dense_n);
               ("native_ms", Float dense_native_ms);
               ("reference_ms", Float dense_ref_ms);
-              ("gaussian_native_ms", Float gauss_native_ms);
             ] );
         ("speedup_floor", Float floor);
         ("floor_enforced", Bool enforced);

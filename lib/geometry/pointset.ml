@@ -114,16 +114,11 @@ type backend =
    waits for the sweep in flight instead of redoing it. *)
 type memo = { mu : Mutex.t; mutable key : float array; mutable counts : int array }
 
-(* The index's row grouping ([group_rows]), computed at most once: the
-   dense build fills it, a tree index on its first sweep ([||] = not yet
-   grouped; a pointset is never empty).  [gmu] is only ever taken alone or
-   inside [memo.mu], never the other way round. *)
-type groups = { gmu : Mutex.t; mutable reps : int array }
-
-type index = { ps : t; backend : backend; memo : memo; groups : groups }
+(* [reps] is the row grouping ([group_rows]), computed when the index is
+   built and never written afterwards. *)
+type index = { ps : t; backend : backend; memo : memo; reps : int array }
 
 let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
-let groups_of reps = { gmu = Mutex.create (); reps }
 
 (* [reps.(i)]: the first row whose coordinates are bit-identical to row
    [i]'s (so [reps.(i) <= i]), keyed on [Int64.bits_of_float] of every
@@ -162,11 +157,7 @@ let group_rows ps =
           H.add first i i;
           i)
 
-let row_reps idx =
-  let g = idx.groups in
-  Mutex.protect g.gmu (fun () ->
-      if Array.length g.reps = 0 then g.reps <- group_rows idx.ps;
-      g.reps)
+let is_representative idx i = idx.reps.(i) = i
 
 (* One dense row: distances from point [i] to every point, sorted.  Scans
    the flat storage once per row; identical float sequence to the boxed
@@ -208,14 +199,14 @@ let build_index ?(domains = 1) ps =
   (* A duplicate shares its representative's row array; rows are never
      written after this point. *)
   Array.iteri (fun i r -> if r < i then rows.(i) <- rows.(r)) reps;
-  { ps; backend = Dense rows; memo = fresh_memo (); groups = groups_of reps }
+  { ps; backend = Dense rows; memo = fresh_memo (); reps }
 
 let build_tree_index ?domains ps =
   {
     ps;
     backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
     memo = fresh_memo ();
-    groups = groups_of [||];
+    reps = group_rows ps;
   }
 
 let auto_index ?(dense_threshold = 4096) ?domains ps =
@@ -228,7 +219,7 @@ let index_tree idx = match idx.backend with Tree t -> Some t | Dense _ -> None
 let index_of_tree ps tree =
   if Kdtree.size tree <> n ps then
     invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; backend = Tree tree; memo = fresh_memo (); groups = groups_of [||] }
+  { ps; backend = Tree tree; memo = fresh_memo (); reps = group_rows ps }
 
 let cold_copy idx = { idx with memo = fresh_memo () }
 
@@ -255,7 +246,7 @@ let counts_within idx ~radius =
       | Dense rows -> fun i -> count_row rows.(i) radius
       | Tree tree -> fun i -> Kdtree.count_within_row tree idx.ps.st ~off:idx.ps.offs.(i) ~radius
     in
-    let reps = row_reps idx in
+    let reps = idx.reps in
     for i = 0 to count - 1 do
       let r = reps.(i) in
       counts.(i) <- (if r = i then count_of i else counts.(r))
@@ -299,7 +290,7 @@ let fill_counts idx rblock =
           Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock
             ~out:counts ~stride:count ~col:i
   in
-  let reps = row_reps idx in
+  let reps = idx.reps in
   for i = 0 to count - 1 do
     let r = reps.(i) in
     if r = i then fill_col i
@@ -334,14 +325,6 @@ let memo_holds idx ~radii =
   let first = first_non_negative radii in
   let key = Array.sub radii first (Array.length radii - first) in
   Mutex.protect idx.memo.mu (fun () -> Array.length key > 0 && idx.memo.key = key)
-
-let count_matrix idx ~radii =
-  Array.iteri
-    (fun j r ->
-      if r < 0. || (j > 0 && r < radii.(j - 1)) then
-        invalid_arg "Pointset.count_matrix: radii must be ascending and non-negative")
-    radii;
-  fill_counts idx radii
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
    over [radii] but sharing the per-point work across all radii

@@ -26,7 +26,7 @@
     array of distances to all input points (or a k-d tree), turning each
     [L] evaluation into [n] binary searches (or tree queries) instead of an
     O(n²·d) scan, and memoizes the count matrix of the last candidate
-    sweep.  Points with bit-identical coordinates ({!row_reps}) share one
+    sweep.  Points with bit-identical coordinates ({!is_representative}) share one
     distance row and one count-matrix column: every per-row sweep runs
     once per distinct point. *)
 
@@ -187,19 +187,12 @@ val memo_holds : index -> radii:float array -> bool
 (** Whether {!score_l_many} over the ascending [radii] would be answered
     from the memo (exposed for tests). *)
 
-val count_matrix : index -> radii:float array -> int array
-(** A fresh, unmemoized fill of the count matrix behind {!score_l_many}:
-    radius-major, [(count_matrix idx ~radii).(j * n + i)] is the number of
-    input points within [radii.(j)] of point [i] (exposed for tests).
-    @raise Invalid_argument unless [radii] is ascending and non-negative. *)
-
-val row_reps : index -> int array
-(** The index's grouping of identical points: [(row_reps idx).(i)] is the
-    first row whose coordinates are bit-identical to row [i]'s
-    ([Int64.bits_of_float] of every coordinate, so [0.0] and [-0.0] are
-    distinct), hence [<= i]; the rows with [reps.(i) = i] are the distinct
-    points.  Computed once per index — by {!build_index}, or by a tree
-    index's first sweep — and shared, read-only by contract. *)
+val is_representative : index -> int -> bool
+(** [is_representative idx i] — whether row [i] is the first row whose
+    coordinates are bit-identical to its own ([Int64.bits_of_float] of
+    every coordinate, so [0.0] and [-0.0] are distinct).  The
+    representatives are the index's distinct points; the grouping is
+    computed once, when the index is built. *)
 
 val holds_at_least : index -> radius:float -> k:int -> int -> bool
 (** [holds_at_least idx ~radius ~k i] — whether at least [k] input points

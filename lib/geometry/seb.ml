@@ -43,12 +43,11 @@ let two_approx_indexed idx ~t =
   let ps = Pointset.index_pointset idx in
   let n = Pointset.n ps in
   if t < 1 || t > n then invalid_arg "Seb.two_approx_indexed: t must be in [1, n]";
-  let reps = Pointset.row_reps idx in
   let best = ref infinity and best_i = ref 0 in
   for i = 0 to n - 1 do
     (* Pruned but exact: evaluate point i only if it is the first of its
        identical points and its ball of the running best radius already
-       holds t points.  A duplicate (reps.(i) < i) has exactly its
+       holds t points.  A duplicate (not a representative) has exactly its
        representative's t-th distance, which was already evaluated or
        pruned, so the best is already <= it.  A count skip happens when
        count(best) < t.  On the dense backend that is row.(t-1) > best,
@@ -58,7 +57,7 @@ let two_approx_indexed idx ~t =
        the strict [<] below would not have fired, so the skip changes
        neither radius nor center (first index still wins ties).  The first
        probe, at radius infinity, always holds. *)
-    if reps.(i) = i && Pointset.holds_at_least idx ~radius:!best ~k:t i then begin
+    if Pointset.is_representative idx i && Pointset.holds_at_least idx ~radius:!best ~k:t i then begin
       let r = Pointset.kth_neighbor_distance idx ~k:t i in
       if r < !best then begin
         best := r;

@@ -28,7 +28,7 @@ val two_approx : Pointset.t -> t:int -> ball
 val two_approx_indexed : Pointset.index -> t:int -> ball
 (** Same via a prebuilt distance index.  The scan is pruned: point [i]'s
     [t]-th neighbor distance is computed only when [i] is the first of its
-    identical points ({!Pointset.row_reps}) and {!Pointset.holds_at_least}
+    identical points ({!Pointset.is_representative}) and {!Pointset.holds_at_least}
     says the ball of the running best radius around it holds [t] points.
     A duplicate's distance is its representative's, already evaluated or
     pruned; otherwise that distance exceeds the best (dense: it is the

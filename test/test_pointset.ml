@@ -150,7 +150,7 @@ let test_subset_filter_map () =
   check_float "map" 4. (Geometry.Pointset.point mapped 2).(0)
 
 (* Identical points share one dense row and one count-matrix column
-   ([Pointset.row_reps]).  Every grouped answer, on both backends, must
+   ([Pointset.is_representative]).  Every grouped answer, on both backends, must
    equal bit for bit a per-row reference scan that never groups: fresh
    sorted distance rows for the dense backend, one [Kdtree.count_within_row]
    per row and radius for the tree. *)
@@ -238,7 +238,10 @@ let check_grouping ps =
   let reps = ref_reps ps in
   List.iter
     (fun (name, idx, count, kth, ks) ->
-      if P.row_reps idx <> reps then fail "%s: row_reps differ from the pairwise scan" name;
+      Array.iteri
+        (fun i r ->
+          if P.is_representative idx i <> (r = i) then fail "%s: is_representative %d" name i)
+        reps;
       let ref_counts = Array.make (nr * n) 0 in
       Array.iteri
         (fun j r ->
@@ -246,7 +249,11 @@ let check_grouping ps =
             ref_counts.((j * n) + i) <- count i r
           done)
         radii;
-      if P.count_matrix idx ~radii <> ref_counts then fail "%s: count matrix column differs" name;
+      Array.iteri
+        (fun j radius ->
+          if P.counts_within idx ~radius <> Array.sub ref_counts (j * n) n then
+            fail "%s: counts_within differs at r=%h" name radius)
+        radii;
       List.iter
         (fun cap ->
           let expect =
@@ -298,26 +305,30 @@ let test_grouping_edge_cases () =
   (* All points identical: one distinct row. *)
   let same = P.of_storage ~dim:2 (Array.init 80 (fun j -> if j mod 2 = 0 then 0.25 else 0.5)) in
   check_grouping same;
+  let same_idx = P.build_index same in
   check_true "all identical: one representative"
-    (Array.for_all (( = ) 0) (P.row_reps (P.build_index same)));
+    (List.for_all (fun i -> P.is_representative same_idx i = (i = 0)) (List.init 40 Fun.id));
   (* No duplicates. *)
   let spread = P.of_storage ~dim:2 (Prim.Rng.gaussian_vector (rng ()) ~dim:120 ~sigma:1.0) in
   check_grouping spread;
   check_true "no duplicates: every row its own representative"
-    (P.row_reps (P.build_tree_index spread) = Array.init 60 Fun.id);
+    (let idx = P.build_tree_index spread in
+     List.for_all (P.is_representative idx) (List.init 60 Fun.id));
   (* 0.0 and -0.0 are distinct keys with equal answers. *)
   let signed =
     P.create [| [| 0.; 0. |]; [| -0.; 0. |]; [| 0.; -0. |]; [| 1.; 0. |]; [| 0.; 0. |]; [| -0.; 0. |] |]
   in
   check_grouping signed;
   let dense = P.build_index signed in
-  Alcotest.(check (array int)) "signed zeros kept apart" [| 0; 1; 2; 3; 0; 1 |] (P.row_reps dense);
+  Alcotest.(check (list bool))
+    "signed zeros kept apart" [ true; true; true; true; false; false ]
+    (List.init 6 (P.is_representative dense));
   let radii = [| 0.; 0.5; 1.; 2. |] in
-  let m = P.count_matrix dense ~radii in
-  for j = 0 to Array.length radii - 1 do
-    check_true "signed zeros: equal count columns"
-      (m.(j * 6) = m.((j * 6) + 1) && m.(j * 6) = m.((j * 6) + 2))
-  done;
+  Array.iter
+    (fun radius ->
+      let c = P.counts_within dense ~radius in
+      check_true "signed zeros: equal counts" (c.(0) = c.(1) && c.(0) = c.(2)))
+    radii;
   for k = 1 to 6 do
     check_true "signed zeros: equal k-th distances"
       (bits (P.kth_neighbor_distance dense ~k 0) = bits (P.kth_neighbor_distance dense ~k 1))
