@@ -7,12 +7,13 @@
    (B10), the daemon round-trip overhead bench (B11), the
    mutate-then-requery epoch/result-cache bench (B12, gated: cache hits
    must charge zero), the native-kernel gates (B13: C fast paths
-   bit-identical to the pure-OCaml references, parallel k-d build equal
-   to serial, and a kernel speedup floor), the competitor e2e bench
-   (B14: centralized one-cluster vs the LDP protocol vs the private MEB
-   fPTAS, gated: the LDP path stays within its documented overhead
-   envelope of the centralized call), and the serving-telemetry overhead
-   bench (B15, gated: at most 2% of the daemon batch round-trip).
+   bit-identical to the pure-OCaml references, native dense index rows
+   equal to the reference rows, and a kernel speedup floor), the
+   competitor e2e bench (B14: centralized one-cluster vs the LDP protocol
+   vs the private MEB fPTAS, gated: the LDP path stays within its
+   documented overhead envelope of the centralized call), and the
+   serving-telemetry overhead bench (B15, gated: at most 2% of the daemon
+   batch round-trip).
 
    Every bench after the Bechamel stage has one shape: a [bench] whose
    [run] returns a [section] — its key in the --json document, its
@@ -738,14 +739,13 @@ let run_epoch_bench tier _fx =
       ];
   }
 
-(* B13 — the kernel layer (lib/kernel).  Four gates: (a) the C fast
+(* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
    shadow, on the same workload GoodRadius runs (the full candidate
-   sweep) and on the JL projection; (b) the parallel k-d tree build must
-   produce exactly the serial tree; (c) the dense index built with the
+   sweep) and on the JL projection; (b) the dense index built with the
    native kernels (distance fill and row sort) must hold exactly the
    reference rows at n = 3000, the daemon's dense workload size — its
-   build times are reported, not gated; (d) the native kernels must
+   build times are reported, not gated; (c) the native kernels must
    actually be faster than the references by at least [floor] — guarding
    against a build where the stubs silently compiled to a slow path.  The
    dense build and the speedup measurement use their own fixed-size
@@ -783,24 +783,7 @@ let run_kernel_gates _tier fx =
   Workload.Report.kv "good-radius sweep bit-identical (native vs reference)"
     (yes_no identity_sweep);
   Workload.Report.kv "jl projection bit-identical (native vs reference)" (yes_no identity_jl);
-  (* (b) parallel build == serial build (same idx permutation ⇒ same tree:
-     structure is a deterministic function of the row order). *)
-  let st = Geometry.Pointset.storage fx.ps and offs = Geometry.Pointset.row_offsets fx.ps in
-  let d = Geometry.Pointset.dim fx.ps in
-  let serial_order =
-    Geometry.Kdtree.row_order (Geometry.Kdtree.build_flat ~storage:st ~offs ~dim:d ())
-  in
-  let parallel_ok =
-    List.for_all
-      (fun domains ->
-        serial_order
-        = Geometry.Kdtree.row_order
-            (Geometry.Kdtree.build_flat ~domains ~storage:st ~offs ~dim:d ()))
-      [ 2; 4 ]
-  in
-  Workload.Report.kv "parallel k-d build identical to serial (2 and 4 domains)"
-    (yes_no parallel_ok);
-  (* (c) dense index rows, native vs reference, one build each. *)
+  (* (b) dense index rows, native vs reference, one build each. *)
   let dense_n = 3000 in
   let dense_ps =
     let drng = Prim.Rng.create ~seed:99 () in
@@ -829,7 +812,7 @@ let run_kernel_gates _tier fx =
     (yes_no dense_rows_ok);
   Workload.Report.kv "dense index build (native / reference)"
     (Printf.sprintf "%.1f ms / %.1f ms" dense_native_ms dense_ref_ms);
-  (* (d) speedup floor, native vs reference: the two paths interleaved,
+  (* (c) speedup floor, native vs reference: the two paths interleaved,
      best of three rounds each. *)
   let mrng = Prim.Rng.create ~seed:424242 () in
   let mn = 600 in
@@ -896,7 +879,6 @@ let run_kernel_gates _tier fx =
     fields =
       [
         ("identity_bitwise", Bool identity_ok);
-        ("parallel_build_identical", Bool parallel_ok);
         ("dense_rows_identical", Bool dense_rows_ok);
         ( "dense_build",
           Obj
@@ -923,7 +905,6 @@ let run_kernel_gates _tier fx =
     gates =
       [
         ("native kernels bit-identical to their references", identity_ok);
-        ("parallel k-d build identical to the serial build", parallel_ok);
         ("native dense index rows identical to the reference rows", dense_rows_ok);
         (Printf.sprintf "kernel speedup >= %.1fx" floor, floor_ok);
       ];
@@ -1188,7 +1169,7 @@ let benches =
     };
     {
       id = "B13";
-      headline = "native kernels: identity, parallel build, dense rows, speedup floor";
+      headline = "native kernels: identity, dense rows, speedup floor";
       run = run_kernel_gates;
     };
     {

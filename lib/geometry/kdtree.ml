@@ -90,106 +90,11 @@ let rec build_node st dim idx lo hi =
     end
   end
 
-(* Parallel build.  A serial "skeleton" pass performs the top split
-   decisions exactly as [build_node] would (same bbox scan, same axis
-   choice, same quickselect partition on the shared [idx] array), but stops
-   descending after [depth] levels and records the remaining subtrees as
-   jobs.  Each job owns a disjoint [idx] range fully determined by its
-   ancestors' partitions, so worker domains can run [build_node] on their
-   jobs concurrently: they touch disjoint slices of [idx] and the final
-   permutation and node structure are bit-identical to the serial build
-   for any number of domains. *)
-type skel =
-  | S_done of node  (** subtree fully built during the skeleton pass *)
-  | S_job of int  (** deferred: results.(jid) built by a worker *)
-  | S_split of {
-      axis : int;
-      threshold : float;
-      bbox_lo : Vec.t;
-      bbox_hi : Vec.t;
-      size : int;
-      left : skel;
-      right : skel;
-    }
-
-let rec build_skeleton st dim idx lo hi depth jobs next_jid =
-  let n = hi - lo + 1 in
-  if n <= leaf_capacity then S_done (Leaf { lo; hi })
-  else if depth = 0 then begin
-    let jid = !next_jid in
-    incr next_jid;
-    jobs := (jid, lo, hi) :: !jobs;
-    S_job jid
-  end
-  else begin
-    let blo, bhi = bbox st dim idx lo hi in
-    let axis = widest_axis blo bhi in
-    if bhi.(axis) -. blo.(axis) <= 0. then S_done (Leaf { lo; hi })
-    else begin
-      let mid = lo + (n / 2) in
-      select st idx axis lo hi mid;
-      let threshold = st.(idx.(mid) + axis) in
-      let left = build_skeleton st dim idx lo mid (depth - 1) jobs next_jid in
-      let right = build_skeleton st dim idx (mid + 1) hi (depth - 1) jobs next_jid in
-      S_split { axis; threshold; bbox_lo = blo; bbox_hi = bhi; size = n; left; right }
-    end
-  end
-
-let rec node_of_skel results = function
-  | S_done nd -> nd
-  | S_job jid -> results.(jid)
-  | S_split { axis; threshold; bbox_lo; bbox_hi; size; left; right } ->
-      Split
-        {
-          axis;
-          threshold;
-          left = node_of_skel results left;
-          right = node_of_skel results right;
-          bbox_lo;
-          bbox_hi;
-          size;
-        }
-
-let build_root ?(domains = 1) storage dim idx n =
-  if domains <= 1 then build_node storage dim idx 0 (n - 1)
-  else begin
-    (* Enough skeleton levels to hand every domain several jobs. *)
-    let depth =
-      let d = ref 0 in
-      while 1 lsl !d < 4 * domains do incr d done;
-      !d
-    in
-    let jobs = ref [] and next_jid = ref 0 in
-    let skel = build_skeleton storage dim idx 0 (n - 1) depth jobs next_jid in
-    let jobs = Array.of_list (List.rev !jobs) in
-    let results = Array.make (Array.length jobs) (Leaf { lo = 0; hi = -1 }) in
-    let njobs = Array.length jobs in
-    if njobs > 0 then begin
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let rec loop () =
-          let j = Atomic.fetch_and_add cursor 1 in
-          if j < njobs then begin
-            let jid, lo, hi = jobs.(j) in
-            results.(jid) <- build_node storage dim idx lo hi;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let spawned = min (domains - 1) (max 0 (njobs - 1)) in
-      let handles = List.init spawned (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join handles
-    end;
-    node_of_skel results skel
-  end
-
-let build_flat ?domains ~storage ~offs ~dim () =
+let build_flat ~storage ~offs ~dim () =
   let n = Array.length offs in
   if n = 0 then invalid_arg "Kdtree.build: empty";
   let idx = Array.copy offs in
-  { st = storage; idx; root = build_root ?domains storage dim idx n; size = n; dim }
+  { st = storage; idx; root = build_node storage dim idx 0 (n - 1); size = n; dim }
 
 let build points =
   let n = Array.length points in
@@ -381,62 +286,6 @@ let rec count_node_row t node cst coff r2 =
 
 let count_within_row t cst ~off ~radius =
   if radius < 0. then 0 else count_node_row t t.root cst off (radius *. radius)
-
-let iter_within_offs t ~center ~radius f =
-  if radius >= 0. then begin
-    let r2 = radius *. radius in
-    let rec go = function
-      | Leaf { lo; hi } ->
-          for i = lo to hi do
-            let off = t.idx.(i) in
-            if Vec.dist_sq_to_row t.st ~off ~dim:t.dim center <= r2 then f off
-          done
-      | Split { left; right; bbox_lo; bbox_hi; _ } ->
-          if box_dist_sq bbox_lo bbox_hi center <= r2 then begin
-            go left;
-            go right
-          end
-    in
-    go t.root
-  end
-
-let iter_within t ~center ~radius f =
-  iter_within_offs t ~center ~radius (fun off -> f (Vec.of_row t.st ~off ~dim:t.dim))
-
-let points_within t ~center ~radius =
-  let acc = ref [] in
-  iter_within_offs t ~center ~radius (fun off -> acc := off :: !acc);
-  let offs = Array.of_list (List.rev !acc) in
-  Array.map (fun off -> Vec.of_row t.st ~off ~dim:t.dim) offs
-
-let nearest t query =
-  let best = ref (-1) and best_d2 = ref infinity in
-  let rec go = function
-    | Leaf { lo; hi } ->
-        for i = lo to hi do
-          let off = t.idx.(i) in
-          let d2 = Vec.dist_sq_to_row t.st ~off ~dim:t.dim query in
-          if d2 < !best_d2 then begin
-            best_d2 := d2;
-            best := off
-          end
-        done
-    | Split { left; right; bbox_lo; bbox_hi; axis; threshold; _ } ->
-        if box_dist_sq bbox_lo bbox_hi query < !best_d2 then begin
-          (* Visit the side containing the query first. *)
-          let first, second = if query.(axis) <= threshold then (left, right) else (right, left) in
-          go first;
-          go second
-        end
-  in
-  go t.root;
-  if !best < 0 then invalid_arg "Kdtree.nearest: empty tree"
-  else (Vec.of_row t.st ~off:!best ~dim:t.dim, sqrt !best_d2)
-
-let counts_within_all t centers ~radius =
-  Array.map (fun c -> count_within t ~center:c ~radius) centers
-
-let row_order t = Array.copy t.idx
 
 (* One query, many radii in a single traversal.  [radii] must be ascending
    and non-negative; [r2s] is then ascending too, so at every node the

@@ -1,15 +1,16 @@
 (** A k-d tree over R^d for ball-counting queries.
 
-    This tree answers single ball-count / ball-membership queries in
-    O(n^{1−1/d} + out) without any quadratic precomputation, and a whole
-    ascending radius grid per point in one traversal
-    ({!count_within_row_many}).  It is {!Pointset}'s index backend beyond
-    a few thousand points, where the O(n²)-memory dense distance index
-    stops scaling, and what the large-n experiment paths and the outlier
-    predicates use.  A GoodRadius candidate sweep costs one traversal per
-    point on the tree against shared binary searches over sorted rows on
-    the dense index; either way the count matrix it produces is memoized
-    on the {!Pointset.index}, so only an epoch's first sweep over a grid
+    This tree answers single ball-count queries in O(n^{1−1/d} + out)
+    without any quadratic precomputation, and a whole ascending radius
+    grid per point in one traversal ({!count_within_row_many}).  It is
+    {!Pointset}'s index backend beyond a few thousand points, where the
+    O(n²)-memory dense distance index stops scaling: the pipeline reaches
+    it through a {!Pointset.index}, the registry maintains it across
+    epochs, and only the exponential-mechanism baseline queries it
+    directly.  A GoodRadius candidate sweep costs one traversal per point
+    on the tree against shared binary searches over sorted rows on the
+    dense index; either way the count matrix it produces is memoized on
+    the {!Pointset.index}, so only an epoch's first sweep over a grid
     pays for it.
 
     The tree is a {e view}: built from flat row-major storage, it keeps a
@@ -25,22 +26,11 @@ val build : Vec.t array -> t
     the boxed input into fresh flat storage first.
     @raise Invalid_argument on an empty array or mixed dimensions. *)
 
-val build_flat :
-  ?domains:int -> storage:float array -> offs:int array -> dim:int -> unit -> t
+val build_flat : storage:float array -> offs:int array -> dim:int -> unit -> t
 (** Zero-copy construction over existing flat storage: [offs.(i)] is the
     element offset of point [i]'s row.  [offs] is copied (the build permutes
-    it); [storage] is shared.  [domains > 1] parallelizes construction: a
-    serial skeleton pass performs the top median splits (each partition is
-    confined to the range its ancestors produced), then worker domains
-    build the pending subtrees on disjoint index ranges — the resulting
-    tree (structure and {!row_order} permutation) is bit-identical to the
-    serial build for any [domains].
+    it); [storage] is shared.
     @raise Invalid_argument on empty [offs]. *)
-
-val row_order : t -> int array
-(** A copy of the tree's row-offset permutation, in left-to-right leaf
-    order.  Exposed so tests and bench gates can assert that parallel and
-    serial builds produce identical trees. *)
 
 val size : t -> int
 val dim : t -> int
@@ -84,23 +74,6 @@ val count_within : t -> center:Vec.t -> radius:float -> int
 val count_within_row : t -> float array -> off:int -> radius:float -> int
 (** Same, with the center given as a row of a flat store (allocation-free;
     the store may be the tree's own backing storage). *)
-
-val iter_within : t -> center:Vec.t -> radius:float -> (Vec.t -> unit) -> unit
-(** Visits a fresh copy of each point inside the ball. *)
-
-val iter_within_offs : t -> center:Vec.t -> radius:float -> (int -> unit) -> unit
-(** Allocation-free variant: visits the row offset of each point inside
-    the ball (offsets index the tree's backing storage). *)
-
-val points_within : t -> center:Vec.t -> radius:float -> Vec.t array
-
-val nearest : t -> Vec.t -> Vec.t * float
-(** Nearest stored point (a fresh copy) and its distance.
-    @raise Invalid_argument on an empty tree (cannot happen via {!build}). *)
-
-val counts_within_all : t -> Vec.t array -> radius:float -> int array
-(** [count_within] for a batch of centers (the per-point counts feeding
-    GoodRadius's score on large inputs). *)
 
 val count_within_row_many :
   t -> float array -> off:int -> radii:float array -> out:int array -> stride:int ->

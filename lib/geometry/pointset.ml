@@ -201,16 +201,16 @@ let build_index ?(domains = 1) ps =
   Array.iteri (fun i r -> if r < i then rows.(i) <- rows.(r)) reps;
   { ps; backend = Dense rows; memo = fresh_memo (); reps }
 
-let build_tree_index ?domains ps =
+let build_tree_index ps =
   {
     ps;
-    backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
+    backend = Tree (Kdtree.build_flat ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
     memo = fresh_memo ();
     reps = group_rows ps;
   }
 
 let auto_index ?(dense_threshold = 4096) ?domains ps =
-  if n ps <= dense_threshold then build_index ?domains ps else build_tree_index ?domains ps
+  if n ps <= dense_threshold then build_index ?domains ps else build_tree_index ps
 
 let index_is_dense idx = match idx.backend with Dense _ -> true | Tree _ -> false
 let index_pointset idx = idx.ps

@@ -127,16 +127,18 @@ val build_index : ?domains:int -> t -> index
     that many OCaml domains; rows are independent, so the result is
     identical for any value. *)
 
-val build_tree_index : ?domains:int -> t -> index
+val build_tree_index : t -> index
 (** k-d-tree backend ({!Kdtree}): O(n log n) memory-light construction
     sharing the pointset's storage (zero copy); each radius probe costs n
     tree queries.  The scalable choice for large [n] (and the only
-    reasonable one beyond ~10⁴ points).  [domains > 1] parallelizes the
-    build (see {!Kdtree.build_flat}); the tree is bit-identical to the
-    serial one. *)
+    reasonable one beyond ~10⁴ points).  The build is serial: at the
+    sizes callers build, a second domain saved under 1 ms (PERFORMANCE.md
+    §4). *)
 
 val auto_index : ?dense_threshold:int -> ?domains:int -> t -> index
-(** Dense when [n <= dense_threshold] (default 4096), tree otherwise. *)
+(** Dense when [n <= dense_threshold] (default 4096), tree otherwise.
+    [domains] reaches only the dense build ({!build_index}); the tree
+    build is serial. *)
 
 val index_is_dense : index -> bool
 

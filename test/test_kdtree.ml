@@ -39,54 +39,29 @@ let test_duplicates () =
   let tree = Geometry.Kdtree.build pts in
   check_int "duplicates counted" 150
     (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:0.);
-  check_int "all" 200 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:2.)
-
-let test_points_within () =
-  let r = rng () in
-  let pts = random_points r ~n:300 ~d:2 in
+  check_int "all" 200 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:2.);
+  (* A large cloud whose first 100 rows coincide: here the zero-width box
+     turns up several levels down rather than at the root. *)
+  let r = rng ~seed:91 () in
+  let n = 4000 and d = 3 in
+  let st = Array.init (n * d) (fun i -> if i < 300 then 0.25 else Prim.Rng.float r 1.0) in
+  let pts = Array.init n (fun i -> Array.sub st (i * d) d) in
   let tree = Geometry.Kdtree.build pts in
-  let center = [| 0.; 0. |] and radius = 0.8 in
-  let got = Geometry.Kdtree.points_within tree ~center ~radius in
-  check_int "cardinality matches count" (brute_count pts center radius) (Array.length got);
-  Array.iter
-    (fun p -> check_true "inside" (Geometry.Vec.dist p center <= radius +. 1e-12))
-    got
-
-let test_iter_within () =
-  let r = rng () in
-  let pts = random_points r ~n:200 ~d:2 in
-  let tree = Geometry.Kdtree.build pts in
-  let visited = ref 0 in
-  Geometry.Kdtree.iter_within tree ~center:[| 0.; 0. |] ~radius:1.0 (fun _ -> incr visited);
-  check_int "iter count = count_within" (Geometry.Kdtree.count_within tree ~center:[| 0.; 0. |] ~radius:1.0) !visited
-
-let test_counts_within_all () =
-  let r = rng () in
-  let pts = random_points r ~n:80 ~d:2 in
-  let tree = Geometry.Kdtree.build pts in
-  let counts = Geometry.Kdtree.counts_within_all tree pts ~radius:0.5 in
-  check_int "one count per center" 80 (Array.length counts);
-  Array.iteri
-    (fun i c -> check_int "batch matches single" (Geometry.Kdtree.count_within tree ~center:pts.(i) ~radius:0.5) c)
-    counts
+  List.iter
+    (fun c ->
+      List.iter
+        (fun radius ->
+          check_int
+            (Printf.sprintf "large cloud, center %d, r=%g" c radius)
+            (brute_count pts pts.(c) radius)
+            (Geometry.Kdtree.count_within tree ~center:pts.(c) ~radius))
+        [ 0.; 0.05; 0.5 ])
+    [ 0; n - 1 ]
 
 let test_negative_radius () =
   let tree = Geometry.Kdtree.build [| [| 0. |] |] in
   check_int "negative radius empty" 0
     (Geometry.Kdtree.count_within tree ~center:[| 0. |] ~radius:(-1.))
-
-let qcheck_nearest_matches_brute =
-  qcheck "nearest = brute force" ~count:100 QCheck2.Gen.(pair (int_range 1 80) (int_range 1 4))
-    (fun (n, d) ->
-      let r = rng ~seed:(n * 31 + d) () in
-      let pts = random_points r ~n ~d in
-      let tree = Geometry.Kdtree.build pts in
-      let q = Prim.Rng.gaussian_vector r ~dim:d ~sigma:1.5 in
-      let _, dist = Geometry.Kdtree.nearest tree q in
-      let brute =
-        Array.fold_left (fun acc p -> Float.min acc (Geometry.Vec.dist p q)) infinity pts
-      in
-      Float.abs (dist -. brute) < 1e-9)
 
 (* --- Tree-backed Pointset index --- *)
 
@@ -143,11 +118,7 @@ let suite =
     case "build validation" test_build_validation;
     case "size / dim" test_size_dim;
     case "duplicates" test_duplicates;
-    case "points_within" test_points_within;
-    case "iter_within" test_iter_within;
-    case "counts_within_all" test_counts_within_all;
     case "negative radius" test_negative_radius;
-    qcheck_nearest_matches_brute;
     case "tree index matches dense index" test_tree_index_matches_dense;
     case "auto index" test_auto_index;
     case "good radius on tree index" test_good_radius_on_tree_index;

@@ -1,9 +1,8 @@
 (* Differential suite for lib/kernel: every C stub must agree bit-for-bit
    with its pure-OCaml reference (Kernel.Ref) — the ULP bound is zero by
    contract (DESIGN.md §11), which is what lets the runtime switch backends
-   without breaking Result_cache exact replay.  Also pins the parallel
-   kd-tree build against the serial one and the batched GoodRadius sweep
-   against per-radius scoring. *)
+   without breaking Result_cache exact replay.  Also pins the batched
+   GoodRadius sweep against per-radius scoring. *)
 
 open Testutil
 
@@ -379,43 +378,6 @@ let test_score_l_many_above_memo_bound =
         [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
       true)
 
-let test_parallel_build_equals_serial =
-  qcheck ~count:40 "parallel kd build = serial (row_order + structure)"
-    QCheck2.Gen.(pair cloud_gen (int_range 2 4))
-    (fun ((d, pts), domains) ->
-      let st, offs = flat_of pts d in
-      let serial = Geometry.Kdtree.build_flat ~domains:1 ~storage:st ~offs ~dim:d () in
-      let par = Geometry.Kdtree.build_flat ~domains ~storage:st ~offs ~dim:d () in
-      check_int_array "row_order" (Geometry.Kdtree.row_order serial)
-        (Geometry.Kdtree.row_order par);
-      List.iter
-        (fun radius ->
-          check_int
-            (Printf.sprintf "count at r=%g" radius)
-            (Geometry.Kdtree.count_within serial ~center:pts.(0) ~radius)
-            (Geometry.Kdtree.count_within par ~center:pts.(0) ~radius))
-        [ 0.; 0.5; 2.; 10. ];
-      true)
-
-let test_parallel_build_large_cloud () =
-  (* Big enough to cross several skeleton levels and exercise real worker
-     domains, with a duplicated block to hit the degenerate-bbox leaf. *)
-  let r = rng ~seed:91 () in
-  let n = 4000 and d = 3 in
-  let st =
-    Array.init (n * d) (fun i -> if i < 300 then 0.25 else Prim.Rng.float r 1.0)
-  in
-  let offs = Array.init n (fun i -> i * d) in
-  let serial = Geometry.Kdtree.build_flat ~domains:1 ~storage:st ~offs ~dim:d () in
-  List.iter
-    (fun domains ->
-      let par = Geometry.Kdtree.build_flat ~domains ~storage:st ~offs ~dim:d () in
-      check_int_array
-        (Printf.sprintf "row_order at %d domains" domains)
-        (Geometry.Kdtree.row_order serial)
-        (Geometry.Kdtree.row_order par))
-    [ 2; 4; 8 ]
-
 let test_native_off_matches_native_on () =
   (* End-to-end: the full pipeline must be bit-identical with the C kernels
      on and off — same centers, radii, and stage diagnostics. *)
@@ -467,8 +429,6 @@ let suite =
     test_score_l_many_matches_score_l;
     test_score_l_many_memo_matches_score_l;
     test_score_l_many_above_memo_bound;
-    test_parallel_build_equals_serial;
-    case "parallel kd build, large cloud, 2/4/8 domains" test_parallel_build_large_cloud;
     case "pipeline bit-identical with kernels on/off" test_native_off_matches_native_on;
     case "runtime selection switches" test_selection_reporting;
   ]

@@ -107,10 +107,7 @@ let test_stability_hist_empty () =
 
 let test_kdtree_single_point () =
   let tree = Geometry.Kdtree.build [| [| 0.5; 0.5 |] |] in
-  check_int "count self" 1 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:0.);
-  let p, d = Geometry.Kdtree.nearest tree [| 0.; 0. |] in
-  check_true "nearest is the point" (Geometry.Vec.equal p [| 0.5; 0.5 |]);
-  check_float ~tol:1e-9 "distance" (sqrt 0.5) d
+  check_int "count self" 1 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:0.)
 
 let test_threshold_release_uniform_vs_empty_range () =
   let r = rng () in
