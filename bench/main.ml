@@ -7,8 +7,9 @@
    (B10), the daemon round-trip overhead bench (B11), the
    mutate-then-requery epoch/result-cache bench (B12, gated: cache hits
    must charge zero), the native-kernel gates (B13: C fast paths
-   bit-identical to the pure-OCaml references, native dense index rows
-   equal to the reference rows, and a kernel speedup floor), the
+   bit-identical to the pure-OCaml references, the tree index's counts
+   and k-th neighbour distances identical across the two tiers, and a
+   kernel speedup floor), the
    competitor e2e bench (B14: centralized one-cluster vs the LDP protocol
    vs the private MEB fPTAS, gated: the LDP path stays within its
    documented overhead envelope of the centralized call), and the
@@ -38,8 +39,7 @@ let beta = Workload.Harness.default_beta
 
 (* A fixed midsize workload shared by all timing benches so their costs are
    comparable.  [n]/[dim] are adjustable from the command line to track the
-   perf trajectory at larger scales (the index backend switches to the k-d
-   tree automatically past the dense threshold). *)
+   perf trajectory at larger scales. *)
 type fixture = {
   rng : Prim.Rng.t;
   grid : Geometry.Grid.t;
@@ -57,7 +57,7 @@ let fixture ?(n = 1500) ?(dim = 2) () =
     Workload.Synth.planted_ball rng ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.05
   in
   let ps = Geometry.Pointset.create w.Workload.Synth.points in
-  let idx = Geometry.Pointset.auto_index ps in
+  let idx = Geometry.Pointset.build_index ps in
   { rng; grid; points = w.Workload.Synth.points; ps; idx; t = 2 * n / 5; radius = 0.1 }
 
 (* The size tier a bench runs at.  [smoke] shrinks the loops that CI only
@@ -742,13 +742,13 @@ let run_epoch_bench tier _fx =
 (* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
    shadow, on the same workload GoodRadius runs (the full candidate
-   sweep) and on the JL projection; (b) the dense index built with the
-   native kernels (distance fill and row sort) must hold exactly the
-   reference rows at n = 3000, the daemon's dense workload size — its
-   build times are reported, not gated; (c) the native kernels must
-   actually be faster than the references by at least [floor] — guarding
-   against a build where the stubs silently compiled to a slow path.  The
-   dense build and the speedup measurement use their own fixed-size
+   sweep) and on the JL projection; (b) the tree index at n = 3000, the
+   daemon's serving size, must give the same counts at every geometric
+   candidate radius and the same t-th neighbour distance at every point
+   under both tiers — the query times are reported, not gated; (c) the
+   native kernels must actually be faster than the references by at
+   least [floor] — guarding against a build where the stubs silently
+   compiled to a slow path.  Gates (b) and (c) use their own fixed-size
    fixtures so the gates do not loosen when --smoke shrinks the shared
    one. *)
 let run_kernel_gates _tier fx =
@@ -783,35 +783,34 @@ let run_kernel_gates _tier fx =
   Workload.Report.kv "good-radius sweep bit-identical (native vs reference)"
     (yes_no identity_sweep);
   Workload.Report.kv "jl projection bit-identical (native vs reference)" (yes_no identity_jl);
-  (* (b) dense index rows, native vs reference, one build each. *)
-  let dense_n = 3000 in
-  let dense_ps =
-    let drng = Prim.Rng.create ~seed:99 () in
+  (* (b) the tree index's answers, native vs reference, on one index. *)
+  let tree_n = 3000 in
+  let tree_t = 2 * tree_n / 5 in
+  let tree_idx =
+    let trng = Prim.Rng.create ~seed:99 () in
     let w =
-      Workload.Synth.planted_ball drng ~grid:fx.grid ~n:dense_n ~cluster_fraction:0.5
+      Workload.Synth.planted_ball trng ~grid:fx.grid ~n:tree_n ~cluster_fraction:0.5
         ~cluster_radius:0.05
     in
-    Geometry.Pointset.create w.Workload.Synth.points
+    Geometry.Pointset.build_index (Geometry.Pointset.create w.Workload.Synth.points)
   in
-  let build b =
-    with_native b (fun () -> Workload.Harness.time (fun () -> Geometry.Pointset.build_index dense_ps))
+  let answers b =
+    with_native b (fun () ->
+        Workload.Harness.time (fun () ->
+            ( Array.map (fun radius -> Geometry.Pointset.counts_within tree_idx ~radius) radii,
+              bits
+                (Array.init tree_n (fun i ->
+                     Geometry.Pointset.kth_neighbor_distance tree_idx ~k:tree_t i)) )))
   in
-  let dense_native, dense_native_ms = build true in
-  let dense_ref, dense_ref_ms = build false in
-  let dense_rows_ok =
-    let same i k =
-      let kth idx = Int64.bits_of_float (Geometry.Pointset.kth_neighbor_distance idx ~k i) in
-      kth dense_native = kth dense_ref
-    in
-    Seq.for_all
-      (fun i -> Seq.for_all (same i) (Seq.init dense_n succ))
-      (Seq.init dense_n Fun.id)
-  in
+  let tree_native, tree_native_ms = answers true in
+  let tree_ref, tree_ref_ms = answers false in
+  let tree_ok = tree_native = tree_ref in
   Workload.Report.kv
-    (Printf.sprintf "dense index rows bit-identical at n = %d (native vs reference)" dense_n)
-    (yes_no dense_rows_ok);
-  Workload.Report.kv "dense index build (native / reference)"
-    (Printf.sprintf "%.1f ms / %.1f ms" dense_native_ms dense_ref_ms);
+    (Printf.sprintf "tree counts and t-th distances bit-identical at n = %d (native vs reference)"
+       tree_n)
+    (yes_no tree_ok);
+  Workload.Report.kv "tree queries (native / reference)"
+    (Printf.sprintf "%.1f ms / %.1f ms" tree_native_ms tree_ref_ms);
   (* (c) speedup floor, native vs reference: the two paths interleaved,
      best of three rounds each. *)
   let mrng = Prim.Rng.create ~seed:424242 () in
@@ -879,13 +878,13 @@ let run_kernel_gates _tier fx =
     fields =
       [
         ("identity_bitwise", Bool identity_ok);
-        ("dense_rows_identical", Bool dense_rows_ok);
-        ( "dense_build",
+        ("tree_identical", Bool tree_ok);
+        ( "tree_queries",
           Obj
             [
-              ("n", Int dense_n);
-              ("native_ms", Float dense_native_ms);
-              ("reference_ms", Float dense_ref_ms);
+              ("n", Int tree_n);
+              ("native_ms", Float tree_native_ms);
+              ("reference_ms", Float tree_ref_ms);
             ] );
         ("speedup_floor", Float floor);
         ("floor_enforced", Bool enforced);
@@ -905,7 +904,7 @@ let run_kernel_gates _tier fx =
     gates =
       [
         ("native kernels bit-identical to their references", identity_ok);
-        ("native dense index rows identical to the reference rows", dense_rows_ok);
+        ("tree index answers identical across the kernel tiers", tree_ok);
         (Printf.sprintf "kernel speedup >= %.1fx" floor, floor_ok);
       ];
   }
@@ -1169,7 +1168,7 @@ let benches =
     };
     {
       id = "B13";
-      headline = "native kernels: identity, dense rows, speedup floor";
+      headline = "native kernels: identity, tree index, speedup floor";
       run = run_kernel_gates;
     };
     {

@@ -60,7 +60,7 @@ let one_run rng spec profile =
     max 1 (int_of_float (spec.t_fraction *. float_of_int w.Workload.Synth.cluster_size))
   in
   let ps = Geometry.Pointset.create w.Workload.Synth.points in
-  let idx = Geometry.Pointset.auto_index ps in
+  let idx = Geometry.Pointset.build_index ps in
   let _, r_hi = Workload.Metrics.r_opt_bounds_indexed idx ~t in
   let r_hi = Float.min r_hi w.Workload.Synth.cluster_radius in
   match

@@ -407,7 +407,7 @@ let neighbour_workload cfg ~axis ~n ~radius =
 let good_radius_dp ~stream cfg =
   let eps = 1.0 and delta = 1e-6 and beta = 0.1 and t = 100 in
   let grid, left, right = neighbour_workload cfg ~axis:64 ~n:250 ~radius:0.06 in
-  let index points = Geometry.Pointset.auto_index (Geometry.Pointset.create points) in
+  let index points = Geometry.Pointset.build_index (Geometry.Pointset.create points) in
   let idx_left = index left and idx_right = index right in
   let obs idx r =
     (Privcluster.Good_radius.run r Privcluster.Profile.practical ~grid ~eps ~delta ~beta ~t idx)
@@ -421,7 +421,7 @@ let good_radius_dp ~stream cfg =
 let one_cluster_dp ~stream cfg =
   let eps = 1.0 and delta = 1e-6 and beta = 0.1 and t = 60 in
   let grid, left, right = neighbour_workload cfg ~axis:64 ~n:150 ~radius:0.08 in
-  let index points = Geometry.Pointset.auto_index (Geometry.Pointset.create points) in
+  let index points = Geometry.Pointset.build_index (Geometry.Pointset.create points) in
   let idx_left = index left and idx_right = index right in
   let obs idx r =
     match

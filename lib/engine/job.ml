@@ -237,20 +237,33 @@ let args = function
   | Meb { t_fraction; coreset } -> [ ("t_fraction", hex t_fraction); ("coreset", string_of_int coreset) ]
 
 (* The mechanism parameters of a spec, excluding identity and scheduling
-   knobs (id, deadline, fallback): two specs with equal signatures drive
-   the pipeline identically, so given the same dataset epoch and derived
-   RNG stream they produce bit-identical outputs.  Floats are rendered
-   with %h (exact hex) — no two distinct parameterizations collide. *)
-let signature spec =
+   knobs (id, deadline, fallback), in the jobs-file syntax.  Floats are
+   rendered with %h (exact hex) — no two distinct parameterizations
+   collide. *)
+let params_line spec =
   args spec.kind @ [ ("eps", hex spec.eps); ("delta", hex spec.delta); ("beta", hex spec.beta) ]
   |> List.map (fun (k, v) -> k ^ "=" ^ v)
   |> String.concat " "
   |> Printf.sprintf "%s %s" (kind_name spec.kind)
 
-(* The signature's exact rendering, then the identity and scheduling knobs:
-   [parse] returns the same spec bit for bit. *)
+(* The version of the answers a spec's parameters produce, bumped when
+   the same parameters, epoch and RNG stream would yield different bits:
+   a result-cache entry or journaled [cached] record made under an older
+   version then never matches a new recomputation.  Signatures before
+   the first bump carry no version field.
+   2: every index is the k-d tree, counting [sqrt acc <= r] exactly, and
+      the tree's k-th neighbour distance is exact (it was a bisection). *)
+let answer_version = 2
+
+(* Two specs with equal signatures drive the pipeline identically, so
+   given the same dataset epoch and derived RNG stream they produce
+   bit-identical outputs. *)
+let signature spec = Printf.sprintf "%s version=%d" (params_line spec) answer_version
+
+(* The parameters, then the identity and scheduling knobs: [parse]
+   returns the same spec bit for bit. *)
 let spec_to_line spec =
-  signature spec ^ " id=" ^ spec.id
+  params_line spec ^ " id=" ^ spec.id
   ^ (match spec.deadline_s with Some d -> " deadline=" ^ hex d | None -> "")
   ^ if spec.fallback then " fallback=true" else ""
 

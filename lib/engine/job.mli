@@ -114,8 +114,8 @@ val parse : ?default_beta:float -> string -> (spec list, string) result
     one-line message with the offending line number. *)
 
 val spec_to_line : spec -> string
-(** Render a spec back to the file format: its {!signature}, then [id],
-    [deadline] and [fallback].  Floats are exact (hex), so [parse]
+(** Render a spec back to the file format: its {!signature} without the
+    version field, then [id], [deadline] and [fallback].  Floats are exact (hex), so [parse]
     returns the same spec bit for bit; this is the line a standing query
     is journaled as. *)
 
@@ -174,10 +174,14 @@ val pp_result : Format.formatter -> result -> unit
 val signature : spec -> string
 (** The spec's mechanism parameters — kind, kind arguments, [(ε, δ)], β —
     rendered exactly (hex floats), excluding identity and scheduling
-    knobs ([id], [deadline], [fallback]).  Two specs with equal
-    signatures, run against the same dataset epoch with the same derived
-    RNG stream, produce bit-identical outputs; the signature is therefore
-    the job-parameter component of {!Result_cache} keys. *)
+    knobs ([id], [deadline], [fallback]), followed by [version=N], the
+    version of the answers the library computes for them.  Two specs with
+    equal signatures, run against the same dataset epoch with the same
+    derived RNG stream, produce bit-identical outputs; the signature is
+    therefore the job-parameter component of {!Result_cache} keys.  The
+    version is bumped whenever a change to the library changes those
+    outputs, so cache entries and journaled [cached] records made by an
+    older build never match a new recomputation. *)
 
 val output_to_wire : output -> Obs.Json.t
 (** Exact JSON encoding for WAL journaling: the fields of the reply's

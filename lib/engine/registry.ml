@@ -10,14 +10,12 @@ module Json = Obs.Json
    keep working through structural sharing — their views and trees hold a
    reference to whatever array backed them.
 
-   Index maintenance is incremental on the k-d-tree backend: appended rows
-   are routed into existing leaves ([Kdtree.insert_bulk]) and retired rows
+   Every index is a k-d tree, maintained incrementally: appended rows are
+   routed into existing leaves ([Kdtree.insert_bulk]) and retired rows
    masked out ([Kdtree.remove_bulk]); once accumulated drift exceeds half
    the size the tree was last built at, the next mutation rebuilds from
    scratch.  Count-based queries — the only kind the pipeline issues — are
-   bit-identical either way.  The dense backend is recomputed per epoch
-   (it is only chosen for small n, where the O(n²) rebuild is the same
-   cost a fresh registration would pay).
+   bit-identical either way.
 
    An epoch holds its view, its index and two caches that are pure
    functions of its rows: the r_opt-bounds table (in the epoch state) and
@@ -32,7 +30,7 @@ type epoch_state = {
   pointset : Geometry.Pointset.t;
   index : Geometry.Pointset.index;  (** carries the epoch's count-matrix memo *)
   bounds : (int, float * float) Hashtbl.t;
-  tree_base : int;  (** size at the last full (re)build of a tree index *)
+  tree_base : int;  (** size at the last full (re)build of the tree *)
   drift : int;  (** rows inserted/removed incrementally since then *)
 }
 
@@ -44,8 +42,6 @@ type dataset = {
   name : string;
   grid : Geometry.Grid.t;
   accountant : Accountant.t;
-  dense_threshold : int option;
-  index_domains : int option;
   mutable arena : float array;
   mutable used : int;  (** elements of [arena] below the high-water mark *)
   mutable current : epoch_state;
@@ -72,11 +68,11 @@ let fresh_epoch ~epoch ps index =
     drift = 0;
   }
 
-let register t ~name ~grid ?mode ~budget ?dense_threshold ?index_domains points =
+let register t ~name ~grid ?mode ~budget points =
   if find t name <> None then
     invalid_arg (Printf.sprintf "Registry.register: duplicate dataset %S" name);
   let pointset = Geometry.Pointset.create points in
-  let index = Geometry.Pointset.auto_index ?dense_threshold ?domains:index_domains pointset in
+  let index = Geometry.Pointset.build_index pointset in
   let accountant = Accountant.create ?mode ~budget () in
   Accountant.subscribe accountant Accountant.trace;
   let dataset =
@@ -84,8 +80,6 @@ let register t ~name ~grid ?mode ~budget ?dense_threshold ?index_domains points 
       name;
       grid;
       accountant;
-      dense_threshold;
-      index_domains;
       arena = Geometry.Pointset.storage pointset;
       used = Geometry.Pointset.n pointset * Geometry.Pointset.dim pointset;
       current = fresh_epoch ~epoch:0 pointset index;
@@ -111,29 +105,27 @@ let subscribe_mutations d f = d.mutation_listeners <- f :: d.mutation_listeners
 
 let notify d mutation = List.iter (fun f -> f mutation) (List.rev d.mutation_listeners)
 
-let reindex d ps =
-  Geometry.Pointset.auto_index ?dense_threshold:d.dense_threshold ?domains:d.index_domains ps
-
 let rebuild_threshold base = max 64 (base / 2)
 
-(* Publish the epoch after the current one over [ps'].  On the k-d-tree
-   backend [update] maintains the current tree incrementally ([moved] rows
-   inserted or removed) until the accumulated drift passes
-   [rebuild_threshold]; past it, and on the dense backend, the index is
-   rebuilt from scratch. *)
+(* Publish the epoch after the current one over [ps'].  [update]
+   maintains the current tree incrementally ([moved] rows inserted or
+   removed) until the accumulated drift passes [rebuild_threshold]; past
+   it, the index is rebuilt from scratch. *)
 let publish d ps' ~moved ~update =
   let cur = d.current in
   let epoch = cur.epoch + 1 in
   let state =
-    match Geometry.Pointset.index_tree cur.index with
-    | Some tree when cur.drift + moved <= rebuild_threshold cur.tree_base ->
-        let tree = update (Geometry.Kdtree.with_storage tree ~storage:d.arena) in
-        {
-          (fresh_epoch ~epoch ps' (Geometry.Pointset.index_of_tree ps' tree)) with
-          tree_base = cur.tree_base;
-          drift = cur.drift + moved;
-        }
-    | Some _ | None -> fresh_epoch ~epoch ps' (reindex d ps')
+    if cur.drift + moved <= rebuild_threshold cur.tree_base then
+      let tree =
+        update
+          (Geometry.Kdtree.with_storage (Geometry.Pointset.index_tree cur.index) ~storage:d.arena)
+      in
+      {
+        (fresh_epoch ~epoch ps' (Geometry.Pointset.index_of_tree ps' tree)) with
+        tree_base = cur.tree_base;
+        drift = cur.drift + moved;
+      }
+    else fresh_epoch ~epoch ps' (Geometry.Pointset.build_index ps')
   in
   d.current <- state;
   epoch
@@ -218,12 +210,9 @@ let r_opt_bounds d ~t =
   | None ->
       (* Computed under the lock: concurrent first requests for the same [t]
          would otherwise both pay the scan.  The pruned 2-approximation
-         scan is short on both backends: one probe per distinct point
-         (one read per dense row, one query per tree point; duplicates
-         are skipped) plus one exact t-th neighbor evaluation per
-         improvement of (or tie with) the running best — about ten
-         milliseconds on a k-d tree at n ≈ 4000, well under a
-         millisecond dense. *)
+         scan is short: one tree query per distinct point (duplicates are
+         skipped) plus one exact t-th neighbor evaluation per improvement
+         of (or tie with) the running best. *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock d.mu)
         (fun () ->
@@ -246,8 +235,7 @@ let to_json d =
       ("n", Json.Int (n d));
       ("dim", Json.Int (dim d));
       ("axis_size", Json.Int (Geometry.Grid.axis_size d.grid));
-      ( "index_backend",
-        Json.String (if Geometry.Pointset.index_is_dense (index d) then "dense" else "kdtree") );
+      ("index_backend", Json.String "kdtree");
       ("r_opt_bounds_cache", Json.Obj [ ("lookups", Json.Int lookups); ("hits", Json.Int hits) ]);
       ("accountant", Accountant.to_json d.accountant);
     ]

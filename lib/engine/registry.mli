@@ -2,8 +2,7 @@
     queries — now epoch-versioned.
 
     Registering a dataset builds its {!Geometry.Pointset.index} once (the
-    O(n²) — or k-d-tree — construction that dominates a cold 1-cluster
-    query) and attaches a budgeted {!Accountant}; every subsequent job
+    k-d-tree construction) and attaches a budgeted {!Accountant}; every subsequent job
     against the dataset reuses both.
 
     {b Epochs.}  A dataset is no longer frozen at registration: {!append}
@@ -11,7 +10,7 @@
     (pointset view + index + r_opt-bounds cache) over the dataset's
     append-only arena.  Readers holding the previous epoch keep computing
     against it unchanged (structural sharing); new work sees the new
-    epoch.  On the k-d-tree backend the index is maintained incrementally
+    epoch.  The index's k-d tree is maintained incrementally
     ({!Geometry.Kdtree.insert_bulk} / [remove_bulk]) with a full rebuild
     once accumulated drift exceeds half the last-built size; count-based
     query results are bit-identical to a fresh build either way.  The
@@ -44,17 +43,13 @@ val register :
   grid:Geometry.Grid.t ->
   ?mode:Accountant.mode ->
   budget:Prim.Dp.params ->
-  ?dense_threshold:int ->
-  ?index_domains:int ->
   Geometry.Vec.t array ->
   dataset
-(** Build the index ({!Geometry.Pointset.auto_index} with the given dense
-    threshold) and the accountant — subscribed to {!Accountant.trace}, so
+(** Build the index ({!Geometry.Pointset.build_index}) and the accountant — subscribed to {!Accountant.trace}, so
     every ledger operation on it is traced — and file the dataset under
     [name] at epoch 0.  The points are packed once into flat storage, which becomes
     the dataset's arena; every job then reads that storage through
-    zero-copy views.  [index_domains > 1] parallelizes the dense-index
-    construction (the result is identical for any value).
+    zero-copy views.
     @raise Invalid_argument on a duplicate name, an empty point array, or
     points of mixed dimension. *)
 

@@ -65,11 +65,8 @@ let subscribe_standing t f = t.standing_listeners <- f :: t.standing_listeners
 let standing_queries t =
   List.rev_map (fun st -> (st.dataset_name, st.base_id, st.ticks, st.periods)) t.standing
 
-let register t ~name ~grid ?mode ~budget ?dense_threshold points =
-  (* The dense-index rows are independent, so building them on the
-     service's worker-domain count changes nothing but wall-clock. *)
-  Registry.register t.registry ~name ~grid ?mode ~budget ?dense_threshold
-    ~index_domains:t.domains points
+let register t ~name ~grid ?mode ~budget points =
+  Registry.register t.registry ~name ~grid ?mode ~budget points
 
 let target_of spec dataset =
   match Job.t_fraction spec.Job.kind with

@@ -81,7 +81,6 @@ val register :
   grid:Geometry.Grid.t ->
   ?mode:Accountant.mode ->
   budget:Prim.Dp.params ->
-  ?dense_threshold:int ->
   Geometry.Vec.t array ->
   Registry.dataset
 (** Convenience passthrough to {!Registry.register} on the service's

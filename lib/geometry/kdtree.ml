@@ -19,7 +19,11 @@ type node =
 
 type t = { st : float array; idx : int array; root : node; size : int; dim : int }
 
-let leaf_capacity = 16
+(* One constant for every d, chosen by measurement on the d = 2 planted
+   sets the serving workloads use: first use (build, cold sweep, r_opt)
+   took up to 20% longer at 16 and no less at 128 or 256
+   (PERFORMANCE.md §4). *)
+let leaf_capacity = 64
 
 let bbox st dim idx lo hi =
   let blo = Array.make dim infinity and bhi = Array.make dim neg_infinity in
@@ -127,9 +131,8 @@ let with_storage t ~storage =
    use), leaves absorb their arrivals in append order, and split bboxes
    widen to cover them.  Counting queries are order-independent sums of
    per-point ball-membership tests, so a tree maintained this way answers
-   every count (and everything derived from counts, e.g. the radius
-   bisection of [Pointset.kth_neighbor_distance]) bit-identically to a
-   fresh build over the same points — only the traversal order differs.
+   every count bit-identically to a fresh build over the same points —
+   only the traversal order differs.
    Leaves grow past [leaf_capacity] here; the registry bounds the
    degradation with a drift threshold that triggers a full rebuild. *)
 let insert_bulk t ~offs:new_offs =
@@ -270,8 +273,14 @@ let rec count_node t node center r2 =
       else if box_far_dist_sq bbox_lo bbox_hi center <= r2 then node_size node
       else count_node t left center r2 + count_node t right center r2
 
-let count_within t ~center ~radius =
-  if radius < 0. then 0 else count_node t t.root center (radius *. radius)
+(* Every query compares squared distances against [Vec.ball_r2 radius], so
+   it counts exactly the points with [sqrt acc <= radius].  Pruning stays
+   exact against any threshold: correctly rounded subtraction, squaring
+   and summation are monotone, so no point in a box has a smaller
+   computed squared distance than the box's near bound, nor a larger one
+   than its far bound.  A negative radius gives [neg_infinity]: the root
+   prunes and the count is 0. *)
+let count_within t ~center ~radius = count_node t t.root center (Vec.ball_r2 radius)
 
 (* Center given as a row of some flat store (possibly [t]'s own). *)
 let rec count_node_row t node cst coff r2 =
@@ -284,11 +293,11 @@ let rec count_node_row t node cst coff r2 =
       else if box_far_dist_sq_row bbox_lo bbox_hi cst coff <= r2 then node_size node
       else count_node_row t left cst coff r2 + count_node_row t right cst coff r2
 
-let count_within_row t cst ~off ~radius =
-  if radius < 0. then 0 else count_node_row t t.root cst off (radius *. radius)
+let count_within_row t cst ~off ~radius = count_node_row t t.root cst off (Vec.ball_r2 radius)
 
 (* One query, many radii in a single traversal.  [radii] must be ascending
-   and non-negative; [r2s] is then ascending too, so at every node the
+   and non-negative; [r2s] is then ascending too ([Vec.ball_r2] is
+   monotone), so at every node the
    radii still "in play" form a window [jlo, jhi): below it the subtree is
    pruned (near-distance > r²), at/above [jfull] the subtree is fully
    contained (far-distance <= r²) and contributes its size to every such
@@ -299,7 +308,7 @@ let count_within_row t cst ~off ~radius =
 let count_within_row_many t cst ~off:coff ~radii ~out ~stride ~col =
   let nr = Array.length radii in
   if nr > 0 then begin
-    let r2s = Array.map (fun r -> r *. r) radii in
+    let r2s = Array.map Vec.ball_r2 radii in
     let acc = Array.make (nr + 1) 0 in
     (* First index in [jlo, jhi) whose r² clears [bound]. *)
     let first_ge jlo jhi bound =

@@ -3,15 +3,17 @@
     This tree answers single ball-count queries in O(n^{1−1/d} + out)
     without any quadratic precomputation, and a whole ascending radius
     grid per point in one traversal ({!count_within_row_many}).  It is
-    {!Pointset}'s index backend beyond a few thousand points, where the
-    O(n²)-memory dense distance index stops scaling: the pipeline reaches
-    it through a {!Pointset.index}, the registry maintains it across
-    epochs, and only the exponential-mechanism baseline queries it
-    directly.  A GoodRadius candidate sweep costs one traversal per point
-    on the tree against shared binary searches over sorted rows on the
-    dense index; either way the count matrix it produces is memoized on
-    the {!Pointset.index}, so only an epoch's first sweep over a grid
-    pays for it.
+    the one index behind every {!Pointset.index}, at every n and d: the
+    pipeline reaches it through the index, the registry maintains it
+    across epochs, and only the exponential-mechanism baseline queries it
+    directly.  A GoodRadius candidate sweep costs one traversal per
+    distinct point, and the count matrix it produces is memoized on the
+    {!Pointset.index}, so only an epoch's first sweep over a grid pays
+    for it.
+
+    Ball membership is [sqrt acc <= radius] for the computed squared
+    distance [acc] — the predicate of {!Vec.dist} — tested as
+    [acc <= Vec.ball_r2 radius], which is equivalent bit for bit.
 
     The tree is a {e view}: built from flat row-major storage, it keeps a
     reference to the backing store and permutes only an array of row
@@ -42,8 +44,8 @@ val dim : t -> int
     instead of a rebuild per mutation.  Both operations preserve {e query}
     results bit-exactly versus a fresh build over the same points: every
     query this library's pipeline issues is a sum of per-point
-    ball-membership indicators (or a bisection over such sums), which is
-    independent of the order points are visited in. *)
+    ball-membership indicators, which is independent of the order points
+    are visited in. *)
 
 val with_storage : t -> storage:float array -> t
 (** The same tree reading through [storage] instead of its original
@@ -69,7 +71,7 @@ val remove_bulk : t -> dead:(int -> bool) -> t
 
 val count_within : t -> center:Vec.t -> radius:float -> int
 (** Number of stored points with [dist p center <= radius] (inclusive, like
-    {!Pointset.ball_count}). *)
+    {!Pointset.ball_count}); 0 for a negative radius. *)
 
 val count_within_row : t -> float array -> off:int -> radius:float -> int
 (** Same, with the center given as a row of a flat store (allocation-free;

@@ -66,14 +66,17 @@ let filter_rows pred t =
 
 let filter pred t = filter_rows (fun st off -> pred (Vec.of_row st ~off ~dim:t.dim)) t
 
+(* Every ball below counts [sqrt acc <= radius] through [Vec.ball_r2] —
+   the k-d tree's predicate too — so a count never depends on how it was
+   computed. *)
 let ball_count t ~center ~radius =
   if Vec.dim center <> t.dim then invalid_arg "Pointset.ball_count: dimension mismatch";
-  let r2 = radius *. radius in
+  let r2 = Vec.ball_r2 radius in
   Kernel.count_within ~st:t.st ~offs:t.offs ~lo:0 ~hi:(n t - 1) ~q:center ~qoff:0
     ~dim:t.dim ~r2
 
 let ball_points t ~center ~radius =
-  let r2 = radius *. radius in
+  let r2 = Vec.ball_r2 radius in
   points (filter_rows (fun st off -> Vec.dist_sq_to_row st ~off ~dim:t.dim center <= r2) t)
 
 let capped_ball_count t ~cap ~center ~radius = min cap (ball_count t ~center ~radius)
@@ -92,7 +95,7 @@ let top_average counts ~k =
 let score_l_direct t ~cap ~radius =
   if radius < 0. then 0.
   else begin
-    let r2 = radius *. radius in
+    let r2 = Vec.ball_r2 radius in
     let count = n t in
     let counts =
       Array.init count (fun i ->
@@ -101,10 +104,6 @@ let score_l_direct t ~cap ~radius =
     in
     Kernel.top_avg_capped ~counts ~off:0 ~len:count ~cap ~k:(min cap count)
   end
-
-type backend =
-  | Dense of float array array  (** per-point sorted distance rows *)
-  | Tree of Kdtree.t
 
 (* One-entry memo of the count matrix [score_l_many] sweeps: the
    non-negative radii it was filled for ([key]; empty = no entry) and the
@@ -116,7 +115,7 @@ type memo = { mu : Mutex.t; mutable key : float array; mutable counts : int arra
 
 (* [reps] is the row grouping ([group_rows]), computed when the index is
    built and never written afterwards. *)
-type index = { ps : t; backend : backend; memo : memo; reps : int array }
+type index = { ps : t; tree : Kdtree.t; memo : memo; reps : int array }
 
 let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
 
@@ -124,9 +123,9 @@ let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
    [i]'s (so [reps.(i) <= i]), keyed on [Int64.bits_of_float] of every
    coordinate — [0.0] and [-0.0] stay apart.  A point's distance to every
    other point is a function of its own coordinates alone, so a
-   duplicate's distance row, ball counts and k-th neighbour distance are
-   exactly its representative's: every per-row sweep below runs once per
-   distinct point and copies the rest. *)
+   duplicate's ball counts are exactly its representative's: every
+   per-row sweep below runs once per distinct point and copies the
+   rest. *)
 let group_rows ps =
   let count = n ps and d = ps.dim and st = ps.st and offs = ps.offs in
   let module H = Hashtbl.Make (struct
@@ -159,106 +158,37 @@ let group_rows ps =
 
 let is_representative idx i = idx.reps.(i) = i
 
-(* One dense row: distances from point [i] to every point, sorted.  Scans
-   the flat storage once per row; identical float sequence to the boxed
-   per-point [Vec.dist] map it replaces. *)
-let dense_row ps i =
-  let count = n ps in
-  let row = Array.create_float count in
-  Kernel.dists_to_rows ~st:ps.st ~offs:ps.offs ~n:count ~q:ps.st ~qoff:ps.offs.(i)
-    ~dim:ps.dim ~out:row;
-  Kernel.sort_floats row;
-  row
-
-let build_index ?(domains = 1) ps =
-  let count = n ps in
-  let reps = group_rows ps in
-  let distinct = Array.of_seq (Seq.filter (fun i -> reps.(i) = i) (Seq.init count Fun.id)) in
-  let m = Array.length distinct in
-  let rows = Array.make count [||] in
-  let fill lo hi =
-    for j = lo to hi - 1 do
-      let i = distinct.(j) in
-      rows.(i) <- dense_row ps i
-    done
-  in
-  let domains = max 1 (min domains m) in
-  if domains <= 1 then fill 0 m
-  else begin
-    (* Rows are independent; each domain fills a contiguous chunk of the
-       distinct rows (not of the index range, where a planted cluster's
-       contiguous duplicates would leave one domain most of the work), so
-       the result (and every downstream query) is identical for any
-       [domains]. *)
-    let chunk = (m + domains - 1) / domains in
-    List.init domains (fun k ->
-        let lo = k * chunk and hi = min m ((k + 1) * chunk) in
-        Domain.spawn (fun () -> fill lo hi))
-    |> List.iter Domain.join
-  end;
-  (* A duplicate shares its representative's row array; rows are never
-     written after this point. *)
-  Array.iteri (fun i r -> if r < i then rows.(i) <- rows.(r)) reps;
-  { ps; backend = Dense rows; memo = fresh_memo (); reps }
-
-let build_tree_index ps =
-  {
-    ps;
-    backend = Tree (Kdtree.build_flat ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ());
-    memo = fresh_memo ();
-    reps = group_rows ps;
-  }
-
-let auto_index ?(dense_threshold = 4096) ?domains ps =
-  if n ps <= dense_threshold then build_index ?domains ps else build_tree_index ps
-
-let index_is_dense idx = match idx.backend with Dense _ -> true | Tree _ -> false
-let index_pointset idx = idx.ps
-let index_tree idx = match idx.backend with Tree t -> Some t | Dense _ -> None
-
 let index_of_tree ps tree =
   if Kdtree.size tree <> n ps then
     invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; backend = Tree tree; memo = fresh_memo (); reps = group_rows ps }
+  { ps; tree; memo = fresh_memo (); reps = group_rows ps }
+
+let build_index ps = index_of_tree ps (Kdtree.build_flat ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ())
+
+(* The dense backend's names, kept for the end-to-end benchmark driver,
+   which calls them: every index is the tree. *)
+let auto_index ?domains:_ ps = build_index ps
+let index_is_dense _ = false
+let index_pointset idx = idx.ps
+let index_tree idx = idx.tree
 
 let cold_copy idx = { idx with memo = fresh_memo () }
 
-(* Number of entries in the sorted row that are <= radius. *)
-let count_row row radius =
-  let len = Array.length row in
-  if len = 0 || row.(0) > radius then 0
-  else begin
-    (* Invariant: row.(lo) <= radius < row.(hi) (hi = len means none above). *)
-    let lo = ref 0 and hi = ref len in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if row.(mid) <= radius then lo := mid else hi := mid
-    done;
-    !lo + 1
-  end
+let count_row idx i radius = Kdtree.count_within_row idx.tree idx.ps.st ~off:idx.ps.offs.(i) ~radius
 
 let counts_within idx ~radius =
   let count = n idx.ps in
   let counts = Array.make count 0 in
   if radius >= 0. then begin
-    let count_of =
-      match idx.backend with
-      | Dense rows -> fun i -> count_row rows.(i) radius
-      | Tree tree -> fun i -> Kdtree.count_within_row tree idx.ps.st ~off:idx.ps.offs.(i) ~radius
-    in
     let reps = idx.reps in
     for i = 0 to count - 1 do
       let r = reps.(i) in
-      counts.(i) <- (if r = i then count_of i else counts.(r))
+      counts.(i) <- (if r = i then count_row idx i radius else counts.(r))
     done
   end;
   counts
 
-(* On a sorted row, count_row row radius >= k iff row.(k-1) <= radius. *)
-let holds_at_least idx ~radius ~k i =
-  match idx.backend with
-  | Dense rows -> rows.(i).(k - 1) <= radius
-  | Tree tree -> Kdtree.count_within_row tree idx.ps.st ~off:idx.ps.offs.(i) ~radius >= k
+let holds_at_least idx ~radius ~k i = count_row idx i radius >= k
 
 let score_l idx ~cap ~radius =
   if radius < 0. then 0.
@@ -270,25 +200,16 @@ let score_l idx ~cap ~radius =
 
 (* Per-point counts for every radius of [rblock] (ascending), radius-major:
    [counts.(j * n + i)] is the number of points within [rblock.(j)] of
-   point [i] — binary searches over each sorted dense row, or a single
-   multi-radius k-d traversal per point, run for distinct points only; a
-   duplicate's column is a copy of its representative's (filled earlier,
-   since [reps.(i) < i]).  The one fill loop behind both the memo and the
-   blocked path of [score_l_many]. *)
+   point [i] — a single multi-radius k-d traversal per point, run for
+   distinct points only; a duplicate's column is a copy of its
+   representative's (filled earlier, since [reps.(i) < i]).  The one fill
+   loop behind both the memo and the blocked path of [score_l_many]. *)
 let fill_counts idx rblock =
   let count = n idx.ps and bnr = Array.length rblock in
   let counts = Array.make (bnr * count) 0 in
-  let fill_col =
-    match idx.backend with
-    | Dense rows ->
-        fun i ->
-          let row = rows.(i) in
-          Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr ~out:counts
-            ~stride:count ~col:i
-    | Tree tree ->
-        fun i ->
-          Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock
-            ~out:counts ~stride:count ~col:i
+  let fill_col i =
+    Kdtree.count_within_row_many idx.tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock ~out:counts
+      ~stride:count ~col:i
   in
   let reps = idx.reps in
   for i = 0 to count - 1 do
@@ -369,30 +290,14 @@ let score_l_many idx ~cap ~radii =
   end;
   out
 
+(* Point [i]'s distances to every point, as the tree's predicate sees
+   them ([Kernel.dists_to_rows] is [sqrt] of the same squared distance),
+   then the k-th order statistic: exact, one O(n·d) pass. *)
 let kth_neighbor_distance idx ~k i =
-  if k <= 0 || k > n idx.ps then invalid_arg "Pointset.kth_neighbor_distance: bad k";
-  match idx.backend with
-  | Dense rows -> rows.(i).(k - 1)
-  | Tree tree ->
-      (* The count around x_i is a step function of the radius jumping past
-         k exactly at the k-th neighbor distance; bisect that jump. *)
-      let ps = idx.ps in
-      let off = ps.offs.(i) in
-      let count r = Kdtree.count_within_row tree ps.st ~off ~radius:r in
-      let norm_inf =
-        let acc = ref 0. in
-        for j = 0 to ps.dim - 1 do
-          acc := Float.max !acc (Float.abs ps.st.(off + j))
-        done;
-        !acc
-      in
-      let lo = ref 0. and hi = ref (norm_inf +. (2. *. sqrt (float_of_int ps.dim))) in
-      (* Ensure hi really covers k points (data may live outside [0,1]^d). *)
-      while count !hi < k do
-        hi := 2. *. Float.max 1. !hi
-      done;
-      for _ = 1 to 100 do
-        let mid = 0.5 *. (!lo +. !hi) in
-        if count mid >= k then hi := mid else lo := mid
-      done;
-      !hi
+  let ps = idx.ps in
+  let count = n ps in
+  if k <= 0 || k > count then invalid_arg "Pointset.kth_neighbor_distance: bad k";
+  let row = Array.create_float count in
+  Kernel.dists_to_rows ~st:ps.st ~offs:ps.offs ~n:count ~q:ps.st ~qoff:ps.offs.(i) ~dim:ps.dim
+    ~out:row;
+  Kernel.kth_smallest row ~len:count ~k

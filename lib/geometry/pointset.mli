@@ -22,13 +22,19 @@
     {!row_offsets} for flat-path kernels (k-d tree, JL, SEB, NoisyAVG) and
     is read-only by contract — see DESIGN.md, "Memory layout".
 
-    An optional {!index} precomputes, for every input point, the sorted
-    array of distances to all input points (or a k-d tree), turning each
-    [L] evaluation into [n] binary searches (or tree queries) instead of an
-    O(n²·d) scan, and memoizes the count matrix of the last candidate
-    sweep.  Points with bit-identical coordinates ({!is_representative}) share one
-    distance row and one count-matrix column: every per-row sweep runs
-    once per distinct point. *)
+    An {!index} is a k-d tree ({!Kdtree}) over the points, turning each
+    [L] evaluation into [n] tree queries instead of an O(n²·d) scan, and
+    memoizes the count matrix of the last candidate sweep.  Points with
+    bit-identical coordinates ({!is_representative}) share one
+    count-matrix column: every per-row sweep runs once per distinct
+    point.
+
+    {b One ball predicate.}  Every count here — {!ball_count},
+    {!score_l_direct} and every indexed query — includes a point when
+    [sqrt acc <= radius] for its computed squared distance [acc], tested
+    as [acc <= Vec.ball_r2 radius].  {!kth_neighbor_distance} returns a
+    value of the same [sqrt acc], so "at least [k] points within [r]"
+    holds exactly when the [k]-th neighbour distance is at most [r]. *)
 
 type t
 
@@ -106,48 +112,34 @@ val score_l_direct : t -> cap:int -> radius:float -> float
 (** {1 Indexed evaluation} *)
 
 type index
-(** Either backend below; all query functions dispatch transparently.
+(** A k-d tree over the pointset's rows (sharing its storage, zero copy)
+    plus a one-entry memo of the count matrix behind {!score_l_many}
+    (points × non-negative candidate radii, at most about 4 M counts).
+    The matrix is a deterministic function of the index's rows and the
+    radii — never of the cap, ε or a seed — so sharing it across jobs
+    changes no result.  Indexes are immutable snapshots: every epoch of a
+    mutating dataset gets a fresh index ({!build_index},
+    {!index_of_tree}) and with it an empty memo. *)
 
-    An index also carries a one-entry memo of the count matrix behind
-    {!score_l_many} (points × non-negative candidate radii, at most about
-    4 M counts).  The matrix is a deterministic function of the index's
-    rows and the radii — never of the cap, ε or a seed — so sharing it
-    across jobs changes no result.  Indexes are immutable snapshots: every
-    epoch of a mutating dataset gets a fresh index ({!build_index},
-    {!build_tree_index}, {!index_of_tree}) and with it an empty memo. *)
+val build_index : t -> index
+(** O(n log n) construction over the pointset's storage: median splits
+    along the widest axis, serial (at the sizes callers build, a second
+    domain saved under 1 ms; PERFORMANCE.md §4), and the row grouping of
+    {!is_representative}.  Memory is O(n), at every n and d. *)
 
-val build_index : ?domains:int -> t -> index
-(** Dense backend: O(m·n·d) time, O(m·n) memory for m distinct points
-    among n — precomputes one sorted distance array per distinct point in
-    one pass over the flat storage, making every radius probe a batch of
-    binary searches; identical points share one array.  Each row's sort
-    ({!Kernel.sort_floats}) takes expected linear time, so the build is
-    no longer dominated by n comparison sorts.  The fastest choice up to
-    a few thousand points.  [domains > 1] splits the distinct rows across
-    that many OCaml domains; rows are independent, so the result is
-    identical for any value. *)
-
-val build_tree_index : t -> index
-(** k-d-tree backend ({!Kdtree}): O(n log n) memory-light construction
-    sharing the pointset's storage (zero copy); each radius probe costs n
-    tree queries.  The scalable choice for large [n] (and the only
-    reasonable one beyond ~10⁴ points).  The build is serial: at the
-    sizes callers build, a second domain saved under 1 ms (PERFORMANCE.md
-    §4). *)
-
-val auto_index : ?dense_threshold:int -> ?domains:int -> t -> index
-(** Dense when [n <= dense_threshold] (default 4096), tree otherwise.
-    [domains] reaches only the dense build ({!build_index}); the tree
-    build is serial. *)
+val auto_index : ?domains:int -> t -> index
+(** {!build_index}; [domains] is ignored.  Kept only because the
+    end-to-end benchmark driver (bench/e2e) calls it. *)
 
 val index_is_dense : index -> bool
+(** Always [false]: every index is the k-d tree.  Kept only because the
+    end-to-end benchmark driver (bench/e2e) calls it. *)
 
 val index_pointset : index -> t
 
-val index_tree : index -> Kdtree.t option
-(** The k-d tree behind a tree-backed index ([None] on the dense backend)
-    — the registry reads it to maintain the tree incrementally across
-    epochs. *)
+val index_tree : index -> Kdtree.t
+(** The k-d tree behind the index — the registry reads it to maintain
+    the tree incrementally across epochs. *)
 
 val index_of_tree : t -> Kdtree.t -> index
 (** Wrap an externally maintained tree (see {!Kdtree.insert_bulk} /
@@ -156,12 +148,12 @@ val index_of_tree : t -> Kdtree.t -> index
     @raise Invalid_argument if the sizes disagree. *)
 
 val cold_copy : index -> index
-(** The same index (backend shared, nothing copied) with an empty
+(** The same index (tree shared, nothing copied) with an empty
     {!score_l_many} memo — for timing the cold sweep. *)
 
 val counts_within : index -> radius:float -> int array
 (** For every input point, the number of input points within [radius]
-    (inclusive); one binary search per point. *)
+    (inclusive); one tree query per distinct point. *)
 
 val score_l : index -> cap:int -> radius:float -> float
 (** [L(radius, S)] via the index: per-point counts, cap at [cap], average the
@@ -170,8 +162,7 @@ val score_l : index -> cap:int -> radius:float -> float
 val score_l_many : index -> cap:int -> radii:float array -> float array
 (** [Array.map (fun r -> score_l idx ~cap ~radius:r) radii], computed in
     one batched pass when [radii] is ascending (the candidate grids are):
-    each dense row answers all radii with shared binary searches, each
-    tree point answers all radii in one multi-radius traversal
+    each distinct point answers all radii in one multi-radius traversal
     ({!Kdtree.count_within_row_many}), and the capped top-[cap] average
     runs on a counting histogram.  Results are bit-identical to the
     per-radius path (exact integer counts; top-k sums below 2^53).  This
@@ -199,18 +190,18 @@ val is_representative : index -> int -> bool
 val holds_at_least : index -> radius:float -> k:int -> int -> bool
 (** [holds_at_least idx ~radius ~k i] — whether at least [k] input points
     lie within [radius] of point [i] (inclusive), i.e.
-    [(counts_within idx ~radius).(i) >= k] for one point: a single read of
-    the sorted row on the dense backend, one tree query on the tree
-    backend.  Monotone in [radius].  [k] must be in [1, n]. *)
+    [(counts_within idx ~radius).(i) >= k] for one point, one tree query.
+    Monotone in [radius]; true exactly when
+    [kth_neighbor_distance idx ~k i <= radius].  [k] must be in [1, n]. *)
 
 val kth_neighbor_distance : index -> k:int -> int -> float
 (** [kth_neighbor_distance idx ~k i] — distance from point [i] to its
     [k]-th nearest input point, counting the point itself as the 1st
     (so [k = t] gives the radius of the smallest ball centered at [x_i]
-    containing [t] points).  O(1) on the dense backend; on the tree
-    backend it bisects the radius (exact: the count is a step function and
-    the bisection brackets its jump to machine precision).
-    @raise Invalid_argument if [k > n]. *)
+    containing [t] points).  Exact: the [k]-th smallest of point [i]'s
+    distances to every point, found by one O(n·d) pass and a quickselect
+    ({!Kernel.kth_smallest}).
+    @raise Invalid_argument if [k] is not in [1, n]. *)
 
 val top_average : float array -> k:int -> float
 (** Mean of the [k] largest entries (used by {!score_l}; exposed for tests).

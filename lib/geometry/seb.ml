@@ -50,13 +50,12 @@ let two_approx_indexed idx ~t =
        holds t points.  A duplicate (not a representative) has exactly its
        representative's t-th distance, which was already evaluated or
        pruned, so the best is already <= it.  A count skip happens when
-       count(best) < t.  On the dense backend that is row.(t-1) > best,
-       the very value the full scan would compare.  On the tree backend
-       the bisection's final [hi] always satisfies count(hi) >= t, and the
-       count is non-decreasing in the radius, so hi > best.  Either way
-       the strict [<] below would not have fired, so the skip changes
-       neither radius nor center (first index still wins ties).  The first
-       probe, at radius infinity, always holds. *)
+       count(best) < t.  The count and the t-th distance use one
+       predicate, [sqrt acc <= r] (Pointset), so count(best) < t is
+       exactly "the t-th distance exceeds best": the strict [<] below
+       would not have fired, and the skip changes neither radius nor
+       center (first index still wins ties).  The first probe, at radius
+       infinity, always holds. *)
     if Pointset.is_representative idx i && Pointset.holds_at_least idx ~radius:!best ~k:t i then begin
       let r = Pointset.kth_neighbor_distance idx ~k:t i in
       if r < !best then begin

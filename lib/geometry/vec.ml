@@ -48,6 +48,23 @@ let dist_sq a b =
 
 let dist a b = sqrt (dist_sq a b)
 
+(* The largest [a] with [sqrt a <= r].  [r *. r] is within an ulp or two
+   of it (or [infinity] when the square overflows); [sqrt] is monotone,
+   so stepping down while the root overshoots and up while the next float
+   still fits lands on the maximum in a few steps. *)
+let ball_r2 r =
+  if not (r >= 0.) then neg_infinity
+  else begin
+    let a = ref (r *. r) in
+    while sqrt !a > r do
+      a := Float.pred !a
+    done;
+    while !a < infinity && sqrt (Float.succ !a) <= r do
+      a := Float.succ !a
+    done;
+    !a
+  end
+
 let mean vs =
   let n = Array.length vs in
   if n = 0 then invalid_arg "Vec.mean: empty";

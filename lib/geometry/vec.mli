@@ -29,6 +29,16 @@ val dist : t -> t -> float
 
 val dist_sq : t -> t -> float
 
+val ball_r2 : float -> float
+(** [ball_r2 r] — the largest float [a] with [sqrt a <= r].  A squared
+    distance [acc] satisfies [acc <= ball_r2 r] exactly when
+    [sqrt acc <= r] ([sqrt] is correctly rounded, hence monotone), so a
+    count against [ball_r2 r] is the count of points whose {!dist} is at
+    most [r] — bit for bit, with no ulp ties left to [r *. r]'s rounding.
+    Every ball count in the library compares against it.  [infinity] for
+    [r = infinity], the largest finite float when [r *. r] overflows, and
+    [neg_infinity] (an empty ball) for a negative or NaN [r]. *)
+
 val mean : t array -> t
 (** Arithmetic mean.  @raise Invalid_argument on an empty array. *)
 

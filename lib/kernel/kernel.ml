@@ -14,15 +14,8 @@ external c_dists_to_rows :
   float array -> unit
   = "pc_dists_to_rows_bc" "pc_dists_to_rows" [@@noalloc]
 
-external c_sort_floats : float array -> int -> unit
-  = "pc_sort_floats" [@@noalloc]
-
 external c_kth_smallest : float array -> int -> int -> (float [@unboxed])
   = "pc_kth_smallest_byte" "pc_kth_smallest_nat" [@@noalloc]
-
-external c_counts_le_sorted :
-  float array -> int -> float array -> int -> int array -> int -> int -> unit
-  = "pc_counts_le_sorted_bc" "pc_counts_le_sorted" [@@noalloc]
 
 external c_top_avg_capped :
   int array -> int -> int -> int -> int -> (float [@unboxed])
@@ -97,24 +90,10 @@ module Ref = struct
       Array.unsafe_set out i (Float.sqrt !acc)
     done
 
-  let sort_floats a = Array.sort Float.compare a
-
   let kth_smallest a ~len ~k =
     let sub = Array.sub a 0 len in
     Array.sort Float.compare sub;
     sub.(k - 1)
-
-  let counts_le_sorted ~row ~len ~radii ~nr ~out ~stride ~col =
-    for j = 0 to nr - 1 do
-      let r = radii.(j) in
-      (* upper_bound: count of entries <= r *)
-      let lo = ref 0 and hi = ref len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Array.unsafe_get row mid <= r then lo := mid + 1 else hi := mid
-      done;
-      out.((j * stride) + col) <- !lo
-    done
 
   let top_avg_capped ~counts ~off ~len ~cap ~k =
     let hist = Array.make (cap + 1) 0 in
@@ -238,17 +217,9 @@ let dists_to_rows ~st ~offs ~n ~q ~qoff ~dim ~out =
   if Atomic.get native then c_dists_to_rows st offs n q qoff dim out
   else Ref.dists_to_rows ~st ~offs ~n ~q ~qoff ~dim ~out
 
-let sort_floats a =
-  if Atomic.get native then c_sort_floats a (Array.length a)
-  else Ref.sort_floats a
-
 let kth_smallest a ~len ~k =
   if Atomic.get native then c_kth_smallest a len k
   else Ref.kth_smallest a ~len ~k
-
-let counts_le_sorted ~row ~len ~radii ~nr ~out ~stride ~col =
-  if Atomic.get native then c_counts_le_sorted row len radii nr out stride col
-  else Ref.counts_le_sorted ~row ~len ~radii ~nr ~out ~stride ~col
 
 let top_avg_capped ~counts ~off ~len ~cap ~k =
   if Atomic.get native then begin

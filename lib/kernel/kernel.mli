@@ -38,23 +38,9 @@ val dists_to_rows :
   q:float array -> qoff:int -> dim:int -> out:float array -> unit
 (** [out.(i) <- dist (q@qoff) (st@offs.(i))] for [i < n]. *)
 
-val sort_floats : float array -> unit
-(** In-place ascending sort.  The inputs are distances (no NaN, no -0.0),
-    so the result equals [Array.sort Float.compare].  The C path is a
-    bucket sort keyed on [floor (x * n / max)], expected O(n) on distance
-    rows; it falls back to a quicksort for short rows and for rows whose
-    maximum is 0 or infinite, and sorts an oversized bucket with the same
-    quicksort, so the worst case stays O(n log n). *)
-
 val kth_smallest : float array -> len:int -> k:int -> float
 (** The [k]-th smallest (1-based) of the first [len] entries.  Destroys
     the buffer (quickselect scratch).  Requires [1 <= k <= len]. *)
-
-val counts_le_sorted :
-  row:float array -> len:int -> radii:float array -> nr:int ->
-  out:int array -> stride:int -> col:int -> unit
-(** [row.(0..len-1)] ascending, [radii.(0..nr-1)] ascending:
-    [out.(j * stride + col) <- #{ x in row : x <= radii.(j) }]. *)
 
 val top_avg_capped :
   counts:int array -> off:int -> len:int -> cap:int -> k:int -> float
@@ -98,7 +84,9 @@ val leaf_multi_count :
     radius index [jhi-1] candidates only within window [\[jlo, jhi)]:
     find the smallest [j] in the window with [d2 <= r2s.(j)] and record
     [acc.(j) <- acc.(j) + 1; acc.(jhi) <- acc.(jhi) - 1] (difference
-    array; caller prefix-sums).  Requires [Array.length acc > jhi]. *)
+    array; caller prefix-sums).  Requires [Array.length acc > jhi].  The
+    C path finds [j] with a branchless lower bound; it lands on the same
+    [j] as the reference's bisection. *)
 
 (** Pure-OCaml reference implementations — always available, bit-identical
     to the C kernels.  Used for differential testing and as the fallback
@@ -112,13 +100,7 @@ module Ref : sig
     st:float array -> offs:int array -> n:int ->
     q:float array -> qoff:int -> dim:int -> out:float array -> unit
 
-  val sort_floats : float array -> unit
-
   val kth_smallest : float array -> len:int -> k:int -> float
-
-  val counts_le_sorted :
-    row:float array -> len:int -> radii:float array -> nr:int ->
-    out:int array -> stride:int -> col:int -> unit
 
   val top_avg_capped :
     counts:int array -> off:int -> len:int -> cap:int -> k:int -> float

@@ -86,12 +86,10 @@ CAMLprim value pc_dists_to_rows_bc(value *argv, int argn)
                           argv[6]);
 }
 
-/* ---------------------------------------------------------------- sorting */
+/* ------------------------------------------------------------- selection */
 
-/* In-place quicksort (median-of-three, insertion sort below 16) on a
- * double buffer.  The inputs are distances — never NaN, never -0.0 — so
- * the sorted sequence is the unique ascending ordering and agrees with
- * Array.sort Float.compare on the same multiset. */
+/* Insertion sort of a[lo..hi], the small-range step of the quickselect
+ * below.  The inputs are distances — never NaN, never -0.0. */
 static void ins_sort_d(double *a, long lo, long hi)
 {
   for (long i = lo + 1; i <= hi; i++) {
@@ -103,104 +101,6 @@ static void ins_sort_d(double *a, long lo, long hi)
     }
     a[j + 1] = x;
   }
-}
-
-static void qsort_d(double *a, long lo, long hi)
-{
-  while (hi - lo > 15) {
-    long mid = lo + (hi - lo) / 2;
-    double p0 = a[lo], p1 = a[mid], p2 = a[hi];
-    double pivot = p0 < p1 ? (p1 < p2 ? p1 : (p0 < p2 ? p2 : p0))
-                           : (p0 < p2 ? p0 : (p1 < p2 ? p2 : p1));
-    long i = lo, j = hi;
-    while (i <= j) {
-      while (a[i] < pivot) i++;
-      while (a[j] > pivot) j--;
-      if (i <= j) {
-        double t = a[i];
-        a[i] = a[j];
-        a[j] = t;
-        i++;
-        j--;
-      }
-    }
-    /* Recurse into the smaller side, loop on the larger. */
-    if (j - lo < hi - i) {
-      qsort_d(a, lo, j);
-      lo = i;
-    } else {
-      qsort_d(a, i, hi);
-      hi = j;
-    }
-  }
-  ins_sort_d(a, lo, hi);
-}
-
-/* Bucket of x >= 0 under scale = nb / max: floor(x * scale), clamped to
- * the last bucket (x = max may round to nb). */
-static inline long bucket_of(double x, double scale, long nb)
-{
-  long b = (long)(x * scale); /* x * scale >= 0: truncation is floor */
-  return b < nb ? b : nb - 1;
-}
-
-/* Ascending sort of a dense-index row: a bucket sort in expected linear
- * time.  bucket_of is monotone in x (a correctly rounded product by a
- * positive constant and floor both are), so x < y whenever
- * bucket_of(x) < bucket_of(y): concatenating the buckets, each sorted by
- * qsort_d, gives the unique ascending order of the multiset — the same
- * bits as qsort_d alone.  Rows of at most 64 entries, rows holding a
- * negative, NaN or +inf entry (never a distance), a zero maximum, a
- * non-finite scale (subnormal-only rows) and a failed scratch allocation
- * all take qsort_d directly.  A bucket holding most of the row
- * (all-equal rows, one far outlier) is sorted by qsort_d, so the worst
- * case stays O(n log n). */
-CAMLprim value pc_sort_floats(value arr, value vlen)
-{
-  double *a = DBL(arr);
-  long n = Long_val(vlen);
-  if (n <= 64) {
-    if (n > 1) qsort_d(a, 0, n - 1);
-    return Val_unit;
-  }
-  double max = 0.;
-  for (long i = 0; i < n; i++) {
-    double x = a[i];
-    if (!(x >= 0.)) {
-      qsort_d(a, 0, n - 1);
-      return Val_unit;
-    }
-    if (x > max) max = x;
-  }
-  long nb = n;
-  double scale = (double)nb / max;
-  long *start = NULL;
-  double *tmp = NULL;
-  if (isfinite(max) && isfinite(scale)) { /* max = 0 gives scale = +inf */
-    start = malloc((size_t)(nb + 1) * sizeof(long));
-    tmp = malloc((size_t)n * sizeof(double));
-  }
-  if (start == NULL || tmp == NULL) {
-    free(start);
-    free(tmp);
-    qsort_d(a, 0, n - 1);
-    return Val_unit;
-  }
-  memset(start, 0, (size_t)(nb + 1) * sizeof(long));
-  for (long i = 0; i < n; i++) start[bucket_of(a[i], scale, nb) + 1]++;
-  for (long b = 0; b < nb; b++) start[b + 1] += start[b];
-  /* start[b] is now the first slot of bucket b; scatter advances it to
-   * the first slot of bucket b + 1. */
-  for (long i = 0; i < n; i++) tmp[start[bucket_of(a[i], scale, nb)]++] = a[i];
-  memcpy(a, tmp, (size_t)n * sizeof(double));
-  long lo = 0;
-  for (long b = 0; b < nb; b++) {
-    if (start[b] - lo > 1) qsort_d(a, lo, start[b] - 1);
-    lo = start[b];
-  }
-  free(start);
-  free(tmp);
-  return Val_unit;
 }
 
 /* k-th smallest (1-based) by quickselect; destroys the scratch buffer.
@@ -241,50 +141,6 @@ CAMLprim double pc_kth_smallest_nat(value arr, value vlen, value vk)
 CAMLprim value pc_kth_smallest_byte(value arr, value vlen, value vk)
 {
   return caml_copy_double(pc_kth_smallest_nat(arr, vlen, vk));
-}
-
-/* ------------------------------------------------- batched radius counts */
-
-/* row: ascending distances, length len.  radii: ascending, length nr.
- * out[j*stride + col] = #{ x in row : x <= radii[j] } for j in [0, nr).
- * Exact integer counts, so strategy choice is free: binary search per
- * radius when nr is small, a single two-pointer merge when nr is large. */
-CAMLprim value pc_counts_le_sorted(value row, value vlen, value radii,
-                                   value vnr, value out, value vstride,
-                                   value vcol)
-{
-  const double *a = DBL(row);
-  const double *r = DBL(radii);
-  long len = Long_val(vlen), nr = Long_val(vnr);
-  long stride = Long_val(vstride), col = Long_val(vcol);
-  long log2len = 1;
-  while ((1L << log2len) < len + 1) log2len++;
-  if (nr * log2len <= len + nr) {
-    for (long j = 0; j < nr; j++) {
-      /* upper_bound: count of entries <= r[j] */
-      long lo = 0, hi = len;
-      while (lo < hi) {
-        long mid = (lo + hi) / 2;
-        if (a[mid] <= r[j]) lo = mid + 1;
-        else hi = mid;
-      }
-      Field(out, j * stride + col) = Val_long(lo);
-    }
-  } else {
-    long p = 0;
-    for (long j = 0; j < nr; j++) {
-      while (p < len && a[p] <= r[j]) p++;
-      Field(out, j * stride + col) = Val_long(p);
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value pc_counts_le_sorted_bc(value *argv, int argn)
-{
-  (void)argn;
-  return pc_counts_le_sorted(argv[0], argv[1], argv[2], argv[3], argv[4],
-                             argv[5], argv[6]);
 }
 
 /* ------------------------------------------------------ capped top-k avg */
@@ -469,7 +325,15 @@ CAMLprim value pc_min_dist2_update_bc(value *argv, int argn)
  * once, find the smallest j in [jlo, jhi) with d2 <= r2s[j] (r2s
  * ascending), and record the membership as a difference-array update
  * (acc[j] += 1, acc[jhi] -= 1); the caller prefix-sums acc into
- * per-radius counts.  Exactly the counts of per-radius leaf scans. */
+ * per-radius counts.  Exactly the counts of per-radius leaf scans.
+ *
+ * The search is a branchless lower bound: the answer lies in
+ * [base, base + len] throughout; each step halves len and moves base by
+ * a conditional select, not a branch, so a leaf's points do not pay a
+ * mispredicted jump per halving.  The answer is the same j as the
+ * reference's bisection — the first entry not below d2 — because the
+ * d2 <= r2s[jhi - 1] test before the search keeps it inside the
+ * window. */
 CAMLprim value pc_leaf_multi_count(value st, value idx, value vlo, value vhi,
                                    value q, value vqoff, value vdim,
                                    value r2s, value vjlo, value vjhi,
@@ -481,6 +345,7 @@ CAMLprim value pc_leaf_multi_count(value st, value idx, value vlo, value vhi,
   long lo = Long_val(vlo), hi = Long_val(vhi), dim = Long_val(vdim);
   long jlo = Long_val(vjlo), jhi = Long_val(vjhi);
   if (jlo >= jhi) return Val_unit;
+  double top = r2[jhi - 1];
   for (long i = lo; i <= hi; i++) {
     const double *row = s + IDX(idx, i);
     double acc_d = 0.;
@@ -488,13 +353,15 @@ CAMLprim value pc_leaf_multi_count(value st, value idx, value vlo, value vhi,
       double d = row[j] - qp[j];
       acc_d += d * d;
     }
-    if (acc_d <= r2[jhi - 1]) {
-      long a = jlo, b = jhi - 1;
-      while (a < b) {
-        long mid = (a + b) / 2;
-        if (acc_d <= r2[mid]) b = mid;
-        else a = mid + 1;
+    if (acc_d <= top) {
+      const double *base = r2 + jlo;
+      long len = jhi - jlo;
+      while (len > 1) {
+        long half = len / 2;
+        base = base[half] < acc_d ? base + half : base;
+        len -= half;
       }
+      long a = (base - r2) + (*base < acc_d);
       Field(acc, a) = Val_long(IDX(acc, a) + 1);
       Field(acc, jhi) = Val_long(IDX(acc, jhi) - 1);
     }

@@ -404,10 +404,7 @@ let exec_epoch _t tenant ~dataset =
              ("epoch", Json.Int (Registry.epoch ds));
              ("n", Json.Int (Registry.n ds));
              ("dim", Json.Int (Registry.dim ds));
-             ( "index_backend",
-               Json.String
-                 (if Geometry.Pointset.index_is_dense (Registry.index ds) then "dense"
-                  else "kdtree") );
+             ("index_backend", Json.String "kdtree");
              ( "bounds_cache",
                Json.Obj [ ("lookups", Json.Int lookups); ("hits", Json.Int hits) ] );
              ( "result_cache",

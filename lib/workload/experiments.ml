@@ -158,7 +158,7 @@ let e1_table1 cfg =
         let w = Synth.planted_ball rng ~grid ~n ~cluster_fraction:0.35 ~cluster_radius:0.05 in
         let t = int_of_float (0.8 *. float_of_int w.Synth.cluster_size) in
         let ps = Geometry.Pointset.create w.Synth.points in
-        let idx = Geometry.Pointset.auto_index ps in
+        let idx = Geometry.Pointset.build_index ps in
         (* The planted radius is a valid r_opt upper bound for
            t ≤ cluster size — no O(n·t) sandwich at the larger n. *)
         let r_hi = w.Synth.cluster_radius in
@@ -1009,15 +1009,14 @@ let e13_quantiles cfg =
     "measured rank errors scale as 1/eps and sit far inside the certified whp bound"
 
 (* ------------------------------------------------------------------ *)
-(* E14: scalability of the two index backends                          *)
+(* E14: scalability of the k-d tree index                              *)
 (* ------------------------------------------------------------------ *)
 
 let e14_scalability cfg =
-  Report.kv "what" "end-to-end time and memory regime vs n: dense distance index vs k-d tree";
+  Report.kv "what" "end-to-end time and answer quality vs n on the k-d tree index";
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
   let eps = 2.0 in
   let ns = if cfg.quick then [ 2000; 16000 ] else [ 2000; 8000; 32000; 64000 ] in
-  let dense_cutoff = 8000 in
   let rows =
     List.map
       (fun n ->
@@ -1025,48 +1024,27 @@ let e14_scalability cfg =
         let w = Synth.planted_ball rng ~grid ~n ~cluster_fraction:0.55 ~cluster_radius:0.05 in
         let t = int_of_float (0.9 *. float_of_int w.Synth.cluster_size) in
         let ps = Geometry.Pointset.create w.Synth.points in
-        let run idx_builder =
-          let idx, build_ms = Harness.time (fun () -> idx_builder ps) in
-          let result, solve_ms =
-            Harness.time (fun () ->
-                Privcluster.One_cluster.run_indexed rng Privcluster.Profile.practical ~grid
-                  ~eps ~delta ~beta ~t idx)
-          in
-          let tight =
-            match result with
-            | Ok r ->
-                Report.f2
-                  (Metrics.tight_radius ps ~center:r.Privcluster.One_cluster.center ~t
-                  /. w.Synth.cluster_radius)
-            | Error _ -> "-"
-          in
-          (build_ms, solve_ms, tight)
+        let idx, build_ms = Harness.time (fun () -> Geometry.Pointset.build_index ps) in
+        let result, solve_ms =
+          Harness.time (fun () ->
+              Privcluster.One_cluster.run_indexed rng Privcluster.Profile.practical ~grid ~eps
+                ~delta ~beta ~t idx)
         in
-        let tree_build, tree_solve, tree_tight = run Geometry.Pointset.build_tree_index in
-        let dense_cols =
-          if n <= dense_cutoff then begin
-            let dense_build, dense_solve, dense_tight = run Geometry.Pointset.build_index in
-            [
-              Printf.sprintf "%.0f" dense_build;
-              Printf.sprintf "%.0f" dense_solve;
-              dense_tight;
-            ]
-          end
-          else [ "-"; "-"; "-" ]
+        let tight =
+          match result with
+          | Ok r ->
+              Report.f2
+                (Metrics.tight_radius ps ~center:r.Privcluster.One_cluster.center ~t
+                /. w.Synth.cluster_radius)
+          | Error _ -> "-"
         in
-        [ string_of_int n ]
-        @ dense_cols
-        @ [ Printf.sprintf "%.0f" tree_build; Printf.sprintf "%.0f" tree_solve; tree_tight ])
+        [ string_of_int n; Printf.sprintf "%.0f" build_ms; Printf.sprintf "%.0f" solve_ms; tight ])
       ns
   in
-  Report.table ~csv:"e14_scalability"
-    ~header:
-      [ "n"; "dense build ms"; "dense solve ms"; "dense w"; "tree build ms"; "tree solve ms"; "tree w" ]
-    rows;
+  Report.table ~csv:"e14_scalability" ~header:[ "n"; "build ms"; "solve ms"; "w" ] rows;
   Report.kv "read as"
-    "the dense index's O(n^2) memory stops around 8k points; the k-d tree keeps the whole \
-     pipeline running to 64k+ with the same answer quality (its per-probe cost grows only \
-     mildly with n)"
+    "the k-d tree keeps the whole pipeline running to 64k+ points in O(n) memory with the \
+     same answer quality (its per-probe cost grows only mildly with n)"
 
 (* ------------------------------------------------------------------ *)
 

@@ -61,8 +61,8 @@ val e13_quantiles : cfg -> unit
     stand-alone tool): measured rank error vs the certified bound. *)
 
 val e14_scalability : cfg -> unit
-(** Dense O(n²) distance index vs the k-d tree backend: end-to-end time and
-    answer quality as n grows past the dense backend's memory wall. *)
+(** The k-d tree index: build time, end-to-end solve time and answer
+    quality as n grows to 64k points. *)
 
 val all : (string * string * (cfg -> unit)) list
 (** [(id, title, run)] for every experiment, in order. *)

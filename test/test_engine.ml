@@ -123,9 +123,9 @@ let test_registry_caches_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate registration accepted")
 
-(* Above the 4096-point dense threshold the registry keeps a k-d tree, and
-   the r_opt scan runs on it: the cached sandwich must equal the one from
-   a freshly built tree over the same points, bit for bit. *)
+(* The r_opt scan runs on the registry's k-d tree: at n = 4200 the cached
+   sandwich must equal the one from a freshly built tree over the same
+   points, bit for bit. *)
 let test_registry_bounds_on_tree () =
   let _, grid, w = small_workload ~n:4200 () in
   let reg = Engine.Registry.create () in
@@ -133,8 +133,7 @@ let test_registry_bounds_on_tree () =
     Engine.Registry.register reg ~name:"big" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
       w.Workload.Synth.points
   in
-  check_true "tree-backed" (not (Geometry.Pointset.index_is_dense (Engine.Registry.index ds)));
-  let fresh = Geometry.Pointset.build_tree_index (Engine.Registry.pointset ds) in
+  let fresh = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
   let ts = [ 1260; 1680; 2100 ] in
   List.iter
     (fun t ->
@@ -150,9 +149,9 @@ let test_registry_bounds_on_tree () =
 (* Every epoch gets a fresh index, so the count-matrix memo can never
    outlive the rows it was filled from: after an append and a retire,
    [score_l_many] on the registry's index must equal a fresh index over
-   the new pointset — on the incremental k-d tree path (dense threshold
-   below n, drift under the rebuild threshold) and on the dense rebuild.
-   The superseded epoch's index keeps answering for its own rows. *)
+   the new pointset, here on the incremental k-d tree path (drift under
+   the rebuild threshold).  The superseded epoch's index keeps answering
+   for its own rows. *)
 let test_registry_memo_per_epoch () =
   let _, grid, w = small_workload () in
   let radii =
@@ -160,40 +159,32 @@ let test_registry_memo_per_epoch () =
   in
   let sweep idx cap = Array.map Int64.bits_of_float (Geometry.Pointset.score_l_many idx ~cap ~radii) in
   let caps = [ 60; 150 ] in
-  List.iter
-    (fun (label, dense_threshold, fresh) ->
-      let reg = Engine.Registry.create () in
-      let ds =
-        Engine.Registry.register reg ~name:label ~grid ~budget:(p ~eps:10. ~delta:1e-4)
-          ~dense_threshold w.Workload.Synth.points
-      in
-      let check_epoch what =
-        let idx = Engine.Registry.index ds in
-        check_true (Printf.sprintf "%s %s: new epoch starts cold" label what)
-          (not (Geometry.Pointset.memo_holds idx ~radii));
-        let fresh_idx = fresh (Engine.Registry.pointset ds) in
-        List.iter
-          (fun cap ->
-            check_true
-              (Printf.sprintf "%s %s: cap %d equals a fresh index" label what cap)
-              (sweep idx cap = sweep fresh_idx cap))
-          caps;
-        check_true (Printf.sprintf "%s %s: memo filled" label what)
-          (Geometry.Pointset.memo_holds idx ~radii)
-      in
-      let epoch0 = Engine.Registry.index ds in
-      let before = sweep epoch0 60 in
-      ignore (Engine.Registry.append ds (Array.sub w.Workload.Synth.points 0 30));
-      check_epoch "after append";
-      ignore (Engine.Registry.retire ds ~from_:10 ~count:20);
-      check_epoch "after retire";
-      check_true (label ^ ": old epoch unchanged") (sweep epoch0 60 = before);
-      check_true (label ^ ": backend as intended")
-        (Geometry.Pointset.index_is_dense (Engine.Registry.index ds) = (dense_threshold > 400)))
-    [
-      ("tree", 50, fun ps -> Geometry.Pointset.build_tree_index ps);
-      ("dense", 4096, fun ps -> Geometry.Pointset.build_index ps);
-    ]
+  let reg = Engine.Registry.create () in
+  let ds =
+    Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
+      w.Workload.Synth.points
+  in
+  let check_epoch what =
+    let idx = Engine.Registry.index ds in
+    check_true (what ^ ": new epoch starts cold")
+      (not (Geometry.Pointset.memo_holds idx ~radii));
+    let fresh_idx = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
+    List.iter
+      (fun cap ->
+        check_true
+          (Printf.sprintf "%s: cap %d equals a fresh index" what cap)
+          (sweep idx cap = sweep fresh_idx cap))
+      caps;
+    check_true (what ^ ": memo filled")
+      (Geometry.Pointset.memo_holds idx ~radii)
+  in
+  let epoch0 = Engine.Registry.index ds in
+  let before = sweep epoch0 60 in
+  ignore (Engine.Registry.append ds (Array.sub w.Workload.Synth.points 0 30));
+  check_epoch "after append";
+  ignore (Engine.Registry.retire ds ~from_:10 ~count:20);
+  check_epoch "after retire";
+  check_true "old epoch unchanged" (sweep epoch0 60 = before)
 
 (* Two domains racing to fill one index's memo: the second waits for the
    first's sweep, and both get the vector a cold index computes. *)
@@ -204,26 +195,21 @@ let test_memo_concurrent_first_calls () =
     Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
   in
   let bits = Array.map Int64.bits_of_float in
-  List.iter
-    (fun (label, idx) ->
-      let expected = bits (Geometry.Pointset.score_l_many (Geometry.Pointset.cold_copy idx) ~cap:120 ~radii) in
-      let ready = Atomic.make 0 in
-      let racer cap () =
-        Atomic.incr ready;
-        while Atomic.get ready < 2 do
-          Domain.cpu_relax ()
-        done;
-        bits (Geometry.Pointset.score_l_many idx ~cap ~radii)
-      in
-      let d1 = Domain.spawn (racer 120) and d2 = Domain.spawn (racer 120) in
-      let v1 = Domain.join d1 and v2 = Domain.join d2 in
-      check_true (label ^ ": concurrent first calls agree") (v1 = v2);
-      check_true (label ^ ": and equal a cold index") (v1 = expected);
-      check_true (label ^ ": memo filled once for both")
-        (Geometry.Pointset.memo_holds idx ~radii))
-    [
-      ("dense", Geometry.Pointset.build_index ps); ("tree", Geometry.Pointset.build_tree_index ps);
-    ]
+  let idx = Geometry.Pointset.build_index ps in
+  let expected = bits (Geometry.Pointset.score_l_many (Geometry.Pointset.cold_copy idx) ~cap:120 ~radii) in
+  let ready = Atomic.make 0 in
+  let racer cap () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    bits (Geometry.Pointset.score_l_many idx ~cap ~radii)
+  in
+  let d1 = Domain.spawn (racer 120) and d2 = Domain.spawn (racer 120) in
+  let v1 = Domain.join d1 and v2 = Domain.join d2 in
+  check_true "concurrent first calls agree" (v1 = v2);
+  check_true "and equal a cold index" (v1 = expected);
+  check_true "memo filled once for both" (Geometry.Pointset.memo_holds idx ~radii)
 
 (* --- Job parsing -------------------------------------------------------- *)
 
@@ -317,7 +303,9 @@ let test_job_parse_errors () =
 
 (* Golden bytes: a signature is a Result_cache key and is journaled in WAL
    [cached] records, and the two output encodings are the reply JSON and
-   the journaled answer, so all three must keep their exact bytes. *)
+   the journaled answer, so all three must keep their exact bytes.  A
+   signature changes only with its answers' version ([version=2]: every
+   index is the k-d tree with the exact ball predicate). *)
 let golden_spec kind ~eps ~delta =
   {
     Engine.Job.id = "g";
@@ -336,30 +324,30 @@ let test_job_golden_bytes () =
     [
       ( golden_spec (Engine.Job.One_cluster { t_fraction }) ~eps:tenth ~delta:1e-7,
         "one_cluster t_fraction=0x1.5555555555555p-2 eps=0x1.3333333333334p-2 \
-         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4" );
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.K_cluster { k = 3; t_fraction = 0.2 }) ~eps:1. ~delta:1e-7,
         "k_cluster k=3 t_fraction=0x1.999999999999ap-3 eps=0x1p+0 delta=0x1.ad7f29abcaf48p-24 \
-         beta=0x1.999999999999ap-4" );
+         beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.Quantile { axis = 1; q = 0.25 }) ~eps:0.1234567 ~delta:0.,
-        "quantile axis=1 q=0x1p-2 eps=0x1.f9adbb8f8da72p-4 delta=0x0p+0 beta=0x1.999999999999ap-4" );
+        "quantile axis=1 q=0x1p-2 eps=0x1.f9adbb8f8da72p-4 delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec
           (Engine.Job.Mutate
              (Engine.Job.Append_synth { n = 500; seed = 11; frac = 0.5; radius = 0.05 }))
           ~eps:0. ~delta:0.,
         "mutate op=append n=500 seed=11 frac=0x1p-1 radius=0x1.999999999999ap-5 eps=0x0p+0 \
-         delta=0x0p+0 beta=0x1.999999999999ap-4" );
+         delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.Mutate (Engine.Job.Retire_range { from_ = 7; count = 100 }))
           ~eps:0. ~delta:0.,
-        "mutate op=retire from=7 count=100 eps=0x0p+0 delta=0x0p+0 beta=0x1.999999999999ap-4" );
+        "mutate op=retire from=7 count=100 eps=0x0p+0 delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.Standing { t_fraction = 0.45; periods = 4 }) ~eps:0.8 ~delta:4e-7,
         "standing t_fraction=0x1.ccccccccccccdp-2 periods=4 eps=0x1.999999999999ap-1 \
-         delta=0x1.ad7f29abcaf48p-22 beta=0x1.999999999999ap-4" );
+         delta=0x1.ad7f29abcaf48p-22 beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.Local_cluster { t_fraction = 0.6 }) ~eps:2. ~delta:0.,
         "local_cluster t_fraction=0x1.3333333333333p-1 eps=0x1p+1 delta=0x0p+0 \
-         beta=0x1.999999999999ap-4" );
+         beta=0x1.999999999999ap-4 version=2" );
       ( golden_spec (Engine.Job.Meb { t_fraction = 0.8; coreset = 200 }) ~eps:1. ~delta:1e-7,
         "meb_fptas t_fraction=0x1.999999999999ap-1 coreset=200 eps=0x1p+0 \
-         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4" );
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=2" );
     ]
   in
   List.iter

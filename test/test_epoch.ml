@@ -70,12 +70,9 @@ let test_mutation_invalidates_bounds_cache () =
    point array, applying each op to the registry dataset and the model in
    lockstep.  Appends draw from a fixed pool so both sides see the same
    rows. *)
-let apply_ops ~dense_threshold ~grid ~base ~pool ops =
+let apply_ops ~grid ~base ~pool ops =
   let reg = Engine.Registry.create () in
-  let ds =
-    Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
-      ~dense_threshold base
-  in
+  let ds = Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4) base in
   let model = ref (Array.copy base) in
   let pos = ref 0 in
   let applied = ref 0 in
@@ -136,27 +133,15 @@ let test_epoch_differential =
   qcheck ~count:30 "any append/retire sequence ≡ fresh registration"
     QCheck2.Gen.(list_size (int_bound 10) (int_bound 4096))
     (fun ops ->
-      (* Forced k-d tree on both sides: incremental insert/remove (plus
-         occasional rebuilds) against a from-scratch build. *)
-      List.iter
-        (fun dense_threshold ->
-          let ds, model, applied =
-            apply_ops ~dense_threshold ~grid ~base ~pool ops
-          in
-          Alcotest.(check int)
-            "each applied op bumps the epoch" applied (Engine.Registry.epoch ds);
-          let fresh = Engine.Registry.create () in
-          let fd =
-            Engine.Registry.register fresh ~name:"f" ~grid
-              ~budget:(p ~eps:10. ~delta:1e-4) ~dense_threshold model
-          in
-          let what = if dense_threshold = 0 then "tree" else "dense" in
-          check_true
-            (what ^ ": backend as forced")
-            (Geometry.Pointset.index_is_dense (Engine.Registry.index ds)
-            = (dense_threshold <> 0));
-          same_answers what (Engine.Registry.index ds) (Engine.Registry.index fd))
-        [ 0; max_int ];
+      (* Incremental insert/remove (plus occasional rebuilds) against a
+         from-scratch build. *)
+      let ds, model, applied = apply_ops ~grid ~base ~pool ops in
+      Alcotest.(check int) "each applied op bumps the epoch" applied (Engine.Registry.epoch ds);
+      let fresh = Engine.Registry.create () in
+      let fd =
+        Engine.Registry.register fresh ~name:"f" ~grid ~budget:(p ~eps:10. ~delta:1e-4) model
+      in
+      same_answers "tree" (Engine.Registry.index ds) (Engine.Registry.index fd);
       true)
 
 (* --- service: cache hits are free, mutations invalidate ------------------ *)

@@ -68,7 +68,7 @@ let test_score_l_matches_index () =
   let idx = Geometry.Pointset.build_index ps in
   List.iter
     (fun radius ->
-      check_bits "score_l dense vs direct"
+      check_bits "score_l index vs direct"
         (Geometry.Pointset.score_l_direct ps ~cap:10 ~radius)
         (Geometry.Pointset.score_l idx ~cap:10 ~radius))
     [ 0.05; 0.2; 0.5; 1.0 ]
@@ -206,7 +206,7 @@ let suite =
   [
     case "vec kernels match boxed (bitwise)" test_vec_kernels_match_boxed;
     case "ball_count matches naive" test_ball_count_matches_naive;
-    case "score_l dense index matches direct (bitwise)" test_score_l_matches_index;
+    case "score_l index matches direct (bitwise)" test_score_l_matches_index;
     case "jl project matches per-point apply (bitwise)" test_jl_project_matches_apply;
     case "kdtree matches brute force" test_kdtree_matches_brute_force;
     case "noisy-avg rows matches boxed (bitwise)" test_noisy_avg_rows_matches_boxed;

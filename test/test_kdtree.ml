@@ -65,45 +65,47 @@ let test_negative_radius () =
 
 (* --- Tree-backed Pointset index --- *)
 
+(* Against the rows a dense distance index would hold
+   ([sorted_dist_rows]), bit for bit. *)
 let test_tree_index_matches_dense () =
   let r = rng () in
   let grid = Geometry.Grid.create ~axis_size:128 ~dim:2 in
   let w = Workload.Synth.planted_ball r ~grid ~n:500 ~cluster_fraction:0.4 ~cluster_radius:0.06 in
-  let ps = Geometry.Pointset.create w.Workload.Synth.points in
-  let dense = Geometry.Pointset.build_index ps in
-  let tree = Geometry.Pointset.build_tree_index ps in
-  check_true "dense flag" (Geometry.Pointset.index_is_dense dense);
-  check_true "tree flag" (not (Geometry.Pointset.index_is_dense tree));
+  let pts = w.Workload.Synth.points in
+  let rows = sorted_dist_rows pts in
+  let tree = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
   List.iter
     (fun radius ->
       Alcotest.(check (array int))
         (Printf.sprintf "counts at r=%.2f" radius)
-        (Geometry.Pointset.counts_within dense ~radius)
-        (Geometry.Pointset.counts_within tree ~radius);
-      check_float ~tol:1e-9
-        (Printf.sprintf "score at r=%.2f" radius)
-        (Geometry.Pointset.score_l dense ~cap:200 ~radius)
-        (Geometry.Pointset.score_l tree ~cap:200 ~radius))
+        (Array.map (fun row -> Array.fold_left (fun c x -> if x <= radius then c + 1 else c) 0 row) rows)
+        (Geometry.Pointset.counts_within tree ~radius))
     [ 0.; 0.03; 0.1; 0.5 ];
   for i = 0 to 20 do
-    check_float ~tol:1e-7
-      (Printf.sprintf "kth neighbor of %d" i)
-      (Geometry.Pointset.kth_neighbor_distance dense ~k:50 i)
-      (Geometry.Pointset.kth_neighbor_distance tree ~k:50 i)
+    List.iter
+      (fun k ->
+        if
+          Int64.bits_of_float rows.(i).(k - 1)
+          <> Int64.bits_of_float (Geometry.Pointset.kth_neighbor_distance tree ~k i)
+        then Alcotest.failf "kth neighbor of %d, k = %d" i k)
+      [ 1; 50; 500 ]
   done
 
+(* The names the end-to-end driver still calls: every index is the tree. *)
 let test_auto_index () =
   let r = rng () in
-  let small = Geometry.Pointset.create (random_points r ~n:100 ~d:2) in
-  check_true "small is dense" (Geometry.Pointset.index_is_dense (Geometry.Pointset.auto_index small));
-  check_true "threshold forces tree"
-    (not (Geometry.Pointset.index_is_dense (Geometry.Pointset.auto_index ~dense_threshold:50 small)))
+  let ps = Geometry.Pointset.create (random_points r ~n:100 ~d:2) in
+  let idx = Geometry.Pointset.auto_index ~domains:2 ps in
+  check_true "never dense" (not (Geometry.Pointset.index_is_dense idx));
+  check_true "same counts as build_index"
+    (Geometry.Pointset.counts_within idx ~radius:0.5
+    = Geometry.Pointset.counts_within (Geometry.Pointset.build_index ps) ~radius:0.5)
 
 let test_good_radius_on_tree_index () =
   (* The whole radius stage must work unchanged on the scalable backend. *)
   let r, grid, w = small_workload ~seed:13 ~n:600 ~fraction:0.5 ~radius:0.05 () in
   let ps = Geometry.Pointset.create w.Workload.Synth.points in
-  let idx = Geometry.Pointset.build_tree_index ps in
+  let idx = Geometry.Pointset.build_index ps in
   let result =
     Privcluster.Good_radius.run r Privcluster.Profile.practical ~grid ~eps:4.0 ~delta:1e-6
       ~beta:0.1 ~t:300 idx

@@ -69,91 +69,75 @@ let test_dists_sort_kth_diff =
       let kth_c = Kernel.kth_smallest (Array.copy out_c) ~len:n ~k in
       let kth_r = Kernel.Ref.kth_smallest (Array.copy out_r) ~len:n ~k in
       check_bits "kth_smallest" kth_r kth_c;
-      Kernel.sort_floats out_c;
-      Kernel.Ref.sort_floats out_r;
-      check_float_array "sorted" out_r out_c;
+      Array.sort Float.compare out_r;
+      check_bits "kth_smallest = sorted read" out_r.(k - 1) kth_c;
       true)
 
-(* Distance rows built to reach every branch of the native row sort: the
-   lengths straddle its cutoffs (insertion sort, short-row quicksort,
-   buckets, beyond the dense threshold), and the shapes hit its
-   duplicate-heavy buckets, its single oversized bucket (all equal, one
-   far outlier) and its quicksort fallbacks (+0.-only rows, subnormal-only
-   rows, a +inf entry). *)
-let distance_row_gen =
-  QCheck2.Gen.(
-    no_shrink
-      ( oneofl [ 0; 1; 2; 15; 16; 64; 65; 4097 ] >>= fun len ->
-        let row elt = array_size (return len) elt in
-        let set_one a x pos = if len > 0 then a.(pos mod len) <- x; a in
-        oneof
-          [
-            (* Grid-snapped: many exact duplicates. *)
-            ( float_range 1e-3 1. >>= fun h ->
-              row (int_range 0 12 >|= fun k -> h *. float_of_int k) );
-            (* All equal, zero included. *)
-            (oneof [ return 0.; float_range 1e-3 5. ] >|= fun c -> Array.make len c);
-            (* Mostly +0. *)
-            row (frequency [ (3, return 0.); (1, float_range 0. 2.) ]);
-            (* One far outlier: every other entry lands in the first bucket. *)
-            ( pair (row (float_range 0. 1.)) nat >|= fun (a, pos) -> set_one a 1e300 pos );
-            (* Subnormal only: [len / max] overflows. *)
-            row (int_range 1 1000 >|= fun k -> Int64.float_of_bits (Int64.of_int k));
-            (* A trailing +inf. *)
-            (row (float_range 0. 3.) >|= fun a -> set_one a infinity (len - 1));
-            (* Plain spread-out distances. *)
-            row (float_range 0. 1.5);
-          ] ))
-
-let test_sort_floats_rows_diff =
-  qcheck ~count:300 "sort_floats: C = Ref bitwise (adversarial distance rows)"
-    distance_row_gen (fun row ->
-      with_native @@ fun () ->
-      let c = Array.copy row and r = Array.copy row in
-      Kernel.sort_floats c;
-      Kernel.Ref.sort_floats r;
-      check_float_array "sorted row" r c;
-      true)
-
-(* The dense index is n sorted rows: under the native kernels and under
-   Kernel.Ref every k-th neighbour distance must carry the same bits, on
-   a planted set the size of the daemon's dense workloads. *)
-let test_dense_index_rows_native_vs_ref () =
-  let _, _, w = small_workload ~seed:5 ~n:3000 ~axis:256 () in
-  let ps = Geometry.Pointset.create w.Workload.Synth.points in
-  let build native =
+(* The tree index under the native kernels and under Kernel.Ref: every
+   count and every k-th neighbour distance must carry the same bits, on
+   a planted set the size of the daemon's serving workloads. *)
+let test_tree_index_native_vs_ref () =
+  let _, grid, w = small_workload ~seed:5 ~n:3000 ~axis:256 () in
+  let idx = Geometry.Pointset.build_index (Geometry.Pointset.create w.Workload.Synth.points) in
+  let n = Array.length w.Workload.Synth.points in
+  let under native f =
     let before = Kernel.native_active () in
     Kernel.set_native native;
-    Fun.protect ~finally:(fun () -> Kernel.set_native before) @@ fun () ->
-    Geometry.Pointset.build_index ps
+    Fun.protect ~finally:(fun () -> Kernel.set_native before) f
   in
-  let c = build true and r = build false in
-  let n = Geometry.Pointset.n ps in
-  for i = 0 to n - 1 do
-    for k = 1 to n do
-      let kth idx = Geometry.Pointset.kth_neighbor_distance idx ~k i in
-      if Int64.bits_of_float (kth c) <> Int64.bits_of_float (kth r) then
-        Alcotest.failf "row %d, entry %d: native %h, reference %h" i k (kth c) (kth r)
-    done
+  for j = 0 to Geometry.Grid.geometric_candidates grid - 1 do
+    let radius = Geometry.Grid.geometric_radius_of_index grid j in
+    let counts native = under native (fun () -> Geometry.Pointset.counts_within idx ~radius) in
+    check_int_array (Printf.sprintf "counts at r = %h" radius) (counts false) (counts true)
+  done;
+  (* Every fifth point: the reference k-th distance sorts a copy of the
+     whole row. *)
+  for i5 = 0 to (n - 1) / 5 do
+    let i = 5 * i5 in
+    List.iter
+      (fun k ->
+        let kth native = under native (fun () -> Geometry.Pointset.kth_neighbor_distance idx ~k i) in
+        check_bits (Printf.sprintf "point %d, k = %d" i k) (kth false) (kth true))
+      [ 1; 2; n / 3; n ]
   done
 
-let test_counts_le_sorted_diff =
-  qcheck "counts_le_sorted: C = Ref"
-    QCheck2.Gen.(
-      pair
-        (array_size (int_range 0 60) (float_range 0. 20.))
-        (array_size (int_range 1 40) (float_range (-1.) 21.)))
-    (fun (row, radii) ->
+(* The C leaf step's branchless search against the reference bisection,
+   at the window's edges: squared radii holding the points' exact squared
+   distances (so a point's [acc_d] equals an [r2s] entry), runs of
+   repeated entries, and windows of every width down to [jlo = jhi - 1]. *)
+let test_leaf_multi_count_diff =
+  qcheck "leaf_multi_count: C = Ref at the window edges"
+    QCheck2.Gen.(triple cloud_gen (int_range 1 4) (float_range 0. 1.))
+    (fun ((d, pts), dup, far) ->
       with_native @@ fun () ->
-      Array.sort Float.compare row;
-      Array.sort Float.compare radii;
-      let nr = Array.length radii in
-      let out_c = Array.make nr 0 and out_r = Array.make nr 0 in
-      Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii ~nr ~out:out_c
-        ~stride:1 ~col:0;
-      Kernel.Ref.counts_le_sorted ~row ~len:(Array.length row) ~radii ~nr ~out:out_r
-        ~stride:1 ~col:0;
-      check_int_array "counts" out_r out_c;
+      let st, offs = flat_of pts d in
+      let n = Array.length pts in
+      let q = pts.(n / 2) in
+      let d2 = Array.map (fun p -> Geometry.Vec.dist_sq p q) pts in
+      let r2s =
+        Array.concat [ [| 0.; far |]; d2; Array.concat (List.init dup (fun _ -> Array.sub d2 0 (n / 2))) ]
+      in
+      Array.sort Float.compare r2s;
+      let nr = Array.length r2s in
+      let windows =
+        List.concat
+          [
+            List.init nr (fun j -> (j, j + 1));
+            List.init nr (fun j -> (j, nr));
+            List.init nr (fun j -> (0, j + 1));
+          ]
+      in
+      List.iter
+        (fun (jlo, jhi) ->
+          let run leaf =
+            let acc = Array.make (nr + 1) 0 in
+            leaf ~st ~idx:offs ~lo:0 ~hi:(n - 1) ~q ~qoff:0 ~dim:d ~r2s ~jlo ~jhi ~acc;
+            acc
+          in
+          check_int_array
+            (Printf.sprintf "window [%d, %d)" jlo jhi)
+            (run Kernel.Ref.leaf_multi_count) (run Kernel.leaf_multi_count))
+        windows;
       true)
 
 let test_top_avg_capped_diff =
@@ -224,7 +208,6 @@ let test_edge_cases () =
   check_int "singleton count"
     1
     (Kernel.count_within ~st ~offs ~lo:0 ~hi:0 ~q:st ~qoff:0 ~dim:2 ~r2:0.);
-  Kernel.sort_floats [||];
   check_bits "kth of singleton" 0.5 (Kernel.kth_smallest [| 0.5 |] ~len:1 ~k:1);
   (* All-duplicate cloud: every pair at distance 0. *)
   let dup = Array.make 8 [| 1.5; -2.5 |] in
@@ -234,14 +217,9 @@ let test_edge_cases () =
     (Kernel.count_within ~st:dst ~offs:doffs ~lo:0 ~hi:7 ~q:dst ~qoff:0 ~dim:2 ~r2:0.);
   let row = Array.make 8 0. in
   Kernel.dists_to_rows ~st:dst ~offs:doffs ~n:8 ~q:dst ~qoff:0 ~dim:2 ~out:row;
-  Kernel.sort_floats row;
   check_float_array "duplicate distances" (Array.make 8 0.) row;
   check_bits "top_avg of empty-cap" 0.
-    (Kernel.top_avg_capped ~counts:[| 5; 5 |] ~off:0 ~len:2 ~cap:0 ~k:2);
-  (* counts_le_sorted over an empty row. *)
-  let out = [| 99 |] in
-  Kernel.counts_le_sorted ~row:[||] ~len:0 ~radii:[| 1. |] ~nr:1 ~out ~stride:1 ~col:0;
-  check_int "empty row count" 0 out.(0)
+    (Kernel.top_avg_capped ~counts:[| 5; 5 |] ~off:0 ~len:2 ~cap:0 ~k:2)
 
 let test_count_within_row_many_matches_per_radius =
   qcheck ~count:100 "kdtree multi-radius = per-radius counts"
@@ -261,24 +239,22 @@ let test_count_within_row_many_matches_per_radius =
       true)
 
 let test_score_l_many_matches_score_l =
-  qcheck ~count:60 "score_l_many = per-radius score_l (both backends)"
+  qcheck ~count:60 "score_l_many = per-radius score_l, bit for bit"
     QCheck2.Gen.(
       pair cloud_gen (pair (int_range 1 10) (array_size (int_range 1 16) (float_range 0. 5.))))
     (fun ((_d, pts), (cap, radii)) ->
       with_native @@ fun () ->
       Array.sort Float.compare radii;
       let ps = Geometry.Pointset.create pts in
-      List.iter
-        (fun idx ->
-          let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
-          Array.iteri
-            (fun j r ->
-              check_bits
-                (Printf.sprintf "L(%g) cap=%d" r cap)
-                (Geometry.Pointset.score_l idx ~cap ~radius:r)
-                batched.(j))
-            radii)
-        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
+      let idx = Geometry.Pointset.build_index ps in
+      let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
+      Array.iteri
+        (fun j r ->
+          check_bits
+            (Printf.sprintf "L(%g) cap=%d" r cap)
+            (Geometry.Pointset.score_l idx ~cap ~radius:r)
+            batched.(j))
+        radii;
       true)
 
 (* The count-matrix memo on an index must be invisible: interleaving caps
@@ -291,36 +267,34 @@ let test_score_l_many_memo_matches_score_l =
                  Array.sort Float.compare a;
                  a)
   in
-  qcheck ~count:60 "score_l_many memo = fresh per-radius score_l (both backends)"
+  qcheck ~count:60 "score_l_many memo = fresh per-radius score_l"
     QCheck2.Gen.(
       pair cloud_gen (triple sorted_radii sorted_radii (list_size (int_range 1 4) (int_range 1 10))))
     (fun ((_d, pts), (ra, rb, caps)) ->
       with_native @@ fun () ->
       let ps = Geometry.Pointset.create pts in
       let key radii = List.filter (fun r -> r >= 0.) (Array.to_list radii) in
+      let idx = Geometry.Pointset.build_index ps in
       List.iter
-        (fun idx ->
+        (fun cap ->
           List.iter
-            (fun cap ->
-              List.iter
-                (fun radii ->
-                  let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
-                  Array.iteri
-                    (fun j r ->
-                      check_bits
-                        (Printf.sprintf "L(%g) cap=%d" r cap)
-                        (Geometry.Pointset.score_l idx ~cap ~radius:r)
-                        batched.(j))
-                    radii;
-                  if Geometry.Pointset.memo_holds idx ~radii <> (key radii <> []) then
-                    Alcotest.fail "memo entry does not match the last sweep")
-                [ ra; rb; ra ])
-            caps;
-          (* The last sweep with a non-negative radius owns the entry. *)
-          let rb_owns = key rb <> [] && (key ra = [] || key ra = key rb) in
-          if Geometry.Pointset.memo_holds idx ~radii:rb <> rb_owns then
-            Alcotest.fail "a replaced memo entry still answers")
-        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
+            (fun radii ->
+              let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
+              Array.iteri
+                (fun j r ->
+                  check_bits
+                    (Printf.sprintf "L(%g) cap=%d" r cap)
+                    (Geometry.Pointset.score_l idx ~cap ~radius:r)
+                    batched.(j))
+                radii;
+              if Geometry.Pointset.memo_holds idx ~radii <> (key radii <> []) then
+                Alcotest.fail "memo entry does not match the last sweep")
+            [ ra; rb; ra ])
+        caps;
+      (* The last sweep with a non-negative radius owns the entry. *)
+      let rb_owns = key rb <> [] && (key ra = [] || key ra = key rb) in
+      if Geometry.Pointset.memo_holds idx ~radii:rb <> rb_owns then
+        Alcotest.fail "a replaced memo entry still answers";
       true)
 
 (* The memo's bound: a sweep is memoized only when its non-negative radii
@@ -352,30 +326,28 @@ let test_score_l_many_above_memo_bound =
       in
       let at_bound = grid block and above = grid (block + 1) in
       let cap = n / 3 in
+      let idx = Geometry.Pointset.build_index ps in
+      ignore (Geometry.Pointset.score_l_many idx ~cap ~radii:at_bound);
+      check_true "at the bound: memoized"
+        (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+      let batched = Geometry.Pointset.score_l_many idx ~cap ~radii:above in
+      check_true "above the bound: not memoized"
+        (not (Geometry.Pointset.memo_holds idx ~radii:above));
+      check_true "above the bound: earlier entry kept"
+        (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+      let len = Array.length above in
+      let probes =
+        List.sort_uniq compare
+          (List.init ((len + 52) / 53) (fun k -> k * 53)
+          @ [ 0; 1; 2; block; block + 1; block + 2; len - 1 ])
+      in
       List.iter
-        (fun idx ->
-          ignore (Geometry.Pointset.score_l_many idx ~cap ~radii:at_bound);
-          check_true "at the bound: memoized"
-            (Geometry.Pointset.memo_holds idx ~radii:at_bound);
-          let batched = Geometry.Pointset.score_l_many idx ~cap ~radii:above in
-          check_true "above the bound: not memoized"
-            (not (Geometry.Pointset.memo_holds idx ~radii:above));
-          check_true "above the bound: earlier entry kept"
-            (Geometry.Pointset.memo_holds idx ~radii:at_bound);
-          let len = Array.length above in
-          let probes =
-            List.sort_uniq compare
-              (List.init ((len + 52) / 53) (fun k -> k * 53)
-              @ [ 0; 1; 2; block; block + 1; block + 2; len - 1 ])
-          in
-          List.iter
-            (fun j ->
-              check_bits
-                (Printf.sprintf "L(%g) above the bound" above.(j))
-                (Geometry.Pointset.score_l idx ~cap ~radius:above.(j))
-                batched.(j))
-            probes)
-        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ];
+        (fun j ->
+          check_bits
+            (Printf.sprintf "L(%g) above the bound" above.(j))
+            (Geometry.Pointset.score_l idx ~cap ~radius:above.(j))
+            batched.(j))
+        probes;
       true)
 
 let test_native_off_matches_native_on () =
@@ -418,9 +390,8 @@ let suite =
   [
     test_count_within_diff;
     test_dists_sort_kth_diff;
-    test_sort_floats_rows_diff;
-    case "dense index rows: native = reference (n = 3000)" test_dense_index_rows_native_vs_ref;
-    test_counts_le_sorted_diff;
+    case "tree index: native = reference (n = 3000)" test_tree_index_native_vs_ref;
+    test_leaf_multi_count_diff;
     test_top_avg_capped_diff;
     test_jl_sum_rows_diff;
     test_argmin_argmax_mindist_diff;

@@ -89,43 +89,72 @@ let test_counts_within () =
   Alcotest.(check (array int)) "counts" [| 2; 3; 2; 1 |] counts;
   let zero = Geometry.Pointset.counts_within idx ~radius:(-1.) in
   Alcotest.(check (array int)) "negative radius" [| 0; 0; 0; 0 |] zero;
-  (* [holds_at_least] is the per-point [counts_within .. >= k], on both
-     backends. *)
-  let tree = Geometry.Pointset.build_tree_index (Geometry.Pointset.create pts) in
+  (* [holds_at_least] is the per-point [counts_within .. >= k]. *)
   List.iter
     (fun radius ->
-      let counts = Geometry.Pointset.counts_within idx ~radius in
-      List.iter
-        (fun index ->
-          Array.iteri
-            (fun i c ->
-              for k = 1 to Array.length pts do
-                check_true
-                  (Printf.sprintf "holds_at_least r=%g i=%d k=%d" radius i k)
-                  (Geometry.Pointset.holds_at_least index ~radius ~k i = (c >= k))
-              done)
-            counts)
-        [ idx; tree ])
+      Array.iteri
+        (fun i c ->
+          for k = 1 to Array.length pts do
+            check_true
+              (Printf.sprintf "holds_at_least r=%g i=%d k=%d" radius i k)
+              (Geometry.Pointset.holds_at_least idx ~radius ~k i = (c >= k))
+          done)
+        (Geometry.Pointset.counts_within idx ~radius))
     [ -1.; 0.; 0.1; 0.15; 0.2; 1. ]
 
-(* The two backends test ball membership differently: a dense row holds
-   [sqrt acc] and counts [sqrt acc <= r]; the k-d tree counts
-   [acc <= r *. r].  Rounding can split the two (DESIGN.md §6: on these
-   planted sets the linear grid's r = 1.0 does, for seeds 3 and 4).  On
-   the geometric grid, the engine's default, they must agree exactly. *)
-let test_backends_agree_on_geometric_grid () =
+let ref_rows ps = sorted_dist_rows (Geometry.Pointset.points ps)
+
+(* Entries of the sorted [row] that are [<= r], by binary search. *)
+let count_le row r =
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if row.(mid) <= r then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The dense rows count [sqrt acc <= r]; the k-d tree compares [acc]
+   against [Vec.ball_r2 r], which must count the same ball.  With the
+   naive [acc <= r *. r] the two split on these planted sets at the
+   linear grid's r = 1.0, for seeds 3 and 4 (DESIGN.md §6), so every
+   radius of both candidate grids is checked: the geometric grid through
+   [counts_within], the linear one (1025 radii) through one multi-radius
+   traversal per point, and r = 1.0 through both. *)
+let test_tree_counts_match_dense_rows () =
   List.iter
     (fun seed ->
       let _, grid, w = small_workload ~seed ~n:1500 ~axis:256 ~radius:0.05 () in
       let ps = Geometry.Pointset.create w.Workload.Synth.points in
-      let dense = Geometry.Pointset.build_index ps in
-      let tree = Geometry.Pointset.build_tree_index ps in
-      for j = 0 to Geometry.Grid.geometric_candidates grid - 1 do
-        let radius = Geometry.Grid.geometric_radius_of_index grid j in
+      let n = Geometry.Pointset.n ps in
+      let rows = ref_rows ps in
+      let idx = Geometry.Pointset.build_index ps in
+      let check_counts radius =
         Alcotest.(check (array int))
           (Printf.sprintf "seed %d, r = %h" seed radius)
-          (Geometry.Pointset.counts_within dense ~radius)
-          (Geometry.Pointset.counts_within tree ~radius)
+          (Array.map (fun row -> count_le row radius) rows)
+          (Geometry.Pointset.counts_within idx ~radius)
+      in
+      for j = 0 to Geometry.Grid.geometric_candidates grid - 1 do
+        check_counts (Geometry.Grid.geometric_radius_of_index grid j)
+      done;
+      check_counts 1.0;
+      let radii = Array.init (Geometry.Grid.radius_candidates grid) (Geometry.Grid.radius_of_index grid) in
+      let nr = Array.length radii in
+      let tree = Geometry.Pointset.index_tree idx in
+      let out = Array.make nr 0 in
+      for i = 0 to n - 1 do
+        Geometry.Kdtree.count_within_row_many tree (Geometry.Pointset.storage ps)
+          ~off:(Geometry.Pointset.row_offset ps i) ~radii ~out ~stride:1 ~col:0;
+        (* Two-pointer merge of the sorted row against the ascending radii. *)
+        let p = ref 0 in
+        Array.iteri
+          (fun j r ->
+            while !p < n && rows.(i).(!p) <= r do
+              incr p
+            done;
+            if out.(j) <> !p then
+              Alcotest.failf "seed %d, point %d, linear r = %h: tree %d, dense %d" seed i r out.(j) !p)
+          radii
       done)
     [ 1; 2; 3; 4 ]
 
@@ -149,11 +178,10 @@ let test_subset_filter_map () =
   let mapped = Geometry.Pointset.map_points (Geometry.Vec.scale 2.) ps in
   check_float "map" 4. (Geometry.Pointset.point mapped 2).(0)
 
-(* Identical points share one dense row and one count-matrix column
-   ([Pointset.is_representative]).  Every grouped answer, on both backends, must
-   equal bit for bit a per-row reference scan that never groups: fresh
-   sorted distance rows for the dense backend, one [Kdtree.count_within_row]
-   per row and radius for the tree. *)
+(* Identical points share one count-matrix column
+   ([Pointset.is_representative]).  Every grouped answer must equal bit for
+   bit a per-row reference that never groups: fresh sorted distance rows
+   per point. *)
 module P = Geometry.Pointset
 
 let bits = Int64.bits_of_float
@@ -167,33 +195,6 @@ let ref_reps ps =
         incr j
       done;
       !j)
-
-(* Point [i]'s sorted distances to every point, one fresh row per point. *)
-let ref_rows ps =
-  let pts = P.points ps in
-  Array.map
-    (fun p ->
-      let row = Array.map (Geometry.Vec.dist p) pts in
-      Array.sort Float.compare row;
-      row)
-    pts
-
-let count_le row r = Array.fold_left (fun acc x -> if x <= r then acc + 1 else acc) 0 row
-
-(* [Pointset.kth_neighbor_distance]'s tree bisection, on the reference
-   per-row count. *)
-let ref_tree_kth count ps ~k i =
-  let p = P.point ps i in
-  let norm_inf = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. p in
-  let lo = ref 0. and hi = ref (norm_inf +. (2. *. sqrt (float_of_int (P.dim ps)))) in
-  while count i !hi < k do
-    hi := 2. *. Float.max 1. !hi
-  done;
-  for _ = 1 to 100 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if count i mid >= k then hi := mid else lo := mid
-  done;
-  !hi
 
 (* The unpruned, ungrouped 2-approximation scan: first index wins ties. *)
 let ref_two_approx kth n ~t =
@@ -219,73 +220,56 @@ let check_grouping ps =
     Array.of_list (List.filteri (fun j _ -> j mod step = 0) (Array.to_list cand))
   in
   let nr = Array.length radii in
-  let dense = P.build_index ~domains:2 ps and tree = P.build_tree_index ps in
-  let tree_count =
-    let t = Option.get (P.index_tree tree) in
-    fun i radius -> Geometry.Kdtree.count_within_row t (P.storage ps) ~off:(P.row_offset ps i) ~radius
-  in
-  let backends =
-    [
-      ("dense", dense, (fun i r -> count_le rows.(i) r), (fun ~k i -> rows.(i).(k - 1)),
-        List.init n succ);
-      ( "tree",
-        tree,
-        tree_count,
-        ref_tree_kth tree_count ps,
-        if n <= 40 then List.init n succ else List.sort_uniq compare [ 1; 2; (n + 1) / 2; n ] );
-    ]
-  in
-  let reps = ref_reps ps in
-  List.iter
-    (fun (name, idx, count, kth, ks) ->
-      Array.iteri
-        (fun i r ->
-          if P.is_representative idx i <> (r = i) then fail "%s: is_representative %d" name i)
-        reps;
-      let ref_counts = Array.make (nr * n) 0 in
-      Array.iteri
-        (fun j r ->
-          for i = 0 to n - 1 do
-            ref_counts.((j * n) + i) <- count i r
-          done)
-        radii;
-      Array.iteri
-        (fun j radius ->
-          if P.counts_within idx ~radius <> Array.sub ref_counts (j * n) n then
-            fail "%s: counts_within differs at r=%h" name radius)
-        radii;
-      List.iter
-        (fun cap ->
-          let expect =
-            Array.init nr (fun j ->
-                bits (Kernel.top_avg_capped ~counts:ref_counts ~off:(j * n) ~len:n ~cap ~k:(min cap n)))
-          in
-          let sweep i = Array.map bits (P.score_l_many i ~cap ~radii) in
-          (* Cold, then filling the memo, then a memo hit. *)
-          if sweep (P.cold_copy idx) <> expect || sweep idx <> expect || sweep idx <> expect then
-            fail "%s: score_l_many differs at cap %d" name cap)
-        [ 1; max 1 (n / 3); n ];
+  let idx = P.build_index ps in
+  (* The k-th neighbour distance is the sorted row's (k-1)-th entry. *)
+  let kth ~k i = rows.(i).(k - 1) in
+  let ks = if n <= 40 then List.init n succ else List.sort_uniq compare [ 1; 2; (n + 1) / 2; n ] in
+  Array.iteri
+    (fun i r -> if P.is_representative idx i <> (r = i) then fail "is_representative %d" i)
+    (ref_reps ps);
+  let ref_counts = Array.make (nr * n) 0 in
+  Array.iteri
+    (fun j r ->
       for i = 0 to n - 1 do
-        List.iter
-          (fun k ->
-            if bits (P.kth_neighbor_distance idx ~k i) <> bits (kth ~k i) then
-              fail "%s: kth_neighbor_distance k=%d i=%d" name k i;
-            Array.iteri
-              (fun j radius ->
-                if P.holds_at_least idx ~radius ~k i <> (ref_counts.((j * n) + i) >= k) then
-                  fail "%s: holds_at_least r=%h k=%d i=%d" name radius k i)
-              radii)
-          ks
-      done;
-      List.iter
-        (fun t ->
-          let ball = Geometry.Seb.two_approx_indexed idx ~t in
-          let best_i, best = ref_two_approx kth n ~t in
-          if bits ball.radius <> bits best
-             || Array.map bits ball.center <> Array.map bits (P.point ps best_i)
-          then fail "%s: two_approx_indexed differs at t=%d" name t)
-        (List.sort_uniq compare [ 1; (n + 1) / 2; n ]))
-    backends
+        ref_counts.((j * n) + i) <- count_le rows.(i) r
+      done)
+    radii;
+  Array.iteri
+    (fun j radius ->
+      if P.counts_within idx ~radius <> Array.sub ref_counts (j * n) n then
+        fail "counts_within differs at r=%h" radius)
+    radii;
+  List.iter
+    (fun cap ->
+      let expect =
+        Array.init nr (fun j ->
+            bits (Kernel.top_avg_capped ~counts:ref_counts ~off:(j * n) ~len:n ~cap ~k:(min cap n)))
+      in
+      let sweep i = Array.map bits (P.score_l_many i ~cap ~radii) in
+      (* Cold, then filling the memo, then a memo hit. *)
+      if sweep (P.cold_copy idx) <> expect || sweep idx <> expect || sweep idx <> expect then
+        fail "score_l_many differs at cap %d" cap)
+    [ 1; max 1 (n / 3); n ];
+  for i = 0 to n - 1 do
+    List.iter
+      (fun k ->
+        if bits (P.kth_neighbor_distance idx ~k i) <> bits (kth ~k i) then
+          fail "kth_neighbor_distance k=%d i=%d" k i;
+        Array.iteri
+          (fun j radius ->
+            if P.holds_at_least idx ~radius ~k i <> (ref_counts.((j * n) + i) >= k) then
+              fail "holds_at_least r=%h k=%d i=%d" radius k i)
+          radii)
+      ks
+  done;
+  List.iter
+    (fun t ->
+      let ball = Geometry.Seb.two_approx_indexed idx ~t in
+      let best_i, best = ref_two_approx kth n ~t in
+      if bits ball.radius <> bits best
+         || Array.map bits ball.center <> Array.map bits (P.point ps best_i)
+      then fail "two_approx_indexed differs at t=%d" t)
+    (List.sort_uniq compare [ 1; (n + 1) / 2; n ])
 
 (* Coarse grids (3–8 cells per axis, d in 1..3, up to 300 points): most
    rows repeat. *)
@@ -296,7 +280,7 @@ let coarse_gen =
     (d, Array.map (fun c -> float_of_int c /. float_of_int (axis - 1)) cells))
 
 let qcheck_grouping_bit_exact =
-  qcheck "identical points share rows and columns: bit-exact on both backends" ~count:25
+  qcheck "identical points share rows and columns: bit-exact" ~count:25
     coarse_gen (fun (dim, st) ->
       check_grouping (P.of_storage ~dim st);
       true)
@@ -312,26 +296,26 @@ let test_grouping_edge_cases () =
   let spread = P.of_storage ~dim:2 (Prim.Rng.gaussian_vector (rng ()) ~dim:120 ~sigma:1.0) in
   check_grouping spread;
   check_true "no duplicates: every row its own representative"
-    (let idx = P.build_tree_index spread in
+    (let idx = P.build_index spread in
      List.for_all (P.is_representative idx) (List.init 60 Fun.id));
   (* 0.0 and -0.0 are distinct keys with equal answers. *)
   let signed =
     P.create [| [| 0.; 0. |]; [| -0.; 0. |]; [| 0.; -0. |]; [| 1.; 0. |]; [| 0.; 0. |]; [| -0.; 0. |] |]
   in
   check_grouping signed;
-  let dense = P.build_index signed in
+  let idx = P.build_index signed in
   Alcotest.(check (list bool))
     "signed zeros kept apart" [ true; true; true; true; false; false ]
-    (List.init 6 (P.is_representative dense));
+    (List.init 6 (P.is_representative idx));
   let radii = [| 0.; 0.5; 1.; 2. |] in
   Array.iter
     (fun radius ->
-      let c = P.counts_within dense ~radius in
+      let c = P.counts_within idx ~radius in
       check_true "signed zeros: equal counts" (c.(0) = c.(1) && c.(0) = c.(2)))
     radii;
   for k = 1 to 6 do
     check_true "signed zeros: equal k-th distances"
-      (bits (P.kth_neighbor_distance dense ~k 0) = bits (P.kth_neighbor_distance dense ~k 1))
+      (bits (P.kth_neighbor_distance idx ~k 0) = bits (P.kth_neighbor_distance idx ~k 1))
   done
 
 let suite =
@@ -344,7 +328,7 @@ let suite =
     qcheck_l_sensitivity_two;
     qcheck_l_bounds;
     case "counts_within" test_counts_within;
-    case "dense and tree counts agree on the geometric grid" test_backends_agree_on_geometric_grid;
+    case "dense and tree counts agree on the geometric and linear grids" test_tree_counts_match_dense_rows;
     case "kth neighbor distance" test_kth_neighbor;
     case "subset / filter / map" test_subset_filter_map;
     qcheck_grouping_bit_exact;

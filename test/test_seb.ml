@@ -43,11 +43,8 @@ let qcheck_two_approx_indexed_matches =
       let ps = Geometry.Pointset.create pts in
       let t = max 1 (Array.length pts / 2) in
       let a = Geometry.Seb.two_approx ps ~t in
-      List.for_all
-        (fun idx ->
-          let b = Geometry.Seb.two_approx_indexed idx ~t in
-          Float.abs (a.Geometry.Seb.radius -. b.Geometry.Seb.radius) < 1e-9)
-        [ Geometry.Pointset.build_index ps; Geometry.Pointset.build_tree_index ps ])
+      let b = Geometry.Seb.two_approx_indexed (Geometry.Pointset.build_index ps) ~t in
+      Float.abs (a.Geometry.Seb.radius -. b.Geometry.Seb.radius) < 1e-9)
 
 (* The unpruned scan [two_approx_indexed] replaced: every point's t-th
    neighbor distance, strict [<], first index wins. *)
@@ -97,17 +94,13 @@ let same_ball (a : Geometry.Seb.ball) (b : Geometry.Seb.ball) =
   && Array.for_all2 (fun x y -> bits x = bits y) a.center b.center
 
 let qcheck_pruned_scan_bit_identical =
-  qcheck "pruned two_approx_indexed = unpruned scan, bit for bit (dense, tree, maintained tree)"
+  qcheck "pruned two_approx_indexed = unpruned scan, bit for bit (fresh and maintained tree)"
     QCheck2.Gen.(pair (snapped_gen ~lo:3 ~hi:40) (snapped_gen ~lo:0 ~hi:10))
     (fun (pts, extra) ->
       let ps = Geometry.Pointset.create pts in
       let n = Array.length pts in
       let indexes =
-        [
-          Geometry.Pointset.build_index ps;
-          Geometry.Pointset.build_tree_index ps;
-          maintained_tree_index pts extra;
-        ]
+        [ Geometry.Pointset.build_index ps; maintained_tree_index pts extra ]
       in
       List.for_all
         (fun idx ->

@@ -833,6 +833,67 @@ let test_daemon_epoch_crash_recovery () =
       Server.Client.close c);
   ()
 
+(* A journal written before [Job.signature] carried its answers' version:
+   its [cached] records still replay, but they key answers the library no
+   longer computes, so the same request afterwards misses the cache, is
+   recomputed and is charged. *)
+let test_daemon_old_signature_recomputes () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let register c =
+    expect_ok "register"
+      (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+         ~budget:(p ~eps:6.0 ~delta:1e-4) ())
+  in
+  let spent_cold = ref nan in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore (register c);
+      ignore (expect_ok "cold" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()));
+      spent_cold := spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
+      Server.Client.close c);
+  (* Rewrite the journal as the previous build wrote it: every cached
+     record's signature without its trailing [version=N] field. *)
+  let path = cfg.Server.Daemon.wal_path in
+  let records =
+    match Wal.load path with Ok (records, _) -> records | Error e -> Alcotest.failf "load: %s" e
+  in
+  let unversioned sg =
+    let key = " version=" in
+    let rec find i =
+      if i + String.length key > String.length sg then Alcotest.failf "no version in %S" sg
+      else if String.sub sg i (String.length key) = key then i
+      else find (i + 1)
+    in
+    String.sub sg 0 (find 0)
+  in
+  let rewritten = ref 0 in
+  let old =
+    List.map
+      (fun (r : Wal.record) ->
+        match r.op with
+        | Wal.Cached c ->
+            incr rewritten;
+            { r with op = Wal.Cached { c with signature = unversioned c.signature } }
+        | _ -> r)
+      records
+  in
+  check_int "both answers were journaled" 2 !rewritten;
+  (match Wal.compact ~sync:false ~path old with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "compact: %s" e);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      check_true "the old journal replays"
+        (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+      check_float ~tol:0. "spend replayed exactly" !spent_cold
+        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
+      let again = expect_ok "again" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()) in
+      check_true "the same request is recomputed" (List.for_all (fun a -> a >= 1) (attempts_of again));
+      check_true "and charged"
+        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) > !spent_cold);
+      Server.Client.close c)
+
 (* Operator settlement of outstanding reservations, end to end: a standing
    query's pending slices are visible, committable one by one (by label)
    and releasable in bulk, with the ledger moving only on commit. *)
@@ -1440,4 +1501,5 @@ let suite =
     slow_case "daemon exemplar ring bounded and valid" test_daemon_exemplar_ring;
     slow_case "daemon sampling leaves outputs bit-identical" test_daemon_sampling_deterministic;
     slow_case "daemon budget spans mirror the accountant" test_daemon_budget_spans_mirror_accountant;
+    slow_case "daemon recomputes over an old-signature journal" test_daemon_old_signature_recomputes;
   ]

@@ -68,6 +68,48 @@ let test_zero_and_of_list () =
   check_float "zero content" 0. (Geometry.Vec.zero 4).(2);
   check_float "of_list" 2. (Geometry.Vec.of_list [ 1.; 2. ]).(1)
 
+(* [ball_r2 r] is the largest float whose square root is at most [r]:
+   [sqrt (ball_r2 r) <= r < sqrt (Float.succ (ball_r2 r))].  Radii from
+   every regime: 0 and -0, subnormals (whose squares underflow), exact
+   squares and their neighbours, ordinary and huge values (whose squares
+   overflow) and infinity; a negative or NaN radius gives the empty ball. *)
+let qcheck_ball_r2_is_the_largest_root_below =
+  let radius =
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ 0.; -0.; infinity; max_float; 1e200; Float.min_float; 5e-324; 1.; 0.5 ];
+          map Int64.float_of_bits (map Int64.of_int (int_range 1 1_000_000));
+          map (fun k -> float_of_int k /. 64.) (int_range 0 100_000);
+          map (fun k -> Float.succ (sqrt (float_of_int k))) (int_range 0 100_000);
+          map (fun k -> Float.pred (sqrt (float_of_int k))) (int_range 1 100_000);
+          float_range 0. 10.;
+          map (fun e -> ldexp 1.3 e) (int_range (-1074) 1023);
+          map Float.neg (float_range 1e-300 10.);
+          oneofl [ neg_infinity; nan; -5e-324 ];
+        ])
+  in
+  qcheck ~count:2000 "ball_r2: sqrt (ball_r2 r) <= r < sqrt (succ (ball_r2 r))" radius (fun r ->
+      let a = Geometry.Vec.ball_r2 r in
+      if r >= 0. then sqrt a <= r && (a = infinity || r < sqrt (Float.succ a))
+      else a = neg_infinity)
+
+let test_ball_r2_edges () =
+  let check msg expected r =
+    let got = Geometry.Vec.ball_r2 r in
+    if Int64.bits_of_float got <> Int64.bits_of_float expected then
+      Alcotest.failf "%s: ball_r2 %h = %h, expected %h" msg r got expected
+  in
+  check "0" 0. 0.;
+  check "-0" 0. (-0.);
+  check "smallest subnormal: its square underflows" 0. 5e-324;
+  check "exact square" 9. 3.;
+  (* sqrt (1 + 2^-52) rounds to 1: the linear grid's r = 1.0 tie. *)
+  check "one ulp above r *. r" (Float.succ 1.) 1.;
+  check "square overflows" max_float 1e200;
+  check "infinity" infinity infinity;
+  List.iter (check "empty ball" neg_infinity) [ -1.; -5e-324; neg_infinity; nan ]
+
 let suite =
   qsuite
   @ [
@@ -75,4 +117,6 @@ let suite =
       case "normalize" test_normalize;
       case "dimension mismatch" test_dimension_mismatch;
       case "zero / of_list" test_zero_and_of_list;
+      qcheck_ball_r2_is_the_largest_root_below;
+      case "ball_r2 edge values" test_ball_r2_edges;
     ]

@@ -58,6 +58,18 @@ let small_workload ?(seed = 3) ?(n = 400) ?(dim = 2) ?(axis = 128) ?(fraction = 
   let w = Workload.Synth.planted_ball r ~grid ~n ~cluster_fraction:fraction ~cluster_radius:radius in
   (r, grid, w)
 
+(* Every point's sorted distances to all points, by brute force: the
+   rows a dense distance index would store, and the reference the k-d
+   tree index is checked against (its counts are the rows' [<=] counts,
+   its k-th neighbour distance the (k-1)-th entry). *)
+let sorted_dist_rows pts =
+  Array.map
+    (fun p ->
+      let row = Array.map (Geometry.Vec.dist p) pts in
+      Array.sort Float.compare row;
+      row)
+    pts
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
