@@ -1,11 +1,11 @@
 (** A budgeted per-dataset privacy ledger.
 
-    [Prim.Composition.accountant] and [Prim.Zcdp.ledger] record what an
-    algorithm {e did} spend; this module adds the service-side half: a
-    dataset is registered with a total [(ε, δ)] budget, every job must ask
-    before running, and a charge that would push the composed total past
-    the budget is {e refused} — the job is never executed (refusal happens
-    before any noise is drawn, so a refused job consumes no privacy).
+    The one ledger in the library: a dataset is registered with a total
+    [(ε, δ)] budget, every job must ask before running, and a charge that
+    would push the composed total past the budget is {e refused} — the job
+    is never executed (refusal happens before any noise is drawn, so a
+    refused job consumes no privacy).  {!Prim.Composition} and {!Prim.Zcdp}
+    supply the composition arithmetic.
 
     Three composition modes decide what "the composed total" means:
     - {!Basic} — Theorem 2.1: ε's and δ's add ({!Prim.Composition.basic_list}).

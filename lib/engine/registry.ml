@@ -10,28 +10,20 @@ module Json = Obs.Json
    keep working through structural sharing — their views and trees hold a
    reference to whatever array backed them.
 
-   Every index is a k-d tree, maintained incrementally: appended rows are
-   routed into existing leaves ([Kdtree.insert_bulk]) and retired rows
-   masked out ([Kdtree.remove_bulk]); once accumulated drift exceeds half
-   the size the tree was last built at, the next mutation rebuilds from
-   scratch.  Count-based queries — the only kind the pipeline issues — are
-   bit-identical either way.
-
    An epoch holds its view, its index and two caches that are pure
    functions of its rows: the r_opt-bounds table (in the epoch state) and
    the index's one-entry memo of GoodRadius's count matrix (inside
-   [Pointset.index]).  Every mutation publishes a fresh index — rebuilt,
-   or wrapped around the incrementally maintained tree by
-   [Pointset.index_of_tree] — and a fresh table, so it invalidates both
-   wholesale: a new epoch starts cold. *)
+   [Pointset.index]).  Every mutation builds a fresh index
+   ([Pointset.build_index], as registration does) and a fresh table, so a
+   new epoch starts cold.  The build is a few per cent of the epoch's
+   first GoodRadius sweep, which any tree pays alike (PERFORMANCE.md §4,
+   "One build per epoch"). *)
 
 type epoch_state = {
   epoch : int;
   pointset : Geometry.Pointset.t;
   index : Geometry.Pointset.index;  (** carries the epoch's count-matrix memo *)
   bounds : (int, float * float) Hashtbl.t;
-  tree_base : int;  (** size at the last full (re)build of the tree *)
-  drift : int;  (** rows inserted/removed incrementally since then *)
 }
 
 type mutation =
@@ -58,21 +50,13 @@ let create () = { datasets = [] }
 let find t name = List.find_opt (fun d -> d.name = name) t.datasets
 let names t = List.rev_map (fun d -> d.name) t.datasets
 
-let fresh_epoch ~epoch ps index =
-  {
-    epoch;
-    pointset = ps;
-    index;
-    bounds = Hashtbl.create 8;
-    tree_base = Geometry.Pointset.n ps;
-    drift = 0;
-  }
+let fresh_epoch ~epoch ps =
+  { epoch; pointset = ps; index = Geometry.Pointset.build_index ps; bounds = Hashtbl.create 8 }
 
 let register t ~name ~grid ?mode ~budget points =
   if find t name <> None then
     invalid_arg (Printf.sprintf "Registry.register: duplicate dataset %S" name);
   let pointset = Geometry.Pointset.create points in
-  let index = Geometry.Pointset.build_index pointset in
   let accountant = Accountant.create ?mode ~budget () in
   Accountant.subscribe accountant Accountant.trace;
   let dataset =
@@ -82,7 +66,7 @@ let register t ~name ~grid ?mode ~budget points =
       accountant;
       arena = Geometry.Pointset.storage pointset;
       used = Geometry.Pointset.n pointset * Geometry.Pointset.dim pointset;
-      current = fresh_epoch ~epoch:0 pointset index;
+      current = fresh_epoch ~epoch:0 pointset;
       mu = Mutex.create ();
       bounds_lookups = 0;
       bounds_hits = 0;
@@ -105,29 +89,10 @@ let subscribe_mutations d f = d.mutation_listeners <- f :: d.mutation_listeners
 
 let notify d mutation = List.iter (fun f -> f mutation) (List.rev d.mutation_listeners)
 
-let rebuild_threshold base = max 64 (base / 2)
-
-(* Publish the epoch after the current one over [ps'].  [update]
-   maintains the current tree incrementally ([moved] rows inserted or
-   removed) until the accumulated drift passes [rebuild_threshold]; past
-   it, the index is rebuilt from scratch. *)
-let publish d ps' ~moved ~update =
-  let cur = d.current in
-  let epoch = cur.epoch + 1 in
-  let state =
-    if cur.drift + moved <= rebuild_threshold cur.tree_base then
-      let tree =
-        update
-          (Geometry.Kdtree.with_storage (Geometry.Pointset.index_tree cur.index) ~storage:d.arena)
-      in
-      {
-        (fresh_epoch ~epoch ps' (Geometry.Pointset.index_of_tree ps' tree)) with
-        tree_base = cur.tree_base;
-        drift = cur.drift + moved;
-      }
-    else fresh_epoch ~epoch ps' (Geometry.Pointset.build_index ps')
-  in
-  d.current <- state;
+(* Publish the epoch after the current one over [ps']. *)
+let publish d ps' =
+  let epoch = d.current.epoch + 1 in
+  d.current <- fresh_epoch ~epoch ps';
   epoch
 
 (* Grow the arena so [extra] more elements fit past the high-water mark.
@@ -163,9 +128,7 @@ let append d points =
       d.used <- d.used + (k * ps_dim);
       let offs' = Array.append (Geometry.Pointset.row_offsets cur.pointset) new_offs in
       let ps' = Geometry.Pointset.view ~storage:d.arena ~offs:offs' ~dim:ps_dim in
-      let epoch' =
-        publish d ps' ~moved:k ~update:(fun tree -> Geometry.Kdtree.insert_bulk tree ~offs:new_offs)
-      in
+      let epoch' = publish d ps' in
       notify d (Appended { epoch = epoch'; dim = ps_dim; points = flat });
       epoch')
 
@@ -187,14 +150,7 @@ let retire d ~from_ ~count =
         Geometry.Pointset.view ~storage:d.arena ~offs:offs'
           ~dim:(Geometry.Pointset.dim cur.pointset)
       in
-      let epoch' =
-        publish d ps' ~moved:count ~update:(fun tree ->
-            let dead = Hashtbl.create count in
-            for i = from_ to from_ + count - 1 do
-              Hashtbl.replace dead offs.(i) ()
-            done;
-            Geometry.Kdtree.remove_bulk tree ~dead:(Hashtbl.mem dead))
-      in
+      let epoch' = publish d ps' in
       notify d (Retired { epoch = epoch'; from_; count });
       epoch')
 

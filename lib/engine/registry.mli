@@ -1,19 +1,16 @@
 (** Registered datasets: the per-dataset state the engine amortizes across
-    queries — now epoch-versioned.
+    queries, versioned by epoch.
 
     Registering a dataset builds its {!Geometry.Pointset.index} once (the
     k-d-tree construction) and attaches a budgeted {!Accountant}; every subsequent job
     against the dataset reuses both.
 
-    {b Epochs.}  A dataset is no longer frozen at registration: {!append}
-    and {!retire} each publish a new {e epoch} — an immutable snapshot
-    (pointset view + index + r_opt-bounds cache) over the dataset's
-    append-only arena.  Readers holding the previous epoch keep computing
-    against it unchanged (structural sharing); new work sees the new
-    epoch.  The index's k-d tree is maintained incrementally
-    ({!Geometry.Kdtree.insert_bulk} / [remove_bulk]) with a full rebuild
-    once accumulated drift exceeds half the last-built size; count-based
-    query results are bit-identical to a fresh build either way.  The
+    {b Epochs.}  {!append} and {!retire} each publish a new {e epoch} — an
+    immutable snapshot (pointset view + index + r_opt-bounds cache) over
+    the dataset's append-only arena.  Readers holding the previous epoch
+    keep computing against it unchanged (structural sharing); new work
+    sees the new epoch.  Every epoch builds its own index with
+    {!Geometry.Pointset.build_index}, exactly as registration does.  The
     [(r_lo, r_hi)] sandwich of {!Workload.Metrics.r_opt_bounds_indexed}
     is cached per epoch, keyed by the target [t] — a mutation invalidates
     it wholesale.

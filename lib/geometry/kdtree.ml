@@ -1,9 +1,8 @@
 (* k-d tree over flat row-major storage.  The tree never copies point
    coordinates: it keeps a reference to the backing store and permutes an
-   array of row offsets.  The build replays exactly the same
-   median-quickselect comparison sequence as the historical boxed build, so
-   tree structure and query results are bit-identical to the old
-   [Vec.t array] implementation on the same input. *)
+   array of row offsets.  Every leaf holds at least one row, and every
+   count is an integer sum of per-point ball tests, so any tree over the
+   same rows gives the same answers. *)
 
 type node =
   | Leaf of { lo : int; hi : int }  (** [idx.(lo..hi)] inclusive. *)
@@ -114,115 +113,6 @@ let build points =
 let size t = t.size
 let dim t = t.dim
 
-(* --- incremental maintenance ------------------------------------------- *)
-
-(* Re-point the tree at a grown backing store whose prefix is the old one.
-   Every offset the tree holds indexes the identical coordinates, so all
-   query results are bit-identical; only the array the reads go through
-   changes.  The caller owns the prefix-equality contract (the registry's
-   append-only arena satisfies it by construction). *)
-let with_storage t ~storage =
-  if Array.length storage < Array.length t.st then
-    invalid_arg "Kdtree.with_storage: new storage smaller than the old";
-  if storage == t.st then t else { t with st = storage }
-
-(* Bulk insert without re-splitting: each new offset descends the existing
-   split structure to its leaf (the same <= threshold comparison queries
-   use), leaves absorb their arrivals in append order, and split bboxes
-   widen to cover them.  Counting queries are order-independent sums of
-   per-point ball-membership tests, so a tree maintained this way answers
-   every count bit-identically to a fresh build over the same points —
-   only the traversal order differs.
-   Leaves grow past [leaf_capacity] here; the registry bounds the
-   degradation with a drift threshold that triggers a full rebuild. *)
-let insert_bulk t ~offs:new_offs =
-  let k = Array.length new_offs in
-  if k = 0 then t
-  else begin
-    let st = t.st and dim = t.dim in
-    Array.iter
-      (fun off ->
-        if off < 0 || off + dim > Array.length st then
-          invalid_arg "Kdtree.insert_bulk: offset out of storage bounds")
-      new_offs;
-    let idx' = Array.make (t.size + k) 0 in
-    let pos = ref 0 in
-    (* Emit the tree left-to-right: each subtree copies its old entries and
-       appends the new offsets routed into it, so leaf intervals stay
-       contiguous in the rebuilt [idx'] permutation. *)
-    let rec emit node extra =
-      match node with
-      | Leaf { lo; hi } ->
-          let lo' = !pos in
-          for i = lo to hi do
-            idx'.(!pos) <- t.idx.(i);
-            incr pos
-          done;
-          List.iter
-            (fun off ->
-              idx'.(!pos) <- off;
-              incr pos)
-            extra;
-          Leaf { lo = lo'; hi = !pos - 1 }
-      | Split { axis; threshold; left; right; bbox_lo; bbox_hi; size } ->
-          let added = List.length extra in
-          let blo, bhi =
-            if added = 0 then (bbox_lo, bbox_hi)
-            else begin
-              let blo = Array.copy bbox_lo and bhi = Array.copy bbox_hi in
-              List.iter
-                (fun off ->
-                  for j = 0 to dim - 1 do
-                    let x = st.(off + j) in
-                    if x < blo.(j) then blo.(j) <- x;
-                    if x > bhi.(j) then bhi.(j) <- x
-                  done)
-                extra;
-              (blo, bhi)
-            end
-          in
-          let lefts, rights =
-            List.partition (fun off -> st.(off + axis) <= threshold) extra
-          in
-          let left = emit left lefts in
-          let right = emit right rights in
-          Split { axis; threshold; left; right; bbox_lo = blo; bbox_hi = bhi; size = size + added }
-    in
-    let root = emit t.root (Array.to_list new_offs) in
-    { t with idx = idx'; root; size = t.size + k }
-  end
-
-(* Bulk removal: one emit pass dropping every offset [dead] selects.  Split
-   bboxes are kept (now possibly loose): a too-wide box only weakens
-   pruning — the near-distance bound stays a valid lower bound and the
-   full-containment shortcut still counts exactly the points present — so
-   counts remain exact and bit-identical to a fresh build.  Emptied leaves
-   are left in place as [lo > hi] intervals, which every traversal already
-   skips. *)
-let remove_bulk t ~dead =
-  let idx' = Array.make (max 1 t.size) 0 in
-  let pos = ref 0 in
-  let rec emit node =
-    match node with
-    | Leaf { lo; hi } ->
-        let lo' = !pos in
-        for i = lo to hi do
-          let off = t.idx.(i) in
-          if not (dead off) then begin
-            idx'.(!pos) <- off;
-            incr pos
-          end
-        done;
-        Leaf { lo = lo'; hi = !pos - 1 }
-    | Split { axis; threshold; left; right; bbox_lo; bbox_hi; size = _ } ->
-        let before = !pos in
-        let left = emit left in
-        let right = emit right in
-        Split { axis; threshold; left; right; bbox_lo; bbox_hi; size = !pos - before }
-  in
-  let root = emit t.root in
-  { t with idx = Array.sub idx' 0 !pos; root; size = !pos }
-
 (* Squared distance from a point to an axis-aligned box. *)
 let box_dist_sq lo hi p =
   let acc = ref 0. in
@@ -265,9 +155,7 @@ let node_size = function Leaf { lo; hi } -> hi - lo + 1 | Split { size; _ } -> s
 let rec count_node t node center r2 =
   match node with
   | Leaf { lo; hi } ->
-      if lo > hi then 0
-      else
-        Kernel.count_within ~st:t.st ~offs:t.idx ~lo ~hi ~q:center ~qoff:0 ~dim:t.dim ~r2
+      Kernel.count_within ~st:t.st ~offs:t.idx ~lo ~hi ~q:center ~qoff:0 ~dim:t.dim ~r2
   | Split { left; right; bbox_lo; bbox_hi; _ } ->
       if box_dist_sq bbox_lo bbox_hi center > r2 then 0
       else if box_far_dist_sq bbox_lo bbox_hi center <= r2 then node_size node
@@ -286,8 +174,7 @@ let count_within t ~center ~radius = count_node t t.root center (Vec.ball_r2 rad
 let rec count_node_row t node cst coff r2 =
   match node with
   | Leaf { lo; hi } ->
-      if lo > hi then 0
-      else Kernel.count_within ~st:t.st ~offs:t.idx ~lo ~hi ~q:cst ~qoff:coff ~dim:t.dim ~r2
+      Kernel.count_within ~st:t.st ~offs:t.idx ~lo ~hi ~q:cst ~qoff:coff ~dim:t.dim ~r2
   | Split { left; right; bbox_lo; bbox_hi; _ } ->
       if box_dist_sq_row bbox_lo bbox_hi cst coff > r2 then 0
       else if box_far_dist_sq_row bbox_lo bbox_hi cst coff <= r2 then node_size node
@@ -323,9 +210,8 @@ let count_within_row_many t cst ~off:coff ~radii ~out ~stride ~col =
       if jlo < jhi then
         match node with
         | Leaf { lo; hi } ->
-            if lo <= hi then
-              Kernel.leaf_multi_count ~st:t.st ~idx:t.idx ~lo ~hi ~q:cst ~qoff:coff
-                ~dim:t.dim ~r2s ~jlo ~jhi ~acc
+            Kernel.leaf_multi_count ~st:t.st ~idx:t.idx ~lo ~hi ~q:cst ~qoff:coff ~dim:t.dim
+              ~r2s ~jlo ~jhi ~acc
         | Split { left; right; bbox_lo; bbox_hi; _ } as nd ->
             let jlo = first_ge jlo jhi (box_dist_sq_row bbox_lo bbox_hi cst coff) in
             if jlo < jhi then begin

@@ -4,8 +4,8 @@
     without any quadratic precomputation, and a whole ascending radius
     grid per point in one traversal ({!count_within_row_many}).  It is
     the one index behind every {!Pointset.index}, at every n and d: the
-    pipeline reaches it through the index, the registry maintains it
-    across epochs, and only the exponential-mechanism baseline queries it
+    pipeline reaches it through the index, every registry epoch builds its
+    own, and only the exponential-mechanism baseline queries it
     directly.  A GoodRadius candidate sweep costs one traversal per
     distinct point, and the count matrix it produces is memoized on the
     {!Pointset.index}, so only an epoch's first sweep over a grid pays
@@ -36,38 +36,6 @@ val build_flat : storage:float array -> offs:int array -> dim:int -> unit -> t
 
 val size : t -> int
 val dim : t -> int
-
-(** {1 Incremental maintenance}
-
-    The epoch-versioned registry mutates datasets far more rarely than it
-    queries them, so the tree supports cheap structural-sharing updates
-    instead of a rebuild per mutation.  Both operations preserve {e query}
-    results bit-exactly versus a fresh build over the same points: every
-    query this library's pipeline issues is a sum of per-point
-    ball-membership indicators, which is independent of the order points
-    are visited in. *)
-
-val with_storage : t -> storage:float array -> t
-(** The same tree reading through [storage] instead of its original
-    backing store.  The caller guarantees [storage] begins with the old
-    store's contents (an append-only arena after growth); offsets and
-    therefore all results are unchanged.
-    @raise Invalid_argument if [storage] is shorter than the old store. *)
-
-val insert_bulk : t -> offs:int array -> t
-(** Insert the rows at [offs] (offsets into the tree's storage) by routing
-    each down the existing splits to its leaf and widening bounding boxes
-    on the way — no re-splitting, O((n + k)·depth).  The original tree is
-    untouched (the result shares its storage, not its index permutation).
-    Leaves can grow beyond the build-time capacity; callers that mutate
-    heavily should rebuild once a drift threshold is crossed.
-    @raise Invalid_argument if an offset falls outside the storage. *)
-
-val remove_bulk : t -> dead:(int -> bool) -> t
-(** Drop every row whose offset satisfies [dead].  Bounding boxes are left
-    unshrunk (pruning only weakens; counts stay exact).  The original tree
-    is untouched.  The result may be empty — counting queries on an empty
-    tree return 0. *)
 
 val count_within : t -> center:Vec.t -> radius:float -> int
 (** Number of stored points with [dist p center <= radius] (inclusive, like

@@ -158,19 +158,19 @@ let group_rows ps =
 
 let is_representative idx i = idx.reps.(i) = i
 
-let index_of_tree ps tree =
-  if Kdtree.size tree <> n ps then
-    invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; tree; memo = fresh_memo (); reps = group_rows ps }
-
-let build_index ps = index_of_tree ps (Kdtree.build_flat ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ())
+let build_index ps =
+  {
+    ps;
+    tree = Kdtree.build_flat ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ();
+    memo = fresh_memo ();
+    reps = group_rows ps;
+  }
 
 (* The dense backend's names, kept for the end-to-end benchmark driver,
    which calls them: every index is the tree. *)
 let auto_index ?domains:_ ps = build_index ps
 let index_is_dense _ = false
 let index_pointset idx = idx.ps
-let index_tree idx = idx.tree
 
 let cold_copy idx = { idx with memo = fresh_memo () }
 

@@ -118,8 +118,8 @@ type index
     The matrix is a deterministic function of the index's rows and the
     radii — never of the cap, ε or a seed — so sharing it across jobs
     changes no result.  Indexes are immutable snapshots: every epoch of a
-    mutating dataset gets a fresh index ({!build_index},
-    {!index_of_tree}) and with it an empty memo. *)
+    mutating dataset builds a fresh index ({!build_index}) and with it an
+    empty memo. *)
 
 val build_index : t -> index
 (** O(n log n) construction over the pointset's storage: median splits
@@ -136,16 +136,6 @@ val index_is_dense : index -> bool
     end-to-end benchmark driver (bench/e2e) calls it. *)
 
 val index_pointset : index -> t
-
-val index_tree : index -> Kdtree.t
-(** The k-d tree behind the index — the registry reads it to maintain
-    the tree incrementally across epochs. *)
-
-val index_of_tree : t -> Kdtree.t -> index
-(** Wrap an externally maintained tree (see {!Kdtree.insert_bulk} /
-    {!Kdtree.remove_bulk}) as the index of [ps].  The tree must hold
-    exactly [ps]'s points (same storage, same rows).
-    @raise Invalid_argument if the sizes disagree. *)
 
 val cold_copy : index -> index
 (** The same index (tree shared, nothing copied) with an empty

@@ -35,29 +35,3 @@ let advanced_per_mechanism ~total_eps ~k ~delta' =
       else bisect mid hi (iters - 1)
   in
   bisect 0. total_eps 80
-
-type accountant = { mutable entries : (string * Dp.params) list }
-
-let accountant () = { entries = [] }
-
-let charge acc ?(label = "anon") p = acc.entries <- (label, p) :: acc.entries
-
-let spent_basic acc =
-  match acc.entries with
-  | [] -> invalid_arg "Composition.spent_basic: nothing charged"
-  | es -> basic_list (List.map snd es)
-
-let spent_advanced acc ~delta' =
-  match acc.entries with
-  | [] -> invalid_arg "Composition.spent_advanced: nothing charged"
-  | (_, p0) :: _ as es ->
-      let homogeneous =
-        List.for_all
-          (fun (_, p) -> Dp.eps p = Dp.eps p0 && Dp.delta p = Dp.delta p0)
-          es
-      in
-      if not homogeneous then
-        invalid_arg "Composition.spent_advanced: heterogeneous charges";
-      advanced p0 ~k:(List.length es) ~delta'
-
-let charges acc = List.rev acc.entries

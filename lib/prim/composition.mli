@@ -1,4 +1,5 @@
-(** Composition theorems and a running privacy-budget accountant.
+(** Composition theorems: the arithmetic behind [Engine.Accountant]'s
+    basic and advanced modes.
 
     Two composition rules from the paper:
     - {b basic} (Theorem 2.1): k adaptive [(ε, δ)]-DP mechanisms compose to
@@ -26,20 +27,3 @@ val advanced_per_mechanism : total_eps:float -> k:int -> delta':float -> float
     closed-form under-approximation [ε_i = ε/(2·√(2k·ln(1/δ')))]; this
     function is the exact version, for tests and for callers who want the
     tightest split. *)
-
-(** {1 Accountant} *)
-
-type accountant
-(** Mutable ledger of charges; useful for asserting that an algorithm's total
-    spend matches its declared guarantee. *)
-
-val accountant : unit -> accountant
-val charge : accountant -> ?label:string -> Dp.params -> unit
-val spent_basic : accountant -> Dp.params
-val spent_advanced : accountant -> delta':float -> Dp.params
-(** Advanced-composition total; requires all charges to share the same ε and
-    δ (raises [Invalid_argument] otherwise — the theorem is stated for
-    homogeneous mechanisms). *)
-
-val charges : accountant -> (string * Dp.params) list
-(** Charges in the order they were made (label defaults to ["anon"]). *)

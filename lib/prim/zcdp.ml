@@ -38,15 +38,3 @@ let per_mechanism_rho ~total_rho ~k =
   if k <= 0 then invalid_arg "Zcdp.per_mechanism_rho: k must be positive";
   if total_rho < 0. then invalid_arg "Zcdp.per_mechanism_rho: negative rho";
   total_rho /. float_of_int k
-
-type ledger = { mutable items : (string * rho) list }
-
-let ledger () = { items = [] }
-
-let spend l ?(label = "anon") rho =
-  if rho < 0. then invalid_arg "Zcdp.spend: negative rho";
-  l.items <- (label, rho) :: l.items
-
-let spent l = compose (List.map snd l.items)
-let spent_dp l ~delta = to_dp (spent l) ~delta
-let entries l = List.rev l.items

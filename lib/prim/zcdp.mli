@@ -3,9 +3,10 @@
 
     The paper predates zCDP and budgets its d-fold per-axis composition in
     GoodCenter with the advanced composition theorem (Theorem 4.7); modern
-    releases ship the tighter concentrated-DP ledger, so this module
-    provides one, and experiment E12's accounting ablation compares the two
-    on exactly that step.
+    releases ship the tighter concentrated-DP accounting, so this module
+    provides its arithmetic: [Engine.Accountant]'s zCDP mode keeps the
+    ledger, and experiment E12's accounting ablation compares the two on
+    exactly that step.
 
     A mechanism is ρ-zCDP when its Rényi divergence at every order
     [α > 1] is bounded by [ρ·α].  Facts used here:
@@ -42,13 +43,3 @@ val gaussian_sigma : rho:float -> l2_sensitivity:float -> float
 val per_mechanism_rho : total_rho:float -> k:int -> rho
 (** Even split of a ρ budget over [k] mechanisms (composition is additive,
     so this is exact — no advanced-composition slack). *)
-
-(** {1 Ledger} *)
-
-type ledger
-
-val ledger : unit -> ledger
-val spend : ledger -> ?label:string -> rho -> unit
-val spent : ledger -> rho
-val spent_dp : ledger -> delta:float -> Dp.params
-val entries : ledger -> (string * rho) list

@@ -114,7 +114,7 @@ let e1_table1 cfg =
                   Harness.score_center ~idx ~t ~r_hi ~time_ms:ms
                     ~center:r.Privcluster.Local_cluster.center
                     ~radius:r.Privcluster.Local_cluster.radius);
-          (* Coreset MEB: centers well on majority clusters, drifts on
+          (* Coreset MEB: centers well on majority clusters, strays on
              minorities (the noisy average sees every point). *)
           collect "meb-fptas" (fun (_, t, ps, idx, r_hi) ->
               let r, ms =
@@ -598,7 +598,7 @@ let e7_sample_aggregate cfg =
     ~header:[ "alpha"; "gupt-avg err"; "priv-median err"; "1-cluster err"; "1c fails" ]
     (List.rev !rows);
   Report.kv "read as"
-    "averaging and medians drift once junk outweighs the stable mode (alpha < 50%); the \
+    "averaging and medians stray once junk outweighs the stable mode (alpha < 50%); the \
      1-cluster aggregator stays on the mode down to alpha·k/2 ~ its minimum cluster size";
   (* End-to-end Algorithm 4 vs GUPT on a genuinely unstable analysis: a
      mode-seeking estimator (the denser of two k-means centers) on bimodal

@@ -55,21 +55,6 @@ let test_goodcenter_axis_budget_is_conservative () =
         (Prim.Dp.eps total <= (eps /. 4.) +. 1e-9))
     [ 1; 2; 8; 64; 512 ]
 
-let test_accountant () =
-  let acc = Prim.Composition.accountant () in
-  Prim.Composition.charge acc ~label:"a" (Prim.Dp.v ~eps:0.5 ~delta:1e-7);
-  Prim.Composition.charge acc ~label:"b" (Prim.Dp.v ~eps:0.5 ~delta:1e-7);
-  let total = Prim.Composition.spent_basic acc in
-  check_float ~tol:1e-12 "spent eps" 1.0 (Prim.Dp.eps total);
-  check_int "charge order" 2 (List.length (Prim.Composition.charges acc));
-  check_true "labels kept" (fst (List.hd (Prim.Composition.charges acc)) = "a");
-  let adv = Prim.Composition.spent_advanced acc ~delta':1e-8 in
-  check_true "advanced computes" (Prim.Dp.eps adv > 0.);
-  Prim.Composition.charge acc (Prim.Dp.pure ~eps:0.1);
-  Alcotest.check_raises "heterogeneous advanced rejected"
-    (Invalid_argument "Composition.spent_advanced: heterogeneous charges") (fun () ->
-      ignore (Prim.Composition.spent_advanced acc ~delta':1e-8))
-
 let test_subsample_amplify () =
   let p = Prim.Subsample.amplify ~eps:1.0 ~delta:1e-6 ~m:100 ~n:900 in
   check_float ~tol:1e-9 "eps scaled by 6m/n" (6. /. 9.) (Prim.Dp.eps p);
@@ -100,7 +85,6 @@ let suite =
     case "advanced beats basic at large k" test_advanced_beats_basic_for_many_mechanisms;
     qcheck_advanced_per_mechanism_inverse;
     case "GoodCenter axis budget fits eps/4" test_goodcenter_axis_budget_is_conservative;
-    case "accountant" test_accountant;
     case "subsampling amplification" test_subsample_amplify;
     case "validation" test_validation;
   ]

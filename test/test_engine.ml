@@ -149,9 +149,8 @@ let test_registry_bounds_on_tree () =
 (* Every epoch gets a fresh index, so the count-matrix memo can never
    outlive the rows it was filled from: after an append and a retire,
    [score_l_many] on the registry's index must equal a fresh index over
-   the new pointset, here on the incremental k-d tree path (drift under
-   the rebuild threshold).  The superseded epoch's index keeps answering
-   for its own rows. *)
+   the new pointset.  The superseded epoch's index keeps answering for
+   its own rows. *)
 let test_registry_memo_per_epoch () =
   let _, grid, w = small_workload () in
   let radii =

@@ -69,13 +69,19 @@ let test_mutation_invalidates_bounds_cache () =
 (* Interpret a list of small ints as a mutation program over a model
    point array, applying each op to the registry dataset and the model in
    lockstep.  Appends draw from a fixed pool so both sides see the same
-   rows. *)
+   rows.  Returns every published epoch's index with its model, oldest
+   first. *)
 let apply_ops ~grid ~base ~pool ops =
   let reg = Engine.Registry.create () in
   let ds = Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4) base in
   let model = ref (Array.copy base) in
   let pos = ref 0 in
   let applied = ref 0 in
+  let epochs = ref [ (Engine.Registry.index ds, !model) ] in
+  let published () =
+    incr applied;
+    epochs := (Engine.Registry.index ds, !model) :: !epochs
+  in
   List.iter
     (fun c ->
       let c = abs c in
@@ -88,7 +94,7 @@ let apply_ops ~grid ~base ~pool ops =
         pos := !pos + k;
         ignore (Engine.Registry.append ds chunk);
         model := Array.append !model chunk;
-        incr applied
+        published ()
       end
       else begin
         let from_ = c / 2 mod n in
@@ -98,11 +104,11 @@ let apply_ops ~grid ~base ~pool ops =
           model :=
             Array.append (Array.sub !model 0 from_)
               (Array.sub !model (from_ + count) (n - from_ - count));
-          incr applied
+          published ()
         end
       end)
     ops;
-  (ds, !model, !applied)
+  (ds, List.rev !epochs, !applied)
 
 let same_answers what a b =
   let n = Geometry.Pointset.n (Geometry.Pointset.index_pointset a) in
@@ -133,15 +139,21 @@ let test_epoch_differential =
   qcheck ~count:30 "any append/retire sequence ≡ fresh registration"
     QCheck2.Gen.(list_size (int_bound 10) (int_bound 4096))
     (fun ops ->
-      (* Incremental insert/remove (plus occasional rebuilds) against a
-         from-scratch build. *)
-      let ds, model, applied = apply_ops ~grid ~base ~pool ops in
+      (* Each epoch's index, held past the last op, against a
+         from-scratch registration of that epoch's model.  A final append
+         of the whole pool outgrows the arena, so every held epoch reads
+         an array the dataset has since replaced. *)
+      let ds, epochs, applied = apply_ops ~grid ~base ~pool ops in
       Alcotest.(check int) "each applied op bumps the epoch" applied (Engine.Registry.epoch ds);
-      let fresh = Engine.Registry.create () in
-      let fd =
-        Engine.Registry.register fresh ~name:"f" ~grid ~budget:(p ~eps:10. ~delta:1e-4) model
-      in
-      same_answers "tree" (Engine.Registry.index ds) (Engine.Registry.index fd);
+      ignore (Engine.Registry.append ds pool);
+      List.iteri
+        (fun e (idx, model) ->
+          let fresh = Engine.Registry.create () in
+          let fd =
+            Engine.Registry.register fresh ~name:"f" ~grid ~budget:(p ~eps:10. ~delta:1e-4) model
+          in
+          same_answers (Printf.sprintf "epoch %d" e) idx (Engine.Registry.index fd))
+        epochs;
       true)
 
 (* --- service: cache hits are free, mutations invalidate ------------------ *)

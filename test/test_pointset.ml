@@ -140,7 +140,10 @@ let test_tree_counts_match_dense_rows () =
       check_counts 1.0;
       let radii = Array.init (Geometry.Grid.radius_candidates grid) (Geometry.Grid.radius_of_index grid) in
       let nr = Array.length radii in
-      let tree = Geometry.Pointset.index_tree idx in
+      let tree =
+        Geometry.Kdtree.build_flat ~storage:(Geometry.Pointset.storage ps)
+          ~offs:(Geometry.Pointset.row_offsets ps) ~dim:(Geometry.Pointset.dim ps) ()
+      in
       let out = Array.make nr 0 in
       for i = 0 to n - 1 do
         Geometry.Kdtree.count_within_row_many tree (Geometry.Pointset.storage ps)

@@ -56,15 +56,6 @@ let test_beats_advanced_composition () =
         (sigma_z <= sigma_adv *. 1.05))
     [ 8; 64; 512 ]
 
-let test_ledger () =
-  let l = Prim.Zcdp.ledger () in
-  Prim.Zcdp.spend l ~label:"box" 0.01;
-  Prim.Zcdp.spend l ~label:"avg" 0.02;
-  check_float ~tol:1e-12 "spent" 0.03 (Prim.Zcdp.spent l);
-  check_int "entries" 2 (List.length (Prim.Zcdp.entries l));
-  check_true "order" (fst (List.hd (Prim.Zcdp.entries l)) = "box");
-  check_true "dp view" (Prim.Dp.eps (Prim.Zcdp.spent_dp l ~delta:1e-6) > 0.)
-
 let test_validation () =
   Alcotest.check_raises "negative rho" (Invalid_argument "Zcdp.compose: negative rho")
     (fun () -> ignore (Prim.Zcdp.compose [ -0.1 ]));
@@ -80,6 +71,5 @@ let suite =
     case "budget inversion" test_budget_inversion;
     case "sigma inversion" test_sigma_inversion;
     case "beats advanced composition" test_beats_advanced_composition;
-    case "ledger" test_ledger;
     case "validation" test_validation;
   ]
