@@ -742,13 +742,15 @@ let run_epoch_bench tier _fx =
 (* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
    shadow, on the same workload GoodRadius runs (the full candidate
-   sweep) and on the JL projection; (b) the tree index at n = 3000, the
-   daemon's serving size, must give the same counts at every geometric
-   candidate radius and the same t-th neighbour distance at every point
-   under both tiers — the query times are reported, not gated; (c) the
-   native kernels must actually be faster than the references by at
-   least [floor] — guarding against a build where the stubs silently
-   compiled to a slow path.  Gates (b) and (c) use their own fixed-size
+   sweep, whose count matrix one symmetric pass over the distinct
+   points fills: [Pointset.fill_counts] over [Kernel.pair_hist]) and on
+   the JL projection; (b) the tree index at n = 3000, the daemon's
+   serving size, must give the same counts at every geometric candidate
+   radius and the same t-th neighbour distance at every point under both
+   tiers — the query times are reported, not gated; (c) the native
+   kernels must actually be faster than the references by at least
+   [floor] — guarding against a build where the stubs silently compiled
+   to a slow path.  Gates (b) and (c) use their own fixed-size
    fixtures so the gates do not loosen when --smoke shrinks the shared
    one. *)
 let run_kernel_gates _tier fx =

@@ -66,8 +66,8 @@ let run rng (profile : Profile.t) ~grid ~eps ~delta ~beta ~t ?(zero_floor = 0.) 
     | Profile.Rec_concave ->
         (* RecConcave's covering cells evaluate L at every candidate index
            (twice over, memoized), so the eager batched sweep does exactly
-           the work the lazy path would — with the per-point cost shared
-           across all radii ([Pointset.score_l_many]).  Values are
+           the work the lazy path would — with each pair's distance
+           computed once for all radii ([Pointset.score_l_many]).  Values are
            bit-identical to per-radius [score_l]; [Quality]'s memo/evals
            bookkeeping is unchanged. *)
         let radii = Array.init cand.size cand.radius_of in

@@ -15,9 +15,9 @@ module Json = Obs.Json
    the index's one-entry memo of GoodRadius's count matrix (inside
    [Pointset.index]).  Every mutation builds a fresh index
    ([Pointset.build_index], as registration does) and a fresh table, so a
-   new epoch starts cold.  The build is a few per cent of the epoch's
-   first GoodRadius sweep, which any tree pays alike (PERFORMANCE.md §4,
-   "One build per epoch"). *)
+   new epoch starts cold.  The build (about 1 ms at n = 2000) is small
+   beside the epoch's first GoodRadius sweep, which never uses the tree
+   (PERFORMANCE.md §4, "One build per epoch" and "One symmetric pass"). *)
 
 type epoch_state = {
   epoch : int;

@@ -181,56 +181,3 @@ let rec count_node_row t node cst coff r2 =
       else count_node_row t left cst coff r2 + count_node_row t right cst coff r2
 
 let count_within_row t cst ~off ~radius = count_node_row t t.root cst off (Vec.ball_r2 radius)
-
-(* One query, many radii in a single traversal.  [radii] must be ascending
-   and non-negative; [r2s] is then ascending too ([Vec.ball_r2] is
-   monotone), so at every node the
-   radii still "in play" form a window [jlo, jhi): below it the subtree is
-   pruned (near-distance > r²), at/above [jfull] the subtree is fully
-   contained (far-distance <= r²) and contributes its size to every such
-   radius at once.  Memberships are recorded in a difference array and
-   prefix-summed, producing exactly the integer counts of [nr] independent
-   [count_within_row] calls — integer sums of the same per-point
-   ball-membership indicators, in a different order. *)
-let count_within_row_many t cst ~off:coff ~radii ~out ~stride ~col =
-  let nr = Array.length radii in
-  if nr > 0 then begin
-    let r2s = Array.map Vec.ball_r2 radii in
-    let acc = Array.make (nr + 1) 0 in
-    (* First index in [jlo, jhi) whose r² clears [bound]. *)
-    let first_ge jlo jhi bound =
-      let a = ref jlo and b = ref jhi in
-      while !a < !b do
-        let mid = (!a + !b) / 2 in
-        if r2s.(mid) >= bound then b := mid else a := mid + 1
-      done;
-      !a
-    in
-    let rec go node jlo jhi =
-      if jlo < jhi then
-        match node with
-        | Leaf { lo; hi } ->
-            Kernel.leaf_multi_count ~st:t.st ~idx:t.idx ~lo ~hi ~q:cst ~qoff:coff ~dim:t.dim
-              ~r2s ~jlo ~jhi ~acc
-        | Split { left; right; bbox_lo; bbox_hi; _ } as nd ->
-            let jlo = first_ge jlo jhi (box_dist_sq_row bbox_lo bbox_hi cst coff) in
-            if jlo < jhi then begin
-              let jfull = first_ge jlo jhi (box_far_dist_sq_row bbox_lo bbox_hi cst coff) in
-              if jfull < jhi then begin
-                let s = node_size nd in
-                acc.(jfull) <- acc.(jfull) + s;
-                acc.(jhi) <- acc.(jhi) - s
-              end;
-              if jlo < jfull then begin
-                go left jlo jfull;
-                go right jlo jfull
-              end
-            end
-    in
-    go t.root 0 nr;
-    let running = ref 0 in
-    for j = 0 to nr - 1 do
-      running := !running + acc.(j);
-      out.((j * stride) + col) <- !running
-    done
-  end

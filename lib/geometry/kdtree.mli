@@ -1,15 +1,15 @@
 (** A k-d tree over R^d for ball-counting queries.
 
     This tree answers single ball-count queries in O(n^{1−1/d} + out)
-    without any quadratic precomputation, and a whole ascending radius
-    grid per point in one traversal ({!count_within_row_many}).  It is
-    the one index behind every {!Pointset.index}, at every n and d: the
-    pipeline reaches it through the index, every registry epoch builds its
-    own, and only the exponential-mechanism baseline queries it
-    directly.  A GoodRadius candidate sweep costs one traversal per
-    distinct point, and the count matrix it produces is memoized on the
-    {!Pointset.index}, so only an epoch's first sweep over a grid pays
-    for it.
+    without any quadratic precomputation.  It is the one index behind
+    every {!Pointset.index}, at every n and d: single-radius counts,
+    [holds_at_least] and the [r_opt] scan reach it through the index,
+    every registry epoch builds its own, and only the
+    exponential-mechanism baseline queries it directly.  A GoodRadius
+    candidate sweep does not use it: over a whole radius grid the tree
+    prunes almost no pair on the serving workloads, so
+    {!Pointset.fill_counts} makes one symmetric pass over the distinct
+    points instead, with the same ball predicate.
 
     Ball membership is [sqrt acc <= radius] for the computed squared
     distance [acc] — the predicate of {!Vec.dist} — tested as
@@ -45,13 +45,3 @@ val count_within_row : t -> float array -> off:int -> radius:float -> int
 (** Same, with the center given as a row of a flat store (allocation-free;
     the store may be the tree's own backing storage). *)
 
-val count_within_row_many :
-  t -> float array -> off:int -> radii:float array -> out:int array -> stride:int ->
-  col:int -> unit
-(** One query, many radii in a single traversal:
-    [out.((j * stride) + col) <- count_within_row t cst ~off ~radius:radii.(j)]
-    for every [j].  [radii] must be ascending and non-negative.  Counts are
-    exact integers, identical to the per-radius calls (same per-point
-    membership indicators, summed in a different order); the batched
-    traversal shares pruning work across all radii.  This is the kernel
-    behind [Pointset.score_l_many] / GoodRadius's candidate sweep. *)

@@ -198,25 +198,42 @@ let score_l idx ~cap ~radius =
       ~k:(min cap (n idx.ps))
   end
 
-(* Per-point counts for every radius of [rblock] (ascending), radius-major:
-   [counts.(j * n + i)] is the number of points within [rblock.(j)] of
-   point [i] — a single multi-radius k-d traversal per point, run for
-   distinct points only; a duplicate's column is a copy of its
-   representative's (filled earlier, since [reps.(i) < i]).  The one fill
-   loop behind both the memo and the blocked path of [score_l_many]. *)
-let fill_counts idx rblock =
-  let count = n idx.ps and bnr = Array.length rblock in
-  let counts = Array.make (bnr * count) 0 in
-  let fill_col i =
-    Kdtree.count_within_row_many idx.tree idx.ps.st ~off:idx.ps.offs.(i) ~radii:rblock ~out:counts
-      ~stride:count ~col:i
-  in
-  let reps = idx.reps in
+(* Per-point counts for every radius of [radii] (ascending, non-negative),
+   radius-major: [counts.(j * n + i)] is the number of points within
+   [radii.(j)] of point [i].  One symmetric pass over the distinct points
+   ([Kernel.pair_hist]) buckets every pair's squared distance once, each
+   side weighted by the other's multiplicity; a representative's running
+   sum over its histogram row is its count column, and a duplicate's
+   column is a copy of its representative's.  Every count is the integer
+   sum of the per-pair ball tests a tree query makes, so it equals
+   [counts_within] exactly.  The one fill loop behind both the memo and
+   the blocked path of [score_l_many]. *)
+let fill_counts idx ~radii =
+  let ps = idx.ps and reps = idx.reps in
+  let count = n ps and nr = Array.length radii in
+  let w = Array.make count 0 in
+  Array.iter (fun r -> w.(r) <- w.(r) + 1) reps;
+  let distinct = Array.of_seq (Seq.filter (fun i -> reps.(i) = i) (Seq.init count Fun.id)) in
+  let m = Array.length distinct in
+  let hist = Array.make (m * nr) 0 in
+  Kernel.pair_hist ~st:ps.st
+    ~offs:(Array.map (fun i -> ps.offs.(i)) distinct)
+    ~m ~dim:ps.dim
+    ~w:(Array.map (fun i -> w.(i)) distinct)
+    ~r2s:(Array.map Vec.ball_r2 radii) ~hist;
+  let counts = Array.make (nr * count) 0 in
+  Array.iteri
+    (fun a i ->
+      let running = ref 0 in
+      for j = 0 to nr - 1 do
+        running := !running + hist.((a * nr) + j);
+        counts.((j * count) + i) <- !running
+      done)
+    distinct;
   for i = 0 to count - 1 do
     let r = reps.(i) in
-    if r = i then fill_col i
-    else
-      for j = 0 to bnr - 1 do
+    if r <> i then
+      for j = 0 to nr - 1 do
         counts.((j * count) + i) <- counts.((j * count) + r)
       done
   done;
@@ -229,7 +246,7 @@ let memo_counts idx key =
   let m = idx.memo in
   Mutex.protect m.mu (fun () ->
       if m.key <> key then begin
-        m.counts <- fill_counts idx key;
+        m.counts <- fill_counts idx ~radii:key;
         m.key <- key
       end;
       m.counts)
@@ -248,7 +265,7 @@ let memo_holds idx ~radii =
   Mutex.protect idx.memo.mu (fun () -> Array.length key > 0 && idx.memo.key = key)
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
-   over [radii] but sharing the per-point work across all radii
+   over [radii] but computing each pair's distance once for all radii
    ([fill_counts]).  Counts are exact integers and the capped top-k
    average sums integers below 2^53, so every output is bit-identical to
    the per-radius path.  The count matrix does not depend on [cap]: when
@@ -258,15 +275,16 @@ let score_l_many idx ~cap ~radii =
   let nr = Array.length radii in
   let count = n idx.ps in
   let out = Array.make nr 0. in
+  (* A NaN compares false both ways, so it is rejected explicitly. *)
   let ascending =
     let ok = ref true in
-    for j = 1 to nr - 1 do
-      if radii.(j) < radii.(j - 1) then ok := false
+    for j = 0 to nr - 1 do
+      if Float.is_nan radii.(j) || (j > 0 && radii.(j) < radii.(j - 1)) then ok := false
     done;
     !ok
   in
   if not ascending then
-    (* Out-of-order radii: no batching contract; score one by one. *)
+    (* Out-of-order or NaN radii: no batching contract; score one by one. *)
     Array.iteri (fun j r -> out.(j) <- score_l idx ~cap ~radius:r) radii
   else begin
     (* Negative radii score 0 (same guard as [score_l]); [out] starts at 0. *)
@@ -281,7 +299,7 @@ let score_l_many idx ~cap ~radii =
       let rblock = Array.sub radii !j0 bnr in
       (* A sweep that fits one block is memoized; larger grids stream
          their blocks unmemoized. *)
-      let counts = if bnr = nr - first then memo_counts idx rblock else fill_counts idx rblock in
+      let counts = if bnr = nr - first then memo_counts idx rblock else fill_counts idx ~radii:rblock in
       for j = 0 to bnr - 1 do
         out.(!j0 + j) <- Kernel.top_avg_capped ~counts ~off:(j * count) ~len:count ~cap ~k
       done;

@@ -23,11 +23,12 @@
     is read-only by contract — see DESIGN.md, "Memory layout".
 
     An {!index} is a k-d tree ({!Kdtree}) over the points, turning each
-    [L] evaluation into [n] tree queries instead of an O(n²·d) scan, and
-    memoizes the count matrix of the last candidate sweep.  Points with
-    bit-identical coordinates ({!is_representative}) share one
-    count-matrix column: every per-row sweep runs once per distinct
-    point.
+    single-radius [L] evaluation into [n] tree queries instead of an
+    O(n²·d) scan, and memoizes the count matrix of the last candidate
+    sweep, which one symmetric pass over the pairs of distinct points
+    fills ({!fill_counts}).  Points with bit-identical coordinates
+    ({!is_representative}) share one count-matrix column: every per-row
+    query and the pair pass run once per distinct point.
 
     {b One ball predicate.}  Every count here — {!ball_count},
     {!score_l_direct} and every indexed query — includes a point when
@@ -112,9 +113,10 @@ val score_l_direct : t -> cap:int -> radius:float -> float
 (** {1 Indexed evaluation} *)
 
 type index
-(** A k-d tree over the pointset's rows (sharing its storage, zero copy)
-    plus a one-entry memo of the count matrix behind {!score_l_many}
-    (points × non-negative candidate radii, at most about 4 M counts).
+(** A k-d tree over the pointset's rows (sharing its storage, zero copy),
+    the row grouping of {!is_representative}, and a one-entry memo of the
+    count matrix behind {!score_l_many} (points × non-negative candidate
+    radii, at most about 4 M counts, filled by {!fill_counts}).
     The matrix is a deterministic function of the index's rows and the
     radii — never of the cap, ε or a seed — so sharing it across jobs
     changes no result.  Indexes are immutable snapshots: every epoch of a
@@ -151,12 +153,14 @@ val score_l : index -> cap:int -> radius:float -> float
 
 val score_l_many : index -> cap:int -> radii:float array -> float array
 (** [Array.map (fun r -> score_l idx ~cap ~radius:r) radii], computed in
-    one batched pass when [radii] is ascending (the candidate grids are):
-    each distinct point answers all radii in one multi-radius traversal
-    ({!Kdtree.count_within_row_many}), and the capped top-[cap] average
-    runs on a counting histogram.  Results are bit-identical to the
-    per-radius path (exact integer counts; top-k sums below 2^53).  This
-    is GoodRadius's candidate sweep on the RecConcave backend.
+    one batched pass when [radii] is ascending and NaN-free (the candidate
+    grids are): {!fill_counts} answers every radius for every point in
+    one symmetric pass over the pairs of distinct points, and the capped
+    top-[cap] average runs on a counting histogram.  Results are
+    bit-identical to the per-radius path (exact integer counts; top-k
+    sums below 2^53).  Any other [radii] (out of order, or holding a NaN)
+    is scored one radius at a time.  This is GoodRadius's candidate sweep
+    on the RecConcave backend.
 
     The count matrix does not depend on [cap], so when the non-negative
     radii fit one block of about 4 M counts (n · |radii| ≤ 4·10⁶) it is
@@ -165,6 +169,15 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
     holds one entry (a sweep over a different grid replaces it) and is
     mutex-guarded, so a concurrent first caller waits for the fill in
     flight.  Larger grids are swept block by block and never memoized. *)
+
+val fill_counts : index -> radii:float array -> int array
+(** The count matrix of [radii] (ascending, non-negative, NaN-free),
+    radius-major: entry [j * n + i] is [(counts_within idx
+    ~radius:radii.(j)).(i)].  One pass over the unordered pairs of
+    distinct points ({!Kernel.pair_hist}): each pair's squared distance
+    is computed once and credited to both points, weighted by the other's
+    multiplicity.  O(m²·d) for m distinct points, whatever the radii;
+    bypasses the memo (exposed for tests). *)
 
 val memo_holds : index -> radii:float array -> bool
 (** Whether {!score_l_many} over the ascending [radii] would be answered

@@ -42,10 +42,10 @@ external c_min_dist2_update :
   float array -> int -> int -> float array -> int -> float array -> unit
   = "pc_min_dist2_update_bc" "pc_min_dist2_update" [@@noalloc]
 
-external c_leaf_multi_count :
-  float array -> int array -> int -> int -> float array -> int -> int ->
-  float array -> int -> int -> int array -> unit
-  = "pc_leaf_multi_count_bc" "pc_leaf_multi_count" [@@noalloc]
+external c_pair_hist :
+  float array -> int array -> int -> int -> int array -> float array ->
+  int array -> unit
+  = "pc_pair_hist_bc" "pc_pair_hist" [@@noalloc]
 
 let compiled = true
 
@@ -186,27 +186,29 @@ module Ref = struct
       if !acc < Array.unsafe_get dist2 i then Array.unsafe_set dist2 i !acc
     done
 
-  let leaf_multi_count ~st ~idx ~lo ~hi ~q ~qoff ~dim ~r2s ~jlo ~jhi ~acc =
-    if jlo < jhi then
-      for i = lo to hi do
-        let off = Array.unsafe_get idx i in
+  let pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist =
+    let nr = Array.length r2s in
+    for a = 0 to m - 1 do
+      let oa = Array.unsafe_get offs a in
+      for b = a to m - 1 do
+        let ob = Array.unsafe_get offs b in
         let d2 = ref 0. in
-        for j = 0 to dim - 1 do
-          let d =
-            Array.unsafe_get st (off + j) -. Array.unsafe_get q (qoff + j)
-          in
+        for k = 0 to dim - 1 do
+          let d = Array.unsafe_get st (oa + k) -. Array.unsafe_get st (ob + k) in
           d2 := !d2 +. (d *. d)
         done;
-        if !d2 <= r2s.(jhi - 1) then begin
-          let a = ref jlo and b = ref (jhi - 1) in
-          while !a < !b do
-            let mid = (!a + !b) / 2 in
-            if !d2 <= Array.unsafe_get r2s mid then b := mid else a := mid + 1
-          done;
-          acc.(!a) <- acc.(!a) + 1;
-          acc.(jhi) <- acc.(jhi) - 1
+        let lo = ref 0 and hi = ref nr in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if !d2 <= Array.unsafe_get r2s mid then hi := mid else lo := mid + 1
+        done;
+        let j = !lo in
+        if j < nr then begin
+          hist.((a * nr) + j) <- hist.((a * nr) + j) + w.(b);
+          if b <> a then hist.((b * nr) + j) <- hist.((b * nr) + j) + w.(a)
         end
       done
+    done
 end
 
 let count_within ~st ~offs ~lo ~hi ~q ~qoff ~dim ~r2 =
@@ -251,7 +253,6 @@ let min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2 =
   if Atomic.get native then c_min_dist2_update st n dim centers coff dist2
   else Ref.min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2
 
-let leaf_multi_count ~st ~idx ~lo ~hi ~q ~qoff ~dim ~r2s ~jlo ~jhi ~acc =
-  if Atomic.get native then
-    c_leaf_multi_count st idx lo hi q qoff dim r2s jlo jhi acc
-  else Ref.leaf_multi_count ~st ~idx ~lo ~hi ~q ~qoff ~dim ~r2s ~jlo ~jhi ~acc
+let pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist =
+  if Atomic.get native then c_pair_hist st offs m dim w r2s hist
+  else Ref.pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist

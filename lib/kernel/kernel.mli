@@ -75,18 +75,26 @@ val min_dist2_update :
 (** [dist2.(i) <- min dist2.(i) (dist2 (st row i) (centers@coff))] for
     the contiguous layout [st.(i*dim + j)]. *)
 
-val leaf_multi_count :
-  st:float array -> idx:int array -> lo:int -> hi:int ->
-  q:float array -> qoff:int -> dim:int -> r2s:float array ->
-  jlo:int -> jhi:int -> acc:int array -> unit
-(** One-query-many-radii leaf step.  For each point [idx.(lo..hi)]
-    (inclusive), with [r2s] ascending and the point known to be inside
-    radius index [jhi-1] candidates only within window [\[jlo, jhi)]:
-    find the smallest [j] in the window with [d2 <= r2s.(j)] and record
-    [acc.(j) <- acc.(j) + 1; acc.(jhi) <- acc.(jhi) - 1] (difference
-    array; caller prefix-sums).  Requires [Array.length acc > jhi].  The
-    C path finds [j] with a branchless lower bound; it lands on the same
-    [j] as the reference's bisection. *)
+val pair_hist :
+  st:float array -> offs:int array -> m:int -> dim:int -> w:int array ->
+  r2s:float array -> hist:int array -> unit
+(** Weighted pair histogram over the rows [offs.(0..m-1)] of [st] (the
+    distinct points, with multiplicities [w]).  For each unordered pair
+    [{a, b}], [a = b] included once, let [j] be the first index with
+    [d2 <= r2s.(j)] for their squared distance [d2]; when there is one,
+    [hist.(a*nr + j) += w.(b)] and, for [b <> a],
+    [hist.(b*nr + j) += w.(a)], where [nr = Array.length r2s].  With
+    [r2s] ascending and NaN-free, the running sum of row [a] up to [j] is
+    the weighted number of rows within [r2s.(j)] of row [a].  Requires
+    [Array.length hist >= m*nr].
+
+    [d2] sums [(a - b)²] over the axes in axis order: since
+    [fl(x - y) = -fl(y - x)], it equals, bit for bit, the squared
+    distance {!count_within} computes from [b - a] for the query [a].  The C path finds [j]
+    with a bucket table on the high bits of [d2], built once per call
+    (at most 4096 keys), then scans forward on the same predicate; keys
+    outside the table take the reference's bisection.  Both land on the
+    same [j]. *)
 
 (** Pure-OCaml reference implementations — always available, bit-identical
     to the C kernels.  Used for differential testing and as the fallback
@@ -125,8 +133,7 @@ module Ref : sig
     st:float array -> n:int -> dim:int ->
     centers:float array -> coff:int -> dist2:float array -> unit
 
-  val leaf_multi_count :
-    st:float array -> idx:int array -> lo:int -> hi:int ->
-    q:float array -> qoff:int -> dim:int -> r2s:float array ->
-    jlo:int -> jhi:int -> acc:int array -> unit
+  val pair_hist :
+    st:float array -> offs:int array -> m:int -> dim:int -> w:int array ->
+    r2s:float array -> hist:int array -> unit
 end

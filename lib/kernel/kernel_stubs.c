@@ -18,6 +18,7 @@
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -319,60 +320,131 @@ CAMLprim value pc_min_dist2_update_bc(value *argv, int argn)
                              argv[5]);
 }
 
-/* -------------------------------------- multi-radius leaf contributions */
+/* ------------------------------------------------ pair-count histogram */
 
-/* One-query-many-radii leaf step: for each point idx[lo..hi], compute d2
- * once, find the smallest j in [jlo, jhi) with d2 <= r2s[j] (r2s
- * ascending), and record the membership as a difference-array update
- * (acc[j] += 1, acc[jhi] -= 1); the caller prefix-sums acc into
- * per-radius counts.  Exactly the counts of per-radius leaf scans.
- *
- * The search is a branchless lower bound: the answer lies in
- * [base, base + len] throughout; each step halves len and moves base by
- * a conditional select, not a branch, so a leaf's points do not pay a
- * mispredicted jump per halving.  The answer is the same j as the
- * reference's bisection — the first entry not below d2 — because the
- * d2 <= r2s[jhi - 1] test before the search keeps it inside the
- * window. */
-CAMLprim value pc_leaf_multi_count(value st, value idx, value vlo, value vhi,
-                                   value q, value vqoff, value vdim,
-                                   value r2s, value vjlo, value vjhi,
-                                   value acc)
+/* The bucket table holds at most this many keys (16 KiB of uint32). */
+#define PH_TABLE_MAX 4096
+
+static inline uint64_t dbl_bits(double x)
+{
+  uint64_t u;
+  memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+/* First j in [0, nr) with d2 <= r2[j], or nr: bisection on the ball
+ * predicate, which is upward closed over an ascending r2.  The search of
+ * Kernel.Ref.pair_hist, and the fallback for keys outside the table. */
+static long ph_search(const double *r2, long nr, double d2)
+{
+  long a = 0, b = nr;
+  while (a < b) {
+    long mid = (a + b) / 2;
+    if (d2 <= r2[mid]) b = mid;
+    else a = mid + 1;
+  }
+  return a;
+}
+
+/* Bucket table over the high bits of a squared distance.  Non-negative
+ * doubles order like their bit patterns, so key k = bits >> shift covers
+ * the interval starting at low(k) = the double with bits k << shift, and
+ * first[k - kmin] = #{ j : r2[j] < low(k) } is a lower bound on the
+ * bucket of every d2 with key k: no r2[j] below it can hold d2.  The
+ * shift is the smallest that fits the keys of the positive finite
+ * thresholds in PH_TABLE_MAX entries.  size = 0 means no table. */
+typedef struct {
+  uint64_t kmin, size;
+  int shift;
+  uint32_t *first;
+} ph_table;
+
+static void ph_table_build(ph_table *t, const double *r2, long nr)
+{
+  t->kmin = 0;
+  t->size = 0;
+  t->shift = 0;
+  t->first = NULL;
+  long lo = 0, hi = nr - 1;
+  while (lo < nr && !(r2[lo] > 0.)) lo++;
+  while (hi >= lo && !(r2[hi] < INFINITY)) hi--;
+  if (lo > hi || nr > (long)UINT32_MAX) return;
+  uint64_t blo = dbl_bits(r2[lo]), bhi = dbl_bits(r2[hi]);
+  int s = 0;
+  while ((bhi >> s) - (blo >> s) >= PH_TABLE_MAX) s++;
+  uint64_t kmin = blo >> s, size = (bhi >> s) - kmin + 1;
+  uint32_t *first = (uint32_t *)malloc(size * sizeof *first);
+  if (first == NULL) return; /* no table: every key takes ph_search */
+  long j = 0;
+  for (uint64_t k = 0; k < size; k++) {
+    uint64_t lowbits = (kmin + k) << s;
+    double low;
+    memcpy(&low, &lowbits, sizeof low);
+    while (j < nr && r2[j] < low) j++;
+    first[k] = (uint32_t)j;
+  }
+  t->kmin = kmin;
+  t->size = size;
+  t->shift = s;
+  t->first = first;
+}
+
+/* Bucket of d2: the first j with d2 <= r2[j], or nr.  In the table, a
+ * forward scan on the same predicate from the key's lower bound; any
+ * other key (0, huge, NaN, a sign bit) takes the plain search. */
+static inline long ph_bucket(const ph_table *t, const double *r2, long nr,
+                             double d2)
+{
+  uint64_t k = (dbl_bits(d2) >> t->shift) - t->kmin;
+  if (k >= t->size) return ph_search(r2, nr, d2);
+  long j = t->first[k];
+  while (j < nr && !(d2 <= r2[j])) j++;
+  return j;
+}
+
+#define ADD_LONG(v, i, x) (Field((v), (i)) = Val_long(IDX((v), (i)) + (x)))
+
+/* Symmetric pass over the m rows offs[0..m-1] (distinct points, weights
+ * w[]): for each unordered pair {a, b}, a = b included once, compute d2
+ * once and, with j its bucket against the ascending thresholds r2s,
+ * credit w[b] to hist[a*nr + j] and w[a] to hist[b*nr + j].  d2 is
+ * evaluated as a - b per axis in axis order; fl(x - y) = -fl(y - x), so
+ * its square equals that of the b - a a query from a computes
+ * (pc_count_within), bit for bit. */
+CAMLprim value pc_pair_hist(value st, value offs, value vm, value vdim,
+                            value w, value r2s, value hist)
 {
   const double *s = DBL(st);
-  const double *qp = DBL(q) + Long_val(vqoff);
   const double *r2 = DBL(r2s);
-  long lo = Long_val(vlo), hi = Long_val(vhi), dim = Long_val(vdim);
-  long jlo = Long_val(vjlo), jhi = Long_val(vjhi);
-  if (jlo >= jhi) return Val_unit;
-  double top = r2[jhi - 1];
-  for (long i = lo; i <= hi; i++) {
-    const double *row = s + IDX(idx, i);
-    double acc_d = 0.;
-    for (long j = 0; j < dim; j++) {
-      double d = row[j] - qp[j];
-      acc_d += d * d;
-    }
-    if (acc_d <= top) {
-      const double *base = r2 + jlo;
-      long len = jhi - jlo;
-      while (len > 1) {
-        long half = len / 2;
-        base = base[half] < acc_d ? base + half : base;
-        len -= half;
+  long m = Long_val(vm), dim = Long_val(vdim);
+  long nr = (long)(Wosize_val(r2s) / Double_wosize);
+  if (nr == 0) return Val_unit;
+  ph_table t;
+  ph_table_build(&t, r2, nr);
+  for (long a = 0; a < m; a++) {
+    const double *pa = s + IDX(offs, a);
+    long wa = IDX(w, a), rowa = a * nr;
+    for (long b = a; b < m; b++) {
+      const double *pb = s + IDX(offs, b);
+      double d2 = 0.;
+      for (long k = 0; k < dim; k++) {
+        double d = pa[k] - pb[k];
+        d2 += d * d;
       }
-      long a = (base - r2) + (*base < acc_d);
-      Field(acc, a) = Val_long(IDX(acc, a) + 1);
-      Field(acc, jhi) = Val_long(IDX(acc, jhi) - 1);
+      long j = ph_bucket(&t, r2, nr, d2);
+      if (j < nr) {
+        ADD_LONG(hist, rowa + j, IDX(w, b));
+        if (b != a) ADD_LONG(hist, b * nr + j, wa);
+      }
     }
   }
+  free(t.first);
   return Val_unit;
 }
 
-CAMLprim value pc_leaf_multi_count_bc(value *argv, int argn)
+CAMLprim value pc_pair_hist_bc(value *argv, int argn)
 {
   (void)argn;
-  return pc_leaf_multi_count(argv[0], argv[1], argv[2], argv[3], argv[4],
-                             argv[5], argv[6], argv[7], argv[8], argv[9],
-                             argv[10]);
+  return pc_pair_hist(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                      argv[6]);
 }

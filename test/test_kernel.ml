@@ -101,43 +101,52 @@ let test_tree_index_native_vs_ref () =
       [ 1; 2; n / 3; n ]
   done
 
-(* The C leaf step's branchless search against the reference bisection,
-   at the window's edges: squared radii holding the points' exact squared
-   distances (so a point's [acc_d] equals an [r2s] entry), runs of
-   repeated entries, and windows of every width down to [jlo = jhi - 1]. *)
-let test_leaf_multi_count_diff =
-  qcheck "leaf_multi_count: C = Ref at the window edges"
-    QCheck2.Gen.(triple cloud_gen (int_range 1 4) (float_range 0. 1.))
-    (fun ((d, pts), dup, far) ->
+(* The C pair pass's bucket table and forward scan against the
+   reference bisection, at the table's edges: thresholds equal to pair
+   squared distances (so a pair's [d2] equals an [r2s] entry), their
+   [Float.pred]/[Float.succ] neighbours, runs of repeated thresholds and
+   a 0 threshold.  [Wide] adds a ladder over the whole double range, so
+   the table's 4096-key bound forces its coarsest buckets; [Narrow] keeps
+   only one pair's [d2] and its nearest floats, so the table is a few
+   ulps wide and nearly every other key falls back to bisection. *)
+type thresholds = Pairs | Wide | Narrow
+
+let test_pair_hist_diff =
+  qcheck "pair_hist: C = Ref at the table edges"
+    QCheck2.Gen.(
+      quad cloud_gen (int_range 1 3) (oneofl [ Pairs; Wide; Narrow ])
+        (array_size (return 48) (int_range 1 4)))
+    (fun ((d, pts), dup, mode, ws) ->
       with_native @@ fun () ->
       let st, offs = flat_of pts d in
-      let n = Array.length pts in
-      let q = pts.(n / 2) in
-      let d2 = Array.map (fun p -> Geometry.Vec.dist_sq p q) pts in
+      let m = Array.length pts in
+      let w = Array.sub ws 0 m in
+      let d2 =
+        Array.concat
+          (List.init m (fun a ->
+               Array.init (m - a) (fun k -> Geometry.Vec.dist_sq pts.(a) pts.(a + k))))
+      in
+      let near x = [| Float.pred x; x; Float.succ x |] in
       let r2s =
-        Array.concat [ [| 0.; far |]; d2; Array.concat (List.init dup (fun _ -> Array.sub d2 0 (n / 2))) ]
+        match mode with
+        | Narrow -> Array.concat (List.map near (Array.to_list (near d2.(Array.length d2 / 2))))
+        | Pairs | Wide ->
+            Array.concat
+              ([ [| 0. |]; Array.concat (List.map near (Array.to_list d2)) ]
+              @ List.init dup (fun _ -> Array.sub d2 0 (Array.length d2 / 2))
+              @
+              if mode = Wide then
+                [ Array.init 5000 (fun k -> Float.ldexp 1. ((k * 2097 / 5000) - 1074)); [| infinity |] ]
+              else [])
       in
       Array.sort Float.compare r2s;
       let nr = Array.length r2s in
-      let windows =
-        List.concat
-          [
-            List.init nr (fun j -> (j, j + 1));
-            List.init nr (fun j -> (j, nr));
-            List.init nr (fun j -> (0, j + 1));
-          ]
+      let run pair_hist =
+        let hist = Array.make (m * nr) 0 in
+        pair_hist ~st ~offs ~m ~dim:d ~w ~r2s ~hist;
+        hist
       in
-      List.iter
-        (fun (jlo, jhi) ->
-          let run leaf =
-            let acc = Array.make (nr + 1) 0 in
-            leaf ~st ~idx:offs ~lo:0 ~hi:(n - 1) ~q ~qoff:0 ~dim:d ~r2s ~jlo ~jhi ~acc;
-            acc
-          in
-          check_int_array
-            (Printf.sprintf "window [%d, %d)" jlo jhi)
-            (run Kernel.Ref.leaf_multi_count) (run Kernel.leaf_multi_count))
-        windows;
+      check_int_array "weighted pair histogram" (run Kernel.Ref.pair_hist) (run Kernel.pair_hist);
       true)
 
 let test_top_avg_capped_diff =
@@ -221,30 +230,53 @@ let test_edge_cases () =
   check_bits "top_avg of empty-cap" 0.
     (Kernel.top_avg_capped ~counts:[| 5; 5 |] ~off:0 ~len:2 ~cap:0 ~k:2)
 
-let test_count_within_row_many_matches_per_radius =
-  qcheck ~count:100 "kdtree multi-radius = per-radius counts"
-    QCheck2.Gen.(pair cloud_gen (array_size (int_range 1 24) (float_range 0. 6.)))
-    (fun ((d, pts), radii) ->
+(* Coordinates from a three-value set: most rows are duplicates, so the
+   pair pass's multiplicities and copied columns carry most of the
+   counts. *)
+let duplicate_cloud_gen =
+  QCheck2.Gen.(
+    int_range 1 3 >>= fun d ->
+    int_range 1 60 >>= fun n ->
+    let coord = frequency [ (6, int_range 0 2 >|= fun i -> 0.5 *. float_of_int i); (1, float_range 0. 1.) ] in
+    array_size (return n) (array_size (return d) coord) >|= fun pts -> (d, pts))
+
+let test_fill_counts_matches_counts_within =
+  qcheck ~count:100 "count matrix = per-radius counts_within (duplicates)"
+    QCheck2.Gen.(
+      pair duplicate_cloud_gen
+        (array_size (int_range 1 24) (oneof [ float_range 0. 2.; oneofl [ 0.; 0.5; 1.; sqrt 0.5 ] ])))
+    (fun ((_d, pts), radii) ->
       with_native @@ fun () ->
       Array.sort Float.compare radii;
-      let st, offs = flat_of pts d in
-      let tree = Geometry.Kdtree.build_flat ~storage:st ~offs ~dim:d () in
-      let nr = Array.length radii in
-      let out = Array.make nr (-1) in
-      Geometry.Kdtree.count_within_row_many tree st ~off:0 ~radii ~out ~stride:1 ~col:0;
-      let expected =
-        Array.map (fun r -> Geometry.Kdtree.count_within_row tree st ~off:0 ~radius:r) radii
-      in
-      check_int_array "multi-radius counts" expected out;
+      let idx = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
+      check_int_array "count matrix"
+        (Array.concat
+           (Array.to_list (Array.map (fun radius -> Geometry.Pointset.counts_within idx ~radius) radii)))
+        (Geometry.Pointset.fill_counts idx ~radii);
       true)
 
+(* Radii include -0., both infinities and NaNs: the NaNs land anywhere
+   in the otherwise sorted array, which sends it down the per-radius
+   path. *)
 let test_score_l_many_matches_score_l =
   qcheck ~count:60 "score_l_many = per-radius score_l, bit for bit"
     QCheck2.Gen.(
-      pair cloud_gen (pair (int_range 1 10) (array_size (int_range 1 16) (float_range 0. 5.))))
-    (fun ((_d, pts), (cap, radii)) ->
+      pair cloud_gen
+        (triple (int_range 1 10)
+           (array_size (int_range 1 16)
+              (frequency
+                 [ (8, float_range 0. 5.); (1, oneofl [ -0.; infinity; neg_infinity ]) ]))
+           (list_size (int_range 0 2) (int_range 0 16))))
+    (fun ((_d, pts), (cap, radii, nans)) ->
       with_native @@ fun () ->
       Array.sort Float.compare radii;
+      let radii =
+        List.fold_left
+          (fun r at ->
+            let at = min at (Array.length r) in
+            Array.concat [ Array.sub r 0 at; [| Float.nan |]; Array.sub r at (Array.length r - at) ])
+          radii nans
+      in
       let ps = Geometry.Pointset.create pts in
       let idx = Geometry.Pointset.build_index ps in
       let batched = Geometry.Pointset.score_l_many idx ~cap ~radii in
@@ -391,12 +423,12 @@ let suite =
     test_count_within_diff;
     test_dists_sort_kth_diff;
     case "tree index: native = reference (n = 3000)" test_tree_index_native_vs_ref;
-    test_leaf_multi_count_diff;
+    test_pair_hist_diff;
     test_top_avg_capped_diff;
     test_jl_sum_rows_diff;
     test_argmin_argmax_mindist_diff;
     case "kernel edge cases (empty/singleton/duplicates)" test_edge_cases;
-    test_count_within_row_many_matches_per_radius;
+    test_fill_counts_matches_counts_within;
     test_score_l_many_matches_score_l;
     test_score_l_many_memo_matches_score_l;
     test_score_l_many_above_memo_bound;

@@ -118,8 +118,9 @@ let count_le row r =
    naive [acc <= r *. r] the two split on these planted sets at the
    linear grid's r = 1.0, for seeds 3 and 4 (DESIGN.md §6), so every
    radius of both candidate grids is checked: the geometric grid through
-   [counts_within], the linear one (1025 radii) through one multi-radius
-   traversal per point, and r = 1.0 through both. *)
+   [counts_within], the linear one (1025 radii) through the pair pass
+   that fills the sweep's count matrix ([fill_counts]), and r = 1.0
+   through both. *)
 let test_tree_counts_match_dense_rows () =
   List.iter
     (fun seed ->
@@ -139,15 +140,8 @@ let test_tree_counts_match_dense_rows () =
       done;
       check_counts 1.0;
       let radii = Array.init (Geometry.Grid.radius_candidates grid) (Geometry.Grid.radius_of_index grid) in
-      let nr = Array.length radii in
-      let tree =
-        Geometry.Kdtree.build_flat ~storage:(Geometry.Pointset.storage ps)
-          ~offs:(Geometry.Pointset.row_offsets ps) ~dim:(Geometry.Pointset.dim ps) ()
-      in
-      let out = Array.make nr 0 in
+      let counts = Geometry.Pointset.fill_counts idx ~radii in
       for i = 0 to n - 1 do
-        Geometry.Kdtree.count_within_row_many tree (Geometry.Pointset.storage ps)
-          ~off:(Geometry.Pointset.row_offset ps i) ~radii ~out ~stride:1 ~col:0;
         (* Two-pointer merge of the sorted row against the ascending radii. *)
         let p = ref 0 in
         Array.iteri
@@ -155,8 +149,9 @@ let test_tree_counts_match_dense_rows () =
             while !p < n && rows.(i).(!p) <= r do
               incr p
             done;
-            if out.(j) <> !p then
-              Alcotest.failf "seed %d, point %d, linear r = %h: tree %d, dense %d" seed i r out.(j) !p)
+            let c = counts.((j * n) + i) in
+            if c <> !p then
+              Alcotest.failf "seed %d, point %d, linear r = %h: fill %d, dense %d" seed i r c !p)
           radii
       done)
     [ 1; 2; 3; 4 ]
