@@ -1,15 +1,18 @@
 type answer = { center : Geometry.Vec.t; radius : float; exact : bool }
 
-let solve ps ~t =
+(* [start]: the 2-approximation, when the caller already computed it. *)
+let solve_from ?start ps ~t =
   if Geometry.Pointset.dim ps = 1 then begin
     let coords = Geometry.Pointset.coords_axis ps 0 in
     let b = Geometry.Seb.exact_1d coords ~t in
     { center = b.Geometry.Seb.center; radius = b.Geometry.Seb.radius; exact = true }
   end
   else begin
-    let b = Geometry.Seb.t_ball_heuristic ps ~t in
+    let b = Geometry.Seb.t_ball_heuristic ?start ps ~t in
     { center = b.Geometry.Seb.center; radius = b.Geometry.Seb.radius; exact = false }
   end
+
+let solve ps ~t = solve_from ps ~t
 
 let two_approx ps ~t =
   let b = Geometry.Seb.two_approx ps ~t in
@@ -17,7 +20,7 @@ let two_approx ps ~t =
 
 let r_opt_bounds ps ~t =
   let approx2 = Geometry.Seb.two_approx ps ~t in
-  let best = solve ps ~t in
+  let best = solve_from ~start:approx2 ps ~t in
   let hi = Float.min approx2.Geometry.Seb.radius best.radius in
   let lo = if best.exact then best.radius else approx2.Geometry.Seb.radius /. 2. in
   (lo, hi)

@@ -94,6 +94,13 @@ let get : type a. fields -> a key -> ?default:a -> string -> (a, string) result 
   | None, Some d -> Ok d
   | None, None -> Error (Printf.sprintf "%s requires %s=" f.kind_tok k)
 
+(* [t_fraction], read by every kind with a target cluster size: in (0, 1]
+   (the comparisons are false for NaN), so [t = ⌈t_fraction · n⌉] is in
+   [1, n]. *)
+let get_t_fraction f =
+  let* x = get f Float ~default:0.5 "t_fraction" in
+  if x > 0. && x <= 1. then Ok x else Error "key t_fraction: must be in (0, 1]"
+
 (* How a kind reads its price: [Approx] requires both eps and delta;
    [Pure] is an (ε, 0) query, so delta defaults to 0; [Free] kinds touch no
    private data through a mechanism (mutations), so both default to 0. *)
@@ -106,13 +113,13 @@ let kinds : (string * price * (fields -> (kind, string) result)) list =
     ( "one_cluster",
       Approx,
       fun f ->
-        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let+ t_fraction = get_t_fraction f in
         One_cluster { t_fraction } );
     ( "k_cluster",
       Approx,
       fun f ->
         let* k = get f Pos_int "k" in
-        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let+ t_fraction = get_t_fraction f in
         K_cluster { k; t_fraction } );
     ( "quantile",
       Pure,
@@ -140,18 +147,18 @@ let kinds : (string * price * (fields -> (kind, string) result)) list =
     ( "standing",
       Approx,
       fun f ->
-        let* t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let* t_fraction = get_t_fraction f in
         let+ periods = get f Pos_int "periods" in
         Standing { t_fraction; periods } );
     ( "local_cluster",
       Pure,
       fun f ->
-        let+ t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let+ t_fraction = get_t_fraction f in
         Local_cluster { t_fraction } );
     ( "meb_fptas",
       Approx,
       fun f ->
-        let* t_fraction = get f Float ~default:0.5 "t_fraction" in
+        let* t_fraction = get_t_fraction f in
         let+ coreset = get f Pos_int ~default:400 "coreset" in
         Meb { t_fraction; coreset } );
   ]

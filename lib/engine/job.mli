@@ -42,8 +42,8 @@
 
     Recognized keys: [eps] (required except for [mutate], default 0 there),
     [delta] (required for [one_cluster], [k_cluster], [standing] and
-    [meb_fptas], default [0] otherwise), [beta] (default 0.1), [t_fraction] (default
-    0.5), [k] (required for [k_cluster]), [q] (default 0.5), [axis]
+    [meb_fptas], default [0] otherwise), [beta] (default 0.1), [t_fraction] (in (0, 1],
+    NaN and infinities rejected; default 0.5), [k] (required for [k_cluster]), [q] (default 0.5), [axis]
     (default 0), [deadline] (seconds, default none), [fallback]
     (true/false, default false; [one_cluster] only), [id] (default
     ["j<line-position>"]); for [mutate]: [op] (required, [append] or

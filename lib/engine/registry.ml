@@ -166,9 +166,13 @@ let r_opt_bounds d ~t =
   | None ->
       (* Computed under the lock: concurrent first requests for the same [t]
          would otherwise both pay the scan.  The pruned 2-approximation
-         scan is short: one tree query per distinct point (duplicates are
-         skipped) plus one exact t-th neighbor evaluation per improvement
-         of (or tie with) the running best. *)
+         scan is short: after the job's GoodRadius sweep the index's
+         count matrix leaves only the distinct points in the lowest
+         radius bracket that reaches [t] (every distinct point when the
+         matrix is missing, or its fill holds the memo), one tree query
+         each, plus one exact t-th neighbor evaluation per improvement of
+         (or tie with) the running best.  The scan peeks the memo with
+         [Mutex.try_lock], so it never waits on a fill under this lock. *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock d.mu)
         (fun () ->

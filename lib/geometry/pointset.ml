@@ -158,6 +158,10 @@ let group_rows ps =
 
 let is_representative idx i = idx.reps.(i) = i
 
+(* The representatives [i] with [keep i], ascending. *)
+let representatives idx keep =
+  Array.of_seq (Seq.filter (fun i -> idx.reps.(i) = i && keep i) (Seq.init (n idx.ps) Fun.id))
+
 let build_index ps =
   {
     ps;
@@ -200,7 +204,8 @@ let score_l idx ~cap ~radius =
 
 (* Per-point counts for every radius of [radii] (ascending, non-negative),
    radius-major: [counts.(j * n + i)] is the number of points within
-   [radii.(j)] of point [i].  One symmetric pass over the distinct points
+   [radii.(j)] of point [i].  The distinct points' rows are gathered into
+   one contiguous buffer, and one symmetric pass over them
    ([Kernel.pair_hist]) buckets every pair's squared distance once, each
    side weighted by the other's multiplicity; a representative's running
    sum over its histogram row is its count column, and a duplicate's
@@ -210,15 +215,15 @@ let score_l idx ~cap ~radius =
    the blocked path of [score_l_many]. *)
 let fill_counts idx ~radii =
   let ps = idx.ps and reps = idx.reps in
-  let count = n ps and nr = Array.length radii in
+  let count = n ps and nr = Array.length radii and d = ps.dim in
   let w = Array.make count 0 in
   Array.iter (fun r -> w.(r) <- w.(r) + 1) reps;
-  let distinct = Array.of_seq (Seq.filter (fun i -> reps.(i) = i) (Seq.init count Fun.id)) in
+  let distinct = representatives idx (fun _ -> true) in
   let m = Array.length distinct in
+  let rows = Array.create_float (m * d) in
+  Array.iteri (fun a i -> Array.blit ps.st ps.offs.(i) rows (a * d) d) distinct;
   let hist = Array.make (m * nr) 0 in
-  Kernel.pair_hist ~st:ps.st
-    ~offs:(Array.map (fun i -> ps.offs.(i)) distinct)
-    ~m ~dim:ps.dim
+  Kernel.pair_hist ~rows ~m ~dim:d
     ~w:(Array.map (fun i -> w.(i)) distinct)
     ~r2s:(Array.map Vec.ball_r2 radii) ~hist;
   let counts = Array.make (nr * count) 0 in
@@ -319,3 +324,66 @@ let kth_neighbor_distance idx ~k i =
   Kernel.dists_to_rows ~st:ps.st ~offs:ps.offs ~n:count ~q:ps.st ~qoff:ps.offs.(i) ~dim:ps.dim
     ~out:row;
   Kernel.kth_smallest row ~len:count ~k
+
+(* The memo's radii and matrix, when it holds an entry and no fill is in
+   flight.  [try_lock] rather than [lock]: a caller holding a dataset lock
+   must not wait for a fill.  A fill replaces [counts] and never writes
+   into it, so the pair read here stays valid after the unlock. *)
+let memo_peek idx =
+  let m = idx.memo in
+  if not (Mutex.try_lock m.mu) then None
+  else begin
+    let key = m.key and counts = m.counts in
+    Mutex.unlock m.mu;
+    if Array.length key = 0 then None else Some (key, counts)
+  end
+
+(* The representatives that can hold the smallest k-th neighbour
+   distance.  With a memoized matrix over radii r_0 <= … <= r_last, a
+   point's count reaches k at r_j exactly when its k-th distance is at
+   most r_j (one predicate, see [kth_neighbor_distance]).  Let j be the
+   first radius at which some point's count reaches k: the minimum is at
+   most r_j, and a point whose count is below k at r_j has a k-th
+   distance above r_j, so only the points whose count reaches k at r_j
+   can attain (or tie) the minimum.  With no matrix to peek (none
+   memoized, or a fill in flight), or when no point reaches k within
+   r_last, every representative is a candidate. *)
+let kth_candidates idx ~k =
+  let count = n idx.ps in
+  let all = representatives idx (fun _ -> true) in
+  match memo_peek idx with
+  | None -> all
+  | Some (key, counts) ->
+      let reaches j i = counts.((j * count) + i) >= k in
+      let nr = Array.length key in
+      let j = ref 0 in
+      while !j < nr && not (Array.exists (reaches !j) all) do
+        incr j
+      done;
+      if !j = nr then all else representatives idx (reaches !j)
+
+let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
+
+(* Pruned but exact: a candidate is evaluated only if its ball of the
+   running best radius already holds k points.  The count and the k-th
+   distance share one predicate, so a count below k means the distance
+   exceeds the best and the strict [<] below would not have fired.  A
+   duplicate has its representative's distance, and a point outside the
+   candidates a distance above the minimum, so neither could win either:
+   the result — the first row attaining the smallest k-th distance — is
+   the unpruned scan's over every row.  The first probe, at radius
+   infinity, always holds. *)
+let min_kth_neighbor_distance idx ~k =
+  if k <= 0 || k > n idx.ps then invalid_arg "Pointset.min_kth_neighbor_distance: bad k";
+  let best = ref infinity and best_i = ref 0 in
+  Array.iter
+    (fun i ->
+      if holds_at_least idx ~radius:!best ~k i then begin
+        let r = kth_neighbor_distance idx ~k i in
+        if r < !best then begin
+          best := r;
+          best_i := i
+        end
+      end)
+    (kth_candidates idx ~k);
+  (!best_i, !best)

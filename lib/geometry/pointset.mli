@@ -26,7 +26,9 @@
     single-radius [L] evaluation into [n] tree queries instead of an
     O(n²·d) scan, and memoizes the count matrix of the last candidate
     sweep, which one symmetric pass over the pairs of distinct points
-    fills ({!fill_counts}).  Points with bit-identical coordinates
+    fills ({!fill_counts}); the same matrix later narrows the [r_opt]
+    scan ({!min_kth_neighbor_distance}), so an epoch's first use pays
+    one pair pass.  Points with bit-identical coordinates
     ({!is_representative}) share one count-matrix column: every per-row
     query and the pair pass run once per distinct point.
 
@@ -35,7 +37,8 @@
     [sqrt acc <= radius] for its computed squared distance [acc], tested
     as [acc <= Vec.ball_r2 radius].  {!kth_neighbor_distance} returns a
     value of the same [sqrt acc], so "at least [k] points within [r]"
-    holds exactly when the [k]-th neighbour distance is at most [r]. *)
+    holds exactly when the [k]-th neighbour distance is at most [r]
+    ({!min_kth_neighbor_distance} relies on it). *)
 
 type t
 
@@ -173,10 +176,10 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
 val fill_counts : index -> radii:float array -> int array
 (** The count matrix of [radii] (ascending, non-negative, NaN-free),
     radius-major: entry [j * n + i] is [(counts_within idx
-    ~radius:radii.(j)).(i)].  One pass over the unordered pairs of
-    distinct points ({!Kernel.pair_hist}): each pair's squared distance
-    is computed once and credited to both points, weighted by the other's
-    multiplicity.  O(m²·d) for m distinct points, whatever the radii;
+    ~radius:radii.(j)).(i)].  The distinct points' rows are gathered
+    into one contiguous buffer, then one pass over their unordered pairs
+    ({!Kernel.pair_hist}) computes each pair's squared distance once and
+    credits it to both points, weighted by the other's multiplicity.  O(m²·d) for m distinct points, whatever the radii;
     bypasses the memo (exposed for tests). *)
 
 val memo_holds : index -> radii:float array -> bool
@@ -205,6 +208,27 @@ val kth_neighbor_distance : index -> k:int -> int -> float
     distances to every point, found by one O(n·d) pass and a quickselect
     ({!Kernel.kth_smallest}).
     @raise Invalid_argument if [k] is not in [1, n]. *)
+
+val min_kth_neighbor_distance : index -> k:int -> int * float
+(** [(i, r)]: the first row [i] attaining the smallest [k]-th neighbour
+    distance [r] over every row — what scanning {!kth_neighbor_distance}
+    over all rows with a strict [<] returns, bit for bit, found by a
+    pruned scan over the distinct points.  When the memo holds a count
+    matrix, the first of its radii at which some point's count reaches
+    [k] brackets the minimum: a point whose count is below [k] there has
+    a [k]-th distance above that radius, so only the points whose count
+    reaches [k] are candidates.  With no matrix, with a fill in flight
+    (the memo is peeked with [Mutex.try_lock], so a caller holding a lock
+    never waits on a fill), or when no point reaches [k] at the largest
+    radius, every distinct point is.  Each candidate is probed with
+    {!holds_at_least} at the running best and evaluated exactly only when
+    it holds.  This is the scan behind {!Seb.two_approx_indexed}.
+    @raise Invalid_argument if [k] is not in [1, n]. *)
+
+val kth_candidate_count : index -> k:int -> int
+(** How many distinct points {!min_kth_neighbor_distance} would probe
+    right now (exposed for tests: below the number of distinct points
+    only when the memo narrowed the scan). *)
 
 val top_average : float array -> k:int -> float
 (** Mean of the [k] largest entries (used by {!score_l}; exposed for tests).

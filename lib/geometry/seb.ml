@@ -20,51 +20,15 @@ let exact_1d coords ~t =
   done;
   { center = [| 0.5 *. (sorted.(!best_i) +. sorted.(!best_i + t - 1)) |]; radius = 0.5 *. !best }
 
-let two_approx ps ~t =
-  let n = Pointset.n ps in
-  if t < 1 || t > n then invalid_arg "Seb.two_approx: t must be in [1, n]";
-  let st = Pointset.storage ps and offs = Pointset.row_offsets ps in
-  let d = Pointset.dim ps in
-  let best = ref infinity and best_i = ref 0 in
-  let dists = Array.make n 0. in
-  for i = 0 to n - 1 do
-    Kernel.dists_to_rows ~st ~offs ~n ~q:st ~qoff:offs.(i) ~dim:d ~out:dists;
-    (* [dists] is refilled next iteration, so the destructive quickselect
-       scratch is free; the k-th order statistic equals the sorted read. *)
-    let r = Kernel.kth_smallest dists ~len:n ~k:t in
-    if r < !best then begin
-      best := r;
-      best_i := i
-    end
-  done;
-  { center = Pointset.point ps !best_i; radius = !best }
-
 let two_approx_indexed idx ~t =
   let ps = Pointset.index_pointset idx in
-  let n = Pointset.n ps in
-  if t < 1 || t > n then invalid_arg "Seb.two_approx_indexed: t must be in [1, n]";
-  let best = ref infinity and best_i = ref 0 in
-  for i = 0 to n - 1 do
-    (* Pruned but exact: evaluate point i only if it is the first of its
-       identical points and its ball of the running best radius already
-       holds t points.  A duplicate (not a representative) has exactly its
-       representative's t-th distance, which was already evaluated or
-       pruned, so the best is already <= it.  A count skip happens when
-       count(best) < t.  The count and the t-th distance use one
-       predicate, [sqrt acc <= r] (Pointset), so count(best) < t is
-       exactly "the t-th distance exceeds best": the strict [<] below
-       would not have fired, and the skip changes neither radius nor
-       center (first index still wins ties).  The first probe, at radius
-       infinity, always holds. *)
-    if Pointset.is_representative idx i && Pointset.holds_at_least idx ~radius:!best ~k:t i then begin
-      let r = Pointset.kth_neighbor_distance idx ~k:t i in
-      if r < !best then begin
-        best := r;
-        best_i := i
-      end
-    end
-  done;
-  { center = Pointset.point ps !best_i; radius = !best }
+  if t < 1 || t > Pointset.n ps then invalid_arg "Seb.two_approx_indexed: t must be in [1, n]";
+  let i, radius = Pointset.min_kth_neighbor_distance idx ~k:t in
+  { center = Pointset.point ps i; radius }
+
+let two_approx ps ~t =
+  if t < 1 || t > Pointset.n ps then invalid_arg "Seb.two_approx: t must be in [1, n]";
+  two_approx_indexed (Pointset.build_index ps) ~t
 
 let farthest_from points c =
   let best = ref 0 and best_d = ref neg_infinity in
@@ -119,8 +83,8 @@ let t_nearest_offs st offs count d ~t c =
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) with_d;
   Array.init t (fun i -> snd with_d.(i))
 
-let t_ball_heuristic ?(iterations = 8) ps ~t =
-  let start = two_approx ps ~t in
+let t_ball_heuristic ?(iterations = 8) ?start ps ~t =
+  let start = match start with Some b -> b | None -> two_approx ps ~t in
   let st = Pointset.storage ps and offs = Pointset.row_offsets ps in
   let count = Pointset.n ps and d = Pointset.dim ps in
   let best = ref start in

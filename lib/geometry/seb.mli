@@ -23,33 +23,34 @@ val exact_1d : float array -> t:int -> ball
 
 val two_approx : Pointset.t -> t:int -> ball
 (** Smallest ball {e centered at an input point} containing [t] points;
-    its radius is at most [2·r_opt] (Section 3, fact 3).  O(n²·d). *)
+    its radius is at most [2·r_opt] (Section 3, fact 3).
+    {!two_approx_indexed} over a fresh {!Pointset.build_index}.
+    @raise Invalid_argument if [t] is not in [1, n]. *)
 
 val two_approx_indexed : Pointset.index -> t:int -> ball
-(** Same via a prebuilt index.  The scan is pruned: point [i]'s [t]-th
-    neighbor distance is computed only when [i] is the first of its
-    identical points ({!Pointset.is_representative}) and
-    {!Pointset.holds_at_least} says the ball of the running best radius
-    around it holds [t] points.  A duplicate's distance is its
-    representative's, already evaluated or pruned; otherwise the count and
-    the distance share one predicate, so a count below [t] means the
-    [t]-th distance exceeds the best.  Either way the skipped point could
-    not have won, and the ball — radius bits and center, first index on
-    ties — equals the unpruned scan's.  Cost: one tree query per distinct
-    point plus one exact evaluation (an O(n·d) distance pass and a
-    quickselect) per distinct point whose distance is at most the running
-    best: each improvement of the minimum, and each tie with it.  On
-    spread-out data that is a handful of evaluations; the worst case
-    (every distinct point tied) costs what the unpruned scan over the
-    distinct points did plus their probes. *)
+(** Same via a prebuilt index: {!Pointset.min_kth_neighbor_distance}, the
+    pruned scan.  A point's [t]-th neighbor distance is computed only when
+    it is a distinct point ({!Pointset.is_representative}) that can hold
+    the minimum and {!Pointset.holds_at_least} says the ball of the
+    running best radius around it holds [t] points.  When the index
+    memoizes a count matrix (GoodRadius ran on it), that matrix narrows
+    the distinct points to those in the lowest radius bracket that reaches
+    [t]; otherwise every distinct point is probed.  A skipped point could
+    not have won, so the ball — radius bits and center, first index on
+    ties — equals the unpruned scan's over every point.  Cost: one tree
+    query per candidate plus one exact evaluation (an O(n·d) distance
+    pass and a quickselect) per candidate whose distance is at most the
+    running best: each improvement of the minimum, and each tie with it.
+    @raise Invalid_argument if [t] is not in [1, n]. *)
 
 val min_enclosing_ball : ?iterations:int -> Vec.t array -> ball
 (** Bădoiu–Clarkson: after [k] iterations the radius is within a factor
     [1 + O(1/√k)] of the minimum enclosing ball of all the points (default
     100 iterations).  @raise Invalid_argument on an empty array. *)
 
-val t_ball_heuristic : ?iterations:int -> Pointset.t -> t:int -> ball
-(** Best-effort reference for [r_opt]: start from {!two_approx}, then
+val t_ball_heuristic : ?iterations:int -> ?start:ball -> Pointset.t -> t:int -> ball
+(** Best-effort reference for [r_opt]: start from [start] (by default
+    {!two_approx}; a caller that already holds it passes it), then
     alternate (a) keep the [t] points nearest the current center and
     (b) recenter with {!min_enclosing_ball} on them.  Radius never exceeds
     the 2-approximation; experiments use it as the non-private [r_opt]

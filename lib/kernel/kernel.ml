@@ -43,8 +43,7 @@ external c_min_dist2_update :
   = "pc_min_dist2_update_bc" "pc_min_dist2_update" [@@noalloc]
 
 external c_pair_hist :
-  float array -> int array -> int -> int -> int array -> float array ->
-  int array -> unit
+  float array -> int -> int -> int array -> float array -> int array -> unit
   = "pc_pair_hist_bc" "pc_pair_hist" [@@noalloc]
 
 let compiled = true
@@ -186,15 +185,15 @@ module Ref = struct
       if !acc < Array.unsafe_get dist2 i then Array.unsafe_set dist2 i !acc
     done
 
-  let pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist =
+  let pair_hist ~rows ~m ~dim ~w ~r2s ~hist =
     let nr = Array.length r2s in
     for a = 0 to m - 1 do
-      let oa = Array.unsafe_get offs a in
+      let oa = a * dim and wa = Array.unsafe_get w a in
       for b = a to m - 1 do
-        let ob = Array.unsafe_get offs b in
+        let ob = b * dim in
         let d2 = ref 0. in
         for k = 0 to dim - 1 do
-          let d = Array.unsafe_get st (oa + k) -. Array.unsafe_get st (ob + k) in
+          let d = Array.unsafe_get rows (oa + k) -. Array.unsafe_get rows (ob + k) in
           d2 := !d2 +. (d *. d)
         done;
         let lo = ref 0 and hi = ref nr in
@@ -205,7 +204,7 @@ module Ref = struct
         let j = !lo in
         if j < nr then begin
           hist.((a * nr) + j) <- hist.((a * nr) + j) + w.(b);
-          if b <> a then hist.((b * nr) + j) <- hist.((b * nr) + j) + w.(a)
+          if b <> a then hist.((b * nr) + j) <- hist.((b * nr) + j) + wa
         end
       done
     done
@@ -253,6 +252,6 @@ let min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2 =
   if Atomic.get native then c_min_dist2_update st n dim centers coff dist2
   else Ref.min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2
 
-let pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist =
-  if Atomic.get native then c_pair_hist st offs m dim w r2s hist
-  else Ref.pair_hist ~st ~offs ~m ~dim ~w ~r2s ~hist
+let pair_hist ~rows ~m ~dim ~w ~r2s ~hist =
+  if Atomic.get native then c_pair_hist rows m dim w r2s hist
+  else Ref.pair_hist ~rows ~m ~dim ~w ~r2s ~hist

@@ -76,25 +76,27 @@ val min_dist2_update :
     the contiguous layout [st.(i*dim + j)]. *)
 
 val pair_hist :
-  st:float array -> offs:int array -> m:int -> dim:int -> w:int array ->
+  rows:float array -> m:int -> dim:int -> w:int array ->
   r2s:float array -> hist:int array -> unit
-(** Weighted pair histogram over the rows [offs.(0..m-1)] of [st] (the
-    distinct points, with multiplicities [w]).  For each unordered pair
-    [{a, b}], [a = b] included once, let [j] be the first index with
-    [d2 <= r2s.(j)] for their squared distance [d2]; when there is one,
+(** Weighted pair histogram over [m] contiguous rows (row [a] is
+    [rows.(a*dim .. a*dim + dim - 1)]: the distinct points, gathered,
+    with multiplicities [w]).  For each unordered pair [{a, b}], [a = b]
+    included once, let [j] be the first index with [d2 <= r2s.(j)] for
+    their squared distance [d2]; when there is one,
     [hist.(a*nr + j) += w.(b)] and, for [b <> a],
     [hist.(b*nr + j) += w.(a)], where [nr = Array.length r2s].  With
     [r2s] ascending and NaN-free, the running sum of row [a] up to [j] is
     the weighted number of rows within [r2s.(j)] of row [a].  Requires
-    [Array.length hist >= m*nr].
+    [Array.length rows >= m*dim] and [Array.length hist >= m*nr].
 
     [d2] sums [(a - b)²] over the axes in axis order: since
     [fl(x - y) = -fl(y - x)], it equals, bit for bit, the squared
     distance {!count_within} computes from [b - a] for the query [a].  The C path finds [j]
     with a bucket table on the high bits of [d2], built once per call
-    (at most 4096 keys), then scans forward on the same predicate; keys
-    outside the table take the reference's bisection.  Both land on the
-    same [j]. *)
+    (at most 4096 keys; without one if its allocation fails), then scans
+    forward on the same predicate; keys outside the table take the
+    reference's bisection.  Both land on the same [j].  The C path credits
+    a pair with one add on the tagged words of [hist]. *)
 
 (** Pure-OCaml reference implementations — always available, bit-identical
     to the C kernels.  Used for differential testing and as the fallback
@@ -134,6 +136,6 @@ module Ref : sig
     centers:float array -> coff:int -> dist2:float array -> unit
 
   val pair_hist :
-    st:float array -> offs:int array -> m:int -> dim:int -> w:int array ->
+    rows:float array -> m:int -> dim:int -> w:int array ->
     r2s:float array -> hist:int array -> unit
 end

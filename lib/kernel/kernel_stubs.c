@@ -402,30 +402,32 @@ static inline long ph_bucket(const ph_table *t, const double *r2, long nr,
   return j;
 }
 
-#define ADD_LONG(v, i, x) (Field((v), (i)) = Val_long(IDX((v), (i)) + (x)))
-
-/* Symmetric pass over the m rows offs[0..m-1] (distinct points, weights
- * w[]): for each unordered pair {a, b}, a = b included once, compute d2
- * once and, with j its bucket against the ascending thresholds r2s,
- * credit w[b] to hist[a*nr + j] and w[a] to hist[b*nr + j].  d2 is
- * evaluated as a - b per axis in axis order; fl(x - y) = -fl(y - x), so
- * its square equals that of the b - a a query from a computes
- * (pc_count_within), bit for bit. */
-CAMLprim value pc_pair_hist(value st, value offs, value vm, value vdim,
-                            value w, value r2s, value hist)
+/* Symmetric pass over the m contiguous rows rows[a*dim ..] (distinct
+ * points, weights w[]): for each unordered pair {a, b}, a = b included
+ * once, compute d2 once and, with j its bucket against the ascending
+ * thresholds r2s, credit w[b] to hist[a*nr + j] and w[a] to
+ * hist[b*nr + j].  d2 is evaluated as a - b per axis in axis order;
+ * fl(x - y) = -fl(y - x), so its square equals that of the b - a a query
+ * from a computes (pc_count_within), bit for bit.  A credit is one add on
+ * the tagged words: Val_long(c) + (Val_long(x) - 1) = Val_long(c + x). */
+CAMLprim value pc_pair_hist(value rows, value vm, value vdim, value w,
+                            value r2s, value hist)
 {
-  const double *s = DBL(st);
+  const double *s = DBL(rows);
   const double *r2 = DBL(r2s);
   long m = Long_val(vm), dim = Long_val(vdim);
   long nr = (long)(Wosize_val(r2s) / Double_wosize);
   if (nr == 0) return Val_unit;
+  value *h = Op_val(hist);
+  const value *wt = Op_val(w);
   ph_table t;
   ph_table_build(&t, r2, nr);
   for (long a = 0; a < m; a++) {
-    const double *pa = s + IDX(offs, a);
-    long wa = IDX(w, a), rowa = a * nr;
+    const double *pa = s + a * dim;
+    value wa = wt[a] - 1;
+    value *rowa = h + a * nr;
     for (long b = a; b < m; b++) {
-      const double *pb = s + IDX(offs, b);
+      const double *pb = s + b * dim;
       double d2 = 0.;
       for (long k = 0; k < dim; k++) {
         double d = pa[k] - pb[k];
@@ -433,8 +435,8 @@ CAMLprim value pc_pair_hist(value st, value offs, value vm, value vdim,
       }
       long j = ph_bucket(&t, r2, nr, d2);
       if (j < nr) {
-        ADD_LONG(hist, rowa + j, IDX(w, b));
-        if (b != a) ADD_LONG(hist, b * nr + j, wa);
+        rowa[j] += wt[b] - 1;
+        if (b != a) h[b * nr + j] += wa;
       }
     }
   }
@@ -445,6 +447,5 @@ CAMLprim value pc_pair_hist(value st, value offs, value vm, value vdim,
 CAMLprim value pc_pair_hist_bc(value *argv, int argn)
 {
   (void)argn;
-  return pc_pair_hist(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                      argv[6]);
+  return pc_pair_hist(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
 }

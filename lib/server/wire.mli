@@ -27,7 +27,8 @@
       range, advancing the epoch.
     - [epoch]    — [dataset]; current epoch, size, index backend and
       cache statistics.
-    - [standing] — [dataset], [job] (the query id), [t_fraction], [eps],
+    - [standing] — [dataset], [job] (the query id), [t_fraction] (in
+      (0, 1], as a jobs file requires), [eps],
       [delta] (the {e total} budget), [periods], optional [seed];
       register a standing 1-cluster query re-answered on every epoch
       transition until [periods] slices are spent.

@@ -134,9 +134,28 @@ let test_registry_bounds_on_tree () =
       w.Workload.Synth.points
   in
   let fresh = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
+  (* Warm the registry index's count-matrix memo as GoodRadius does, so
+     the misses below narrow their scans with it; [fresh] stays cold and
+     scans every distinct point. *)
+  let idx = Engine.Registry.index ds in
+  let radii =
+    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+  in
+  ignore (Geometry.Pointset.score_l_many idx ~cap:1 ~radii);
+  check_true "memo warm" (Geometry.Pointset.memo_holds idx ~radii);
+  let n = Geometry.Pointset.n (Engine.Registry.pointset ds) in
+  let distinct =
+    List.length (List.filter (Geometry.Pointset.is_representative idx) (List.init n Fun.id))
+  in
   let ts = [ 1260; 1680; 2100 ] in
   List.iter
     (fun t ->
+      check_true
+        (Printf.sprintf "t=%d: the memo narrows the scan" t)
+        (Geometry.Pointset.kth_candidate_count idx ~k:t < distinct);
+      check_true
+        (Printf.sprintf "t=%d: the cold index probes every distinct point" t)
+        (Geometry.Pointset.kth_candidate_count fresh ~k:t = distinct);
       let lo, hi = Engine.Registry.r_opt_bounds ds ~t in
       let lo', hi' = Workload.Metrics.r_opt_bounds_indexed fresh ~t in
       check_float ~tol:0. (Printf.sprintf "r_lo t=%d" t) lo' lo;
@@ -248,19 +267,20 @@ let spec_gen =
   let open QCheck2.Gen in
   let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
   let unit = float_range 0. 1. and pos = int_range 1 1_000_000 in
+  let fraction = map (fun x -> if x > 0. then x else 1.) unit in
   let* kind =
     oneof
       [
-        map (fun t_fraction -> Engine.Job.One_cluster { t_fraction }) finite;
-        map2 (fun k t_fraction -> Engine.Job.K_cluster { k; t_fraction }) pos finite;
+        map (fun t_fraction -> Engine.Job.One_cluster { t_fraction }) fraction;
+        map2 (fun k t_fraction -> Engine.Job.K_cluster { k; t_fraction }) pos fraction;
         map2 (fun axis q -> Engine.Job.Quantile { axis; q }) int unit;
         map4
           (fun n seed frac radius -> Engine.Job.Mutate (Engine.Job.Append_synth { n; seed; frac; radius }))
           pos int finite finite;
         map2 (fun from_ count -> Engine.Job.Mutate (Engine.Job.Retire_range { from_; count })) nat pos;
-        map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) finite pos;
-        map (fun t_fraction -> Engine.Job.Local_cluster { t_fraction }) finite;
-        map2 (fun t_fraction coreset -> Engine.Job.Meb { t_fraction; coreset }) finite pos;
+        map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) fraction pos;
+        map (fun t_fraction -> Engine.Job.Local_cluster { t_fraction }) fraction;
+        map2 (fun t_fraction coreset -> Engine.Job.Meb { t_fraction; coreset }) fraction pos;
       ]
   in
   let* eps =
@@ -299,6 +319,42 @@ let test_job_parse_errors () =
       | Ok _ -> Alcotest.failf "accepted bad line %S" line
       | Error e -> check_true "error names line 1" (String.length e > 0 && String.sub e 0 6 = "line 1"))
     bad
+
+(* [t_fraction] must be in (0, 1] for every kind that reads it: a value
+   outside would be charged and then fail in the solver (t > n), and a NaN
+   would silently run at t = 1. *)
+let test_job_t_fraction_range () =
+  let lines =
+    [
+      "one_cluster eps=1 delta=1e-7";
+      "k_cluster k=2 eps=1 delta=1e-7";
+      "standing periods=2 eps=1 delta=1e-7";
+      "local_cluster eps=1";
+      "meb_fptas eps=1 delta=1e-7";
+    ]
+  in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun v ->
+          let l = Printf.sprintf "%s t_fraction=%s" line v in
+          match Engine.Job.parse l with
+          | Ok _ -> Alcotest.failf "accepted %S" l
+          | Error e ->
+              check_true (Printf.sprintf "%S: typed error (%s)" l e)
+                (e = "line 1: key t_fraction: must be in (0, 1]"))
+        [ "0"; "-0"; "-0.1"; "1.5"; "2"; "nan"; "inf"; "-inf" ];
+      List.iter
+        (fun v ->
+          let l = Printf.sprintf "%s t_fraction=%s" line v in
+          match Engine.Job.parse l with
+          | Ok [ spec ] ->
+              check_true (Printf.sprintf "%S reads %s" l v)
+                (Engine.Job.t_fraction spec.Engine.Job.kind = Some (float_of_string v))
+          | Ok _ -> Alcotest.failf "%S: expected one job" l
+          | Error e -> Alcotest.failf "rejected %S: %s" l e)
+        [ "1.0"; "1"; "1e-3" ])
+    lines
 
 (* Golden bytes: a signature is a Result_cache key and is journaled in WAL
    [cached] records, and the two output encodings are the reply JSON and
@@ -616,4 +672,5 @@ let suite =
     test_job_line_roundtrip;
     case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
     case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
+    case "jobs-file t_fraction must be in (0, 1]" test_job_t_fraction_range;
   ]

@@ -118,7 +118,7 @@ let test_pair_hist_diff =
         (array_size (return 48) (int_range 1 4)))
     (fun ((d, pts), dup, mode, ws) ->
       with_native @@ fun () ->
-      let st, offs = flat_of pts d in
+      let rows, _ = flat_of pts d in
       let m = Array.length pts in
       let w = Array.sub ws 0 m in
       let d2 =
@@ -143,7 +143,7 @@ let test_pair_hist_diff =
       let nr = Array.length r2s in
       let run pair_hist =
         let hist = Array.make (m * nr) 0 in
-        pair_hist ~st ~offs ~m ~dim:d ~w ~r2s ~hist;
+        pair_hist ~rows ~m ~dim:d ~w ~r2s ~hist;
         hist
       in
       check_int_array "weighted pair histogram" (run Kernel.Ref.pair_hist) (run Kernel.pair_hist);

@@ -38,14 +38,6 @@ let qcheck_two_approx_feasible =
       let b = Geometry.Seb.two_approx ps ~t in
       Geometry.Seb.count_inside b pts >= t)
 
-let qcheck_two_approx_indexed_matches =
-  qcheck "two_approx indexed = direct" points_gen (fun pts ->
-      let ps = Geometry.Pointset.create pts in
-      let t = max 1 (Array.length pts / 2) in
-      let a = Geometry.Seb.two_approx ps ~t in
-      let b = Geometry.Seb.two_approx_indexed (Geometry.Pointset.build_index ps) ~t in
-      Float.abs (a.Geometry.Seb.radius -. b.Geometry.Seb.radius) < 1e-9)
-
 (* The unpruned scan [two_approx_indexed] replaced: every point's t-th
    neighbor distance, strict [<], first index wins. *)
 let two_approx_unpruned idx ~t =
@@ -60,6 +52,21 @@ let two_approx_unpruned idx ~t =
   done;
   { Geometry.Seb.center = Geometry.Pointset.point ps !best_i; radius = !best }
 
+let same_ball (a : Geometry.Seb.ball) (b : Geometry.Seb.ball) =
+  let bits = Int64.bits_of_float in
+  bits a.radius = bits b.radius
+  && Array.for_all2 (fun x y -> bits x = bits y) a.center b.center
+
+let qcheck_two_approx_indexed_matches =
+  qcheck "two_approx indexed = direct" points_gen (fun pts ->
+      let ps = Geometry.Pointset.create pts in
+      let n = Array.length pts in
+      List.for_all
+        (fun t ->
+          same_ball (Geometry.Seb.two_approx ps ~t)
+            (two_approx_unpruned (Geometry.Pointset.build_index ps) ~t))
+        [ 1; max 1 (n / 2); n ])
+
 (* Coordinates snapped to a 4-step grid, so points repeat and the t-th
    neighbor distance is often exactly 0. *)
 let snapped_gen ~lo ~hi =
@@ -67,18 +74,45 @@ let snapped_gen ~lo ~hi =
     array_size (int_range lo hi)
       (array_size (return 2) (map (fun k -> float_of_int k /. 3.) (int_range 0 3))))
 
-let same_ball (a : Geometry.Seb.ball) (b : Geometry.Seb.ball) =
-  let bits = Int64.bits_of_float in
-  bits a.radius = bits b.radius
-  && Array.for_all2 (fun x y -> bits x = bits y) a.center b.center
-
+(* Each case runs on a cold memo, then on memos over two ascending grids
+   up to the diameter, which narrow the scan — every pair distance (radii
+   exactly on the t-th distances) and a coarse grid (wide brackets, many
+   tied candidates) — then on a memo over a short grid just below the
+   smallest t-th distance, which no point reaches (every distinct point
+   is probed again). *)
 let qcheck_pruned_scan_bit_identical =
   qcheck "pruned two_approx_indexed = unpruned scan, bit for bit" (snapped_gen ~lo:3 ~hi:40)
     (fun pts ->
-      let idx = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
+      let base = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
       let n = Array.length pts in
+      let distinct =
+        List.length (List.filter (Geometry.Pointset.is_representative base) (List.init n Fun.id))
+      in
+      let pair_dists =
+        List.init n (fun i ->
+            List.init n (fun k -> Geometry.Pointset.kth_neighbor_distance base ~k:(k + 1) i))
+        |> List.concat |> List.sort_uniq Float.compare |> Array.of_list
+      in
+      let warm idx radii =
+        ignore (Geometry.Pointset.score_l_many idx ~cap:n ~radii);
+        if not (Geometry.Pointset.memo_holds idx ~radii) then
+          QCheck2.Test.fail_report "memo not warmed"
+      in
       List.for_all
-        (fun t -> same_ball (Geometry.Seb.two_approx_indexed idx ~t) (two_approx_unpruned idx ~t))
+        (fun t ->
+          let idx = Geometry.Pointset.cold_copy base in
+          let expect = two_approx_unpruned idx ~t in
+          let same () = same_ball (Geometry.Seb.two_approx_indexed idx ~t) expect in
+          let cold = Geometry.Pointset.kth_candidate_count idx ~k:t = distinct && same () in
+          warm idx pair_dists;
+          let exact = same () in
+          warm idx [| 0.; 0.25; 0.5; 1.; 1.5 |];
+          let coarse = same () in
+          let r_min = expect.Geometry.Seb.radius in
+          let short = if r_min > 0. then [| r_min /. 2.; Float.pred r_min |] else [| 0. |] in
+          warm idx short;
+          let all_probed = r_min = 0. || Geometry.Pointset.kth_candidate_count idx ~k:t = distinct in
+          cold && exact && coarse && all_probed && same ())
         [ 1; (n + 1) / 2; n ])
 
 let test_two_approx_factor () =

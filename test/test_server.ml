@@ -894,6 +894,85 @@ let test_daemon_old_signature_recomputes () =
         (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) > !spent_cold);
       Server.Client.close c)
 
+(* A journal written before [Job.parse] checked [t_fraction] may hold a
+   standing query registered at a value now rejected.  Its line no longer
+   parses, so the query is not re-armed, but the journal still replays:
+   the ledger comes back exactly, the query's held slices stay
+   outstanding (an operator settles them), and later epochs tick no
+   query. *)
+let test_daemon_replays_rejected_standing_line () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let register c =
+    expect_ok "register"
+      (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+         ~budget:(p ~eps:4.0 ~delta:1e-4) ())
+  in
+  let spent_before = ref nan in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore (register c);
+      ignore
+        (expect_ok "standing"
+           (Server.Client.standing c ~dataset:"d1" ~id:"sq" ~t_fraction:0.45 ~eps:1.5
+              ~delta:3e-7 ~periods:3 ~seed:9 ()));
+      spent_before := spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
+      Server.Client.close c);
+  let path = cfg.Server.Daemon.wal_path in
+  let records =
+    match Wal.load path with Ok (records, _) -> records | Error e -> Alcotest.failf "load: %s" e
+  in
+  let out_of_range line =
+    String.split_on_char ' ' line
+    |> List.map (fun tok ->
+           if String.starts_with ~prefix:"t_fraction=" tok then "t_fraction=0x1p+1" else tok)
+    |> String.concat " "
+  in
+  let rewritten = ref 0 in
+  let old =
+    List.map
+      (fun (r : Wal.record) ->
+        match r.op with
+        | Wal.Standing st ->
+            incr rewritten;
+            { r with op = Wal.Standing { st with line = out_of_range st.line } }
+        | _ -> r)
+      records
+  in
+  check_int "the standing query was journaled" 1 !rewritten;
+  (match Wal.compact ~sync:false ~path old with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "compact: %s" e);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      check_true "the old journal replays"
+        (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+      check_float ~tol:0. "spend replayed exactly" !spent_before
+        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
+      let app = expect_ok "append" (Server.Client.append c ~dataset:"d1" ~n:100 ~seed:7 ()) in
+      let ticks =
+        match Option.bind (Obs.Json.member "results" app) Obs.Json.to_list with
+        | None -> []
+        | Some rs ->
+            List.filter
+              (fun r ->
+                match Option.bind (Obs.Json.member "id" r) Obs.Json.to_str with
+                | Some id -> String.starts_with ~prefix:"sq#" id
+                | None -> false)
+              rs
+      in
+      check_int "the rejected query is not re-armed" 0 (List.length ticks);
+      let release =
+        expect_ok "settle release"
+          (Server.Client.settle c ~dataset:"d1" ~action:Wire.Release_orphans ())
+      in
+      check_true "its held slices replayed as outstanding"
+        (List.map (fun (s : Wire.settled_reservation) -> s.Wire.label) release.Wire.settled
+        = [ "sq#2"; "sq#3" ]);
+      check_float ~tol:0. "and releasing them moves nothing" !spent_before
+        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
+      Server.Client.close c)
+
 (* Operator settlement of outstanding reservations, end to end: a standing
    query's pending slices are visible, committable one by one (by label)
    and releasable in bulk, with the ledger moving only on commit. *)
@@ -1134,6 +1213,9 @@ let test_daemon_register_validation () =
       expect_bad "frac 0" (Server.Client.register c ~dataset:"v" ~frac:0.0 ~budget ());
       expect_bad "frac nan" (Server.Client.register c ~dataset:"v" ~frac:nan ~budget ());
       expect_bad "radius nan" (Server.Client.register c ~dataset:"v" ~radius:nan ~budget ());
+      expect_bad "standing t_fraction 2"
+        (Server.Client.standing c ~dataset:"v" ~id:"sq" ~t_fraction:2. ~eps:1. ~delta:1e-7
+           ~periods:2 ());
       (* the daemon is still serving: same connection, and a clean register *)
       ignore (expect_ok "ping after rejects" (Server.Client.ping c));
       ignore
@@ -1502,4 +1584,6 @@ let suite =
     slow_case "daemon sampling leaves outputs bit-identical" test_daemon_sampling_deterministic;
     slow_case "daemon budget spans mirror the accountant" test_daemon_budget_spans_mirror_accountant;
     slow_case "daemon recomputes over an old-signature journal" test_daemon_old_signature_recomputes;
+    slow_case "daemon replays a journal holding a now-rejected standing line"
+      test_daemon_replays_rejected_standing_line;
   ]
