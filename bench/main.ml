@@ -741,10 +741,13 @@ let run_epoch_bench tier _fx =
 
 (* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
-   shadow, on the same workload GoodRadius runs (the full candidate
-   sweep, whose count matrix one symmetric pass over the distinct
-   points fills: [Pointset.fill_counts] over [Kernel.pair_hist]) and on
-   the JL projection; (b) the tree index at n = 3000, the daemon's
+   shadow, on the workload GoodRadius runs (the candidate sweep, which
+   pairs the distinct points block by block through
+   [Kernel.pair_hist_blocks] and stops at the first saturated radius),
+   and on the JL projection.  Since a sweep at [~cap:t] may stop early,
+   (a) also compares the full count matrix ([Pointset.fill_counts],
+   every block pair within the last radius) and a sweep at [~cap:n],
+   which saturates only once every point holds all n; (b) the tree index at n = 3000, the daemon's
    serving size, must give the same counts at every geometric candidate
    radius and the same t-th neighbour distance at every point under both
    tiers — the query times are reported, not gated; (c) the native
@@ -767,11 +770,17 @@ let run_kernel_gates _tier fx =
       (Geometry.Grid.geometric_radius_of_index fx.grid)
   in
   (* Cold copies: a memo hit would compare one fill against itself. *)
-  let sweep b =
+  let sweep cap b =
     with_native b (fun () ->
-        Geometry.Pointset.score_l_many (Geometry.Pointset.cold_copy fx.idx) ~cap:fx.t ~radii)
+        Geometry.Pointset.score_l_many (Geometry.Pointset.cold_copy fx.idx) ~cap ~radii)
   in
-  let identity_sweep = bits (sweep true) = bits (sweep false) in
+  let fill b = with_native b (fun () -> Geometry.Pointset.fill_counts fx.idx ~radii) in
+  let n = Geometry.Pointset.n fx.ps in
+  let identity_sweep =
+    bits (sweep fx.t true) = bits (sweep fx.t false)
+    && bits (sweep n true) = bits (sweep n false)
+    && fill true = fill false
+  in
   let jl = Geometry.Jl.make fx.rng ~input_dim:32 ~output_dim:8 in
   let high =
     Geometry.Pointset.of_storage ~dim:32
@@ -782,7 +791,8 @@ let run_kernel_gates _tier fx =
   in
   let identity_jl = bits (project true) = bits (project false) in
   let identity_ok = identity_sweep && identity_jl in
-  Workload.Report.kv "good-radius sweep bit-identical (native vs reference)"
+  Workload.Report.kv
+    "good-radius sweeps (cap t and n) and full count matrix bit-identical (native vs reference)"
     (yes_no identity_sweep);
   Workload.Report.kv "jl projection bit-identical (native vs reference)" (yes_no identity_jl);
   (* (b) the tree index's answers, native vs reference, on one index. *)

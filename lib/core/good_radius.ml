@@ -67,7 +67,8 @@ let run rng (profile : Profile.t) ~grid ~eps ~delta ~beta ~t ?(zero_floor = 0.) 
         (* RecConcave's covering cells evaluate L at every candidate index
            (twice over, memoized), so the eager batched sweep does exactly
            the work the lazy path would — with each pair's distance
-           computed once for all radii ([Pointset.score_l_many]).  Values are
+           computed at most once for all radii, and none past the first
+           radius where L saturates ([Pointset.score_l_many]).  Values are
            bit-identical to per-radius [score_l]; [Quality]'s memo/evals
            bookkeeping is unchanged. *)
         let radii = Array.init cand.size cand.radius_of in

@@ -1,8 +1,18 @@
 type result = { value : float; target_rank : float }
 
-let rank_quality values ~target v =
-  let below = Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 values in
-  -.Float.abs (float_of_int below -. target)
+(* The values sorted once, NaNs dropped (they are [<=] nothing); along
+   the sorted array [x <= v] holds on a prefix, so its length is the
+   rank, found by bisection. *)
+let rank_count values =
+  let sorted = Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq values)) in
+  Array.sort Float.compare sorted;
+  fun v ->
+    let lo = ref 0 and hi = ref (Array.length sorted) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if sorted.(mid) <= v then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
 let quantile rng ?(profile = Profile.practical) ~grid ~eps ~q values =
   if Geometry.Grid.dim grid <> 1 then invalid_arg "Quantile.quantile: grid must be 1-D";
@@ -16,9 +26,10 @@ let quantile rng ?(profile = Profile.practical) ~grid ~eps ~q values =
     ~attrs:(fun () -> [ ("q", Obs.Span.F q); ("axis", Obs.Span.I axis) ])
     ~eps ~delta:0. "quantile"
   @@ fun () ->
+  let rank = rank_count values in
   let quality =
     Recconcave.Quality.create ~size:axis ~f:(fun i ->
-        rank_quality values ~target (float_of_int i *. step))
+        -.Float.abs (float_of_int (rank (float_of_int i *. step)) -. target))
   in
   let report = Recconcave.Rec_concave.solve rng ~eps ~base:profile.Profile.rc_base quality in
   { value = float_of_int report.Recconcave.Rec_concave.chosen *. step; target_rank = target }

@@ -12,12 +12,13 @@ module Json = Obs.Json
 
    An epoch holds its view, its index and two caches that are pure
    functions of its rows: the r_opt-bounds table (in the epoch state) and
-   the index's one-entry memo of GoodRadius's count matrix (inside
-   [Pointset.index]).  Every mutation builds a fresh index
+   the index's one-entry memo of GoodRadius's sweep and its count matrix
+   (inside [Pointset.index]).  Every mutation builds a fresh index
    ([Pointset.build_index], as registration does) and a fresh table, so a
    new epoch starts cold.  The build (about 1 ms at n = 2000) is small
-   beside the epoch's first GoodRadius sweep, which never uses the tree
-   (PERFORMANCE.md §4, "One build per epoch" and "One symmetric pass"). *)
+   beside the epoch's first GoodRadius sweep, which reads only the tree's
+   leaf order (PERFORMANCE.md §4, "One build per epoch" and "Stop the
+   first sweep at saturation"). *)
 
 type epoch_state = {
   epoch : int;
@@ -166,13 +167,14 @@ let r_opt_bounds d ~t =
   | None ->
       (* Computed under the lock: concurrent first requests for the same [t]
          would otherwise both pay the scan.  The pruned 2-approximation
-         scan is short: after the job's GoodRadius sweep the index's
-         count matrix leaves only the distinct points in the lowest
-         radius bracket that reaches [t] (every distinct point when the
-         matrix is missing, or its fill holds the memo), one tree query
-         each, plus one exact t-th neighbor evaluation per improvement of
-         (or tie with) the running best.  The scan peeks the memo with
-         [Mutex.try_lock], so it never waits on a fill under this lock. *)
+         scan is short: after the job's GoodRadius sweep the final
+         columns of the index's count matrix leave only the distinct
+         points in the lowest radius bracket that reaches [t] (every
+         distinct point when there is no final column, or an advance
+         holds the memo), one tree query each, plus one exact t-th
+         neighbor evaluation per improvement of (or tie with) the
+         running best.  The scan peeks the memo with [Mutex.try_lock],
+         so it never waits on a sweep under this lock. *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock d.mu)
         (fun () ->

@@ -93,8 +93,8 @@ val dim : dataset -> int
 val r_opt_bounds : dataset -> t:int -> float * float
 (** The cached [(r_lo, r_hi)] sandwich for target size [t] on the current
     epoch; computed on first request ({!Geometry.Seb.two_approx_indexed}
-    on the epoch's index, narrowed by its count matrix when a job has
-    swept it), then served from the epoch's cache.  Safe to call from
+    on the epoch's index, narrowed by its sweep's final count columns
+    when a job has swept it), then served from the epoch's cache.  Safe to call from
     worker domains. *)
 
 val bounds_cache_stats : dataset -> int * int

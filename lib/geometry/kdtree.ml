@@ -16,7 +16,9 @@ type node =
       size : int;
     }
 
-type t = { st : float array; idx : int array; root : node; size : int; dim : int }
+(* [pos.(i)] is the position, in the build's input order, of the row at
+   [idx.(i)]; [select] permutes the two arrays together. *)
+type t = { st : float array; idx : int array; pos : int array; root : node; size : int; dim : int }
 
 (* One constant for every d, chosen by measurement on the d = 2 planted
    sets the serving workloads use: first use (build, cold sweep, r_opt)
@@ -48,9 +50,9 @@ let widest_axis lo hi =
     lo;
   !best
 
-(* In-place quickselect partition of idx[lo..hi] by coordinate [axis] so
-   that index mid holds the median element. *)
-let rec select st idx axis lo hi mid =
+(* In-place quickselect partition of idx[lo..hi] (and pos alongside) by
+   coordinate [axis] so that index mid holds the median element. *)
+let rec select st idx pos axis lo hi mid =
   if lo < hi then begin
     let pivot = st.(idx.((lo + hi) / 2) + axis) in
     let i = ref lo and j = ref hi in
@@ -61,15 +63,18 @@ let rec select st idx axis lo hi mid =
         let tmp = idx.(!i) in
         idx.(!i) <- idx.(!j);
         idx.(!j) <- tmp;
+        let tmp = pos.(!i) in
+        pos.(!i) <- pos.(!j);
+        pos.(!j) <- tmp;
         incr i;
         decr j
       end
     done;
-    if mid <= !j then select st idx axis lo !j mid
-    else if mid >= !i then select st idx axis !i hi mid
+    if mid <= !j then select st idx pos axis lo !j mid
+    else if mid >= !i then select st idx pos axis !i hi mid
   end
 
-let rec build_node st dim idx lo hi =
+let rec build_node st dim idx pos lo hi =
   let n = hi - lo + 1 in
   if n <= leaf_capacity then Leaf { lo; hi }
   else begin
@@ -78,14 +83,14 @@ let rec build_node st dim idx lo hi =
     if bhi.(axis) -. blo.(axis) <= 0. then Leaf { lo; hi }
     else begin
       let mid = lo + (n / 2) in
-      select st idx axis lo hi mid;
+      select st idx pos axis lo hi mid;
       let threshold = st.(idx.(mid) + axis) in
       Split
         {
           axis;
           threshold;
-          left = build_node st dim idx lo mid;
-          right = build_node st dim idx (mid + 1) hi;
+          left = build_node st dim idx pos lo mid;
+          right = build_node st dim idx pos (mid + 1) hi;
           bbox_lo = blo;
           bbox_hi = bhi;
           size = n;
@@ -96,8 +101,8 @@ let rec build_node st dim idx lo hi =
 let build_flat ~storage ~offs ~dim () =
   let n = Array.length offs in
   if n = 0 then invalid_arg "Kdtree.build: empty";
-  let idx = Array.copy offs in
-  { st = storage; idx; root = build_node storage dim idx 0 (n - 1); size = n; dim }
+  let idx = Array.copy offs and pos = Array.init n Fun.id in
+  { st = storage; idx; pos; root = build_node storage dim idx pos 0 (n - 1); size = n; dim }
 
 let build points =
   let n = Array.length points in
@@ -112,6 +117,17 @@ let build points =
 
 let size t = t.size
 let dim t = t.dim
+
+let leaves t =
+  let starts = ref [ t.size ] in
+  let rec walk = function
+    | Leaf { lo; _ } -> starts := lo :: !starts
+    | Split { left; right; _ } ->
+        walk right;
+        walk left
+  in
+  walk t.root;
+  (Array.copy t.pos, Array.of_list !starts)
 
 (* Squared distance from a point to an axis-aligned box. *)
 let box_dist_sq lo hi p =

@@ -6,10 +6,9 @@
     [holds_at_least] and the [r_opt] scan reach it through the index,
     every registry epoch builds its own, and only the
     exponential-mechanism baseline queries it directly.  A GoodRadius
-    candidate sweep does not use it: over a whole radius grid the tree
-    prunes almost no pair on the serving workloads, so
-    {!Pointset.fill_counts} makes one symmetric pass over the distinct
-    points instead, with the same ball predicate.
+    candidate sweep does not query it: {!Pointset.score_l_many} pairs
+    the distinct points block by block, in the tree's leaf order
+    ({!leaves}), with the same ball predicate.
 
     Ball membership is [sqrt acc <= radius] for the computed squared
     distance [acc] — the predicate of {!Vec.dist} — tested as
@@ -36,6 +35,15 @@ val build_flat : storage:float array -> offs:int array -> dim:int -> unit -> t
 
 val size : t -> int
 val dim : t -> int
+
+val leaves : t -> int array * int array
+(** [(rows, starts)]: every stored row, leaf by leaf from left to right,
+    as its position in the build's input ([offs] for {!build_flat}, the
+    points for {!build}); leaf [l] holds [rows.(starts.(l))] up to
+    [rows.(starts.(l + 1) - 1)], and the last entry of [starts] is
+    {!size}.  A leaf holds at most 64 rows, or rows that are all equal;
+    each is a cell of the tree's median splits, so the order is spatial.
+    {!Pointset.score_l_many} cuts its pair sweep into blocks along it. *)
 
 val count_within : t -> center:Vec.t -> radius:float -> int
 (** Number of stored points with [dist p center <= radius] (inclusive, like

@@ -92,7 +92,11 @@ let top_average counts ~k =
   done;
   !acc /. float_of_int k
 
+(* A cap below 1 has no top-[cap] average (k = 0). *)
+let check_cap fn cap = if cap < 1 then invalid_arg (Printf.sprintf "Pointset.%s: cap must be >= 1" fn)
+
 let score_l_direct t ~cap ~radius =
+  check_cap "score_l_direct" cap;
   if radius < 0. then 0.
   else begin
     let r2 = Vec.ball_r2 radius in
@@ -105,19 +109,44 @@ let score_l_direct t ~cap ~radius =
     Kernel.top_avg_capped ~counts ~off:0 ~len:count ~cap ~k:(min cap count)
   end
 
-(* One-entry memo of the count matrix [score_l_many] sweeps: the
-   non-negative radii it was filled for ([key]; empty = no entry) and the
-   radius-major counts.  The matrix depends only on the index's rows and
-   the radii — not on the cap — so every later sweep over the same grid is
-   a lookup.  [mu] also serializes the fill: a concurrent first caller
-   waits for the sweep in flight instead of redoing it. *)
-type memo = { mu : Mutex.t; mutable key : float array; mutable counts : int array }
+(* A resumable candidate sweep over one ascending grid of non-negative
+   radii ([key]).  The distinct points' rows are gathered into [rows]
+   (weights [w]; row [i]'s representative sits at position [apos.(i)])
+   in blocks of spatially close points ([starts]).  Every pair of blocks
+   carries a lower bound on the squared distance of its point pairs,
+   and [pairs] lists the block pairs by the first radius their bound is
+   within: the first [upto.(j + 1)] are every block pair that can hold a
+   point pair within [key.(j)].  [advance] pairs those it has not yet
+   run ([Kernel.pair_hist_blocks]) into [hist] (one row per position),
+   so count columns [0 .. exact - 1] of the radius-major [counts] are
+   final and never written again; later columns are not computed
+   yet. *)
+type sweep = {
+  key : float array;
+  r2s : float array;
+  apos : int array;
+  rows : float array;
+  w : int array;
+  starts : int array;
+  pairs : int array;
+  upto : int array;
+  hist : int array;
+  counts : int array;
+  mutable exact : int;
+}
+
+(* One-entry memo of the sweep [score_l_many] last ran over a grid that
+   fits one block.  The sweep depends only on the index's rows and the
+   radii — not on the cap — so a later call over the same grid resumes
+   it.  [mu] guards the entry and every [advance] of it: a concurrent
+   caller waits for the advance in flight instead of redoing it. *)
+type memo = { mu : Mutex.t; mutable sweep : sweep option }
 
 (* [reps] is the row grouping ([group_rows]), computed when the index is
    built and never written afterwards. *)
 type index = { ps : t; tree : Kdtree.t; memo : memo; reps : int array }
 
-let fresh_memo () = { mu = Mutex.create (); key = [||]; counts = [||] }
+let fresh_memo () = { mu = Mutex.create (); sweep = None }
 
 (* [reps.(i)]: the first row whose coordinates are bit-identical to row
    [i]'s (so [reps.(i) <= i]), keyed on [Int64.bits_of_float] of every
@@ -195,6 +224,7 @@ let counts_within idx ~radius =
 let holds_at_least idx ~radius ~k i = count_row idx i radius >= k
 
 let score_l idx ~cap ~radius =
+  check_cap "score_l" cap;
   if radius < 0. then 0.
   else begin
     let counts = counts_within idx ~radius in
@@ -202,59 +232,184 @@ let score_l idx ~cap ~radius =
       ~k:(min cap (n idx.ps))
   end
 
-(* Per-point counts for every radius of [radii] (ascending, non-negative),
-   radius-major: [counts.(j * n + i)] is the number of points within
-   [radii.(j)] of point [i].  The distinct points' rows are gathered into
-   one contiguous buffer, and one symmetric pass over them
-   ([Kernel.pair_hist]) buckets every pair's squared distance once, each
-   side weighted by the other's multiplicity; a representative's running
-   sum over its histogram row is its count column, and a duplicate's
-   column is a copy of its representative's.  Every count is the integer
-   sum of the per-pair ball tests a tree query makes, so it equals
-   [counts_within] exactly.  The one fill loop behind both the memo and
-   the blocked path of [score_l_many]. *)
-let fill_counts idx ~radii =
-  let ps = idx.ps and reps = idx.reps in
-  let count = n ps and nr = Array.length radii and d = ps.dim in
-  let w = Array.make count 0 in
-  Array.iter (fun r -> w.(r) <- w.(r) + 1) reps;
-  let distinct = representatives idx (fun _ -> true) in
-  let m = Array.length distinct in
+(* The distinct points in the tree's leaf order, one block per leaf
+   that holds a representative: [(distinct, starts)], block [b] being
+   [distinct.(starts.(b) .. starts.(b + 1) - 1)].  A leaf is a cell of
+   the tree's median splits with at most 64 rows, so a block's bounding
+   box is small. *)
+let blocks idx =
+  let rows, leaf_starts = Kdtree.leaves idx.tree in
+  let distinct = Array.make (Array.length rows) 0 and m = ref 0 and starts = ref [ 0 ] in
+  for l = 0 to Array.length leaf_starts - 2 do
+    for s = leaf_starts.(l) to leaf_starts.(l + 1) - 1 do
+      let i = rows.(s) in
+      if idx.reps.(i) = i then begin
+        distinct.(!m) <- i;
+        incr m
+      end
+    done;
+    if !m > List.hd !starts then starts := !m :: !starts
+  done;
+  (Array.sub distinct 0 !m, Array.of_list (List.rev !starts))
+
+(* First [j] with [x <= r2s.(j)], or [Array.length r2s]: the bucket
+   bisection of [Kernel.pair_hist_blocks]. *)
+let bucket r2s (x : float) =
+  let lo = ref 0 and hi = ref (Array.length r2s) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if x <= r2s.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* The distinct points in block order, their rows gathered, and the
+   block pairs' lower bounds ([bounds.(p * nb + q)] for [p <= q]).  The
+   bound of a block pair sums, in axis order, the squares of
+   its boxes' per-axis gaps ([lo_q - hi_p] when the boxes are apart on
+   that axis, else 0).  It is a lower bound on the squared distance the
+   kernel computes for each of its point pairs, bit for bit: rounding is
+   monotone, so [fl(b - a) >= fl(lo_q - hi_p)] on an apart axis, and
+   squaring non-negatives and adding in the same order preserve [>=]
+   (the argument behind [Kdtree]'s pruning).  So a point pair within
+   [key.(j)] lies in a block pair whose bound is within it too. *)
+let layout idx =
+  let ps = idx.ps in
+  let d = ps.dim in
+  let distinct, starts = blocks idx in
+  let m = Array.length distinct and nb = Array.length starts - 1 in
   let rows = Array.create_float (m * d) in
   Array.iteri (fun a i -> Array.blit ps.st ps.offs.(i) rows (a * d) d) distinct;
-  let hist = Array.make (m * nr) 0 in
-  Kernel.pair_hist ~rows ~m ~dim:d
-    ~w:(Array.map (fun i -> w.(i)) distinct)
-    ~r2s:(Array.map Vec.ball_r2 radii) ~hist;
-  let counts = Array.make (nr * count) 0 in
-  Array.iteri
-    (fun a i ->
-      let running = ref 0 in
-      for j = 0 to nr - 1 do
-        running := !running + hist.((a * nr) + j);
-        counts.((j * count) + i) <- !running
-      done)
-    distinct;
-  for i = 0 to count - 1 do
-    let r = reps.(i) in
-    if r <> i then
-      for j = 0 to nr - 1 do
-        counts.((j * count) + i) <- counts.((j * count) + r)
+  let blo = Array.make (nb * d) infinity and bhi = Array.make (nb * d) neg_infinity in
+  for b = 0 to nb - 1 do
+    for a = starts.(b) to starts.(b + 1) - 1 do
+      for k = 0 to d - 1 do
+        let x = rows.((a * d) + k) in
+        if x < blo.((b * d) + k) then blo.((b * d) + k) <- x;
+        if x > bhi.((b * d) + k) then bhi.((b * d) + k) <- x
       done
+    done
   done;
-  counts
+  let bounds = Array.create_float (nb * nb) in
+  for p = 0 to nb - 1 do
+    for q = p to nb - 1 do
+      let acc = ref 0. in
+      for k = 0 to d - 1 do
+        let lp = blo.((p * d) + k) and hp = bhi.((p * d) + k) in
+        let lq = blo.((q * d) + k) and hq = bhi.((q * d) + k) in
+        let g = if lq > hp then lq -. hp else if lp > hq then lp -. hq else 0. in
+        acc := !acc +. (g *. g)
+      done;
+      bounds.((p * nb) + q) <- !acc
+    done
+  done;
+  (distinct, starts, rows, bounds)
 
-(* The memoized matrix for [key], filling (and replacing the entry) on a
-   miss.  Radii compare by float equality, under which every [<=] count
-   agrees, so a hit returns exactly the matrix a fill would. *)
-let memo_counts idx key =
+let block_pair_bounds idx =
+  let distinct, starts, _, bounds = layout idx in
+  let nb = Array.length starts - 1 in
+  ( Array.init nb (fun b -> Array.sub distinct starts.(b) (starts.(b + 1) - starts.(b))),
+    Array.concat
+      (List.init nb (fun p -> Array.init (nb - p) (fun k -> (p, p + k, bounds.((p * nb) + p + k))))) )
+
+(* A sweep over [key] (ascending, non-negative, NaN-free) with nothing
+   paired yet: the block pairs counting-sorted by the bucket of their
+   bound, those beyond the last radius dropped. *)
+let new_sweep idx key =
+  let count = n idx.ps and nr = Array.length key in
+  let distinct, starts, rows, bounds = layout idx in
+  let m = Array.length distinct and nb = Array.length starts - 1 in
+  let mult = Array.make count 0 and apos = Array.make count 0 in
+  Array.iter (fun r -> mult.(r) <- mult.(r) + 1) idx.reps;
+  Array.iteri (fun a i -> apos.(i) <- a) distinct;
+  Array.iteri (fun i r -> apos.(i) <- apos.(r)) idx.reps;
+  let r2s = Array.map Vec.ball_r2 key in
+  let upto = Array.make (nr + 2) 0 in
+  for p = 0 to nb - 1 do
+    for q = p to nb - 1 do
+      let j = bucket r2s bounds.((p * nb) + q) in
+      if j < nr then upto.(j + 2) <- upto.(j + 2) + 1
+    done
+  done;
+  for j = 2 to nr + 1 do
+    upto.(j) <- upto.(j) + upto.(j - 1)
+  done;
+  (* Now [upto.(j + 1)] is the first slot of bucket [j]; placing the
+     pairs moves it to the bucket's end. *)
+  let pairs = Array.make (2 * upto.(nr + 1)) 0 in
+  for p = 0 to nb - 1 do
+    for q = p to nb - 1 do
+      let j = bucket r2s bounds.((p * nb) + q) in
+      if j < nr then begin
+        let at = upto.(j + 1) in
+        pairs.(2 * at) <- p;
+        pairs.((2 * at) + 1) <- q;
+        upto.(j + 1) <- at + 1
+      end
+    done
+  done;
+  {
+    key;
+    r2s;
+    apos;
+    rows;
+    w = Array.map (fun i -> mult.(i)) distinct;
+    starts;
+    pairs;
+    upto = Array.sub upto 0 (nr + 1);
+    hist = Array.make (m * nr) 0;
+    counts = Array.make (nr * count) 0;
+    exact = 0;
+  }
+
+(* Makes count columns [exact .. j] final: one kernel call over the
+   block pairs of buckets [exact .. j], then each row's running sum over
+   its representative's histogram row (a duplicate's counts are its
+   representative's).  Every count is the integer sum of the per-pair
+   ball tests a tree query makes, so it equals [counts_within]
+   exactly. *)
+let advance idx sw j =
+  let count = n idx.ps and nr = Array.length sw.key and e = sw.exact in
+  Kernel.pair_hist_blocks ~rows:sw.rows ~dim:idx.ps.dim ~w:sw.w ~starts:sw.starts
+    ~pairs:sw.pairs ~lo:sw.upto.(e) ~hi:sw.upto.(j + 1) ~r2s:sw.r2s ~hist:sw.hist;
+  let counts = sw.counts and hist = sw.hist and apos = sw.apos in
+  for c = e to j do
+    let col = c * count in
+    for i = 0 to count - 1 do
+      let below = if c = 0 then 0 else counts.(col - count + i) in
+      counts.(col + i) <- below + hist.((apos.(i) * nr) + c)
+    done
+  done;
+  sw.exact <- j + 1
+
+(* Per-point counts for every radius of [radii] (ascending, non-negative),
+   radius-major: [counts.(j * n + i)] is the number of points within
+   [radii.(j)] of point [i] — a fresh sweep advanced to the last
+   radius. *)
+let fill_counts idx ~radii =
+  let nr = Array.length radii in
+  if nr = 0 then [||]
+  else begin
+    let sw = new_sweep idx radii in
+    advance idx sw (nr - 1);
+    sw.counts
+  end
+
+(* The memoized sweep for [key] (replacing the entry on a miss), and a
+   function making its column [j] final.  Radii compare by float
+   equality, under which every [<=] count agrees, so a resumed sweep
+   computes exactly the columns a fresh one would. *)
+let memo_sweep idx key =
   let m = idx.memo in
-  Mutex.protect m.mu (fun () ->
-      if m.key <> key then begin
-        m.counts <- fill_counts idx ~radii:key;
-        m.key <- key
-      end;
-      m.counts)
+  let sw =
+    Mutex.protect m.mu (fun () ->
+        match m.sweep with
+        | Some sw when sw.key = key -> sw
+        | _ ->
+            let sw = new_sweep idx key in
+            m.sweep <- Some sw;
+            sw)
+  in
+  (sw, fun j -> Mutex.protect m.mu (fun () -> if j >= sw.exact then advance idx sw j))
 
 (* Index of the first non-negative radius of an ascending [radii]. *)
 let first_non_negative radii =
@@ -264,19 +419,30 @@ let first_non_negative radii =
   done;
   !j
 
-let memo_holds idx ~radii =
+let memo_exact idx ~radii =
   let first = first_non_negative radii in
   let key = Array.sub radii first (Array.length radii - first) in
-  Mutex.protect idx.memo.mu (fun () -> Array.length key > 0 && idx.memo.key = key)
+  Mutex.protect idx.memo.mu (fun () ->
+      match idx.memo.sweep with
+      | Some sw when Array.length key > 0 && sw.key = key -> sw.exact
+      | _ -> 0)
+
+(* Every call that memoizes a sweep advances it to at least one column. *)
+let memo_holds idx ~radii = memo_exact idx ~radii > 0
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
-   over [radii] but computing each pair's distance once for all radii
-   ([fill_counts]).  Counts are exact integers and the capped top-k
-   average sums integers below 2^53, so every output is bit-identical to
-   the per-radius path.  The count matrix does not depend on [cap]: when
-   it fits one block it is memoized on the index, so only the first sweep
-   over a grid pays for it. *)
+   over [radii] but pairing each point pair at most once for all radii.
+   L(r) averages counts capped at [cap], so it never exceeds
+   [float (min cap n)] and is non-decreasing in r: once a radius scores
+   that maximum, so does every larger one, and the sweep stops there —
+   the columns beyond it are never computed.  Below that radius the
+   counts are exact integers and the capped top-k average sums integers
+   below 2^53, so every output is bit-identical to the per-radius path.
+   The sweep does not depend on [cap]: when the grid fits one block it
+   is memoized on the index, and a later call (a larger cap, say) resumes
+   it where it stopped. *)
 let score_l_many idx ~cap ~radii =
+  check_cap "score_l_many" cap;
   let nr = Array.length radii in
   let count = n idx.ps in
   let out = Array.make nr 0. in
@@ -295,21 +461,33 @@ let score_l_many idx ~cap ~radii =
     (* Negative radii score 0 (same guard as [score_l]); [out] starts at 0. *)
     let first = first_non_negative radii in
     let k = min cap count in
-    (* Radii per count-matrix block: bounds the matrix at ~4 M counts
-       (~32 MB) regardless of |radii|·n. *)
+    let top = float_of_int k in
+    (* Radii per sweep: bounds its count matrix at ~4 M counts (~32 MB)
+       regardless of |radii|·n. *)
     let block = max 1 (4_000_000 / count) in
-    let j0 = ref first in
-    while !j0 < nr do
+    let j0 = ref first and saturated = ref false in
+    while (not !saturated) && !j0 < nr do
       let bnr = min block (nr - !j0) in
-      let rblock = Array.sub radii !j0 bnr in
-      (* A sweep that fits one block is memoized; larger grids stream
-         their blocks unmemoized. *)
-      let counts = if bnr = nr - first then memo_counts idx rblock else fill_counts idx ~radii:rblock in
-      for j = 0 to bnr - 1 do
-        out.(!j0 + j) <- Kernel.top_avg_capped ~counts ~off:(j * count) ~len:count ~cap ~k
+      let key = Array.sub radii !j0 bnr in
+      (* A grid that fits one block is memoized; larger grids run a
+         fresh sweep per block. *)
+      let sw, reach =
+        if bnr = nr - first then memo_sweep idx key
+        else
+          let sw = new_sweep idx key in
+          (sw, fun j -> if j >= sw.exact then advance idx sw j)
+      in
+      let j = ref 0 in
+      while (not !saturated) && !j < bnr do
+        reach !j;
+        let v = Kernel.top_avg_capped ~counts:sw.counts ~off:(!j * count) ~len:count ~cap ~k in
+        out.(!j0 + !j) <- v;
+        saturated := v = top;
+        incr j
       done;
-      j0 := !j0 + bnr
-    done
+      j0 := !j0 + !j
+    done;
+    Array.fill out !j0 (nr - !j0) top
   end;
   out
 
@@ -325,42 +503,44 @@ let kth_neighbor_distance idx ~k i =
     ~out:row;
   Kernel.kth_smallest row ~len:count ~k
 
-(* The memo's radii and matrix, when it holds an entry and no fill is in
-   flight.  [try_lock] rather than [lock]: a caller holding a dataset lock
-   must not wait for a fill.  A fill replaces [counts] and never writes
-   into it, so the pair read here stays valid after the unlock. *)
+(* The memo's count matrix and how many of its columns are final, when
+   it holds a sweep and no advance is in flight.  [try_lock] rather than
+   [lock]: a caller holding a dataset lock must not wait for a sweep.
+   Columns below [exact] are never written again, so they stay valid
+   after the unlock. *)
 let memo_peek idx =
   let m = idx.memo in
   if not (Mutex.try_lock m.mu) then None
   else begin
-    let key = m.key and counts = m.counts in
+    let peek = match m.sweep with Some sw when sw.exact > 0 -> Some (sw.counts, sw.exact) | _ -> None in
     Mutex.unlock m.mu;
-    if Array.length key = 0 then None else Some (key, counts)
+    peek
   end
 
 (* The representatives that can hold the smallest k-th neighbour
-   distance.  With a memoized matrix over radii r_0 <= … <= r_last, a
+   distance.  With final count columns for radii r_0 <= … <= r_last, a
    point's count reaches k at r_j exactly when its k-th distance is at
    most r_j (one predicate, see [kth_neighbor_distance]).  Let j be the
    first radius at which some point's count reaches k: the minimum is at
    most r_j, and a point whose count is below k at r_j has a k-th
    distance above r_j, so only the points whose count reaches k at r_j
-   can attain (or tie) the minimum.  With no matrix to peek (none
-   memoized, or a fill in flight), or when no point reaches k within
-   r_last, every representative is a candidate. *)
+   can attain (or tie) the minimum.  With no final column to peek (no
+   sweep memoized, or an advance in flight), or when no point reaches k
+   within r_last, every representative is a candidate.  A sweep stopped
+   at saturation for cap t holds t points reaching t at its last final
+   column, so the bracket for k = t is always found. *)
 let kth_candidates idx ~k =
   let count = n idx.ps in
   let all = representatives idx (fun _ -> true) in
   match memo_peek idx with
   | None -> all
-  | Some (key, counts) ->
+  | Some (counts, exact) ->
       let reaches j i = counts.((j * count) + i) >= k in
-      let nr = Array.length key in
       let j = ref 0 in
-      while !j < nr && not (Array.exists (reaches !j) all) do
+      while !j < exact && not (Array.exists (reaches !j) all) do
         incr j
       done;
-      if !j = nr then all else representatives idx (reaches !j)
+      if !j = exact then all else representatives idx (reaches !j)
 
 let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
 

@@ -24,13 +24,15 @@
 
     An {!index} is a k-d tree ({!Kdtree}) over the points, turning each
     single-radius [L] evaluation into [n] tree queries instead of an
-    O(n²·d) scan, and memoizes the count matrix of the last candidate
-    sweep, which one symmetric pass over the pairs of distinct points
-    fills ({!fill_counts}); the same matrix later narrows the [r_opt]
-    scan ({!min_kth_neighbor_distance}), so an epoch's first use pays
-    one pair pass.  Points with bit-identical coordinates
-    ({!is_representative}) share one count-matrix column: every per-row
-    query and the pair pass run once per distinct point.
+    O(n²·d) scan, and memoizes the last candidate sweep: the pairs of
+    distinct points, taken nearest block first, are counted only up to
+    the first radius whose score reaches its maximum, and a later sweep
+    over the same radii resumes where that one stopped
+    ({!score_l_many}).  The count columns it has made final later narrow
+    the [r_opt] scan ({!min_kth_neighbor_distance}), so an epoch's first
+    use pays at most one pass over the pairs.  Points with bit-identical
+    coordinates ({!is_representative}) share one count-matrix column:
+    every per-row query and the pair pass run once per distinct point.
 
     {b One ball predicate.}  Every count here — {!ball_count},
     {!score_l_direct} and every indexed query — includes a point when
@@ -111,18 +113,24 @@ val capped_ball_count : t -> cap:int -> center:Vec.t -> radius:float -> int
 
 val score_l_direct : t -> cap:int -> radius:float -> float
 (** [L(radius, S)] computed by brute force (O(n²·d)); reference
-    implementation used by tests and fine for small inputs. *)
+    implementation used by tests and fine for small inputs.
+    @raise Invalid_argument if [cap < 1]. *)
 
 (** {1 Indexed evaluation} *)
 
 type index
 (** A k-d tree over the pointset's rows (sharing its storage, zero copy),
     the row grouping of {!is_representative}, and a one-entry memo of the
-    count matrix behind {!score_l_many} (points × non-negative candidate
-    radii, at most about 4 M counts, filled by {!fill_counts}).
-    The matrix is a deterministic function of the index's rows and the
-    radii — never of the cap, ε or a seed — so sharing it across jobs
-    changes no result.  Indexes are immutable snapshots: every epoch of a
+    sweep behind {!score_l_many}.  Its count matrix (points × non-negative
+    candidate radii, at most about 4 M counts) is a deterministic
+    function of the index's rows and the radii — never of the cap, ε or a
+    seed — so sharing it across jobs changes no result.  Memory: the
+    memo holds, besides that matrix, the gathered distinct rows (m × d
+    floats for m distinct points), a pair histogram of m × |radii| ints
+    and the table of block pairs (at most one pair of ints per pair of
+    tree leaves): at n = 3000 with 21 radii the matrix is 0.5 MB and the
+    rest about 0.4 MB, most of it the 0.33 MB histogram (PERFORMANCE.md
+    §4 reports the peak RSS this adds).  Indexes are immutable snapshots: every epoch of a
     mutating dataset builds a fresh index ({!build_index}) and with it an
     empty memo. *)
 
@@ -152,39 +160,61 @@ val counts_within : index -> radius:float -> int array
 
 val score_l : index -> cap:int -> radius:float -> float
 (** [L(radius, S)] via the index: per-point counts, cap at [cap], average the
-    [cap] largest. *)
+    [cap] largest.
+    @raise Invalid_argument if [cap < 1]. *)
 
 val score_l_many : index -> cap:int -> radii:float array -> float array
 (** [Array.map (fun r -> score_l idx ~cap ~radius:r) radii], computed in
-    one batched pass when [radii] is ascending and NaN-free (the candidate
-    grids are): {!fill_counts} answers every radius for every point in
-    one symmetric pass over the pairs of distinct points, and the capped
-    top-[cap] average runs on a counting histogram.  Results are
-    bit-identical to the per-radius path (exact integer counts; top-k
-    sums below 2^53).  Any other [radii] (out of order, or holding a NaN)
-    is scored one radius at a time.  This is GoodRadius's candidate sweep
-    on the RecConcave backend.
+    one batched sweep when [radii] is ascending and NaN-free (the
+    candidate grids are), bit for bit.  Any other [radii] (out of order,
+    or holding a NaN) is scored one radius at a time.  This is
+    GoodRadius's candidate sweep on the RecConcave backend.
 
-    The count matrix does not depend on [cap], so when the non-negative
-    radii fit one block of about 4 M counts (n · |radii| ≤ 4·10⁶) it is
-    memoized on the index, keyed on those radii: a repeat sweep over the
-    same grid is one lookup plus a top-[cap] average per radius.  The memo
-    holds one entry (a sweep over a different grid replaces it) and is
-    mutex-guarded, so a concurrent first caller waits for the fill in
-    flight.  Larger grids are swept block by block and never memoized. *)
+    The sweep pairs the distinct points block by block (blocks of the
+    k-d tree's leaves), nearest block pairs first: advancing to radius
+    [r_j] runs every block pair whose lower bound on the squared
+    distance is within [r_j] ({!Kernel.pair_hist_blocks}), which makes
+    every count at [r_0 .. r_j] final.  [L] never exceeds
+    [float (min cap n)] and is non-decreasing in [r], so at the first
+    radius that scores this maximum the sweep stops and every larger
+    radius gets it without pairing.  Below it, counts are exact integers
+    and the capped top-[cap] average sums integers below 2^53.
+    @raise Invalid_argument if [cap < 1].
+
+    The sweep does not depend on [cap], so when the non-negative radii
+    fit one block of about 4 M counts (n · |radii| ≤ 4·10⁶) it is
+    memoized on the index, keyed on those radii: a later call over the
+    same grid resumes it from where it stopped (a larger cap may need
+    more radii), so no pair is evaluated twice.  The memo holds one
+    entry (a sweep over a different grid replaces it) and is
+    mutex-guarded only while a sweep is built or advanced, so a
+    concurrent caller waits for the advance in flight.  Larger grids run
+    a fresh sweep per block of radii, never memoized; they stop at the
+    first saturated radius too, filling no later block. *)
 
 val fill_counts : index -> radii:float array -> int array
 (** The count matrix of [radii] (ascending, non-negative, NaN-free),
     radius-major: entry [j * n + i] is [(counts_within idx
-    ~radius:radii.(j)).(i)].  The distinct points' rows are gathered
-    into one contiguous buffer, then one pass over their unordered pairs
-    ({!Kernel.pair_hist}) computes each pair's squared distance once and
-    credits it to both points, weighted by the other's multiplicity.  O(m²·d) for m distinct points, whatever the radii;
-    bypasses the memo (exposed for tests). *)
+    ~radius:radii.(j)).(i)] — a fresh {!score_l_many} sweep advanced to
+    the last radius, so every block pair within it is paired.  O(m²·d)
+    at worst for m distinct points; bypasses the memo (exposed for
+    tests). *)
+
+val block_pair_bounds : index -> int array array * (int * int * float) array
+(** The sweep's blocks, each as the rows it holds, and every block pair
+    [(p, q, bound)], [p <= q]: [bound] is at most the squared distance
+    {!Kernel.pair_hist_blocks} computes for any row of block [p] paired
+    with any row of block [q] (exposed for tests). *)
 
 val memo_holds : index -> radii:float array -> bool
-(** Whether {!score_l_many} over the ascending [radii] would be answered
-    from the memo (exposed for tests). *)
+(** Whether {!score_l_many} over the ascending [radii] would resume the
+    memoized sweep (exposed for tests). *)
+
+val memo_exact : index -> radii:float array -> int
+(** How many of the leading non-negative [radii] have final counts in
+    the memoized sweep: 0 when the memo holds another grid or none, the
+    number of non-negative radii once it is fully advanced (exposed for
+    tests). *)
 
 val is_representative : index -> int -> bool
 (** [is_representative idx i] — whether row [i] is the first row whose
@@ -213,14 +243,16 @@ val min_kth_neighbor_distance : index -> k:int -> int * float
 (** [(i, r)]: the first row [i] attaining the smallest [k]-th neighbour
     distance [r] over every row — what scanning {!kth_neighbor_distance}
     over all rows with a strict [<] returns, bit for bit, found by a
-    pruned scan over the distinct points.  When the memo holds a count
-    matrix, the first of its radii at which some point's count reaches
-    [k] brackets the minimum: a point whose count is below [k] there has
-    a [k]-th distance above that radius, so only the points whose count
-    reaches [k] are candidates.  With no matrix, with a fill in flight
-    (the memo is peeked with [Mutex.try_lock], so a caller holding a lock
-    never waits on a fill), or when no point reaches [k] at the largest
-    radius, every distinct point is.  Each candidate is probed with
+    pruned scan over the distinct points.  When the memoized sweep has
+    final count columns, the first of their radii at which some point's
+    count reaches [k] brackets the minimum: a point whose count is below
+    [k] there has a [k]-th distance above that radius, so only the points
+    whose count reaches [k] are candidates.  A sweep stopped at
+    saturation for cap [t] always brackets [k = t].  With no final
+    column, with an advance in flight (the memo is peeked with
+    [Mutex.try_lock], so a caller holding a lock never waits on a
+    sweep), or when no point reaches [k] at the last final radius, every
+    distinct point is.  Each candidate is probed with
     {!holds_at_least} at the running best and evaluated exactly only when
     it holds.  This is the scan behind {!Seb.two_approx_indexed}.
     @raise Invalid_argument if [k] is not in [1, n]. *)

@@ -33,9 +33,9 @@ val two_approx_indexed : Pointset.index -> t:int -> ball
     it is a distinct point ({!Pointset.is_representative}) that can hold
     the minimum and {!Pointset.holds_at_least} says the ball of the
     running best radius around it holds [t] points.  When the index
-    memoizes a count matrix (GoodRadius ran on it), that matrix narrows
-    the distinct points to those in the lowest radius bracket that reaches
-    [t]; otherwise every distinct point is probed.  A skipped point could
+    memoizes a sweep with final count columns (GoodRadius ran on it),
+    they narrow the distinct points to those in the lowest radius bracket
+    that reaches [t]; otherwise every distinct point is probed.  A skipped point could
     not have won, so the ball — radius bits and center, first index on
     ties — equals the unpruned scan's over every point.  Cost: one tree
     query per candidate plus one exact evaluation (an O(n·d) distance

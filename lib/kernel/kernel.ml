@@ -42,9 +42,10 @@ external c_min_dist2_update :
   float array -> int -> int -> float array -> int -> float array -> unit
   = "pc_min_dist2_update_bc" "pc_min_dist2_update" [@@noalloc]
 
-external c_pair_hist :
-  float array -> int -> int -> int array -> float array -> int array -> unit
-  = "pc_pair_hist_bc" "pc_pair_hist" [@@noalloc]
+external c_pair_hist_blocks :
+  float array -> int -> int array -> int array -> int array -> int -> int ->
+  float array -> int array -> unit
+  = "pc_pair_hist_blocks_bc" "pc_pair_hist_blocks" [@@noalloc]
 
 let compiled = true
 
@@ -185,27 +186,30 @@ module Ref = struct
       if !acc < Array.unsafe_get dist2 i then Array.unsafe_set dist2 i !acc
     done
 
-  let pair_hist ~rows ~m ~dim ~w ~r2s ~hist =
+  let pair_hist_blocks ~rows ~dim ~w ~starts ~pairs ~lo ~hi ~r2s ~hist =
     let nr = Array.length r2s in
-    for a = 0 to m - 1 do
-      let oa = a * dim and wa = Array.unsafe_get w a in
-      for b = a to m - 1 do
-        let ob = b * dim in
-        let d2 = ref 0. in
-        for k = 0 to dim - 1 do
-          let d = Array.unsafe_get rows (oa + k) -. Array.unsafe_get rows (ob + k) in
-          d2 := !d2 +. (d *. d)
-        done;
-        let lo = ref 0 and hi = ref nr in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if !d2 <= Array.unsafe_get r2s mid then hi := mid else lo := mid + 1
-        done;
-        let j = !lo in
-        if j < nr then begin
-          hist.((a * nr) + j) <- hist.((a * nr) + j) + w.(b);
-          if b <> a then hist.((b * nr) + j) <- hist.((b * nr) + j) + wa
-        end
+    for s = lo to hi - 1 do
+      let p = pairs.(2 * s) and q = pairs.((2 * s) + 1) in
+      for a = starts.(p) to starts.(p + 1) - 1 do
+        let oa = a * dim and wa = Array.unsafe_get w a in
+        for b = (if p = q then a else starts.(q)) to starts.(q + 1) - 1 do
+          let ob = b * dim in
+          let d2 = ref 0. in
+          for k = 0 to dim - 1 do
+            let d = Array.unsafe_get rows (oa + k) -. Array.unsafe_get rows (ob + k) in
+            d2 := !d2 +. (d *. d)
+          done;
+          let first = ref 0 and past = ref nr in
+          while !first < !past do
+            let mid = (!first + !past) / 2 in
+            if !d2 <= Array.unsafe_get r2s mid then past := mid else first := mid + 1
+          done;
+          let j = !first in
+          if j < nr then begin
+            hist.((a * nr) + j) <- hist.((a * nr) + j) + w.(b);
+            if b <> a then hist.((b * nr) + j) <- hist.((b * nr) + j) + wa
+          end
+        done
       done
     done
 end
@@ -218,11 +222,19 @@ let dists_to_rows ~st ~offs ~n ~q ~qoff ~dim ~out =
   if Atomic.get native then c_dists_to_rows st offs n q qoff dim out
   else Ref.dists_to_rows ~st ~offs ~n ~q ~qoff ~dim ~out
 
+(* The C stubs trust their indices, so the wrappers check them for both
+   tiers: a bad argument raises the same [Invalid_argument] whichever
+   tier is selected. *)
 let kth_smallest a ~len ~k =
+  if len > Array.length a || k < 1 || k > len then
+    invalid_arg "Kernel.kth_smallest: need 1 <= k <= len <= Array.length";
   if Atomic.get native then c_kth_smallest a len k
   else Ref.kth_smallest a ~len ~k
 
 let top_avg_capped ~counts ~off ~len ~cap ~k =
+  if off < 0 || len < 0 || off > Array.length counts - len || k < 1 || k > len || cap < 0 then
+    invalid_arg
+      "Kernel.top_avg_capped: need 0 <= off, off + len <= Array.length, 1 <= k <= len, cap >= 0";
   if Atomic.get native then begin
     let r = c_top_avg_capped counts off len cap k in
     (* Negative only on allocation failure inside the stub; counts are
@@ -252,6 +264,6 @@ let min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2 =
   if Atomic.get native then c_min_dist2_update st n dim centers coff dist2
   else Ref.min_dist2_update ~st ~n ~dim ~centers ~coff ~dist2
 
-let pair_hist ~rows ~m ~dim ~w ~r2s ~hist =
-  if Atomic.get native then c_pair_hist rows m dim w r2s hist
-  else Ref.pair_hist ~rows ~m ~dim ~w ~r2s ~hist
+let pair_hist_blocks ~rows ~dim ~w ~starts ~pairs ~lo ~hi ~r2s ~hist =
+  if Atomic.get native then c_pair_hist_blocks rows dim w starts pairs lo hi r2s hist
+  else Ref.pair_hist_blocks ~rows ~dim ~w ~starts ~pairs ~lo ~hi ~r2s ~hist

@@ -40,12 +40,16 @@ val dists_to_rows :
 
 val kth_smallest : float array -> len:int -> k:int -> float
 (** The [k]-th smallest (1-based) of the first [len] entries.  Destroys
-    the buffer (quickselect scratch).  Requires [1 <= k <= len]. *)
+    the buffer (quickselect scratch).
+    @raise Invalid_argument unless [1 <= k <= len <= Array.length a],
+    on either tier. *)
 
 val top_avg_capped :
   counts:int array -> off:int -> len:int -> cap:int -> k:int -> float
 (** Mean of the [k] largest values of [min cap counts.(off+i)] over
-    [i < len].  Requires [1 <= k <= len] and [cap >= 0]. *)
+    [i < len].
+    @raise Invalid_argument unless [0 <= off], [off + len <= Array.length
+    counts], [1 <= k <= len] and [cap >= 0], on either tier. *)
 
 val jl_project :
   mat:float array -> st:float array -> offs:int array -> n:int ->
@@ -75,19 +79,26 @@ val min_dist2_update :
 (** [dist2.(i) <- min dist2.(i) (dist2 (st row i) (centers@coff))] for
     the contiguous layout [st.(i*dim + j)]. *)
 
-val pair_hist :
-  rows:float array -> m:int -> dim:int -> w:int array ->
-  r2s:float array -> hist:int array -> unit
-(** Weighted pair histogram over [m] contiguous rows (row [a] is
-    [rows.(a*dim .. a*dim + dim - 1)]: the distinct points, gathered,
-    with multiplicities [w]).  For each unordered pair [{a, b}], [a = b]
-    included once, let [j] be the first index with [d2 <= r2s.(j)] for
-    their squared distance [d2]; when there is one,
-    [hist.(a*nr + j) += w.(b)] and, for [b <> a],
-    [hist.(b*nr + j) += w.(a)], where [nr = Array.length r2s].  With
-    [r2s] ascending and NaN-free, the running sum of row [a] up to [j] is
-    the weighted number of rows within [r2s.(j)] of row [a].  Requires
-    [Array.length rows >= m*dim] and [Array.length hist >= m*nr].
+val pair_hist_blocks :
+  rows:float array -> dim:int -> w:int array -> starts:int array ->
+  pairs:int array -> lo:int -> hi:int -> r2s:float array ->
+  hist:int array -> unit
+(** Weighted pair histogram over a range of block pairs.  The rows are
+    contiguous (row [a] is [rows.(a*dim .. a*dim + dim - 1)]: the
+    distinct points, gathered in block order, with multiplicities [w]);
+    block [p] holds rows [starts.(p) .. starts.(p+1) - 1].  Block pair
+    [s] is [(pairs.(2s), pairs.(2s+1))] with [p <= q]; the call runs
+    [s] in [lo, hi).  A diagonal block ([p = q]) pairs its rows
+    [a <= b], [a = b] included once; an off-diagonal one pairs every
+    row of [p] with every row of [q].  For each such pair let [j] be
+    the first index with [d2 <= r2s.(j)] for their squared distance
+    [d2]; when there is one, [hist.(a*nr + j) += w.(b)] and, for
+    [b <> a], [hist.(b*nr + j) += w.(a)], where [nr = Array.length r2s].
+    Run over every block pair of a partition of the rows, with [r2s]
+    ascending and NaN-free, the running sum of row [a] up to [j] is the
+    weighted number of rows within [r2s.(j)] of row [a].  The indices
+    are trusted: the caller keeps every block inside [rows], [w] and
+    [hist].
 
     [d2] sums [(a - b)²] over the axes in axis order: since
     [fl(x - y) = -fl(y - x)], it equals, bit for bit, the squared
@@ -135,7 +146,8 @@ module Ref : sig
     st:float array -> n:int -> dim:int ->
     centers:float array -> coff:int -> dist2:float array -> unit
 
-  val pair_hist :
-    rows:float array -> m:int -> dim:int -> w:int array ->
-    r2s:float array -> hist:int array -> unit
+  val pair_hist_blocks :
+    rows:float array -> dim:int -> w:int array -> starts:int array ->
+    pairs:int array -> lo:int -> hi:int -> r2s:float array ->
+    hist:int array -> unit
 end

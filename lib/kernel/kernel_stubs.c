@@ -334,7 +334,7 @@ static inline uint64_t dbl_bits(double x)
 
 /* First j in [0, nr) with d2 <= r2[j], or nr: bisection on the ball
  * predicate, which is upward closed over an ascending r2.  The search of
- * Kernel.Ref.pair_hist, and the fallback for keys outside the table. */
+ * Kernel.Ref.pair_hist_blocks, and the fallback for keys outside the table. */
 static long ph_search(const double *r2, long nr, double d2)
 {
   long a = 0, b = nr;
@@ -402,41 +402,50 @@ static inline long ph_bucket(const ph_table *t, const double *r2, long nr,
   return j;
 }
 
-/* Symmetric pass over the m contiguous rows rows[a*dim ..] (distinct
- * points, weights w[]): for each unordered pair {a, b}, a = b included
- * once, compute d2 once and, with j its bucket against the ascending
- * thresholds r2s, credit w[b] to hist[a*nr + j] and w[a] to
- * hist[b*nr + j].  d2 is evaluated as a - b per axis in axis order;
- * fl(x - y) = -fl(y - x), so its square equals that of the b - a a query
- * from a computes (pc_count_within), bit for bit.  A credit is one add on
- * the tagged words: Val_long(c) + (Val_long(x) - 1) = Val_long(c + x). */
-CAMLprim value pc_pair_hist(value rows, value vm, value vdim, value w,
-                            value r2s, value hist)
+/* Pairs the rows of the block pairs lo..hi-1 of pairs[] (block p holds
+ * rows starts[p] .. starts[p+1]-1 of the contiguous rows[a*dim ..], the
+ * distinct points with weights w[]).  Pair s is (pairs[2s], pairs[2s+1])
+ * with p <= q: a diagonal block (p = q) pairs its rows a <= b, a = b
+ * included once; an off-diagonal one pairs every a in p with every b in
+ * q.  For each point pair, d2 is computed once and, with j its bucket
+ * against the ascending thresholds r2s, w[b] is credited to
+ * hist[a*nr + j] and, for b != a, w[a] to hist[b*nr + j].  d2 is
+ * evaluated as a - b per axis in axis order; fl(x - y) = -fl(y - x), so
+ * its square equals that of the b - a a query from a computes
+ * (pc_count_within), bit for bit.  A credit is one add on the tagged
+ * words: Val_long(c) + (Val_long(x) - 1) = Val_long(c + x). */
+CAMLprim value pc_pair_hist_blocks(value rows, value vdim, value w,
+                                   value starts, value pairs, value vlo,
+                                   value vhi, value r2s, value hist)
 {
-  const double *s = DBL(rows);
+  const double *x = DBL(rows);
   const double *r2 = DBL(r2s);
-  long m = Long_val(vm), dim = Long_val(vdim);
+  long dim = Long_val(vdim), lo = Long_val(vlo), hi = Long_val(vhi);
   long nr = (long)(Wosize_val(r2s) / Double_wosize);
-  if (nr == 0) return Val_unit;
+  if (nr == 0 || lo >= hi) return Val_unit;
   value *h = Op_val(hist);
   const value *wt = Op_val(w);
   ph_table t;
   ph_table_build(&t, r2, nr);
-  for (long a = 0; a < m; a++) {
-    const double *pa = s + a * dim;
-    value wa = wt[a] - 1;
-    value *rowa = h + a * nr;
-    for (long b = a; b < m; b++) {
-      const double *pb = s + b * dim;
-      double d2 = 0.;
-      for (long k = 0; k < dim; k++) {
-        double d = pa[k] - pb[k];
-        d2 += d * d;
-      }
-      long j = ph_bucket(&t, r2, nr, d2);
-      if (j < nr) {
-        rowa[j] += wt[b] - 1;
-        if (b != a) h[b * nr + j] += wa;
+  for (long s = lo; s < hi; s++) {
+    long p = IDX(pairs, 2 * s), q = IDX(pairs, 2 * s + 1);
+    long a1 = IDX(starts, p + 1), b0 = IDX(starts, q), b1 = IDX(starts, q + 1);
+    for (long a = IDX(starts, p); a < a1; a++) {
+      const double *pa = x + a * dim;
+      value wa = wt[a] - 1;
+      value *rowa = h + a * nr;
+      for (long b = p == q ? a : b0; b < b1; b++) {
+        const double *pb = x + b * dim;
+        double d2 = 0.;
+        for (long k = 0; k < dim; k++) {
+          double d = pa[k] - pb[k];
+          d2 += d * d;
+        }
+        long j = ph_bucket(&t, r2, nr, d2);
+        if (j < nr) {
+          rowa[j] += wt[b] - 1;
+          if (b != a) h[b * nr + j] += wa;
+        }
       }
     }
   }
@@ -444,8 +453,9 @@ CAMLprim value pc_pair_hist(value rows, value vm, value vdim, value w,
   return Val_unit;
 }
 
-CAMLprim value pc_pair_hist_bc(value *argv, int argn)
+CAMLprim value pc_pair_hist_blocks_bc(value *argv, int argn)
 {
   (void)argn;
-  return pc_pair_hist(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+  return pc_pair_hist_blocks(argv[0], argv[1], argv[2], argv[3], argv[4],
+                             argv[5], argv[6], argv[7], argv[8]);
 }

@@ -108,13 +108,16 @@ fi
 echo "post-restart tick sq#2 ran at the pre-crash slice, eps $after"
 
 echo "== shed request charges nothing (in-flight cap 1) =="
-# The batch must still be in flight when the concurrent request lands;
-# n is sized so 12 jobs outlast client startup even with the native
-# kernels active (n = 3000 stopped being slow enough in PR 8).
+# The batch must still be in flight when the concurrent request lands,
+# so it is sized to outlast the sleep below and client startup with the
+# native kernels active: 96 jobs at n = 20000 take about 0.85 s on a
+# 2-vCPU x86-64 VM.  (With GoodRadius's first sweep stopping at the
+# saturated radius, 12 jobs took 0.15 s there, and the batch finished
+# before the concurrent request landed.)
 client register --dataset d2 --points 20000 \
-  --budget-eps 50 --budget-delta 1e-3 >/dev/null
+  --budget-eps 100 --budget-delta 1e-3 >/dev/null
 {
-  for i in $(seq 12); do
+  for i in $(seq 96); do
     echo "one_cluster t_fraction=0.45 eps=0.5 delta=1e-7 id=h$i"
   done
 } > "$OUT_DIR/heavy.txt"
@@ -135,7 +138,7 @@ client ledger --dataset d2 > "$OUT_DIR/ledger_d2.json"
 # count within the charges block only (the traced attribution report
 # below it also names every job label once)
 sed -n '/"charges"/,/\]/p' "$OUT_DIR/ledger_d2.json" > "$OUT_DIR/charges_d2.txt"
-for i in 1 12; do
+for i in 1 96; do
   n=$(grep -c "\"h$i\"" "$OUT_DIR/charges_d2.txt")
   if [ "$n" -ne 1 ]; then
     echo "FAIL: job h$i charged $n times; the shed batch must charge nothing" >&2

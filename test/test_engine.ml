@@ -134,22 +134,32 @@ let test_registry_bounds_on_tree () =
       w.Workload.Synth.points
   in
   let fresh = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
-  (* Warm the registry index's count-matrix memo as GoodRadius does, so
-     the misses below narrow their scans with it; [fresh] stays cold and
-     scans every distinct point. *)
   let idx = Engine.Registry.index ds in
   let radii =
     Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
   in
-  ignore (Geometry.Pointset.score_l_many idx ~cap:1 ~radii);
-  check_true "memo warm" (Geometry.Pointset.memo_holds idx ~radii);
   let n = Geometry.Pointset.n (Engine.Registry.pointset ds) in
   let distinct =
     List.length (List.filter (Geometry.Pointset.is_representative idx) (List.init n Fun.id))
   in
   let ts = [ 1260; 1680; 2100 ] in
+  (* A [~cap:1] sweep saturates at the first radius (every point holds
+     itself), so only that column is final, and no point reaches any of
+     these t there: the scan still probes every distinct point. *)
+  ignore (Geometry.Pointset.score_l_many idx ~cap:1 ~radii);
+  check_true "a cap-1 sweep stops at the first radius" (Geometry.Pointset.memo_exact idx ~radii = 1);
   List.iter
     (fun t ->
+      check_true
+        (Printf.sprintf "t=%d: after a cap-1 sweep the scan probes every distinct point" t)
+        (Geometry.Pointset.kth_candidate_count idx ~k:t = distinct))
+    ts;
+  (* Warm the registry index's sweep as GoodRadius does, with [~cap:t]
+     before each t's miss, so the misses narrow their scans with it;
+     [fresh] stays cold and scans every distinct point. *)
+  List.iter
+    (fun t ->
+      ignore (Geometry.Pointset.score_l_many idx ~cap:t ~radii);
       check_true
         (Printf.sprintf "t=%d: the memo narrows the scan" t)
         (Geometry.Pointset.kth_candidate_count idx ~k:t < distinct);

@@ -101,22 +101,25 @@ let test_tree_index_native_vs_ref () =
       [ 1; 2; n / 3; n ]
   done
 
-(* The C pair pass's bucket table and forward scan against the
+(* The C block-pair pass's bucket table and forward scan against the
    reference bisection, at the table's edges: thresholds equal to pair
    squared distances (so a pair's [d2] equals an [r2s] entry), their
    [Float.pred]/[Float.succ] neighbours, runs of repeated thresholds and
    a 0 threshold.  [Wide] adds a ladder over the whole double range, so
    the table's 4096-key bound forces its coarsest buckets; [Narrow] keeps
    only one pair's [d2] and its nearest floats, so the table is a few
-   ulps wide and nearly every other key falls back to bisection. *)
+   ulps wide and nearly every other key falls back to bisection.  The
+   rows are cut into random runs (the blocks), every block pair runs
+   once, in reverse order and split over two calls, and both tiers must
+   also equal a direct histogram of every unordered pair. *)
 type thresholds = Pairs | Wide | Narrow
 
-let test_pair_hist_diff =
-  qcheck "pair_hist: C = Ref at the table edges"
+let test_pair_hist_blocks_diff =
+  qcheck "pair_hist_blocks: C = Ref at the table edges"
     QCheck2.Gen.(
       quad cloud_gen (int_range 1 3) (oneofl [ Pairs; Wide; Narrow ])
-        (array_size (return 48) (int_range 1 4)))
-    (fun ((d, pts), dup, mode, ws) ->
+        (pair (array_size (return 48) (int_range 1 4)) (array_size (return 48) (int_range 1 9))))
+    (fun ((d, pts), dup, mode, (ws, runs)) ->
       with_native @@ fun () ->
       let rows, _ = flat_of pts d in
       let m = Array.length pts in
@@ -141,12 +144,39 @@ let test_pair_hist_diff =
       in
       Array.sort Float.compare r2s;
       let nr = Array.length r2s in
-      let run pair_hist =
+      let starts =
+        let rec cut acc at k = if at >= m then List.rev (m :: acc) else cut (at :: acc) (at + runs.(k)) (k + 1) in
+        Array.of_list (cut [] 0 0)
+      in
+      let nb = Array.length starts - 1 in
+      let pairs =
+        Array.concat
+          (List.rev (List.init nb (fun p -> Array.concat (List.init (nb - p) (fun k -> [| p; p + k |])))))
+      in
+      let npairs = Array.length pairs / 2 in
+      let run pair_hist_blocks =
         let hist = Array.make (m * nr) 0 in
-        pair_hist ~rows ~m ~dim:d ~w ~r2s ~hist;
+        pair_hist_blocks ~rows ~dim:d ~w ~starts ~pairs ~lo:0 ~hi:(npairs / 2) ~r2s ~hist;
+        pair_hist_blocks ~rows ~dim:d ~w ~starts ~pairs ~lo:(npairs / 2) ~hi:npairs ~r2s ~hist;
         hist
       in
-      check_int_array "weighted pair histogram" (run Kernel.Ref.pair_hist) (run Kernel.pair_hist);
+      let direct = Array.make (m * nr) 0 in
+      for a = 0 to m - 1 do
+        for b = a to m - 1 do
+          let d2 = Geometry.Vec.dist_sq pts.(a) pts.(b) in
+          let j = ref 0 in
+          while !j < nr && not (d2 <= r2s.(!j)) do
+            incr j
+          done;
+          if !j < nr then begin
+            direct.((a * nr) + !j) <- direct.((a * nr) + !j) + w.(b);
+            if b <> a then direct.((b * nr) + !j) <- direct.((b * nr) + !j) + w.(a)
+          end
+        done
+      done;
+      let reference = run Kernel.Ref.pair_hist_blocks in
+      check_int_array "reference = direct pair histogram" direct reference;
+      check_int_array "weighted pair histogram" reference (run Kernel.pair_hist_blocks);
       true)
 
 let test_top_avg_capped_diff =
@@ -409,6 +439,56 @@ let test_native_off_matches_native_on () =
   | Error _, Error _ -> ()
   | _ -> Alcotest.fail "native on/off disagree on success"
 
+(* The C stubs trust their indices (a negative cap wrote before the
+   stub's table; k out of range read past the buffer), so the wrappers
+   check them: each bad argument raises the same [Invalid_argument] on
+   both tiers, and the Pointset score functions refuse a cap below 1
+   (k = min cap n = 0 divided by zero). *)
+let test_index_arguments_checked () =
+  let before = Kernel.native_active () in
+  Fun.protect ~finally:(fun () -> Kernel.set_native before) @@ fun () ->
+  let kth_msg = "Kernel.kth_smallest: need 1 <= k <= len <= Array.length" in
+  let top_msg =
+    "Kernel.top_avg_capped: need 0 <= off, off + len <= Array.length, 1 <= k <= len, cap >= 0"
+  in
+  let counts = [| 3; 1; 4; 1; 5 |] in
+  let ps = Geometry.Pointset.create [| [| 0.; 0. |]; [| 1.; 0. |]; [| 0.5; 0.5 |] |] in
+  let idx = Geometry.Pointset.build_index ps in
+  List.iter
+    (fun native ->
+      Kernel.set_native native;
+      let tier = if native then "native" else "reference" in
+      let raises what msg f =
+        Alcotest.check_raises (Printf.sprintf "%s (%s)" what tier) (Invalid_argument msg) (fun () ->
+            ignore (f ()))
+      in
+      let a = [| 0.5; 0.25; 0.75 |] in
+      raises "kth k = 0" kth_msg (fun () -> Kernel.kth_smallest (Array.copy a) ~len:3 ~k:0);
+      raises "kth k = len + 1" kth_msg (fun () -> Kernel.kth_smallest (Array.copy a) ~len:3 ~k:4);
+      raises "kth len > length" kth_msg (fun () -> Kernel.kth_smallest (Array.copy a) ~len:4 ~k:1);
+      raises "top off < 0" top_msg (fun () ->
+          Kernel.top_avg_capped ~counts ~off:(-1) ~len:3 ~cap:2 ~k:1);
+      raises "top off + len > length" top_msg (fun () ->
+          Kernel.top_avg_capped ~counts ~off:3 ~len:3 ~cap:2 ~k:1);
+      raises "top k = 0" top_msg (fun () -> Kernel.top_avg_capped ~counts ~off:0 ~len:3 ~cap:2 ~k:0);
+      raises "top k > len" top_msg (fun () -> Kernel.top_avg_capped ~counts ~off:0 ~len:3 ~cap:2 ~k:4);
+      raises "top cap < 0" top_msg (fun () -> Kernel.top_avg_capped ~counts ~off:0 ~len:3 ~cap:(-1) ~k:1);
+      check_bits (Printf.sprintf "in range (%s)" tier) 4.5
+        (Kernel.top_avg_capped ~counts ~off:1 ~len:4 ~cap:9 ~k:2);
+      check_bits (Printf.sprintf "kth in range (%s)" tier) 0.75
+        (Kernel.kth_smallest (Array.copy a) ~len:3 ~k:3);
+      List.iter
+        (fun cap ->
+          let msg fn = Printf.sprintf "Pointset.%s: cap must be >= 1" fn in
+          raises (Printf.sprintf "score_l cap %d" cap) (msg "score_l") (fun () ->
+              Geometry.Pointset.score_l idx ~cap ~radius:1.);
+          raises (Printf.sprintf "score_l_many cap %d" cap) (msg "score_l_many") (fun () ->
+              Geometry.Pointset.score_l_many idx ~cap ~radii:[| 0.; 1. |]);
+          raises (Printf.sprintf "score_l_direct cap %d" cap) (msg "score_l_direct") (fun () ->
+              Geometry.Pointset.score_l_direct ps ~cap ~radius:1.))
+        [ -1; 0 ])
+    [ true; false ]
+
 let test_selection_reporting () =
   check_true "stubs compiled in" Kernel.compiled;
   let before = Kernel.native_active () in
@@ -423,7 +503,7 @@ let suite =
     test_count_within_diff;
     test_dists_sort_kth_diff;
     case "tree index: native = reference (n = 3000)" test_tree_index_native_vs_ref;
-    test_pair_hist_diff;
+    test_pair_hist_blocks_diff;
     test_top_avg_capped_diff;
     test_jl_sum_rows_diff;
     test_argmin_argmax_mindist_diff;
@@ -434,4 +514,5 @@ let suite =
     test_score_l_many_above_memo_bound;
     case "pipeline bit-identical with kernels on/off" test_native_off_matches_native_on;
     case "runtime selection switches" test_selection_reporting;
+    case "index arguments checked on both tiers" test_index_arguments_checked;
   ]

@@ -316,6 +316,109 @@ let test_grouping_edge_cases () =
       (bits (P.kth_neighbor_distance idx ~k 0) = bits (P.kth_neighbor_distance idx ~k 1))
   done
 
+(* The resumable sweep behind [score_l_many].  On one index, a random
+   sequence of caps scores the geometric grid, so the memo is cold,
+   partly advanced (a sweep stops at its first saturated radius) or
+   fully advanced when a call starts.  Every call must equal the capped
+   top-k average over [fill_counts] at every radius, bit for bit, and
+   leave exactly the columns up to the later of its own first saturated
+   radius and the previous state final.  Planted, uniform, all-duplicate
+   and d = 8 sets, on both kernel tiers. *)
+type sweep_set = Planted | Uniform | All_duplicate | Planted_d8
+
+let fail fmt = QCheck2.Test.fail_reportf fmt
+
+let qcheck_sweep_resumes_bit_exact =
+  qcheck "sweep: random caps in random order = fill_counts, bit for bit" ~count:24
+    QCheck2.Gen.(
+      quad
+        (oneofl [ Planted; Uniform; All_duplicate; Planted_d8 ])
+        (int_range 60 400) (int_range 1 1000)
+        (pair bool (list_size (int_range 1 6) (float_range 0. 1.1))))
+    (fun (set, n, seed, (native, fracs)) ->
+      let before = Kernel.native_active () in
+      Fun.protect ~finally:(fun () -> Kernel.set_native before) @@ fun () ->
+      Kernel.set_native native;
+      let d = if set = Planted_d8 then 8 else 2 in
+      let grid = Geometry.Grid.create ~axis_size:64 ~dim:d in
+      let r = rng ~seed () in
+      let pts =
+        match set with
+        | Planted | Planted_d8 ->
+            (Workload.Synth.planted_ball r ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.1)
+              .Workload.Synth.points
+        | Uniform -> Workload.Synth.uniform r ~grid ~n
+        | All_duplicate -> Array.make n [| 0.25; 0.75 |]
+      in
+      let idx = P.build_index (P.create pts) in
+      let radii =
+        Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+      in
+      let nr = Array.length radii in
+      let counts = P.fill_counts idx ~radii in
+      let exact = ref 0 in
+      List.iter
+        (fun frac ->
+          let cap = max 1 (int_of_float (frac *. float_of_int n)) in
+          let k = min cap n in
+          let expect =
+            Array.init nr (fun j -> Kernel.top_avg_capped ~counts ~off:(j * n) ~len:n ~cap ~k)
+          in
+          let got = P.score_l_many idx ~cap ~radii in
+          Array.iteri
+            (fun j e ->
+              if bits e <> bits got.(j) then fail "cap %d, radius %d: %h, fill_counts says %h" cap j got.(j) e)
+            expect;
+          let first_top =
+            let j = ref 0 in
+            while !j < nr - 1 && expect.(!j) <> float_of_int k do
+              incr j
+            done;
+            !j
+          in
+          exact := max !exact (first_top + 1);
+          if P.memo_exact idx ~radii <> !exact then
+            fail "cap %d: %d final columns, expected %d" cap (P.memo_exact idx ~radii) !exact)
+        fracs;
+      true)
+
+(* Points on a lattice of step [s] sit exactly on the shells of radius
+   [s·sqrt k], the ties of the ball predicate; a block pair's bound must
+   still be at most every squared distance the kernel computes in it,
+   the blocks must hold each distinct point once, and the sweep's counts
+   at the shell radii must equal the tree's. *)
+let qcheck_block_bounds_exact =
+  qcheck "sweep: block-pair bounds below every pair's squared distance" ~count:40
+    QCheck2.Gen.(
+      triple (int_range 1 3) (oneofl [ 0.1; 1. /. 3.; 0.05; 1.; sqrt 2. ])
+        (int_range 1 300 >>= fun n -> array_size (return (3 * n)) (int_range 0 6)))
+    (fun (d, step, cells) ->
+      let n = Array.length cells / 3 in
+      let st = Array.init (n * d) (fun j -> step *. float_of_int cells.(j)) in
+      let ps = P.of_storage ~dim:d st in
+      let idx = P.build_index ps in
+      let blocks, pairs = P.block_pair_bounds idx in
+      let seen = Array.make n 0 in
+      Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) blocks;
+      Array.iteri
+        (fun i c -> if c <> if P.is_representative idx i then 1 else 0 then fail "row %d in %d blocks" i c)
+        seen;
+      Array.iter
+        (fun (p, q, bound) ->
+          Array.iter
+            (fun a ->
+              Array.iter
+                (fun b ->
+                  let d2 = Geometry.Vec.dist_sq (P.point ps a) (P.point ps b) in
+                  if not (bound <= d2) then fail "blocks %d, %d: bound %h above %h" p q bound d2)
+                blocks.(q))
+            blocks.(p))
+        pairs;
+      let radii = Array.init 13 (fun k -> step *. sqrt (float_of_int (2 * k))) in
+      let expect = Array.concat (Array.to_list (Array.map (fun radius -> P.counts_within idx ~radius) radii)) in
+      if P.fill_counts idx ~radii <> expect then fail "fill_counts differs on the shells";
+      true)
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -331,4 +434,6 @@ let suite =
     case "subset / filter / map" test_subset_filter_map;
     qcheck_grouping_bit_exact;
     case "grouping edge cases: all identical, none, signed zeros" test_grouping_edge_cases;
+    qcheck_sweep_resumes_bit_exact;
+    qcheck_block_bounds_exact;
   ]

@@ -78,6 +78,37 @@ let test_gupt_validation () =
            ~f:(fun _ -> [| 0.5 |])
            (Array.make 15 0.)))
 
+(* [rank_count] against the fold it replaced, over values with NaNs,
+   signed zeros, infinities and ties, probed at the values themselves,
+   their float neighbours, grid-like points, NaN and the infinities. *)
+let qcheck_rank_count_matches_fold =
+  let value =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, float_range (-2.) 2.);
+          (3, oneofl [ 0.; -0.; 0.5; 1.; -1.; 0.25 ]);
+          (1, oneofl [ Float.nan; infinity; neg_infinity ]);
+        ])
+  in
+  qcheck "rank_count = the counting fold, NaN, signed zeros and ties included"
+    QCheck2.Gen.(pair (array_size (int_range 0 60) value) (array_size (int_range 0 20) value))
+    (fun (values, extra) ->
+      let fold v = Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 values in
+      let rank = Privcluster.Quantile.rank_count values in
+      let probes =
+        Array.concat
+          [
+            values;
+            extra;
+            Array.map Float.pred values;
+            Array.map Float.succ values;
+            Array.init 9 (fun i -> float_of_int (i - 4) *. 0.5);
+            [| Float.nan; infinity; neg_infinity; 0.; -0. |];
+          ]
+      in
+      Array.for_all (fun v -> rank v = fold v) probes)
+
 let suite =
   [
     case "median accuracy" test_median_accuracy;
@@ -87,4 +118,5 @@ let suite =
     case "validation" test_validation;
     case "gupt end to end" test_gupt_end_to_end;
     case "gupt validation" test_gupt_validation;
+    qcheck_rank_count_matches_fold;
   ]
