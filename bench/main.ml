@@ -372,7 +372,9 @@ let run_experiments ~jobs cfg selected =
    same statuses and bit-identical outputs (per-job RNG streams are
    derived from the submission index).  Only [run_batch] is timed, not
    service creation or registration (the index build), but each fresh
-   service's batch pays its first r_opt bounds and count-matrix fill. *)
+   service's batch pays its first r_opt bounds and count-matrix fill.
+   A second, ungated bag of long k_cluster jobs reports what a second
+   domain buys once jobs outlast a domain spawn. *)
 let run_engine_bench tier fx =
   Workload.Report.kv "hardware threads" (string_of_int (Domain.recommended_domain_count ()));
   let n_jobs = if tier.quick then 6 else 12 in
@@ -413,6 +415,39 @@ let run_engine_bench tier fx =
     let domains = List.nth domain_counts (List.length domain_counts - 1) in
     fst (run_once ~domains ~faults ~retries:3) = reference
   in
+  (* Long jobs: a bag of k_cluster jobs on n = 4200 points (batch-tree's
+     size; at the smoke fixture's size a job is shorter than a domain
+     spawn), one warm service per domain count, each round under a fresh
+     seed so no job is a result-cache hit.  The speedup of 2 domains over
+     1 is reported, not gated: a shared 2-thread host cannot promise it. *)
+  let long_jobs = 4 and long_n = 4200 in
+  let long_points = service_points ~grid:fx.grid ~n:long_n in
+  let long_specs =
+    List.init long_jobs (fun i ->
+        {
+          Engine.Job.id = Printf.sprintf "k%d" (i + 1);
+          kind = Engine.Job.K_cluster { k = 3; t_fraction = 0.2 };
+          eps = 0.5;
+          delta = 1e-7;
+          beta;
+          deadline_s = None;
+          fallback = false;
+        })
+  in
+  let long_arm domains =
+    let service = Engine.Service.create ~domains ~seed:99 ~retries:0 ~faults:Engine.Faults.none () in
+    let dataset =
+      Engine.Service.register service ~name:"bench-long" ~grid:fx.grid
+        ~budget:(Prim.Dp.v ~eps:1e9 ~delta:0.5)
+        long_points
+    in
+    let seed = ref 0 in
+    fun () ->
+      incr seed;
+      ignore (Engine.Service.run_batch ~seed:!seed service ~dataset long_specs)
+  in
+  let long_ms = best_of ~rounds:(if tier.smoke then 2 else 10) [| long_arm 1; long_arm 2 |] in
+  let long_speedup = long_ms.(0) /. long_ms.(1) in
   let jobs_per_s ms = 1000. *. float_of_int n_jobs /. ms in
   Workload.Report.table ~csv:"b8_engine_throughput"
     ~header:[ "domains"; "wall"; "jobs/s"; "speedup" ]
@@ -425,6 +460,9 @@ let run_engine_bench tier fx =
            Workload.Report.f2 (base_ms /. ms);
          ])
        runs);
+  Workload.Report.kv
+    (Printf.sprintf "%d k_cluster jobs at n = %d, 1 / 2 domains" long_jobs long_n)
+    (Printf.sprintf "%.1f / %.1f ms, speedup %.2f" long_ms.(0) long_ms.(1) long_speedup);
   Workload.Report.kv "outputs identical across domain counts" (yes_no deterministic);
   Workload.Report.kv "outputs identical under injected crash/kill faults"
     (yes_no faulted_identical);
@@ -445,6 +483,15 @@ let run_engine_bench tier fx =
                      ("jobs_per_s", Float (jobs_per_s ms));
                    ])
                runs) );
+        ( "long_jobs",
+          Obj
+            [
+              ("jobs", Int long_jobs);
+              ("n", Int long_n);
+              ("one_domain_ms", Float long_ms.(0));
+              ("two_domain_ms", Float long_ms.(1));
+              ("speedup", Float long_speedup);
+            ] );
       ];
     gates =
       [

@@ -46,9 +46,10 @@ let find_heavy_boxing rng (profile : Profile.t) ~eps ~beta ~t ~side ~k proj =
     if round > rounds then None
     else begin
       let boxing = Geometry.Boxing.make rng ~dim:k ~len:side in
-      let q = float_of_int (Geometry.Boxing.max_occupancy_ps boxing proj) in
+      let cells = Geometry.Boxing.occupancy_ps boxing proj in
+      let q = float_of_int (List.fold_left (fun acc (_, c) -> Int.max acc c) 0 cells) in
       match Prim.Sparse_vector.query sv q with
-      | Prim.Sparse_vector.Above -> Some (boxing, round)
+      | Prim.Sparse_vector.Above -> Some (boxing, cells, round)
       | Prim.Sparse_vector.Below -> loop (round + 1)
     end
   in
@@ -141,7 +142,7 @@ let run_ps rng (profile : Profile.t) ~eps ~delta ~beta ~t ~radius:r ps =
   let side = profile.Profile.box_side_factor *. r in
   match find_heavy_boxing rng profile ~eps ~beta ~t ~side ~k proj with
   | None -> Error No_heavy_box
-  | Some (boxing, rounds_used) ->
+  | Some (boxing, cells, rounds_used) ->
       Log.debug (fun m ->
           m "heavy boxing after %d rounds (k=%d, identity=%b, side=%.4f)" rounds_used k
             identity_projection side);
@@ -149,8 +150,7 @@ let run_ps rng (profile : Profile.t) ~eps ~delta ~beta ~t ~radius:r ps =
       (* Step 7: pick the heavy box privately. *)
       match
         Obs.Span.with_span ~cat:"phase" "good_center.box_select" (fun () ->
-            Prim.Stability_hist.select rng ~eps:(eps /. 4.) ~delta:(delta /. 4.)
-              (Geometry.Boxing.occupancy_ps boxing proj))
+            Prim.Stability_hist.select rng ~eps:(eps /. 4.) ~delta:(delta /. 4.) cells)
       with
       | None -> Error Box_selection_failed
       | Some cell ->
@@ -160,7 +160,7 @@ let run_ps rng (profile : Profile.t) ~eps ~delta ~beta ~t ~radius:r ps =
                 cell.Prim.Stability_hist.noisy_count);
           (* Membership is decided on the precomputed projected rows —
              bit-identical to re-projecting the original point. *)
-          let in_box i = Geometry.Boxing.key_of_row boxing pst ~off:poffs.(i) = key in
+          let in_box i = Geometry.Boxing.row_in_box boxing pst ~off:poffs.(i) key in
           let capture_center, capture_radius, axis_fallbacks =
             if identity_projection then begin
               (* The box itself bounds D deterministically: C is its

@@ -1,11 +1,49 @@
 type result = { value : float; target_rank : float }
 
+(* Ascending sort of a NaN-free float array, with unboxed [<=] and no
+   comparison closure: bottom-up merges through one scratch array.
+   Returns whichever of the two arrays holds the result. *)
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.create_float n) and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
 (* The values sorted once, NaNs dropped (they are [<=] nothing); along
    the sorted array [x <= v] holds on a prefix, so its length is the
    rank, found by bisection. *)
-let rank_count values =
-  let sorted = Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq values)) in
-  Array.sort Float.compare sorted;
+let rank_count (values : float array) =
+  let n = Array.length values in
+  let kept = Array.create_float n and m = ref 0 in
+  for i = 0 to n - 1 do
+    let x = values.(i) in
+    if not (Float.is_nan x) then begin
+      kept.(!m) <- x;
+      incr m
+    end
+  done;
+  let sorted = sort_floats (if !m = n then kept else Array.sub kept 0 !m) in
   fun v ->
     let lo = ref 0 and hi = ref (Array.length sorted) in
     while !lo < !hi do

@@ -41,7 +41,7 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?max_restarts ?(on_event = fun _ -> (
     let t0 = Unix.gettimeofday () in
     let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
     (* Domains still to be joined; replacements register themselves here before
-       their predecessor finishes dying, so the coordinator's drain loop below
+       their predecessor finishes dying, so the caller's drain loop below
        cannot miss one. *)
     let doms = ref [] in
     let doms_mutex = Mutex.create () in
@@ -69,7 +69,7 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?max_restarts ?(on_event = fun _ -> (
     in
     (* [spawned] tells a dying worker how to arrange its succession: a spawned
        domain starts a replacement and returns (the domain ends — that is the
-       death); the inline worker of a 1-domain pool simply continues as its own
+       death); the caller's inline worker simply continues as its own
        replacement. *)
     let rec worker ~spawned () =
       match take () with
@@ -84,7 +84,7 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?max_restarts ?(on_event = fun _ -> (
             attempts.(i) <- a + 1;
             if a > 0 then begin
               on_event (Task_retry { index = i; attempt = a });
-              (* Worker domains have no open span; the batch span is
+              (* Spawned domains have no open span; the batch span is
                  stitched in explicitly. *)
               Obs.Span.event ~cat:"pool" ?parent:trace_parent
                 ~attrs:(fun () ->
@@ -122,22 +122,22 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?max_restarts ?(on_event = fun _ -> (
                 worker ~spawned ()
               end)
     in
-    if domains = 1 then worker ~spawned:false ()
-    else begin
-      for _ = 1 to domains do
-        register (Domain.spawn (worker ~spawned:true))
-      done;
-      let rec drain () =
-        Mutex.lock doms_mutex;
-        match !doms with
-        | [] -> Mutex.unlock doms_mutex
-        | d :: rest ->
-            doms := rest;
-            Mutex.unlock doms_mutex;
-            Domain.join d;
-            drain ()
-      in
-      drain ()
-    end;
+    (* The caller is a worker too: it spawns [domains − 1] helpers, runs
+       the inline loop, then joins every helper and every replacement they
+       spawned, even if its own loop raised. *)
+    for _ = 2 to domains do
+      register (Domain.spawn (worker ~spawned:true))
+    done;
+    let rec drain () =
+      Mutex.lock doms_mutex;
+      match !doms with
+      | [] -> Mutex.unlock doms_mutex
+      | d :: rest ->
+          doms := rest;
+          Mutex.unlock doms_mutex;
+          Domain.join d;
+          drain ()
+    in
+    Fun.protect ~finally:drain (worker ~spawned:false);
     results
   end

@@ -1,10 +1,12 @@
 (** A supervised fixed-size worker pool on OCaml 5 domains.
 
-    [run] executes a batch of tasks on [domains] worker domains pulling
-    from a shared queue (an atomic next-index counter plus a reschedule
-    list for tasks orphaned by a worker death) and returns the outcomes
-    {e in submission order}, regardless of which domain ran what or in
-    what order tasks finished.
+    [run] executes a batch of tasks on [domains] workers pulling from a
+    shared queue (an atomic next-index counter plus a reschedule list for
+    tasks orphaned by a worker death) and returns the outcomes {e in
+    submission order}, regardless of which domain ran what or in what
+    order tasks finished.  The calling domain is one of the workers: it
+    spawns [domains − 1] helper domains, runs the same worker loop
+    itself, then joins the helpers and any replacements they spawned.
 
     Determinism: the pool passes each task's submission index (and attempt
     number) to the work function; callers that need reproducible
@@ -27,12 +29,12 @@
       simulates/propagates the death of its worker domain: the in-flight
       task is pushed onto the reschedule queue (its attempt count
       intact), a replacement domain is spawned, and the dead domain is
-      reaped by the coordinator.  At most [max_restarts] replacements are
-      spawned per batch (default [2·domains]); past that, a crash is
+      reaped by the caller.  At most [max_restarts] replacements are
+      made per batch (default [2·domains]); past that, a crash is
       absorbed as a plain {!Failed} on the in-flight task so the batch
-      always terminates.  A 1-domain pool runs inline and "restarts" by
-      continuing as its own replacement — the counters behave
-      identically.
+      always terminates.  The caller's own worker "restarts" by
+      continuing as its own replacement, at every domain count — the
+      counters behave identically.
     + {b Deadlines} are per-task, measured from batch start, and
       {e cooperative}: a domain cannot preempt a running OCaml
       computation.  A task (or retry attempt) whose deadline has already
@@ -88,11 +90,12 @@ val run :
   'a task array ->
   'b outcome array
 (** [run ~domains ~f tasks] — [f ~index ~attempt payload] for every task;
-    [domains] is clamped to [[1, Array.length tasks]]; [retries] extra
+    [domains] is clamped to [[1, Array.length tasks]], and the call
+    spawns one domain fewer (the caller works); [retries] extra
     attempts per task (default 0); [backoff_s] base backoff (default
     1 ms); [max_restarts] worker-replacement budget (default
     [2·domains]).  Blocks until the batch is drained.
 
     When tracing is enabled ({!Obs.Span.set_enabled}), retries and worker
     restarts additionally emit [cat="pool"] instant events parented under
-    [trace_parent] (worker domains have no open span of their own). *)
+    [trace_parent] (spawned domains have no open span of their own). *)

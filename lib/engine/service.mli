@@ -14,7 +14,8 @@
       accept/refuse set a pure function of the submission list, never of
       worker timing.
     + {b Execution} (parallel): admitted jobs run on a supervised {!Pool}
-      of [domains] worker domains, with up to [retries] in-place retry
+      of [domains] workers — the calling domain and [domains − 1]
+      spawned ones — with up to [retries] in-place retry
       attempts per job.  Job [i] (by submission index, counting refused
       jobs) draws its randomness from [Prim.Rng.derive base ~stream:i] on
       {e every} attempt, so a retry after a crash-before-output fault is
@@ -58,7 +59,9 @@ val create :
   unit ->
   t
 (** [profile] defaults to {!Privcluster.Profile.practical}; [domains] to
-    {!Pool.recommended_domains} and is clamped to ≥ 1; [seed] (default 1)
+    {!Pool.recommended_domains} and is clamped to ≥ 1 (the number of
+    workers a batch runs on, the caller included: a batch spawns
+    [domains − 1] domains); [seed] (default 1)
     is the base of every per-job derived stream; [retries] (default 2,
     clamped to ≥ 0) is the per-job in-place retry allowance; [backoff_s]
     (default 1 ms) the base retry backoff; [faults] defaults to

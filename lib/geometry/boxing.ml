@@ -33,6 +33,15 @@ let l2_diameter t =
 let key_of_row t st ~off =
   Array.init (dim t) (fun i -> Interval.index_of t.partitions.(i) st.(off + i))
 
+let row_in_box t st ~off key =
+  let d = dim t in
+  if Array.length key <> d then invalid_arg "Boxing.row_in_box: bad key";
+  let i = ref 0 in
+  while !i < d && Interval.index_of t.partitions.(!i) st.(off + !i) = key.(!i) do
+    incr i
+  done;
+  !i = d
+
 let occupancy t points = Prim.Stability_hist.count_by ~key:(key_of t) points
 
 let max_occupancy t points =
@@ -48,6 +57,3 @@ let occupancy_ps t ps =
   Prim.Stability_hist.count_by
     ~key:(fun i -> key_of_row t st ~off:offs.(i))
     (Array.init (Pointset.n ps) Fun.id)
-
-let max_occupancy_ps t ps =
-  List.fold_left (fun acc (_, c) -> max acc c) 0 (occupancy_ps t ps)

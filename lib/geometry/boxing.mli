@@ -28,6 +28,11 @@ val key_of_row : t -> float array -> off:int -> key
 (** Box containing the row at [off] of a flat store (no boxed point is
     materialized). *)
 
+val row_in_box : t -> float array -> off:int -> key -> bool
+(** [row_in_box t st ~off key] is [key_of_row t st ~off = key], decided
+    axis by axis without building the row's key.
+    @raise Invalid_argument if [key] has the wrong length. *)
+
 val bounds : t -> key -> (float * float) array
 (** Per-axis [(lo, hi)] of a box. *)
 
@@ -49,6 +54,3 @@ val occupancy_ps : t -> Pointset.t -> (key * int) list
 (** {!occupancy} over a pointset's flat rows — same cells in the same
     order, without boxing any point.
     @raise Invalid_argument on dimension mismatch. *)
-
-val max_occupancy_ps : t -> Pointset.t -> int
-(** {!max_occupancy} over a pointset's flat rows. *)

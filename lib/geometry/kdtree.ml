@@ -51,8 +51,10 @@ let widest_axis lo hi =
   !best
 
 (* In-place quickselect partition of idx[lo..hi] (and pos alongside) by
-   coordinate [axis] so that index mid holds the median element. *)
-let rec select st idx pos axis lo hi mid =
+   coordinate [axis] so that index mid holds the median element.  The
+   annotation keeps the comparisons on unboxed floats: left polymorphic,
+   every [<] is a [caml_lessthan] call on freshly boxed floats. *)
+let rec select (st : float array) idx pos axis lo hi mid =
   if lo < hi then begin
     let pivot = st.(idx.((lo + hi) / 2) + axis) in
     let i = ref lo and j = ref hi in

@@ -187,10 +187,6 @@ let group_rows ps =
 
 let is_representative idx i = idx.reps.(i) = i
 
-(* The representatives [i] with [keep i], ascending. *)
-let representatives idx keep =
-  Array.of_seq (Seq.filter (fun i -> idx.reps.(i) = i && keep i) (Seq.init (n idx.ps) Fun.id))
-
 let build_index ps =
   {
     ps;
@@ -530,35 +526,60 @@ let memo_peek idx =
    at saturation for cap t holds t points reaching t at its last final
    column, so the bracket for k = t is always found. *)
 let kth_candidates idx ~k =
-  let count = n idx.ps in
-  let all = representatives idx (fun _ -> true) in
+  let count = n idx.ps and reps = idx.reps in
+  (* The representatives [i] with [keep i], ascending, in one loop. *)
+  let collect keep =
+    let buf = Array.make count 0 and m = ref 0 in
+    for i = 0 to count - 1 do
+      if reps.(i) = i && keep i then begin
+        buf.(!m) <- i;
+        incr m
+      end
+    done;
+    Array.sub buf 0 !m
+  in
+  let all _ = true in
   match memo_peek idx with
-  | None -> all
+  | None -> collect all
   | Some (counts, exact) ->
-      let reaches j i = counts.((j * count) + i) >= k in
+      (* Column [j] is [counts.(j·count ..)], contiguous: stop at its first
+         representative reaching k. *)
+      let reached j =
+        let base = j * count and i = ref 0 in
+        while !i < count && not (reps.(!i) = !i && counts.(base + !i) >= k) do
+          incr i
+        done;
+        !i < count
+      in
       let j = ref 0 in
-      while !j < exact && not (Array.exists (reaches !j) all) do
+      while !j < exact && not (reached !j) do
         incr j
       done;
-      if !j = exact then all else representatives idx (reaches !j)
+      if !j = exact then collect all
+      else
+        let base = !j * count in
+        collect (fun i -> counts.(base + i) >= k)
 
 let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
 
-(* Pruned but exact: a candidate is evaluated only if its ball of the
-   running best radius already holds k points.  The count and the k-th
-   distance share one predicate, so a count below k means the distance
-   exceeds the best and the strict [<] below would not have fired.  A
-   duplicate has its representative's distance, and a point outside the
-   candidates a distance above the minimum, so neither could win either:
-   the result — the first row attaining the smallest k-th distance — is
-   the unpruned scan's over every row.  The first probe, at radius
-   infinity, always holds. *)
+(* Pruned but exact: a candidate is evaluated only if its ball of
+   radius [Float.pred best] already holds k points, that is, only if its
+   k-th distance is strictly below the running best.  The count and the
+   k-th distance share one predicate, so a count below k means the
+   distance is at least the best and the strict [<] below would not have
+   fired; a tie, which cannot replace the best, is never evaluated.  The
+   first probe, at radius infinity, always holds; once the best is 0
+   nothing can beat it.  A duplicate has its representative's distance,
+   and a point outside the candidates a distance above the minimum, so
+   neither could win either: the result — the first row attaining the
+   smallest k-th distance — is the unpruned scan's over every row. *)
 let min_kth_neighbor_distance idx ~k =
   if k <= 0 || k > n idx.ps then invalid_arg "Pointset.min_kth_neighbor_distance: bad k";
   let best = ref infinity and best_i = ref 0 in
   Array.iter
     (fun i ->
-      if holds_at_least idx ~radius:!best ~k i then begin
+      let probe = if !best = infinity then infinity else Float.pred !best in
+      if !best > 0. && holds_at_least idx ~radius:probe ~k i then begin
         let r = kth_neighbor_distance idx ~k i in
         if r < !best then begin
           best := r;

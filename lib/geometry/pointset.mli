@@ -253,8 +253,10 @@ val min_kth_neighbor_distance : index -> k:int -> int * float
     [Mutex.try_lock], so a caller holding a lock never waits on a
     sweep), or when no point reaches [k] at the last final radius, every
     distinct point is.  Each candidate is probed with
-    {!holds_at_least} at the running best and evaluated exactly only when
-    it holds.  This is the scan behind {!Seb.two_approx_indexed}.
+    {!holds_at_least} just below the running best ([Float.pred], or
+    [infinity] for the first probe) and evaluated exactly only when it
+    holds, so a candidate that can at most tie the best costs one count.
+    This is the scan behind {!Seb.two_approx_indexed}.
     @raise Invalid_argument if [k] is not in [1, n]. *)
 
 val kth_candidate_count : index -> k:int -> int

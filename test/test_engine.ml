@@ -660,6 +660,41 @@ let test_service_deadline_reports_timeout () =
       | s -> Alcotest.failf "expected timeout, got %s" (Engine.Job.status_name s))
   | _ -> Alcotest.fail "one result expected"
 
+
+(* The calling domain is one of the pool's workers: a batch at [domains]
+   runs on the caller plus at most [domains − 1] spawned domains.  A task
+   on a spawned domain waits (up to 2 s) until the caller has run one, so
+   the caller's participation does not depend on timing. *)
+let test_pool_caller_works ~domains () =
+  let caller = (Domain.self () :> int) in
+  let caller_ran = Atomic.make false in
+  let tasks = Array.init 12 (fun i -> Engine.Pool.task i) in
+  let outcomes =
+    Engine.Pool.run ~domains
+      ~f:(fun ~index:_ ~attempt:_ _ ->
+        let me = (Domain.self () :> int) in
+        if me = caller then Atomic.set caller_ran true
+        else begin
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get caller_ran)) && Unix.gettimeofday () -. t0 < 2. do
+            Unix.sleepf 1e-3
+          done
+        end;
+        me)
+      tasks
+  in
+  let ids =
+    Array.to_list
+      (Array.map
+         (function Engine.Pool.Done id -> id | _ -> Alcotest.fail "unexpected non-Done outcome")
+         outcomes)
+  in
+  check_true "the caller ran a task" (List.mem caller ids);
+  let spawned = List.sort_uniq compare (List.filter (fun id -> id <> caller) ids) in
+  check_true
+    (Printf.sprintf "%d spawned domains ran tasks, at most %d" (List.length spawned) (domains - 1))
+    (List.length spawned <= domains - 1)
+
 let suite =
   [
     case "rng derive is stream-keyed and state-independent" test_derive_state_independent;
@@ -683,4 +718,6 @@ let suite =
     case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
     case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
     case "jobs-file t_fraction must be in (0, 1]" test_job_t_fraction_range;
+    case "pool at 2 domains: the caller works, one domain spawned" (test_pool_caller_works ~domains:2);
+    case "pool at 4 domains: the caller works, at most three spawned" (test_pool_caller_works ~domains:4);
   ]

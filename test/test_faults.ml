@@ -466,6 +466,46 @@ let test_qcheck_reservation_interleavings =
       && Float.abs (spent.Prim.Dp.eps -. !model_eps) < 1e-9
       && Float.abs (spent.Prim.Dp.delta -. !model_delta) < 1e-12)
 
+
+(* Worker kills at 2 domains, some landing on the caller's own tasks:
+   the caller continues as its own replacement, a spawned domain is
+   replaced by a new one, and every task still completes.  A spawned
+   domain's task waits (up to 2 s) until the caller has been killed once,
+   so a kill on the caller happens whatever the timing. *)
+let test_pool_kills_on_caller () =
+  let n = 8 in
+  let caller = (Domain.self () :> int) in
+  let caller_killed = Atomic.make false in
+  let restarts = Atomic.make 0 in
+  let outcomes =
+    Engine.Pool.run ~backoff_s:1e-5 ~max_restarts:n ~domains:2
+      ~on_event:(function Engine.Pool.Worker_restart -> Atomic.incr restarts | _ -> ())
+      ~f:(fun ~index:_ ~attempt i ->
+        if (Domain.self () :> int) = caller then begin
+          if attempt = 0 then begin
+            Atomic.set caller_killed true;
+            raise (Engine.Pool.Worker_crash "simulated")
+          end
+        end
+        else begin
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get caller_killed)) && Unix.gettimeofday () -. t0 < 2. do
+            Unix.sleepf 1e-3
+          done;
+          if attempt = 0 then raise (Engine.Pool.Worker_crash "simulated")
+        end;
+        i + 100)
+      (Array.init n (fun i -> Engine.Pool.task i))
+  in
+  check_true "a kill landed on the caller" (Atomic.get caller_killed);
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Engine.Pool.Done v -> check_int (Printf.sprintf "slot %d rescheduled" i) (i + 100) v
+      | _ -> Alcotest.failf "slot %d lost after worker death" i)
+    outcomes;
+  check_int "one restart per killed worker" n (Atomic.get restarts)
+
 let suite =
   [
     case "fault grammar parses and roundtrips" test_parse_roundtrip;
@@ -484,4 +524,5 @@ let suite =
     case "exhausted attempts keep the admission charge" test_attempt_limit_keeps_charge;
     test_qcheck_spend_invariant;
     test_qcheck_reservation_interleavings;
+    case "pool survives worker kills at 2 domains, the caller's included" test_pool_kills_on_caller;
   ]

@@ -105,6 +105,45 @@ let test_capture_probability () =
   done;
   check_float ~tol:0.02 "capture probability 1 - s/l" 0.75 (float_of_int !hits /. float_of_int n)
 
+
+(* [row_in_box] decides [key_of_row … = key] axis by axis: coordinates on
+   the partition edges, below 0 and above 1, keys equal to the row's own,
+   off on one axis, or shifted on every axis. *)
+let qcheck_row_in_box_matches_key =
+  qcheck "row_in_box = (key_of_row = key), edges and out-of-cube rows included" ~count:300
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun d ->
+      quad
+        (array_size (return d) (pair (float_range 0. 0.5) (oneofl [ 0.1; 0.25; 1. /. 3.; 0.5 ])))
+        (array_size (return d)
+           (oneof
+              [
+                map (fun j -> `Edge j) (int_range (-4) 6);
+                map (fun x -> `At x) (float_range (-1.) 2.);
+                map (fun x -> `At x) (oneofl [ 0.; -0.; 1.; -1e-300; Float.succ 1. ]);
+              ]))
+        (int_range 0 2) (pair (int_range 0 (d - 1)) (int_range (-3) 3)))
+    (fun (parts, coords, mode, (axis, delta)) ->
+      let partitions = Array.map (fun (shift, len) -> Geometry.Interval.fixed ~shift ~len) parts in
+      let b = Geometry.Boxing.of_partitions partitions in
+      let row =
+        Array.mapi
+          (fun i c ->
+            match c with
+            | `Edge j -> Geometry.Interval.shift partitions.(i) +. (float_of_int j *. Geometry.Interval.len partitions.(i))
+            | `At x -> x)
+          coords
+      in
+      let st = Array.append [| 7. |] row in
+      let own = Geometry.Boxing.key_of_row b st ~off:1 in
+      let key =
+        match mode with
+        | 0 -> Array.copy own
+        | 1 -> Array.mapi (fun i j -> if i = axis then j + delta else j) own
+        | _ -> Array.map (fun j -> j + delta - axis) own
+      in
+      Geometry.Boxing.row_in_box b st ~off:1 key = (own = key))
+
 let suite =
   [
     case "partition membership" test_partition_membership;
@@ -116,4 +155,5 @@ let suite =
     case "boxing center and diameter" test_boxing_center_and_diameter;
     case "occupancy" test_occupancy;
     case "capture probability" test_capture_probability;
+    qcheck_row_in_box_matches_key;
   ]

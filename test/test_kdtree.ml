@@ -114,6 +114,22 @@ let test_good_radius_on_tree_index () =
     (result.Privcluster.Good_radius.radius >= 0.
     && result.Privcluster.Good_radius.radius <= Geometry.Grid.diameter grid)
 
+
+(* A regression guard on the build's allocation: the median selection
+   compares unboxed floats, so building over n = 3000 flat rows allocates
+   only the nodes on the minor heap (a polymorphic [select] boxed every
+   compared coordinate: 123k words). *)
+let test_build_minor_words () =
+  let r = rng ~seed:11 () in
+  let n = 3000 and dim = 2 in
+  let storage = Array.init (n * dim) (fun _ -> Prim.Rng.float r 1.) in
+  let offs = Array.init n (fun i -> i * dim) in
+  let w0 = Gc.minor_words () in
+  let tree = Geometry.Kdtree.build_flat ~storage ~offs ~dim () in
+  let words = Gc.minor_words () -. w0 in
+  check_int "tree size" n (Geometry.Kdtree.size tree);
+  if words >= 20_000. then Alcotest.failf "build_flat at n = 3000: %.0f minor words" words
+
 let suite =
   [
     qcheck_count_matches_brute;
@@ -124,4 +140,5 @@ let suite =
     case "tree index matches dense index" test_tree_index_matches_dense;
     case "auto index" test_auto_index;
     case "good radius on tree index" test_good_radius_on_tree_index;
+    case "build_flat allocates under 20k minor words at n = 3000" test_build_minor_words;
   ]

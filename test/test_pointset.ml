@@ -419,6 +419,45 @@ let qcheck_block_bounds_exact =
       if P.fill_counts idx ~radii <> expect then fail "fill_counts differs on the shells";
       true)
 
+
+(* The pruned [r_opt] scan on small integer lattices, where most k-th
+   neighbour distances tie exactly: warm (after a sweep at cap k, whose
+   final columns bracket the scan) and cold, it must return the unpruned
+   scan's row and radius bit for bit, on both kernel tiers. *)
+let qcheck_min_kth_ties_exact =
+  qcheck "r_opt scan on tied lattices = the unpruned scan, warm and cold" ~count:40
+    QCheck2.Gen.(
+      quad (int_range 1 3) bool (int_range 1 1000)
+        (int_range 2 150 >>= fun n -> array_size (return (3 * n)) (int_range 0 4)))
+    (fun (d, native, kseed, cells) ->
+      let before = Kernel.native_active () in
+      Fun.protect ~finally:(fun () -> Kernel.set_native before) @@ fun () ->
+      Kernel.set_native native;
+      let n = Array.length cells / 3 in
+      let st = Array.init (n * d) (fun j -> float_of_int cells.(j)) in
+      let idx = P.build_index (P.of_storage ~dim:d st) in
+      let k = 1 + (kseed mod n) in
+      let unpruned =
+        let best = ref infinity and best_i = ref 0 in
+        for i = 0 to n - 1 do
+          let r = P.kth_neighbor_distance idx ~k i in
+          if r < !best then begin
+            best := r;
+            best_i := i
+          end
+        done;
+        (!best_i, !best)
+      in
+      let same what (i, r) =
+        if i <> fst unpruned || bits r <> bits (snd unpruned) then
+          fail "%s, k = %d: (%d, %h), unpruned (%d, %h)" what k i r (fst unpruned) (snd unpruned)
+      in
+      same "cold" (P.min_kth_neighbor_distance (P.cold_copy idx) ~k);
+      let radii = Array.init 14 (fun j -> sqrt (float_of_int j)) in
+      ignore (P.score_l_many idx ~cap:k ~radii);
+      same "warm" (P.min_kth_neighbor_distance idx ~k);
+      true)
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -436,4 +475,5 @@ let suite =
     case "grouping edge cases: all identical, none, signed zeros" test_grouping_edge_cases;
     qcheck_sweep_resumes_bit_exact;
     qcheck_block_bounds_exact;
+    qcheck_min_kth_ties_exact;
   ]

@@ -109,6 +109,20 @@ let qcheck_rank_count_matches_fold =
       in
       Array.for_all (fun v -> rank v = fold v) probes)
 
+
+(* A regression guard on [rank_count]'s allocation: the NaN filter and
+   the sort keep every value unboxed, so at n = 4200 the minor heap sees
+   only the returned closure (a [Float.compare] sort after a [Seq] filter
+   took 429k words). *)
+let test_rank_count_minor_words () =
+  let r = rng ~seed:13 () in
+  let values = Array.init 4200 (fun _ -> Prim.Rng.float r 1.) in
+  let w0 = Gc.minor_words () in
+  let rank = Privcluster.Quantile.rank_count values in
+  let words = Gc.minor_words () -. w0 in
+  check_int "rank of 1" 4200 (rank 1.);
+  if words >= 50_000. then Alcotest.failf "rank_count at n = 4200: %.0f minor words" words
+
 let suite =
   [
     case "median accuracy" test_median_accuracy;
@@ -119,4 +133,5 @@ let suite =
     case "gupt end to end" test_gupt_end_to_end;
     case "gupt validation" test_gupt_validation;
     qcheck_rank_count_matches_fold;
+    case "rank_count allocates under 50k minor words at n = 4200" test_rank_count_minor_words;
   ]
