@@ -10,10 +10,6 @@ type failure = Center_bottom
 let pp_failure ppf = function
   | Center_bottom -> Format.fprintf ppf "noisy-average bottom: coreset count bound non-positive"
 
-let pp_result ppf r =
-  Format.fprintf ppf "center %a radius %.4f (coreset %d, %d refinement rounds)" Geometry.Vec.pp
-    r.center r.radius r.coreset_size r.refinement_rounds
-
 let default_coreset = 400
 let default_rounds = 6
 
@@ -35,14 +31,6 @@ let coreset_budget ~eps_stage ~delta ~n ~coreset =
     (m, eps0, delta0, eff)
   end
   else (m, eps_stage, delta, Prim.Dp.v ~eps:eps_stage ~delta)
-
-let budget_breakdown ~eps ~delta ~n ~coreset =
-  let _, _, _, eff = coreset_budget ~eps_stage:(eps /. 4.) ~delta ~n ~coreset in
-  [
-    ("coreset noisy-average (amplified)", eff);
-    ("center refinement (exp-mech rounds)", Prim.Dp.pure ~eps:(eps /. 4.));
-    ("radius monotone search", Prim.Dp.pure ~eps:(eps /. 2.));
-  ]
 
 let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
@@ -120,3 +108,20 @@ let run rng ~grid ~eps ~delta ?(coreset = default_coreset) ?(rounds = default_ro
           coreset_size = m;
           refinement_rounds = rounds;
         }
+
+module For_testing = struct
+  let pp_result ppf r =
+    Format.fprintf ppf "center %a radius %.4f (coreset %d, %d refinement rounds)" Geometry.Vec.pp
+      r.center r.radius r.coreset_size r.refinement_rounds
+
+  let budget_breakdown ~eps ~delta ~n ~coreset =
+    let _, _, _, eff = coreset_budget ~eps_stage:(eps /. 4.) ~delta ~n ~coreset in
+    [
+      ("coreset noisy-average (amplified)", eff);
+      ("center refinement (exp-mech rounds)", Prim.Dp.pure ~eps:(eps /. 4.));
+      ("radius monotone search", Prim.Dp.pure ~eps:(eps /. 2.));
+    ]
+
+  let default_coreset = default_coreset
+  let default_rounds = default_rounds
+end

@@ -19,7 +19,7 @@
       ({!Recconcave.Monotone_search}) for the smallest grid radius whose
       in-ball count around the refined center reaches [t] ([ε/2]).
 
-    Totals [(ε, δ)]-DP; {!budget_breakdown} makes the ledger explicit and
+    Totals [(ε, δ)]-DP; {!For_testing.budget_breakdown} makes the ledger explicit and
     a test pins the sum.  The non-private coreset fact the QCheck suite
     certifies separately: the Bădoiu–Clarkson ball of a uniform sample is
     within the (1+α) factor of the full-data ball
@@ -38,14 +38,6 @@ type failure =
           non-positive) — only likely when [n] is tiny relative to ε. *)
 
 val pp_failure : Format.formatter -> failure -> unit
-val pp_result : Format.formatter -> result -> unit
-
-val default_coreset : int
-(** 400 — past this the sample average is far tighter than the privacy
-    noise floor, so larger coresets only cost time. *)
-
-val default_rounds : int
-(** 6 refinement rounds: final step = diameter/2⁷. *)
 
 val run :
   Prim.Rng.t ->
@@ -60,8 +52,19 @@ val run :
 (** [(ε, δ)]-DP (central model).  @raise Invalid_argument if [t ≤ 0] or
     the pointset dimension disagrees with the grid. *)
 
-val budget_breakdown :
-  eps:float -> delta:float -> n:int -> coreset:int -> (string * Prim.Dp.params) list
-(** The per-stage privacy ledger of one run: the amplified coreset charge
-    actually incurred, the refinement total, and the radius search.  The
-    basic-composition sum is at most [(ε, δ)]; pinned by a test. *)
+module For_testing : sig
+  val budget_breakdown :
+    eps:float -> delta:float -> n:int -> coreset:int -> (string * Prim.Dp.params) list
+  (** The per-stage privacy ledger of one run: the amplified coreset charge
+      actually incurred, the refinement total, and the radius search.  The
+      basic-composition sum is at most [(ε, δ)]; pinned by a test. *)
+
+  val default_coreset : int
+  (** 400 — past this the sample average is far tighter than the privacy
+      noise floor, so larger coresets only cost time. *)
+
+  val default_rounds : int
+  (** 6 refinement rounds: final step = diameter/2⁷. *)
+
+  val pp_result : Format.formatter -> result -> unit
+end

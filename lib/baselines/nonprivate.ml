@@ -14,13 +14,15 @@ let solve_from ?start ps ~t =
 
 let solve ps ~t = solve_from ps ~t
 
-let two_approx ps ~t =
-  let b = Geometry.Seb.two_approx ps ~t in
-  { center = b.Geometry.Seb.center; radius = b.Geometry.Seb.radius; exact = false }
-
 let r_opt_bounds ps ~t =
   let approx2 = Geometry.Seb.two_approx ps ~t in
   let best = solve_from ~start:approx2 ps ~t in
   let hi = Float.min approx2.Geometry.Seb.radius best.radius in
   let lo = if best.exact then best.radius else approx2.Geometry.Seb.radius /. 2. in
   (lo, hi)
+
+module For_testing = struct
+  let two_approx ps ~t =
+    let b = Geometry.Seb.two_approx ps ~t in
+    { center = b.Geometry.Seb.center; radius = b.Geometry.Seb.radius; exact = false }
+end

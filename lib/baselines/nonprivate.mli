@@ -14,10 +14,12 @@ type answer = {
 val solve : Geometry.Pointset.t -> t:int -> answer
 (** Exact for 1-D inputs; {!Geometry.Seb.t_ball_heuristic} otherwise. *)
 
-val two_approx : Geometry.Pointset.t -> t:int -> answer
-(** The plain 2-approximation (balls centered at input points). *)
-
 val r_opt_bounds : Geometry.Pointset.t -> t:int -> float * float
 (** [(lo, hi)] with [lo ≤ r_opt ≤ hi]: [hi] is the best feasible radius
     found, [lo = (two-approx radius)/2] — the experiments report measured
     approximation ratios against both ends. *)
+
+module For_testing : sig
+  val two_approx : Geometry.Pointset.t -> t:int -> answer
+  (** The plain 2-approximation (balls centered at input points). *)
+end

@@ -44,3 +44,7 @@ let gupt_average rng ~grid ~eps ~delta points =
   let sensitivity = Geometry.Grid.diameter grid /. float_of_int n in
   Prim.Gaussian_mech.vector rng ~eps ~delta ~l2_sensitivity:sensitivity
     (Geometry.Vec.mean points)
+
+module For_testing = struct
+  let coordinate_median = coordinate_median
+end

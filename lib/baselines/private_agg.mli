@@ -28,9 +28,6 @@ val run :
 (** [(ε, 0)]-DP: ε/2 split across the [d] coordinate medians, ε/2 on the
     radius search. *)
 
-val coordinate_median : Prim.Rng.t -> grid:Geometry.Grid.t -> eps:float -> float array -> float
-(** One axis's private median (exposed for tests). *)
-
 val gupt_average :
   Prim.Rng.t ->
   grid:Geometry.Grid.t ->
@@ -40,3 +37,8 @@ val gupt_average :
   Geometry.Vec.t
 (** Differentially private averaging over the full domain (the GUPT
     aggregation): mean + Gaussian noise at L2 sensitivity [√d / n]. *)
+
+module For_testing : sig
+  val coordinate_median : Prim.Rng.t -> grid:Geometry.Grid.t -> eps:float -> float array -> float
+  (** One axis's private median. *)
+end

@@ -110,3 +110,8 @@ let run rng ~grid ~eps ~beta ~t:target values =
   let tree = release rng ~grid ~eps values in
   let slack = query_error_bound ~grid ~eps ~beta in
   smallest_interval tree ~t:target ~slack
+
+module For_testing = struct
+  let levels = levels
+  let smallest_interval = smallest_interval
+end

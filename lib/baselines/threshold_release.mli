@@ -20,8 +20,6 @@ val release : Prim.Rng.t -> grid:Geometry.Grid.t -> eps:float -> float array -> 
     Laplace scale is [levels/ε].  @raise Invalid_argument unless the grid is
     1-D. *)
 
-val levels : tree -> int
-
 val range_count : tree -> lo:float -> hi:float -> float
 (** Noisy number of released points in [\[lo, hi\]] — O(log |X|) node
     lookups (post-processing). *)
@@ -34,11 +32,15 @@ val query_error_bound : grid:Geometry.Grid.t -> eps:float -> beta:float -> float
 
 type result = { center : Geometry.Vec.t; radius : float; estimated_count : float }
 
-val smallest_interval : tree -> t:int -> slack:float -> result
-(** Smallest grid interval whose released count reaches [t − slack], as a
-    (center, radius) answer (two-pointer scan over noisy prefix counts;
-    post-processing). *)
-
 val run :
   Prim.Rng.t -> grid:Geometry.Grid.t -> eps:float -> beta:float -> t:int -> float array -> result
 (** Release then search, with [slack = query_error_bound]. *)
+
+module For_testing : sig
+  val levels : tree -> int
+
+  val smallest_interval : tree -> t:int -> slack:float -> result
+  (** Smallest grid interval whose released count reaches [t − slack], as a
+      (center, radius) answer (two-pointer scan over noisy prefix counts;
+      post-processing). *)
+end

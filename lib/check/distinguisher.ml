@@ -77,14 +77,6 @@ let verdict ~claimed ?(slack = 0.1) ?(alpha = 0.05) ~events ~left ~right () =
     violation = List.exists (fun (e : estimate) -> e.violation) estimates;
   }
 
-let run rng ~claimed ?slack ?alpha ~trials ~events ~left ~right () =
-  let names = List.map fst events in
-  let preds = Array.of_list (List.map snd events) in
-  let counts_left = count (Prim.Rng.derive rng ~stream:0) ~trials ~events:preds left in
-  let counts_right = count (Prim.Rng.derive rng ~stream:1) ~trials ~events:preds right in
-  verdict ~claimed ?slack ?alpha ~events:names ~left:(trials, counts_left)
-    ~right:(trials, counts_right) ()
-
 let thresholds ~lo ~hi ~count =
   if count < 1 then invalid_arg "Distinguisher.thresholds: count must be positive";
   List.init count (fun i ->
@@ -104,3 +96,13 @@ let pp_verdict ppf v =
     v.claimed.Prim.Dp.eps v.claimed.Prim.Dp.delta v.slack v.alpha v.trials
     (if v.violation then "VIOLATION" else "no violation")
     (if v.eps_lb = neg_infinity then "-inf" else Printf.sprintf "%.3f" v.eps_lb)
+
+module For_testing = struct
+  let run rng ~claimed ?slack ?alpha ~trials ~events ~left ~right () =
+    let names = List.map fst events in
+    let preds = Array.of_list (List.map snd events) in
+    let counts_left = count (Prim.Rng.derive rng ~stream:0) ~trials ~events:preds left in
+    let counts_right = count (Prim.Rng.derive rng ~stream:1) ~trials ~events:preds right in
+    verdict ~claimed ?slack ?alpha ~events:names ~left:(trials, counts_left)
+      ~right:(trials, counts_right) ()
+end

@@ -65,20 +65,6 @@ val verdict :
     already-merged counts.  [slack] defaults to [0.1], [alpha] to
     [0.05]. *)
 
-val run :
-  Prim.Rng.t ->
-  claimed:Prim.Dp.params ->
-  ?slack:float ->
-  ?alpha:float ->
-  trials:int ->
-  events:(string * ('o -> bool)) list ->
-  left:(Prim.Rng.t -> 'o) ->
-  right:(Prim.Rng.t -> 'o) ->
-  unit ->
-  verdict
-(** Single-threaded convenience: [count] both sides on independent derived
-    streams, then [verdict]. *)
-
 val thresholds : lo:float -> hi:float -> count:int -> (string * (float -> bool)) list
 (** The event family [{x ≥ c}] for [count] cut points evenly spaced on
     [\[lo, hi\]] — the workhorse family for real-valued outputs (every
@@ -89,3 +75,19 @@ val categories : k:int -> (string * (int -> bool)) list
     final ["other"] event catching everything outside the range. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+module For_testing : sig
+  val run :
+    Prim.Rng.t ->
+    claimed:Prim.Dp.params ->
+    ?slack:float ->
+    ?alpha:float ->
+    trials:int ->
+    events:(string * ('o -> bool)) list ->
+    left:(Prim.Rng.t -> 'o) ->
+    right:(Prim.Rng.t -> 'o) ->
+    unit ->
+    verdict
+  (** Single-threaded convenience: [count] both sides on independent derived
+      streams, then [verdict]. *)
+end

@@ -64,13 +64,6 @@ let gamma_q_cf ~a ~x =
    with Exit -> ());
   !h *. exp ((a *. log x) -. x -. log_gamma a)
 
-let gamma_p ~a ~x =
-  if not (a > 0.) then invalid_arg "Stats.gamma_p: a must be positive";
-  if x < 0. then invalid_arg "Stats.gamma_p: x must be non-negative";
-  if x = 0. then 0.
-  else if x < a +. 1. then gamma_p_series ~a ~x
-  else 1. -. gamma_q_cf ~a ~x
-
 let gamma_q ~a ~x =
   if not (a > 0.) then invalid_arg "Stats.gamma_q: a must be positive";
   if x < 0. then invalid_arg "Stats.gamma_q: x must be non-negative";
@@ -299,3 +292,10 @@ let chi2_test ~expected ~observed =
     let df = m - 1 in
     { stat; df; p_value = chi2_sf ~df stat; pooled_cells = !pooled }
   end
+
+module For_testing = struct
+  let chi2_sf = chi2_sf
+  let erfc = erfc
+  let log_gamma = log_gamma
+  let reg_inc_beta = reg_inc_beta
+end

@@ -16,27 +16,8 @@
 
 (** {1 Special functions} *)
 
-val log_gamma : float -> float
-(** [ln Γ(x)] (Lanczos, with reflection for [x < 0.5]). *)
-
-val gamma_p : a:float -> x:float -> float
-(** Regularized lower incomplete gamma [P(a, x)], for [a > 0], [x ≥ 0]. *)
-
-val gamma_q : a:float -> x:float -> float
-(** [Q(a, x) = 1 − P(a, x)]. *)
-
-val reg_inc_beta : a:float -> b:float -> float -> float
-(** [reg_inc_beta ~a ~b x] is the regularized incomplete beta [I_x(a, b)] —
-    the CDF at [x] of a Beta(a, b) variable. *)
-
-val erfc : float -> float
-(** Complementary error function, via the incomplete gamma. *)
-
 val normal_cdf : ?mu:float -> sigma:float -> float -> float
 (** Exact Gaussian CDF — the reference law for Gaussian-mechanism output. *)
-
-val chi2_sf : df:int -> float -> float
-(** Chi-square survival function [P(X² ≥ x)] at [df] degrees of freedom. *)
 
 (** {1 Binomial confidence intervals} *)
 
@@ -79,3 +60,18 @@ val chi2_test : expected:float array -> observed:int array -> chi2
     expected count falls below 5 are pooled into one (the classical
     validity rule); [pooled_cells] reports how many were merged.
     @raise Invalid_argument on length mismatch or an all-zero expectation. *)
+
+module For_testing : sig
+  val chi2_sf : df:int -> float -> float
+  (** Chi-square survival function [P(X² ≥ x)] at [df] degrees of freedom. *)
+
+  val erfc : float -> float
+  (** Complementary error function, via the incomplete gamma. *)
+
+  val log_gamma : float -> float
+  (** [ln Γ(x)] (Lanczos, with reflection for [x < 0.5]). *)
+
+  val reg_inc_beta : a:float -> b:float -> float -> float
+  (** [reg_inc_beta ~a ~b x] is the regularized incomplete beta [I_x(a, b)] —
+      the CDF at [x] of a Beta(a, b) variable. *)
+end

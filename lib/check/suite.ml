@@ -757,3 +757,7 @@ let report_json cfg results =
             ("violations", Obs.Json.Int violations);
           ] );
     ]
+
+module For_testing = struct
+  let names = names
+end

@@ -43,9 +43,6 @@ type result = {
   json : Obs.Json.t;
 }
 
-val names : unit -> string list
-(** Every registered check name, in run order. *)
-
 val grouped_names : unit -> (string * string list) list
 (** The names grouped by subsystem (the prefix before ['/']), groups in
     first-appearance order, members in run order — the structure behind
@@ -63,3 +60,8 @@ val run : ?only:string list -> config -> result list
 val report_json : config -> result list -> Obs.Json.t
 (** The machine-readable report the CLI emits: config, per-check records,
     and a pass/violation summary. *)
+
+module For_testing : sig
+  val names : unit -> string list
+  (** Every registered check name, in run order. *)
+end

@@ -36,11 +36,6 @@ let pp_failure ppf = function
          (too few users for this eps)"
         min_delta t
 
-let pp_result ppf r =
-  Format.fprintf ppf "center %a radius %.4f (scale 1/%d, est %.1f, delta <= %.1f)"
-    Geometry.Vec.pp r.center r.radius r.scales.(r.scale_index).cells_per_axis r.est_count
-    r.delta_bound
-
 (* ---- the local randomizer ----------------------------------------- *)
 
 let check_k_eps ~eps ~k =
@@ -69,13 +64,6 @@ let law ~eps ~k ~cell =
   if cell < 0 || cell >= k then invalid_arg "Local_cluster.law: cell out of range";
   let p = p_keep ~eps ~k and q = p_other ~eps ~k in
   Array.init k (fun i -> if i = cell then p else q)
-
-let debias ~eps ~k ~n counts =
-  check_k_eps ~eps ~k;
-  if Array.length counts <> k then invalid_arg "Local_cluster.debias: counts length <> k";
-  let p = p_keep ~eps ~k and q = p_other ~eps ~k in
-  let nf = float_of_int n in
-  Array.map (fun c -> (float_of_int c -. (nf *. q)) /. (p -. q)) counts
 
 (* ---- the scale ladder --------------------------------------------- *)
 
@@ -222,3 +210,21 @@ let run rng ~grid ~eps ?(beta = 0.1) ?(max_cells = 4096) ~t ps =
         in
         Error (All_certificates_vacuous { t; min_delta })
       else Error (Not_enough_mass { best = !best_overall; needed = !needed_at_best })
+
+module For_testing = struct
+  let pp_result ppf r =
+    Format.fprintf ppf "center %a radius %.4f (scale 1/%d, est %.1f, delta <= %.1f)"
+      Geometry.Vec.pp r.center r.radius r.scales.(r.scale_index).cells_per_axis r.est_count
+      r.delta_bound
+
+  let debias ~eps ~k ~n counts =
+    check_k_eps ~eps ~k;
+    if Array.length counts <> k then invalid_arg "Local_cluster.debias: counts length <> k";
+    let p = p_keep ~eps ~k and q = p_other ~eps ~k in
+    let nf = float_of_int n in
+    Array.map (fun c -> (float_of_int c -. (nf *. q)) /. (p -. q)) counts
+
+  let p_keep = p_keep
+  let p_other = p_other
+  let plan = plan
+end

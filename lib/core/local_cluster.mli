@@ -61,7 +61,6 @@ type failure =
           small for this [ε] — the local model's [Ω(√n/ε)] floor. *)
 
 val pp_failure : Format.formatter -> failure -> unit
-val pp_result : Format.formatter -> result -> unit
 
 (** {1 The local randomizer}
 
@@ -69,13 +68,6 @@ val pp_result : Format.formatter -> result -> unit
     privacy barrier.  [k]-ary randomized response keeps the true cell
     with probability [e^ε / (e^ε + k − 1)] and otherwise reports one of
     the [k − 1] other cells uniformly; each report is [(ε, 0)]-LDP. *)
-
-val p_keep : eps:float -> k:int -> float
-(** [e^ε / (e^ε + k − 1)], the probability the true cell is reported. *)
-
-val p_other : eps:float -> k:int -> float
-(** [1 / (e^ε + k − 1)], the probability of any specific other cell.
-    [p_keep / p_other = e^ε] exactly. *)
 
 val randomize : Prim.Rng.t -> eps:float -> k:int -> int -> int
 (** One user's report.  @raise Invalid_argument unless [0 ≤ cell < k] and
@@ -86,22 +78,6 @@ val law : eps:float -> k:int -> cell:int -> float array
     elsewhere.  Sums to 1 exactly (the two closed forms share one
     denominator); the verification harness's chi-square tester compares
     empirical report counts against this. *)
-
-val debias : eps:float -> k:int -> n:int -> int array -> float array
-(** The unbiased histogram estimator: cell [j] of the reported counts
-    maps to [(count_j − n·p_other) / (p_keep − p_other)].  For any report
-    vector summing to [n] the estimates sum to exactly [n] (the estimator
-    is the linear inverse of the randomizer's expectation operator), and
-    [E (debias (reports))] equals the true histogram — both are
-    property-tested. *)
-
-val plan :
-  grid:Geometry.Grid.t -> eps:float -> ?beta:float -> ?max_cells:int -> n:int -> unit -> scale array
-(** The scale ladder {!run} will use for an [n]-user database on this
-    grid: dyadic scales, coarse to fine, while the bucket count stays
-    ≤ [max_cells] (default 4096) and the cell side stays above the grid
-    resolution.  Exposed so experiments and benchmarks can report the
-    ladder. *)
 
 val run :
   Prim.Rng.t ->
@@ -117,3 +93,29 @@ val run :
     reported [delta_bound].
     @raise Invalid_argument if [t ≤ 0], the pointset dimension disagrees
     with the grid, or even the coarsest scale exceeds [max_cells]. *)
+
+module For_testing : sig
+  val debias : eps:float -> k:int -> n:int -> int array -> float array
+  (** The unbiased histogram estimator: cell [j] of the reported counts
+      maps to [(count_j − n·p_other) / (p_keep − p_other)].  For any report
+      vector summing to [n] the estimates sum to exactly [n] (the estimator
+      is the linear inverse of the randomizer's expectation operator), and
+      [E (debias (reports))] equals the true histogram — both are
+      property-tested. *)
+
+  val p_keep : eps:float -> k:int -> float
+  (** [e^ε / (e^ε + k − 1)], the probability the true cell is reported. *)
+
+  val p_other : eps:float -> k:int -> float
+  (** [1 / (e^ε + k − 1)], the probability of any specific other cell.
+      [p_keep / p_other = e^ε] exactly. *)
+
+  val plan :
+    grid:Geometry.Grid.t -> eps:float -> ?beta:float -> ?max_cells:int -> n:int -> unit -> scale array
+  (** The scale ladder {!run} will use for an [n]-user database on this
+      grid: dyadic scales, coarse to fine, while the bucket count stays
+      ≤ [max_cells] (default 4096) and the cell side stays above the grid
+      resolution. *)
+
+  val pp_result : Format.formatter -> result -> unit
+end

@@ -13,15 +13,6 @@ let pp_failure ppf = function
   | Center_failure f -> Format.fprintf ppf "center stage: %a" Good_center.pp_failure f
   | Zero_cluster_not_found -> Format.fprintf ppf "zero-radius cluster not re-found"
 
-let pp_result ppf r =
-  Format.fprintf ppf "{center=%a; radius=%.4f; t=%d; delta<=%.1f; radius_stage=%a%a}"
-    Geometry.Vec.pp r.center r.radius r.t_requested r.delta_bound Good_radius.pp_result
-    r.radius_stage
-    (fun ppf -> function
-      | None -> Format.fprintf ppf "; zero-path"
-      | Some c -> Format.fprintf ppf "; center_stage=%a" Good_center.pp_success c)
-    r.center_stage
-
 let center_stage_loss (profile : Profile.t) ~eps ~beta ~n =
   let eps_c = eps /. 2. in
   let rounds = Profile.rounds profile ~n ~beta in
@@ -139,3 +130,14 @@ let recommended_min_t (profile : Profile.t) ~grid ~eps ~delta ~beta ~n =
   in
   let navg_offset = 2. /. (eps_c /. 4.) *. log (2. /. (delta /. 8.)) in
   radius_delta +. center_stage_loss profile ~eps ~beta ~n +. hist_req +. navg_offset
+
+module For_testing = struct
+  let pp_result ppf r =
+    Format.fprintf ppf "{center=%a; radius=%.4f; t=%d; delta<=%.1f; radius_stage=%a%a}"
+      Geometry.Vec.pp r.center r.radius r.t_requested r.delta_bound Good_radius.pp_result
+      r.radius_stage
+      (fun ppf -> function
+        | None -> Format.fprintf ppf "; zero-path"
+        | Some c -> Format.fprintf ppf "; center_stage=%a" Good_center.pp_success c)
+      r.center_stage
+end

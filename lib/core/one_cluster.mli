@@ -33,7 +33,6 @@ type result = {
 }
 
 val pp_failure : Format.formatter -> failure -> unit
-val pp_result : Format.formatter -> result -> unit
 
 val run :
   Prim.Rng.t ->
@@ -95,3 +94,7 @@ val recommended_min_t :
     profile — the sum of the radius-stage Δ, the sparse-vector slack, the
     histogram utility requirement, and the noisy-average count offset.  The
     empirical minimum (experiment E5) is typically close to it. *)
+
+module For_testing : sig
+  val pp_result : Format.formatter -> result -> unit
+end

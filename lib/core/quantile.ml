@@ -72,13 +72,17 @@ let quantile rng ?(profile = Profile.practical) ~grid ~eps ~q values =
   let report = Recconcave.Rec_concave.solve rng ~eps ~base:profile.Profile.rc_base quality in
   { value = float_of_int report.Recconcave.Rec_concave.chosen *. step; target_rank = target }
 
-let median rng ?profile ~grid ~eps values = quantile rng ?profile ~grid ~eps ~q:0.5 values
-
-let interquartile_range rng ?profile ~grid ~eps values =
-  let lo = quantile rng ?profile ~grid ~eps:(eps /. 2.) ~q:0.25 values in
-  let hi = quantile rng ?profile ~grid ~eps:(eps /. 2.) ~q:0.75 values in
-  (lo.value, hi.value)
-
 let rank_error_bound ?(profile = Profile.practical) ~grid ~eps ~beta () =
   Recconcave.Rec_concave.loss_bound ~base:profile.Profile.rc_base
     ~size:(Geometry.Grid.axis_size grid) ~eps ~beta ()
+
+module For_testing = struct
+  let median rng ?profile ~grid ~eps values = quantile rng ?profile ~grid ~eps ~q:0.5 values
+
+  let interquartile_range rng ?profile ~grid ~eps values =
+    let lo = quantile rng ?profile ~grid ~eps:(eps /. 2.) ~q:0.25 values in
+    let hi = quantile rng ?profile ~grid ~eps:(eps /. 2.) ~q:0.75 values in
+    (lo.value, hi.value)
+
+  let rank_count = rank_count
+end

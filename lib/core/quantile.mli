@@ -27,24 +27,26 @@ val quantile :
 (** [quantile rng ~grid ~eps ~q values] with [q ∈ [0, 1]].
     @raise Invalid_argument unless the grid is 1-D and [q ∈ [0, 1]]. *)
 
-val rank_count : float array -> float -> int
-(** [rank_count values] sorts [values] once (O(n log n)); the function
-    it returns maps [v] to [#{x ∈ values : x <= v}] by bisection
-    (O(log n)).  A NaN value is never counted, and a NaN [v] counts
-    nothing, as with the comparison itself. *)
-
-val median :
-  Prim.Rng.t -> ?profile:Profile.t -> grid:Geometry.Grid.t -> eps:float -> float array -> result
-
-val interquartile_range :
-  Prim.Rng.t ->
-  ?profile:Profile.t ->
-  grid:Geometry.Grid.t ->
-  eps:float ->
-  float array ->
-  float * float
-(** The (q25, q75) pair, each charged ε/2 (basic composition). *)
-
 val rank_error_bound :
   ?profile:Profile.t -> grid:Geometry.Grid.t -> eps:float -> beta:float -> unit -> float
 (** The RecConcave loss bound over the [|X|]-point solution domain. *)
+
+module For_testing : sig
+  val interquartile_range :
+    Prim.Rng.t ->
+    ?profile:Profile.t ->
+    grid:Geometry.Grid.t ->
+    eps:float ->
+    float array ->
+    float * float
+  (** The (q25, q75) pair, each charged ε/2 (basic composition). *)
+
+  val median :
+    Prim.Rng.t -> ?profile:Profile.t -> grid:Geometry.Grid.t -> eps:float -> float array -> result
+
+  val rank_count : float array -> float -> int
+  (** [rank_count values] sorts [values] once (O(n log n)); the function
+      it returns maps [v] to [#{x ∈ values : x <= v}] by bisection
+      (O(log n)).  A NaN value is never counted, and a NaN [v] counts
+      nothing, as with the comparison itself. *)
+end

@@ -123,8 +123,6 @@ let tol = 1e-9
 let fits budget p =
   p.Prim.Dp.eps <= budget.Prim.Dp.eps +. tol && p.Prim.Dp.delta <= budget.Prim.Dp.delta +. tol
 
-let would_accept (t : t) p = fits t.budget (total t.mode ((" ", p) :: committed_and_reserved t))
-
 let admit t ~label ~is_reserve p ~accept =
   let before = spent t in
   let after = total t.mode ((label, p) :: committed_and_reserved t) in
@@ -213,3 +211,8 @@ let to_json (t : t) =
              (fun (label, p) -> Json.Obj [ ("label", Json.String label); ("params", params_json p) ])
              (entries t)) );
     ]
+
+module For_testing = struct
+  let would_accept (t : t) p = fits t.budget (total t.mode ((" ", p) :: committed_and_reserved t))
+  let reserved = reserved
+end

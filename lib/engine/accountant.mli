@@ -37,7 +37,7 @@
     degradation never discovers mid-batch that the budget is gone), yet it
     must not count as spent if the job completes normally.  {!reserve}
     admits such a charge and holds it against the budget — subsequent
-    {!charge}/{!reserve}/{!would_accept} decisions treat it as if it were
+    {!charge}/{!reserve}/{!For_testing.would_accept} decisions treat it as if it were
     already committed — without adding it to {!spent}.  The holder then
     settles it exactly once: {!commit} converts it into a real charge
     (the fallback ran and its noise was drawn), {!release} frees the
@@ -136,25 +136,25 @@ val release : t -> reservation -> unit
 (** Drop the reservation, freeing its headroom.
     @raise Invalid_argument if already settled. *)
 
-val reserved : t -> (string * Prim.Dp.params) list
-(** Outstanding (unsettled) reservations, oldest first. *)
-
 val outstanding : t -> (reservation * string * Prim.Dp.params) list
-(** Like {!reserved} but with the handles, so an operator can {!commit}
+(** Like {!For_testing.reserved} but with the handles, so an operator can {!commit}
     or {!release} reservations it did not take itself — the [settle]
     path for orphans restored by WAL replay. *)
-
-val would_accept : t -> Prim.Dp.params -> bool
-(** The decision {!charge} would make, without making it. *)
 
 val entries : t -> (string * Prim.Dp.params) list
 (** Accepted charges in charge order. *)
 
 val refusals : t -> int
 
-val pp_refusal : Format.formatter -> refusal -> unit
-
 val refusal_message : refusal -> string
 (** One-line human rendering, used verbatim in job results. *)
 
 val to_json : t -> Obs.Json.t
+
+module For_testing : sig
+  val reserved : t -> (string * Prim.Dp.params) list
+  (** Outstanding (unsettled) reservations, oldest first. *)
+
+  val would_accept : t -> Prim.Dp.params -> bool
+  (** The decision {!charge} would make, without making it. *)
+end

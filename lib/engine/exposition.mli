@@ -26,21 +26,6 @@
     metrics] can expose a run after the fact without re-running it; its
     [privcluster_job*] lines equal the live ones byte for byte. *)
 
-val families :
-  ?spans:Obs.Span.span list ->
-  ?dataset:Registry.dataset ->
-  ?datasets:Registry.dataset list ->
-  ?result_cache:Result_cache.t ->
-  telemetry:Telemetry.t ->
-  unit ->
-  Obs.Prom.family list
-(** [dataset] and [datasets] both contribute ledger rows — the budget
-    families carry one sample set per dataset, keyed by the [dataset]
-    label, so a multi-dataset tenant (the daemon's metrics endpoint)
-    renders in single Prometheus families.  [result_cache] (the
-    service's, {!Service.result_cache}) adds the per-dataset hit/miss
-    family. *)
-
 val render :
   ?spans:Obs.Span.span list ->
   ?dataset:Registry.dataset ->

@@ -203,3 +203,9 @@ let of_env () =
       match parse s with
       | Ok t -> t
       | Error e -> invalid_arg (Printf.sprintf "Faults.of_env: %s=%S: %s" env_var s e))
+
+module For_testing = struct
+  let env_var = env_var
+  let lookup = lookup
+  let seeded = seeded
+end

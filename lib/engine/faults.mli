@@ -42,9 +42,6 @@ type kind =
           it blows its cooperative deadline. *)
   | Kill_worker  (** The job raises {!Pool.Worker_crash}: its worker domain dies. *)
 
-val kind_name : kind -> string
-(** ["crash"], ["stall"], ["kill"]. *)
-
 type rule = { kind : kind; attempts : int }
 (** Fires while the job's attempt number is [< attempts]. *)
 
@@ -66,17 +63,8 @@ val explicit : (int * rule) list -> t
 (** Schedule keyed by job submission index.  Later duplicates win.
     @raise Invalid_argument on a negative index or non-positive attempts. *)
 
-val seeded : ?attempts:int -> ?kinds:kind list -> seed:int -> rate:float -> unit -> t
-(** Random-looking but fully deterministic schedule; [kinds] defaults to
-    [[Crash; Kill_worker]], [attempts] to 1.
-    @raise Invalid_argument if [rate ∉ [0, 1]], [attempts ≤ 0] or [kinds = []]. *)
-
-val lookup : t -> index:int -> attempt:int -> kind option
-(** The fault (if any) for attempt [attempt] of job [index].  Pure.
-    @raise Invalid_argument on negative arguments. *)
-
 val arm : t -> index:int -> attempt:int -> unit
-(** Act on {!lookup}: raise {!Injected}, sleep, raise
+(** Act on {!For_testing.lookup}: raise {!Injected}, sleep, raise
     {!Pool.Worker_crash}, or do nothing. *)
 
 val parse : string -> (t, string) result
@@ -85,10 +73,21 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Render back to the grammar ([parse]-roundtrippable). *)
 
-val env_var : string
-(** ["PRIVCLUSTER_FAULTS"]. *)
-
 val of_env : unit -> t
-(** Parse {!env_var} from the environment; {!none} when unset or empty.
+(** Parse {!For_testing.env_var} from the environment; {!none} when unset or empty.
     @raise Invalid_argument when set but malformed (a typo'd schedule
     must not silently run fault-free). *)
+
+module For_testing : sig
+  val env_var : string
+  (** ["PRIVCLUSTER_FAULTS"]. *)
+
+  val lookup : t -> index:int -> attempt:int -> kind option
+  (** The fault (if any) for attempt [attempt] of job [index].  Pure.
+      @raise Invalid_argument on negative arguments. *)
+
+  val seeded : ?attempts:int -> ?kinds:kind list -> seed:int -> rate:float -> unit -> t
+  (** Random-looking but fully deterministic schedule; [kinds] defaults to
+      [[Crash; Kill_worker]], [attempts] to 1.
+      @raise Invalid_argument if [rate ∉ [0, 1]], [attempts ≤ 0] or [kinds = []]. *)
+end

@@ -387,10 +387,6 @@ let detail r =
   | Timed_out { elapsed_ms } -> Printf.sprintf "deadline exceeded after %.0f ms" elapsed_ms
   | Degraded { output; reason } -> Printf.sprintf "%s [degraded: %s]" (output_detail output) reason
 
-let pp_result ppf r =
-  Format.fprintf ppf "%-12s %-12s %-8s %6.1fms  %s" r.spec.id (kind_name r.spec.kind)
-    (status_name r.status) r.latency_ms (detail r)
-
 (* Decoding of the exact form: a replayed cache entry must reproduce the
    recorded answer bit-for-bit. *)
 let dehex = function

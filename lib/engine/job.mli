@@ -166,9 +166,6 @@ val detail : result -> string
 (** The headline numbers (or the refusal/failure message) alone — the
     CLI's table cell. *)
 
-val pp_result : Format.formatter -> result -> unit
-(** One line: id, kind, status, latency, {!detail}. *)
-
 (** {1 Result caching} *)
 
 val signature : spec -> string

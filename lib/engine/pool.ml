@@ -4,8 +4,6 @@ let task ?deadline_s payload = { payload; deadline_s }
 
 type 'b outcome = Done of 'b | Timed_out of { elapsed_ms : float } | Failed of string
 
-let outcome_name = function Done _ -> "ok" | Timed_out _ -> "timeout" | Failed _ -> "failed"
-
 exception Worker_crash of string
 
 type event = Task_retry of { index : int; attempt : int } | Worker_restart
@@ -38,8 +36,8 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?max_restarts ?(on_event = fun _ -> (
        writes safe, and a crash hands the count to the replacement so an
        injected fault keyed on the attempt number cannot re-fire forever. *)
     let attempts = Array.make n 0 in
-    let t0 = Unix.gettimeofday () in
-    let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
+    let t0 = Obs.Clock.now_ns () in
+    let elapsed_ms () = Obs.Clock.ms_since t0 in
     (* Domains still to be joined; replacements register themselves here before
        their predecessor finishes dying, so the caller's drain loop below
        cannot miss one. *)

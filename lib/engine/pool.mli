@@ -35,8 +35,9 @@
       always terminates.  The caller's own worker "restarts" by
       continuing as its own replacement, at every domain count — the
       counters behave identically.
-    + {b Deadlines} are per-task, measured from batch start, and
-      {e cooperative}: a domain cannot preempt a running OCaml
+    + {b Deadlines} are per-task, measured from batch start on the
+      monotonic clock ({!Obs.Clock}, so a wall-clock step cannot expire
+      or extend one), and {e cooperative}: a domain cannot preempt a running OCaml
       computation.  A task (or retry attempt) whose deadline has already
       passed is never started, and a task that finishes past its deadline
       has its result discarded; both report {!Timed_out}.  The pool
@@ -59,9 +60,6 @@ type 'b outcome =
       (** Every attempt of the work function raised (the message is the
           last exception), or a crash landed after the restart budget was
           exhausted.  The failure is confined to the task. *)
-
-val outcome_name : _ outcome -> string
-(** ["ok"], ["timeout"], ["failed"]. *)
 
 exception Worker_crash of string
 (** Raising this from the work function kills the worker domain (the

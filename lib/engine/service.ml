@@ -62,9 +62,6 @@ let result_cache t = t.result_cache
 
 let subscribe_standing t f = t.standing_listeners <- f :: t.standing_listeners
 
-let standing_queries t =
-  List.rev_map (fun st -> (st.dataset_name, st.base_id, st.ticks, st.periods)) t.standing
-
 let register t ~name ~grid ?mode ~budget points =
   Registry.register t.registry ~name ~grid ?mode ~budget points
 
@@ -296,7 +293,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           in
           st.resvs <- List.remove_assoc k st.resvs;
           Accountant.commit accountant resv;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.Clock.now_ns () in
           let status =
             job_span tick_spec ~stream:st.st_stream
               ~attrs:(fun () ->
@@ -315,7 +312,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
             in
             execute t dataset rng tick_spec
           in
-          let latency_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+          let latency_ms = Obs.Clock.ms_since t0 in
           (match status with
           | Job.Completed output ->
               Result_cache.store t.result_cache
@@ -370,7 +367,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
   in
   (* --- mutations (coordinator-side, free of charge) --------------------- *)
   let run_mutation i (spec : Job.spec) op =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     let status =
       job_span spec ~stream:i ~attrs:(fun () -> [ ("attempt", Obs.Span.I 1) ]) @@ fun () ->
       match op with
@@ -392,7 +389,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           | epoch -> Job.Completed (Job.Epoch_advanced { epoch; n = Registry.n dataset })
           | exception Invalid_argument msg -> Job.Solver_failed msg)
     in
-    push { Job.spec; status; latency_ms = (Unix.gettimeofday () -. t0) *. 1000.; attempts = 1 };
+    push { Job.spec; status; latency_ms = Obs.Clock.ms_since t0; attempts = 1 };
     match status with Job.Completed _ -> tick_all () | _ -> ()
   in
   (* --- one segment of worker jobs: the original three phases ------------ *)
@@ -475,9 +472,9 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           (* Faults are armed before any randomness is drawn, so an injected
              crash or kill is always a crash *before output*. *)
           Faults.arm faults ~index:stream ~attempt;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.Clock.now_ns () in
           let status = execute t dataset rng spec in
-          (status, (Unix.gettimeofday () -. t0) *. 1000., attempt + 1))
+          (status, Obs.Clock.ms_since t0, attempt + 1))
         tasks
     in
     let by_index = Hashtbl.create (max 1 (Array.length tasks)) in
@@ -664,3 +661,8 @@ let report_json t ~dataset results =
       ("jobs", Obs.Json.List (List.map Job.result_to_json results));
       ("telemetry", Telemetry.to_json t.telemetry);
     ]
+
+module For_testing = struct
+  let standing_queries t =
+    List.rev_map (fun st -> (st.dataset_name, st.base_id, st.ticks, st.periods)) t.standing
+end

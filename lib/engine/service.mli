@@ -138,10 +138,6 @@ val report_json : t -> dataset:Registry.dataset -> Job.result list -> Obs.Json.t
     [cat="budget"] instant per ledger operation ({!Accountant.trace}).  Tracing draws no randomness: batch outputs
     are bit-identical with tracing on or off. *)
 
-val ledger : dataset:Registry.dataset -> (string * Obs.Span.charge) list
-(** The dataset accountant's accepted charges ({!Accountant.entries}),
-    as attribution charges. *)
-
 val attribution : dataset:Registry.dataset -> unit -> Obs.Attribution.report
 (** Reconcile all collected spans against the dataset's ledger; see
     {!Obs.Attribution} for what is checked. *)
@@ -157,10 +153,6 @@ val attribution : dataset:Registry.dataset -> unit -> Obs.Attribution.report
     triggered the epoch transition, as ordinary one-cluster results under
     the tick ids. *)
 
-val standing_queries : t -> (string * string * int * int) list
-(** [(dataset, id, ticks_answered, periods)] for every registered
-    standing query, in registration order. *)
-
 val subscribe_standing : t -> (dataset:string -> line:string -> seed:int -> stream:int -> unit) -> unit
 (** [f] runs synchronously when a standing query is accepted at
     registration; [line] is the {!Job.spec_to_line} rendering and
@@ -175,3 +167,9 @@ val restore_standing :
     (committed ["<id>#<k>"] entries) and pending slices adopted from the
     replayed outstanding reservations; the next tick fires on the first
     epoch transition after the restart. *)
+
+module For_testing : sig
+  val standing_queries : t -> (string * string * int * int) list
+  (** [(dataset, id, ticks_answered, periods)] for every registered
+      standing query, in registration order. *)
+end

@@ -63,16 +63,6 @@ let kinds t =
   Mutex.unlock t.mutex;
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l
 
-let count t ?kind ?status () =
-  List.fold_left
-    (fun acc (k, statuses, (snap : Obs.Hist.snapshot)) ->
-      if kind <> None && kind <> Some k then acc
-      else
-        match status with
-        | None -> acc + snap.count
-        | Some st -> acc + Option.value ~default:0 (List.assoc_opt st statuses))
-    0 (kinds t)
-
 let to_json t =
   let kinds = kinds t in
   Json.Obj
@@ -110,3 +100,15 @@ let pp_summary ppf t =
   | cs ->
       Format.fprintf ppf "counters: %s@."
         (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) cs))
+
+module For_testing = struct
+  let count t ?kind ?status () =
+    List.fold_left
+      (fun acc (k, statuses, (snap : Obs.Hist.snapshot)) ->
+        if kind <> None && kind <> Some k then acc
+        else
+          match status with
+          | None -> acc + snap.count
+          | Some st -> acc + Option.value ~default:0 (List.assoc_opt st statuses))
+      0 (kinds t)
+end

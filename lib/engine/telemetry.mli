@@ -35,9 +35,6 @@ val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** All named counters, sorted by name. *)
 
-val count : t -> ?kind:string -> ?status:string -> unit -> int
-(** Observations matching both filters (absent filter = match all). *)
-
 val kinds : t -> (string * (string * int) list * Obs.Hist.snapshot) list
 (** Thread-safe snapshot, one [(kind, statuses, latency)] row per kind
     sorted by kind; [statuses] is sorted by status name. *)
@@ -48,3 +45,8 @@ val to_json : t -> Obs.Json.t
 
 val pp_summary : Format.formatter -> t -> unit
 (** Compact human summary, one line per kind, latencies in ms. *)
+
+module For_testing : sig
+  val count : t -> ?kind:string -> ?status:string -> unit -> int
+  (** Observations matching both filters (absent filter = match all). *)
+end

@@ -15,32 +15,12 @@ type key = int array
 val make : Prim.Rng.t -> dim:int -> len:float -> t
 (** Independent random phases on every axis, all intervals of length [len]. *)
 
-val of_partitions : Interval.partition array -> t
-
-val dim : t -> int
-val side : t -> int -> float
-(** Interval length on the given axis. *)
-
-val key_of : t -> Vec.t -> key
-(** Box containing a point. *)
-
-val key_of_row : t -> float array -> off:int -> key
-(** Box containing the row at [off] of a flat store (no boxed point is
-    materialized). *)
-
 val row_in_box : t -> float array -> off:int -> key -> bool
 (** [row_in_box t st ~off key] is [key_of_row t st ~off = key], decided
     axis by axis without building the row's key.
     @raise Invalid_argument if [key] has the wrong length. *)
 
-val bounds : t -> key -> (float * float) array
-(** Per-axis [(lo, hi)] of a box. *)
-
 val center : t -> key -> Vec.t
-
-val l2_diameter : t -> float
-(** [√(Σ side²)] — the data-independent diameter used by the privacy
-    analysis of the subsequent averaging step. *)
 
 val occupancy : t -> Vec.t array -> (key * int) list
 (** Non-empty boxes with their counts — the input to the stability
@@ -54,3 +34,24 @@ val occupancy_ps : t -> Pointset.t -> (key * int) list
 (** {!occupancy} over a pointset's flat rows — same cells in the same
     order, without boxing any point.
     @raise Invalid_argument on dimension mismatch. *)
+
+module For_testing : sig
+  val bounds : t -> key -> (float * float) array
+  (** Per-axis [(lo, hi)] of a box. *)
+
+  val key_of : t -> Vec.t -> key
+  (** Box containing a point. *)
+
+  val key_of_row : t -> float array -> off:int -> key
+  (** Box containing the row at [off] of a flat store (no boxed point is
+      materialized). *)
+
+  val l2_diameter : t -> float
+  (** [√(Σ side²)] — the data-independent diameter used by the privacy
+      analysis of the subsequent averaging step. *)
+
+  val of_partitions : Interval.partition array -> t
+
+  val side : t -> int -> float
+  (** Interval length on the given axis. *)
+end

@@ -30,17 +30,6 @@ let snap_row g st ~off =
       let x = Float.max 0. (Float.min 1. x) in
       Float.round (x /. h) *. h)
 
-let mem g v =
-  Vec.dim v = g.dim
-  &&
-  let h = step g in
-  Array.for_all
-    (fun x ->
-      x >= -1e-9
-      && x <= 1. +. 1e-9
-      && Float.abs (x -. (Float.round (x /. h) *. h)) <= 1e-9)
-    v
-
 let random_point g rng =
   let h = step g in
   Array.init g.dim (fun _ -> float_of_int (Prim.Rng.int rng g.axis_size) *. h)
@@ -54,12 +43,6 @@ let radius_candidates g =
 let radius_of_index g i =
   if i < 0 || i >= radius_candidates g then invalid_arg "Grid.radius_of_index: out of range";
   Float.min (float_of_int i /. (2. *. float_of_int g.axis_size)) (max_radius g)
-
-let index_of_radius g r =
-  if r <= 0. then 0
-  else
-    let i = int_of_float (Float.ceil (r *. 2. *. float_of_int g.axis_size)) in
-    min i (radius_candidates g - 1)
 
 let geom_ratio = sqrt 2.
 
@@ -76,8 +59,27 @@ let geometric_radius_of_index g i =
   if i = 0 then 0.
   else Float.min (geom_min g *. (geom_ratio ** float_of_int (i - 1))) (max_radius g)
 
-let geometric_index_of_radius g r =
-  if r <= 0. then 0
-  else
-    let i = 1 + int_of_float (Float.ceil (log (r /. geom_min g) /. log geom_ratio)) in
-    max 1 (min i (geometric_candidates g - 1))
+module For_testing = struct
+  let mem g v =
+    Vec.dim v = g.dim
+    &&
+    let h = step g in
+    Array.for_all
+      (fun x ->
+        x >= -1e-9
+        && x <= 1. +. 1e-9
+        && Float.abs (x -. (Float.round (x /. h) *. h)) <= 1e-9)
+      v
+
+  let index_of_radius g r =
+    if r <= 0. then 0
+    else
+      let i = int_of_float (Float.ceil (r *. 2. *. float_of_int g.axis_size)) in
+      min i (radius_candidates g - 1)
+
+  let geometric_index_of_radius g r =
+    if r <= 0. then 0
+    else
+      let i = 1 + int_of_float (Float.ceil (log (r /. geom_min g) /. log geom_ratio)) in
+      max 1 (min i (geometric_candidates g - 1))
+end

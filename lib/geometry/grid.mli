@@ -32,9 +32,6 @@ val snap_row : t -> float array -> off:int -> Vec.t
 (** {!snap} of the [dim]-length row starting at element [off] of a flat
     store (the only allocation is the returned grid point). *)
 
-val mem : t -> Vec.t -> bool
-(** Is the point exactly on the grid (within 1e-9 of a grid coordinate)? *)
-
 val random_point : t -> Prim.Rng.t -> Vec.t
 (** Uniform grid point. *)
 
@@ -48,9 +45,6 @@ val radius_of_index : t -> int -> float
 (** [radius_of_index g i = i / (2|X|)], with the last index clamped to
     [⌈√d⌉]. *)
 
-val index_of_radius : t -> float -> int
-(** Smallest candidate index whose radius is ≥ the argument. *)
-
 (** {1 Geometric candidate radii}
 
     A coarser candidate set [{0, r_min, r_min·√2, r_min·2, …, ≥ √d}] with
@@ -61,5 +55,14 @@ val index_of_radius : t -> float -> int
 
 val geometric_candidates : t -> int
 val geometric_radius_of_index : t -> int -> float
-val geometric_index_of_radius : t -> float -> int
-(** Smallest geometric candidate index whose radius is ≥ the argument. *)
+
+module For_testing : sig
+  val geometric_index_of_radius : t -> float -> int
+  (** Smallest geometric candidate index whose radius is ≥ the argument. *)
+
+  val index_of_radius : t -> float -> int
+  (** Smallest candidate index whose radius is ≥ the argument. *)
+
+  val mem : t -> Vec.t -> bool
+  (** Is the point exactly on the grid (within 1e-9 of a grid coordinate)? *)
+end

@@ -4,12 +4,7 @@ let make rng ~len =
   if not (len > 0.) then invalid_arg "Interval.make: len must be positive";
   { p_shift = Prim.Rng.float rng len; p_len = len }
 
-let fixed ~shift ~len =
-  if not (len > 0.) then invalid_arg "Interval.fixed: len must be positive";
-  { p_shift = shift; p_len = len }
-
 let len p = p.p_len
-let shift p = p.p_shift
 let index_of p x = int_of_float (Float.floor ((x -. p.p_shift) /. p.p_len))
 
 let bounds p j =
@@ -22,11 +17,18 @@ let extend p j ~by =
 
 type t = { lo : float; hi : float }
 
-let contains i x = i.lo <= x && x <= i.hi
-let length i = i.hi -. i.lo
-let center i = 0.5 *. (i.lo +. i.hi)
-let of_center ~center ~radius = { lo = center -. radius; hi = center +. radius }
-
 let intersect a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if lo <= hi then Some { lo; hi } else None
+
+module For_testing = struct
+  let fixed ~shift ~len =
+    if not (len > 0.) then invalid_arg "Interval.fixed: len must be positive";
+    { p_shift = shift; p_len = len }
+
+  let shift p = p.p_shift
+  let contains i x = i.lo <= x && x <= i.hi
+  let length i = i.hi -. i.lo
+  let center i = 0.5 *. (i.lo +. i.hi)
+  let of_center ~center ~radius = { lo = center -. radius; hi = center +. radius }
+end

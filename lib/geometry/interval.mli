@@ -14,11 +14,7 @@ val make : Prim.Rng.t -> len:float -> partition
 (** Random phase uniform in [\[0, len)].  @raise Invalid_argument unless
     [len > 0]. *)
 
-val fixed : shift:float -> len:float -> partition
-(** Deterministic partition (tests, baselines). *)
-
 val len : partition -> float
-val shift : partition -> float
 
 val index_of : partition -> float -> int
 (** Interval index containing the given coordinate. *)
@@ -35,8 +31,16 @@ val extend : partition -> int -> by:float -> float * float
 
 type t = { lo : float; hi : float }
 
-val contains : t -> float -> bool
-val length : t -> float
-val center : t -> float
-val of_center : center:float -> radius:float -> t
 val intersect : t -> t -> t option
+
+module For_testing : sig
+  val center : t -> float
+  val contains : t -> float -> bool
+
+  val fixed : shift:float -> len:float -> partition
+  (** Deterministic partition (tests, baselines). *)
+
+  val length : t -> float
+  val of_center : center:float -> radius:float -> t
+  val shift : partition -> float
+end

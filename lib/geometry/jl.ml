@@ -15,9 +15,6 @@ let make rng ~input_dim ~output_dim =
   done;
   { mat; input_dim; output_dim; scale = 1. /. sqrt (float_of_int output_dim) }
 
-let input_dim t = t.input_dim
-let output_dim t = t.output_dim
-
 let apply t v =
   if Vec.dim v <> t.input_dim then invalid_arg "Jl.apply: dimension mismatch";
   Array.init t.output_dim (fun r ->
@@ -34,14 +31,19 @@ let project t ps =
     ~scale:t.scale ~out;
   Pointset.of_storage ~dim:t.output_dim out
 
-let target_dim ~n ~eta ~beta =
-  if n <= 0 then invalid_arg "Jl.target_dim: n must be positive";
-  if not (eta > 0. && eta < 1.) then invalid_arg "Jl.target_dim: eta in (0, 1)";
-  if not (beta > 0. && beta < 1.) then invalid_arg "Jl.target_dim: beta in (0, 1)";
-  let nf = float_of_int n in
-  int_of_float (Float.ceil (8. /. (eta *. eta) *. log (2. *. nf *. nf /. beta)))
-
 let paper_dim ~n ~beta =
   if n <= 0 then invalid_arg "Jl.paper_dim: n must be positive";
   if not (beta > 0. && beta < 1.) then invalid_arg "Jl.paper_dim: beta in (0, 1)";
   max 1 (int_of_float (Float.ceil (46. *. log (2. *. float_of_int n /. beta))))
+
+module For_testing = struct
+  let input_dim t = t.input_dim
+  let output_dim t = t.output_dim
+
+  let target_dim ~n ~eta ~beta =
+    if n <= 0 then invalid_arg "Jl.target_dim: n must be positive";
+    if not (eta > 0. && eta < 1.) then invalid_arg "Jl.target_dim: eta in (0, 1)";
+    if not (beta > 0. && beta < 1.) then invalid_arg "Jl.target_dim: beta in (0, 1)";
+    let nf = float_of_int n in
+    int_of_float (Float.ceil (8. /. (eta *. eta) *. log (2. *. nf *. nf /. beta)))
+end

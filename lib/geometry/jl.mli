@@ -11,9 +11,6 @@ type t
 
 val make : Prim.Rng.t -> input_dim:int -> output_dim:int -> t
 
-val input_dim : t -> int
-val output_dim : t -> int
-
 val apply : t -> Vec.t -> Vec.t
 val apply_all : t -> Vec.t array -> Vec.t array
 
@@ -22,9 +19,14 @@ val project : t -> Pointset.t -> Pointset.t
     storage (row [i] of the result is [apply t] of point [i], bit for
     bit, but without boxing any intermediate vector). *)
 
-val target_dim : n:int -> eta:float -> beta:float -> int
-(** The smallest [k] the lemma licenses: [⌈(8/η²)·ln(2n²/β)⌉]. *)
-
 val paper_dim : n:int -> beta:float -> int
 (** GoodCenter's choice [k = ⌈46·ln(2n/β)⌉] (Algorithm 2 step 1), which
     instantiates the lemma at [η = 1/2]. *)
+
+module For_testing : sig
+  val input_dim : t -> int
+  val output_dim : t -> int
+
+  val target_dim : n:int -> eta:float -> beta:float -> int
+  (** The smallest [k] the lemma licenses: [⌈(8/η²)·ln(2n²/β)⌉]. *)
+end

@@ -106,20 +106,6 @@ let build_flat ~storage ~offs ~dim () =
   let idx = Array.copy offs and pos = Array.init n Fun.id in
   { st = storage; idx; pos; root = build_node storage dim idx pos 0 (n - 1); size = n; dim }
 
-let build points =
-  let n = Array.length points in
-  if n = 0 then invalid_arg "Kdtree.build: empty";
-  let d = Vec.dim points.(0) in
-  Array.iter
-    (fun p -> if Vec.dim p <> d then invalid_arg "Kdtree.build: mixed dimensions")
-    points;
-  let storage = Array.make (n * d) 0. in
-  Array.iteri (fun i p -> Vec.set_row storage ~off:(i * d) p) points;
-  build_flat ~storage ~offs:(Array.init n (fun i -> i * d)) ~dim:d ()
-
-let size t = t.size
-let dim t = t.dim
-
 let leaves t =
   let starts = ref [ t.size ] in
   let rec walk = function
@@ -199,3 +185,19 @@ let rec count_node_row t node cst coff r2 =
       else count_node_row t left cst coff r2 + count_node_row t right cst coff r2
 
 let count_within_row t cst ~off ~radius = count_node_row t t.root cst off (Vec.ball_r2 radius)
+
+module For_testing = struct
+  let build points =
+    let n = Array.length points in
+    if n = 0 then invalid_arg "Kdtree.build: empty";
+    let d = Vec.dim points.(0) in
+    Array.iter
+      (fun p -> if Vec.dim p <> d then invalid_arg "Kdtree.build: mixed dimensions")
+      points;
+    let storage = Array.make (n * d) 0. in
+    Array.iteri (fun i p -> Vec.set_row storage ~off:(i * d) p) points;
+    build_flat ~storage ~offs:(Array.init n (fun i -> i * d)) ~dim:d ()
+
+  let size t = t.size
+  let dim t = t.dim
+end

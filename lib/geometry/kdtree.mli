@@ -22,26 +22,18 @@
 
 type t
 
-val build : Vec.t array -> t
-(** O(n log n) construction (median splits along the widest axis); packs
-    the boxed input into fresh flat storage first.
-    @raise Invalid_argument on an empty array or mixed dimensions. *)
-
 val build_flat : storage:float array -> offs:int array -> dim:int -> unit -> t
 (** Zero-copy construction over existing flat storage: [offs.(i)] is the
     element offset of point [i]'s row.  [offs] is copied (the build permutes
     it); [storage] is shared.
     @raise Invalid_argument on empty [offs]. *)
 
-val size : t -> int
-val dim : t -> int
-
 val leaves : t -> int array * int array
 (** [(rows, starts)]: every stored row, leaf by leaf from left to right,
     as its position in the build's input ([offs] for {!build_flat}, the
-    points for {!build}); leaf [l] holds [rows.(starts.(l))] up to
+    points for {!For_testing.build}); leaf [l] holds [rows.(starts.(l))] up to
     [rows.(starts.(l + 1) - 1)], and the last entry of [starts] is
-    {!size}.  A leaf holds at most 64 rows, or rows that are all equal;
+    {!For_testing.size}.  A leaf holds at most 64 rows, or rows that are all equal;
     each is a cell of the tree's median splits, so the order is spatial.
     {!Pointset.score_l_many} cuts its pair sweep into blocks along it. *)
 
@@ -53,3 +45,12 @@ val count_within_row : t -> float array -> off:int -> radius:float -> int
 (** Same, with the center given as a row of a flat store (allocation-free;
     the store may be the tree's own backing storage). *)
 
+module For_testing : sig
+  val build : Vec.t array -> t
+  (** O(n log n) construction (median splits along the widest axis); packs
+      the boxed input into fresh flat storage first.
+      @raise Invalid_argument on an empty array or mixed dimensions. *)
+
+  val dim : t -> int
+  val size : t -> int
+end

@@ -128,3 +128,8 @@ let unflatten ~d v =
   let len = Array.length v in
   if d < 1 || len mod d <> 0 then invalid_arg "Kmeans.unflatten: length not a multiple of d";
   Array.init (len / d) (fun i -> Array.sub v (i * d) d)
+
+module For_testing = struct
+  let canonical_order = canonical_order
+  let inertia = inertia
+end

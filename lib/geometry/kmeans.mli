@@ -6,7 +6,7 @@
     routine, and {!Privcluster.Kmeans_sa} is the compilation.  It is also a
     convenient non-private reference for clustering experiments.
 
-    Outputs are returned in {!canonical_order} so that independent runs on
+    Outputs are returned in {!For_testing.canonical_order} so that independent runs on
     similar data produce {e comparable} center lists — the property
     sample-and-aggregate needs, since its stability definition (6.1)
     compares outputs as points of R^{k·d}. *)
@@ -27,15 +27,17 @@ val lloyd :
 val assign : Vec.t array -> Vec.t -> int
 (** Index of the nearest center. *)
 
-val inertia : centers:Vec.t array -> Vec.t array -> float
-
-val canonical_order : Vec.t array -> Vec.t array
-(** Lexicographic order on coordinates — a permutation-invariant
-    normal form for center lists. *)
-
 val flatten : Vec.t array -> Vec.t
 (** Concatenate [k] centers into one R^{k·d} point (the SA output space). *)
 
 val unflatten : d:int -> Vec.t -> Vec.t array
 (** Inverse of {!flatten}.  @raise Invalid_argument if the length is not a
     multiple of [d]. *)
+
+module For_testing : sig
+  val canonical_order : Vec.t array -> Vec.t array
+  (** Lexicographic order on coordinates — a permutation-invariant
+      normal form for center lists. *)
+
+  val inertia : centers:Vec.t array -> Vec.t array -> float
+end

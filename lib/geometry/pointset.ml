@@ -48,8 +48,6 @@ let coords_axis t axis =
   if axis < 0 || axis >= t.dim then invalid_arg "Pointset.coords_axis: axis out of range";
   Array.map (fun off -> t.st.(off + axis)) t.offs
 
-let map_points f t = create (Array.map f (points t))
-
 let subset t ~indices = { t with offs = Array.map (fun i -> t.offs.(i)) indices }
 
 let filter_rows pred t =
@@ -64,8 +62,6 @@ let filter_rows pred t =
   List.iteri (fun j off -> offs.(j) <- off) !keep;
   { t with offs }
 
-let filter pred t = filter_rows (fun st off -> pred (Vec.of_row st ~off ~dim:t.dim)) t
-
 (* Every ball below counts [sqrt acc <= radius] through [Vec.ball_r2] —
    the k-d tree's predicate too — so a count never depends on how it was
    computed. *)
@@ -75,39 +71,10 @@ let ball_count t ~center ~radius =
   Kernel.count_within ~st:t.st ~offs:t.offs ~lo:0 ~hi:(n t - 1) ~q:center ~qoff:0
     ~dim:t.dim ~r2
 
-let ball_points t ~center ~radius =
-  let r2 = Vec.ball_r2 radius in
-  points (filter_rows (fun st off -> Vec.dist_sq_to_row st ~off ~dim:t.dim center <= r2) t)
-
 let capped_ball_count t ~cap ~center ~radius = min cap (ball_count t ~center ~radius)
-
-let top_average counts ~k =
-  let len = Array.length counts in
-  if k <= 0 || k > len then invalid_arg "Pointset.top_average: bad k";
-  let sorted = Array.copy counts in
-  Array.sort (fun a b -> Float.compare b a) sorted;
-  let acc = ref 0. in
-  for i = 0 to k - 1 do
-    acc := !acc +. sorted.(i)
-  done;
-  !acc /. float_of_int k
 
 (* A cap below 1 has no top-[cap] average (k = 0). *)
 let check_cap fn cap = if cap < 1 then invalid_arg (Printf.sprintf "Pointset.%s: cap must be >= 1" fn)
-
-let score_l_direct t ~cap ~radius =
-  check_cap "score_l_direct" cap;
-  if radius < 0. then 0.
-  else begin
-    let r2 = Vec.ball_r2 radius in
-    let count = n t in
-    let counts =
-      Array.init count (fun i ->
-          Kernel.count_within ~st:t.st ~offs:t.offs ~lo:0 ~hi:(count - 1) ~q:t.st
-            ~qoff:t.offs.(i) ~dim:t.dim ~r2)
-    in
-    Kernel.top_avg_capped ~counts ~off:0 ~len:count ~cap ~k:(min cap count)
-  end
 
 (* A resumable candidate sweep over one ascending grid of non-negative
    radii ([key]).  The distinct points' rows are gathered into [rows]
@@ -184,8 +151,6 @@ let group_rows ps =
       | None ->
           H.add first i i;
           i)
-
-let is_representative idx i = idx.reps.(i) = i
 
 let build_index ps =
   {
@@ -299,13 +264,6 @@ let layout idx =
     done
   done;
   (distinct, starts, rows, bounds)
-
-let block_pair_bounds idx =
-  let distinct, starts, _, bounds = layout idx in
-  let nb = Array.length starts - 1 in
-  ( Array.init nb (fun b -> Array.sub distinct starts.(b) (starts.(b + 1) - starts.(b))),
-    Array.concat
-      (List.init nb (fun p -> Array.init (nb - p) (fun k -> (p, p + k, bounds.((p * nb) + p + k))))) )
 
 (* A sweep over [key] (ascending, non-negative, NaN-free) with nothing
    paired yet: the block pairs counting-sorted by the bucket of their
@@ -422,9 +380,6 @@ let memo_exact idx ~radii =
       match idx.memo.sweep with
       | Some sw when Array.length key > 0 && sw.key = key -> sw.exact
       | _ -> 0)
-
-(* Every call that memoizes a sweep advances it to at least one column. *)
-let memo_holds idx ~radii = memo_exact idx ~radii > 0
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
    over [radii] but pairing each point pair at most once for all radii.
@@ -560,8 +515,6 @@ let kth_candidates idx ~k =
         let base = !j * count in
         collect (fun i -> counts.(base + i) >= k)
 
-let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
-
 (* Pruned but exact: a candidate is evaluated only if its ball of
    radius [Float.pred best] already holds k points, that is, only if its
    k-th distance is strictly below the running best.  The count and the
@@ -588,3 +541,55 @@ let min_kth_neighbor_distance idx ~k =
       end)
     (kth_candidates idx ~k);
   (!best_i, !best)
+
+module For_testing = struct
+  let map_points f t = create (Array.map f (points t))
+  let filter pred t = filter_rows (fun st off -> pred (Vec.of_row st ~off ~dim:t.dim)) t
+
+  let ball_points t ~center ~radius =
+    let r2 = Vec.ball_r2 radius in
+    points (filter_rows (fun st off -> Vec.dist_sq_to_row st ~off ~dim:t.dim center <= r2) t)
+
+  let top_average counts ~k =
+    let len = Array.length counts in
+    if k <= 0 || k > len then invalid_arg "Pointset.top_average: bad k";
+    let sorted = Array.copy counts in
+    Array.sort (fun a b -> Float.compare b a) sorted;
+    let acc = ref 0. in
+    for i = 0 to k - 1 do
+      acc := !acc +. sorted.(i)
+    done;
+    !acc /. float_of_int k
+
+  let score_l_direct t ~cap ~radius =
+    check_cap "score_l_direct" cap;
+    if radius < 0. then 0.
+    else begin
+      let r2 = Vec.ball_r2 radius in
+      let count = n t in
+      let counts =
+        Array.init count (fun i ->
+            Kernel.count_within ~st:t.st ~offs:t.offs ~lo:0 ~hi:(count - 1) ~q:t.st
+              ~qoff:t.offs.(i) ~dim:t.dim ~r2)
+      in
+      Kernel.top_avg_capped ~counts ~off:0 ~len:count ~cap ~k:(min cap count)
+    end
+
+  let is_representative idx i = idx.reps.(i) = i
+
+  let block_pair_bounds idx =
+    let distinct, starts, _, bounds = layout idx in
+    let nb = Array.length starts - 1 in
+    ( Array.init nb (fun b -> Array.sub distinct starts.(b) (starts.(b + 1) - starts.(b))),
+      Array.concat
+        (List.init nb (fun p -> Array.init (nb - p) (fun k -> (p, p + k, bounds.((p * nb) + p + k))))) )
+
+  (* Every call that memoizes a sweep advances it to at least one column. *)
+  let memo_holds idx ~radii = memo_exact idx ~radii > 0
+
+  let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
+
+  let holds_at_least = holds_at_least
+  let memo_exact = memo_exact
+  let points = points
+end

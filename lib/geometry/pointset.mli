@@ -15,10 +15,10 @@
     both facts are property-tested in [test/test_pointset.ml].
 
     {b Memory layout.}  A pointset owns a single row-major [float array] of
-    length n·d; point [i] is the row at {!row_offset}[ t i].  {!subset} and
-    {!filter} return index {e views} sharing that storage; {!point} and
-    {!points} return fresh copies, so callers can never mutate the backing
-    store through them.  The raw store is reachable via {!storage} /
+    length n·d; point [i] is the row at {!row_offset}[ t i].  {!subset}
+    returns an index {e view} sharing that storage; {!point} returns a
+    fresh copy, so callers can never mutate the backing store through
+    it.  The raw store is reachable via {!storage} /
     {!row_offsets} for flat-path kernels (k-d tree, JL, SEB, NoisyAVG) and
     is read-only by contract — see DESIGN.md, "Memory layout".
 
@@ -31,13 +31,14 @@
     ({!score_l_many}).  The count columns it has made final later narrow
     the [r_opt] scan ({!min_kth_neighbor_distance}), so an epoch's first
     use pays at most one pass over the pairs.  Points with bit-identical
-    coordinates ({!is_representative}) share one count-matrix column:
-    every per-row query and the pair pass run once per distinct point.
+    coordinates ({!For_testing.is_representative}) share one
+    count-matrix column: every per-row query and the pair pass run once
+    per distinct point.
 
     {b One ball predicate.}  Every count here — {!ball_count},
-    {!score_l_direct} and every indexed query — includes a point when
-    [sqrt acc <= radius] for its computed squared distance [acc], tested
-    as [acc <= Vec.ball_r2 radius].  {!kth_neighbor_distance} returns a
+    {!For_testing.score_l_direct} and every indexed query — includes a
+    point when [sqrt acc <= radius] for its computed squared distance
+    [acc], tested as [acc <= Vec.ball_r2 radius].  {!kth_neighbor_distance} returns a
     value of the same [sqrt acc], so "at least [k] points within [r]"
     holds exactly when the [k]-th neighbour distance is at most [r]
     ({!min_kth_neighbor_distance} relies on it). *)
@@ -70,10 +71,6 @@ val dim : t -> int
 val point : t -> int -> Vec.t
 (** A fresh copy of point [i]. *)
 
-val points : t -> Vec.t array
-(** Fresh copies of all points (O(n·d) allocation; mutating the result
-    never affects the pointset). *)
-
 val storage : t -> float array
 (** The shared backing store — read-only by contract.  Row [i] of this
     pointset starts at [row_offset t i]; a view's rows need not be
@@ -88,14 +85,6 @@ val coords_axis : t -> int -> float array
 (** Coordinate [axis] of every point, in point order (one flat pass).
     @raise Invalid_argument if the axis is out of range. *)
 
-val map_points : (Vec.t -> Vec.t) -> t -> t
-(** Applies [f] to a copy of each point and packs the results into a new
-    pointset (fresh storage). *)
-
-val filter : (Vec.t -> bool) -> t -> t
-(** Index view of the points satisfying the predicate (which receives a
-    fresh copy per point); shares storage, may be empty. *)
-
 val filter_rows : (float array -> int -> bool) -> t -> t
 (** Allocation-free filter: the predicate receives [(storage, offset)]. *)
 
@@ -105,23 +94,15 @@ val subset : t -> indices:int array -> t
 val ball_count : t -> center:Vec.t -> radius:float -> int
 (** [B_r(center, S)] — one flat O(n·d) pass, no allocation. *)
 
-val ball_points : t -> center:Vec.t -> radius:float -> Vec.t array
-(** Fresh copies of the points realizing {!ball_count}. *)
-
 val capped_ball_count : t -> cap:int -> center:Vec.t -> radius:float -> int
 (** [B̄_r]. *)
-
-val score_l_direct : t -> cap:int -> radius:float -> float
-(** [L(radius, S)] computed by brute force (O(n²·d)); reference
-    implementation used by tests and fine for small inputs.
-    @raise Invalid_argument if [cap < 1]. *)
 
 (** {1 Indexed evaluation} *)
 
 type index
 (** A k-d tree over the pointset's rows (sharing its storage, zero copy),
-    the row grouping of {!is_representative}, and a one-entry memo of the
-    sweep behind {!score_l_many}.  Its count matrix (points × non-negative
+    the row grouping of {!For_testing.is_representative}, and a one-entry
+    memo of the sweep behind {!score_l_many}.  Its count matrix (points × non-negative
     candidate radii, at most about 4 M counts) is a deterministic
     function of the index's rows and the radii — never of the cap, ε or a
     seed — so sharing it across jobs changes no result.  Memory: the
@@ -138,7 +119,8 @@ val build_index : t -> index
 (** O(n log n) construction over the pointset's storage: median splits
     along the widest axis, serial (at the sizes callers build, a second
     domain saved under 1 ms; PERFORMANCE.md §4), and the row grouping of
-    {!is_representative}.  Memory is O(n), at every n and d. *)
+    {!For_testing.is_representative}.  Memory is O(n), at every n and
+    d. *)
 
 val auto_index : ?domains:int -> t -> index
 (** {!build_index}; [domains] is ignored.  Kept only because the
@@ -200,36 +182,6 @@ val fill_counts : index -> radii:float array -> int array
     at worst for m distinct points; bypasses the memo (exposed for
     tests). *)
 
-val block_pair_bounds : index -> int array array * (int * int * float) array
-(** The sweep's blocks, each as the rows it holds, and every block pair
-    [(p, q, bound)], [p <= q]: [bound] is at most the squared distance
-    {!Kernel.pair_hist_blocks} computes for any row of block [p] paired
-    with any row of block [q] (exposed for tests). *)
-
-val memo_holds : index -> radii:float array -> bool
-(** Whether {!score_l_many} over the ascending [radii] would resume the
-    memoized sweep (exposed for tests). *)
-
-val memo_exact : index -> radii:float array -> int
-(** How many of the leading non-negative [radii] have final counts in
-    the memoized sweep: 0 when the memo holds another grid or none, the
-    number of non-negative radii once it is fully advanced (exposed for
-    tests). *)
-
-val is_representative : index -> int -> bool
-(** [is_representative idx i] — whether row [i] is the first row whose
-    coordinates are bit-identical to its own ([Int64.bits_of_float] of
-    every coordinate, so [0.0] and [-0.0] are distinct).  The
-    representatives are the index's distinct points; the grouping is
-    computed once, when the index is built. *)
-
-val holds_at_least : index -> radius:float -> k:int -> int -> bool
-(** [holds_at_least idx ~radius ~k i] — whether at least [k] input points
-    lie within [radius] of point [i] (inclusive), i.e.
-    [(counts_within idx ~radius).(i) >= k] for one point, one tree query.
-    Monotone in [radius]; true exactly when
-    [kth_neighbor_distance idx ~k i <= radius].  [k] must be in [1, n]. *)
-
 val kth_neighbor_distance : index -> k:int -> int -> float
 (** [kth_neighbor_distance idx ~k i] — distance from point [i] to its
     [k]-th nearest input point, counting the point itself as the 1st
@@ -253,17 +205,69 @@ val min_kth_neighbor_distance : index -> k:int -> int * float
     [Mutex.try_lock], so a caller holding a lock never waits on a
     sweep), or when no point reaches [k] at the last final radius, every
     distinct point is.  Each candidate is probed with
-    {!holds_at_least} just below the running best ([Float.pred], or
-    [infinity] for the first probe) and evaluated exactly only when it
+    {!For_testing.holds_at_least} just below the running best
+    ([Float.pred], or [infinity] for the first probe) and evaluated exactly only when it
     holds, so a candidate that can at most tie the best costs one count.
     This is the scan behind {!Seb.two_approx_indexed}.
     @raise Invalid_argument if [k] is not in [1, n]. *)
 
-val kth_candidate_count : index -> k:int -> int
-(** How many distinct points {!min_kth_neighbor_distance} would probe
-    right now (exposed for tests: below the number of distinct points
-    only when the memo narrowed the scan). *)
+module For_testing : sig
+  val ball_points : t -> center:Vec.t -> radius:float -> Vec.t array
+  (** Fresh copies of the points realizing {!ball_count}. *)
 
-val top_average : float array -> k:int -> float
-(** Mean of the [k] largest entries (used by {!score_l}; exposed for tests).
-    @raise Invalid_argument if [k <= 0] or [k] exceeds the length. *)
+  val block_pair_bounds : index -> int array array * (int * int * float) array
+  (** The sweep's blocks, each as the rows it holds, and every block pair
+      [(p, q, bound)], [p <= q]: [bound] is at most the squared distance
+      {!Kernel.pair_hist_blocks} computes for any row of block [p] paired
+      with any row of block [q]. *)
+
+  val filter : (Vec.t -> bool) -> t -> t
+  (** Index view of the points satisfying the predicate (which receives a
+      fresh copy per point); shares storage, may be empty. *)
+
+  val holds_at_least : index -> radius:float -> k:int -> int -> bool
+  (** [holds_at_least idx ~radius ~k i] — whether at least [k] input points
+      lie within [radius] of point [i] (inclusive), i.e.
+      [(counts_within idx ~radius).(i) >= k] for one point, one tree query.
+      Monotone in [radius]; true exactly when
+      [kth_neighbor_distance idx ~k i <= radius].  [k] must be in [1, n]. *)
+
+  val is_representative : index -> int -> bool
+  (** [is_representative idx i] — whether row [i] is the first row whose
+      coordinates are bit-identical to its own ([Int64.bits_of_float] of
+      every coordinate, so [0.0] and [-0.0] are distinct).  The
+      representatives are the index's distinct points; the grouping is
+      computed once, when the index is built. *)
+
+  val kth_candidate_count : index -> k:int -> int
+  (** How many distinct points {!min_kth_neighbor_distance} would probe
+      right now: below the number of distinct points only when the memo
+      narrowed the scan. *)
+
+  val map_points : (Vec.t -> Vec.t) -> t -> t
+  (** Applies [f] to a copy of each point and packs the results into a new
+      pointset (fresh storage). *)
+
+  val memo_exact : index -> radii:float array -> int
+  (** How many of the leading non-negative [radii] have final counts in
+      the memoized sweep: 0 when the memo holds another grid or none, the
+      number of non-negative radii once it is fully advanced. *)
+
+  val memo_holds : index -> radii:float array -> bool
+  (** Whether {!score_l_many} over the ascending [radii] would resume the
+      memoized sweep. *)
+
+  val points : t -> Vec.t array
+  (** Fresh copies of all points (O(n·d) allocation; mutating the result
+      never affects the pointset). *)
+
+  val score_l_direct : t -> cap:int -> radius:float -> float
+  (** [L(radius, S)] computed by brute force (O(n²·d)); reference
+      implementation used by tests and fine for small inputs.
+      @raise Invalid_argument if [cap < 1]. *)
+
+  val top_average : float array -> k:int -> float
+  (** Mean of the [k] largest entries (the tests' oracle for
+      {!Kernel.top_avg_capped}).
+      @raise Invalid_argument if [k <= 0] or [k] exceeds the length. *)
+end

@@ -26,20 +26,8 @@ let make rng ~dim =
   done;
   { basis; d = dim }
 
-let identity ~dim =
-  if dim <= 0 then invalid_arg "Rotation.identity: dim must be positive";
-  let basis = Array.make (dim * dim) 0. in
-  for i = 0 to dim - 1 do
-    basis.((i * dim) + i) <- 1.
-  done;
-  { basis; d = dim }
-
-let dim t = t.d
-let basis_vector t i = Vec.of_row t.basis ~off:(i * t.d) ~dim:t.d
 let project t v i = Vec.dot_row t.basis ~off:(i * t.d) ~dim:t.d v
 let project_row t st ~off i = Vec.dot_rows t.basis (i * t.d) st off ~dim:t.d
-let to_coords t v = Array.init t.d (fun i -> project t v i)
-
 let from_coords t c =
   if Array.length c <> t.d then invalid_arg "Rotation.from_coords: dimension mismatch";
   let acc = Vec.zero t.d in
@@ -51,3 +39,16 @@ let projection_bound ~dim ~n_points ~beta =
   if not (beta > 0. && beta < 1.) then invalid_arg "Rotation.projection_bound: beta in (0, 1)";
   let d = float_of_int dim in
   2. *. sqrt (log (d *. float_of_int n_points /. beta) /. d)
+
+module For_testing = struct
+  let identity ~dim =
+    if dim <= 0 then invalid_arg "Rotation.identity: dim must be positive";
+    let basis = Array.make (dim * dim) 0. in
+    for i = 0 to dim - 1 do
+      basis.((i * dim) + i) <- 1.
+    done;
+    { basis; d = dim }
+
+  let basis_vector t i = Vec.of_row t.basis ~off:(i * t.d) ~dim:t.d
+  let to_coords t v = Array.init t.d (fun i -> project t v i)
+end

@@ -10,11 +10,6 @@
 type t
 
 val make : Prim.Rng.t -> dim:int -> t
-val identity : dim:int -> t
-(** The standard basis (deterministic; used by tests and ablations). *)
-
-val dim : t -> int
-val basis_vector : t -> int -> Vec.t
 
 val project : t -> Vec.t -> int -> float
 (** [project t v i = ⟨v, z_i⟩]. *)
@@ -23,12 +18,19 @@ val project_row : t -> float array -> off:int -> int -> float
 (** Same, with the point given as a row of a flat store (allocation-free):
     [project_row t st ~off i = ⟨st.(off..off+d-1), z_i⟩]. *)
 
-val to_coords : t -> Vec.t -> Vec.t
-(** All [d] projections — the coordinates of [v] in the rotated frame. *)
-
 val from_coords : t -> Vec.t -> Vec.t
 (** Inverse: [Σ c_i · z_i]. *)
 
 val projection_bound : dim:int -> n_points:int -> beta:float -> float
 (** The factor [2·√(ln(d·n/β)/d)] of Lemma 4.9: with probability ≥ 1 − β,
     [|⟨x − y, z_i⟩| ≤ bound · ‖x − y‖₂] for all pairs and all axes. *)
+
+module For_testing : sig
+  val basis_vector : t -> int -> Vec.t
+
+  val identity : dim:int -> t
+  (** The standard basis (deterministic). *)
+
+  val to_coords : t -> Vec.t -> Vec.t
+  (** All [d] projections — the coordinates of [v] in the rotated frame. *)
+end

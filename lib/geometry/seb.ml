@@ -2,9 +2,6 @@ type ball = { center : Vec.t; radius : float }
 
 let contains b p = Vec.dist p b.center <= b.radius +. 1e-12
 
-let count_inside b points =
-  Array.fold_left (fun acc p -> if contains b p then acc + 1 else acc) 0 points
-
 let exact_1d coords ~t =
   let n = Array.length coords in
   if t < 1 || t > n then invalid_arg "Seb.exact_1d: t must be in [1, n]";
@@ -41,20 +38,6 @@ let farthest_from points c =
       end)
     points;
   !best
-
-let min_enclosing_ball ?(iterations = 100) points =
-  if Array.length points = 0 then invalid_arg "Seb.min_enclosing_ball: empty";
-  let c = Vec.copy points.(0) in
-  for i = 1 to iterations do
-    let p = points.(farthest_from points c) in
-    (* c <- c + (p - c)/(i+1) *)
-    let step = 1. /. float_of_int (i + 1) in
-    for j = 0 to Array.length c - 1 do
-      c.(j) <- c.(j) +. (step *. (p.(j) -. c.(j)))
-    done
-  done;
-  let r = Vec.dist points.(farthest_from points c) c in
-  { center = c; radius = r }
 
 (* Flat Bădoiu–Clarkson over the rows listed in [offs]; same iteration as
    [min_enclosing_ball] without materializing any point. *)
@@ -98,3 +81,22 @@ let t_ball_heuristic ?(iterations = 8) ?start ps ~t =
     c := meb.center
   done;
   !best
+
+module For_testing = struct
+  let count_inside b points =
+    Array.fold_left (fun acc p -> if contains b p then acc + 1 else acc) 0 points
+
+  let min_enclosing_ball ?(iterations = 100) points =
+    if Array.length points = 0 then invalid_arg "Seb.min_enclosing_ball: empty";
+    let c = Vec.copy points.(0) in
+    for i = 1 to iterations do
+      let p = points.(farthest_from points c) in
+      (* c <- c + (p - c)/(i+1) *)
+      let step = 1. /. float_of_int (i + 1) in
+      for j = 0 to Array.length c - 1 do
+        c.(j) <- c.(j) +. (step *. (p.(j) -. c.(j)))
+      done
+    done;
+    let r = Vec.dist points.(farthest_from points c) c in
+    { center = c; radius = r }
+end

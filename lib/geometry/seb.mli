@@ -14,9 +14,6 @@
 
 type ball = { center : Vec.t; radius : float }
 
-val contains : ball -> Vec.t -> bool
-val count_inside : ball -> Vec.t array -> int
-
 val exact_1d : float array -> t:int -> ball
 (** Smallest interval (as a 1-D ball) containing [t] of the coordinates.
     O(n log n).  @raise Invalid_argument if [t] is not in [1, n]. *)
@@ -30,8 +27,8 @@ val two_approx : Pointset.t -> t:int -> ball
 val two_approx_indexed : Pointset.index -> t:int -> ball
 (** Same via a prebuilt index: {!Pointset.min_kth_neighbor_distance}, the
     pruned scan.  A point's [t]-th neighbor distance is computed only when
-    it is a distinct point ({!Pointset.is_representative}) that can hold
-    the minimum and {!Pointset.holds_at_least} says the ball of the
+    it is a distinct point ({!Pointset.For_testing.is_representative}) that can hold
+    the minimum and {!Pointset.For_testing.holds_at_least} says the ball of the
     running best radius around it holds [t] points.  When the index
     memoizes a sweep with final count columns (GoodRadius ran on it),
     they narrow the distinct points to those in the lowest radius bracket
@@ -43,15 +40,19 @@ val two_approx_indexed : Pointset.index -> t:int -> ball
     running best: each improvement of the minimum, and each tie with it.
     @raise Invalid_argument if [t] is not in [1, n]. *)
 
-val min_enclosing_ball : ?iterations:int -> Vec.t array -> ball
-(** Bădoiu–Clarkson: after [k] iterations the radius is within a factor
-    [1 + O(1/√k)] of the minimum enclosing ball of all the points (default
-    100 iterations).  @raise Invalid_argument on an empty array. *)
-
 val t_ball_heuristic : ?iterations:int -> ?start:ball -> Pointset.t -> t:int -> ball
 (** Best-effort reference for [r_opt]: start from [start] (by default
     {!two_approx}; a caller that already holds it passes it), then
     alternate (a) keep the [t] points nearest the current center and
-    (b) recenter with {!min_enclosing_ball} on them.  Radius never exceeds
+    (b) recenter with {!For_testing.min_enclosing_ball} on them.  Radius never exceeds
     the 2-approximation; experiments use it as the non-private [r_opt]
     estimate (together with the planted radius when the workload knows it). *)
+
+module For_testing : sig
+  val count_inside : ball -> Vec.t array -> int
+
+  val min_enclosing_ball : ?iterations:int -> Vec.t array -> ball
+  (** Bădoiu–Clarkson: after [k] iterations the radius is within a factor
+      [1 + O(1/√k)] of the minimum enclosing ball of all the points (default
+      100 iterations).  @raise Invalid_argument on an empty array. *)
+end

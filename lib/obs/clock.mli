@@ -10,3 +10,6 @@ val now_ns : unit -> int64
 
 val ns_to_ms : int64 -> float
 val ns_to_us : int64 -> float
+
+val ms_since : int64 -> float
+(** [ms_since t0] — milliseconds elapsed since the {!now_ns} reading [t0]. *)

@@ -113,9 +113,6 @@ let merge a b =
 let snapshot t =
   Array.fold_left (fun acc s -> merge acc (snapshot_shard s)) empty t.shards
 
-let mean_ns s =
-  if s.count = 0 then Float.nan else float_of_int s.sum_ns /. float_of_int s.count
-
 let quantile_ns s ~q =
   if s.count = 0 then Float.nan
   else begin
@@ -223,3 +220,10 @@ let snapshot_of_json j =
   else
     (* [to_json] writes an empty histogram's [max_int] minimum as 0. *)
     Ok { counts; count; sum_ns; min_ns = (if count = 0 then max_int else min_ns); max_ns }
+
+module For_testing = struct
+  let mean_ns s =
+    if s.count = 0 then Float.nan else float_of_int s.sum_ns /. float_of_int s.count
+
+  let bucket_bounds_ns = bucket_bounds_ns
+end

@@ -18,11 +18,6 @@
     [min .. max], so a singleton histogram reports every quantile as
     exactly the observed value. *)
 
-val bucket_bounds_ns : int array
-(** Upper bucket bounds in nanoseconds, strictly ascending; first bound
-    is 1000 (1 µs), last ~47 s.  Observations above the last bound land
-    in an implicit overflow bucket. *)
-
 type t
 (** A live histogram: lock-free shards, written concurrently. *)
 
@@ -57,9 +52,6 @@ val quantile_ns : snapshot -> q:float -> float
 (** Estimated [q]-quantile in nanoseconds ([q] clamped to [0 .. 1]);
     [nan] when empty.  Monotone in [q]; exact for singletons. *)
 
-val mean_ns : snapshot -> float
-(** [nan] when empty. *)
-
 val to_prom : snapshot -> Prom.hist
 (** Prometheus histogram with bounds and sum converted to {e seconds}. *)
 
@@ -73,3 +65,13 @@ val snapshot_of_json : Json.t -> (snapshot, string) result
     quantile fields are derived and ignored.  Errors name the missing or
     malformed field; a [buckets_ns] entry must be an [[le_ns, count]]
     pair on a bucket bound, and the counts must sum to [count]. *)
+
+module For_testing : sig
+  val bucket_bounds_ns : int array
+  (** Upper bucket bounds in nanoseconds, strictly ascending; first bound
+      is 1000 (1 µs), last ~47 s.  Observations above the last bound land
+      in an implicit overflow bucket. *)
+
+  val mean_ns : snapshot -> float
+  (** [nan] when empty. *)
+end

@@ -77,8 +77,6 @@ let to_string ?(indent = true) v =
   emit buf ~indent ~depth:0 v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* --- parsing ------------------------------------------------------------
 
    A plain recursive-descent parser for the subset of JSON the emitter

@@ -17,13 +17,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val to_string : ?indent:bool -> t -> string
 (** Render; [indent] defaults to [true]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val parse : string -> (t, string) result
 (** Parse one JSON value; the whole input must be consumed (trailing

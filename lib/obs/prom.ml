@@ -217,3 +217,7 @@ let of_spans ?(prefix = "privcluster") spans =
              samples = deltas;
            };
        ])
+
+module For_testing = struct
+  let escape_label_value = escape_label_value
+end

@@ -28,13 +28,6 @@ type family =
   | Summary of { name : string; help : string; samples : (labels * summary) list }
       (** Renders [name{...,quantile="0.99"}] lines plus [_sum] / [_count]. *)
 
-val sanitize_name : string -> string
-(** Map to the metric-name alphabet [[a-zA-Z0-9_:]]; invalid characters
-    become ['_'], and a leading digit gets a ['_'] prefix. *)
-
-val escape_label_value : string -> string
-(** Backslash, double-quote and newline escaped per the format spec. *)
-
 val render : family list -> string
 (** Full exposition text: one [# HELP] + [# TYPE] header per family,
     then its samples.  Histogram samples expand to cumulative
@@ -49,3 +42,8 @@ val of_spans : ?prefix:string -> Span.span list -> family list
     [<prefix>_spans_total], [<prefix>_span_ms_total], and — over spans
     carrying charges — [<prefix>_span_epsilon_total] /
     [<prefix>_span_delta_total].  [prefix] defaults to ["privcluster"]. *)
+
+module For_testing : sig
+  val escape_label_value : string -> string
+  (** Backslash, double-quote and newline escaped per the format spec. *)
+end

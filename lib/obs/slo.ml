@@ -212,3 +212,8 @@ let verdict_of_json j =
         (fun status -> { rule; subject; status; reason })
         (status_of_string st)
   | _ -> None
+
+module For_testing = struct
+  let eval = eval
+  let rule_to_line = rule_to_line
+end

@@ -9,7 +9,7 @@
     free of dependencies on the engine and server layers.
 
     Rules have a stable one-line text form ({!rule_of_line} /
-    {!rule_to_line}) so the daemon can accept [--slo RULE] flags:
+    {!For_testing.rule_to_line}) so the daemon can accept [--slo RULE] flags:
 
     {v
     latency q=0.99 verb=run warn_ms=500 fire_ms=2000
@@ -25,7 +25,6 @@ val status_to_string : status -> string
 (** ["ok"], ["warn"], ["firing"]. *)
 
 val status_of_string : string -> status option
-val worst : status list -> status
 
 type rule =
   | Latency of { verb : string option; q : float; warn_s : float; fire_s : float }
@@ -39,9 +38,8 @@ type rule =
   | Shed_rate of { warn : float; fire : float }
       (** Shed requests as a fraction of submissions. *)
 
-val rule_to_line : rule -> string
 val rule_of_line : string -> (rule, string) result
-(** Inverse of {!rule_to_line}; errors name the offending token. *)
+(** Inverse of {!For_testing.rule_to_line}; errors name the offending token. *)
 
 val default_rules : rule list
 (** p99 latency over every verb (warn 0.5 s / fire 2 s), burn-rate over
@@ -58,18 +56,22 @@ type observations = {
 }
 
 type verdict = {
-  rule : string;  (** {!rule_to_line} of the generating rule. *)
+  rule : string;  (** {!For_testing.rule_to_line} of the generating rule. *)
   subject : string;  (** e.g. ["verb=run"] or ["tenant=acme dataset=d1"]. *)
   status : status;
   reason : string;
 }
 
-val eval : observations -> rule -> verdict list
-(** Wildcard rules expand to one verdict per observed subject; a rule
-    pinned to an unobserved subject yields a single [Ok] verdict with
-    reason ["no observations"]. *)
-
 val eval_all : observations -> rule list -> verdict list
 val worst_of : verdict list -> status
 val verdict_to_json : verdict -> Json.t
 val verdict_of_json : Json.t -> verdict option
+
+module For_testing : sig
+  val eval : observations -> rule -> verdict list
+  (** Wildcard rules expand to one verdict per observed subject; a rule
+      pinned to an unobserved subject yields a single [Ok] verdict with
+      reason ["no observations"]. *)
+
+  val rule_to_line : rule -> string
+end

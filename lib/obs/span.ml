@@ -146,11 +146,6 @@ let top () =
   if not (Atomic.get enabled_flag) then None
   else match !(Domain.DLS.get stack_key) with sp :: _ -> Some sp | [] -> None
 
-let current () = Option.map (fun sp -> sp.id) (top ())
-
-let set_attr key v =
-  match top () with None -> () | Some sp -> sp.attrs <- (key, v) :: sp.attrs
-
 let set_label label =
   match top () with None -> () | Some sp -> sp.label <- Some label
 
@@ -186,3 +181,10 @@ let attributed all sp =
 let attr sp key = List.assoc_opt key sp.attrs
 let attr_int sp key = match attr sp key with Some (I i) -> Some i | _ -> None
 let attr_bool sp key = match attr sp key with Some (B b) -> Some b | _ -> None
+
+module For_testing = struct
+  let current () = Option.map (fun sp -> sp.id) (top ())
+
+  let set_attr key v =
+    match top () with None -> () | Some sp -> sp.attrs <- (key, v) :: sp.attrs
+end

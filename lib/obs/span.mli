@@ -109,14 +109,6 @@ val event :
     worker restarts.  Parent defaults to the current span of this domain;
     pass [?parent] from worker domains with no open span. *)
 
-val current : unit -> id option
-(** Id of this domain's innermost open span; [None] when disabled or at
-    top level. *)
-
-val set_attr : string -> attr -> unit
-(** Attach an attribute to the innermost open span (no-op when disabled
-    or at top level).  Later values for the same key win at export. *)
-
 val set_label : string -> unit
 (** Set the budget-attribution label of the innermost open span. *)
 
@@ -146,3 +138,13 @@ val attributed : span list -> span -> charge
 val attr : span -> string -> attr option
 val attr_int : span -> string -> int option
 val attr_bool : span -> string -> bool option
+
+module For_testing : sig
+  val current : unit -> id option
+  (** Id of this domain's innermost open span; [None] when disabled or at
+      top level. *)
+
+  val set_attr : string -> attr -> unit
+  (** Attach an attribute to the innermost open span (no-op when disabled
+      or at top level).  Later values for the same key win at export. *)
+end

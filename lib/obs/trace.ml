@@ -130,3 +130,7 @@ let validate json =
                 match check_event i ev with Ok () -> go (i + 1) rest | Error _ as e -> e)
           in
           go 0 evs)
+
+module For_testing = struct
+  let to_json = to_json
+end

@@ -11,8 +11,6 @@
     0; [pid] is always 1 and [tid] is the OCaml domain id, so Perfetto
     shows one lane per domain with nesting inside each lane. *)
 
-val to_json : Span.span list -> Json.t
-
 val to_string : Span.span list -> string
 (** [Json.to_string (to_json spans)]. *)
 
@@ -21,3 +19,7 @@ val validate : Json.t -> (unit, string) result
     array; every event has string [name], [cat] and [ph], numeric [ts],
     [pid] and [tid]; ["X"] events also carry a non-negative [dur].  Used
     by the golden test and the [validate-trace] CLI command. *)
+
+module For_testing : sig
+  val to_json : Span.span list -> Json.t
+end

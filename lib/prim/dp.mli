@@ -17,15 +17,16 @@ val pure : eps:float -> params
 val eps : params -> float
 val delta : params -> float
 
-val split : params -> int -> params
-(** [split p k] gives the per-piece budget when [p] is divided evenly over
-    [k] sequential mechanisms under basic composition (Theorem 2.1):
-    each piece gets [(ε/k, δ/k)]. *)
-
-val scale : params -> float -> params
-(** [scale p c] multiplies both ε and δ by [c] (c > 0). *)
-
-val is_pure : params -> bool
-
-val pp : Format.formatter -> params -> unit
 val to_string : params -> string
+
+module For_testing : sig
+  val is_pure : params -> bool
+
+  val scale : params -> float -> params
+  (** [scale p c] multiplies both ε and δ by [c] (c > 0). *)
+
+  val split : params -> int -> params
+  (** [split p k] gives the per-piece budget when [p] is divided evenly over
+      [k] sequential mechanisms under basic composition (Theorem 2.1):
+      each piece gets [(ε/k, δ/k)]. *)
+end

@@ -23,10 +23,6 @@ let probabilities ~eps ~sensitivity ~qualities =
   let z = Array.fold_left ( +. ) 0. w in
   Array.map (fun x -> x /. z) w
 
-let select_elt rng ~eps ~sensitivity ~quality candidates =
-  let qualities = Array.map quality candidates in
-  candidates.(select rng ~eps ~sensitivity ~qualities)
-
 let error_bound ~eps ~sensitivity ~n_candidates ~beta =
   if n_candidates <= 0 then invalid_arg "Exp_mech.error_bound: need candidates";
   if not (beta > 0. && beta <= 1.) then invalid_arg "Exp_mech.error_bound: beta in (0, 1]";

@@ -15,10 +15,6 @@ val probabilities : eps:float -> sensitivity:float -> qualities:float array -> f
     max-shifted, overflow-free form).  The verification harness's chi-square
     tester compares empirical selection counts against this. *)
 
-val select_elt :
-  Rng.t -> eps:float -> sensitivity:float -> quality:('a -> float) -> 'a array -> 'a
-(** Convenience wrapper evaluating [quality] on each element. *)
-
 val error_bound : eps:float -> sensitivity:float -> n_candidates:int -> beta:float -> float
 (** With probability ≥ 1 − beta the selected candidate's quality is within
     this additive amount of the maximum:

@@ -10,12 +10,6 @@ let sigma ~eps ~delta ~l2_sensitivity =
   let eps = Float.min eps (1. -. 1e-9) in
   l2_sensitivity /. eps *. sqrt (2. *. log (1.25 /. delta))
 
-let scalar rng ~eps ~delta ~l2_sensitivity x =
-  Obs.Span.with_charged
-    ~attrs:(fun () -> [ ("sensitivity", Obs.Span.F l2_sensitivity) ])
-    ~eps ~delta "gaussian"
-    (fun () -> x +. Rng.gaussian rng ~sigma:(sigma ~eps ~delta ~l2_sensitivity) ())
-
 (* Uncharged: the caller owns the (ε, δ) that calibrated [sigma] (e.g.
    [Noisy_avg] charges its whole budget on its own span). *)
 let vector_with_sigma rng ~sigma v = Array.map (fun x -> x +. Rng.gaussian rng ~sigma ()) v

@@ -10,8 +10,6 @@ val sigma : eps:float -> delta:float -> l2_sensitivity:float -> float
     for [ε < 1]; budgets ≥ 1 are clamped to 1 (more privacy than asked,
     never less). *)
 
-val scalar : Rng.t -> eps:float -> delta:float -> l2_sensitivity:float -> float -> float
-
 val vector :
   Rng.t -> eps:float -> delta:float -> l2_sensitivity:float -> float array -> float array
 (** Adds iid N(0, σ²) noise (σ from {!sigma}) to every coordinate. *)

@@ -19,12 +19,6 @@ let scalar rng ~eps ~sensitivity x =
 
 let count rng ~eps n = scalar rng ~eps ~sensitivity:1.0 (float_of_int n)
 
-let vector rng ~eps ~l1_sensitivity v =
-  Obs.Span.with_charged
-    ~attrs:(fun () -> [ ("sensitivity", Obs.Span.F l1_sensitivity); ("dim", Obs.Span.I (Array.length v)) ])
-    ~eps ~delta:0. "laplace_vector"
-    (fun () -> Array.map (fun x -> x +. noise_raw rng ~eps ~sensitivity:l1_sensitivity) v)
-
 let tail_bound ~eps ~sensitivity ~beta =
   if not (beta > 0. && beta <= 1.) then invalid_arg "Laplace.tail_bound: beta in (0, 1]";
   sensitivity /. eps *. log (1. /. beta)

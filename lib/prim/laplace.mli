@@ -15,10 +15,6 @@ val scalar : Rng.t -> eps:float -> sensitivity:float -> float -> float
 val count : Rng.t -> eps:float -> int -> float
 (** Noisy counting query: sensitivity 1. *)
 
-val vector : Rng.t -> eps:float -> l1_sensitivity:float -> float array -> float array
-(** Adds iid Lap(l1_sensitivity/ε) noise to every coordinate.  Private
-    because the whole vector has the stated L1 sensitivity. *)
-
 val tail_bound : eps:float -> sensitivity:float -> beta:float -> float
 (** [tail_bound ~eps ~sensitivity ~beta] is the magnitude [m] such that one
     Laplace draw exceeds [m] in absolute value with probability at most

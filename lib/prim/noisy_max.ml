@@ -13,3 +13,7 @@ let argmax_value rng ~eps ~sensitivity scores =
   (!best, !best_v)
 
 let argmax rng ~eps ~sensitivity scores = fst (argmax_value rng ~eps ~sensitivity scores)
+
+module For_testing = struct
+  let argmax_value = argmax_value
+end

@@ -6,8 +6,10 @@
 val argmax : Rng.t -> eps:float -> sensitivity:float -> float array -> int
 (** Index of the noisy maximizer. *)
 
-val argmax_value : Rng.t -> eps:float -> sensitivity:float -> float array -> int * float
-(** Noisy maximizer together with its noisy score (the score itself is not
-    part of the privacy guarantee of plain report-noisy-max; callers who
-    release it should budget a separate Laplace query — see
-    {!Laplace.scalar}). *)
+module For_testing : sig
+  val argmax_value : Rng.t -> eps:float -> sensitivity:float -> float array -> int * float
+  (** Noisy maximizer together with its noisy score (the score itself is not
+      part of the privacy guarantee of plain report-noisy-max; callers who
+      release it should budget a separate Laplace query — see
+      {!Laplace.scalar}). *)
+end

@@ -8,7 +8,6 @@ let create ?seed () =
   in
   { state = Random.State.make [| seed; seed lxor 0x9e3779b9; 0x2545f491 |]; seed }
 
-let copy t = { t with state = Random.State.copy t.state }
 let split t = create ~seed:(Random.State.bits t.state lxor 0x5deece66) ()
 
 (* SplitMix64 finalizer — the avalanche is what makes nearby (seed, stream)
@@ -28,7 +27,6 @@ let derive t ~stream =
   in
   create ~seed:(to_int h land Stdlib.max_int) ()
 
-let seed_of t = t.seed
 let float t b = Random.State.float t.state b
 
 let uniform t ~lo ~hi =
@@ -36,7 +34,6 @@ let uniform t ~lo ~hi =
   lo +. Random.State.float t.state (hi -. lo)
 
 let int t n = Random.State.int t.state n
-let bool t = Random.State.bool t.state
 
 let bernoulli t ~p =
   let p = Float.max 0. (Float.min 1. p) in
@@ -66,14 +63,6 @@ let laplace t ?(mu = 0.) ~scale () =
   in
   draw ()
 
-let exponential t ~rate =
-  assert (rate > 0.);
-  let rec nonzero () =
-    let u = Random.State.float t.state 1.0 in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
-
 let gumbel t ~scale =
   let rec nonzero () =
     let u = Random.State.float t.state 1.0 in
@@ -82,19 +71,6 @@ let gumbel t ~scale =
   -.scale *. log (-.log (nonzero ()))
 
 let gaussian_vector t ~dim ~sigma = Array.init dim (fun _ -> gaussian t ~sigma ())
-
-let categorical t ~weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  assert (total > 0.);
-  let x = Random.State.float t.state total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
 
 let categorical_log t ~log_weights =
   let n = Array.length log_weights in
@@ -118,14 +94,30 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let sample_without_replacement t ~k a =
-  let n = Array.length a in
-  assert (k <= n);
-  let idx = Array.init n (fun i -> i) in
-  shuffle t idx;
-  Array.init k (fun i -> a.(idx.(i)))
-
 let sample_with_replacement t ~k a =
   let n = Array.length a in
   assert (n > 0);
   Array.init k (fun _ -> a.(Random.State.int t.state n))
+
+module For_testing = struct
+  let copy t = { t with state = Random.State.copy t.state }
+  let seed_of t = t.seed
+
+  let exponential t ~rate =
+    assert (rate > 0.);
+    let rec nonzero () =
+      let u = Random.State.float t.state 1.0 in
+      if u > 0. then u else nonzero ()
+    in
+    -.log (nonzero ()) /. rate
+
+  let sample_without_replacement t ~k a =
+    let n = Array.length a in
+    assert (k <= n);
+    let idx = Array.init n (fun i -> i) in
+    shuffle t idx;
+    Array.init k (fun i -> a.(idx.(i)))
+
+  let gumbel = gumbel
+  let shuffle = shuffle
+end

@@ -15,9 +15,6 @@ val create : ?seed:int -> unit -> t
 (** [create ~seed ()] builds a deterministic generator.  Without [seed] the
     generator is seeded from the system entropy source. *)
 
-val copy : t -> t
-(** Independent snapshot of the current state. *)
-
 val split : t -> t
 (** [split t] derives a fresh generator from [t], advancing [t]; the two
     streams are (statistically) independent.  Used to hand sub-algorithms
@@ -34,9 +31,6 @@ val derive : t -> stream:int -> t
     [(seed, stream)].
     @raise Invalid_argument if [stream < 0]. *)
 
-val seed_of : t -> int
-(** The seed this generator was created from (for logging). *)
-
 (** {1 Basic draws} *)
 
 val float : t -> float -> float
@@ -47,8 +41,6 @@ val uniform : t -> lo:float -> hi:float -> float
 
 val int : t -> int -> int
 (** [int t n] is uniform on [{0, …, n−1}]. Requires [n > 0]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p] (clamped to [0, 1]). *)
@@ -62,33 +54,37 @@ val laplace : t -> ?mu:float -> scale:float -> unit -> float
 (** One draw from Lap(scale) centered at [mu]: density
     [1/(2·scale) · exp(−|y−mu|/scale)].  [scale > 0]. *)
 
-val exponential : t -> rate:float -> float
-(** Exp(rate), mean [1/rate].  [rate > 0]. *)
-
-val gumbel : t -> scale:float -> float
-(** Standard Gumbel scaled by [scale]; adding iid Gumbel(1/ε·…) noise to
-    scores and taking argmax realizes the exponential mechanism. *)
-
 val gaussian_vector : t -> dim:int -> sigma:float -> float array
 (** [dim] iid N(0, sigma²) draws — the noise vector of Theorem 2.4 and the
     rows of the JL matrix (Lemma 4.10). *)
 
 (** {1 Discrete distributions} *)
 
-val categorical : t -> weights:float array -> int
-(** Index [i] with probability [weights.(i) / Σ weights].  All weights must
-    be non-negative and at least one strictly positive. *)
-
 val categorical_log : t -> log_weights:float array -> int
 (** Numerically stable categorical sampling from unnormalized log-weights
     (the exponential mechanism's native parameterization); implemented with
     the Gumbel-max trick so no normalization is ever computed. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val sample_without_replacement : t -> k:int -> 'a array -> 'a array
-(** [k] distinct elements drawn uniformly.  Requires [k <= Array.length]. *)
-
 val sample_with_replacement : t -> k:int -> 'a array -> 'a array
 (** [k] iid uniform elements (the subsampling step of Algorithm 4). *)
+
+module For_testing : sig
+  val copy : t -> t
+  (** Independent snapshot of the current state. *)
+
+  val exponential : t -> rate:float -> float
+  (** Exp(rate), mean [1/rate].  [rate > 0]. *)
+
+  val gumbel : t -> scale:float -> float
+  (** Standard Gumbel scaled by [scale]; adding iid Gumbel(1/ε·…) noise to
+      scores and taking argmax realizes the exponential mechanism. *)
+
+  val sample_without_replacement : t -> k:int -> 'a array -> 'a array
+  (** [k] distinct elements drawn uniformly.  Requires [k <= Array.length]. *)
+
+  val seed_of : t -> int
+  (** The seed this generator was created from (for logging). *)
+
+  val shuffle : t -> 'a array -> unit
+  (** In-place Fisher–Yates shuffle. *)
+end

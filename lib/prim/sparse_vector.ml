@@ -71,12 +71,14 @@ let query_numeric t value =
       (* The ε/2 reserved at creation pays for this one Laplace release. *)
       Some (value +. Rng.laplace t.rng ~scale:(2. /. t.eps_each) ())
 
-let halted t = t.firings_left <= 0
-let firings_left t = t.firings_left
-let queries_asked t = t.asked
-
 let accuracy_bound ~eps ~k ~beta =
   if k <= 0 then invalid_arg "Sparse_vector.accuracy_bound: k must be positive";
   if not (beta > 0. && beta <= 1.) then
     invalid_arg "Sparse_vector.accuracy_bound: beta in (0, 1]";
   8. /. eps *. log (2. *. float_of_int k /. beta)
+
+module For_testing = struct
+  let halted t = t.firings_left <= 0
+  let firings_left t = t.firings_left
+  let queries_asked t = t.asked
+end

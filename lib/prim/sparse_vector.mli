@@ -25,8 +25,6 @@ val create_multi : Rng.t -> eps:float -> threshold:float -> firings:int -> t
     exactly basic composition, total [(ε, 0)]-DP.  Per-instance accuracy is
     {!accuracy_bound} at [ε/firings]. *)
 
-val firings_left : t -> int
-
 val query : t -> float -> answer
 (** Feed the (true) value of the next sensitivity-1 query.
 
@@ -45,10 +43,14 @@ val query_numeric : t -> float -> float option
     @raise Invalid_argument on a mechanism not built by {!create_numeric},
     or after it has halted. *)
 
-val halted : t -> bool
-(** [true] once [Above] has been returned. *)
-
-val queries_asked : t -> int
-
 val accuracy_bound : eps:float -> k:int -> beta:float -> float
 (** The [(8/ε)·ln(2k/β)] slack of Theorem 4.8. *)
+
+module For_testing : sig
+  val firings_left : t -> int
+
+  val halted : t -> bool
+  (** [true] once [Above] has been returned. *)
+
+  val queries_asked : t -> int
+end

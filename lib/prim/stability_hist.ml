@@ -5,8 +5,11 @@ let release_threshold ~eps ~delta =
   if not (delta > 0. && delta < 1.) then invalid_arg "Stability_hist: delta must be in (0, 1)";
   1. +. (2. /. eps *. log (2. /. delta))
 
+(* Never a randomized table: the order of the cells decides which noise
+   draw each one gets (see the .mli), so it must not depend on
+   OCAMLRUNPARAM=R or Hashtbl.randomize. *)
 let count_by ~key data =
-  let tbl = Hashtbl.create (max 16 (Array.length data)) in
+  let tbl = Hashtbl.create ~random:false (max 16 (Array.length data)) in
   Array.iter
     (fun x ->
       let k = key x in
@@ -41,16 +44,6 @@ let select rng ~eps ~delta cells =
       match best with Some c when c.noisy_count >= threshold -> Some c | _ -> None)
 
 let select_by rng ~eps ~delta ~key data = select rng ~eps ~delta (count_by ~key data)
-
-let heavy_cells rng ~eps ~delta cells =
-  Obs.Span.with_charged
-    ~attrs:(fun () -> [ ("cells", Obs.Span.I (List.length cells)) ])
-    ~eps ~delta "stability_hist"
-    (fun () ->
-      let threshold = release_threshold ~eps ~delta in
-      noisy_cells rng ~eps cells
-      |> List.filter (fun c -> c.noisy_count >= threshold)
-      |> List.sort (fun a b -> compare b.noisy_count a.noisy_count))
 
 let utility_requirement ~eps ~delta ~n ~beta =
   2. /. eps *. log (4. *. float_of_int n /. (beta *. delta))

@@ -22,7 +22,15 @@ val release_threshold : eps:float -> delta:float -> float
 
 val count_by : key:('a -> 'k) -> 'a array -> ('k * int) list
 (** Group the data by key; only non-empty cells appear.  Keys are compared
-    with structural equality (polymorphic hashing). *)
+    with structural equality (polymorphic hashing).
+
+    The order of the list is part of every answer built on it: {!select}
+    draws one Laplace noise per cell, in list order.  It is the order of
+    an unrandomized [Hashtbl] of [max 16 n] buckets for [n] data: cells by
+    bucket index ([Hashtbl.hash key] modulo the bucket count), descending,
+    and within one bucket in the order their first element appears in
+    [data].  It is not the order of first appearance, and it does not
+    change under [OCAMLRUNPARAM=R]. *)
 
 val select :
   Rng.t -> eps:float -> delta:float -> ('k * int) list -> 'k cell option
@@ -32,11 +40,6 @@ val select :
 val select_by :
   Rng.t -> eps:float -> delta:float -> key:('a -> 'k) -> 'a array -> 'k cell option
 (** [count_by] followed by [select]. *)
-
-val heavy_cells :
-  Rng.t -> eps:float -> delta:float -> ('k * int) list -> 'k cell list
-(** All cells whose noisy count clears the threshold, best first — the full
-    histogram-release variant (used by the threshold-release baseline). *)
 
 val utility_requirement : eps:float -> delta:float -> n:int -> beta:float -> float
 (** The [T ≥ (2/ε)·log(4n/(βδ))] bound of Theorem 2.5. *)

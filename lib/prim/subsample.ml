@@ -10,3 +10,7 @@ let amplify ~eps ~delta ~m ~n =
   let eps' = factor *. eps in
   let delta' = exp eps' *. 4. *. (float_of_int m /. float_of_int n) *. delta in
   Dp.v ~eps:eps' ~delta:(Float.min delta' (Float.pred 1.0))
+
+module For_testing = struct
+  let amplification_factor = amplification_factor
+end

@@ -14,5 +14,7 @@
 val amplify : eps:float -> delta:float -> m:int -> n:int -> Dp.params
 (** @raise Invalid_argument unless [0 < ε ≤ 1], [m ≥ 1] and [n ≥ 2m]. *)
 
-val amplification_factor : m:int -> n:int -> float
-(** The [6·m/n] multiplier on ε. *)
+module For_testing : sig
+  val amplification_factor : m:int -> n:int -> float
+  (** The [6·m/n] multiplier on ε. *)
+end

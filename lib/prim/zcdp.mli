@@ -21,9 +21,6 @@
 type rho = float
 (** The zCDP parameter ρ. *)
 
-val of_gaussian : sigma:float -> l2_sensitivity:float -> rho
-(** [Δ²/(2σ²)]. *)
-
 val of_pure_dp : eps:float -> rho
 (** [ε²/2]. *)
 
@@ -33,13 +30,18 @@ val compose : rho list -> rho
 val to_dp : rho -> delta:float -> Dp.params
 (** The standard conversion [(ρ + 2√(ρ·ln(1/δ)), δ)]. *)
 
-val eps_budget_to_rho : eps:float -> delta:float -> rho
-(** Largest ρ whose {!to_dp} conversion stays within [(ε, δ)] (bisection on
-    the monotone conversion). *)
+module For_testing : sig
+  val eps_budget_to_rho : eps:float -> delta:float -> rho
+  (** Largest ρ whose {!to_dp} conversion stays within [(ε, δ)] (bisection on
+      the monotone conversion). *)
 
-val gaussian_sigma : rho:float -> l2_sensitivity:float -> float
-(** Smallest σ achieving the given ρ: [Δ/√(2ρ)]. *)
+  val gaussian_sigma : rho:float -> l2_sensitivity:float -> float
+  (** Smallest σ achieving the given ρ: [Δ/√(2ρ)]. *)
 
-val per_mechanism_rho : total_rho:float -> k:int -> rho
-(** Even split of a ρ budget over [k] mechanisms (composition is additive,
-    so this is exact — no advanced-composition slack). *)
+  val of_gaussian : sigma:float -> l2_sensitivity:float -> rho
+  (** [Δ²/(2σ²)]. *)
+
+  val per_mechanism_rho : total_rho:float -> k:int -> rho
+  (** Even split of a ρ budget over [k] mechanisms (composition is additive,
+      so this is exact — no advanced-composition slack). *)
+end

@@ -35,9 +35,11 @@ let is_quasi_concave t =
   done;
   !ok
 
-let argmax t =
-  let m = ref 0 in
-  for i = 1 to t.size - 1 do
-    if eval t i > eval t !m then m := i
-  done;
-  !m
+module For_testing = struct
+  let argmax t =
+    let m = ref 0 in
+    for i = 1 to t.size - 1 do
+      if eval t i > eval t !m then m := i
+    done;
+    !m
+end

@@ -29,5 +29,7 @@ val is_quasi_concave : t -> bool
     [i ≤ ℓ ≤ j]; verified in O(size) via the prefix/suffix running maxima
     characterization. *)
 
-val argmax : t -> int
-(** Exhaustive argmax (non-private; tests and reference baselines only). *)
+module For_testing : sig
+  val argmax : t -> int
+  (** Exhaustive argmax (non-private; tests and reference baselines only). *)
+end

@@ -90,3 +90,10 @@ let rec log_star x = if x <= 1. then 0. else 1. +. log_star (log x /. log 2.)
 let paper_promise ~eps ~beta ~delta ~domain_size =
   let ls = log_star domain_size in
   (8. ** ls) *. (144. *. ls /. eps) *. log (24. *. ls /. (beta *. delta))
+
+module For_testing = struct
+  let cells = cells
+  let depth = depth
+  let log_star = log_star
+  let mechanism_count = mechanism_count
+end

@@ -30,15 +30,6 @@ type report = {
   depth : int;  (** Recursion depth (number of scale reductions). *)
 }
 
-val depth : ?base:int -> int -> int
-(** Recursion depth for a domain of the given size (number of times the
-    scale reduction is applied before the domain fits the base case;
-    [base] defaults to 32).  Grows as [log*]: 0 for T ≤ 32, and at most 4
-    for any T representable in 63 bits. *)
-
-val mechanism_count : ?base:int -> int -> int
-(** [2·depth + 1] exponential-mechanism invocations. *)
-
 val solve :
   Prim.Rng.t ->
   eps:float ->
@@ -64,13 +55,24 @@ val paper_promise : eps:float -> beta:float -> delta:float -> domain_size:float 
     [F = domain_size].  Provided for reporting alongside {!loss_bound};
     astronomically conservative at practical scales. *)
 
-val log_star : float -> float
-(** Iterated base-2 logarithm. *)
-
 (**/**)
 
-val cells : size:int -> w:int -> (int * int) list
-(** The two staggered partitions of [{0 … size−1}] into width-[2w] cells
-    (clipped), as inclusive [(lo, hi)] pairs.  Exposed for the test-suite's
-    coverage invariant: every width-[w] subinterval of the domain is fully
-    contained in at least one cell. *)
+module For_testing : sig
+  val cells : size:int -> w:int -> (int * int) list
+  (** The two staggered partitions of [{0 … size−1}] into width-[2w] cells
+      (clipped), as inclusive [(lo, hi)] pairs.  The tests check their
+      coverage invariant: every width-[w] subinterval of the domain is fully
+      contained in at least one cell. *)
+
+  val depth : ?base:int -> int -> int
+  (** Recursion depth for a domain of the given size (number of times the
+      scale reduction is applied before the domain fits the base case;
+      [base] defaults to 32).  Grows as [log*]: 0 for T ≤ 32, and at most 4
+      for any T representable in 63 bits. *)
+
+  val log_star : float -> float
+  (** Iterated base-2 logarithm. *)
+
+  val mechanism_count : ?base:int -> int -> int
+  (** [2·depth + 1] exponential-mechanism invocations. *)
+end

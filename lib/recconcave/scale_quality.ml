@@ -21,3 +21,8 @@ let eval q j =
   !best
 
 let quality q = Quality.create ~size:(num_scales (Quality.size q)) ~f:(eval q)
+
+module For_testing = struct
+  let eval = eval
+  let interval_min = interval_min
+end

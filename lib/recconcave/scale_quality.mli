@@ -17,15 +17,17 @@ val num_scales : int -> int
 val width : size:int -> int -> int
 (** [w_j = min(2^j, size)]. *)
 
-val eval : Quality.t -> int -> float
-(** [L(j)] by a full scan of the start positions (every [Q] access is
-    memoized, so evaluating [L] at every scale costs O(T) distinct [Q]
-    evaluations in total). *)
-
 val quality : Quality.t -> Quality.t
 (** [L] packaged as a (memoized) quality over [{0 … num_scales − 1}]. *)
 
-val interval_min : Quality.t -> lo:int -> hi:int -> float
-(** [min(Q(lo), Q(hi))] — the quasi-concave shortcut for
-    [min_{f ∈ [lo, hi]} Q(f)] (exposed for tests, which compare it against
-    the exhaustive minimum). *)
+module For_testing : sig
+  val eval : Quality.t -> int -> float
+  (** [L(j)] by a full scan of the start positions (every [Q] access is
+      memoized, so evaluating [L] at every scale costs O(T) distinct [Q]
+      evaluations in total). *)
+
+  val interval_min : Quality.t -> lo:int -> hi:int -> float
+  (** [min(Q(lo), Q(hi))] — the quasi-concave shortcut for
+      [min_{f ∈ [lo, hi]} Q(f)] (the tests compare it against the exhaustive
+      minimum). *)
+end

@@ -102,8 +102,6 @@ let settle t ~dataset ~action ?label () =
   | Error m -> Error (`Transport m)
 
 let ledger t ~dataset = request t (Wire.Ledger { dataset })
-let datasets t = request t Wire.Datasets
-
 let metrics t =
   let* payload = request t Wire.Metrics in
   match Option.bind (Json.member "metrics" payload) Json.to_str with
@@ -126,4 +124,7 @@ let health t =
   | None -> Error (`Transport "health reply has no status")
 
 let stats t = request t Wire.Stats
-let ping t = request t Wire.Ping
+module For_testing = struct
+  let datasets t = request t Wire.Datasets
+  let ping t = request t Wire.Ping
+end

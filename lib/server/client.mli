@@ -85,7 +85,6 @@ val settle :
     the settlement to one reservation label. *)
 
 val ledger : t -> dataset:string -> (Obs.Json.t, fail) result
-val datasets : t -> (Obs.Json.t, fail) result
 
 val metrics : t -> (string, fail) result
 (** The Prometheus text body itself. *)
@@ -97,4 +96,7 @@ val health : t -> (Obs.Slo.status * Obs.Slo.verdict list * Obs.Json.t, fail) res
 val stats : t -> (Obs.Json.t, fail) result
 (** The full serving-telemetry dump ({!Serving.stats_json}). *)
 
-val ping : t -> (Obs.Json.t, fail) result
+module For_testing : sig
+  val datasets : t -> (Obs.Json.t, fail) result
+  val ping : t -> (Obs.Json.t, fail) result
+end

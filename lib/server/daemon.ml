@@ -1034,3 +1034,7 @@ let run ?on_ready cfg =
       stop t;
       List.iter (fun (s, b) -> Sys.set_signal s b) previous;
       Ok ()
+
+module For_testing = struct
+  let max_request_bytes = max_request_bytes
+end

@@ -53,11 +53,6 @@ val default_config : config
     serving stats on, sampling off, slow threshold 250 ms, no slow-log
     ring, keep 64, {!Obs.Slo.default_rules}. *)
 
-val max_request_bytes : int
-(** Longest accepted request line (8 MiB).  A connection that sends a
-    longer line — or streams that many bytes with no newline at all,
-    authenticated or not — gets one [bad_request] reply and is closed. *)
-
 type t
 
 val start : config -> (t, string) result
@@ -75,3 +70,10 @@ val stop : t -> unit
 val run : ?on_ready:(t -> unit) -> config -> (unit, string) result
 (** {!start}, then block until SIGTERM or SIGINT, then {!stop}.  The
     foreground entry point used by [privcluster-cli serve]. *)
+
+module For_testing : sig
+  val max_request_bytes : int
+  (** Longest accepted request line (8 MiB).  A connection that sends a
+      longer line — or streams that many bytes with no newline at all,
+      authenticated or not — gets one [bad_request] reply and is closed. *)
+end

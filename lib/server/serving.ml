@@ -57,7 +57,6 @@ let create ?(shards = 8) ?(sample_every = 0) ?(slow_threshold_ms = 250.)
 let sample_every t = t.sample_every
 let slow_threshold_ns t = t.slow_threshold_ns
 let slow_log_dir t = t.slow_log
-let rules t = t.rules
 
 let locked t f =
   Mutex.lock t.mu;

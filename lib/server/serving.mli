@@ -45,7 +45,6 @@ val create :
 val sample_every : t -> int
 val slow_threshold_ns : t -> int
 val slow_log_dir : t -> string option
-val rules : t -> Obs.Slo.rule list
 
 (** {2 Recording} *)
 
@@ -63,10 +62,6 @@ val record_burn :
 (** Append an ε-spend sample to the (tenant, dataset) window. *)
 
 (** {2 Deterministic sampling and the exemplar ring} *)
-
-val fnv1a : string -> int64
-(** 64-bit FNV-1a (the sampling hash; exposed for the determinism
-    tests). *)
 
 val sampled : t -> key:string -> bool
 (** True iff head sampling is on and [fnv1a key mod sample_every = 0].
@@ -98,8 +93,6 @@ val burn_rows : t -> now_ns:int64 -> (string * string * float) list
 
 val shed_rows : t -> (string * int) list
 (** [(reason, count)] for the three shed reasons, always all three. *)
-
-val submissions : t -> int
 
 val health : t -> now_ns:int64 -> Obs.Slo.verdict list
 (** Evaluate the configured rules against current observations. *)

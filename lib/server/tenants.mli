@@ -31,7 +31,6 @@ val authenticate : t -> name:string -> token:string -> tenant option
 (** Constant-time token comparison; [None] for unknown tenant or wrong
     token, deliberately indistinguishable. *)
 
-val find : t -> string -> tenant option
 val list : t -> tenant list
 
 val name : tenant -> string

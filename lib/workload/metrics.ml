@@ -40,9 +40,6 @@ let tight_radius ps ~center ~t =
   Array.sort Float.compare dists;
   dists.(min (Array.length dists - 1) (max 0 (t - 1)))
 
-let success s ~t ~max_delta ~max_ratio =
-  s.covered >= t - max_delta && s.ratio_vs_hi <= max_ratio
-
 let mean = function
   | [] -> Float.nan
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
@@ -62,3 +59,10 @@ let quantile xs ~q =
         (a.(i) *. (1. -. frac)) +. (a.(i + 1) *. frac)
 
 let median xs = quantile xs ~q:0.5
+
+module For_testing = struct
+  let success s ~t ~max_delta ~max_ratio =
+    s.covered >= t - max_delta && s.ratio_vs_hi <= max_ratio
+
+  let score_with_bounds = score_with_bounds
+end

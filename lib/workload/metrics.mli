@@ -28,26 +28,28 @@ val score :
 
 val r_opt_bounds_indexed : Geometry.Pointset.index -> t:int -> float * float
 (** The [(r_lo, r_hi)] sandwich via a prebuilt distance index — compute once
-    per workload and feed {!score_with_bounds} for every method/trial. *)
-
-val score_with_bounds :
-  r_lo:float ->
-  r_hi:float ->
-  Geometry.Pointset.t ->
-  t:int ->
-  center:Geometry.Vec.t ->
-  radius:float ->
-  score
+    per workload and feed {!For_testing.score_with_bounds} for every method/trial. *)
 
 val tight_radius : Geometry.Pointset.t -> center:Geometry.Vec.t -> t:int -> float
 (** Diagnostic (non-private): the smallest radius around the given center
     that captures [t] points — how good the {e center} is, independent of
     the conservative private radius. *)
 
-val success : score -> t:int -> max_delta:int -> max_ratio:float -> bool
-(** Did the answer meet Definition 1.2 with the given [Δ] and [w]? (Uses the
-    optimistic ratio; callers exploring failure report both.) *)
-
 val mean : float list -> float
 val median : float list -> float
 val quantile : float list -> q:float -> float
+
+module For_testing : sig
+  val score_with_bounds :
+    r_lo:float ->
+    r_hi:float ->
+    Geometry.Pointset.t ->
+    t:int ->
+    center:Geometry.Vec.t ->
+    radius:float ->
+    score
+
+  val success : score -> t:int -> max_delta:int -> max_ratio:float -> bool
+  (** Did the answer meet Definition 1.2 with the given [Δ] and [w]? (Uses the
+      optimistic ratio; callers exploring failure report both.) *)
+end

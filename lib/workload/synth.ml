@@ -132,3 +132,8 @@ let estimator_outputs rng ~grid ~k ~good_fraction ~good_center ~good_radius =
   Array.init k (fun i ->
       if i < good then snap (ball_point rng ~center:good_center ~radius:good_radius)
       else Geometry.Grid.random_point grid rng)
+
+module For_testing = struct
+  let ball_point = ball_point
+  let uniform = uniform
+end

@@ -91,9 +91,11 @@ val estimator_outputs :
     lands within [good_radius] of [good_center], the rest is uniform junk —
     the regime of Definition 6.1 with [α = good_fraction] (E7). *)
 
-val uniform : Prim.Rng.t -> grid:Geometry.Grid.t -> n:int -> Geometry.Vec.t array
-(** Pure background noise (failure-mode tests). *)
+module For_testing : sig
+  val ball_point : Prim.Rng.t -> center:Geometry.Vec.t -> radius:float -> Geometry.Vec.t
+  (** One point uniform in a Euclidean ball (rejection-free: Gaussian
+      direction × beta-distributed radius). *)
 
-val ball_point : Prim.Rng.t -> center:Geometry.Vec.t -> radius:float -> Geometry.Vec.t
-(** One point uniform in a Euclidean ball (rejection-free: Gaussian
-    direction × beta-distributed radius). *)
+  val uniform : Prim.Rng.t -> grid:Geometry.Grid.t -> n:int -> Geometry.Vec.t array
+  (** Pure background noise (failure-mode tests). *)
+end

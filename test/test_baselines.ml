@@ -17,7 +17,7 @@ let test_nonprivate_bounds_sandwich () =
   let lo, hi = Baselines.Nonprivate.r_opt_bounds ps ~t:50 in
   check_true "lo <= hi" (lo <= hi);
   check_true "feasible at hi" (hi > 0.);
-  let b = Baselines.Nonprivate.two_approx ps ~t:50 in
+  let b = Baselines.Nonprivate.For_testing.two_approx ps ~t:50 in
   check_true "two_approx within sandwich x2" (b.Baselines.Nonprivate.radius <= 2. *. hi +. 1e-9)
 
 (* --- Exponential-mechanism solver --- *)
@@ -56,7 +56,7 @@ let test_tree_counts_accurate () =
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:1 in
   let values = Array.init 2000 (fun i -> float_of_int (i mod 256) /. 255.) in
   let tree = Baselines.Threshold_release.release r ~grid ~eps:2.0 values in
-  check_true "levels about log |X|" (Baselines.Threshold_release.levels tree >= 8);
+  check_true "levels about log |X|" (Baselines.Threshold_release.For_testing.levels tree >= 8);
   (* True count in [0.25, 0.5] vs released. *)
   let truth =
     Array.fold_left (fun acc x -> if x >= 0.25 && x <= 0.5 then acc + 1 else acc) 0 values
@@ -102,7 +102,7 @@ let test_smallest_interval_direct () =
         if i < 500 then 0.40 +. Prim.Rng.float r 0.04 else Prim.Rng.float r 1.0)
   in
   let tree = Baselines.Threshold_release.release r ~grid ~eps:4.0 values in
-  let res = Baselines.Threshold_release.smallest_interval tree ~t:450 ~slack:50. in
+  let res = Baselines.Threshold_release.For_testing.smallest_interval tree ~t:450 ~slack:50. in
   check_true "centered on the packed region"
     (Float.abs (res.Baselines.Threshold_release.center.(0) -. 0.42) < 0.05);
   check_true "short interval" (res.Baselines.Threshold_release.radius < 0.1);
@@ -122,7 +122,7 @@ let test_coordinate_median () =
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:1 in
   let coords = Array.init 1001 (fun i -> float_of_int i /. 2000.) in
   (* True median 0.25; private median lands close at high eps. *)
-  let m = Baselines.Private_agg.coordinate_median r ~grid ~eps:4.0 coords in
+  let m = Baselines.Private_agg.For_testing.coordinate_median r ~grid ~eps:4.0 coords in
   check_in_range "median close" ~lo:0.2 ~hi:0.3 m
 
 let test_private_agg_majority () =

@@ -9,15 +9,15 @@ open Testutil
 
 let test_special_functions () =
   (* Γ(5) = 24. *)
-  check_float ~tol:1e-9 "log_gamma 5" (log 24.) (Check.Stats.log_gamma 5.);
+  check_float ~tol:1e-9 "log_gamma 5" (log 24.) (Check.Stats.For_testing.log_gamma 5.);
   (* Regularized incomplete beta at a = b = 1 is the identity. *)
-  check_float ~tol:1e-9 "I_1,1(0.3)" 0.3 (Check.Stats.reg_inc_beta ~a:1. ~b:1. 0.3);
+  check_float ~tol:1e-9 "I_1,1(0.3)" 0.3 (Check.Stats.For_testing.reg_inc_beta ~a:1. ~b:1. 0.3);
   (* chi2 survival at df = 2 is exp(-x/2). *)
-  check_float ~tol:1e-9 "chi2_sf df=2" (exp (-1.)) (Check.Stats.chi2_sf ~df:2 2.);
+  check_float ~tol:1e-9 "chi2_sf df=2" (exp (-1.)) (Check.Stats.For_testing.chi2_sf ~df:2 2.);
   (* Standard normal quantiles. *)
   check_float ~tol:1e-9 "Phi(0)" 0.5 (Check.Stats.normal_cdf ~sigma:1. 0.);
   check_float ~tol:1e-4 "Phi(1.96)" 0.975 (Check.Stats.normal_cdf ~sigma:1. 1.959964);
-  check_float ~tol:1e-12 "erfc(0)" 1. (Check.Stats.erfc 0.)
+  check_float ~tol:1e-12 "erfc(0)" 1. (Check.Stats.For_testing.erfc 0.)
 
 let test_clopper_pearson () =
   let n = 50 and alpha = 0.05 in
@@ -175,7 +175,7 @@ let test_suite_fast_checks () =
     && contains json "\"violations\": 0")
 
 let test_suite_names_registered () =
-  let names = Check.Suite.names () in
+  let names = Check.Suite.For_testing.names () in
   List.iter
     (fun expected ->
       check_true (expected ^ " registered") (List.mem expected names))
@@ -193,8 +193,8 @@ let test_grouped_names () =
   (* Every registered name appears exactly once, under its prefix group,
      and the flat registry order is preserved within each group. *)
   let flattened = List.concat_map snd groups in
-  check_int "grouping is a partition" (List.length (Check.Suite.names ())) (List.length flattened);
-  List.iter (fun n -> check_true (n ^ " grouped") (List.mem n flattened)) (Check.Suite.names ());
+  check_int "grouping is a partition" (List.length (Check.Suite.For_testing.names ())) (List.length flattened);
+  List.iter (fun n -> check_true (n ^ " grouped") (List.mem n flattened)) (Check.Suite.For_testing.names ());
   List.iter
     (fun (group, members) ->
       check_true (group ^ " non-empty") (members <> []);

@@ -61,7 +61,7 @@ let test_subsample_amplify () =
   check_float ~tol:1e-12 "delta formula"
     (exp (6. /. 9.) *. 4. *. (100. /. 900.) *. 1e-6)
     (Prim.Dp.delta p);
-  check_float ~tol:1e-9 "factor" (6. /. 9.) (Prim.Subsample.amplification_factor ~m:100 ~n:900);
+  check_float ~tol:1e-9 "factor" (6. /. 9.) (Prim.Subsample.For_testing.amplification_factor ~m:100 ~n:900);
   (* Matches Sample_aggregate's n/9 instantiation. *)
   let sa = Privcluster.Sample_aggregate.amplified ~eps:1.0 ~delta:1e-6 in
   check_float ~tol:1e-9 "same eps as SA helper" (Prim.Dp.eps sa) (Prim.Dp.eps p);

@@ -6,41 +6,41 @@ let test_round_trip () =
   let dom =
     Privcluster.Domain.create ~lo:[| -10.; 100. |] ~hi:[| 30.; 120. |] ~axis_size:512
   in
-  check_float "side is the longest axis" 40. (Privcluster.Domain.scale dom);
+  check_float "side is the longest axis" 40. (Privcluster.Domain.For_testing.scale dom);
   let p = [| 5.; 110. |] in
-  let u = Privcluster.Domain.to_unit dom p in
+  let u = Privcluster.Domain.For_testing.to_unit dom p in
   check_in_range "unit x" ~lo:0. ~hi:1. u.(0);
   check_in_range "unit y" ~lo:0. ~hi:1. u.(1);
-  let back = Privcluster.Domain.of_unit dom u in
+  let back = Privcluster.Domain.For_testing.of_unit dom u in
   (* Round trip exact up to one grid step in data units. *)
-  let step_data = Privcluster.Domain.radius_of_unit dom (Geometry.Grid.step (Privcluster.Domain.grid dom)) in
+  let step_data = Privcluster.Domain.For_testing.radius_of_unit dom (Geometry.Grid.step (Privcluster.Domain.For_testing.grid dom)) in
   check_true "round trip within a grid step" (Geometry.Vec.dist back p <= step_data +. 1e-9)
 
 let test_radius_scaling () =
   let dom = Privcluster.Domain.create ~lo:[| 0. |] ~hi:[| 50. |] ~axis_size:64 in
-  check_float "radius out" 5. (Privcluster.Domain.radius_of_unit dom 0.1);
-  check_float "radius in" 0.1 (Privcluster.Domain.radius_to_unit dom 5.)
+  check_float "radius out" 5. (Privcluster.Domain.For_testing.radius_of_unit dom 0.1);
+  check_float "radius in" 0.1 (Privcluster.Domain.For_testing.radius_to_unit dom 5.)
 
 let test_of_points_covers () =
   let r = rng () in
   let points = Array.init 200 (fun _ -> [| Prim.Rng.uniform r ~lo:(-3.) ~hi:7.; Prim.Rng.uniform r ~lo:40. ~hi:45. |]) in
-  let dom = Privcluster.Domain.of_points ~axis_size:256 points in
+  let dom = Privcluster.Domain.For_testing.of_points ~axis_size:256 points in
   Array.iter
     (fun p ->
-      let u = Privcluster.Domain.to_unit dom p in
+      let u = Privcluster.Domain.For_testing.to_unit dom p in
       Array.iter (fun x -> check_in_range "mapped inside" ~lo:0. ~hi:1. x) u)
     points
 
 let test_clamping () =
   let dom = Privcluster.Domain.create ~lo:[| 0. |] ~hi:[| 1. |] ~axis_size:16 in
-  let u = Privcluster.Domain.to_unit dom [| 99. |] in
+  let u = Privcluster.Domain.For_testing.to_unit dom [| 99. |] in
   check_float "clamped" 1.0 u.(0)
 
 let test_validation () =
   Alcotest.check_raises "lo < hi" (Invalid_argument "Domain.create: lo must be below hi on every axis")
     (fun () -> ignore (Privcluster.Domain.create ~lo:[| 1. |] ~hi:[| 1. |] ~axis_size:4));
   Alcotest.check_raises "empty" (Invalid_argument "Domain.of_points: empty") (fun () ->
-      ignore (Privcluster.Domain.of_points ~axis_size:4 [||]))
+      ignore (Privcluster.Domain.For_testing.of_points ~axis_size:4 [||]))
 
 let test_solve_on_shifted_data () =
   (* A cluster around (1000, -500) in a 200-wide box: the solver must find

@@ -140,19 +140,19 @@ let test_registry_bounds_on_tree () =
   in
   let n = Geometry.Pointset.n (Engine.Registry.pointset ds) in
   let distinct =
-    List.length (List.filter (Geometry.Pointset.is_representative idx) (List.init n Fun.id))
+    List.length (List.filter (Geometry.Pointset.For_testing.is_representative idx) (List.init n Fun.id))
   in
   let ts = [ 1260; 1680; 2100 ] in
   (* A [~cap:1] sweep saturates at the first radius (every point holds
      itself), so only that column is final, and no point reaches any of
      these t there: the scan still probes every distinct point. *)
   ignore (Geometry.Pointset.score_l_many idx ~cap:1 ~radii);
-  check_true "a cap-1 sweep stops at the first radius" (Geometry.Pointset.memo_exact idx ~radii = 1);
+  check_true "a cap-1 sweep stops at the first radius" (Geometry.Pointset.For_testing.memo_exact idx ~radii = 1);
   List.iter
     (fun t ->
       check_true
         (Printf.sprintf "t=%d: after a cap-1 sweep the scan probes every distinct point" t)
-        (Geometry.Pointset.kth_candidate_count idx ~k:t = distinct))
+        (Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t = distinct))
     ts;
   (* Warm the registry index's sweep as GoodRadius does, with [~cap:t]
      before each t's miss, so the misses narrow their scans with it;
@@ -162,10 +162,10 @@ let test_registry_bounds_on_tree () =
       ignore (Geometry.Pointset.score_l_many idx ~cap:t ~radii);
       check_true
         (Printf.sprintf "t=%d: the memo narrows the scan" t)
-        (Geometry.Pointset.kth_candidate_count idx ~k:t < distinct);
+        (Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t < distinct);
       check_true
         (Printf.sprintf "t=%d: the cold index probes every distinct point" t)
-        (Geometry.Pointset.kth_candidate_count fresh ~k:t = distinct);
+        (Geometry.Pointset.For_testing.kth_candidate_count fresh ~k:t = distinct);
       let lo, hi = Engine.Registry.r_opt_bounds ds ~t in
       let lo', hi' = Workload.Metrics.r_opt_bounds_indexed fresh ~t in
       check_float ~tol:0. (Printf.sprintf "r_lo t=%d" t) lo' lo;
@@ -195,7 +195,7 @@ let test_registry_memo_per_epoch () =
   let check_epoch what =
     let idx = Engine.Registry.index ds in
     check_true (what ^ ": new epoch starts cold")
-      (not (Geometry.Pointset.memo_holds idx ~radii));
+      (not (Geometry.Pointset.For_testing.memo_holds idx ~radii));
     let fresh_idx = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
     List.iter
       (fun cap ->
@@ -204,7 +204,7 @@ let test_registry_memo_per_epoch () =
           (sweep idx cap = sweep fresh_idx cap))
       caps;
     check_true (what ^ ": memo filled")
-      (Geometry.Pointset.memo_holds idx ~radii)
+      (Geometry.Pointset.For_testing.memo_holds idx ~radii)
   in
   let epoch0 = Engine.Registry.index ds in
   let before = sweep epoch0 60 in
@@ -237,7 +237,7 @@ let test_memo_concurrent_first_calls () =
   let v1 = Domain.join d1 and v2 = Domain.join d2 in
   check_true "concurrent first calls agree" (v1 = v2);
   check_true "and equal a cold index" (v1 = expected);
-  check_true "memo filled once for both" (Geometry.Pointset.memo_holds idx ~radii)
+  check_true "memo filled once for both" (Geometry.Pointset.For_testing.memo_holds idx ~radii)
 
 (* --- Job parsing -------------------------------------------------------- *)
 
@@ -631,7 +631,7 @@ let test_service_refuses_over_budget_jobs () =
   check_float ~tol:1e-12 "refused job not charged" 1.4 spent.Prim.Dp.eps;
   check_int "telemetry saw all three"
     3
-    (Engine.Telemetry.count (Engine.Service.telemetry service) ~kind:"quantile" ())
+    (Engine.Telemetry.For_testing.count (Engine.Service.telemetry service) ~kind:"quantile" ())
 
 let test_service_deadline_reports_timeout () =
   let service = Engine.Service.create ~domains:2 ~seed:3 ~faults:Engine.Faults.none () in
@@ -656,7 +656,7 @@ let test_service_deadline_reports_timeout () =
       match r.Engine.Job.status with
       | Engine.Job.Timed_out _ ->
           check_int "timeout recorded in telemetry" 1
-            (Engine.Telemetry.count (Engine.Service.telemetry service) ~status:"timeout" ())
+            (Engine.Telemetry.For_testing.count (Engine.Service.telemetry service) ~status:"timeout" ())
       | s -> Alcotest.failf "expected timeout, got %s" (Engine.Job.status_name s))
   | _ -> Alcotest.fail "one result expected"
 

@@ -277,7 +277,7 @@ let test_standing_budget_schedule () =
         | _ -> false)
     | _ -> false);
   check_true "query listed"
-    (Engine.Service.standing_queries svc = [ ("s", "sq", 1, 3) ]);
+    (Engine.Service.For_testing.standing_queries svc = [ ("s", "sq", 1, 3) ]);
   (* Each epoch transition answers one more tick, committing its slice —
      until the schedule is exhausted, after which mutations tick nothing. *)
   let mutate k =
@@ -297,7 +297,7 @@ let test_standing_budget_schedule () =
     (Engine.Accountant.spent acct).Prim.Dp.eps;
   check_int "no reservations left" 0 (List.length (Engine.Accountant.outstanding acct));
   check_true "all ticks answered"
-    (Engine.Service.standing_queries svc = [ ("s", "sq", 3, 3) ]);
+    (Engine.Service.For_testing.standing_queries svc = [ ("s", "sq", 3, 3) ]);
   let r4 = mutate 4 in
   check_int "exhausted schedule ticks nothing" 1 (List.length r4);
   check_float ~tol:0. "and charges nothing" 1.5 (Engine.Accountant.spent acct).Prim.Dp.eps

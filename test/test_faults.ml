@@ -21,7 +21,7 @@ let test_parse_roundtrip () =
     | Ok t -> t
     | Error e -> Alcotest.failf "parse failed: %s" e
   in
-  let lookup index attempt = Engine.Faults.lookup t ~index ~attempt in
+  let lookup index attempt = Engine.Faults.For_testing.lookup t ~index ~attempt in
   check_true "crash@2 on first attempt" (lookup 2 0 = Some Engine.Faults.Crash);
   check_true "crash@2 not on retry" (lookup 2 1 = None);
   check_true "stall parsed with duration" (lookup 5 0 = Some (Engine.Faults.Stall 0.25));
@@ -38,8 +38,8 @@ let test_parse_roundtrip () =
         (fun (i, a) ->
           check_true
             (Printf.sprintf "roundtrip lookup (%d, %d)" i a)
-            (Engine.Faults.lookup t ~index:i ~attempt:a
-            = Engine.Faults.lookup t' ~index:i ~attempt:a))
+            (Engine.Faults.For_testing.lookup t ~index:i ~attempt:a
+            = Engine.Faults.For_testing.lookup t' ~index:i ~attempt:a))
         [ (2, 0); (2, 1); (5, 0); (7, 0); (7, 2); (7, 3); (0, 0) ]);
   check_true "empty parses to none"
     (match Engine.Faults.parse "" with Ok t -> Engine.Faults.is_none t | Error _ -> false);
@@ -65,22 +65,22 @@ let test_parse_errors () =
     ]
 
 let test_seeded_deterministic () =
-  let mk () = Engine.Faults.seeded ~seed:42 ~rate:0.4 () in
+  let mk () = Engine.Faults.For_testing.seeded ~seed:42 ~rate:0.4 () in
   let a = mk () and b = mk () in
   for i = 0 to 80 do
     check_true
       (Printf.sprintf "seeded lookup %d stable" i)
-      (Engine.Faults.lookup a ~index:i ~attempt:0 = Engine.Faults.lookup b ~index:i ~attempt:0)
+      (Engine.Faults.For_testing.lookup a ~index:i ~attempt:0 = Engine.Faults.For_testing.lookup b ~index:i ~attempt:0)
   done;
   let fired = ref 0 in
   for i = 0 to 80 do
-    if Engine.Faults.lookup a ~index:i ~attempt:0 <> None then incr fired
+    if Engine.Faults.For_testing.lookup a ~index:i ~attempt:0 <> None then incr fired
   done;
   check_true "rate=0.4 fires sometimes, not always" (!fired > 0 && !fired < 81);
-  check_true "rate=0 is none" (Engine.Faults.is_none (Engine.Faults.seeded ~seed:1 ~rate:0. ()));
-  let all = Engine.Faults.seeded ~seed:1 ~rate:1. () in
+  check_true "rate=0 is none" (Engine.Faults.is_none (Engine.Faults.For_testing.seeded ~seed:1 ~rate:0. ()));
+  let all = Engine.Faults.For_testing.seeded ~seed:1 ~rate:1. () in
   for i = 0 to 20 do
-    check_true "rate=1 fires everywhere" (Engine.Faults.lookup all ~index:i ~attempt:0 <> None)
+    check_true "rate=1 fires everywhere" (Engine.Faults.For_testing.lookup all ~index:i ~attempt:0 <> None)
   done;
   (* Seeded roundtrip through the grammar. *)
   match Engine.Faults.parse (Engine.Faults.to_string a) with
@@ -88,24 +88,24 @@ let test_seeded_deterministic () =
   | Ok a' ->
       for i = 0 to 80 do
         check_true "seeded roundtrip lookups agree"
-          (Engine.Faults.lookup a ~index:i ~attempt:0 = Engine.Faults.lookup a' ~index:i ~attempt:0)
+          (Engine.Faults.For_testing.lookup a ~index:i ~attempt:0 = Engine.Faults.For_testing.lookup a' ~index:i ~attempt:0)
       done
 
 let test_env_roundtrip () =
-  let saved = Sys.getenv_opt Engine.Faults.env_var in
+  let saved = Sys.getenv_opt Engine.Faults.For_testing.env_var in
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv Engine.Faults.env_var (Option.value ~default:"" saved))
+      Unix.putenv Engine.Faults.For_testing.env_var (Option.value ~default:"" saved))
     (fun () ->
-      Unix.putenv Engine.Faults.env_var "crash@1";
+      Unix.putenv Engine.Faults.For_testing.env_var "crash@1";
       let t = Engine.Faults.of_env () in
       check_true "env schedule parsed"
-        (Engine.Faults.lookup t ~index:1 ~attempt:0 = Some Engine.Faults.Crash);
-      Unix.putenv Engine.Faults.env_var "bogus";
+        (Engine.Faults.For_testing.lookup t ~index:1 ~attempt:0 = Some Engine.Faults.Crash);
+      Unix.putenv Engine.Faults.For_testing.env_var "bogus";
       (match Engine.Faults.of_env () with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "malformed env schedule must not run silently fault-free");
-      Unix.putenv Engine.Faults.env_var "";
+      Unix.putenv Engine.Faults.For_testing.env_var "";
       check_true "empty env is none" (Engine.Faults.is_none (Engine.Faults.of_env ())))
 
 (* --- Pool: retries and supervision --------------------------------------- *)
@@ -188,14 +188,14 @@ let test_reservation_protocol () =
     | Error _ -> Alcotest.fail "reservation refused with headroom available"
   in
   (* The reservation blocks headroom but is not spent. *)
-  check_true "reservation blocks admission" (not (Engine.Accountant.would_accept acc (p ~eps:0.2 ~delta:0.)));
+  check_true "reservation blocks admission" (not (Engine.Accountant.For_testing.would_accept acc (p ~eps:0.2 ~delta:0.)));
   check_true "over-reserved charge refused"
     (Result.is_error (Engine.Accountant.charge acc (p ~eps:0.2 ~delta:0.)));
   check_float ~tol:1e-12 "spent excludes reservation" 0.4 (Engine.Accountant.spent acc).Prim.Dp.eps;
-  check_int "one outstanding reservation" 1 (List.length (Engine.Accountant.reserved acc));
+  check_int "one outstanding reservation" 1 (List.length (Engine.Accountant.For_testing.reserved acc));
   (* Release frees the headroom. *)
   Engine.Accountant.release acc resv;
-  check_int "released" 0 (List.length (Engine.Accountant.reserved acc));
+  check_int "released" 0 (List.length (Engine.Accountant.For_testing.reserved acc));
   check_true "headroom back" (Result.is_ok (Engine.Accountant.charge acc (p ~eps:0.5 ~delta:1e-7)));
   (* Commit turns a reservation into a real charge. *)
   let resv2 =
@@ -318,14 +318,14 @@ let test_degraded_charges_exact_reservation () =
   check_float ~tol:1e-12 "spend = charges + committed reservation" 3.5
     (Engine.Accountant.spent acc).Prim.Dp.eps;
   check_float ~tol:1e-18 "delta likewise" 2.5e-6 (Engine.Accountant.spent acc).Prim.Dp.delta;
-  check_int "no outstanding reservations" 0 (List.length (Engine.Accountant.reserved acc));
+  check_int "no outstanding reservations" 0 (List.length (Engine.Accountant.For_testing.reserved acc));
   check_true "committed fallback labelled"
     (List.mem_assoc "late_fb:fallback" (Engine.Accountant.entries acc));
   check_true "released fallback not spent"
     (not (List.mem_assoc "ok_fb:fallback" (Engine.Accountant.entries acc)));
   check_int "degraded counter" 1 (Engine.Telemetry.counter (Engine.Service.telemetry service) "degraded");
   check_int "degraded in status counts" 1
-    (Engine.Telemetry.count (Engine.Service.telemetry service) ~status:"degraded" ())
+    (Engine.Telemetry.For_testing.count (Engine.Service.telemetry service) ~status:"degraded" ())
 
 let test_no_headroom_disables_fallback () =
   let _, grid, w = small_workload () in
@@ -345,7 +345,7 @@ let test_no_headroom_disables_fallback () =
   | s -> Alcotest.failf "expected plain timeout, got %s" (Engine.Job.status_name s));
   let acc = Engine.Registry.accountant ds in
   check_float ~tol:1e-12 "only the main charge spent" 0.9 (Engine.Accountant.spent acc).Prim.Dp.eps;
-  check_int "no outstanding reservations" 0 (List.length (Engine.Accountant.reserved acc))
+  check_int "no outstanding reservations" 0 (List.length (Engine.Accountant.For_testing.reserved acc))
 
 let test_attempt_limit_keeps_charge () =
   let _, grid, w = small_workload () in
@@ -388,7 +388,7 @@ let test_qcheck_spend_invariant =
     QCheck2.Gen.(pair (int_range 0 999) (int_range 0 100))
     (fun (seed, rate100) ->
       let ref_canon, ref_spent = Lazy.force reference in
-      let faults = Engine.Faults.seeded ~seed ~rate:(float_of_int rate100 /. 100.) () in
+      let faults = Engine.Faults.For_testing.seeded ~seed ~rate:(float_of_int rate100 /. 100.) () in
       let canon, spent = run ~faults in
       canon = ref_canon
       && spent.Prim.Dp.eps = ref_spent.Prim.Dp.eps
@@ -462,7 +462,7 @@ let test_qcheck_reservation_interleavings =
          the ledger must equal the replay model. *)
       List.iter (fun (r, _) -> Engine.Accountant.release acc r) !live;
       let spent = Engine.Accountant.spent acc in
-      Engine.Accountant.reserved acc = []
+      Engine.Accountant.For_testing.reserved acc = []
       && Float.abs (spent.Prim.Dp.eps -. !model_eps) < 1e-9
       && Float.abs (spent.Prim.Dp.delta -. !model_delta) < 1e-12)
 

@@ -36,16 +36,16 @@ let test_vec_kernels_match_boxed () =
         (Geometry.Vec.dist_to_row st ~off ~dim:d q);
       check_bits "dist_sq_to_row" (Geometry.Vec.dist_sq p q)
         (Geometry.Vec.dist_sq_to_row st ~off ~dim:d q);
-      check_bits "dot_row" (Geometry.Vec.dot p q) (Geometry.Vec.dot_row st ~off ~dim:d q);
+      check_bits "dot_row" (Geometry.Vec.For_testing.dot p q) (Geometry.Vec.dot_row st ~off ~dim:d q);
       check_bits "dist_rows"
         (Geometry.Vec.dist p points.(3))
         (Geometry.Vec.dist_rows st off st offs.(3) ~dim:d);
       check_bits "dot_rows"
-        (Geometry.Vec.dot p points.(3))
+        (Geometry.Vec.For_testing.dot p points.(3))
         (Geometry.Vec.dot_rows st off st offs.(3) ~dim:d);
       let y_flat = Array.copy q and y_boxed = Array.copy q in
       Geometry.Vec.axpy_row 2.5 st ~off ~dim:d y_flat;
-      Geometry.Vec.axpy 2.5 p y_boxed;
+      Geometry.Vec.For_testing.axpy 2.5 p y_boxed;
       Array.iteri (fun j e -> check_bits "axpy_row" e y_flat.(j)) y_boxed)
     points
 
@@ -69,7 +69,7 @@ let test_score_l_matches_index () =
   List.iter
     (fun radius ->
       check_bits "score_l index vs direct"
-        (Geometry.Pointset.score_l_direct ps ~cap:10 ~radius)
+        (Geometry.Pointset.For_testing.score_l_direct ps ~cap:10 ~radius)
         (Geometry.Pointset.score_l idx ~cap:10 ~radius))
     [ 0.05; 0.2; 0.5; 1.0 ]
 
@@ -155,7 +155,7 @@ let qsuite =
   [
     qcheck "create/points round-trip" points_gen (fun pts ->
         let ps = Geometry.Pointset.create pts in
-        let back = Geometry.Pointset.points ps in
+        let back = Geometry.Pointset.For_testing.points ps in
         Array.length back = Array.length pts
         && Array.for_all2 (fun a b -> a = b) back pts);
     qcheck "of_storage point indexing" points_gen (fun pts ->
@@ -179,9 +179,9 @@ let qsuite =
         let ps = Geometry.Pointset.create pts in
         let d = Array.length pts.(0) in
         let keep v = v.(0) > 0. in
-        let a = Geometry.Pointset.filter keep ps in
+        let a = Geometry.Pointset.For_testing.filter keep ps in
         let b =
-          Geometry.Pointset.filter_rows (fun st off -> Geometry.Vec.get st ~off 0 > 0.) ps
+          Geometry.Pointset.filter_rows (fun st off -> Geometry.Vec.For_testing.get st ~off 0 > 0.) ps
         in
         ignore d;
         Geometry.Pointset.n a = Geometry.Pointset.n b
@@ -197,7 +197,7 @@ let qsuite =
           (Array.init d Fun.id));
     qcheck "points returns copies (mutation is invisible)" points_gen (fun pts ->
         let ps = Geometry.Pointset.create pts in
-        let copy = Geometry.Pointset.points ps in
+        let copy = Geometry.Pointset.For_testing.points ps in
         copy.(0).(0) <- 1e9;
         Geometry.Pointset.point ps 0 = pts.(0));
   ]

@@ -27,7 +27,7 @@ let test_finds_planted_center () =
 let test_fails_on_uniform_data () =
   let r = rng ~seed:5 () in
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let points = Workload.Synth.uniform r ~grid ~n:400 in
+  let points = Workload.Synth.For_testing.uniform r ~grid ~n:400 in
   (* No ball of radius 0.01 holds 300 uniform points: AboveThreshold should
      never fire, or the histogram should release nothing. *)
   let failures = ref 0 in
@@ -81,7 +81,7 @@ let test_validation () =
 let test_rounds_respected () =
   let r = rng () in
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let points = Workload.Synth.uniform r ~grid ~n:200 in
+  let points = Workload.Synth.For_testing.uniform r ~grid ~n:200 in
   let profile = { Privcluster.Profile.practical with Privcluster.Profile.max_rounds = Some 3 } in
   (* With a hopeless target the loop must stop at the cap. *)
   match

@@ -17,8 +17,8 @@ let test_snap_and_mem () =
   let s = Geometry.Grid.snap g [| 0.234; 0.56 |] in
   check_float ~tol:1e-12 "snap x" 0.2 s.(0);
   check_float ~tol:1e-12 "snap y" 0.6 s.(1);
-  check_true "snapped point on grid" (Geometry.Grid.mem g s);
-  check_true "off-grid rejected" (not (Geometry.Grid.mem g [| 0.234; 0.56 |]));
+  check_true "snapped point on grid" (Geometry.Grid.For_testing.mem g s);
+  check_true "off-grid rejected" (not (Geometry.Grid.For_testing.mem g [| 0.234; 0.56 |]));
   let clamped = Geometry.Grid.snap g [| -5.; 7. |] in
   check_float "clamp low" 0. clamped.(0);
   check_float "clamp high" 1. clamped.(1)
@@ -27,7 +27,7 @@ let test_random_point_on_grid () =
   let r = rng () in
   let g = Geometry.Grid.create ~axis_size:17 ~dim:3 in
   for _ = 1 to 100 do
-    check_true "random point on grid" (Geometry.Grid.mem g (Geometry.Grid.random_point g r))
+    check_true "random point on grid" (Geometry.Grid.For_testing.mem g (Geometry.Grid.random_point g r))
   done
 
 let test_linear_candidates () =
@@ -45,7 +45,7 @@ let test_linear_index_of_radius_inverse () =
   let g = Geometry.Grid.create ~axis_size:64 ~dim:2 in
   for i = 0 to Geometry.Grid.radius_candidates g - 1 do
     let r = Geometry.Grid.radius_of_index g i in
-    let j = Geometry.Grid.index_of_radius g r in
+    let j = Geometry.Grid.For_testing.index_of_radius g r in
     check_true "index_of_radius inverts" (j <= i);
     check_true "returned radius covers" (Geometry.Grid.radius_of_index g j >= r -. 1e-12)
   done
@@ -87,10 +87,10 @@ let test_geometric_monotone_and_ratio () =
 
 let test_geometric_index_of_radius () =
   let g = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  check_int "zero maps to 0" 0 (Geometry.Grid.geometric_index_of_radius g 0.);
+  check_int "zero maps to 0" 0 (Geometry.Grid.For_testing.geometric_index_of_radius g 0.);
   for i = 1 to Geometry.Grid.geometric_candidates g - 1 do
     let r = Geometry.Grid.geometric_radius_of_index g i in
-    let j = Geometry.Grid.geometric_index_of_radius g r in
+    let j = Geometry.Grid.For_testing.geometric_index_of_radius g r in
     check_true "covering index" (Geometry.Grid.geometric_radius_of_index g j >= r -. 1e-9)
   done
 

@@ -3,7 +3,7 @@
 open Testutil
 
 let test_partition_membership () =
-  let p = Geometry.Interval.fixed ~shift:0.3 ~len:2.0 in
+  let p = Geometry.Interval.For_testing.fixed ~shift:0.3 ~len:2.0 in
   let check x =
     let j = Geometry.Interval.index_of p x in
     let lo, hi = Geometry.Interval.bounds p j in
@@ -18,7 +18,7 @@ let qcheck_partition_membership =
   qcheck "x lies in interval of its index"
     QCheck2.Gen.(pair (float_range (-1000.) 1000.) (float_range 0.01 50.))
     (fun (x, len) ->
-      let p = Geometry.Interval.fixed ~shift:(len /. 3.) ~len in
+      let p = Geometry.Interval.For_testing.fixed ~shift:(len /. 3.) ~len in
       let j = Geometry.Interval.index_of p x in
       let lo, hi = Geometry.Interval.bounds p j in
       lo -. 1e-9 <= x && x < hi +. 1e-9)
@@ -27,22 +27,22 @@ let test_random_shift_in_range () =
   let r = rng () in
   for _ = 1 to 100 do
     let p = Geometry.Interval.make r ~len:5.0 in
-    check_in_range "shift in [0, len)" ~lo:0. ~hi:5.0 (Geometry.Interval.shift p)
+    check_in_range "shift in [0, len)" ~lo:0. ~hi:5.0 (Geometry.Interval.For_testing.shift p)
   done
 
 let test_extend () =
-  let p = Geometry.Interval.fixed ~shift:0. ~len:1.0 in
+  let p = Geometry.Interval.For_testing.fixed ~shift:0. ~len:1.0 in
   let lo, hi = Geometry.Interval.extend p 3 ~by:0.5 in
   check_float "extended lo" 2.5 lo;
   check_float "extended hi" 4.5 hi
 
 let test_plain_intervals () =
-  let i = Geometry.Interval.of_center ~center:0.5 ~radius:0.2 in
-  check_true "contains center" (Geometry.Interval.contains i 0.5);
-  check_true "contains boundary" (Geometry.Interval.contains i 0.7);
-  check_true "excludes outside" (not (Geometry.Interval.contains i 0.71));
-  check_float ~tol:1e-12 "length" 0.4 (Geometry.Interval.length i);
-  check_float ~tol:1e-12 "center" 0.5 (Geometry.Interval.center i);
+  let i = Geometry.Interval.For_testing.of_center ~center:0.5 ~radius:0.2 in
+  check_true "contains center" (Geometry.Interval.For_testing.contains i 0.5);
+  check_true "contains boundary" (Geometry.Interval.For_testing.contains i 0.7);
+  check_true "excludes outside" (not (Geometry.Interval.For_testing.contains i 0.71));
+  check_float ~tol:1e-12 "length" 0.4 (Geometry.Interval.For_testing.length i);
+  check_float ~tol:1e-12 "center" 0.5 (Geometry.Interval.For_testing.center i);
   (match
      Geometry.Interval.intersect
        { Geometry.Interval.lo = 0.; hi = 1. }
@@ -63,8 +63,8 @@ let test_boxing_key_consistency () =
   let b = Geometry.Boxing.make r ~dim:3 ~len:0.25 in
   for _ = 1 to 200 do
     let v = Prim.Rng.gaussian_vector r ~dim:3 ~sigma:2.0 in
-    let key = Geometry.Boxing.key_of b v in
-    let bounds = Geometry.Boxing.bounds b key in
+    let key = Geometry.Boxing.For_testing.key_of b v in
+    let bounds = Geometry.Boxing.For_testing.bounds b key in
     Array.iteri
       (fun i (lo, hi) ->
         check_true "coordinate within box" (lo <= v.(i) && v.(i) < hi))
@@ -73,14 +73,14 @@ let test_boxing_key_consistency () =
 
 let test_boxing_center_and_diameter () =
   let b =
-    Geometry.Boxing.of_partitions
-      [| Geometry.Interval.fixed ~shift:0. ~len:1.0; Geometry.Interval.fixed ~shift:0. ~len:2.0 |]
+    Geometry.Boxing.For_testing.of_partitions
+      [| Geometry.Interval.For_testing.fixed ~shift:0. ~len:1.0; Geometry.Interval.For_testing.fixed ~shift:0. ~len:2.0 |]
   in
   let c = Geometry.Boxing.center b [| 0; 0 |] in
   check_float "center x" 0.5 c.(0);
   check_float "center y" 1.0 c.(1);
-  check_float ~tol:1e-12 "l2 diameter" (sqrt 5.) (Geometry.Boxing.l2_diameter b);
-  check_float "side 1" 2.0 (Geometry.Boxing.side b 1)
+  check_float ~tol:1e-12 "l2 diameter" (sqrt 5.) (Geometry.Boxing.For_testing.l2_diameter b);
+  check_float "side 1" 2.0 (Geometry.Boxing.For_testing.side b 1)
 
 let test_occupancy () =
   let r = rng () in
@@ -124,18 +124,18 @@ let qcheck_row_in_box_matches_key =
               ]))
         (int_range 0 2) (pair (int_range 0 (d - 1)) (int_range (-3) 3)))
     (fun (parts, coords, mode, (axis, delta)) ->
-      let partitions = Array.map (fun (shift, len) -> Geometry.Interval.fixed ~shift ~len) parts in
-      let b = Geometry.Boxing.of_partitions partitions in
+      let partitions = Array.map (fun (shift, len) -> Geometry.Interval.For_testing.fixed ~shift ~len) parts in
+      let b = Geometry.Boxing.For_testing.of_partitions partitions in
       let row =
         Array.mapi
           (fun i c ->
             match c with
-            | `Edge j -> Geometry.Interval.shift partitions.(i) +. (float_of_int j *. Geometry.Interval.len partitions.(i))
+            | `Edge j -> Geometry.Interval.For_testing.shift partitions.(i) +. (float_of_int j *. Geometry.Interval.len partitions.(i))
             | `At x -> x)
           coords
       in
       let st = Array.append [| 7. |] row in
-      let own = Geometry.Boxing.key_of_row b st ~off:1 in
+      let own = Geometry.Boxing.For_testing.key_of_row b st ~off:1 in
       let key =
         match mode with
         | 0 -> Array.copy own

@@ -9,7 +9,7 @@ let qcheck_grid_snap_idempotent =
   qcheck "grid snap is idempotent" vec2_gen (fun v ->
       let g = Geometry.Grid.create ~axis_size:37 ~dim:2 in
       let s = Geometry.Grid.snap g v in
-      Geometry.Vec.equal ~tol:1e-12 s (Geometry.Grid.snap g s))
+      Geometry.Vec.For_testing.equal ~tol:1e-12 s (Geometry.Grid.snap g s))
 
 let qcheck_grid_snap_moves_at_most_half_step =
   qcheck "snap moves each coordinate at most step/2" vec2_gen (fun v ->
@@ -24,9 +24,9 @@ let qcheck_domain_round_trip =
     (fun (x, y) ->
       let dom = Privcluster.Domain.create ~lo:[| -10.; 95. |] ~hi:[| 50.; 145. |] ~axis_size:512 in
       let p = [| x; y |] in
-      let back = Privcluster.Domain.of_unit dom (Privcluster.Domain.to_unit dom p) in
+      let back = Privcluster.Domain.For_testing.of_unit dom (Privcluster.Domain.For_testing.to_unit dom p) in
       let step_data =
-        Privcluster.Domain.radius_of_unit dom (Geometry.Grid.step (Privcluster.Domain.grid dom))
+        Privcluster.Domain.For_testing.radius_of_unit dom (Geometry.Grid.step (Privcluster.Domain.For_testing.grid dom))
       in
       Geometry.Vec.dist back p <= step_data +. 1e-9)
 
@@ -34,7 +34,7 @@ let qcheck_kmeans_canonical_is_sorted_permutation =
   qcheck "canonical_order: sorted permutation of the input"
     QCheck2.Gen.(array_size (int_range 1 8) vec2_gen)
     (fun centers ->
-      let c = Geometry.Kmeans.canonical_order centers in
+      let c = Geometry.Kmeans.For_testing.canonical_order centers in
       let sorted_pairs a = List.sort compare (Array.to_list (Array.map Array.to_list a)) in
       sorted_pairs c = sorted_pairs centers
       &&
@@ -65,7 +65,7 @@ let test_noisy_avg_shift_equivariance () =
   match (run 7 vs ~center:[| 0.45; 0.6 |], run 7 vs_shifted ~center:[| 10.45; -2.4 |]) with
   | Prim.Noisy_avg.Average a, Prim.Noisy_avg.Average b ->
       check_true "same noise, shifted mean"
-        (Geometry.Vec.equal ~tol:1e-9
+        (Geometry.Vec.For_testing.equal ~tol:1e-9
            (Geometry.Vec.add a.Prim.Noisy_avg.average shift)
            b.Prim.Noisy_avg.average);
       check_float ~tol:1e-12 "same sigma" a.Prim.Noisy_avg.sigma b.Prim.Noisy_avg.sigma
@@ -84,11 +84,11 @@ let qcheck_boxing_diameter_bounds_points =
     QCheck2.Gen.(pair vec2_gen vec2_gen)
     (fun (a, b) ->
       let boxing =
-        Geometry.Boxing.of_partitions
-          [| Geometry.Interval.fixed ~shift:0.05 ~len:0.3; Geometry.Interval.fixed ~shift:0.1 ~len:0.2 |]
+        Geometry.Boxing.For_testing.of_partitions
+          [| Geometry.Interval.For_testing.fixed ~shift:0.05 ~len:0.3; Geometry.Interval.For_testing.fixed ~shift:0.1 ~len:0.2 |]
       in
-      Geometry.Boxing.key_of boxing a <> Geometry.Boxing.key_of boxing b
-      || Geometry.Vec.dist a b <= Geometry.Boxing.l2_diameter boxing +. 1e-9)
+      Geometry.Boxing.For_testing.key_of boxing a <> Geometry.Boxing.For_testing.key_of boxing b
+      || Geometry.Vec.dist a b <= Geometry.Boxing.For_testing.l2_diameter boxing +. 1e-9)
 
 let qcheck_gamma_monotone_in_domain =
   qcheck "GoodRadius Gamma is monotone in |X|" ~count:30 QCheck2.Gen.(int_range 3 12)

@@ -5,8 +5,8 @@ open Testutil
 let test_jl_shapes () =
   let r = rng () in
   let f = Geometry.Jl.make r ~input_dim:20 ~output_dim:5 in
-  check_int "input dim" 20 (Geometry.Jl.input_dim f);
-  check_int "output dim" 5 (Geometry.Jl.output_dim f);
+  check_int "input dim" 20 (Geometry.Jl.For_testing.input_dim f);
+  check_int "output dim" 5 (Geometry.Jl.For_testing.output_dim f);
   check_int "apply shape" 5 (Array.length (Geometry.Jl.apply f (Array.make 20 1.)));
   Alcotest.check_raises "dim mismatch" (Invalid_argument "Jl.apply: dimension mismatch")
     (fun () -> ignore (Geometry.Jl.apply f (Array.make 3 1.)))
@@ -18,19 +18,19 @@ let test_jl_linear () =
   let b = Prim.Rng.gaussian_vector r ~dim:10 ~sigma:1.0 in
   let lhs = Geometry.Jl.apply f (Geometry.Vec.add a b) in
   let rhs = Geometry.Vec.add (Geometry.Jl.apply f a) (Geometry.Jl.apply f b) in
-  check_true "linearity" (Geometry.Vec.equal ~tol:1e-9 lhs rhs)
+  check_true "linearity" (Geometry.Vec.For_testing.equal ~tol:1e-9 lhs rhs)
 
 let test_jl_norm_preservation_in_expectation () =
   let r = rng () in
   let d = 40 in
   let v = Prim.Rng.gaussian_vector r ~dim:d ~sigma:1.0 in
-  let norm2 = Geometry.Vec.norm2_sq v in
+  let norm2 = Geometry.Vec.For_testing.norm2_sq v in
   (* Average over many independent transforms: E ||f(v)||² = ||v||². *)
   let trials = 300 in
   let acc = ref 0. in
   for _ = 1 to trials do
     let f = Geometry.Jl.make r ~input_dim:d ~output_dim:8 in
-    acc := !acc +. Geometry.Vec.norm2_sq (Geometry.Jl.apply f v)
+    acc := !acc +. Geometry.Vec.For_testing.norm2_sq (Geometry.Jl.apply f v)
   done;
   check_float ~tol:(0.1 *. norm2) "unbiased squared norm" norm2 (!acc /. float_of_int trials)
 
@@ -39,7 +39,7 @@ let test_jl_distance_preservation_whp () =
   let n = 30 and d = 100 in
   let points = Array.init n (fun _ -> Prim.Rng.gaussian_vector r ~dim:d ~sigma:1.0) in
   let eta = 0.5 and beta = 0.05 in
-  let k = Geometry.Jl.target_dim ~n ~eta ~beta in
+  let k = Geometry.Jl.For_testing.target_dim ~n ~eta ~beta in
   let f = Geometry.Jl.make r ~input_dim:d ~output_dim:k in
   let proj = Geometry.Jl.apply_all f points in
   let ok = ref true in
@@ -55,7 +55,7 @@ let test_jl_distance_preservation_whp () =
 let test_jl_dims_formulas () =
   check_int "target_dim formula"
     (int_of_float (Float.ceil (8. /. 0.25 *. log (2. *. 900. /. 0.1))))
-    (Geometry.Jl.target_dim ~n:30 ~eta:0.5 ~beta:0.1);
+    (Geometry.Jl.For_testing.target_dim ~n:30 ~eta:0.5 ~beta:0.1);
   check_int "paper_dim formula"
     (int_of_float (Float.ceil (46. *. log (2. *. 100. /. 0.1))))
     (Geometry.Jl.paper_dim ~n:100 ~beta:0.1)
@@ -67,7 +67,7 @@ let test_rotation_orthonormal () =
   for i = 0 to d - 1 do
     for j = i to d - 1 do
       let dot =
-        Geometry.Vec.dot (Geometry.Rotation.basis_vector rot i) (Geometry.Rotation.basis_vector rot j)
+        Geometry.Vec.For_testing.dot (Geometry.Rotation.For_testing.basis_vector rot i) (Geometry.Rotation.For_testing.basis_vector rot j)
       in
       if i = j then check_float ~tol:1e-9 "unit norm" 1.0 dot
       else check_float ~tol:1e-9 "orthogonal" 0.0 dot
@@ -79,16 +79,16 @@ let test_rotation_isometry () =
   let rot = Geometry.Rotation.make r ~dim:9 in
   for _ = 1 to 50 do
     let v = Prim.Rng.gaussian_vector r ~dim:9 ~sigma:1.0 in
-    let c = Geometry.Rotation.to_coords rot v in
+    let c = Geometry.Rotation.For_testing.to_coords rot v in
     check_float ~tol:1e-9 "norm preserved" (Geometry.Vec.norm2 v) (Geometry.Vec.norm2 c);
     let back = Geometry.Rotation.from_coords rot c in
-    check_true "round trip" (Geometry.Vec.equal ~tol:1e-9 v back)
+    check_true "round trip" (Geometry.Vec.For_testing.equal ~tol:1e-9 v back)
   done
 
 let test_rotation_identity () =
-  let rot = Geometry.Rotation.identity ~dim:3 in
+  let rot = Geometry.Rotation.For_testing.identity ~dim:3 in
   let v = [| 1.; 2.; 3. |] in
-  check_true "identity to_coords" (Geometry.Vec.equal v (Geometry.Rotation.to_coords rot v));
+  check_true "identity to_coords" (Geometry.Vec.For_testing.equal v (Geometry.Rotation.For_testing.to_coords rot v));
   check_float "project" 2. (Geometry.Rotation.project rot v 1)
 
 let test_rotation_projection_lemma () =

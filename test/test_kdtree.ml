@@ -17,26 +17,26 @@ let qcheck_count_matches_brute =
     (fun (n, d, radius) ->
       let r = rng ~seed:(n + (d * 1000)) () in
       let pts = random_points r ~n ~d in
-      let tree = Geometry.Kdtree.build pts in
+      let tree = Geometry.Kdtree.For_testing.build pts in
       let center = Prim.Rng.gaussian_vector r ~dim:d ~sigma:1.0 in
       Geometry.Kdtree.count_within tree ~center ~radius = brute_count pts center radius)
 
 let test_build_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Kdtree.build: empty") (fun () ->
-      ignore (Geometry.Kdtree.build [||]));
+      ignore (Geometry.Kdtree.For_testing.build [||]));
   Alcotest.check_raises "mixed" (Invalid_argument "Kdtree.build: mixed dimensions") (fun () ->
-      ignore (Geometry.Kdtree.build [| [| 1. |]; [| 1.; 2. |] |]))
+      ignore (Geometry.Kdtree.For_testing.build [| [| 1. |]; [| 1.; 2. |] |]))
 
 let test_size_dim () =
   let r = rng () in
-  let tree = Geometry.Kdtree.build (random_points r ~n:321 ~d:3) in
-  check_int "size" 321 (Geometry.Kdtree.size tree);
-  check_int "dim" 3 (Geometry.Kdtree.dim tree)
+  let tree = Geometry.Kdtree.For_testing.build (random_points r ~n:321 ~d:3) in
+  check_int "size" 321 (Geometry.Kdtree.For_testing.size tree);
+  check_int "dim" 3 (Geometry.Kdtree.For_testing.dim tree)
 
 let test_duplicates () =
   (* Heavy duplication exercises the zero-width-split fallback. *)
   let pts = Array.init 200 (fun i -> if i < 150 then [| 0.5; 0.5 |] else [| 0.9; 0.1 |]) in
-  let tree = Geometry.Kdtree.build pts in
+  let tree = Geometry.Kdtree.For_testing.build pts in
   check_int "duplicates counted" 150
     (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:0.);
   check_int "all" 200 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:2.);
@@ -46,7 +46,7 @@ let test_duplicates () =
   let n = 4000 and d = 3 in
   let st = Array.init (n * d) (fun i -> if i < 300 then 0.25 else Prim.Rng.float r 1.0) in
   let pts = Array.init n (fun i -> Array.sub st (i * d) d) in
-  let tree = Geometry.Kdtree.build pts in
+  let tree = Geometry.Kdtree.For_testing.build pts in
   List.iter
     (fun c ->
       List.iter
@@ -59,7 +59,7 @@ let test_duplicates () =
     [ 0; n - 1 ]
 
 let test_negative_radius () =
-  let tree = Geometry.Kdtree.build [| [| 0. |] |] in
+  let tree = Geometry.Kdtree.For_testing.build [| [| 0. |] |] in
   check_int "negative radius empty" 0
     (Geometry.Kdtree.count_within tree ~center:[| 0. |] ~radius:(-1.))
 
@@ -127,7 +127,7 @@ let test_build_minor_words () =
   let w0 = Gc.minor_words () in
   let tree = Geometry.Kdtree.build_flat ~storage ~offs ~dim () in
   let words = Gc.minor_words () -. w0 in
-  check_int "tree size" n (Geometry.Kdtree.size tree);
+  check_int "tree size" n (Geometry.Kdtree.For_testing.size tree);
   if words >= 20_000. then Alcotest.failf "build_flat at n = 3000: %.0f minor words" words
 
 let suite =

@@ -194,7 +194,7 @@ let test_top_avg_capped_diff =
       (* The histogram result must also equal the historical sort-based
          average of the k largest capped counts. *)
       let capped = Array.map (fun x -> float_of_int (min cap x)) counts in
-      check_bits "top_avg vs top_average" (Geometry.Pointset.top_average capped ~k) c;
+      check_bits "top_avg vs top_average" (Geometry.Pointset.For_testing.top_average capped ~k) c;
       true)
 
 let test_jl_sum_rows_diff =
@@ -349,13 +349,13 @@ let test_score_l_many_memo_matches_score_l =
                     (Geometry.Pointset.score_l idx ~cap ~radius:r)
                     batched.(j))
                 radii;
-              if Geometry.Pointset.memo_holds idx ~radii <> (key radii <> []) then
+              if Geometry.Pointset.For_testing.memo_holds idx ~radii <> (key radii <> []) then
                 Alcotest.fail "memo entry does not match the last sweep")
             [ ra; rb; ra ])
         caps;
       (* The last sweep with a non-negative radius owns the entry. *)
       let rb_owns = key rb <> [] && (key ra = [] || key ra = key rb) in
-      if Geometry.Pointset.memo_holds idx ~radii:rb <> rb_owns then
+      if Geometry.Pointset.For_testing.memo_holds idx ~radii:rb <> rb_owns then
         Alcotest.fail "a replaced memo entry still answers";
       true)
 
@@ -391,12 +391,12 @@ let test_score_l_many_above_memo_bound =
       let idx = Geometry.Pointset.build_index ps in
       ignore (Geometry.Pointset.score_l_many idx ~cap ~radii:at_bound);
       check_true "at the bound: memoized"
-        (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+        (Geometry.Pointset.For_testing.memo_holds idx ~radii:at_bound);
       let batched = Geometry.Pointset.score_l_many idx ~cap ~radii:above in
       check_true "above the bound: not memoized"
-        (not (Geometry.Pointset.memo_holds idx ~radii:above));
+        (not (Geometry.Pointset.For_testing.memo_holds idx ~radii:above));
       check_true "above the bound: earlier entry kept"
-        (Geometry.Pointset.memo_holds idx ~radii:at_bound);
+        (Geometry.Pointset.For_testing.memo_holds idx ~radii:at_bound);
       let len = Array.length above in
       let probes =
         List.sort_uniq compare
@@ -485,7 +485,7 @@ let test_index_arguments_checked () =
           raises (Printf.sprintf "score_l_many cap %d" cap) (msg "score_l_many") (fun () ->
               Geometry.Pointset.score_l_many idx ~cap ~radii:[| 0.; 1. |]);
           raises (Printf.sprintf "score_l_direct cap %d" cap) (msg "score_l_direct") (fun () ->
-              Geometry.Pointset.score_l_direct ps ~cap ~radius:1.))
+              Geometry.Pointset.For_testing.score_l_direct ps ~cap ~radius:1.))
         [ -1; 0 ])
     [ true; false ]
 

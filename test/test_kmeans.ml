@@ -29,7 +29,7 @@ let test_lloyd_recovers_centers () =
   check_true "inertia consistent"
     (Float.abs
        (km.Geometry.Kmeans.inertia
-       -. Geometry.Kmeans.inertia ~centers:km.Geometry.Kmeans.centers pts)
+       -. Geometry.Kmeans.For_testing.inertia ~centers:km.Geometry.Kmeans.centers pts)
     < 1e-9)
 
 let test_lloyd_improves_inertia () =
@@ -45,7 +45,7 @@ let test_assign () =
   check_int "near one" 1 (Geometry.Kmeans.assign centers [| 0.9 |])
 
 let test_canonical_order () =
-  let ordered = Geometry.Kmeans.canonical_order [| [| 0.9; 0. |]; [| 0.1; 1. |]; [| 0.1; 0.5 |] |] in
+  let ordered = Geometry.Kmeans.For_testing.canonical_order [| [| 0.9; 0. |]; [| 0.1; 1. |]; [| 0.1; 0.5 |] |] in
   check_float "first by x then y" 0.1 ordered.(0).(0);
   check_float "tie broken by y" 0.5 ordered.(0).(1);
   check_float "last" 0.9 ordered.(2).(0)
@@ -56,7 +56,7 @@ let test_flatten_roundtrip () =
   check_int "flat length" 4 (Array.length flat);
   let back = Geometry.Kmeans.unflatten ~d:2 flat in
   check_true "roundtrip"
-    (Geometry.Vec.equal back.(0) centers.(0) && Geometry.Vec.equal back.(1) centers.(1));
+    (Geometry.Vec.For_testing.equal back.(0) centers.(0) && Geometry.Vec.For_testing.equal back.(1) centers.(1));
   Alcotest.check_raises "bad length" (Invalid_argument "Kmeans.unflatten: length not a multiple of d")
     (fun () -> ignore (Geometry.Kmeans.unflatten ~d:3 flat))
 

@@ -32,7 +32,7 @@ let test_law_sums_to_one_pinned =
 
 let test_law_ratio =
   qcheck "p_keep / p_other = e^eps exactly" eps_k_gen (fun (eps, k, _) ->
-      let r = L.p_keep ~eps ~k /. L.p_other ~eps ~k in
+      let r = L.For_testing.p_keep ~eps ~k /. L.For_testing.p_other ~eps ~k in
       Float.abs (r -. exp eps) <= 1e-9 *. exp eps)
 
 let test_debias_sums_to_n =
@@ -46,7 +46,7 @@ let test_debias_sums_to_n =
       let counts = Array.make k 0 in
       List.iter (fun v -> counts.(v mod k) <- counts.(v mod k) + 1) raw;
       let n = List.length raw in
-      let est = L.debias ~eps ~k ~n counts in
+      let est = L.For_testing.debias ~eps ~k ~n counts in
       let sum = Array.fold_left ( +. ) 0. est in
       Float.abs (sum -. float_of_int n) <= 1e-6 *. float_of_int (max 1 n))
 
@@ -65,9 +65,9 @@ let test_randomize_unbiased_after_debias r =
         incr i
       done)
     truth;
-  let est = L.debias ~eps ~k ~n counts in
+  let est = L.For_testing.debias ~eps ~k ~n counts in
   (* Per-cell standard error of the debiased estimate is ≤ √n / (p − q). *)
-  let p = L.p_keep ~eps ~k and q = L.p_other ~eps ~k in
+  let p = L.For_testing.p_keep ~eps ~k and q = L.For_testing.p_other ~eps ~k in
   let se = sqrt (float_of_int n) /. (p -. q) in
   Array.iteri
     (fun j e ->
@@ -80,7 +80,7 @@ let test_randomize_unbiased_after_debias r =
 
 let test_plan_shape () =
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let scales = L.plan ~grid ~eps:2.0 ~n:10_000 () in
+  let scales = L.For_testing.plan ~grid ~eps:2.0 ~n:10_000 () in
   check_true "at least two scales" (Array.length scales >= 2);
   Array.iteri
     (fun l s ->
@@ -121,7 +121,7 @@ let test_too_small_database_refuses r =
   let t = int_of_float (0.8 *. float_of_int w.Workload.Synth.cluster_size) in
   let ps = Geometry.Pointset.create w.Workload.Synth.points in
   match L.run r ~grid ~eps:2.0 ~t ps with
-  | Ok res -> Alcotest.failf "expected a refusal, got %a" L.pp_result res
+  | Ok res -> Alcotest.failf "expected a refusal, got %a" L.For_testing.pp_result res
   | Error (L.All_certificates_vacuous { t = t'; min_delta }) ->
       check_int "failure echoes t" t t';
       check_true "min delta indeed reaches t" (min_delta >= float_of_int t)
@@ -148,7 +148,7 @@ let test_replay_determinism () =
   in
   match (mk (), mk ()) with
   | Ok a, Ok b ->
-      check_true "same center" (Geometry.Vec.equal ~tol:0. a.L.center b.L.center);
+      check_true "same center" (Geometry.Vec.For_testing.equal ~tol:0. a.L.center b.L.center);
       check_float ~tol:0. "same radius" a.L.radius b.L.radius;
       check_float ~tol:0. "same estimate" a.L.est_count b.L.est_count;
       check_int "same scale" a.L.scale_index b.L.scale_index
@@ -180,7 +180,7 @@ let test_kernel_tier_identity () =
   match (a, b) with
   | Ok a, Ok b ->
       check_true "native and reference tiers agree"
-        (Geometry.Vec.equal ~tol:0. a.L.center b.L.center && a.L.radius = b.L.radius
+        (Geometry.Vec.For_testing.equal ~tol:0. a.L.center b.L.center && a.L.radius = b.L.radius
        && a.L.est_count = b.L.est_count)
   | Error _, Error _ -> ()
   | _ -> Alcotest.fail "tiers diverged between Ok and Error"

@@ -22,9 +22,9 @@ let test_coreset_radius_vs_exhaustive r =
           ~cluster_radius:radius
       in
       let pts = w.Workload.Synth.points in
-      let full = Geometry.Seb.min_enclosing_ball pts in
+      let full = Geometry.Seb.For_testing.min_enclosing_ball pts in
       let sample = Prim.Rng.sample_with_replacement r ~k:400 pts in
-      let core = Geometry.Seb.min_enclosing_ball sample in
+      let core = Geometry.Seb.For_testing.min_enclosing_ball sample in
       check_true
         (Printf.sprintf "case %d: coreset radius %.4f within [%.4f/1.2, 1.2*%.4f]" i
            core.Geometry.Seb.radius full.Geometry.Seb.radius full.Geometry.Seb.radius)
@@ -39,7 +39,7 @@ let test_budget_breakdown_composes =
     QCheck2.Gen.(
       triple (float_range 0.2 4.0) (float_range 1e-9 1e-5) (int_range 1_000 50_000))
     (fun (eps, delta, n) ->
-      let stages = M.budget_breakdown ~eps ~delta ~n ~coreset:400 in
+      let stages = M.For_testing.budget_breakdown ~eps ~delta ~n ~coreset:400 in
       let total =
         Prim.Composition.basic_list (List.map snd stages)
       in
@@ -51,7 +51,7 @@ let test_breakdown_amplification () =
   (* The coreset stage's charge is the amplified secrecy-of-subsample
      cost, so growing n with a fixed coreset must shrink it. *)
   let charge n =
-    match M.budget_breakdown ~eps:1.0 ~delta:1e-6 ~n ~coreset:400 with
+    match M.For_testing.budget_breakdown ~eps:1.0 ~delta:1e-6 ~n ~coreset:400 with
     | (_, c) :: _ -> c.Prim.Dp.eps
     | [] -> Alcotest.fail "empty breakdown"
   in
@@ -76,8 +76,8 @@ let test_planted_majority_radius r =
       check_true
         (Printf.sprintf "radius %.4f not wildly loose" res.M.radius)
         (res.M.radius <= 20. *. w.Workload.Synth.cluster_radius);
-      check_int "coreset capped at default" M.default_coreset res.M.coreset_size;
-      check_int "default rounds" M.default_rounds res.M.refinement_rounds;
+      check_int "coreset capped at default" M.For_testing.default_coreset res.M.coreset_size;
+      check_int "default rounds" M.For_testing.default_rounds res.M.refinement_rounds;
       Array.iter (fun c -> check_in_range "center in the cube" ~lo:0. ~hi:1. c) res.M.center
 
 let test_tiny_database_bottom r =
@@ -87,7 +87,7 @@ let test_tiny_database_bottom r =
   let ps = Geometry.Pointset.create [| [| 0.5; 0.5 |]; [| 0.51; 0.5 |]; [| 0.5; 0.51 |] |] in
   match M.run r ~grid ~eps:0.1 ~delta:1e-9 ~t:2 ps with
   | Error M.Center_bottom -> ()
-  | Ok res -> Alcotest.failf "expected bottom on a tiny database, got %a" M.pp_result res
+  | Ok res -> Alcotest.failf "expected bottom on a tiny database, got %a" M.For_testing.pp_result res
 
 (* ---- determinism ------------------------------------------------------ *)
 
@@ -105,7 +105,7 @@ let test_replay_determinism () =
   in
   match (mk (), mk ()) with
   | Ok a, Ok b ->
-      check_true "same center" (Geometry.Vec.equal ~tol:0. a.M.center b.M.center);
+      check_true "same center" (Geometry.Vec.For_testing.equal ~tol:0. a.M.center b.M.center);
       check_float ~tol:0. "same radius" a.M.radius b.M.radius
   | Error M.Center_bottom, Error M.Center_bottom -> ()
   | _ -> Alcotest.fail "replay diverged"
@@ -133,7 +133,7 @@ let test_kernel_tier_identity () =
   match (a, b) with
   | Ok a, Ok b ->
       check_true "native and reference tiers agree"
-        (Geometry.Vec.equal ~tol:0. a.M.center b.M.center && a.M.radius = b.M.radius)
+        (Geometry.Vec.For_testing.equal ~tol:0. a.M.center b.M.center && a.M.radius = b.M.radius)
   | Error M.Center_bottom, Error M.Center_bottom -> ()
   | _ -> Alcotest.fail "tiers diverged"
 

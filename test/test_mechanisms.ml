@@ -13,15 +13,15 @@ let test_dp_validation () =
   let p = Prim.Dp.v ~eps:2. ~delta:1e-6 in
   check_float "eps" 2. (Prim.Dp.eps p);
   check_float "delta" 1e-6 (Prim.Dp.delta p);
-  check_true "pure" (Prim.Dp.is_pure (Prim.Dp.pure ~eps:1.));
-  check_true "not pure" (not (Prim.Dp.is_pure p))
+  check_true "pure" (Prim.Dp.For_testing.is_pure (Prim.Dp.pure ~eps:1.));
+  check_true "not pure" (not (Prim.Dp.For_testing.is_pure p))
 
 let test_dp_split_scale () =
   let p = Prim.Dp.v ~eps:2. ~delta:1e-6 in
-  let s = Prim.Dp.split p 4 in
+  let s = Prim.Dp.For_testing.split p 4 in
   check_float "split eps" 0.5 (Prim.Dp.eps s);
   check_float "split delta" 2.5e-7 (Prim.Dp.delta s);
-  let d = Prim.Dp.scale p 3. in
+  let d = Prim.Dp.For_testing.scale p 3. in
   check_float "scale eps" 6. (Prim.Dp.eps d);
   check_true "to_string mentions eps" (String.length (Prim.Dp.to_string p) > 0)
 
@@ -42,12 +42,6 @@ let test_laplace_scale_with_sensitivity () =
   let _, var = stats samples in
   (* scale = 3/0.5 = 6; var = 2*36 = 72. *)
   check_float ~tol:4.0 "variance scales" 72.0 var
-
-let test_laplace_vector () =
-  let r = rng () in
-  let v = Prim.Laplace.vector r ~eps:1.0 ~l1_sensitivity:1.0 [| 1.; 2.; 3. |] in
-  check_int "dimension preserved" 3 (Array.length v);
-  check_true "noise applied" (v.(0) <> 1. || v.(1) <> 2. || v.(2) <> 3.)
 
 let test_laplace_tail_bound () =
   let r = rng () in
@@ -80,15 +74,6 @@ let test_gaussian_vector_noise_level () =
   let _, var = stats v in
   let sigma = Prim.Gaussian_mech.sigma ~eps:0.5 ~delta:1e-5 ~l2_sensitivity:1.0 in
   check_float ~tol:(0.05 *. sigma *. sigma) "empirical variance" (sigma *. sigma) var
-
-let test_gaussian_scalar () =
-  let r = rng () in
-  let samples =
-    Array.init 10_000 (fun _ ->
-        Prim.Gaussian_mech.scalar r ~eps:0.5 ~delta:1e-5 ~l2_sensitivity:1.0 7.0)
-  in
-  let mean, _ = stats samples in
-  check_float ~tol:0.5 "scalar unbiased" 7.0 mean
 
 let test_gaussian_coordinate_tail () =
   let r = rng () in
@@ -141,15 +126,6 @@ let test_exp_mech_huge_scores_no_overflow () =
   let i = Prim.Exp_mech.select r ~eps:1.0 ~sensitivity:1.0 ~qualities in
   check_true "selection valid" (i = 0 || i = 1)
 
-let test_exp_mech_select_elt () =
-  let r = rng () in
-  let best =
-    Prim.Exp_mech.select_elt r ~eps:10.0 ~sensitivity:1.0
-      ~quality:(fun s -> float_of_int (String.length s))
-      [| "a"; "abcdefghijklmnop"; "ab" |]
-  in
-  check_true "picks longest" (best = "abcdefghijklmnop")
-
 let test_exp_mech_error_bound () =
   let b = Prim.Exp_mech.error_bound ~eps:1.0 ~sensitivity:1.0 ~n_candidates:100 ~beta:0.1 in
   check_float ~tol:1e-9 "error bound formula" (2. *. log 1000.) b
@@ -164,7 +140,7 @@ let test_noisy_max () =
     if Prim.Noisy_max.argmax r ~eps:1.0 ~sensitivity:1.0 scores = 2 then incr hits
   done;
   check_true "argmax dominates" (!hits > 490);
-  let i, v = Prim.Noisy_max.argmax_value r ~eps:1.0 ~sensitivity:1.0 scores in
+  let i, v = Prim.Noisy_max.For_testing.argmax_value r ~eps:1.0 ~sensitivity:1.0 scores in
   check_true "value near score" (i <> 2 || Float.abs (v -. 50.) < 40.)
 
 let suite =
@@ -173,18 +149,15 @@ let suite =
     case "dp split and scale" test_dp_split_scale;
     case "laplace count unbiased" test_laplace_count_unbiased;
     case "laplace sensitivity scaling" test_laplace_scale_with_sensitivity;
-    case "laplace vector" test_laplace_vector;
     case "laplace tail bound is tight" test_laplace_tail_bound;
     case "laplace validation" test_laplace_validation;
     case "gaussian sigma formula" test_gaussian_sigma_formula;
     case "gaussian empirical noise level" test_gaussian_vector_noise_level;
-    case "gaussian scalar" test_gaussian_scalar;
     case "gaussian coordinate tail" test_gaussian_coordinate_tail;
     case "gaussian validation" test_gaussian_validation;
     case "exp mech prefers best" test_exp_mech_prefers_best;
     case "exp mech exact two-candidate law" test_exp_mech_distribution;
     case "exp mech huge scores" test_exp_mech_huge_scores_no_overflow;
-    case "exp mech select_elt" test_exp_mech_select_elt;
     case "exp mech error bound" test_exp_mech_error_bound;
     case "report noisy max" test_noisy_max;
   ]

@@ -313,12 +313,12 @@ let test_disabled_collector_records_nothing () =
   let v =
     Obs.Span.with_span "outer" (fun () ->
         Obs.Span.event "instant";
-        Obs.Span.set_attr "k" (Obs.Span.I 1);
+        Obs.Span.For_testing.set_attr "k" (Obs.Span.I 1);
         Obs.Span.with_charged ~eps:1.0 ~delta:0. "inner" (fun () -> 17))
   in
   check_int "value passes through" 17 v;
   check_int "nothing collected" 0 (Obs.Span.count ());
-  check_true "no current span" (Obs.Span.current () = None)
+  check_true "no current span" (Obs.Span.For_testing.current () = None)
 
 let test_attributed_convention () =
   with_tracing @@ fun () ->
@@ -345,7 +345,7 @@ let test_trace_schema () =
   let _, _, spans =
     with_tracing (fun () -> traced_batch ~domains:2 [ oc "a"; qt "b" ])
   in
-  let doc = Obs.Trace.to_json spans in
+  let doc = Obs.Trace.For_testing.to_json spans in
   (* The serialized document parses back and validates. *)
   (match Obs.Json.parse (Obs.Trace.to_string spans) with
   | Error e -> Alcotest.failf "trace does not parse: %s" e
@@ -568,8 +568,8 @@ let ns_gen =
     oneof
       [
         0 -- 2000;
-        map (fun i -> Obs.Hist.bucket_bounds_ns.(i)) (0 -- (Array.length Obs.Hist.bucket_bounds_ns - 1));
-        map (fun i -> Obs.Hist.bucket_bounds_ns.(i) + 1) (0 -- (Array.length Obs.Hist.bucket_bounds_ns - 1));
+        map (fun i -> Obs.Hist.For_testing.bucket_bounds_ns.(i)) (0 -- (Array.length Obs.Hist.For_testing.bucket_bounds_ns - 1));
+        map (fun i -> Obs.Hist.For_testing.bucket_bounds_ns.(i) + 1) (0 -- (Array.length Obs.Hist.For_testing.bucket_bounds_ns - 1));
         50_000_000_000 -- 60_000_000_000;
         0 -- 100_000_000;
       ])
@@ -583,7 +583,7 @@ let test_hist_empty_and_singleton () =
   let e = Obs.Hist.empty in
   check_int "empty count" 0 e.Obs.Hist.count;
   check_true "empty quantile is nan" (Float.is_nan (Obs.Hist.quantile_ns e ~q:0.5));
-  check_true "empty mean is nan" (Float.is_nan (Obs.Hist.mean_ns e));
+  check_true "empty mean is nan" (Float.is_nan (Obs.Hist.For_testing.mean_ns e));
   check_true "empty snapshot of a fresh histogram"
     (Obs.Hist.snapshot (Obs.Hist.create ()) = e);
   (* Clamped to observed min..max, a singleton reports every quantile as
@@ -686,7 +686,7 @@ let test_hist_prom_and_json () =
   let s = snap_of [ 1_000; 2_000_000; 3_000_000_000 ] in
   let h = Obs.Hist.to_prom s in
   check_int "prom buckets drop only the overflow"
-    (Array.length Obs.Hist.bucket_bounds_ns)
+    (Array.length Obs.Hist.For_testing.bucket_bounds_ns)
     (Array.length h.Obs.Prom.bounds);
   check_float ~tol:1e-12 "prom sum in seconds" 3.002001 h.Obs.Prom.sum;
   check_int "prom count" 3 h.Obs.Prom.count;
@@ -785,7 +785,7 @@ let test_slo_line_roundtrip () =
   in
   List.iter
     (fun r ->
-      let line = Obs.Slo.rule_to_line r in
+      let line = Obs.Slo.For_testing.rule_to_line r in
       match Obs.Slo.rule_of_line line with
       | Ok r' -> check_true ("roundtrip: " ^ line) (r = r')
       | Error e -> Alcotest.failf "roundtrip %s: %s" line e)
@@ -817,7 +817,7 @@ let test_slo_eval () =
     }
   in
   let one_verdict rule =
-    match Obs.Slo.eval obs rule with
+    match Obs.Slo.For_testing.eval obs rule with
     | [ v ] -> v
     | l -> Alcotest.failf "expected one verdict, got %d" (List.length l)
   in
@@ -831,7 +831,7 @@ let test_slo_eval () =
      to one verdict per observed verb. *)
   let lat = Obs.Slo.Latency { verb = None; q = 0.99; warn_s = 0.5; fire_s = 2.0 } in
   latencies := [ ("run", snap_of [ 1_000_000_000 ]); ("epoch", snap_of [ 1_000_000 ]) ];
-  let vs = Obs.Slo.eval obs lat in
+  let vs = Obs.Slo.For_testing.eval obs lat in
   check_int "one verdict per observed verb" 2 (List.length vs);
   let by_subject s =
     List.find (fun (v : Obs.Slo.verdict) -> v.Obs.Slo.subject = s) vs
@@ -839,7 +839,7 @@ let test_slo_eval () =
   check_true "slow verb warns" ((by_subject "verb=run").Obs.Slo.status = Obs.Slo.Warn);
   check_true "fast verb ok" ((by_subject "verb=epoch").Obs.Slo.status = Obs.Slo.Ok);
   latencies := [ ("run", snap_of [ 3_000_000_000 ]) ];
-  let v = List.hd (Obs.Slo.eval obs lat) in
+  let v = List.hd (Obs.Slo.For_testing.eval obs lat) in
   check_true "3s p99 fires" (v.Obs.Slo.status = Obs.Slo.Firing);
   check_true "reason carries the measurement" (contains_sub v.Obs.Slo.reason "p99=3000.0ms");
   (* A rule pinned to an unobserved subject reports Ok, not silence. *)
@@ -852,7 +852,7 @@ let test_slo_eval () =
     Obs.Slo.Burn_rate { tenant = None; dataset = None; warn_per_hour = 0.5; fire_per_hour = 1.0 }
   in
   burns := [ ("acme", "d1", 1.5); ("acme", "d2", 0.1) ];
-  let vs = Obs.Slo.eval obs burn in
+  let vs = Obs.Slo.For_testing.eval obs burn in
   check_int "one verdict per tenant x dataset" 2 (List.length vs);
   check_true "hot dataset fires"
     (List.exists
@@ -928,7 +928,7 @@ let test_prom_deterministic_golden () =
   in
   Alcotest.(check string) "exposition text pinned" golden a;
   check_true "escape_label_value escapes quote, backslash, newline"
-    (escape_label_value nasty = "a\\\"x\\\\y\\nz")
+    (For_testing.escape_label_value nasty = "a\\\"x\\\\y\\nz")
 
 let suite =
   [

@@ -49,7 +49,7 @@ let test_zero_path () =
       check_float "radius 0" 0. result.Privcluster.One_cluster.radius;
       check_true "no center stage" (result.Privcluster.One_cluster.center_stage = None);
       check_true "found the heavy point"
-        (Geometry.Vec.equal ~tol:1e-9 result.Privcluster.One_cluster.center heavy)
+        (Geometry.Vec.For_testing.equal ~tol:1e-9 result.Privcluster.One_cluster.center heavy)
 
 let test_run_indexed_consistent () =
   let r1 = rng ~seed:77 () and r2 = rng ~seed:77 () in
@@ -71,7 +71,7 @@ let test_run_indexed_consistent () =
   | Ok ra, Ok rb ->
       (* Same seed, same data: identical results. *)
       check_true "same center"
-        (Geometry.Vec.equal ~tol:1e-12 ra.Privcluster.One_cluster.center
+        (Geometry.Vec.For_testing.equal ~tol:1e-12 ra.Privcluster.One_cluster.center
            rb.Privcluster.One_cluster.center);
       check_float "same radius" ra.Privcluster.One_cluster.radius rb.Privcluster.One_cluster.radius
   | _ -> Alcotest.fail "one of the runs failed"
@@ -109,7 +109,7 @@ let test_budget_breakdown () =
 let test_failure_reported () =
   let r = rng ~seed:9 () in
   let grid = Geometry.Grid.create ~axis_size:256 ~dim:2 in
-  let points = Workload.Synth.uniform r ~grid ~n:300 in
+  let points = Workload.Synth.For_testing.uniform r ~grid ~n:300 in
   (* Demand an impossibly tight cluster: either the radius stage returns a
      big (harmless) radius or the center stage fails; both must be reported
      without raising. *)

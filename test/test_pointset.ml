@@ -22,13 +22,13 @@ let test_ball_count () =
     (Geometry.Pointset.ball_count ps ~center:[| 0.; 0. |] ~radius:0.3);
   check_int "capped" 1 (Geometry.Pointset.capped_ball_count ps ~cap:1 ~center:[| 0.; 0. |] ~radius:1.0);
   check_int "ball_points agrees" 2
-    (Array.length (Geometry.Pointset.ball_points ps ~center:[| 0.; 0. |] ~radius:0.5))
+    (Array.length (Geometry.Pointset.For_testing.ball_points ps ~center:[| 0.; 0. |] ~radius:0.5))
 
 let test_top_average () =
-  check_float "top 2 of [1;5;3]" 4.0 (Geometry.Pointset.top_average [| 1.; 5.; 3. |] ~k:2);
-  check_float "top all" 3.0 (Geometry.Pointset.top_average [| 1.; 5.; 3. |] ~k:3);
+  check_float "top 2 of [1;5;3]" 4.0 (Geometry.Pointset.For_testing.top_average [| 1.; 5.; 3. |] ~k:2);
+  check_float "top all" 3.0 (Geometry.Pointset.For_testing.top_average [| 1.; 5.; 3. |] ~k:3);
   Alcotest.check_raises "bad k" (Invalid_argument "Pointset.top_average: bad k") (fun () ->
-      ignore (Geometry.Pointset.top_average [| 1. |] ~k:2))
+      ignore (Geometry.Pointset.For_testing.top_average [| 1. |] ~k:2))
 
 let qcheck_index_matches_direct =
   qcheck "indexed L = direct L" ~count:60 points_gen (fun pts ->
@@ -39,7 +39,7 @@ let qcheck_index_matches_direct =
         (fun r ->
           Float.abs
             (Geometry.Pointset.score_l idx ~cap:t ~radius:r
-            -. Geometry.Pointset.score_l_direct ps ~cap:t ~radius:r)
+            -. Geometry.Pointset.For_testing.score_l_direct ps ~cap:t ~radius:r)
           < 1e-9)
         [ 0.; 0.05; 0.2; 0.7; 2.0 ])
 
@@ -68,8 +68,8 @@ let qcheck_l_sensitivity_two =
       let pts' = Array.copy pts in
       pts'.(n - 1) <- replacement;
       let ps' = Geometry.Pointset.create pts' in
-      let l = Geometry.Pointset.score_l_direct ps ~cap:t ~radius:r in
-      let l' = Geometry.Pointset.score_l_direct ps' ~cap:t ~radius:r in
+      let l = Geometry.Pointset.For_testing.score_l_direct ps ~cap:t ~radius:r in
+      let l' = Geometry.Pointset.For_testing.score_l_direct ps' ~cap:t ~radius:r in
       Float.abs (l -. l') <= 2. +. 1e-9)
 
 let qcheck_l_bounds =
@@ -77,7 +77,7 @@ let qcheck_l_bounds =
       let ps = Geometry.Pointset.create pts in
       let n = Array.length pts in
       let t = max 1 (n / 2) in
-      let l r = Geometry.Pointset.score_l_direct ps ~cap:t ~radius:r in
+      let l r = Geometry.Pointset.For_testing.score_l_direct ps ~cap:t ~radius:r in
       l 0. >= 0.
       && l 0. <= float_of_int t +. 1e-9
       && Float.abs (l 10. -. float_of_int (min n t)) < 1e-9)
@@ -97,12 +97,12 @@ let test_counts_within () =
           for k = 1 to Array.length pts do
             check_true
               (Printf.sprintf "holds_at_least r=%g i=%d k=%d" radius i k)
-              (Geometry.Pointset.holds_at_least idx ~radius ~k i = (c >= k))
+              (Geometry.Pointset.For_testing.holds_at_least idx ~radius ~k i = (c >= k))
           done)
         (Geometry.Pointset.counts_within idx ~radius))
     [ -1.; 0.; 0.1; 0.15; 0.2; 1. ]
 
-let ref_rows ps = sorted_dist_rows (Geometry.Pointset.points ps)
+let ref_rows ps = sorted_dist_rows (Geometry.Pointset.For_testing.points ps)
 
 (* Entries of the sorted [row] that are [<= r], by binary search. *)
 let count_le row r =
@@ -170,14 +170,14 @@ let test_subset_filter_map () =
   let sub = Geometry.Pointset.subset ps ~indices:[| 2; 0 |] in
   check_int "subset size" 2 (Geometry.Pointset.n sub);
   check_float "subset order" 2. (Geometry.Pointset.point sub 0).(0);
-  let filtered = Geometry.Pointset.filter (fun p -> p.(0) > 0.5) ps in
+  let filtered = Geometry.Pointset.For_testing.filter (fun p -> p.(0) > 0.5) ps in
   check_int "filter" 2 (Geometry.Pointset.n filtered);
   check_float "filter keeps order" 1. (Geometry.Pointset.point filtered 0).(0);
-  let mapped = Geometry.Pointset.map_points (Geometry.Vec.scale 2.) ps in
+  let mapped = Geometry.Pointset.For_testing.map_points (Geometry.Vec.scale 2.) ps in
   check_float "map" 4. (Geometry.Pointset.point mapped 2).(0)
 
 (* Identical points share one count-matrix column
-   ([Pointset.is_representative]).  Every grouped answer must equal bit for
+   ([Pointset.For_testing.is_representative]).  Every grouped answer must equal bit for
    bit a per-row reference that never groups: fresh sorted distance rows
    per point. *)
 module P = Geometry.Pointset
@@ -223,7 +223,7 @@ let check_grouping ps =
   let kth ~k i = rows.(i).(k - 1) in
   let ks = if n <= 40 then List.init n succ else List.sort_uniq compare [ 1; 2; (n + 1) / 2; n ] in
   Array.iteri
-    (fun i r -> if P.is_representative idx i <> (r = i) then fail "is_representative %d" i)
+    (fun i r -> if P.For_testing.is_representative idx i <> (r = i) then fail "is_representative %d" i)
     (ref_reps ps);
   let ref_counts = Array.make (nr * n) 0 in
   Array.iteri
@@ -255,7 +255,7 @@ let check_grouping ps =
           fail "kth_neighbor_distance k=%d i=%d" k i;
         Array.iteri
           (fun j radius ->
-            if P.holds_at_least idx ~radius ~k i <> (ref_counts.((j * n) + i) >= k) then
+            if P.For_testing.holds_at_least idx ~radius ~k i <> (ref_counts.((j * n) + i) >= k) then
               fail "holds_at_least r=%h k=%d i=%d" radius k i)
           radii)
       ks
@@ -289,13 +289,13 @@ let test_grouping_edge_cases () =
   check_grouping same;
   let same_idx = P.build_index same in
   check_true "all identical: one representative"
-    (List.for_all (fun i -> P.is_representative same_idx i = (i = 0)) (List.init 40 Fun.id));
+    (List.for_all (fun i -> P.For_testing.is_representative same_idx i = (i = 0)) (List.init 40 Fun.id));
   (* No duplicates. *)
   let spread = P.of_storage ~dim:2 (Prim.Rng.gaussian_vector (rng ()) ~dim:120 ~sigma:1.0) in
   check_grouping spread;
   check_true "no duplicates: every row its own representative"
     (let idx = P.build_index spread in
-     List.for_all (P.is_representative idx) (List.init 60 Fun.id));
+     List.for_all (P.For_testing.is_representative idx) (List.init 60 Fun.id));
   (* 0.0 and -0.0 are distinct keys with equal answers. *)
   let signed =
     P.create [| [| 0.; 0. |]; [| -0.; 0. |]; [| 0.; -0. |]; [| 1.; 0. |]; [| 0.; 0. |]; [| -0.; 0. |] |]
@@ -304,7 +304,7 @@ let test_grouping_edge_cases () =
   let idx = P.build_index signed in
   Alcotest.(check (list bool))
     "signed zeros kept apart" [ true; true; true; true; false; false ]
-    (List.init 6 (P.is_representative idx));
+    (List.init 6 (P.For_testing.is_representative idx));
   let radii = [| 0.; 0.5; 1.; 2. |] in
   Array.iter
     (fun radius ->
@@ -347,7 +347,7 @@ let qcheck_sweep_resumes_bit_exact =
         | Planted | Planted_d8 ->
             (Workload.Synth.planted_ball r ~grid ~n ~cluster_fraction:0.5 ~cluster_radius:0.1)
               .Workload.Synth.points
-        | Uniform -> Workload.Synth.uniform r ~grid ~n
+        | Uniform -> Workload.Synth.For_testing.uniform r ~grid ~n
         | All_duplicate -> Array.make n [| 0.25; 0.75 |]
       in
       let idx = P.build_index (P.create pts) in
@@ -377,8 +377,8 @@ let qcheck_sweep_resumes_bit_exact =
             !j
           in
           exact := max !exact (first_top + 1);
-          if P.memo_exact idx ~radii <> !exact then
-            fail "cap %d: %d final columns, expected %d" cap (P.memo_exact idx ~radii) !exact)
+          if P.For_testing.memo_exact idx ~radii <> !exact then
+            fail "cap %d: %d final columns, expected %d" cap (P.For_testing.memo_exact idx ~radii) !exact)
         fracs;
       true)
 
@@ -397,11 +397,11 @@ let qcheck_block_bounds_exact =
       let st = Array.init (n * d) (fun j -> step *. float_of_int cells.(j)) in
       let ps = P.of_storage ~dim:d st in
       let idx = P.build_index ps in
-      let blocks, pairs = P.block_pair_bounds idx in
+      let blocks, pairs = P.For_testing.block_pair_bounds idx in
       let seen = Array.make n 0 in
       Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) blocks;
       Array.iteri
-        (fun i c -> if c <> if P.is_representative idx i then 1 else 0 then fail "row %d in %d blocks" i c)
+        (fun i c -> if c <> if P.For_testing.is_representative idx i then 1 else 0 then fail "row %d in %d blocks" i c)
         seen;
       Array.iter
         (fun (p, q, bound) ->

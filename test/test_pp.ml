@@ -27,7 +27,7 @@ let test_one_cluster_pp () =
   with
   | Error _ -> Alcotest.fail "unexpected failure"
   | Ok result ->
-      let s = Format.asprintf "%a" Privcluster.One_cluster.pp_result result in
+      let s = Format.asprintf "%a" Privcluster.One_cluster.For_testing.pp_result result in
       check_true "mentions center" (contains s "center=");
       check_true "mentions a stage" (contains s "radius_stage=" || contains s "zero-path");
       (match result.Privcluster.One_cluster.center_stage with

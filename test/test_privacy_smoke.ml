@@ -28,7 +28,7 @@ let assert_flagged name (v : Check.Distinguisher.verdict) =
 let test_laplace_count r =
   let eps = 0.5 in
   let v =
-    Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
       ~events:(Check.Distinguisher.thresholds ~lo:44. ~hi:58. ~count:15)
       ~left:(fun r -> Prim.Laplace.count r ~eps 50)
       ~right:(fun r -> Prim.Laplace.count r ~eps 51)
@@ -47,7 +47,7 @@ let test_misscaled_laplace_flagged r =
   let eps = 0.5 in
   let broken value rng = float_of_int value +. Prim.Rng.laplace rng ~scale:(1. /. (2. *. eps)) () in
   let v =
-    Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
       ~events:(Check.Distinguisher.thresholds ~lo:48. ~hi:53. ~count:11)
       ~left:(broken 50) ~right:(broken 51) ()
   in
@@ -61,7 +61,7 @@ let test_gaussian r =
   let eps = 0.5 and delta = 1e-5 in
   let sigma = Prim.Gaussian_mech.sigma ~eps ~delta ~l2_sensitivity:1.0 in
   assert_private "gaussian"
-    (Check.Distinguisher.run r
+    (Check.Distinguisher.For_testing.run r
        ~claimed:(Prim.Dp.v ~eps ~delta)
        ~trials
        ~events:(Check.Distinguisher.thresholds ~lo:42. ~hi:60. ~count:15)
@@ -77,7 +77,7 @@ let scores_b = [| 4.; 4.; 3. |]
 let test_exp_mech r =
   let eps = 0.5 in
   assert_private "exp-mech"
-    (Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    (Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
        ~events:(Check.Distinguisher.categories ~k:3)
        ~left:(fun r -> Prim.Exp_mech.select r ~eps ~sensitivity:1.0 ~qualities:scores_a)
        ~right:(fun r -> Prim.Exp_mech.select r ~eps ~sensitivity:1.0 ~qualities:scores_b)
@@ -89,7 +89,7 @@ let test_exp_mech r =
 let test_noisy_max r =
   let eps = 0.5 in
   assert_private "noisy-max"
-    (Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    (Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
        ~events:(Check.Distinguisher.categories ~k:3)
        ~left:(fun r -> Prim.Noisy_max.argmax r ~eps ~sensitivity:1.0 scores_a)
        ~right:(fun r -> Prim.Noisy_max.argmax r ~eps ~sensitivity:1.0 scores_b)
@@ -124,7 +124,7 @@ let test_stability_hist_dp r =
     | Some cell -> if cell.Prim.Stability_hist.key = "x" then 1 else 2
   in
   assert_private "stability-hist"
-    (Check.Distinguisher.run r
+    (Check.Distinguisher.For_testing.run r
        ~claimed:(Prim.Dp.v ~eps ~delta)
        ~trials
        ~events:(Check.Distinguisher.categories ~k:3)
@@ -181,10 +181,10 @@ let test_sparse_vector_budget_independence r =
     for _ = 1 to runs do
       let sv = Prim.Sparse_vector.create r ~eps:1.0 ~threshold:100. in
       for _ = 1 to prefix_len do
-        if not (Prim.Sparse_vector.halted sv) then ignore (Prim.Sparse_vector.query sv 0.)
+        if not (Prim.Sparse_vector.For_testing.halted sv) then ignore (Prim.Sparse_vector.query sv 0.)
       done;
       if
-        (not (Prim.Sparse_vector.halted sv))
+        (not (Prim.Sparse_vector.For_testing.halted sv))
         && Prim.Sparse_vector.query sv 100. = Prim.Sparse_vector.Above
       then incr above
     done;
@@ -216,7 +216,7 @@ let test_sparse_vector_dp r =
     go 0
   in
   assert_private "sparse-vector firing index"
-    (Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    (Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
        ~events:(Check.Distinguisher.categories ~k:(Array.length queries_a + 1))
        ~left:(fire queries_a) ~right:(fire queries_b) ())
 
@@ -229,7 +229,7 @@ let test_sparse_vector_dp r =
 let test_local_randomizer_dp r =
   let eps = 1.2 and k = 6 in
   let v =
-    Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
       ~events:(Check.Distinguisher.categories ~k)
       ~left:(fun r -> Privcluster.Local_cluster.randomize r ~eps ~k 0)
       ~right:(fun r -> Privcluster.Local_cluster.randomize r ~eps ~k 1)
@@ -245,7 +245,7 @@ let test_misscaled_local_randomizer_flagged r =
   let eps = 1.2 and k = 6 in
   let broken cell rng = Privcluster.Local_cluster.randomize rng ~eps:(2. *. eps) ~k cell in
   let v =
-    Check.Distinguisher.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
+    Check.Distinguisher.For_testing.run r ~claimed:(Prim.Dp.pure ~eps) ~trials
       ~events:(Check.Distinguisher.categories ~k)
       ~left:(broken 0) ~right:(broken 1) ()
   in

@@ -8,7 +8,7 @@ let test_median_accuracy () =
   let r = rng ~seed:3 () in
   let values = Array.init 4000 (fun i -> float_of_int i /. 8000.) in
   (* True median 0.25. *)
-  let res = Privcluster.Quantile.median r ~grid ~eps:2.0 values in
+  let res = Privcluster.Quantile.For_testing.median r ~grid ~eps:2.0 values in
   check_in_range "median close" ~lo:0.22 ~hi:0.28 res.Privcluster.Quantile.value;
   check_float "target rank" 2000. res.Privcluster.Quantile.target_rank
 
@@ -42,7 +42,7 @@ let test_rank_error_within_bound () =
 let test_iqr () =
   let r = rng ~seed:9 () in
   let values = Array.init 4000 (fun _ -> Prim.Rng.float r 1.0) in
-  let lo, hi = Privcluster.Quantile.interquartile_range r ~grid ~eps:4.0 values in
+  let lo, hi = Privcluster.Quantile.For_testing.interquartile_range r ~grid ~eps:4.0 values in
   check_in_range "q25" ~lo:0.18 ~hi:0.32 lo;
   check_in_range "q75" ~lo:0.68 ~hi:0.82 hi
 
@@ -95,7 +95,7 @@ let qcheck_rank_count_matches_fold =
     QCheck2.Gen.(pair (array_size (int_range 0 60) value) (array_size (int_range 0 20) value))
     (fun (values, extra) ->
       let fold v = Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 values in
-      let rank = Privcluster.Quantile.rank_count values in
+      let rank = Privcluster.Quantile.For_testing.rank_count values in
       let probes =
         Array.concat
           [
@@ -118,7 +118,7 @@ let test_rank_count_minor_words () =
   let r = rng ~seed:13 () in
   let values = Array.init 4200 (fun _ -> Prim.Rng.float r 1.) in
   let w0 = Gc.minor_words () in
-  let rank = Privcluster.Quantile.rank_count values in
+  let rank = Privcluster.Quantile.For_testing.rank_count values in
   let words = Gc.minor_words () -. w0 in
   check_int "rank of 1" 4200 (rank 1.);
   if words >= 50_000. then Alcotest.failf "rank_count at n = 4200: %.0f minor words" words

@@ -28,7 +28,7 @@ let test_quality_memoization () =
 
 let test_quality_of_array_argmax () =
   let q = Recconcave.Quality.of_array [| 1.; 5.; 2.; 5.; 0. |] in
-  check_int "first argmax" 1 (Recconcave.Quality.argmax q);
+  check_int "first argmax" 1 (Recconcave.Quality.For_testing.argmax q);
   check_int "size" 5 (Recconcave.Quality.size q)
 
 let test_is_quasi_concave () =
@@ -72,7 +72,7 @@ let qcheck_scale_quality_matches_exhaustive =
       let scales = Recconcave.Scale_quality.num_scales (Array.length a) in
       List.for_all
         (fun j ->
-          Float.abs (Recconcave.Scale_quality.eval q j -. exhaustive_scale_quality a j) < 1e-9)
+          Float.abs (Recconcave.Scale_quality.For_testing.eval q j -. exhaustive_scale_quality a j) < 1e-9)
         (List.init scales (fun j -> j)))
 
 let qcheck_scale_quality_monotone =
@@ -88,21 +88,21 @@ let qcheck_scale_quality_monotone =
 
 let test_interval_min () =
   let q = Recconcave.Quality.of_array [| 1.; 5.; 3. |] in
-  Testutil.check_float "min of endpoints" 1. (Recconcave.Scale_quality.interval_min q ~lo:0 ~hi:2);
-  Testutil.check_float "single point" 5. (Recconcave.Scale_quality.interval_min q ~lo:1 ~hi:1)
+  Testutil.check_float "min of endpoints" 1. (Recconcave.Scale_quality.For_testing.interval_min q ~lo:0 ~hi:2);
+  Testutil.check_float "single point" 5. (Recconcave.Scale_quality.For_testing.interval_min q ~lo:1 ~hi:1)
 
 let test_scale_zero_is_max () =
   let a = [| 1.; 4.; 9.; 3. |] in
   let q = Recconcave.Quality.of_array a in
-  check_float "L(0) = max Q" 9. (Recconcave.Scale_quality.eval q 0)
+  check_float "L(0) = max Q" 9. (Recconcave.Scale_quality.For_testing.eval q 0)
 
 (* --- Rec_concave --- *)
 
 let test_depth_and_mechanisms () =
-  check_int "small domain depth 0" 0 (Recconcave.Rec_concave.depth 32);
-  check_int "depth 1" 1 (Recconcave.Rec_concave.depth 1000);
-  check_true "depth of 2^60 domain small" (Recconcave.Rec_concave.depth (1 lsl 60) <= 3);
-  check_int "mechanisms" 3 (Recconcave.Rec_concave.mechanism_count 1000)
+  check_int "small domain depth 0" 0 (Recconcave.Rec_concave.For_testing.depth 32);
+  check_int "depth 1" 1 (Recconcave.Rec_concave.For_testing.depth 1000);
+  check_true "depth of 2^60 domain small" (Recconcave.Rec_concave.For_testing.depth (1 lsl 60) <= 3);
+  check_int "mechanisms" 3 (Recconcave.Rec_concave.For_testing.mechanism_count 1000)
 
 let test_solve_base_case () =
   let r = rng () in
@@ -145,14 +145,14 @@ let test_paper_promise_flat_in_domain () =
   let p x = Recconcave.Rec_concave.paper_promise ~eps:1.0 ~beta:0.1 ~delta:1e-6 ~domain_size:x in
   (* log* grows so slowly the promise is nearly flat between 2^16 and 2^40. *)
   check_true "log* flatness" (p (2. ** 40.) /. p (2. ** 16.) < 20.);
-  check_float "log star" 4. (Recconcave.Rec_concave.log_star 65536.)
+  check_float "log star" 4. (Recconcave.Rec_concave.For_testing.log_star 65536.)
 
 let qcheck_cells_cover_every_interval =
   qcheck "every width-w interval is inside some cell" ~count:300
     QCheck2.Gen.(pair (int_range 2 300) (int_range 1 64))
     (fun (size, w) ->
       let w = min w size in
-      let cs = Recconcave.Rec_concave.cells ~size ~w in
+      let cs = Recconcave.Rec_concave.For_testing.cells ~size ~w in
       List.for_all
         (fun a ->
           List.exists (fun (lo, hi) -> lo <= a && a + w - 1 <= hi) cs)
@@ -164,7 +164,7 @@ let qcheck_cells_within_domain =
     (fun (size, w) ->
       List.for_all
         (fun (lo, hi) -> lo >= 0 && hi < size && lo <= hi && hi - lo + 1 <= 2 * w)
-        (Recconcave.Rec_concave.cells ~size ~w))
+        (Recconcave.Rec_concave.For_testing.cells ~size ~w))
 
 (* --- Monotone_search --- *)
 

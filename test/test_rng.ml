@@ -6,7 +6,7 @@ let n_samples = 40_000
 
 let test_seed_of () =
   let a = Prim.Rng.create ~seed:99 () in
-  Testutil.check_int "seed recorded" 99 (Prim.Rng.seed_of a)
+  Testutil.check_int "seed recorded" 99 (Prim.Rng.For_testing.seed_of a)
 
 let test_determinism () =
   let a = Prim.Rng.create ~seed:5 () and b = Prim.Rng.create ~seed:5 () in
@@ -22,7 +22,7 @@ let test_determinism () =
 
 let test_copy_and_split () =
   let a = rng () in
-  let b = Prim.Rng.copy a in
+  let b = Prim.Rng.For_testing.copy a in
   check_float "copy replays" (Prim.Rng.float a 1.0) (Prim.Rng.float b 1.0);
   let c = Prim.Rng.split a in
   let matching = ref 0 in
@@ -67,14 +67,14 @@ let test_laplace_median_shift () =
 let test_exponential_stats () =
   let r = rng () in
   let rate = 2.5 in
-  let samples = Array.init n_samples (fun _ -> Prim.Rng.exponential r ~rate) in
+  let samples = Array.init n_samples (fun _ -> Prim.Rng.For_testing.exponential r ~rate) in
   let mean, _ = stats samples in
   check_float ~tol:0.02 "exponential mean" (1. /. rate) mean;
   Array.iter (fun x -> check_true "exponential non-negative" (x >= 0.)) samples
 
 let test_gumbel_location () =
   let r = rng () in
-  let samples = Array.init n_samples (fun _ -> Prim.Rng.gumbel r ~scale:1.0) in
+  let samples = Array.init n_samples (fun _ -> Prim.Rng.For_testing.gumbel r ~scale:1.0) in
   let mean, _ = stats samples in
   (* E[Gumbel(0,1)] = Euler-Mascheroni. *)
   check_float ~tol:0.05 "gumbel mean" 0.5772156649 mean
@@ -99,17 +99,6 @@ let test_int_range () =
   done;
   Array.iteri (fun i c -> check_true (Printf.sprintf "bucket %d hit" i) (c > 700)) seen
 
-let test_categorical () =
-  let r = rng () in
-  let weights = [| 1.0; 0.0; 3.0 |] in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 20_000 do
-    let i = Prim.Rng.categorical r ~weights in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_int "zero-weight never sampled" 0 counts.(1);
-  check_float ~tol:0.02 "weight ratio" 0.25 (float_of_int counts.(0) /. 20_000.)
-
 let test_categorical_log_matches () =
   let r = rng () in
   (* Huge log-weights must not overflow, and the argmax weight dominates. *)
@@ -123,7 +112,7 @@ let test_categorical_log_matches () =
 let test_shuffle_is_permutation () =
   let r = rng () in
   let a = Array.init 50 (fun i -> i) in
-  Prim.Rng.shuffle r a;
+  Prim.Rng.For_testing.shuffle r a;
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Array.iteri (fun i x -> check_int "permutation" i x) sorted
@@ -131,7 +120,7 @@ let test_shuffle_is_permutation () =
 let test_sample_without_replacement () =
   let r = rng () in
   let a = Array.init 30 (fun i -> i) in
-  let s = Prim.Rng.sample_without_replacement r ~k:10 a in
+  let s = Prim.Rng.For_testing.sample_without_replacement r ~k:10 a in
   check_int "k elements" 10 (Array.length s);
   let tbl = Hashtbl.create 10 in
   Array.iter
@@ -167,7 +156,6 @@ let suite =
     case "gumbel location" test_gumbel_location;
     case "bernoulli" test_bernoulli;
     case "int range" test_int_range;
-    case "categorical" test_categorical;
     case "categorical log stability" test_categorical_log_matches;
     case "shuffle is a permutation" test_shuffle_is_permutation;
     case "sample without replacement" test_sample_without_replacement;

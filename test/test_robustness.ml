@@ -32,7 +32,7 @@ let test_one_cluster_all_identical () =
   with
   | Ok result ->
       check_float "radius 0 on identical data" 0. result.Privcluster.One_cluster.radius;
-      check_true "center is the point" (Geometry.Vec.equal result.Privcluster.One_cluster.center p)
+      check_true "center is the point" (Geometry.Vec.For_testing.equal result.Privcluster.One_cluster.center p)
   | Error f -> Alcotest.failf "identical data should be easy: %a" Privcluster.One_cluster.pp_failure f
 
 let test_one_cluster_t_equals_n () =
@@ -106,7 +106,7 @@ let test_stability_hist_empty () =
   check_true "empty data count_by" (Prim.Stability_hist.count_by ~key:(fun x -> x) [||] = [])
 
 let test_kdtree_single_point () =
-  let tree = Geometry.Kdtree.build [| [| 0.5; 0.5 |] |] in
+  let tree = Geometry.Kdtree.For_testing.build [| [| 0.5; 0.5 |] |] in
   check_int "count self" 1 (Geometry.Kdtree.count_within tree ~center:[| 0.5; 0.5 |] ~radius:0.)
 
 let test_threshold_release_uniform_vs_empty_range () =

@@ -26,7 +26,7 @@ let qcheck_exact_1d_feasible =
       let t = max 1 (Array.length coords / 2) in
       let b = Geometry.Seb.exact_1d coords ~t in
       let pts = Array.map (fun x -> [| x |]) coords in
-      Geometry.Seb.count_inside b pts >= t)
+      Geometry.Seb.For_testing.count_inside b pts >= t)
 
 let points_gen =
   QCheck2.Gen.(array_size (int_range 3 25) (array_size (return 2) (float_range 0. 1.)))
@@ -36,7 +36,7 @@ let qcheck_two_approx_feasible =
       let ps = Geometry.Pointset.create pts in
       let t = max 1 (Array.length pts / 2) in
       let b = Geometry.Seb.two_approx ps ~t in
-      Geometry.Seb.count_inside b pts >= t)
+      Geometry.Seb.For_testing.count_inside b pts >= t)
 
 (* The unpruned scan [two_approx_indexed] replaced: every point's t-th
    neighbor distance, strict [<], first index wins. *)
@@ -86,7 +86,7 @@ let qcheck_pruned_scan_bit_identical =
       let base = Geometry.Pointset.build_index (Geometry.Pointset.create pts) in
       let n = Array.length pts in
       let distinct =
-        List.length (List.filter (Geometry.Pointset.is_representative base) (List.init n Fun.id))
+        List.length (List.filter (Geometry.Pointset.For_testing.is_representative base) (List.init n Fun.id))
       in
       let pair_dists =
         List.init n (fun i ->
@@ -95,7 +95,7 @@ let qcheck_pruned_scan_bit_identical =
       in
       let warm idx radii =
         ignore (Geometry.Pointset.score_l_many idx ~cap:n ~radii);
-        if not (Geometry.Pointset.memo_holds idx ~radii) then
+        if not (Geometry.Pointset.For_testing.memo_holds idx ~radii) then
           QCheck2.Test.fail_report "memo not warmed"
       in
       List.for_all
@@ -103,7 +103,7 @@ let qcheck_pruned_scan_bit_identical =
           let idx = Geometry.Pointset.cold_copy base in
           let expect = two_approx_unpruned idx ~t in
           let same () = same_ball (Geometry.Seb.two_approx_indexed idx ~t) expect in
-          let cold = Geometry.Pointset.kth_candidate_count idx ~k:t = distinct && same () in
+          let cold = Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t = distinct && same () in
           warm idx pair_dists;
           let exact = same () in
           warm idx [| 0.; 0.25; 0.5; 1.; 1.5 |];
@@ -111,7 +111,7 @@ let qcheck_pruned_scan_bit_identical =
           let r_min = expect.Geometry.Seb.radius in
           let short = if r_min > 0. then [| r_min /. 2.; Float.pred r_min |] else [| 0. |] in
           warm idx short;
-          let all_probed = r_min = 0. || Geometry.Pointset.kth_candidate_count idx ~k:t = distinct in
+          let all_probed = r_min = 0. || Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t = distinct in
           cold && exact && coarse && all_probed && same ())
         [ 1; (n + 1) / 2; n ])
 
@@ -130,8 +130,8 @@ let test_two_approx_factor () =
 
 let qcheck_meb_contains_all =
   qcheck "min_enclosing_ball contains everything" points_gen (fun pts ->
-      let b = Geometry.Seb.min_enclosing_ball pts in
-      Geometry.Seb.count_inside b pts = Array.length pts)
+      let b = Geometry.Seb.For_testing.min_enclosing_ball pts in
+      Geometry.Seb.For_testing.count_inside b pts = Array.length pts)
 
 let test_meb_approximation () =
   (* Points on a circle of radius 1: MEB radius must approach 1. *)
@@ -141,7 +141,7 @@ let test_meb_approximation () =
         let a = 2. *. Float.pi *. float_of_int i /. float_of_int n in
         [| cos a; sin a |])
   in
-  let b = Geometry.Seb.min_enclosing_ball ~iterations:500 pts in
+  let b = Geometry.Seb.For_testing.min_enclosing_ball ~iterations:500 pts in
   check_in_range "circle MEB radius" ~lo:1.0 ~hi:1.15 b.Geometry.Seb.radius
 
 let qcheck_t_ball_heuristic =
@@ -150,14 +150,14 @@ let qcheck_t_ball_heuristic =
       let t = max 1 (Array.length pts / 2) in
       let h = Geometry.Seb.t_ball_heuristic ps ~t in
       let a = Geometry.Seb.two_approx ps ~t in
-      Geometry.Seb.count_inside h pts >= t
+      Geometry.Seb.For_testing.count_inside h pts >= t
       && h.Geometry.Seb.radius <= a.Geometry.Seb.radius +. 1e-9)
 
 let test_validation () =
   Alcotest.check_raises "exact_1d t range" (Invalid_argument "Seb.exact_1d: t must be in [1, n]")
     (fun () -> ignore (Geometry.Seb.exact_1d [| 1.; 2. |] ~t:3));
   Alcotest.check_raises "meb empty" (Invalid_argument "Seb.min_enclosing_ball: empty")
-    (fun () -> ignore (Geometry.Seb.min_enclosing_ball [||]))
+    (fun () -> ignore (Geometry.Seb.For_testing.min_enclosing_ball [||]))
 
 let suite =
   [

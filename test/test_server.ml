@@ -331,7 +331,7 @@ let check_replay_equal ~what live records =
           check_true (what ^ ": spent bit-identical") (Acct.spent fresh = Acct.spent live);
           check_true (what ^ ": entries identical") (Acct.entries fresh = Acct.entries live);
           check_int (what ^ ": refusals") (Acct.refusals live) (Acct.refusals fresh);
-          check_true (what ^ ": reserved identical") (Acct.reserved fresh = Acct.reserved live);
+          check_true (what ^ ": reserved identical") (Acct.For_testing.reserved fresh = Acct.For_testing.reserved live);
           orphans)
 
 let batch_jobs =
@@ -409,10 +409,10 @@ let test_replay_orphaned_reservation_held () =
   | Ok orphans ->
       check_int "one orphan held" 1 orphans;
       check_true "orphan blocks headroom, visibly"
-        (Acct.reserved fresh = [ ("a:fallback", p ~eps:0.25 ~delta:0.0) ]);
+        (Acct.For_testing.reserved fresh = [ ("a:fallback", p ~eps:0.25 ~delta:0.0) ]);
       check_true "orphan not spent" (Acct.spent fresh = p ~eps:0.5 ~delta:0.0);
       check_true "headroom reflects the hold"
-        (not (Acct.would_accept fresh (p ~eps:1.3 ~delta:0.0)))
+        (not (Acct.For_testing.would_accept fresh (p ~eps:1.3 ~delta:0.0)))
 
 let test_replay_divergence_refused () =
   let ops =
@@ -651,7 +651,7 @@ let test_daemon_lifecycle () =
       | Ok _ -> Alcotest.fail "unknown tenant must not connect"
       | Error _ -> ());
       let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
-      ignore (expect_ok "ping" (Server.Client.ping c));
+      ignore (expect_ok "ping" (Server.Client.For_testing.ping c));
       let reg =
         expect_ok "register"
           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
@@ -681,7 +681,7 @@ let test_daemon_lifecycle () =
       let metrics = expect_ok "metrics" (Server.Client.metrics c) in
       check_true "metrics exposes budget" (contains_sub metrics "privcluster_budget_epsilon");
       check_true "metrics exposes daemon gauges" (contains_sub metrics "privclusterd_queue_depth");
-      let ds = expect_ok "datasets" (Server.Client.datasets c) in
+      let ds = expect_ok "datasets" (Server.Client.For_testing.datasets c) in
       (match Option.bind (Obs.Json.member "datasets" ds) Obs.Json.to_list with
       | Some l -> check_int "one dataset" 1 (List.length l)
       | None -> Alcotest.fail "datasets reply");
@@ -1217,7 +1217,7 @@ let test_daemon_register_validation () =
         (Server.Client.standing c ~dataset:"v" ~id:"sq" ~t_fraction:2. ~eps:1. ~delta:1e-7
            ~periods:2 ());
       (* the daemon is still serving: same connection, and a clean register *)
-      ignore (expect_ok "ping after rejects" (Server.Client.ping c));
+      ignore (expect_ok "ping after rejects" (Server.Client.For_testing.ping c));
       ignore
         (expect_ok "valid register still works"
            (Server.Client.register c ~dataset:"v" ~n:200 ~axis:128 ~radius:0.06 ~seed:3
@@ -1239,7 +1239,7 @@ let test_daemon_request_line_cap () =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
       let junk = Bytes.make 65536 'x' in
-      let to_send = Server.Daemon.max_request_bytes + 8192 in
+      let to_send = Server.Daemon.For_testing.max_request_bytes + 8192 in
       (try
          let sent = ref 0 in
          while !sent < to_send do
@@ -1264,10 +1264,10 @@ let test_daemon_request_line_cap () =
         (contains_sub (Buffer.contents reply) "bad_request");
       check_true "reply names the cap"
         (contains_sub (Buffer.contents reply)
-           (string_of_int Server.Daemon.max_request_bytes));
+           (string_of_int Server.Daemon.For_testing.max_request_bytes));
       (* the daemon survived: a well-behaved client still gets service *)
       let c = expect_ok "connect after abuse" (connect cfg ~tenant:"acme" ~token:"s3cret") in
-      ignore (expect_ok "ping after abuse" (Server.Client.ping c));
+      ignore (expect_ok "ping after abuse" (Server.Client.For_testing.ping c));
       Server.Client.close c);
   ()
 

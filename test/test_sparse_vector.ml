@@ -8,14 +8,14 @@ let test_fires_on_clear_signal () =
   (* Stream of well-below queries then one well-above. *)
   let fired_early = ref false in
   for _ = 1 to 20 do
-    if (not (Prim.Sparse_vector.halted sv)) && Prim.Sparse_vector.query sv 10. = Prim.Sparse_vector.Above
+    if (not (Prim.Sparse_vector.For_testing.halted sv)) && Prim.Sparse_vector.query sv 10. = Prim.Sparse_vector.Above
     then fired_early := true
   done;
   check_true "no premature fire on values 90 below threshold" (not !fired_early);
   check_true "fires on value 100 above threshold"
     (Prim.Sparse_vector.query sv 200. = Prim.Sparse_vector.Above);
-  check_true "halted" (Prim.Sparse_vector.halted sv);
-  check_int "queries counted" 21 (Prim.Sparse_vector.queries_asked sv)
+  check_true "halted" (Prim.Sparse_vector.For_testing.halted sv);
+  check_int "queries counted" 21 (Prim.Sparse_vector.For_testing.queries_asked sv)
 
 let test_rejects_after_halt () =
   let r = rng () in
@@ -36,7 +36,7 @@ let test_accuracy_theorem () =
   for _ = 1 to 300 do
     let sv = Prim.Sparse_vector.create r ~eps ~threshold in
     let rec loop i =
-      if i <= k && not (Prim.Sparse_vector.halted sv) then begin
+      if i <= k && not (Prim.Sparse_vector.For_testing.halted sv) then begin
         (* Alternate low and borderline queries. *)
         let v = if i mod 2 = 0 then 20. else 40. in
         incr total;
@@ -62,7 +62,7 @@ let test_threshold_noise_once () =
   let r = rng () in
   let sv = Prim.Sparse_vector.create r ~eps:1.0 ~threshold:1e9 in
   for _ = 1 to 100 do
-    if not (Prim.Sparse_vector.halted sv) then
+    if not (Prim.Sparse_vector.For_testing.halted sv) then
       check_true "never fires below astronomic threshold"
         (Prim.Sparse_vector.query sv 1000. = Prim.Sparse_vector.Below)
   done
@@ -70,7 +70,7 @@ let test_threshold_noise_once () =
 let test_multi_firing () =
   let r = rng () in
   let sv = Prim.Sparse_vector.create_multi r ~eps:6.0 ~threshold:50. ~firings:3 in
-  check_int "three firings available" 3 (Prim.Sparse_vector.firings_left sv);
+  check_int "three firings available" 3 (Prim.Sparse_vector.For_testing.firings_left sv);
   let aboves = ref 0 in
   (* Alternate far-below and far-above queries; must collect exactly three
      Aboves then halt. *)
@@ -81,7 +81,7 @@ let test_multi_firing () =
      done
    with Invalid_argument _ -> ());
   check_int "exactly three aboves" 3 !aboves;
-  check_true "halted after the budget" (Prim.Sparse_vector.halted sv);
+  check_true "halted after the budget" (Prim.Sparse_vector.For_testing.halted sv);
   Alcotest.check_raises "rejects afterwards"
     (Invalid_argument "Sparse_vector.query: mechanism already halted") (fun () ->
       ignore (Prim.Sparse_vector.query sv 0.))
@@ -99,7 +99,7 @@ let test_numeric_sparse () =
   (match Prim.Sparse_vector.query_numeric sv 500. with
   | Some v -> check_true (Printf.sprintf "released value near truth (%.1f)" v) (Float.abs (v -. 500.) < 50.)
   | None -> Alcotest.fail "clear signal must fire");
-  check_true "halted after release" (Prim.Sparse_vector.halted sv)
+  check_true "halted after release" (Prim.Sparse_vector.For_testing.halted sv)
 
 let test_numeric_mode_required () =
   let r = rng () in

@@ -42,27 +42,6 @@ let test_release_threshold_formula () =
   check_float ~tol:1e-9 "threshold" (1. +. (2. *. log (2. /. 1e-6)))
     (Prim.Stability_hist.release_threshold ~eps:1.0 ~delta:1e-6)
 
-let test_heavy_cells_sorted () =
-  let r = rng () in
-  let data = Array.init 900 (fun i -> if i < 500 then 1 else if i < 800 then 2 else i) in
-  let cells =
-    Prim.Stability_hist.heavy_cells r ~eps:1.0 ~delta:1e-6
-      (Prim.Stability_hist.count_by ~key:(fun x -> x) data)
-  in
-  check_true "at least the two heavy cells" (List.length cells >= 2);
-  (match cells with
-  | a :: b :: _ ->
-      check_true "sorted by noisy count"
-        (a.Prim.Stability_hist.noisy_count >= b.Prim.Stability_hist.noisy_count);
-      check_int "heaviest is key 1" 1 a.Prim.Stability_hist.key
-  | _ -> Alcotest.fail "unexpected");
-  List.iter
-    (fun c ->
-      check_true "all released clear threshold"
-        (c.Prim.Stability_hist.noisy_count
-        >= Prim.Stability_hist.release_threshold ~eps:1.0 ~delta:1e-6))
-    cells
-
 let test_utility_theorem_25 () =
   (* With T above the requirement, the returned cell must hold at least
      T − utility_loss elements at rate >= 1 − beta. *)
@@ -88,14 +67,46 @@ let test_polymorphic_keys () =
   | Some cell -> check_true "array key matched" (cell.Prim.Stability_hist.key = [| 1; 2 |])
   | None -> Alcotest.fail "heavy array key not found"
 
+(* GoodCenter's box histogram goes through [count_by], and [select] draws
+   one Laplace noise per cell in list order, so the order below is part of
+   every GoodCenter answer.  It is [count_by]'s hash-bucket order (not the
+   order of first appearance) and must not change under OCAMLRUNPARAM=R:
+   CI runs this suite with it set. *)
+let test_box_cell_order_golden () =
+  let part = Geometry.Interval.For_testing.fixed ~shift:0.05 ~len:0.2 in
+  let boxing = Geometry.Boxing.For_testing.of_partitions [| part; part |] in
+  let ps =
+    Geometry.Pointset.create
+      (Array.init 24 (fun i ->
+           let f = float_of_int i in
+           [| Float.rem (f *. 0.37) 1.0; Float.rem (f *. 0.61) 1.0 |]))
+  in
+  let cells = Geometry.Boxing.occupancy_ps boxing ps in
+  let show l =
+    String.concat "; "
+      (List.map
+         (fun (k, c) ->
+           Printf.sprintf "([|%s|], %d)" (String.concat "; " (Array.to_list (Array.map string_of_int k))) c)
+         l)
+  in
+  let expected =
+    [
+      ([| 4; 3 |], 1); ([| 1; 0 |], 1); ([| 3; 3 |], 1); ([| 1; 2 |], 2); ([| 0; 2 |], 1);
+      ([| 4; -1 |], 1); ([| 3; 4 |], 2); ([| 0; 3 |], 3); ([| 2; 1 |], 2); ([| 2; -1 |], 1);
+      ([| 4; 4 |], 1); ([| -1; -1 |], 1); ([| 1; 1 |], 2); ([| 2; 0 |], 1); ([| 0; 1 |], 1);
+      ([| 3; 0 |], 2); ([| -1; 2 |], 1);
+    ]
+  in
+  Alcotest.(check string) "cells in count_by order" (show expected) (show cells)
+
 let suite =
   [
     case "count_by" test_count_by;
+    case "box cell order golden" test_box_cell_order_golden;
     qcheck_count_by_total;
     case "select heavy" test_select_heavy;
     case "select on spread data" test_select_spread_returns_none;
     case "release threshold formula" test_release_threshold_formula;
-    case "heavy cells sorted" test_heavy_cells_sorted;
     case "theorem 2.5 utility" test_utility_theorem_25;
     case "polymorphic (array) keys" test_polymorphic_keys;
   ]

@@ -29,20 +29,20 @@ let qsuite =
         Geometry.Vec.dist a c <= Geometry.Vec.dist a b +. Geometry.Vec.dist b c +. 1e-6);
     qcheck "dist via sub/norm" pair_gen (fun (a, b) ->
         close (Geometry.Vec.dist a b) (Geometry.Vec.norm2 (Geometry.Vec.sub a b)));
-    qcheck "dot symmetric" pair_gen (fun (a, b) -> close (Geometry.Vec.dot a b) (Geometry.Vec.dot b a));
+    qcheck "dot symmetric" pair_gen (fun (a, b) -> close (Geometry.Vec.For_testing.dot a b) (Geometry.Vec.For_testing.dot b a));
     qcheck "cauchy-schwarz" pair_gen (fun (a, b) ->
-        Float.abs (Geometry.Vec.dot a b) <= (Geometry.Vec.norm2 a *. Geometry.Vec.norm2 b) +. 1e-6);
+        Float.abs (Geometry.Vec.For_testing.dot a b) <= (Geometry.Vec.norm2 a *. Geometry.Vec.norm2 b) +. 1e-6);
     qcheck "scale linearity of norm" vec_gen (fun a ->
         close (Geometry.Vec.norm2 (Geometry.Vec.scale 3. a)) (3. *. Geometry.Vec.norm2 a));
     qcheck "add commutes" pair_gen (fun (a, b) ->
-        Geometry.Vec.equal ~tol:1e-9 (Geometry.Vec.add a b) (Geometry.Vec.add b a));
+        Geometry.Vec.For_testing.equal ~tol:1e-9 (Geometry.Vec.add a b) (Geometry.Vec.add b a));
     qcheck "norm ordering inf<=2<=1" vec_gen (fun a ->
-        Geometry.Vec.norm_inf a <= Geometry.Vec.norm2 a +. 1e-9
-        && Geometry.Vec.norm2 a <= Geometry.Vec.norm1 a +. 1e-9);
+        Geometry.Vec.For_testing.norm_inf a <= Geometry.Vec.norm2 a +. 1e-9
+        && Geometry.Vec.norm2 a <= Geometry.Vec.For_testing.norm1 a +. 1e-9);
     qcheck "axpy matches add/scale" pair_gen (fun (a, b) ->
         let y = Geometry.Vec.copy b in
-        Geometry.Vec.axpy 2.5 a y;
-        Geometry.Vec.equal ~tol:1e-6 y (Geometry.Vec.add (Geometry.Vec.scale 2.5 a) b));
+        Geometry.Vec.For_testing.axpy 2.5 a y;
+        Geometry.Vec.For_testing.equal ~tol:1e-6 y (Geometry.Vec.add (Geometry.Vec.scale 2.5 a) b));
   ]
 
 let test_mean () =
@@ -53,11 +53,11 @@ let test_mean () =
       ignore (Geometry.Vec.mean [||]))
 
 let test_normalize () =
-  let v = Geometry.Vec.normalize [| 3.; 4. |] in
+  let v = Geometry.Vec.For_testing.normalize [| 3.; 4. |] in
   check_float ~tol:1e-12 "unit norm" 1.0 (Geometry.Vec.norm2 v);
   check_float ~tol:1e-12 "direction" 0.6 v.(0);
   Alcotest.check_raises "zero vector" (Invalid_argument "Vec.normalize: zero vector") (fun () ->
-      ignore (Geometry.Vec.normalize [| 0.; 0. |]))
+      ignore (Geometry.Vec.For_testing.normalize [| 0.; 0. |]))
 
 let test_dimension_mismatch () =
   Alcotest.check_raises "add mismatch" (Invalid_argument "Vec.add: dimension mismatch")
@@ -66,7 +66,7 @@ let test_dimension_mismatch () =
 let test_zero_and_of_list () =
   check_int "zero dim" 4 (Geometry.Vec.dim (Geometry.Vec.zero 4));
   check_float "zero content" 0. (Geometry.Vec.zero 4).(2);
-  check_float "of_list" 2. (Geometry.Vec.of_list [ 1.; 2. ]).(1)
+  check_float "of_list" 2. (Geometry.Vec.For_testing.of_list [ 1.; 2. ]).(1)
 
 (* [ball_r2 r] is the largest float whose square root is at most [r]:
    [sqrt (ball_r2 r) <= r < sqrt (Float.succ (ball_r2 r))].  Radii from

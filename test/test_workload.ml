@@ -9,7 +9,7 @@ let test_planted_ball_shape () =
   check_int "n points" 500 (Array.length w.Workload.Synth.points);
   check_int "cluster size" 200 w.Workload.Synth.cluster_size;
   Array.iter
-    (fun p -> check_true "on grid" (Geometry.Grid.mem grid p))
+    (fun p -> check_true "on grid" (Geometry.Grid.For_testing.mem grid p))
     w.Workload.Synth.points;
   (* Every cluster point within the (inflated) planted radius. *)
   Array.iter
@@ -22,7 +22,7 @@ let test_planted_ball_shape () =
 let test_ball_point_inside () =
   let r = rng () in
   for _ = 1 to 500 do
-    let p = Workload.Synth.ball_point r ~center:[| 0.5; 0.5; 0.5 |] ~radius:0.2 in
+    let p = Workload.Synth.For_testing.ball_point r ~center:[| 0.5; 0.5; 0.5 |] ~radius:0.2 in
     check_true "inside the ball" (Geometry.Vec.dist p [| 0.5; 0.5; 0.5 |] <= 0.2 +. 1e-9)
   done
 
@@ -32,7 +32,7 @@ let test_ball_point_not_degenerate () =
   let inner = ref 0 in
   let n = 5000 in
   for _ = 1 to n do
-    let p = Workload.Synth.ball_point r ~center:[| 0.; 0. |] ~radius:1.0 in
+    let p = Workload.Synth.For_testing.ball_point r ~center:[| 0.; 0. |] ~radius:1.0 in
     if Geometry.Vec.norm2 p <= 0.5 then incr inner
   done;
   (* Uniform in a 2-D disc: P(r <= 1/2) = 1/4. *)
@@ -45,7 +45,7 @@ let test_adversarial_minority_corner () =
     Workload.Synth.adversarial_minority r ~grid ~n:400 ~cluster_fraction:0.3 ~cluster_radius:0.05
   in
   check_true "cluster pinned near the corner"
-    (Geometry.Vec.norm_inf w.Workload.Synth.cluster_center <= 0.2);
+    (Geometry.Vec.For_testing.norm_inf w.Workload.Synth.cluster_center <= 0.2);
   let w2 =
     Workload.Synth.adversarial_minority r ~grid ~n:400 ~cluster_fraction:0.7 ~cluster_radius:0.05
   in
@@ -98,7 +98,7 @@ let test_metrics_score () =
   check_true "ratio consistent"
     (s.Workload.Metrics.ratio_vs_hi >= 1. && s.Workload.Metrics.ratio_vs_lo >= s.Workload.Metrics.ratio_vs_hi);
   check_true "success predicate"
-    (Workload.Metrics.success s ~t:3 ~max_delta:0 ~max_ratio:10.)
+    (Workload.Metrics.For_testing.success s ~t:3 ~max_delta:0 ~max_ratio:10.)
 
 let test_tight_radius () =
   let pts = Array.map (fun x -> [| x |]) [| 0.0; 0.5; 1.0 |] in
@@ -117,7 +117,7 @@ let test_quantiles () =
 let test_score_with_bounds () =
   let pts = Array.map (fun x -> [| x |]) [| 0.1; 0.11; 0.9 |] in
   let ps = Geometry.Pointset.create pts in
-  let s = Workload.Metrics.score_with_bounds ~r_lo:0.01 ~r_hi:0.02 ps ~t:2 ~center:[| 0.105 |] ~radius:0.04 in
+  let s = Workload.Metrics.For_testing.score_with_bounds ~r_lo:0.01 ~r_hi:0.02 ps ~t:2 ~center:[| 0.105 |] ~radius:0.04 in
   check_int "covered" 2 s.Workload.Metrics.covered;
   check_float ~tol:1e-9 "ratio vs hi" 2.0 s.Workload.Metrics.ratio_vs_hi;
   check_float ~tol:1e-9 "ratio vs lo" 4.0 s.Workload.Metrics.ratio_vs_lo

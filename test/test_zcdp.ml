@@ -3,8 +3,8 @@
 open Testutil
 
 let test_gaussian_rho () =
-  check_float ~tol:1e-12 "rho = D^2/2s^2" 0.5 (Prim.Zcdp.of_gaussian ~sigma:1.0 ~l2_sensitivity:1.0);
-  check_float ~tol:1e-12 "scales" 0.125 (Prim.Zcdp.of_gaussian ~sigma:2.0 ~l2_sensitivity:1.0)
+  check_float ~tol:1e-12 "rho = D^2/2s^2" 0.5 (Prim.Zcdp.For_testing.of_gaussian ~sigma:1.0 ~l2_sensitivity:1.0);
+  check_float ~tol:1e-12 "scales" 0.125 (Prim.Zcdp.For_testing.of_gaussian ~sigma:2.0 ~l2_sensitivity:1.0)
 
 let test_pure_dp_rho () =
   check_float ~tol:1e-12 "eps^2/2" 0.5 (Prim.Zcdp.of_pure_dp ~eps:1.0);
@@ -24,15 +24,15 @@ let test_to_dp_formula () =
 
 let test_budget_inversion () =
   let eps = 1.0 and delta = 1e-6 in
-  let rho = Prim.Zcdp.eps_budget_to_rho ~eps ~delta in
+  let rho = Prim.Zcdp.For_testing.eps_budget_to_rho ~eps ~delta in
   let back = Prim.Zcdp.to_dp rho ~delta in
   check_true "stays within budget" (Prim.Dp.eps back <= eps +. 1e-6);
   check_true "not wastefully small" (Prim.Dp.eps back >= 0.99 *. eps)
 
 let test_sigma_inversion () =
   let rho = 0.05 in
-  let sigma = Prim.Zcdp.gaussian_sigma ~rho ~l2_sensitivity:2.0 in
-  check_float ~tol:1e-9 "round trip" rho (Prim.Zcdp.of_gaussian ~sigma ~l2_sensitivity:2.0)
+  let sigma = Prim.Zcdp.For_testing.gaussian_sigma ~rho ~l2_sensitivity:2.0 in
+  check_float ~tol:1e-9 "round trip" rho (Prim.Zcdp.For_testing.of_gaussian ~sigma ~l2_sensitivity:2.0)
 
 let test_beats_advanced_composition () =
   (* GoodCenter's d-fold axis composition: compare the noise the advanced
@@ -46,9 +46,9 @@ let test_beats_advanced_composition () =
       let eps_i = Prim.Composition.advanced_per_mechanism ~total_eps:eps ~k:d ~delta':(delta /. 2.) in
       let sigma_adv = Prim.Gaussian_mech.sigma ~eps:eps_i ~delta:(delta /. (2. *. float_of_int d)) ~l2_sensitivity:1.0 in
       (* zCDP: total ρ for (ε, δ), split evenly, Gaussian at ρ_i. *)
-      let rho = Prim.Zcdp.eps_budget_to_rho ~eps ~delta in
+      let rho = Prim.Zcdp.For_testing.eps_budget_to_rho ~eps ~delta in
       let sigma_z =
-        Prim.Zcdp.gaussian_sigma ~rho:(Prim.Zcdp.per_mechanism_rho ~total_rho:rho ~k:d)
+        Prim.Zcdp.For_testing.gaussian_sigma ~rho:(Prim.Zcdp.For_testing.per_mechanism_rho ~total_rho:rho ~k:d)
           ~l2_sensitivity:1.0
       in
       check_true
@@ -60,7 +60,7 @@ let test_validation () =
   Alcotest.check_raises "negative rho" (Invalid_argument "Zcdp.compose: negative rho")
     (fun () -> ignore (Prim.Zcdp.compose [ -0.1 ]));
   Alcotest.check_raises "sigma > 0" (Invalid_argument "Zcdp.of_gaussian: sigma must be positive")
-    (fun () -> ignore (Prim.Zcdp.of_gaussian ~sigma:0. ~l2_sensitivity:1.))
+    (fun () -> ignore (Prim.Zcdp.For_testing.of_gaussian ~sigma:0. ~l2_sensitivity:1.))
 
 let suite =
   [
