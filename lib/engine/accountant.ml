@@ -124,6 +124,11 @@ let fits budget p =
   p.Prim.Dp.eps <= budget.Prim.Dp.eps +. tol && p.Prim.Dp.delta <= budget.Prim.Dp.delta +. tol
 
 let admit t ~label ~is_reserve p ~accept =
+  if not (p.Prim.Dp.eps >= 0. && p.Prim.Dp.delta >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Accountant.%s: cost (%g, %g) is negative or NaN"
+         (if is_reserve then "reserve" else "charge")
+         p.Prim.Dp.eps p.Prim.Dp.delta);
   let before = spent t in
   let after = total t.mode ((label, p) :: committed_and_reserved t) in
   if fits t.budget after then begin

@@ -117,7 +117,9 @@ val charge : t -> ?label:string -> Prim.Dp.params -> (unit, refusal) result
     reservations — stays within budget (with a [1e-9] absolute tolerance
     on both coordinates, so a budget split into equal parts fills
     exactly).  On [Error] the ledger is unchanged; the refusal count is
-    incremented. *)
+    incremented.
+    @raise Invalid_argument on a negative or NaN coordinate: such a cost
+    would lower the ledger. *)
 
 type reservation
 (** A held-but-not-spent charge; see the module preamble. *)
@@ -126,7 +128,8 @@ val reserve : t -> ?label:string -> Prim.Dp.params -> (reservation, refusal) res
 (** Admit the charge (same budget test as {!charge}) but park it as a
     reservation: it blocks later admissions yet does not enter {!spent}
     or {!entries} until {!commit}.  A refused reservation increments the
-    refusal counter like a refused charge. *)
+    refusal counter like a refused charge.
+    @raise Invalid_argument on a negative or NaN coordinate, like {!charge}. *)
 
 val commit : t -> reservation -> unit
 (** Turn the reservation into a real charge (it joins {!entries} and

@@ -78,7 +78,7 @@ let families_of_source src =
     Counter
       {
         name = "privcluster_engine_events_total";
-        help = "Engine event counters (retries, worker restarts, degradations).";
+        help = "Engine event counters (retries, degradations).";
         samples =
           List.map (fun (k, v) -> ([ ("event", k) ], float_of_int v)) src.counters;
       }

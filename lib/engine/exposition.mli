@@ -10,7 +10,7 @@
       [privcluster_job_latency_quantile_seconds{kind,quantile}] — its
       p50/p90/p99 summary;
     - [privcluster_engine_events_total{event}] — named counters
-      (retries, worker restarts, degradations);
+      (retries, degradations);
     - [privcluster_budget_epsilon] / [..._delta]
       [{dataset,quantity="budget"|"spent"}] and
       [privcluster_budget_refusals_total{dataset}] — the ledger;

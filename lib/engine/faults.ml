@@ -1,6 +1,4 @@
-type kind = Crash | Stall of float | Kill_worker
-
-let kind_name = function Crash -> "crash" | Stall _ -> "stall" | Kill_worker -> "kill"
+type kind = Crash | Stall of float
 
 type rule = { kind : kind; attempts : int }
 
@@ -9,7 +7,7 @@ let rule ?(attempts = 1) kind = { kind; attempts }
 type t =
   | None_
   | Explicit of (int, rule) Hashtbl.t
-  | Seeded of { seed : int; rate : float; kinds : kind array; attempts : int }
+  | Seeded of { seed : int; rate : float; attempts : int }
 
 exception Injected of string
 
@@ -29,11 +27,10 @@ let explicit rules =
         rules;
       Explicit tbl
 
-let seeded ?(attempts = 1) ?(kinds = [ Crash; Kill_worker ]) ~seed ~rate () =
+let seeded ?(attempts = 1) ~seed ~rate () =
   if rate < 0. || rate > 1. then invalid_arg "Faults.seeded: rate must be in [0, 1]";
   if attempts <= 0 then invalid_arg "Faults.seeded: attempts must be positive";
-  if kinds = [] then invalid_arg "Faults.seeded: empty kind list";
-  if rate = 0. then None_ else Seeded { seed; rate; kinds = Array.of_list kinds; attempts }
+  if rate = 0. then None_ else Seeded { seed; rate; attempts }
 
 let lookup t ~index ~attempt =
   if index < 0 || attempt < 0 then invalid_arg "Faults.lookup: negative index or attempt";
@@ -43,15 +40,14 @@ let lookup t ~index ~attempt =
       match Hashtbl.find_opt tbl index with
       | Some r when attempt < r.attempts -> Some r.kind
       | _ -> None)
-  | Seeded { seed; rate; kinds; attempts } ->
+  | Seeded { seed; rate; attempts } ->
       if attempt >= attempts then None
       else
-        (* One derived stream per job index: whether (and how) job [i] faults
-           is a pure function of (seed, i), independent of batch composition,
+        (* One derived stream per job index: whether job [i] faults is a
+           pure function of (seed, i), independent of batch composition,
            domain count or scheduling. *)
         let rng = Prim.Rng.derive (Prim.Rng.create ~seed ()) ~stream:index in
-        if Prim.Rng.float rng 1.0 >= rate then None
-        else Some kinds.(Prim.Rng.int rng (Array.length kinds))
+        if Prim.Rng.float rng 1.0 >= rate then None else Some Crash
 
 let arm t ~index ~attempt =
   match lookup t ~index ~attempt with
@@ -59,9 +55,6 @@ let arm t ~index ~attempt =
   | Some Crash ->
       raise (Injected (Printf.sprintf "injected crash (job %d, attempt %d)" index attempt))
   | Some (Stall s) -> Unix.sleepf s
-  | Some Kill_worker ->
-      raise
-        (Pool.Worker_crash (Printf.sprintf "injected worker kill (job %d, attempt %d)" index attempt))
 
 (* --- parsing ----------------------------------------------------------- *)
 
@@ -75,7 +68,7 @@ let parse_float name s =
 
 let ( let* ) = Result.bind
 
-(* kind@INDEX[=ARG][xATTEMPTS], e.g. "crash@2", "stall@5=0.25", "kill@7x3". *)
+(* kind@INDEX[=ARG][xATTEMPTS], e.g. "crash@2", "stall@5=0.25", "crash@7x3". *)
 let parse_rule tok =
   match String.index_opt tok '@' with
   | None -> fail "expected kind@index, got %S" tok
@@ -102,35 +95,23 @@ let parse_rule tok =
         let* kind =
           match (kind_s, arg_s) with
           | "crash", None -> Ok Crash
-          | "kill", None -> Ok Kill_worker
           | "stall", Some s ->
               let* d = parse_float "stall seconds" s in
               if d < 0. then fail "stall seconds must be non-negative in %S" tok else Ok (Stall d)
           | "stall", None -> fail "stall needs a duration: stall@INDEX=SECONDS"
-          | ("crash" | "kill"), Some _ -> fail "%s takes no =argument in %S" kind_s tok
-          | k, _ -> fail "unknown fault kind %S (expected crash|stall|kill)" k
+          | "crash", Some _ -> fail "crash takes no =argument in %S" tok
+          | k, _ -> fail "unknown fault kind %S (expected crash|stall)" k
         in
         Ok (index, { kind; attempts }))
 
-let parse_kinds s =
-  let toks = String.split_on_char '+' s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | "crash" :: rest -> go (Crash :: acc) rest
-    | "kill" :: rest -> go (Kill_worker :: acc) rest
-    | "stall" :: _ -> fail "seeded schedules support kinds crash and kill only"
-    | k :: _ -> fail "unknown fault kind %S (expected crash|kill)" k
-  in
-  go [] toks
-
-(* seed=S,rate=R[,kinds=crash+kill][,attempts=N] *)
+(* seed=S,rate=R[,attempts=N] *)
 let parse_seeded toks =
-  let rec go seed rate kinds attempts = function
+  let rec go seed rate attempts = function
     | [] -> (
         match (seed, rate) with
         | Some seed, Some rate ->
             if rate < 0. || rate > 1. then fail "rate must be in [0, 1]"
-            else Ok (seeded ~attempts ~kinds ~seed ~rate ())
+            else Ok (seeded ~attempts ~seed ~rate ())
         | None, _ -> fail "seeded schedule needs seed="
         | _, None -> fail "seeded schedule needs rate=")
     | tok :: rest -> (
@@ -142,19 +123,16 @@ let parse_seeded toks =
             match k with
             | "seed" ->
                 let* s = parse_int "seed" v in
-                go (Some s) rate kinds attempts rest
+                go (Some s) rate attempts rest
             | "rate" ->
                 let* r = parse_float "rate" v in
-                go seed (Some r) kinds attempts rest
-            | "kinds" ->
-                let* ks = parse_kinds v in
-                go seed rate ks attempts rest
+                go seed (Some r) attempts rest
             | "attempts" ->
                 let* a = parse_int "attempts" v in
-                if a <= 0 then fail "attempts must be positive" else go seed rate kinds a rest
-            | k -> fail "unknown key %S (expected seed|rate|kinds|attempts)" k))
+                if a <= 0 then fail "attempts must be positive" else go seed rate a rest
+            | k -> fail "unknown key %S (expected seed|rate|attempts)" k))
   in
-  go None None [ Crash; Kill_worker ] 1 toks
+  go None None 1 toks
 
 let parse s =
   let toks =
@@ -177,10 +155,8 @@ let parse s =
 
 let to_string = function
   | None_ -> "none"
-  | Seeded { seed; rate; kinds; attempts } ->
-      Printf.sprintf "seed=%d,rate=%g,kinds=%s,attempts=%d" seed rate
-        (String.concat "+" (List.map kind_name (Array.to_list kinds)))
-        attempts
+  | Seeded { seed; rate; attempts } ->
+      Printf.sprintf "seed=%d,rate=%g,attempts=%d" seed rate attempts
   | Explicit tbl ->
       Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
       |> List.sort compare
@@ -188,7 +164,6 @@ let to_string = function
              let base =
                match kind with
                | Crash -> Printf.sprintf "crash@%d" i
-               | Kill_worker -> Printf.sprintf "kill@%d" i
                | Stall s -> Printf.sprintf "stall@%d=%g" i s
              in
              if attempts = 1 then base else Printf.sprintf "%sx%d" base attempts)

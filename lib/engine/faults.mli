@@ -1,7 +1,7 @@
 (** Deterministic fault injection for the batch engine.
 
     Every failure path of {!Pool} and {!Service} — a job raising, a job
-    stalling past its deadline, a worker domain dying — is reachable on
+    stalling past its deadline — is reachable on
     demand through a fault {e schedule}: a pure function from (job
     submission index, attempt number) to an optional fault.  Schedules
     are deterministic by construction, so a CI run under
@@ -12,7 +12,7 @@
 
     Faults are armed {e before} the job's solver draws any randomness
     ({!Service} calls {!arm} ahead of the mechanism invocation), so an
-    injected crash or kill always models a {e crash before output}: the
+    injected crash always models a {e crash before output}: the
     retry replays the same derived RNG stream and is bit-identical to an
     uninterrupted run.  Post-output failures are deliberately not
     injectable — they would require refund semantics the engine refuses
@@ -24,23 +24,21 @@
     by {!of_env}) accepts either form, comma-separated:
 
     - {b explicit} — [kind@INDEX[=ARG][xATTEMPTS]] rules, e.g.
-      ["crash@2,stall@5=0.25,kill@7x3"]: job 2 crashes on its first
-      attempt, job 5 stalls 0.25 s on its first attempt, job 7's worker
-      is killed on its first three attempts.
-    - {b seeded} — ["seed=S,rate=R[,kinds=crash+kill][,attempts=N]"]:
-      each job index faults independently with probability [R], decided
-      by a SplitMix64-derived stream of [(S, index)] — the same schedule
-      for the same seed, whatever the batch or domain count.  Seeded
-      schedules only emit [crash]/[kill] (the replayable kinds), so a
-      test suite stays green under any seed as long as retries ≥
-      [attempts]. *)
+      ["crash@2,stall@5=0.25,crash@7x3"]: job 2 crashes on its first
+      attempt, job 5 stalls 0.25 s on its first attempt, job 7 crashes
+      on its first three attempts.
+    - {b seeded} — ["seed=S,rate=R[,attempts=N]"]: each job index
+      crashes on its first [N] attempts (default 1) with probability
+      [R], decided by a SplitMix64-derived stream of [(S, index)] — the
+      same schedule for the same seed, whatever the batch or domain
+      count.  A crash is replayable, so a test suite stays green under
+      any seed as long as retries ≥ [attempts]. *)
 
 type kind =
   | Crash  (** The job raises {!Injected} before producing output. *)
   | Stall of float
       (** The job sleeps this many seconds before running — long enough,
           it blows its cooperative deadline. *)
-  | Kill_worker  (** The job raises {!Pool.Worker_crash}: its worker domain dies. *)
 
 type rule = { kind : kind; attempts : int }
 (** Fires while the job's attempt number is [< attempts]. *)
@@ -64,8 +62,8 @@ val explicit : (int * rule) list -> t
     @raise Invalid_argument on a negative index or non-positive attempts. *)
 
 val arm : t -> index:int -> attempt:int -> unit
-(** Act on {!For_testing.lookup}: raise {!Injected}, sleep, raise
-    {!Pool.Worker_crash}, or do nothing. *)
+(** Act on {!For_testing.lookup}: raise {!Injected}, sleep, or do
+    nothing. *)
 
 val parse : string -> (t, string) result
 (** Parse the grammar above.  [""] and ["none"] parse to {!none}. *)
@@ -86,8 +84,8 @@ module For_testing : sig
   (** The fault (if any) for attempt [attempt] of job [index].  Pure.
       @raise Invalid_argument on negative arguments. *)
 
-  val seeded : ?attempts:int -> ?kinds:kind list -> seed:int -> rate:float -> unit -> t
-  (** Random-looking but fully deterministic schedule; [kinds] defaults to
-      [[Crash; Kill_worker]], [attempts] to 1.
-      @raise Invalid_argument if [rate ∉ [0, 1]], [attempts ≤ 0] or [kinds = []]. *)
+  val seeded : ?attempts:int -> seed:int -> rate:float -> unit -> t
+  (** Random-looking but fully deterministic schedule of {!Crash}es;
+      [attempts] defaults to 1.
+      @raise Invalid_argument if [rate ∉ [0, 1]] or [attempts ≤ 0]. *)
 end

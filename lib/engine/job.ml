@@ -62,7 +62,6 @@ let ( let+ ) r f = Result.map f r
 type _ key =
   | Float : float key
   | Int : int key
-  | Pos_int : int key
   | Bool : bool key
   | Str : string key
 
@@ -77,7 +76,6 @@ let get : type a. fields -> a key -> ?default:a -> string -> (a, string) result 
     match key with
     | Float -> float_of_string_opt
     | Int -> int_of_string_opt
-    | Pos_int -> fun v -> Option.bind (int_of_string_opt v) (fun i -> if i > 0 then Some i else None)
     | Bool -> ( function "true" | "1" -> Some true | "false" | "0" -> Some false | _ -> None)
     | Str -> Option.some
   in
@@ -85,7 +83,6 @@ let get : type a. fields -> a key -> ?default:a -> string -> (a, string) result 
     match key with
     | Float -> "a number"
     | Int -> "an integer"
-    | Pos_int -> "a positive integer"
     | Bool -> "true or false"
     | Str -> "a string"
   in
@@ -94,12 +91,7 @@ let get : type a. fields -> a key -> ?default:a -> string -> (a, string) result 
   | None, Some d -> Ok d
   | None, None -> Error (Printf.sprintf "%s requires %s=" f.kind_tok k)
 
-(* [t_fraction], read by every kind with a target cluster size: in (0, 1]
-   (the comparisons are false for NaN), so [t = ⌈t_fraction · n⌉] is in
-   [1, n]. *)
-let get_t_fraction f =
-  let* x = get f Float ~default:0.5 "t_fraction" in
-  if x > 0. && x <= 1. then Ok x else Error "key t_fraction: must be in (0, 1]"
+let get_t_fraction f = get f Float ~default:0.5 "t_fraction"
 
 (* How a kind reads its price: [Approx] requires both eps and delta;
    [Pure] is an (ε, 0) query, so delta defaults to 0; [Free] kinds touch no
@@ -107,7 +99,7 @@ let get_t_fraction f =
 type price = Approx | Pure | Free
 
 (* The per-kind key table: each kind's name, price, and the keys its
-   arguments are read from. *)
+   arguments are read from.  Ranges are [validate]'s business. *)
 let kinds : (string * price * (fields -> (kind, string) result)) list =
   [
     ( "one_cluster",
@@ -118,37 +110,36 @@ let kinds : (string * price * (fields -> (kind, string) result)) list =
     ( "k_cluster",
       Approx,
       fun f ->
-        let* k = get f Pos_int "k" in
+        let* k = get f Int "k" in
         let+ t_fraction = get_t_fraction f in
         K_cluster { k; t_fraction } );
     ( "quantile",
       Pure,
       fun f ->
         let* q = get f Float ~default:0.5 "q" in
-        let* axis = get f Int ~default:0 "axis" in
-        if q < 0. || q > 1. then Error "key q: must be in [0, 1]" else Ok (Quantile { axis; q }) );
+        let+ axis = get f Int ~default:0 "axis" in
+        Quantile { axis; q } );
     ( "mutate",
       Free,
       fun f ->
         let* op = get f Str "op" in
         match op with
         | "append" ->
-            let* n = get f Pos_int "n" in
+            let* n = get f Int "n" in
             let* seed = get f Int "seed" in
             let* frac = get f Float ~default:0.5 "frac" in
             let+ radius = get f Float ~default:0.05 "radius" in
             Mutate (Append_synth { n; seed; frac; radius })
         | "retire" ->
             let* from_ = get f Int "from" in
-            let* count = get f Pos_int "count" in
-            if from_ < 0 then Error "key from: must be >= 0"
-            else Ok (Mutate (Retire_range { from_; count }))
+            let+ count = get f Int "count" in
+            Mutate (Retire_range { from_; count })
         | op -> Error (Printf.sprintf "key op: expected append|retire, got %S" op) );
     ( "standing",
       Approx,
       fun f ->
         let* t_fraction = get_t_fraction f in
-        let+ periods = get f Pos_int "periods" in
+        let+ periods = get f Int "periods" in
         Standing { t_fraction; periods } );
     ( "local_cluster",
       Pure,
@@ -159,9 +150,49 @@ let kinds : (string * price * (fields -> (kind, string) result)) list =
       Approx,
       fun f ->
         let* t_fraction = get_t_fraction f in
-        let+ coreset = get f Pos_int ~default:400 "coreset" in
+        let+ coreset = get f Int ~default:400 "coreset" in
         Meb { t_fraction; coreset } );
   ]
+
+let price_of kind =
+  let _, price, _ = List.find (fun (name, _, _) -> name = kind_name kind) kinds in
+  price
+
+(* Every check a spec passes before admission, wherever it was built:
+   [parse] runs each jobs-file line through it and the daemon each spec it
+   builds from a wire request, so nothing is charged or journaled for a spec
+   a jobs line could not carry.  Each comparison is false for NaN. *)
+let validate spec =
+  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let positive key v = if v > 0 then Ok () else bad "key %s: must be a positive integer" key in
+  let* () =
+    if spec.id = "" || String.exists (fun c -> c <= ' ' || c = '#') spec.id then
+      bad "key id: must be non-empty, without whitespace or '#' (got %S)" spec.id
+    else Ok ()
+  in
+  let* () =
+    match t_fraction spec.kind with
+    (* so [t = ⌈t_fraction · n⌉] is in [1, n] *)
+    | Some x when not (x > 0. && x <= 1.) -> bad "key t_fraction: must be in (0, 1]"
+    | _ -> Ok ()
+  in
+  let* () =
+    match spec.kind with
+    | K_cluster { k; _ } -> positive "k" k
+    | Quantile { q; _ } -> if q >= 0. && q <= 1. then Ok () else bad "key q: must be in [0, 1]"
+    | Mutate (Append_synth { n; _ }) -> positive "n" n
+    | Mutate (Retire_range { from_; count }) ->
+        if from_ < 0 then bad "key from: must be >= 0" else positive "count" count
+    | Standing { periods; _ } -> positive "periods" periods
+    | Meb { coreset; _ } -> positive "coreset" coreset
+    | One_cluster _ | Local_cluster _ -> Ok ()
+  in
+  if price_of spec.kind <> Free && not (spec.eps > 0. && spec.eps < Float.infinity) then
+    bad "key eps: must be finite and > 0"
+  else if not (spec.delta >= 0. && spec.delta < 1.) then bad "key delta: must be in [0, 1)"
+  else if spec.fallback && (match spec.kind with One_cluster _ -> false | _ -> true) then
+    bad "key fallback: only one_cluster jobs have a degradation fallback"
+  else Ok spec
 
 let split_ws s =
   String.split_on_char ' ' s
@@ -199,13 +230,8 @@ let parse_spec ~default_beta ~ordinal kind_tok toks =
   match List.find_opt (fun (k, _) -> not (List.mem k f.read)) f.kvs with
   | Some (k, _) -> Error (Printf.sprintf "unknown key %S for %s" k kind_tok)
   | None ->
-      if price <> Free && eps <= 0. then Error "key eps: must be > 0"
-      else if delta < 0. || delta >= 1. then Error "key delta: must be in [0, 1)"
-      else if fallback && (match kind with One_cluster _ -> false | _ -> true) then
-        Error "key fallback: only one_cluster jobs have a degradation fallback"
-      else
-        let deadline_s = if Float.is_nan deadline then None else Some deadline in
-        Ok { id; kind; eps; delta; beta; deadline_s; fallback }
+      let deadline_s = if Float.is_nan deadline then None else Some deadline in
+      validate { id; kind; eps; delta; beta; deadline_s; fallback }
 
 let parse ?(default_beta = 0.1) contents =
   let rec go lineno ordinal acc = function

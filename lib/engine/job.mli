@@ -110,8 +110,17 @@ val t_fraction : kind -> float option
     [local_cluster] and [meb_fptas]; [None] for [quantile] and [mutate]. *)
 
 val parse : ?default_beta:float -> string -> (spec list, string) result
-(** Parse a whole jobs file (the contents, not a path).  [Error] carries a
-    one-line message with the offending line number. *)
+(** Parse a whole jobs file (the contents, not a path); every spec passes
+    {!validate}.  [Error] carries a one-line message with the offending
+    line number. *)
+
+val validate : spec -> (spec, string) result
+(** The checks every spec passes before admission, whoever built it:
+    finite [eps > 0] for every kind but [mutate]; [delta] in [[0, 1)];
+    [t_fraction] in (0, 1] and [q] in [[0, 1]] (NaN fails each); positive
+    [k], [coreset], [periods], [n] and [count], and [from ≥ 0];
+    [fallback] only on [one_cluster]; an [id] a jobs line can carry
+    (non-empty, no whitespace, no ['#']).  [Error] names the key. *)
 
 val spec_to_line : spec -> string
 (** Render a spec back to the file format: its {!signature} without the

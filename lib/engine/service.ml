@@ -220,10 +220,9 @@ let add_standing t dataset (spec : Job.spec) ~t_fraction ~periods ~seed ~stream 
   t.standing <- st :: t.standing;
   st
 
-let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
+let run_batch ?domains ?seed t ~dataset specs =
   let domains = max 1 (Option.value ~default:t.domains domains) in
-  let retries = max 0 (Option.value ~default:t.retries retries) in
-  let faults = Option.value ~default:t.faults faults in
+  let retries = t.retries and faults = t.faults in
   let base_rng, seed =
     match seed with
     | None -> (t.base_rng, t.seed)
@@ -457,12 +456,9 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
              | Refused_at_admission _ | Cache_hit _ -> None)
       |> Array.of_list
     in
-    let on_event = function
-      | Pool.Task_retry _ -> Telemetry.incr t.telemetry "retries"
-      | Pool.Worker_restart -> Telemetry.incr t.telemetry "worker_restarts"
-    in
+    let on_retry ~index:_ ~attempt:_ = Telemetry.incr t.telemetry "retries" in
     let outcomes =
-      Pool.run ~retries ~backoff_s:t.backoff_s ~on_event ?trace_parent:batch_id ~domains
+      Pool.run ~retries ~backoff_s:t.backoff_s ~on_retry ?trace_parent:batch_id ~domains
         ~f:(fun ~index:_ ~attempt (stream, spec) ->
           job_span spec ~stream
             ~attrs:(fun () ->
@@ -470,7 +466,7 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
           @@ fun () ->
           let rng = Prim.Rng.derive base_rng ~stream in
           (* Faults are armed before any randomness is drawn, so an injected
-             crash or kill is always a crash *before output*. *)
+             crash is always a crash *before output*. *)
           Faults.arm faults ~index:stream ~attempt;
           let t0 = Obs.Clock.now_ns () in
           let status = execute t dataset rng spec in
@@ -592,11 +588,10 @@ let run_batch ?domains ?retries ?faults ?seed t ~dataset specs =
     List.length (List.filter (fun r -> Job.status_name r.Job.status = st) results)
   in
   Log.info (fun m ->
-      m "batch done: dataset=%s ok=%d refused=%d timeout=%d failed=%d degraded=%d retries=%d restarts=%d"
+      m "batch done: dataset=%s ok=%d refused=%d timeout=%d failed=%d degraded=%d retries=%d"
         (Registry.name dataset) (count "ok") (count "refused") (count "timeout") (count "failed")
         (count "degraded")
-        (Telemetry.counter t.telemetry "retries")
-        (Telemetry.counter t.telemetry "worker_restarts"));
+        (Telemetry.counter t.telemetry "retries"));
   Obs.Span.finish batch;
   results
 
@@ -611,10 +606,10 @@ let find_dataset t name =
             Printf.sprintf "unknown dataset %S: registered datasets are %s" name
               (String.concat ", " (List.map (Printf.sprintf "%S") names)))
 
-let run_batch_named ?domains ?retries ?faults ?seed t ~dataset specs =
+let run_batch_named ?domains ?seed t ~dataset specs =
   match find_dataset t dataset with
   | Error _ as e -> e
-  | Ok dataset -> Ok (run_batch ?domains ?retries ?faults ?seed t ~dataset specs)
+  | Ok dataset -> Ok (run_batch ?domains ?seed t ~dataset specs)
 
 (* Rebuild a standing query from its journaled registration line after a WAL
    replay.  The replayed ledger already holds the committed slices (the

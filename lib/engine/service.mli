@@ -13,17 +13,18 @@
       fallback.  Doing all charging before any execution makes the
       accept/refuse set a pure function of the submission list, never of
       worker timing.
-    + {b Execution} (parallel): admitted jobs run on a supervised {!Pool}
-      of [domains] workers — the calling domain and [domains − 1]
-      spawned ones — with up to [retries] in-place retry
-      attempts per job.  Job [i] (by submission index, counting refused
+    + {b Execution} (parallel): admitted jobs run on a {!Pool} of
+      [domains] workers — the calling domain and [domains − 1] spawned
+      ones.  A job that raises is re-run in place, on the same worker,
+      up to [retries] more times; if every attempt raises it reports
+      {!Job.Solver_failed} and keeps its charge.  Job [i] (by submission index, counting refused
       jobs) draws its randomness from [Prim.Rng.derive base ~stream:i] on
       {e every} attempt, so a retry after a crash-before-output fault is
       a bit-identical replay of the same mechanism invocation — it
       consumes no additional privacy and needs no new charge.  The batch
       output is bit-identical for any domain count under a fixed [seed],
-      with or without injected faults (as long as the schedule is
-      survivable; see {!Faults}).
+      with or without injected faults (as long as every faulted job
+      succeeds within its attempts; see {!Faults}).
     + {b Settlement} (sequential, coordinator only): outcomes are mapped
       to results in submission order and every fallback reservation is
       settled exactly once — {!Accountant.commit}ted if the job degraded
@@ -43,8 +44,8 @@
     exceptions — the crash-before-output shape — are retried.
 
     Results come back in submission order; every finished job is recorded
-    in the service {!Telemetry} (statuses plus the ["retries"],
-    ["worker_restarts"] and ["degraded"] counters) and logged on
+    in the service {!Telemetry} (statuses plus the ["retries"] and
+    ["degraded"] counters) and logged on
     ["privcluster.engine"].  See OPERATIONS.md for the operator's view. *)
 
 type t
@@ -91,15 +92,14 @@ val register :
 
 val run_batch :
   ?domains:int ->
-  ?retries:int ->
-  ?faults:Faults.t ->
   ?seed:int ->
   t ->
   dataset:Registry.dataset ->
   Job.spec list ->
   Job.result list
-(** Run the batch as described above; [domains], [retries] and [faults]
-    override the service defaults for this call.  [seed] overrides the base
+(** Run the batch as described above; [domains] overrides the service
+    default for this call (retries and faults are set once, at
+    {!create}).  [seed] overrides the base
     of the per-job derived streams for this batch only — the statistical
     verification harness ({!Check}) uses it to draw many independent runs of
     the same batch (including the reserve/commit fallback path) against one
@@ -113,8 +113,6 @@ val find_dataset : t -> string -> (Registry.dataset, string) result
 
 val run_batch_named :
   ?domains:int ->
-  ?retries:int ->
-  ?faults:Faults.t ->
   ?seed:int ->
   t ->
   dataset:string ->

@@ -25,9 +25,8 @@ val record : t -> kind:string -> status:string -> latency_ms:float -> unit
 
 val incr : t -> string -> unit
 (** Thread-safe named event counter (+1).  The engine uses ["retries"]
-    (a job attempt was re-run after a crash), ["worker_restarts"] (a dead
-    worker domain was replaced) and ["degraded"] (a job fell back to its
-    cheaper solver); callers may add their own names. *)
+    (a job attempt was re-run after it raised) and ["degraded"] (a job
+    fell back to its cheaper solver); callers may add their own names. *)
 
 val counter : t -> string -> int
 (** Current value of a named counter; [0] when never incremented. *)

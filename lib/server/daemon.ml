@@ -317,9 +317,9 @@ let ledger_json ds =
      ]
     @ attribution)
 
-let exec_run t tenant ~dataset ~seed specs =
+let exec_run tenant ~dataset ~seed specs =
   let svc = Tenants.service tenant in
-  match Service.run_batch_named ?seed ~domains:t.cfg.domains svc ~dataset specs with
+  match Service.run_batch_named ?seed svc ~dataset specs with
   | Error msg -> err Wire.Unknown_dataset "%s" msg
   | Ok results ->
       let ds = Result.get_ok (Service.find_dataset svc dataset) in
@@ -348,45 +348,24 @@ let mutation_reply svc ~dataset results =
          ("ledger", Accountant.to_json (Registry.accountant ds));
        ])
 
-let mutate_spec id op =
+(* The one-job batch an [append], [retire] or [standing] request stands
+   for.  [handle_request] runs it through [Job.validate] on the connection
+   thread, so a bad one is refused before anything is charged or
+   journaled. *)
+let verb_spec ~id ?(eps = 0.) ?(delta = 0.) kind =
   {
     Job.id;
-    kind = Job.Mutate op;
-    eps = 0.;
-    delta = 0.;
+    kind;
+    eps;
+    delta;
     beta = Workload.Harness.default_beta;
     deadline_s = None;
     fallback = false;
   }
 
-let exec_append t tenant ~dataset ~n ~seed ~frac ~radius =
+let exec_spec tenant ~dataset ?seed spec =
   let svc = Tenants.service tenant in
-  let spec = mutate_spec "append" (Job.Append_synth { n; seed; frac; radius }) in
-  match Service.run_batch_named ~domains:t.cfg.domains svc ~dataset [ spec ] with
-  | Error msg -> err Wire.Unknown_dataset "%s" msg
-  | Ok results -> mutation_reply svc ~dataset results
-
-let exec_retire t tenant ~dataset ~from_ ~count =
-  let svc = Tenants.service tenant in
-  let spec = mutate_spec "retire" (Job.Retire_range { from_; count }) in
-  match Service.run_batch_named ~domains:t.cfg.domains svc ~dataset [ spec ] with
-  | Error msg -> err Wire.Unknown_dataset "%s" msg
-  | Ok results -> mutation_reply svc ~dataset results
-
-let exec_standing t tenant ~dataset ~id ~t_fraction ~eps ~delta ~periods ~seed =
-  let svc = Tenants.service tenant in
-  let spec =
-    {
-      Job.id;
-      kind = Job.Standing { t_fraction; periods };
-      eps;
-      delta;
-      beta = Workload.Harness.default_beta;
-      deadline_s = None;
-      fallback = false;
-    }
-  in
-  match Service.run_batch_named ?seed ~domains:t.cfg.domains svc ~dataset [ spec ] with
+  match Service.run_batch_named ?seed svc ~dataset [ spec ] with
   | Error msg -> err Wire.Unknown_dataset "%s" msg
   | Ok results -> mutation_reply svc ~dataset results
 
@@ -684,13 +663,19 @@ let handle_request t authed (envelope : Wire.envelope) =
   let verb = Wire.request_name envelope.Wire.request in
   let rid = envelope.Wire.rid in
   (* Data-path work items get the request root span + exemplar capture
-     and a burn-rate sample; [submit_data] keeps the eight call sites
-     from repeating the plumbing. *)
+     and a burn-rate sample; [submit_data] keeps the data verbs from
+     repeating the plumbing, and [submit_spec] vets a one-job verb's spec
+     before it is submitted. *)
   let submit_data tenant ~dataset work =
     let work = (fun () -> let r = work () in sample_burn t tenant ~dataset; r) in
     submit_and_wait t ~verb
       ~slot:(Tenants.slot tenant, Tenants.max_in_flight tenant)
       (traced t ~verb ~tenant_name:(Tenants.name tenant) ~rid work)
+  in
+  let submit_spec tenant ~dataset ?seed spec =
+    match Job.validate spec with
+    | Error e -> err Wire.Bad_request "%s: %s" verb e
+    | Ok spec -> submit_data tenant ~dataset (fun () -> exec_spec tenant ~dataset ?seed spec)
   in
   match (envelope.Wire.request, !authed) with
   | Wire.Hello { version; tenant; token }, None ->
@@ -722,7 +707,7 @@ let handle_request t authed (envelope : Wire.envelope) =
       match Job.parse ~default_beta:Workload.Harness.default_beta jobs with
       | Error e -> err Wire.Bad_request "jobs: %s" e
       | Ok [] -> err Wire.Bad_request "jobs: empty batch"
-      | Ok specs -> submit_data tenant ~dataset (fun () -> exec_run t tenant ~dataset ~seed specs))
+      | Ok specs -> submit_data tenant ~dataset (fun () -> exec_run tenant ~dataset ~seed specs))
   | Wire.Register { dataset; n; dim; axis; frac; radius; seed; budget; mode }, Some tenant
     -> (
       match validate_register ~n ~dim ~axis ~frac ~radius with
@@ -739,12 +724,14 @@ let handle_request t authed (envelope : Wire.envelope) =
                  sample_burn t tenant ~dataset;
                  r)))
   | Wire.Append { dataset; n; seed; frac; radius }, Some tenant ->
-      submit_data tenant ~dataset (fun () -> exec_append t tenant ~dataset ~n ~seed ~frac ~radius)
+      submit_spec tenant ~dataset
+        (verb_spec ~id:"append" (Job.Mutate (Job.Append_synth { n; seed; frac; radius })))
   | Wire.Retire { dataset; from_; count }, Some tenant ->
-      submit_data tenant ~dataset (fun () -> exec_retire t tenant ~dataset ~from_ ~count)
+      submit_spec tenant ~dataset
+        (verb_spec ~id:"retire" (Job.Mutate (Job.Retire_range { from_; count })))
   | Wire.Standing { dataset; id; t_fraction; eps; delta; periods; seed }, Some tenant ->
-      submit_data tenant ~dataset (fun () ->
-          exec_standing t tenant ~dataset ~id ~t_fraction ~eps ~delta ~periods ~seed)
+      submit_spec tenant ~dataset ?seed
+        (verb_spec ~id ~eps ~delta (Job.Standing { t_fraction; periods }))
   | Wire.Epoch { dataset }, Some tenant ->
       submit_and_wait t ~control:true ~verb (fun () -> exec_epoch t tenant ~dataset)
   | Wire.Settle { dataset; action; label }, Some tenant ->

@@ -144,7 +144,10 @@ let record_of_payload payload =
   let cost () =
     let* eps = get_float opname "eps" json in
     let* delta = get_float opname "delta" json in
-    Ok { Prim.Dp.eps; delta }
+    (* The accountant raises on such a cost, so the record is corrupt:
+       refused mid-file, dropped as a torn tail, never replayed. *)
+    if eps >= 0. && delta >= 0. then Ok { Prim.Dp.eps; delta }
+    else Error (Printf.sprintf "record %s: cost (%h, %h) is negative or NaN" opname eps delta)
   in
   let* op =
     match opname with

@@ -235,8 +235,7 @@ let request_of_json json =
         | None -> Ok None
         | Some _ -> Result.map Option.some (field Json.to_int "seed" json)
       in
-      if not (t_fraction > 0. && t_fraction <= 1.) then bad "t_fraction must be in (0, 1]"
-      else Ok (Standing { dataset; id; t_fraction; eps; delta; periods; seed })
+      Ok (Standing { dataset; id; t_fraction; eps; delta; periods; seed })
   | "settle" ->
       let* dataset = field Json.to_str "dataset" json in
       let* action_s = field Json.to_str "action" json in

@@ -321,6 +321,9 @@ let test_job_parse_errors () =
       "quantile t_fraction=0.9 eps=1";
       "one_cluster coreset=5 eps=1 delta=1e-7";
       "quantile axis=1.7 eps=1";
+      "one_cluster eps=nan delta=1e-7";
+      "one_cluster eps=1 delta=nan";
+      "one_cluster eps=1 delta=1e-7 id=";
     ]
   in
   List.iter

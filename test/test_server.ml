@@ -150,6 +150,13 @@ let test_wal_corruption_mid_file () =
   (match Wal.load path with
   | Error e -> check_true "error names corruption" (contains_sub e "corrupt")
   | Ok _ -> Alcotest.fail "mid-file corruption must refuse the journal");
+  Sys.remove path;
+  (* A well-framed charge the accountant would refuse (a negative ε, which
+     a wire spec built without validation could once journal) is corrupt
+     too: the journal is refused at load instead of raising mid-replay. *)
+  let charge eps = { Wal.tenant = "t"; dataset = "d"; op = Wal.Charge { label = "c"; cost = p ~eps ~delta:0. } } in
+  write_wal path [ charge (-2.); charge 1. ];
+  check_true "negative cost refused" (Result.is_error (Wal.load path));
   Sys.remove path
 
 let test_wal_compact () =
@@ -306,7 +313,7 @@ let test_run_batch_named_charges_nothing () =
    journal into a fresh accountant: the reconstructed ledger must be the
    live ledger, bit for bit. *)
 let journaled_batch ?faults ~budget ~jobs () =
-  let svc = Engine.Service.create ~domains:2 ~seed:11 ~retries:2 () in
+  let svc = Engine.Service.create ~domains:2 ~seed:11 ~retries:2 ?faults () in
   let _, grid, w = small_workload () in
   let ds = Engine.Service.register svc ~name:"d" ~grid ~budget w.Workload.Synth.points in
   let acct = Engine.Registry.accountant ds in
@@ -317,7 +324,7 @@ let journaled_batch ?faults ~budget ~jobs () =
   Acct.subscribe acct (fun ev ->
       records := Wal.record_of_event ~tenant:"t" ~dataset:"d" ev :: !records);
   let specs = match Engine.Job.parse jobs with Ok s -> s | Error e -> Alcotest.failf "parse: %s" e in
-  let results = Engine.Service.run_batch ?faults svc ~dataset:ds specs in
+  let results = Engine.Service.run_batch svc ~dataset:ds specs in
   (acct, List.rev !records, results)
 
 let check_replay_equal ~what live records =
@@ -1190,6 +1197,63 @@ let test_daemon_standing_survives_restart_exactly () =
       | ticks -> Alcotest.failf "expected one post-restart tick, got %d" (List.length ticks));
       Server.Client.close c)
 
+(* A standing query's spec is built from wire fields, not from a jobs line,
+   so the daemon runs it through [Job.validate] on the connection thread:
+   each bad request below gets bad_request and leaves the ledger and the
+   WAL as they were.  (A negative eps used to reserve and commit a negative
+   slice, lowering the spend.)  A query whose id passes is journaled,
+   re-armed after a restart, and ticks on the next append. *)
+let test_daemon_standing_validation () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let register c =
+    expect_ok "register"
+      (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+         ~budget:(p ~eps:4.0 ~delta:1e-4) ())
+  in
+  let journal () = In_channel.with_open_bin cfg.Server.Daemon.wal_path In_channel.input_all in
+  let standing c ?(id = "sq") ?(eps = 1.0) ?(delta = 1e-6) ?(periods = 2) () =
+    Server.Client.standing c ~dataset:"d1" ~id ~t_fraction:0.45 ~eps ~delta ~periods ()
+  in
+  let id = "sq-1.a" in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore (register c);
+      ignore
+        (expect_ok "run"
+           (Server.Client.run c ~dataset:"d1" ~jobs:"quantile q=0.5 axis=0 eps=1" ()));
+      let ledger () = Obs.Json.member "ledger" (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) in
+      let before = ledger () and wal = journal () in
+      let expect_bad what attempt =
+        match attempt with
+        | Error (`Server e) ->
+            check_true (what ^ " is bad_request") (e.Wire.code = Wire.Bad_request)
+        | Ok _ -> Alcotest.failf "%s must be rejected" what
+        | Error (`Transport m) -> Alcotest.failf "%s: transport: %s" what m
+      in
+      expect_bad "eps -2" (standing c ~eps:(-2.) ~periods:1 ());
+      expect_bad "eps 0" (standing c ~eps:0. ());
+      expect_bad "eps nan" (standing c ~eps:Float.nan ());
+      expect_bad "delta 1" (standing c ~delta:1. ());
+      expect_bad "periods 0" (standing c ~periods:0 ());
+      expect_bad "id with a space" (standing c ~id:"a b" ());
+      check_true "ledger unchanged" (ledger () = before);
+      check_true "nothing journaled" (journal () = wal);
+      ignore (expect_ok "valid standing" (standing c ~id ()));
+      Server.Client.close c);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      check_true "recovered by replay"
+        (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+      let app = expect_ok "append" (Server.Client.append c ~dataset:"d1" ~n:100 ~seed:7 ()) in
+      let ids =
+        match Option.bind (Obs.Json.member "results" app) Obs.Json.to_list with
+        | None -> []
+        | Some rs -> List.filter_map (fun r -> Option.bind (Obs.Json.member "id" r) Obs.Json.to_str) rs
+      in
+      check_true "the re-armed query ticks on the next append" (List.mem (id ^ "#2") ids);
+      Server.Client.close c)
+
 (* Malformed registration parameters must come back as bad_request — not
    raise on the executor thread, which would strand the connection in its
    reply wait and deadlock [stop] on the join (the daemon stopping cleanly
@@ -1577,6 +1641,7 @@ let suite =
     slow_case "daemon settle" test_daemon_settle;
     slow_case "daemon standing query exact across a restart" test_daemon_standing_survives_restart_exactly;
     slow_case "daemon register validation" test_daemon_register_validation;
+    slow_case "daemon refuses a bad standing spec before charging" test_daemon_standing_validation;
     slow_case "daemon request line cap" test_daemon_request_line_cap;
     slow_case "daemon concurrent soak" test_daemon_concurrent_soak;
     slow_case "daemon health, stats and serving metrics" test_daemon_health_stats_metrics;
