@@ -158,6 +158,15 @@ let price_of kind =
   let _, price, _ = List.find (fun (name, _, _) -> name = kind_name kind) kinds in
   price
 
+(* The range of the synthesis parameters an append and a registration
+   share: [Synth.planted_ball] needs a cluster fraction in (0, 1] and a
+   finite, non-negative radius.  Each comparison is false for NaN. *)
+let synth_params_error ~frac ~radius =
+  if not (frac > 0. && frac <= 1.) then Some (Printf.sprintf "frac must be in (0, 1] (got %g)" frac)
+  else if not (Float.is_finite radius && radius >= 0.) then
+    Some (Printf.sprintf "radius must be finite and >= 0 (got %g)" radius)
+  else None
+
 (* Every check a spec passes before admission, wherever it was built:
    [parse] runs each jobs-file line through it and the daemon each spec it
    builds from a wire request, so nothing is charged or journaled for a spec
@@ -180,7 +189,9 @@ let validate spec =
     match spec.kind with
     | K_cluster { k; _ } -> positive "k" k
     | Quantile { q; _ } -> if q >= 0. && q <= 1. then Ok () else bad "key q: must be in [0, 1]"
-    | Mutate (Append_synth { n; _ }) -> positive "n" n
+    | Mutate (Append_synth { n; frac; radius; _ }) -> (
+        let* () = positive "n" n in
+        match synth_params_error ~frac ~radius with Some m -> Error m | None -> Ok ())
     | Mutate (Retire_range { from_; count }) ->
         if from_ < 0 then bad "key from: must be >= 0" else positive "count" count
     | Standing { periods; _ } -> positive "periods" periods

@@ -118,9 +118,15 @@ val validate : spec -> (spec, string) result
 (** The checks every spec passes before admission, whoever built it:
     finite [eps > 0] for every kind but [mutate]; [delta] in [[0, 1)];
     [t_fraction] in (0, 1] and [q] in [[0, 1]] (NaN fails each); positive
-    [k], [coreset], [periods], [n] and [count], and [from ≥ 0];
+    [k], [coreset], [periods], [n] and [count], and [from ≥ 0]; an
+    append's [frac] and [radius] as {!synth_params_error} checks them;
     [fallback] only on [one_cluster]; an [id] a jobs line can carry
     (non-empty, no whitespace, no ['#']).  [Error] names the key. *)
+
+val synth_params_error : frac:float -> radius:float -> string option
+(** [Some] message unless [frac] is in (0, 1] and [radius] is finite and
+    [>= 0] (NaN fails both): the range of the planted-ball synthesis
+    parameters that an append and a registration share. *)
 
 val spec_to_line : spec -> string
 (** Render a spec back to the file format: its {!signature} without the

@@ -38,7 +38,7 @@ type dataset = {
   mutable arena : float array;
   mutable used : int;  (** elements of [arena] below the high-water mark *)
   mutable current : epoch_state;
-  mu : Mutex.t;  (** serializes mutations and guards the bounds table *)
+  mu : Mutex.t;  (** serializes mutations and guards the bounds tables *)
   mutable bounds_lookups : int;
   mutable bounds_hits : int;
   mutable mutation_listeners : (mutation -> unit) list;
@@ -155,32 +155,33 @@ let retire d ~from_ ~count =
       notify d (Retired { epoch = epoch'; from_; count });
       epoch')
 
+(* The table is looked up and filled under [d.mu]; the scan runs outside
+   it, so a miss never holds up another job's lookup, append or retire.
+   Two first requests for the same [t] may both scan: their answers are
+   equal bit for bit (the scan returns the unpruned scan's first
+   minimizing row, whatever final columns of the index's sweep it
+   peeked), so whichever inserts last changes nothing.  The pruned
+   2-approximation scan is short: after the job's GoodRadius sweep those
+   columns leave only the distinct points in the lowest radius bracket
+   that reaches [t] (every distinct point when there is no final column),
+   one tree query each, plus one exact t-th neighbor evaluation per
+   improvement of (or tie with) the running best.  A scan that outlives
+   its epoch fills that epoch's own table. *)
 let r_opt_bounds d ~t =
-  Mutex.lock d.mu;
-  let cur = d.current in
-  d.bounds_lookups <- d.bounds_lookups + 1;
-  match Hashtbl.find_opt cur.bounds t with
-  | Some b ->
-      d.bounds_hits <- d.bounds_hits + 1;
-      Mutex.unlock d.mu;
-      b
+  let cur, cached =
+    Mutex.protect d.mu (fun () ->
+        let cur = d.current in
+        d.bounds_lookups <- d.bounds_lookups + 1;
+        let cached = Hashtbl.find_opt cur.bounds t in
+        if cached <> None then d.bounds_hits <- d.bounds_hits + 1;
+        (cur, cached))
+  in
+  match cached with
+  | Some b -> b
   | None ->
-      (* Computed under the lock: concurrent first requests for the same [t]
-         would otherwise both pay the scan.  The pruned 2-approximation
-         scan is short: after the job's GoodRadius sweep the final
-         columns of the index's count matrix leave only the distinct
-         points in the lowest radius bracket that reaches [t] (every
-         distinct point when there is no final column, or an advance
-         holds the memo), one tree query each, plus one exact t-th
-         neighbor evaluation per improvement of (or tie with) the
-         running best.  The scan peeks the memo with [Mutex.try_lock],
-         so it never waits on a sweep under this lock. *)
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock d.mu)
-        (fun () ->
-          let b = Workload.Metrics.r_opt_bounds_indexed cur.index ~t in
-          Hashtbl.replace cur.bounds t b;
-          b)
+      let b = Workload.Metrics.r_opt_bounds_indexed cur.index ~t in
+      Mutex.protect d.mu (fun () -> Hashtbl.replace cur.bounds t b);
+      b
 
 let bounds_cache_stats d =
   Mutex.lock d.mu;

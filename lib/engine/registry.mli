@@ -95,7 +95,9 @@ val r_opt_bounds : dataset -> t:int -> float * float
     epoch; computed on first request ({!Geometry.Seb.two_approx_indexed}
     on the epoch's index, narrowed by its sweep's final count columns
     when a job has swept it), then served from the epoch's cache.  Safe to call from
-    worker domains. *)
+    worker domains: the scan runs outside the dataset's lock, so
+    concurrent first requests for one [t] may each scan, and they get the
+    same sandwich bit for bit. *)
 
 val bounds_cache_stats : dataset -> int * int
 (** [(lookups, hits)] of the r_opt-bounds cache, accumulated across all

@@ -87,7 +87,9 @@ let check_cap fn cap = if cap < 1 then invalid_arg (Printf.sprintf "Pointset.%s:
    run ([Kernel.pair_hist_blocks]) into [hist] (one row per position),
    so count columns [0 .. exact - 1] of the radius-major [counts] are
    final and never written again; later columns are not computed
-   yet. *)
+   yet.  [exact] is published atomically after [advance] has written
+   its columns, so a reader that loads it may read every column below
+   it without a lock. *)
 type sweep = {
   key : float array;
   r2s : float array;
@@ -99,21 +101,23 @@ type sweep = {
   upto : int array;
   hist : int array;
   counts : int array;
-  mutable exact : int;
+  exact : int Atomic.t;
 }
 
 (* One-entry memo of the sweep [score_l_many] last ran over a grid that
    fits one block.  The sweep depends only on the index's rows and the
    radii — not on the cap — so a later call over the same grid resumes
-   it.  [mu] guards the entry and every [advance] of it: a concurrent
-   caller waits for the advance in flight instead of redoing it. *)
-type memo = { mu : Mutex.t; mutable sweep : sweep option }
+   it.  [mu] serializes replacing the entry and every [advance] of it: a
+   concurrent caller that needs a column not yet final waits for the
+   advance in flight instead of redoing it.  The entry is read without
+   [mu] (see [memo_peek]). *)
+type memo = { mu : Mutex.t; sweep : sweep option Atomic.t }
 
 (* [reps] is the row grouping ([group_rows]), computed when the index is
    built and never written afterwards. *)
 type index = { ps : t; tree : Kdtree.t; memo : memo; reps : int array }
 
-let fresh_memo () = { mu = Mutex.create (); sweep = None }
+let fresh_memo () = { mu = Mutex.create (); sweep = Atomic.make None }
 
 (* [reps.(i)]: the first row whose coordinates are bit-identical to row
    [i]'s (so [reps.(i) <= i]), keyed on [Int64.bits_of_float] of every
@@ -312,7 +316,7 @@ let new_sweep idx key =
     upto = Array.sub upto 0 (nr + 1);
     hist = Array.make (m * nr) 0;
     counts = Array.make (nr * count) 0;
-    exact = 0;
+    exact = Atomic.make 0;
   }
 
 (* Makes count columns [exact .. j] final: one kernel call over the
@@ -322,7 +326,7 @@ let new_sweep idx key =
    ball tests a tree query makes, so it equals [counts_within]
    exactly. *)
 let advance idx sw j =
-  let count = n idx.ps and nr = Array.length sw.key and e = sw.exact in
+  let count = n idx.ps and nr = Array.length sw.key and e = Atomic.get sw.exact in
   Kernel.pair_hist_blocks ~rows:sw.rows ~dim:idx.ps.dim ~w:sw.w ~starts:sw.starts
     ~pairs:sw.pairs ~lo:sw.upto.(e) ~hi:sw.upto.(j + 1) ~r2s:sw.r2s ~hist:sw.hist;
   let counts = sw.counts and hist = sw.hist and apos = sw.apos in
@@ -333,7 +337,7 @@ let advance idx sw j =
       counts.(col + i) <- below + hist.((apos.(i) * nr) + c)
     done
   done;
-  sw.exact <- j + 1
+  Atomic.set sw.exact (j + 1)
 
 (* Per-point counts for every radius of [radii] (ascending, non-negative),
    radius-major: [counts.(j * n + i)] is the number of points within
@@ -348,22 +352,30 @@ let fill_counts idx ~radii =
     sw.counts
   end
 
-(* The memoized sweep for [key] (replacing the entry on a miss), and a
-   function making its column [j] final.  Radii compare by float
-   equality, under which every [<=] count agrees, so a resumed sweep
-   computes exactly the columns a fresh one would. *)
+(* The memoized sweep for [key] (replacing the entry on a miss, under
+   [mu]), and a function making its column [j] final.  A column below
+   [exact] is already final, so only a column at or above it takes [mu].
+   Radii compare by float equality, under which every [<=] count agrees,
+   so a resumed sweep computes exactly the columns a fresh one would. *)
 let memo_sweep idx key =
   let m = idx.memo in
   let sw =
-    Mutex.protect m.mu (fun () ->
-        match m.sweep with
-        | Some sw when sw.key = key -> sw
-        | _ ->
-            let sw = new_sweep idx key in
-            m.sweep <- Some sw;
-            sw)
+    match Atomic.get m.sweep with
+    | Some sw when sw.key = key -> sw
+    | _ ->
+        Mutex.protect m.mu (fun () ->
+            match Atomic.get m.sweep with
+            | Some sw when sw.key = key -> sw
+            | _ ->
+                let sw = new_sweep idx key in
+                Atomic.set m.sweep (Some sw);
+                sw)
   in
-  (sw, fun j -> Mutex.protect m.mu (fun () -> if j >= sw.exact then advance idx sw j))
+  let reach j =
+    if j >= Atomic.get sw.exact then
+      Mutex.protect m.mu (fun () -> if j >= Atomic.get sw.exact then advance idx sw j)
+  in
+  (sw, reach)
 
 (* Index of the first non-negative radius of an ascending [radii]. *)
 let first_non_negative radii =
@@ -376,10 +388,9 @@ let first_non_negative radii =
 let memo_exact idx ~radii =
   let first = first_non_negative radii in
   let key = Array.sub radii first (Array.length radii - first) in
-  Mutex.protect idx.memo.mu (fun () ->
-      match idx.memo.sweep with
-      | Some sw when Array.length key > 0 && sw.key = key -> sw.exact
-      | _ -> 0)
+  match Atomic.get idx.memo.sweep with
+  | Some sw when Array.length key > 0 && sw.key = key -> Atomic.get sw.exact
+  | _ -> 0
 
 (* Batched L: one score per candidate radius, equal to mapping [score_l]
    over [radii] but pairing each point pair at most once for all radii.
@@ -426,7 +437,7 @@ let score_l_many idx ~cap ~radii =
         if bnr = nr - first then memo_sweep idx key
         else
           let sw = new_sweep idx key in
-          (sw, fun j -> if j >= sw.exact then advance idx sw j)
+          (sw, fun j -> if j >= Atomic.get sw.exact then advance idx sw j)
       in
       let j = ref 0 in
       while (not !saturated) && !j < bnr do
@@ -455,18 +466,17 @@ let kth_neighbor_distance idx ~k i =
   Kernel.kth_smallest row ~len:count ~k
 
 (* The memo's count matrix and how many of its columns are final, when
-   it holds a sweep and no advance is in flight.  [try_lock] rather than
-   [lock]: a caller holding a dataset lock must not wait for a sweep.
-   Columns below [exact] are never written again, so they stay valid
-   after the unlock. *)
+   it holds a sweep with a final column; never waits.  Without [mu]: an
+   advance publishes [exact] only after writing its columns, columns
+   below [exact] are never written again, and an advance in flight
+   writes only columns at or above it, so the columns read here are
+   final and no write races with the read. *)
 let memo_peek idx =
-  let m = idx.memo in
-  if not (Mutex.try_lock m.mu) then None
-  else begin
-    let peek = match m.sweep with Some sw when sw.exact > 0 -> Some (sw.counts, sw.exact) | _ -> None in
-    Mutex.unlock m.mu;
-    peek
-  end
+  match Atomic.get idx.memo.sweep with
+  | Some sw ->
+      let exact = Atomic.get sw.exact in
+      if exact > 0 then Some (sw.counts, exact) else None
+  | None -> None
 
 (* The representatives that can hold the smallest k-th neighbour
    distance.  With final count columns for radii r_0 <= … <= r_last, a
@@ -476,7 +486,7 @@ let memo_peek idx =
    most r_j, and a point whose count is below k at r_j has a k-th
    distance above r_j, so only the points whose count reaches k at r_j
    can attain (or tie) the minimum.  With no final column to peek (no
-   sweep memoized, or an advance in flight), or when no point reaches k
+   sweep memoized, or none advanced yet), or when no point reaches k
    within r_last, every representative is a candidate.  A sweep stopped
    at saturation for cap t holds t points reaching t at its last final
    column, so the bracket for k = t is always found. *)
@@ -588,6 +598,7 @@ module For_testing = struct
   let memo_holds idx ~radii = memo_exact idx ~radii > 0
 
   let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
+  let with_memo_locked idx f = Mutex.protect idx.memo.mu f
 
   let holds_at_least = holds_at_least
   let memo_exact = memo_exact

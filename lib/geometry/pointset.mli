@@ -168,9 +168,10 @@ val score_l_many : index -> cap:int -> radii:float array -> float array
     memoized on the index, keyed on those radii: a later call over the
     same grid resumes it from where it stopped (a larger cap may need
     more radii), so no pair is evaluated twice.  The memo holds one
-    entry (a sweep over a different grid replaces it) and is
-    mutex-guarded only while a sweep is built or advanced, so a
-    concurrent caller waits for the advance in flight.  Larger grids run
+    entry (a sweep over a different grid replaces it).  A mutex
+    serializes building and advancing the sweep, so a concurrent caller
+    that needs a column not yet final waits for the advance in flight;
+    a caller whose columns are already final takes no lock.  Larger grids run
     a fresh sweep per block of radii, never memoized; they stop at the
     first saturated radius too, filling no later block. *)
 
@@ -201,10 +202,10 @@ val min_kth_neighbor_distance : index -> k:int -> int * float
     [k] there has a [k]-th distance above that radius, so only the points
     whose count reaches [k] are candidates.  A sweep stopped at
     saturation for cap [t] always brackets [k = t].  With no final
-    column, with an advance in flight (the memo is peeked with
-    [Mutex.try_lock], so a caller holding a lock never waits on a
-    sweep), or when no point reaches [k] at the last final radius, every
-    distinct point is.  Each candidate is probed with
+    column, or when no point reaches [k] at the last final radius, every
+    distinct point is.  The final columns are read without the memo's
+    mutex, so the scan never waits on a sweep, even while another domain
+    advances it.  Each candidate is probed with
     {!For_testing.holds_at_least} just below the running best
     ([Float.pred], or [infinity] for the first probe) and evaluated exactly only when it
     holds, so a candidate that can at most tie the best costs one count.
@@ -243,6 +244,10 @@ module For_testing : sig
   (** How many distinct points {!min_kth_neighbor_distance} would probe
       right now: below the number of distinct points only when the memo
       narrowed the scan. *)
+
+  val with_memo_locked : index -> (unit -> 'a) -> 'a
+  (** Runs the function while holding the mutex that serializes building
+      and advancing the memoized sweep, as an advance in flight does. *)
 
   val map_points : (Vec.t -> Vec.t) -> t -> t
   (** Applies [f] to a copy of each point and packs the results into a new

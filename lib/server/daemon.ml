@@ -654,10 +654,7 @@ let validate_register ~n ~dim ~axis ~frac ~radius =
   if n < 1 then bad "n must be >= 1 (got %d)" n
   else if dim < 1 then bad "dim must be >= 1 (got %d)" dim
   else if axis < 2 then bad "axis must be >= 2 (got %d)" axis
-  else if not (frac > 0. && frac <= 1.) then bad "frac must be in (0, 1] (got %g)" frac
-  else if not (Float.is_finite radius && radius >= 0.) then
-    bad "radius must be finite and >= 0 (got %g)" radius
-  else None
+  else Job.synth_params_error ~frac ~radius
 
 let handle_request t authed (envelope : Wire.envelope) =
   let verb = Wire.request_name envelope.Wire.request in

@@ -239,6 +239,73 @@ let test_memo_concurrent_first_calls () =
   check_true "and equal a cold index" (v1 = expected);
   check_true "memo filled once for both" (Geometry.Pointset.For_testing.memo_holds idx ~radii)
 
+(* An advance in flight holds the memo's mutex; the r_opt scan reads the
+   sweep's final columns without it, so it still probes only the bracket,
+   never every distinct point. *)
+let test_kth_candidates_while_memo_locked () =
+  let _, grid, w = small_workload ~n:1500 () in
+  let idx = Geometry.Pointset.build_index (Geometry.Pointset.create w.Workload.Synth.points) in
+  let radii =
+    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+  in
+  let distinct =
+    List.length (List.filter (Geometry.Pointset.For_testing.is_representative idx) (List.init 1500 Fun.id))
+  in
+  List.iter
+    (fun t ->
+      ignore (Geometry.Pointset.score_l_many idx ~cap:t ~radii);
+      let free = Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t in
+      let locked =
+        Geometry.Pointset.For_testing.with_memo_locked idx (fun () ->
+            Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t)
+      in
+      check_true (Printf.sprintf "t=%d: the sweep narrows the scan" t) (free < distinct);
+      check_int (Printf.sprintf "t=%d: candidates while the memo's mutex is held" t) free locked)
+    [ 300; 600 ]
+
+(* Two domains ask the registry for r_opt sandwiches, first for the same
+   t, then for different ones, while a third call advances the epoch's
+   sweep, on a fresh dataset each round: the scans run outside the
+   dataset's lock and may race on one t, and every answer must equal a
+   cold single-domain scan bit for bit. *)
+let test_registry_bounds_concurrent () =
+  let _, grid, w = small_workload ~n:1500 () in
+  let radii =
+    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+  in
+  let bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi) in
+  let ts = [ 300; 600; 750 ] in
+  let reg = Engine.Registry.create () in
+  for round = 1 to 3 do
+    let ds =
+      Engine.Registry.register reg ~name:(Printf.sprintf "race%d" round) ~grid
+        ~budget:(p ~eps:10. ~delta:1e-4) w.Workload.Synth.points
+    in
+    let cold = Geometry.Pointset.build_index (Engine.Registry.pointset ds) in
+    let expected t = bits (Workload.Metrics.r_opt_bounds_indexed cold ~t) in
+    let ready = Atomic.make 0 in
+    let start () =
+      Atomic.incr ready;
+      while Atomic.get ready < 3 do
+        Domain.cpu_relax ()
+      done
+    in
+    let asker order () =
+      start ();
+      List.map (fun t -> (t, bits (Engine.Registry.r_opt_bounds ds ~t))) order
+    in
+    let d1 = Domain.spawn (asker ts) and d2 = Domain.spawn (asker [ 300; 750; 600 ]) in
+    start ();
+    List.iter (fun t -> ignore (Geometry.Pointset.score_l_many (Engine.Registry.index ds) ~cap:t ~radii)) ts;
+    List.iter
+      (fun (t, b) ->
+        check_true (Printf.sprintf "round %d, t=%d: equals a cold scan" round t) (b = expected t))
+      (Domain.join d1 @ Domain.join d2);
+    check_true
+      (Printf.sprintf "round %d: every answer cached" round)
+      (List.for_all (fun t -> bits (Engine.Registry.r_opt_bounds ds ~t) = expected t) ts)
+  done
+
 (* --- Job parsing -------------------------------------------------------- *)
 
 let test_job_parsing () =
@@ -286,7 +353,7 @@ let spec_gen =
         map2 (fun axis q -> Engine.Job.Quantile { axis; q }) int unit;
         map4
           (fun n seed frac radius -> Engine.Job.Mutate (Engine.Job.Append_synth { n; seed; frac; radius }))
-          pos int finite finite;
+          pos int fraction (map Float.abs finite);
         map2 (fun from_ count -> Engine.Job.Mutate (Engine.Job.Retire_range { from_; count })) nat pos;
         map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) fraction pos;
         map (fun t_fraction -> Engine.Job.Local_cluster { t_fraction }) fraction;
@@ -324,6 +391,10 @@ let test_job_parse_errors () =
       "one_cluster eps=nan delta=1e-7";
       "one_cluster eps=1 delta=nan";
       "one_cluster eps=1 delta=1e-7 id=";
+      "mutate op=append n=10 seed=1 frac=5";
+      "mutate op=append n=10 seed=1 frac=0";
+      "mutate op=append n=10 seed=1 radius=-1";
+      "mutate op=append n=10 seed=1 radius=inf";
     ]
   in
   List.iter
@@ -717,6 +788,9 @@ let suite =
     case "registry r_opt sandwich on a k-d tree dataset" test_registry_bounds_on_tree;
     case "registry: every epoch's score_l_many memo matches a fresh index" test_registry_memo_per_epoch;
     case "two domains' first score_l_many calls on one index agree" test_memo_concurrent_first_calls;
+    case "the r_opt scan reads the sweep's final columns while its mutex is held"
+      test_kth_candidates_while_memo_locked;
+    case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
     test_job_line_roundtrip;
     case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
     case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;

@@ -144,6 +144,44 @@ let qcheck_row_in_box_matches_key =
       in
       Geometry.Boxing.row_in_box b st ~off:1 key = (own = key))
 
+(* [occupancy_ps] must list exactly the cells, counts and order of
+   [Stability_hist.count_by] over the rows' keys (the order decides which
+   Laplace draw each cell gets): d in {1, 2, 3, 5}, n across the 16-bucket
+   floor and several table sizes, all rows identical or (tiny boxes) all
+   in distinct cells, cells on both sides of 0, and a view whose rows are
+   out of storage order.  CI runs this suite under OCAMLRUNPARAM=R too. *)
+let qcheck_occupancy_ps_matches_count_by =
+  qcheck "occupancy_ps = Stability_hist.count_by, cells and order" ~count:300
+    QCheck2.Gen.(
+      oneofl [ 1; 2; 3; 5 ] >>= fun d ->
+      int_range 1 600 >>= fun n ->
+      quad
+        (array_size (return d)
+           (pair (float_range 0. 1.) (oneofl [ 1e-9; 0.001; 0.05; 0.3; 5. ])))
+        (array_size (return (n * d)) (float_range (-2.) 2.))
+        bool bool)
+    (fun (parts, coords, identical, shuffled) ->
+      let d = Array.length parts in
+      let n = Array.length coords / d in
+      let partitions =
+        Array.map (fun (u, len) -> Geometry.Interval.For_testing.fixed ~shift:(u *. len) ~len) parts
+      in
+      let b = Geometry.Boxing.For_testing.of_partitions partitions in
+      let st = if identical then Array.init (n * d) (fun i -> coords.(i mod d)) else coords in
+      (* 7919 is a prime above n, so this is a permutation of the rows. *)
+      let perm = Array.init n (fun i -> (i * 7919) mod n * d) in
+      let ps =
+        if shuffled then Geometry.Pointset.view ~storage:st ~offs:perm ~dim:d
+        else Geometry.Pointset.of_storage ~dim:d st
+      in
+      let offs = Geometry.Pointset.row_offsets ps in
+      let reference =
+        Prim.Stability_hist.count_by
+          ~key:(fun i -> Geometry.Boxing.For_testing.key_of_row b st ~off:offs.(i))
+          (Array.init n Fun.id)
+      in
+      Geometry.Boxing.occupancy_ps b ps = reference)
+
 let suite =
   [
     case "partition membership" test_partition_membership;
@@ -156,4 +194,5 @@ let suite =
     case "occupancy" test_occupancy;
     case "capture probability" test_capture_probability;
     qcheck_row_in_box_matches_key;
+    qcheck_occupancy_ps_matches_count_by;
   ]

@@ -1289,6 +1289,48 @@ let test_daemon_register_validation () =
       Server.Client.close c);
   ()
 
+(* An append's synthesis parameters are range-checked like a
+   registration's ([Job.synth_params_error]): each bad append below gets
+   bad_request, and the epoch, the ledger and the WAL stay as they were.
+   (A frac of 5 or a radius of -1 used to grow the dataset, and a frac of
+   -1 was admitted and then failed in the synthesis.)  A valid append
+   still publishes the next epoch. *)
+let test_daemon_append_validation () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let journal () = In_channel.with_open_bin cfg.Server.Daemon.wal_path In_channel.input_all in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore
+        (expect_ok "register"
+           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+              ~budget:(p ~eps:4.0 ~delta:1e-4) ()));
+      let epoch () =
+        Obs.Json.member "epoch" (expect_ok "epoch" (Server.Client.epoch c ~dataset:"d1"))
+      in
+      let ledger () = Obs.Json.member "ledger" (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) in
+      let before = (epoch (), ledger ()) and wal = journal () in
+      let append ?frac ?radius () = Server.Client.append c ~dataset:"d1" ~n:50 ~seed:7 ?frac ?radius () in
+      let expect_bad what attempt =
+        match attempt with
+        | Error (`Server e) ->
+            check_true (what ^ " is bad_request") (e.Wire.code = Wire.Bad_request)
+        | Ok _ -> Alcotest.failf "%s must be rejected" what
+        | Error (`Transport m) -> Alcotest.failf "%s: transport: %s" what m
+      in
+      expect_bad "frac 5" (append ~frac:5. ());
+      expect_bad "frac -1" (append ~frac:(-1.) ());
+      expect_bad "frac 0" (append ~frac:0. ());
+      expect_bad "frac nan" (append ~frac:nan ());
+      expect_bad "radius -1" (append ~radius:(-1.) ());
+      expect_bad "radius inf" (append ~radius:infinity ());
+      expect_bad "radius nan" (append ~radius:nan ());
+      check_true "epoch and ledger unchanged" ((epoch (), ledger ()) = before);
+      check_true "nothing journaled" (journal () = wal);
+      ignore (expect_ok "valid append" (append ~frac:1. ~radius:0. ()));
+      check_true "a valid append publishes the next epoch" (epoch () <> fst before);
+      Server.Client.close c)
+
 (* A request line longer than the cap — here, bytes with no newline at
    all, sent without authenticating — must get one bad_request reply and
    a closed connection, never an unbounded buffer; the daemon keeps
@@ -1641,6 +1683,7 @@ let suite =
     slow_case "daemon settle" test_daemon_settle;
     slow_case "daemon standing query exact across a restart" test_daemon_standing_survives_restart_exactly;
     slow_case "daemon register validation" test_daemon_register_validation;
+    slow_case "daemon append validation" test_daemon_append_validation;
     slow_case "daemon refuses a bad standing spec before charging" test_daemon_standing_validation;
     slow_case "daemon request line cap" test_daemon_request_line_cap;
     slow_case "daemon concurrent soak" test_daemon_concurrent_soak;
