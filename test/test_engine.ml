@@ -788,13 +788,13 @@ let suite =
     case "registry r_opt sandwich on a k-d tree dataset" test_registry_bounds_on_tree;
     case "registry: every epoch's score_l_many memo matches a fresh index" test_registry_memo_per_epoch;
     case "two domains' first score_l_many calls on one index agree" test_memo_concurrent_first_calls;
-    case "the r_opt scan reads the sweep's final columns while its mutex is held"
-      test_kth_candidates_while_memo_locked;
-    case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
     test_job_line_roundtrip;
     case "job signatures and output encodings keep their bytes" test_job_golden_bytes;
     case "output_of_wire inverts output_to_wire bit for bit" test_output_wire_roundtrip;
     case "jobs-file t_fraction must be in (0, 1]" test_job_t_fraction_range;
     case "pool at 2 domains: the caller works, one domain spawned" (test_pool_caller_works ~domains:2);
     case "pool at 4 domains: the caller works, at most three spawned" (test_pool_caller_works ~domains:4);
+    case "the r_opt scan reads the sweep's final columns while its mutex is held"
+      test_kth_candidates_while_memo_locked;
+    case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
   ]
