@@ -236,7 +236,7 @@ let stage_thunks fx : (string * (unit -> unit)) list =
     fun () ->
       ignore
         (Prim.Stability_hist.select fx.rng ~eps:0.5 ~delta:1e-6
-           (Geometry.Boxing.occupancy_ps boxing fx.ps))
+           (Geometry.Boxing.occupancy boxing fx.ps))
   in
   let b6 =
     let st = Geometry.Pointset.storage fx.ps in

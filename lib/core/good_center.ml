@@ -46,7 +46,7 @@ let find_heavy_boxing rng (profile : Profile.t) ~eps ~beta ~t ~side ~k proj =
     if round > rounds then None
     else begin
       let boxing = Geometry.Boxing.make rng ~dim:k ~len:side in
-      let cells = Geometry.Boxing.occupancy_ps boxing proj in
+      let cells = Geometry.Boxing.occupancy boxing proj in
       let q = float_of_int (List.fold_left (fun acc (_, c) -> Int.max acc c) 0 cells) in
       match Prim.Sparse_vector.query sv q with
       | Prim.Sparse_vector.Above -> Some (boxing, cells, round)

@@ -118,10 +118,14 @@ let spent t = total t.mode t.charges
 let committed_and_reserved t =
   List.rev_append (List.rev_map (fun (_, label, p) -> (label, p)) t.reservations) t.charges
 
+(* Relative, per coordinate: a budget split into equal parts still fills
+   despite rounding, a δ budget far below 1e-9 is not overspent, and a
+   zero budget admits only zero. *)
 let tol = 1e-9
 
 let fits budget p =
-  p.Prim.Dp.eps <= budget.Prim.Dp.eps +. tol && p.Prim.Dp.delta <= budget.Prim.Dp.delta +. tol
+  p.Prim.Dp.eps <= budget.Prim.Dp.eps *. (1. +. tol)
+  && p.Prim.Dp.delta <= budget.Prim.Dp.delta *. (1. +. tol)
 
 let admit t ~label ~is_reserve p ~accept =
   if not (p.Prim.Dp.eps >= 0. && p.Prim.Dp.delta >= 0.) then
@@ -191,20 +195,24 @@ let refusal_message r = Format.asprintf "%a" pp_refusal r
 
 let params_json p = Json.Obj [ ("eps", Json.Float p.Prim.Dp.eps); ("delta", Json.Float p.Prim.Dp.delta) ]
 
-let to_json (t : t) =
+let balance_json (t : t) =
   let s = spent t in
+  [
+    ("spent", params_json s);
+    ( "remaining",
+      params_json
+        {
+          Prim.Dp.eps = Float.max 0. (t.budget.Prim.Dp.eps -. s.Prim.Dp.eps);
+          delta = Float.max 0. (t.budget.Prim.Dp.delta -. s.Prim.Dp.delta);
+        } );
+  ]
+
+let to_json (t : t) =
   Json.Obj
-    [
-      ("mode", Json.String (mode_name t.mode));
-      ("budget", params_json t.budget);
-      ("spent", params_json s);
-      ( "remaining",
-        params_json
-          {
-            Prim.Dp.eps = Float.max 0. (t.budget.Prim.Dp.eps -. s.Prim.Dp.eps);
-            delta = Float.max 0. (t.budget.Prim.Dp.delta -. s.Prim.Dp.delta);
-          } );
-      ("refusals", Json.Int t.refusals);
+    ([ ("mode", Json.String (mode_name t.mode)); ("budget", params_json t.budget) ]
+    @ balance_json t
+    @ [
+        ("refusals", Json.Int t.refusals);
       ( "reserved",
         Json.List
           (List.map
@@ -215,7 +223,7 @@ let to_json (t : t) =
           (List.map
              (fun (label, p) -> Json.Obj [ ("label", Json.String label); ("params", params_json p) ])
              (entries t)) );
-    ]
+      ])
 
 module For_testing = struct
   let would_accept (t : t) p = fits t.budget (total t.mode ((" ", p) :: committed_and_reserved t))

@@ -114,10 +114,10 @@ val spent : t -> Prim.Dp.params
 
 val charge : t -> ?label:string -> Prim.Dp.params -> (unit, refusal) result
 (** Accept the charge iff the composed total — including outstanding
-    reservations — stays within budget (with a [1e-9] absolute tolerance
-    on both coordinates, so a budget split into equal parts fills
-    exactly).  On [Error] the ledger is unchanged; the refusal count is
-    incremented.
+    reservations — stays within budget: each coordinate at most
+    [budget × (1 + 1e-9)], so a budget split into equal parts fills
+    exactly and a zero budget admits only zero.  On [Error] the ledger
+    is unchanged; the refusal count is incremented.
     @raise Invalid_argument on a negative or NaN coordinate: such a cost
     would lower the ledger. *)
 
@@ -153,6 +153,10 @@ val refusal_message : refusal -> string
 (** One-line human rendering, used verbatim in job results. *)
 
 val to_json : t -> Obs.Json.t
+
+val balance_json : t -> (string * Obs.Json.t) list
+(** The [spent] and [remaining] fields of {!to_json}, without the
+    history: their size does not grow with the number of charges. *)
 
 module For_testing : sig
   val reserved : t -> (string * Prim.Dp.params) list

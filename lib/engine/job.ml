@@ -296,8 +296,10 @@ let params_line spec =
    version then never matches a new recomputation.  Signatures before
    the first bump carry no version field.
    2: every index is the k-d tree, counting [sqrt acc <= r] exactly, and
-      the tree's k-th neighbour distance is exact (it was a bisection). *)
-let answer_version = 2
+      the tree's k-th neighbour distance is exact (it was a bisection).
+   3: histogram cells in first-seen order (they were in the stdlib
+      [Hashtbl]'s bucket order), so a box may get another noise draw. *)
+let answer_version = 3
 
 (* Two specs with equal signatures drive the pipeline identically, so
    given the same dataset epoch and derived RNG stream they produce

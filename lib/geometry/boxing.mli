@@ -22,17 +22,10 @@ val row_in_box : t -> float array -> off:int -> key -> bool
 
 val center : t -> key -> Vec.t
 
-val occupancy : t -> Vec.t array -> (key * int) list
-(** Non-empty boxes with their counts — the input to the stability
-    histogram. *)
-
-val max_occupancy : t -> Vec.t array -> int
-(** [max_{j⃗} |S ∩ B_{j⃗}|] — the sensitivity-1 query [q(S)] that GoodCenter
-    feeds AboveThreshold (step 5). *)
-
-val occupancy_ps : t -> Pointset.t -> (key * int) list
-(** {!occupancy} over a pointset's flat rows — same cells in the same
-    order, without boxing any point.
+val occupancy : t -> Pointset.t -> (key * int) list
+(** Non-empty boxes with their counts, in first-seen row order — the input
+    to the stability histogram, as [Stability_hist.count_by] over the rows'
+    keys would list it, without boxing any point.
     @raise Invalid_argument on dimension mismatch. *)
 
 module For_testing : sig

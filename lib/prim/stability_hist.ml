@@ -5,19 +5,20 @@ let release_threshold ~eps ~delta =
   if not (delta > 0. && delta < 1.) then invalid_arg "Stability_hist: delta must be in (0, 1)";
   1. +. (2. /. eps *. log (2. /. delta))
 
-(* Never a randomized table: the order of the cells decides which noise
-   draw each one gets (see the .mli), so it must not depend on
-   OCAMLRUNPARAM=R or Hashtbl.randomize. *)
 let count_by ~key data =
-  let tbl = Hashtbl.create ~random:false (max 16 (Array.length data)) in
+  let tbl = Hashtbl.create (max 16 (Array.length data)) in
+  let firsts = ref [] in
   Array.iter
     (fun x ->
       let k = key x in
       match Hashtbl.find_opt tbl k with
-      | Some c -> Hashtbl.replace tbl k (c + 1)
-      | None -> Hashtbl.add tbl k 1)
+      | Some c -> incr c
+      | None ->
+          let c = ref 1 in
+          Hashtbl.add tbl k c;
+          firsts := (k, c) :: !firsts)
     data;
-  Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
+  List.rev_map (fun (k, c) -> (k, !c)) !firsts
 
 let noisy_cells rng ~eps cells =
   List.map

@@ -24,13 +24,8 @@ val count_by : key:('a -> 'k) -> 'a array -> ('k * int) list
 (** Group the data by key; only non-empty cells appear.  Keys are compared
     with structural equality (polymorphic hashing).
 
-    The order of the list is part of every answer built on it: {!select}
-    draws one Laplace noise per cell, in list order.  It is the order of
-    an unrandomized [Hashtbl] of [max 16 n] buckets for [n] data: cells by
-    bucket index ([Hashtbl.hash key] modulo the bucket count), descending,
-    and within one bucket in the order their first element appears in
-    [data].  It is not the order of first appearance, and it does not
-    change under [OCAMLRUNPARAM=R]. *)
+    Cells come in first-seen order, the order in which each cell's first
+    element appears in [data]; {!select} draws one noise per cell in it. *)
 
 val select :
   Rng.t -> eps:float -> delta:float -> ('k * int) list -> 'k cell option

@@ -317,7 +317,15 @@ let ledger_json ds =
      ]
     @ attribution)
 
-let exec_run tenant ~dataset ~seed specs =
+(* The reply to [run], [append], [retire] and [standing]: the batch's
+   results, the dataset's epoch and size, and the ledger's spent and
+   remaining budget, but never the ledger's history (the [ledger] verb
+   serves that), so a reply's size does not grow with the number of
+   charges.  Mutations and standing registrations run through
+   [run_batch_named] like any other batch, so the engine's own machinery
+   — epoch publication, standing-query ticks, journaling subscriptions —
+   fires exactly as it would for a jobs-file submission. *)
+let exec_batch tenant ~dataset ?seed specs =
   let svc = Tenants.service tenant in
   match Service.run_batch_named ?seed svc ~dataset specs with
   | Error msg -> err Wire.Unknown_dataset "%s" msg
@@ -325,28 +333,13 @@ let exec_run tenant ~dataset ~seed specs =
       let ds = Result.get_ok (Service.find_dataset svc dataset) in
       Ok
         (Json.Obj
-           [
-             ("dataset", Json.String dataset);
-             ("results", Json.List (List.map Job.result_to_json results));
-             ("ledger", Accountant.to_json (Registry.accountant ds));
-           ])
-
-(* Mutations and standing registrations run through [run_batch_named] like
-   any other batch, so the engine's own machinery — epoch publication,
-   standing-query ticks, journaling subscriptions — fires exactly as it
-   would for a jobs-file submission. *)
-
-let mutation_reply svc ~dataset results =
-  let ds = Result.get_ok (Service.find_dataset svc dataset) in
-  Ok
-    (Json.Obj
-       [
-         ("dataset", Json.String dataset);
-         ("epoch", Json.Int (Registry.epoch ds));
-         ("n", Json.Int (Registry.n ds));
-         ("results", Json.List (List.map Job.result_to_json results));
-         ("ledger", Accountant.to_json (Registry.accountant ds));
-       ])
+           ([
+              ("dataset", Json.String dataset);
+              ("epoch", Json.Int (Registry.epoch ds));
+              ("n", Json.Int (Registry.n ds));
+              ("results", Json.List (List.map Job.result_to_json results));
+            ]
+           @ Accountant.balance_json (Registry.accountant ds)))
 
 (* The one-job batch an [append], [retire] or [standing] request stands
    for.  [handle_request] runs it through [Job.validate] on the connection
@@ -362,12 +355,6 @@ let verb_spec ~id ?(eps = 0.) ?(delta = 0.) kind =
     deadline_s = None;
     fallback = false;
   }
-
-let exec_spec tenant ~dataset ?seed spec =
-  let svc = Tenants.service tenant in
-  match Service.run_batch_named ?seed svc ~dataset [ spec ] with
-  | Error msg -> err Wire.Unknown_dataset "%s" msg
-  | Ok results -> mutation_reply svc ~dataset results
 
 let exec_epoch _t tenant ~dataset =
   let svc = Tenants.service tenant in
@@ -672,7 +659,7 @@ let handle_request t authed (envelope : Wire.envelope) =
   let submit_spec tenant ~dataset ?seed spec =
     match Job.validate spec with
     | Error e -> err Wire.Bad_request "%s: %s" verb e
-    | Ok spec -> submit_data tenant ~dataset (fun () -> exec_spec tenant ~dataset ?seed spec)
+    | Ok spec -> submit_data tenant ~dataset (fun () -> exec_batch tenant ~dataset ?seed [ spec ])
   in
   match (envelope.Wire.request, !authed) with
   | Wire.Hello { version; tenant; token }, None ->
@@ -704,7 +691,7 @@ let handle_request t authed (envelope : Wire.envelope) =
       match Job.parse ~default_beta:Workload.Harness.default_beta jobs with
       | Error e -> err Wire.Bad_request "jobs: %s" e
       | Ok [] -> err Wire.Bad_request "jobs: empty batch"
-      | Ok specs -> submit_data tenant ~dataset (fun () -> exec_run tenant ~dataset ~seed specs))
+      | Ok specs -> submit_data tenant ~dataset (fun () -> exec_batch tenant ~dataset ?seed specs))
   | Wire.Register { dataset; n; dim; axis; frac; radius; seed; budget; mode }, Some tenant
     -> (
       match validate_register ~n ~dim ~axis ~frac ~radius with

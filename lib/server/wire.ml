@@ -1,7 +1,7 @@
 module Json = Obs.Json
 module Accountant = Engine.Accountant
 
-let version = 1
+let version = 2
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

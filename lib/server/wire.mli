@@ -21,6 +21,8 @@
     - [run]      — [dataset], [jobs] (jobs-file text, see {!Engine.Job}),
       optional [seed] overriding the batch RNG base (a fixed seed makes
       verdicts deterministic regardless of how clients interleave).
+      Replies with [dataset], [epoch], [n], [results], [spent] and
+      [remaining], as [append], [retire] and [standing] do.
     - [append]   — [dataset], [n], [seed], [frac], [radius]; append [n]
       synthetic planted-ball points, advancing the dataset's epoch.
     - [retire]   — [dataset], [from], [count]; retire a contiguous row
@@ -48,7 +50,9 @@
     - [ping]     — liveness probe; answered even while draining. *)
 
 val version : int
-(** Protocol version ([1]); [hello] with any other value is refused. *)
+(** Protocol version ([2]); [hello] with any other value is refused.
+    Version 2 replies to [run], [append], [retire] and [standing] with
+    [spent] and [remaining] instead of the whole ledger. *)
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

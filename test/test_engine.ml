@@ -62,6 +62,24 @@ let test_accountant_refusal_leaves_ledger_unchanged () =
   check_true "exact fill accepted"
     (Result.is_ok (Engine.Accountant.charge acc (p ~eps:0.1 ~delta:1e-7)))
 
+(* The admission slack is relative to the budget: a δ budget far below
+   1e-9 refuses a charge 100× over it (an absolute 1e-9 slack admitted ten
+   such charges, spending 1000× the budget), while 3 × (1/3) still fills
+   an ε budget of 1. *)
+let test_accountant_relative_slack () =
+  let acc = Engine.Accountant.create ~budget:(p ~eps:1.0 ~delta:1e-12) () in
+  check_true "δ 100× over a tiny budget is refused"
+    (Result.is_error (Engine.Accountant.charge acc (p ~eps:0.01 ~delta:1e-10)));
+  let spent = Engine.Accountant.spent acc in
+  check_float ~tol:0. "nothing spent (ε)" 0. spent.Prim.Dp.eps;
+  check_float ~tol:0. "nothing spent (δ)" 0. spent.Prim.Dp.delta;
+  for i = 1 to 3 do
+    check_true (Printf.sprintf "third %d of ε admitted" i)
+      (Result.is_ok (Engine.Accountant.charge acc (p ~eps:(1. /. 3.) ~delta:0.)))
+  done;
+  check_true "the filled budget refuses more"
+    (Result.is_error (Engine.Accountant.charge acc (p ~eps:1e-6 ~delta:0.)))
+
 let test_accountant_advanced_matches_composition () =
   let charge = p ~eps:0.01 ~delta:1e-8 in
   let slack = 1e-7 in
@@ -443,8 +461,8 @@ let test_job_t_fraction_range () =
 (* Golden bytes: a signature is a Result_cache key and is journaled in WAL
    [cached] records, and the two output encodings are the reply JSON and
    the journaled answer, so all three must keep their exact bytes.  A
-   signature changes only with its answers' version ([version=2]: every
-   index is the k-d tree with the exact ball predicate). *)
+   signature changes only with its answers' version ([version=3]: the
+   box histogram lists its cells in first-seen order). *)
 let golden_spec kind ~eps ~delta =
   {
     Engine.Job.id = "g";
@@ -463,30 +481,30 @@ let test_job_golden_bytes () =
     [
       ( golden_spec (Engine.Job.One_cluster { t_fraction }) ~eps:tenth ~delta:1e-7,
         "one_cluster t_fraction=0x1.5555555555555p-2 eps=0x1.3333333333334p-2 \
-         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=2" );
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.K_cluster { k = 3; t_fraction = 0.2 }) ~eps:1. ~delta:1e-7,
         "k_cluster k=3 t_fraction=0x1.999999999999ap-3 eps=0x1p+0 delta=0x1.ad7f29abcaf48p-24 \
-         beta=0x1.999999999999ap-4 version=2" );
+         beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.Quantile { axis = 1; q = 0.25 }) ~eps:0.1234567 ~delta:0.,
-        "quantile axis=1 q=0x1p-2 eps=0x1.f9adbb8f8da72p-4 delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
+        "quantile axis=1 q=0x1p-2 eps=0x1.f9adbb8f8da72p-4 delta=0x0p+0 beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec
           (Engine.Job.Mutate
              (Engine.Job.Append_synth { n = 500; seed = 11; frac = 0.5; radius = 0.05 }))
           ~eps:0. ~delta:0.,
         "mutate op=append n=500 seed=11 frac=0x1p-1 radius=0x1.999999999999ap-5 eps=0x0p+0 \
-         delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
+         delta=0x0p+0 beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.Mutate (Engine.Job.Retire_range { from_ = 7; count = 100 }))
           ~eps:0. ~delta:0.,
-        "mutate op=retire from=7 count=100 eps=0x0p+0 delta=0x0p+0 beta=0x1.999999999999ap-4 version=2" );
+        "mutate op=retire from=7 count=100 eps=0x0p+0 delta=0x0p+0 beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.Standing { t_fraction = 0.45; periods = 4 }) ~eps:0.8 ~delta:4e-7,
         "standing t_fraction=0x1.ccccccccccccdp-2 periods=4 eps=0x1.999999999999ap-1 \
-         delta=0x1.ad7f29abcaf48p-22 beta=0x1.999999999999ap-4 version=2" );
+         delta=0x1.ad7f29abcaf48p-22 beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.Local_cluster { t_fraction = 0.6 }) ~eps:2. ~delta:0.,
         "local_cluster t_fraction=0x1.3333333333333p-1 eps=0x1p+1 delta=0x0p+0 \
-         beta=0x1.999999999999ap-4 version=2" );
+         beta=0x1.999999999999ap-4 version=3" );
       ( golden_spec (Engine.Job.Meb { t_fraction = 0.8; coreset = 200 }) ~eps:1. ~delta:1e-7,
         "meb_fptas t_fraction=0x1.999999999999ap-1 coreset=200 eps=0x1p+0 \
-         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=2" );
+         delta=0x1.ad7f29abcaf48p-24 beta=0x1.999999999999ap-4 version=3" );
     ]
   in
   List.iter
@@ -797,4 +815,5 @@ let suite =
     case "the r_opt scan reads the sweep's final columns while its mutex is held"
       test_kth_candidates_while_memo_locked;
     case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
+    case "accountant slack is relative to the budget" test_accountant_relative_slack;
   ]

@@ -86,10 +86,16 @@ let test_occupancy () =
   let r = rng () in
   let b = Geometry.Boxing.make r ~dim:2 ~len:0.3 in
   let points = Array.init 500 (fun _ -> [| Prim.Rng.float r 1.0; Prim.Rng.float r 1.0 |]) in
-  let occ = Geometry.Boxing.occupancy b points in
+  let occ = Geometry.Boxing.occupancy b (Geometry.Pointset.create points) in
   check_int "occupancy totals n" 500 (List.fold_left (fun acc (_, c) -> acc + c) 0 occ);
-  let max_occ = Geometry.Boxing.max_occupancy b points in
-  check_int "max matches occupancy list" (List.fold_left (fun a (_, c) -> max a c) 0 occ) max_occ
+  let in_box key =
+    Array.fold_left
+      (fun acc p -> if Geometry.Boxing.For_testing.key_of b p = key then acc + 1 else acc)
+      0 points
+  in
+  check_int "max matches the heaviest box"
+    (List.fold_left (fun a (key, _) -> max a (in_box key)) 0 occ)
+    (List.fold_left (fun a (_, c) -> max a c) 0 occ)
 
 let test_capture_probability () =
   (* A diameter-s set lands in one randomly shifted length-l interval with
@@ -144,14 +150,14 @@ let qcheck_row_in_box_matches_key =
       in
       Geometry.Boxing.row_in_box b st ~off:1 key = (own = key))
 
-(* [occupancy_ps] must list exactly the cells, counts and order of
+(* [occupancy] must list exactly the cells, counts and order of
    [Stability_hist.count_by] over the rows' keys (the order decides which
-   Laplace draw each cell gets): d in {1, 2, 3, 5}, n across the 16-bucket
-   floor and several table sizes, all rows identical or (tiny boxes) all
-   in distinct cells, cells on both sides of 0, and a view whose rows are
-   out of storage order.  CI runs this suite under OCAMLRUNPARAM=R too. *)
-let qcheck_occupancy_ps_matches_count_by =
-  qcheck "occupancy_ps = Stability_hist.count_by, cells and order" ~count:300
+   Laplace draw each cell gets): d in {1, 2, 3, 5}, n across several table
+   sizes, all rows identical or (tiny boxes) all in distinct cells, cells
+   on both sides of 0, and a view whose rows are out of storage order.
+   CI runs this suite under OCAMLRUNPARAM=R too. *)
+let qcheck_occupancy_matches_count_by =
+  qcheck "occupancy = Stability_hist.count_by, cells and order" ~count:300
     QCheck2.Gen.(
       oneofl [ 1; 2; 3; 5 ] >>= fun d ->
       int_range 1 600 >>= fun n ->
@@ -180,7 +186,7 @@ let qcheck_occupancy_ps_matches_count_by =
           ~key:(fun i -> Geometry.Boxing.For_testing.key_of_row b st ~off:offs.(i))
           (Array.init n Fun.id)
       in
-      Geometry.Boxing.occupancy_ps b ps = reference)
+      Geometry.Boxing.occupancy b ps = reference)
 
 let suite =
   [
@@ -194,5 +200,5 @@ let suite =
     case "occupancy" test_occupancy;
     case "capture probability" test_capture_probability;
     qcheck_row_in_box_matches_key;
-    qcheck_occupancy_ps_matches_count_by;
+    qcheck_occupancy_matches_count_by;
   ]

@@ -840,32 +840,13 @@ let test_daemon_epoch_crash_recovery () =
       Server.Client.close c);
   ()
 
-(* A journal written before [Job.signature] carried its answers' version:
-   its [cached] records still replay, but they key answers the library no
-   longer computes, so the same request afterwards misses the cache, is
+(* A journal written by an older build keys answers the library no longer
+   computes: one from before [Job.signature] carried its answers' version,
+   or one at version 2 (cells in hash-table order).  Its [cached] records
+   still replay, but the same request afterwards misses the cache, is
    recomputed and is charged. *)
 let test_daemon_old_signature_recomputes () =
-  let dir = temp_dir () in
-  let cfg = daemon_cfg ~dir () in
-  let register c =
-    expect_ok "register"
-      (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
-         ~budget:(p ~eps:6.0 ~delta:1e-4) ())
-  in
-  let spent_cold = ref nan in
-  with_daemon cfg (fun _d ->
-      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
-      ignore (register c);
-      ignore (expect_ok "cold" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()));
-      spent_cold := spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
-      Server.Client.close c);
-  (* Rewrite the journal as the previous build wrote it: every cached
-     record's signature without its trailing [version=N] field. *)
-  let path = cfg.Server.Daemon.wal_path in
-  let records =
-    match Wal.load path with Ok (records, _) -> records | Error e -> Alcotest.failf "load: %s" e
-  in
-  let unversioned sg =
+  let strip_version sg =
     let key = " version=" in
     let rec find i =
       if i + String.length key > String.length sg then Alcotest.failf "no version in %S" sg
@@ -874,31 +855,116 @@ let test_daemon_old_signature_recomputes () =
     in
     String.sub sg 0 (find 0)
   in
-  let rewritten = ref 0 in
-  let old =
-    List.map
-      (fun (r : Wal.record) ->
-        match r.op with
-        | Wal.Cached c ->
-            incr rewritten;
-            { r with op = Wal.Cached { c with signature = unversioned c.signature } }
-        | _ -> r)
-      records
+  let recomputes ~label rewrite =
+    let dir = temp_dir () in
+    let cfg = daemon_cfg ~dir () in
+    let register c =
+      expect_ok "register"
+        (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+           ~budget:(p ~eps:6.0 ~delta:1e-4) ())
+    in
+    let spent_cold = ref nan in
+    with_daemon cfg (fun _d ->
+        let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+        ignore (register c);
+        ignore (expect_ok "cold" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()));
+        spent_cold := spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
+        Server.Client.close c);
+    (* Rewrite the journal as the older build wrote it: every cached
+       record's signature through [rewrite]. *)
+    let path = cfg.Server.Daemon.wal_path in
+    let records =
+      match Wal.load path with Ok (records, _) -> records | Error e -> Alcotest.failf "load: %s" e
+    in
+    let rewritten = ref 0 in
+    let old =
+      List.map
+        (fun (r : Wal.record) ->
+          match r.op with
+          | Wal.Cached c ->
+              incr rewritten;
+              { r with op = Wal.Cached { c with signature = rewrite c.signature } }
+          | _ -> r)
+        records
+    in
+    check_int (label ^ ": both answers were journaled") 2 !rewritten;
+    (match Wal.compact ~sync:false ~path old with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "compact: %s" e);
+    with_daemon cfg (fun _d ->
+        let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+        check_true (label ^ ": the old journal replays")
+          (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
+        check_float ~tol:0. (label ^ ": spend replayed exactly") !spent_cold
+          (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
+        let again = expect_ok "again" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()) in
+        check_true (label ^ ": the same request is recomputed")
+          (List.for_all (fun a -> a >= 1) (attempts_of again));
+        check_true (label ^ ": and charged")
+          (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) > !spent_cold);
+        Server.Client.close c)
   in
-  check_int "both answers were journaled" 2 !rewritten;
-  (match Wal.compact ~sync:false ~path old with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "compact: %s" e);
+  recomputes ~label:"unversioned" strip_version;
+  recomputes ~label:"version 2" (fun sg -> strip_version sg ^ " version=2")
+
+(* A [run] reply carries its batch's results and the ledger's spent and
+   remaining, never the ledger's history: one fixed request (a cache hit,
+   so free) answers with the same bytes after K and after 2K charged
+   requests, once its request id, latencies and the two balance values
+   are set aside. *)
+let test_daemon_reply_size_independent_of_history () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let rec steady = function
+    | Obs.Json.Obj kvs ->
+        Obs.Json.Obj
+          (List.filter_map
+             (fun (k, v) ->
+               match k with
+               | "latency_ms" -> Some (k, Obs.Json.Float 0.)
+               | "spent" | "remaining" -> None
+               | _ -> Some (k, steady v))
+             kvs)
+    | Obs.Json.List l -> Obs.Json.List (List.map steady l)
+    | v -> v
+  in
   with_daemon cfg (fun _d ->
-      let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
-      check_true "the old journal replays"
-        (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
-      check_float ~tol:0. "spend replayed exactly" !spent_cold
-        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
-      let again = expect_ok "again" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()) in
-      check_true "the same request is recomputed" (List.for_all (fun a -> a >= 1) (attempts_of again));
-      check_true "and charged"
-        (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) > !spent_cold);
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore
+        (expect_ok "register"
+           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+              ~budget:(p ~eps:50.0 ~delta:1e-4) ()));
+      let fixed () = expect_ok "fixed" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()) in
+      ignore (fixed ());
+      let charged = ref 0 in
+      let charge_until k =
+        while !charged < k do
+          incr charged;
+          let r =
+            expect_ok "charged"
+              (Server.Client.run c ~dataset:"d1" ~seed:(100 + !charged)
+                 ~jobs:"quantile q=0.5 axis=0 eps=0.1\n" ())
+          in
+          check_true "a charged request is computed"
+            (List.for_all (fun a -> a >= 1) (attempts_of r))
+        done
+      in
+      let k = 6 in
+      charge_until k;
+      let after_k = fixed () in
+      charge_until (2 * k);
+      let after_2k = fixed () in
+      check_true "the fixed request is a free cache hit" (attempts_of after_2k = [ 0; 0 ]);
+      List.iter
+        (fun field ->
+          check_true (field ^ " present") (Obs.Json.member field after_2k <> None))
+        [ "epoch"; "n"; "spent"; "remaining" ];
+      let bytes reply =
+        match steady reply with
+        | Obs.Json.Obj kvs -> Obs.Json.to_string ~indent:false (Obs.Json.Obj (List.remove_assoc "id" kvs))
+        | _ -> Alcotest.fail "reply is not an object"
+      in
+      Alcotest.(check string) "reply bytes after K and 2K charged requests" (bytes after_k) (bytes after_2k);
       Server.Client.close c)
 
 (* A journal written before [Job.parse] checked [t_fraction] may hold a
@@ -1694,4 +1760,6 @@ let suite =
     slow_case "daemon recomputes over an old-signature journal" test_daemon_old_signature_recomputes;
     slow_case "daemon replays a journal holding a now-rejected standing line"
       test_daemon_replays_rejected_standing_line;
+    slow_case "daemon reply size does not grow with the ledger's history"
+      test_daemon_reply_size_independent_of_history;
   ]

@@ -67,11 +67,11 @@ let test_polymorphic_keys () =
   | Some cell -> check_true "array key matched" (cell.Prim.Stability_hist.key = [| 1; 2 |])
   | None -> Alcotest.fail "heavy array key not found"
 
-(* GoodCenter's box histogram goes through [count_by], and [select] draws
-   one Laplace noise per cell in list order, so the order below is part of
-   every GoodCenter answer.  It is [count_by]'s hash-bucket order (not the
-   order of first appearance) and must not change under OCAMLRUNPARAM=R:
-   CI runs this suite with it set. *)
+(* GoodCenter's box histogram lists its cells in [count_by]'s first-seen
+   order, and [select] draws one Laplace noise per cell in list order, so
+   the order below is part of every GoodCenter answer.  It depends on the
+   rows' order only, never on a hash table: CI runs this suite under
+   OCAMLRUNPARAM=R too. *)
 let test_box_cell_order_golden () =
   let part = Geometry.Interval.For_testing.fixed ~shift:0.05 ~len:0.2 in
   let boxing = Geometry.Boxing.For_testing.of_partitions [| part; part |] in
@@ -81,7 +81,7 @@ let test_box_cell_order_golden () =
            let f = float_of_int i in
            [| Float.rem (f *. 0.37) 1.0; Float.rem (f *. 0.61) 1.0 |]))
   in
-  let cells = Geometry.Boxing.occupancy_ps boxing ps in
+  let cells = Geometry.Boxing.occupancy boxing ps in
   let show l =
     String.concat "; "
       (List.map
@@ -91,13 +91,34 @@ let test_box_cell_order_golden () =
   in
   let expected =
     [
-      ([| 4; 3 |], 1); ([| 1; 0 |], 1); ([| 3; 3 |], 1); ([| 1; 2 |], 2); ([| 0; 2 |], 1);
-      ([| 4; -1 |], 1); ([| 3; 4 |], 2); ([| 0; 3 |], 3); ([| 2; 1 |], 2); ([| 2; -1 |], 1);
-      ([| 4; 4 |], 1); ([| -1; -1 |], 1); ([| 1; 1 |], 2); ([| 2; 0 |], 1); ([| 0; 1 |], 1);
-      ([| 3; 0 |], 2); ([| -1; 2 |], 1);
+      ([| -1; -1 |], 1); ([| 1; 2 |], 2); ([| 3; 0 |], 2); ([| 0; 3 |], 3); ([| 2; 1 |], 2);
+      ([| 4; -1 |], 1); ([| 4; 4 |], 1); ([| 1; 1 |], 2); ([| 3; 4 |], 2); ([| 0; 2 |], 1);
+      ([| 2; 0 |], 1); ([| 4; 3 |], 1); ([| -1; 2 |], 1); ([| 1; 0 |], 1); ([| 3; 3 |], 1);
+      ([| 0; 1 |], 1); ([| 2; -1 |], 1);
     ]
   in
-  Alcotest.(check string) "cells in count_by order" (show expected) (show cells)
+  Alcotest.(check string) "cells in first-seen order" (show expected) (show cells)
+
+(* [count_by] against an association-list scan that keeps each key where
+   it was first seen: small key ranges (few cells, long runs) and wide ones
+   (almost every element its own cell), int-array keys as GoodCenter uses. *)
+let qcheck_count_by_first_seen =
+  qcheck "count_by lists cells in first-seen order" ~count:300
+    QCheck2.Gen.(
+      int_range 1 40 >>= fun m -> array_size (int_bound 300) (pair (int_bound m) (int_range (-3) 3)))
+    (fun data ->
+      let key (a, b) = [| a; b |] in
+      let reference =
+        List.rev
+          (Array.fold_left
+             (fun acc x ->
+               let k = key x in
+               if List.mem_assoc k acc then
+                 List.map (fun (k', c) -> if k' = k then (k', c + 1) else (k', c)) acc
+               else (k, 1) :: acc)
+             [] data)
+      in
+      Prim.Stability_hist.count_by ~key data = reference)
 
 let suite =
   [
@@ -109,4 +130,5 @@ let suite =
     case "release threshold formula" test_release_threshold_formula;
     case "theorem 2.5 utility" test_utility_theorem_25;
     case "polymorphic (array) keys" test_polymorphic_keys;
+    qcheck_count_by_first_seen;
   ]
