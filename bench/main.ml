@@ -146,7 +146,7 @@ let rpc what = function
   | Ok v -> v
   | Error f -> die "privclusterd %s: %s" what (Server.Client.fail_message f)
 
-let start_daemon ~domains ~n ~budget ~specs ~sync ~telemetry ~sample =
+let start_daemon ~domains ~n ~budget ~specs ~sync ~sample =
   let dir = Filename.temp_file "privcluster_bench" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -161,7 +161,6 @@ let start_daemon ~domains ~n ~budget ~specs ~sync ~telemetry ~sample =
       retries = 0;
       seed = service_seed;
       sync;
-      serving_stats = telemetry;
       trace_sample = (if sample then 1 else 0);
       slow_log = (if sample then Some (Filename.concat dir "slow") else None);
       slow_keep = 8;
@@ -530,8 +529,7 @@ let run_daemon_bench tier _fx =
   let local_ms = List.init iters (fun _ -> run_local ()) in
   (* daemon path: resident process state, unix socket, fsync'd WAL *)
   let arm =
-    start_daemon ~domains:tier.domains ~n ~budget ~specs ~sync:true ~telemetry:true
-      ~sample:false
+    start_daemon ~domains:tier.domains ~n ~budget ~specs ~sync:true ~sample:false
   in
   let daemon_statuses = ref [] in
   let run_remote () =
@@ -569,25 +567,24 @@ let run_daemon_bench tier _fx =
     gates = [ ("verdicts identical across paths", identical) ];
   }
 
-(* B15 — serving-telemetry overhead: the B11 fixture against three
-   resident daemons — [serving_stats = false]; the always-on telemetry
-   (latency histograms, burn windows, shed counters); and telemetry plus
-   [trace_sample = 1], head-sampling {e every} request's span tree into
-   the exemplar ring.  The gate: always-on telemetry may cost at most 2%
-   of the batch round-trip.  Exhaustive sampling is a diagnostic
-   setting, not a default — its cost (one trace serialisation + file
-   write per request) is measured and reported but not gated.  All arms
-   run [sync = false] so WAL fsync jitter does not drown the
+(* B15 — serving-telemetry overhead: the B11 fixture against two
+   resident daemons — the always-on telemetry (latency histograms, burn
+   windows, shed counters), and telemetry plus [trace_sample = 1],
+   head-sampling {e every} request's span tree into the exemplar ring.
+   The gate: telemetry may cost at most 2% of the batch round-trip
+   without it.  Exhaustive sampling is a diagnostic setting, not a
+   default — its cost (one trace serialisation + file write per request)
+   is measured and reported but not gated.  Both arms run
+   [sync = false] so WAL fsync jitter does not drown the
    microsecond-scale signal, the arms are interleaved batch-for-batch to
    cancel machine drift, and each arm's time is its best iteration.
 
-   The gate itself follows the B10 convention (deterministic in CI, not
-   a coin flip): the telemetry record path is timed directly in a tight
-   loop — one submit + queue-wait + request-latency + burn-window record
-   cycle, everything a request adds — and the implied per-batch overhead
-   is that cost over the measured batch round-trip.  The wall-clock A/B
-   is reported alongside but not gated: at millisecond batch times its
-   run-to-run noise is an order of magnitude above the sub-µs signal. *)
+   The gate follows the B10 convention (deterministic in CI, not a coin
+   flip): the telemetry record path is timed directly in a tight loop —
+   one submit + queue-wait + request-latency + burn-window record cycle,
+   everything a request adds — and the implied per-batch overhead is that
+   cost over the batch round-trip without it (the telemetry arm's time
+   less one record cycle). *)
 let run_serving_bench tier _fx =
   let n_jobs = if tier.quick then 6 else 12 in
   let iters = if tier.quick then 3 else 7 in
@@ -596,13 +593,7 @@ let run_serving_bench tier _fx =
   let specs = one_cluster_specs ~n_jobs ~eps:0.5 in
   let budget = Prim.Dp.v ~eps:((0.5 *. float_of_int (n_jobs * (iters + 1))) +. 1.) ~delta:1e-3 in
   let start = start_daemon ~domains:tier.domains ~n ~budget ~specs ~sync:false in
-  let arms =
-    [|
-      start ~telemetry:false ~sample:false;
-      start ~telemetry:true ~sample:false;
-      start ~telemetry:true ~sample:true;
-    |]
-  in
+  let arms = [| start ~sample:false; start ~sample:true |] in
   (* Each arm's warm-up batch records its verdicts. *)
   let verdicts = Array.make (Array.length arms) [] in
   let times =
@@ -613,20 +604,20 @@ let run_serving_bench tier _fx =
            if verdicts.(i) = [] then verdicts.(i) <- statuses payload)
          arms)
   in
-  let off_ms = times.(0) and on_ms = times.(1) and sampled_ms = times.(2) in
+  let on_ms = times.(0) and sampled_ms = times.(1) in
   (* prove the sampling arm really collected: the ring has exemplars *)
   let exemplars =
-    let stats = rpc "stats" (Server.Client.stats arms.(2).client) in
+    let stats = rpc "stats" (Server.Client.stats arms.(1).client) in
     match Option.bind (Obs.Json.member "exemplars" stats) Obs.Json.to_int with
     | Some e -> e
     | None -> die "privclusterd stats reply has no exemplar count"
   in
   Array.iter stop_daemon arms;
   (* The gated number: one full record cycle — everything the daemon adds
-     per wire request when [serving_stats] is on (clock reads included),
-     timed in a tight loop.  The advancing [now_ns] walks the burn window
-     across its 1 s coalescing interval so both the coalesce and the
-     prune-and-append branches are priced. *)
+     per wire request (clock reads included), timed in a tight loop.  The
+     advancing [now_ns] walks the burn window across its 1 s coalescing
+     interval so both the coalesce and the prune-and-append branches are
+     priced. *)
   let record_ns =
     let sv = Server.Serving.create () in
     let reps = 100_000 in
@@ -645,12 +636,9 @@ let run_serving_bench tier _fx =
     (best_of ~rounds:3 [| cycles |]).(0) *. 1e6 /. float_of_int reps
   in
   (* One record cycle per wire request; a batch is one request. *)
-  let implied_pct = record_ns /. (off_ms *. 1e6) *. 100. in
-  let overhead_pct = (on_ms -. off_ms) /. off_ms *. 100. in
-  let sampled_pct = (sampled_ms -. off_ms) /. off_ms *. 100. in
-  let identical =
-    verdicts.(0) = verdicts.(1) && verdicts.(1) = verdicts.(2) && verdicts.(0) <> []
-  in
+  let implied_pct = record_ns /. ((on_ms *. 1e6) -. record_ns) *. 100. in
+  let sampled_pct = (sampled_ms -. on_ms) /. on_ms *. 100. in
+  let identical = verdicts.(0) = verdicts.(1) && verdicts.(0) <> [] in
   Workload.Report.table ~csv:"b15_serving_overhead"
     ~header:[ "daemon"; "wall/batch"; "jobs/s" ]
     (List.map
@@ -660,18 +648,12 @@ let run_serving_bench tier _fx =
            Printf.sprintf "%.1f ms" ms;
            Workload.Report.f2 (1000. *. float_of_int n_jobs /. ms);
          ])
-       [
-         ("telemetry off", off_ms);
-         ("telemetry on", on_ms);
-         ("telemetry + sample every request", sampled_ms);
-       ]);
+       [ ("telemetry", on_ms); ("telemetry + sample every request", sampled_ms) ]);
   Workload.Report.kv "record path, one full cycle" (Printf.sprintf "%.0f ns" record_ns);
   Workload.Report.kv "implied overhead per batch (gated)"
     (Printf.sprintf "%.4f%% (max %.1f%%)" implied_pct max_pct);
-  Workload.Report.kv "wall-clock A/B delta (noise-dominated, not gated)"
-    (Printf.sprintf "%.2f ms (%.2f%%)" (on_ms -. off_ms) overhead_pct);
   Workload.Report.kv "exhaustive sampling overhead (not gated)"
-    (Printf.sprintf "%.2f ms (%.2f%%)" (sampled_ms -. off_ms) sampled_pct);
+    (Printf.sprintf "%.2f ms (%.2f%%)" (sampled_ms -. on_ms) sampled_pct);
   Workload.Report.kv "exemplars written" (string_of_int exemplars);
   Workload.Report.kv "verdicts identical across arms" (yes_no identical);
   {
@@ -680,9 +662,7 @@ let run_serving_bench tier _fx =
       [
         ("jobs", Int n_jobs);
         ("iters", Int iters);
-        ("plain_ms", Float off_ms);
         ("telemetry_ms", Float on_ms);
-        ("wall_delta_pct", Float overhead_pct);
         ("record_ns_per_request", Float record_ns);
         ("implied_overhead_pct", Float implied_pct);
         ("gate_pct", Float max_pct);

@@ -773,8 +773,8 @@ let listen_term flags =
   Term.(const combine $ socket $ tcp)
 
 let serve_cmd =
-  let run () listen wal tenant_specs capacity jobs retries seed no_sync trace no_serving_stats
-      trace_sample slow_threshold_ms slow_log slow_keep slo_specs =
+  let run () listen wal tenant_specs capacity jobs retries seed no_sync trace trace_sample
+      slow_threshold_ms slow_log slow_keep slo_specs =
     enable_trace trace;
     let die fmt = Printf.ksprintf (fun m -> prerr_endline ("serve: " ^ m); exit 2) fmt in
     let tenants =
@@ -805,7 +805,6 @@ let serve_cmd =
         retries;
         seed;
         sync = not no_sync;
-        serving_stats = not no_serving_stats;
         trace_sample;
         slow_threshold_ms;
         slow_log;
@@ -864,15 +863,6 @@ let serve_cmd =
             "Skip the per-record WAL fsync. Only for benchmarks: a crash may then lose the \
              tail of the journal.")
   in
-  let no_serving_stats =
-    Arg.(
-      value & flag
-      & info [ "no-serving-stats" ]
-          ~doc:
-            "Disable serving telemetry (latency histograms, burn windows, shed counters). \
-             $(b,health)/$(b,stats) then answer with empty bodies; exists chiefly for \
-             overhead baselines.")
-  in
   let trace_sample =
     Arg.(
       value & opt int 0
@@ -917,7 +907,7 @@ let serve_cmd =
        ~doc:"Run privclusterd: the resident multi-tenant private-query daemon")
     Term.(
       const run $ setup_logs $ listen_term "Listen" $ wal $ tenant $ capacity $ jobs $ retries
-      $ seed $ no_sync $ trace_arg $ no_serving_stats $ trace_sample $ slow_threshold_ms
+      $ seed $ no_sync $ trace_arg $ trace_sample $ slow_threshold_ms
       $ slow_log $ slow_keep $ slo)
 
 let client_cmd =

@@ -207,12 +207,17 @@ let balance_json (t : t) =
         } );
   ]
 
+let summary_fields (t : t) =
+  [ ("mode", Json.String (mode_name t.mode)); ("budget", params_json t.budget) ]
+  @ balance_json t
+  @ [ ("refusals", Json.Int t.refusals) ]
+
+let summary_json t = Json.Obj (summary_fields t)
+
 let to_json (t : t) =
   Json.Obj
-    ([ ("mode", Json.String (mode_name t.mode)); ("budget", params_json t.budget) ]
-    @ balance_json t
+    (summary_fields t
     @ [
-        ("refusals", Json.Int t.refusals);
       ( "reserved",
         Json.List
           (List.map

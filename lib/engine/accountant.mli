@@ -153,6 +153,13 @@ val refusal_message : refusal -> string
 (** One-line human rendering, used verbatim in job results. *)
 
 val to_json : t -> Obs.Json.t
+(** {!summary_json}'s fields, then the outstanding reservations and
+    every accepted charge: the full ledger. *)
+
+val summary_json : t -> Obs.Json.t
+(** Mode, budget, {!balance_json}'s fields and the refusal count: the
+    ledger without its history, so its size does not grow with the
+    number of charges. *)
 
 val balance_json : t -> (string * Obs.Json.t) list
 (** The [spent] and [remaining] fields of {!to_json}, without the

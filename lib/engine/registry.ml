@@ -200,5 +200,5 @@ let to_json d =
       ("axis_size", Json.Int (Geometry.Grid.axis_size d.grid));
       ("index_backend", Json.String "kdtree");
       ("r_opt_bounds_cache", Json.Obj [ ("lookups", Json.Int lookups); ("hits", Json.Int hits) ]);
-      ("accountant", Accountant.to_json d.accountant);
+      ("accountant", Accountant.summary_json d.accountant);
     ]

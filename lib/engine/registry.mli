@@ -105,4 +105,6 @@ val bounds_cache_stats : dataset -> int * int
     telemetry and tests. *)
 
 val to_json : dataset -> Obs.Json.t
-(** Shape, epoch, index backend, budget state, cache stats. *)
+(** Shape, epoch, index backend, cache stats and the ledger's
+    {!Accountant.summary_json}: no charge history, so the size does not
+    grow with the number of charges. *)

@@ -655,6 +655,7 @@ let report_json t ~dataset results =
       ("dataset", Registry.to_json dataset);
       ("jobs", Obs.Json.List (List.map Job.result_to_json results));
       ("telemetry", Telemetry.to_json t.telemetry);
+      ("ledger", Accountant.to_json (Registry.accountant dataset));
     ]
 
 module For_testing = struct

@@ -122,8 +122,9 @@ val run_batch_named :
     (nothing is charged — the batch never reaches admission). *)
 
 val report_json : t -> dataset:Registry.dataset -> Job.result list -> Obs.Json.t
-(** The batch report the CLI emits: dataset (with ledger, including
-    outstanding reservations), per-job results, telemetry. *)
+(** The batch report the CLI emits: dataset ({!Registry.to_json}),
+    per-job results, telemetry, and the full [ledger]
+    ({!Accountant.to_json}: every charge and outstanding reservation). *)
 
 (** {2 Tracing and budget attribution}
 

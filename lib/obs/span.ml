@@ -31,14 +31,19 @@ let enabled () = Atomic.get enabled_flag
 
 let next_id = Atomic.make 1
 
-(* Completed spans.  Workers push under the mutex; pushes only happen when
-   tracing is on, so the contention cost is confined to traced runs. *)
+(* Completed spans, newest first.  Workers push under the mutex; pushes
+   only happen when tracing is on, so the contention cost is confined to
+   traced runs.  [pushed] counts every push ever made (a reset does not
+   rewind it), so the spans pushed since a mark are the list's first
+   [pushed - mark] cells. *)
 let mutex = Mutex.create ()
 let completed : span list ref = ref []
+let pushed = ref 0
 
 let push sp =
   Mutex.lock mutex;
   completed := sp :: !completed;
+  incr pushed;
   Mutex.unlock mutex
 
 let reset () =
@@ -46,15 +51,29 @@ let reset () =
   completed := [];
   Mutex.unlock mutex
 
-let spans () =
+type mark = int
+
+let mark () =
   Mutex.lock mutex;
-  let l = !completed in
+  let m = !pushed in
   Mutex.unlock mutex;
+  m
+
+let spans_since m =
+  Mutex.lock mutex;
+  let l = !completed and k = !pushed - m in
+  Mutex.unlock mutex;
+  let rec take k acc = function
+    | sp :: rest when k > 0 -> take (k - 1) (sp :: acc) rest
+    | _ -> acc
+  in
   List.sort
     (fun a b ->
       let c = Int64.compare a.start_ns b.start_ns in
       if c <> 0 then c else compare a.id b.id)
-    l
+    (take k [] l)
+
+let spans () = spans_since 0
 
 let count () =
   Mutex.lock mutex;

@@ -70,6 +70,16 @@ val spans : unit -> span list
 (** Completed spans, sorted by start time (ties by id — ids increase in
     start order, so a parent always sorts before its children). *)
 
+type mark
+(** A point in the collector's push order. *)
+
+val mark : unit -> mark
+
+val spans_since : mark -> span list
+(** The completed spans pushed after [mark] that no {!reset} has
+    dropped, in {!spans} order.  Costs O(their number), not O(every span
+    collected). *)
+
 val count : unit -> int
 
 (** {2 Recording} *)

@@ -20,7 +20,6 @@ type config = {
   retries : int;
   seed : int;
   sync : bool;
-  serving_stats : bool;
   trace_sample : int;
   slow_threshold_ms : float;
   slow_log : string option;
@@ -38,7 +37,6 @@ let default_config =
     retries = 2;
     seed = 1;
     sync = true;
-    serving_stats = true;
     trace_sample = 0;
     slow_threshold_ms = 250.;
     slow_log = None;
@@ -82,7 +80,7 @@ type t = {
       (* journal streams awaiting re-registration; executor thread only *)
   tenants : Tenants.t;
   admission : Admission.t;
-  serving : Serving.t option;
+  serving : Serving.t;
   mutable exemplar_seq : int;  (* executor thread only *)
   spans_preowned : bool;
       (* span collection was already on when the daemon started (an outer
@@ -115,15 +113,12 @@ let tenant_datasets tenant =
    windows decay); runs on the executor thread, where touching the
    tenant's ledger is safe. *)
 let sample_burn_ds t tenant ds =
-  match t.serving with
-  | None -> ()
-  | Some sv ->
-      let acct = Registry.accountant ds in
-      Serving.record_burn sv ~tenant:(Tenants.name tenant)
-        ~dataset:(Registry.name ds)
-        ~budget_eps:(Accountant.budget acct).Prim.Dp.eps
-        ~spent_eps:(Accountant.spent acct).Prim.Dp.eps
-        ~now_ns:(Obs.Clock.now_ns ())
+  let acct = Registry.accountant ds in
+  Serving.record_burn t.serving ~tenant:(Tenants.name tenant)
+    ~dataset:(Registry.name ds)
+    ~budget_eps:(Accountant.budget acct).Prim.Dp.eps
+    ~spent_eps:(Accountant.spent acct).Prim.Dp.eps
+    ~now_ns:(Obs.Clock.now_ns ())
 
 let sample_burn t tenant ~dataset =
   match Service.find_dataset (Tenants.service tenant) dataset with
@@ -446,20 +441,18 @@ let exec_metrics t tenant =
         };
     ]
   in
+  (* Every scrape refreshes the burn windows, so an idle tenant's burn
+     rate decays instead of freezing at its last burst. *)
+  List.iter (fun ds -> sample_burn_ds t tenant ds) datasets;
+  let sv = t.serving in
   let serving_families =
-    match t.serving with
-    | None -> []
-    | Some sv ->
-        (* Every scrape refreshes the burn windows, so an idle tenant's
-           burn rate decays instead of freezing at its last burst. *)
-        List.iter (fun ds -> sample_burn_ds t tenant ds) datasets;
-        Engine.Exposition.serving_families
-          {
-            Engine.Exposition.requests = Serving.request_rows sv;
-            queue_wait = Serving.wait_rows sv;
-            burn = Serving.burn_rows sv ~now_ns:(Obs.Clock.now_ns ());
-            sheds = Serving.shed_rows sv;
-          }
+    Engine.Exposition.serving_families
+      {
+        Engine.Exposition.requests = Serving.request_rows sv;
+        queue_wait = Serving.wait_rows sv;
+        burn = Serving.burn_rows sv ~now_ns:(Obs.Clock.now_ns ());
+        sheds = Serving.shed_rows sv;
+      }
   in
   let text =
     Engine.Exposition.render ~datasets ~result_cache:(Service.result_cache svc)
@@ -469,23 +462,13 @@ let exec_metrics t tenant =
   Ok (Json.Obj [ ("metrics", Json.String text) ])
 
 let health_json t =
-  match t.serving with
-  | None ->
-      Json.Obj
-        [
-          ("status", Json.String "ok");
-          ("serving_stats", Json.Bool false);
-          ("rules", Json.List []);
-        ]
-  | Some sv ->
-      let verdicts = Serving.health sv ~now_ns:(Obs.Clock.now_ns ()) in
-      let status = Obs.Slo.worst_of verdicts in
-      Json.Obj
-        [
-          ("status", Json.String (Obs.Slo.status_to_string status));
-          ("draining", Json.Bool (Admission.draining t.admission));
-          ("rules", Json.List (List.map Obs.Slo.verdict_to_json verdicts));
-        ]
+  let verdicts = Serving.health t.serving ~now_ns:(Obs.Clock.now_ns ()) in
+  Json.Obj
+    [
+      ("status", Json.String (Obs.Slo.status_to_string (Obs.Slo.worst_of verdicts)));
+      ("draining", Json.Bool (Admission.draining t.admission));
+      ("rules", Json.List (List.map Obs.Slo.verdict_to_json verdicts));
+    ]
 
 (* --- connection handling ------------------------------------------------- *)
 
@@ -543,31 +526,28 @@ let write_all fd s =
 
 let submit_and_wait t ?control ?slot ~verb work =
   let mb = Mailbox.create () in
-  Option.iter Serving.record_submit t.serving;
+  Serving.record_submit t.serving;
   let submitted_ns = Obs.Clock.now_ns () in
   (* The mailbox must be filled on every path: an exception escaping the
      executor would otherwise strand this connection thread in [take]
      forever (and [stop] with it, on the join). *)
   let guarded () =
-    Option.iter
-      (fun sv ->
-        Serving.record_queue_wait sv ~verb
-          ~ns:(Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) submitted_ns)))
-      t.serving;
+    Serving.record_queue_wait t.serving ~verb
+      ~ns:(Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) submitted_ns));
     Mailbox.put mb
       (try work ()
        with e -> err Wire.Internal "unexpected failure: %s" (Printexc.to_string e))
   in
   match Admission.submit t.admission ?control ?slot guarded with
   | Error reason ->
-      Option.iter (fun sv -> Serving.record_shed sv reason) t.serving;
+      Serving.record_shed t.serving reason;
       err (Wire.Rejected reason) "request shed (%s); nothing was charged"
         (Wire.shed_reason_name reason)
   | Ok () -> Mailbox.take mb
 
-(* Everything from the root span's id onward: ids increase in start
-   order and a parent always sorts before its children, so one pass over
-   the sorted list collects the whole subtree. *)
+(* The root's subtree among [spans] (in {!Obs.Span.spans} order): ids
+   increase in start order and a parent always sorts before its children,
+   so one pass collects the whole subtree. *)
 let subtree_of spans root_id =
   let keep = Hashtbl.create 64 in
   Hashtbl.replace keep root_id ();
@@ -585,6 +565,10 @@ let subtree_of spans root_id =
       else false)
     spans
 
+(* Request capture is on: some requests' span trees go to the exemplar
+   ring. *)
+let captures sv = Serving.sample_every sv > 0 || Serving.slow_log_dir sv <> None
+
 (* Wrap an executor work item in a request root span and, when the
    deterministic head sampler picks the request or it exceeds the slow
    threshold, write the span subtree to the exemplar ring.  The sampling
@@ -592,45 +576,49 @@ let subtree_of spans root_id =
    so outputs and result-cache keys are bit-identical with sampling on
    or off (pinned by the diff test). *)
 let traced t ~verb ~tenant_name ~rid work () =
-  match t.serving with
-  | Some sv when Serving.sample_every sv > 0 || Serving.slow_log_dir sv <> None ->
-      let key = Printf.sprintf "%s/%s/%d" tenant_name verb rid in
-      let want_sample = Serving.sampled sv ~key in
-      let h =
-        Obs.Span.start ~cat:"request"
-          ~attrs:(fun () ->
-            [
-              ("verb", Obs.Span.S verb);
-              ("tenant", Obs.Span.S tenant_name);
-              ("rid", Obs.Span.I rid);
-              ("sampled", Obs.Span.B want_sample);
-            ])
-          ("request:" ^ verb)
-      in
-      let started_ns = Obs.Clock.now_ns () in
-      let result =
-        try work ()
-        with e ->
-          Obs.Span.finish h;
-          raise e
-      in
-      Obs.Span.finish h;
-      let dur_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) started_ns) in
-      let slow = dur_ns >= Serving.slow_threshold_ns sv in
-      (match Obs.Span.h_id h with
-      | Some root_id when want_sample || slow ->
-          let tree = subtree_of (Obs.Span.spans ()) root_id in
-          t.exemplar_seq <- t.exemplar_seq + 1;
-          Serving.write_exemplar sv ~verb ~seq:t.exemplar_seq
-            ~reason:(if slow then "slow" else "sampled")
-            ~json:(Obs.Trace.to_string tree)
-      | _ -> ());
-      (* The collector would otherwise grow by every request's spans for
-         the life of the daemon; only an outer [--trace] consumer wants
-         them kept. *)
-      if not t.spans_preowned then Obs.Span.reset ();
-      result
-  | _ -> work ()
+  let sv = t.serving in
+  if not (captures sv) then work ()
+  else
+    (* Every span of this request's tree is pushed after this mark, so
+       capture reads only those, however large an outer [--trace]
+       collector has grown. *)
+    let mark = Obs.Span.mark () in
+    let key = Printf.sprintf "%s/%s/%d" tenant_name verb rid in
+    let want_sample = Serving.sampled sv ~key in
+    let h =
+      Obs.Span.start ~cat:"request"
+        ~attrs:(fun () ->
+          [
+            ("verb", Obs.Span.S verb);
+            ("tenant", Obs.Span.S tenant_name);
+            ("rid", Obs.Span.I rid);
+            ("sampled", Obs.Span.B want_sample);
+          ])
+        ("request:" ^ verb)
+    in
+    let started_ns = Obs.Clock.now_ns () in
+    let result =
+      try work ()
+      with e ->
+        Obs.Span.finish h;
+        raise e
+    in
+    Obs.Span.finish h;
+    let dur_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) started_ns) in
+    let slow = dur_ns >= Serving.slow_threshold_ns sv in
+    (match Obs.Span.h_id h with
+    | Some root_id when want_sample || slow ->
+        let tree = subtree_of (Obs.Span.spans_since mark) root_id in
+        t.exemplar_seq <- t.exemplar_seq + 1;
+        Serving.write_exemplar sv ~verb ~seq:t.exemplar_seq
+          ~reason:(if slow then "slow" else "sampled")
+          ~json:(Obs.Trace.to_string tree)
+    | _ -> ());
+    (* The collector would otherwise grow by every request's spans for
+       the life of the daemon; only an outer [--trace] consumer wants
+       them kept. *)
+    if not t.spans_preowned then Obs.Span.reset ();
+    result
 
 (* Client-controlled synthesis parameters are checked before the request
    reaches the executor: [Grid.create], [Synth.planted_ball] and
@@ -732,13 +720,7 @@ let handle_request t authed (envelope : Wire.envelope) =
          must work even when the executor queue is deep or draining, and
          [Serving] is safe to read concurrently. *)
       Ok (health_json t)
-  | Wire.Stats, Some _ -> (
-      match t.serving with
-      | None ->
-          Ok
-            (Json.Obj
-               [ ("serving_stats", Json.Bool false); ("requests", Json.List []) ])
-      | Some sv -> Ok (Serving.stats_json sv ~now_ns:(Obs.Clock.now_ns ())))
+  | Wire.Stats, Some _ -> Ok (Serving.stats_json t.serving ~now_ns:(Obs.Clock.now_ns ()))
 
 let handle_conn t fd =
   let reader = make_reader fd in
@@ -775,14 +757,9 @@ let handle_conn t fd =
         in
         (* Admission-to-reply, recorded after the reply bytes are written
            so a slow client socket shows up in the verb's latency. *)
-        Option.iter
-          (fun sv ->
-            let tenant =
-              match !authed with Some tn -> Tenants.name tn | None -> "-"
-            in
-            Serving.record_request sv ~verb ~tenant
-              ~ns:(Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) received_ns)))
-          t.serving;
+        let tenant = match !authed with Some tn -> Tenants.name tn | None -> "-" in
+        Serving.record_request t.serving ~verb ~tenant
+          ~ns:(Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) received_ns));
         if continue then loop ()
   in
   (try loop () with _ -> ());
@@ -870,98 +847,77 @@ let start cfg =
       | Wal.Clean -> ()
       | Wal.Torn n ->
           Log.warn (fun m ->
-              m "WAL %s: dropped a torn final write (%d bytes)" cfg.wal_path n));
-      (* Startup compaction: same records, fresh file — reclaims the torn
-         tail and bounds growth across restarts. *)
-      match Wal.compact ~sync:cfg.sync ~path:cfg.wal_path records with
-      | Error e -> Error ("WAL compaction: " ^ e)
-      | Ok () -> (
-          match Wal.open_ ~sync:cfg.sync cfg.wal_path with
-          | Error e -> Error ("WAL open: " ^ e)
-          | Ok wal -> (
-              let service () =
-                Service.create ~domains:cfg.domains ~seed:cfg.seed ~retries:cfg.retries ()
-              in
-              match Tenants.create ~service cfg.tenants with
-              | Error e ->
+              m "WAL %s: cutting a torn final write (%d bytes)" cfg.wal_path n));
+      match Wal.open_ ~sync:cfg.sync ~tail cfg.wal_path with
+      | Error e -> Error ("WAL open: " ^ e)
+      | Ok wal -> (
+          let service () =
+            Service.create ~domains:cfg.domains ~seed:cfg.seed ~retries:cfg.retries ()
+          in
+          match Tenants.create ~service cfg.tenants with
+          | Error e ->
+              Wal.close wal;
+              Error e
+          | Ok tenants -> (
+              match bind_listen cfg.listen with
+              | exception Unix.Unix_error (e, _, arg) ->
                   Wal.close wal;
-                  Error e
-              | Ok tenants -> (
-                  match bind_listen cfg.listen with
-                  | exception Unix.Unix_error (e, _, arg) ->
-                      Wal.close wal;
-                      Error
-                        (Printf.sprintf "listen %s: %s" arg (Unix.error_message e))
-                  | listen_fd ->
-                      let serving =
-                        if not cfg.serving_stats then None
-                        else
-                          Some
-                            (Serving.create ~sample_every:cfg.trace_sample
-                               ~slow_threshold_ms:cfg.slow_threshold_ms
-                               ?slow_log:cfg.slow_log ~slow_keep:cfg.slow_keep
-                               ~rules:cfg.slo_rules ())
-                      in
-                      let spans_preowned = Obs.Span.enabled () in
-                      let capture_wanted =
-                        match serving with
-                        | Some sv ->
-                            Serving.sample_every sv > 0 || Serving.slow_log_dir sv <> None
-                        | None -> false
-                      in
-                      if capture_wanted && not spans_preowned then
-                        Obs.Span.set_enabled true;
-                      (* Resume the ring's sequence past any files left by a
-                         previous incarnation, so a restart never overwrites
-                         exemplars it did not write. *)
-                      let exemplar_seq =
-                        match serving with
-                        | None -> 0
-                        | Some sv ->
-                            List.fold_left
-                              (fun acc f ->
-                                let base = Filename.basename f in
-                                match
-                                  int_of_string_opt
-                                    (String.sub base 9 (min 8 (String.length base - 9)))
-                                with
-                                | Some n -> max acc n
-                                | None | (exception Invalid_argument _) -> acc)
-                              0 (Serving.exemplar_files sv)
-                      in
-                      let t =
-                        {
-                          cfg;
-                          wal;
-                          histories = Wal.histories records;
-                          tenants;
-                          admission = Admission.create ~capacity:cfg.capacity;
-                          serving;
-                          exemplar_seq;
-                          spans_preowned;
-                          listen_fd;
-                          bound = Unix.getsockname listen_fd;
-                          stopping = Atomic.make false;
-                          stopped = false;
-                          stop_mutex = Mutex.create ();
-                          conn_mutex = Mutex.create ();
-                          conns = [];
-                          conn_threads = [];
-                          accept_thread = None;
-                          executor_thread = None;
-                        }
-                      in
-                      List.iter (journal_service t) (Tenants.list tenants);
-                      t.executor_thread <- Some (Thread.create Admission.run t.admission);
-                      t.accept_thread <- Some (Thread.create accept_loop t);
-                      Log.info (fun m ->
-                          m "privclusterd listening (%s); %d tenants, %d journaled streams"
-                            (match cfg.listen with
-                            | `Unix p -> "unix:" ^ p
-                            | `Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p)
-                            (List.length cfg.tenants)
-                            (List.length t.histories));
-                      Ok t))))
+                  Error (Printf.sprintf "listen %s: %s" arg (Unix.error_message e))
+              | listen_fd ->
+                  let serving =
+                    Serving.create ~sample_every:cfg.trace_sample
+                      ~slow_threshold_ms:cfg.slow_threshold_ms ?slow_log:cfg.slow_log
+                      ~slow_keep:cfg.slow_keep ~rules:cfg.slo_rules ()
+                  in
+                  let spans_preowned = Obs.Span.enabled () in
+                  if captures serving && not spans_preowned then Obs.Span.set_enabled true;
+                  (* Resume the ring's sequence past any files left by a
+                     previous incarnation, so a restart never overwrites
+                     exemplars it did not write. *)
+                  let exemplar_seq =
+                    List.fold_left
+                      (fun acc f ->
+                        let base = Filename.basename f in
+                        match
+                          int_of_string_opt (String.sub base 9 (min 8 (String.length base - 9)))
+                        with
+                        | Some n -> max acc n
+                        | None | (exception Invalid_argument _) -> acc)
+                      0 (Serving.exemplar_files serving)
+                  in
+                  let t =
+                    {
+                      cfg;
+                      wal;
+                      histories = Wal.histories records;
+                      tenants;
+                      admission = Admission.create ~capacity:cfg.capacity;
+                      serving;
+                      exemplar_seq;
+                      spans_preowned;
+                      listen_fd;
+                      bound = Unix.getsockname listen_fd;
+                      stopping = Atomic.make false;
+                      stopped = false;
+                      stop_mutex = Mutex.create ();
+                      conn_mutex = Mutex.create ();
+                      conns = [];
+                      conn_threads = [];
+                      accept_thread = None;
+                      executor_thread = None;
+                    }
+                  in
+                  List.iter (journal_service t) (Tenants.list tenants);
+                  t.executor_thread <- Some (Thread.create Admission.run t.admission);
+                  t.accept_thread <- Some (Thread.create accept_loop t);
+                  Log.info (fun m ->
+                      m "privclusterd listening (%s); %d tenants, %d journaled streams"
+                        (match cfg.listen with
+                        | `Unix p -> "unix:" ^ p
+                        | `Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p)
+                        (List.length cfg.tenants)
+                        (List.length t.histories));
+                  Ok t)))
 
 let stop t =
   Mutex.lock t.stop_mutex;

@@ -31,10 +31,6 @@ type config = {
   retries : int;
   seed : int;  (** Service base seed (a [run]'s [seed] overrides per batch). *)
   sync : bool;  (** WAL fsync per record; [false] only for benchmarks. *)
-  serving_stats : bool;
-      (** Collect serving telemetry (latency histograms, burn windows,
-          shed counters).  Off, the [health]/[stats] verbs answer with
-          empty bodies; exists chiefly for the B15 overhead baseline. *)
   trace_sample : int;
       (** Head-sample every request whose key hashes to [0 mod N]
           ([0] = off).  Deterministic (FNV-1a of tenant/verb/rid): no
@@ -49,16 +45,19 @@ type config = {
 
 val default_config : config
 (** Unix socket ["privclusterd.sock"], WAL ["privclusterd.wal"], no
-    tenants, capacity 64, 2 domains, 2 retries, seed 1, sync on;
-    serving stats on, sampling off, slow threshold 250 ms, no slow-log
-    ring, keep 64, {!Obs.Slo.default_rules}. *)
+    tenants, capacity 64, 2 domains, 2 retries, seed 1, sync on,
+    sampling off, slow threshold 250 ms, no slow-log ring, keep 64,
+    {!Obs.Slo.default_rules}.  Serving telemetry (latency histograms,
+    burn windows, shed counters) is always collected. *)
 
 type t
 
 val start : config -> (t, string) result
-(** Recover the WAL (refusing a corrupt one), bind the socket, and spawn
-    the accept and executor threads.  Returns once the daemon is
-    accepting. *)
+(** Load the WAL (refusing a corrupt one), cut a torn final write off it
+    (fsynced when [sync]) and open it for appending, bind the socket, and
+    spawn the accept and executor threads.  A clean journal is not
+    rewritten: the start writes nothing to it.  Returns once the daemon
+    is accepting. *)
 
 val sockaddr : t -> Unix.sockaddr
 (** The bound address — resolves an ephemeral TCP port. *)

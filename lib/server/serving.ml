@@ -287,7 +287,6 @@ let stats_json t ~now_ns =
   in
   Json.Obj
     [
-      ("serving_stats", Json.Bool true);
       ("requests", Json.List requests);
       ("queue_wait", Json.List waits);
       ("burn_rates", Json.List burns);

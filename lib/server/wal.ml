@@ -323,8 +323,23 @@ let load path =
 
 type t = { fd : Unix.file_descr; sync : bool; wal_path : string; mutex : Mutex.t }
 
-let open_ ?(sync = true) path =
-  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o600 with
+let open_ ?(sync = true) ?(tail = Clean) path =
+  match
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o600 in
+    (match tail with
+    | Clean -> ()
+    | Torn n -> (
+        (* Cut back to the last whole frame, so the next append starts on
+           a frame boundary instead of behind bytes a later load would
+           take for mid-file corruption. *)
+        try
+          Unix.ftruncate fd ((Unix.fstat fd).Unix.st_size - n);
+          if sync then Unix.fsync fd
+        with e ->
+          Unix.close fd;
+          raise e));
+    fd
+  with
   | fd -> Ok { fd; sync; wal_path = path; mutex = Mutex.create () }
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
@@ -345,31 +360,6 @@ let append t record =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let path t = t.wal_path
-
-let fsync_dir dir =
-  (* Make the rename durable; best-effort (not every platform allows
-     fsync on a directory fd). *)
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-let compact ?(sync = true) ~path records =
-  let tmp = path ^ ".tmp" in
-  match
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        List.iter (fun r -> write_all fd (frame (payload_of_record r))) records;
-        if sync then Unix.fsync fd);
-    Unix.rename tmp path;
-    if sync then fsync_dir (Filename.dirname path)
-  with
-  | () -> Ok ()
-  | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e))
 
 (* --- replay ------------------------------------------------------------- *)
 

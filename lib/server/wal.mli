@@ -25,7 +25,8 @@
     strings ([%h]), so replayed charges are bit-identical to the originals
     (decimal rendering would round).  A torn final write — the crash
     window of an append — fails the length, CRC or newline check and is
-    discarded at load ({!tail} reports how many bytes); a bad frame that
+    discarded at load ({!tail} reports how many bytes) and cut off the
+    file when it is next opened for appending ({!open_}); a bad frame that
     is {e followed} by another valid frame is not a torn tail but
     corruption, and load refuses the file rather than silently dropping
     spend.
@@ -44,9 +45,9 @@
     reservations are visible in the ledger's [reserved] list and are never
     settled automatically.
 
-    Compaction: the log only ever grows, so on startup the daemon rewrites
-    it — same records, fresh file, atomic rename — which drops nothing but
-    reclaims the space of any torn tail. *)
+    Nothing rewrites the journal: a start reads it once, cuts a torn tail
+    and appends after it, so a start on a clean journal writes nothing to
+    it.  The log only grows; bounding it needs a checkpoint record. *)
 
 type synth = {
   n : int;
@@ -113,10 +114,14 @@ val load : string -> (record list * tail, string) result
 
 type t
 
-val open_ : ?sync:bool -> string -> (t, string) result
+val open_ : ?sync:bool -> ?tail:tail -> string -> (t, string) result
 (** Open (creating if needed) for appending.  [sync] (default [true])
     fsyncs after every {!append} — the durability the invariant needs;
-    turn it off only for benchmarks. *)
+    turn it off only for benchmarks.  [tail] (default [Clean]) is what
+    {!load} reported for the file: a [Torn n] tail — its last [n] bytes —
+    is cut off with [ftruncate] (and fsynced when [sync]) before anything
+    is appended, so the next record follows the last whole frame.  A
+    [Clean] file is opened as it is. *)
 
 val append : t -> record -> unit
 (** Frame, write, and (in sync mode) fsync one record.
@@ -125,10 +130,6 @@ val append : t -> record -> unit
 
 val close : t -> unit
 val path : t -> string
-
-val compact : ?sync:bool -> path:string -> record list -> (unit, string) result
-(** Write [records] to a fresh journal at [path] via write-temp +
-    fsync + atomic rename. *)
 
 (** {2 Replay} *)
 

@@ -1,7 +1,7 @@
 module Json = Obs.Json
 module Accountant = Engine.Accountant
 
-let version = 2
+let version = 3
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

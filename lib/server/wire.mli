@@ -50,9 +50,12 @@
     - [ping]     — liveness probe; answered even while draining. *)
 
 val version : int
-(** Protocol version ([2]); [hello] with any other value is refused.
+(** Protocol version ([3]); [hello] with any other value is refused.
     Version 2 replies to [run], [append], [retire] and [standing] with
-    [spent] and [remaining] instead of the whole ledger. *)
+    [spent] and [remaining] instead of the whole ledger.  Version 3 does
+    the same for [register] and [datasets] (each dataset's [accountant]
+    is {!Engine.Accountant.summary_json}), and [stats] no longer says
+    whether telemetry is on: it always is. *)
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

@@ -740,6 +740,32 @@ let test_hist_json_roundtrip () =
       (List [ List [ Int 1000; Int 2 ] ], "sum to 2 but count is 1");
     ]
 
+(* [spans_since] returns exactly the spans pushed after the mark, in
+   [spans] order, and nothing a reset dropped. *)
+let test_spans_since_mark () =
+  with_tracing @@ fun () ->
+  let push prefix =
+    Obs.Span.with_span (prefix ^ "1") (fun () ->
+        Obs.Span.with_span (prefix ^ "2") (fun () -> ());
+        Obs.Span.event (prefix ^ "3"))
+  in
+  push "a";
+  let m = Obs.Span.mark () in
+  push "b";
+  let ids = List.map (fun (sp : Obs.Span.span) -> sp.Obs.Span.id) in
+  let since = Obs.Span.spans_since m in
+  Alcotest.(check (list string)) "only the B spans, in start order" [ "b1"; "b2"; "b3" ]
+    (List.map (fun (sp : Obs.Span.span) -> sp.Obs.Span.name) since);
+  Alcotest.(check (list int)) "the same spans and order as the full list"
+    (ids
+       (List.filter
+          (fun (sp : Obs.Span.span) -> String.starts_with ~prefix:"b" sp.Obs.Span.name)
+          (Obs.Span.spans ())))
+    (ids since);
+  check_true "nothing since a fresh mark" (Obs.Span.spans_since (Obs.Span.mark ()) = []);
+  Obs.Span.reset ();
+  check_true "a reset drops them" (Obs.Span.spans_since m = [])
+
 let test_json_depth_limit () =
   let deep = String.make 1_000_000 '[' in
   let t0 = Unix.gettimeofday () in
@@ -958,4 +984,5 @@ let suite =
     case "prometheus exposition is deterministic (golden)" test_prom_deterministic_golden;
     case "hist: json roundtrip and malformed buckets (qcheck)" test_hist_json_roundtrip;
     case "json parser nesting depth limit" test_json_depth_limit;
+    case "span: spans_since a mark returns only later spans" test_spans_since_mark;
   ]

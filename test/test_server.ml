@@ -159,25 +159,6 @@ let test_wal_corruption_mid_file () =
   check_true "negative cost refused" (Result.is_error (Wal.load path));
   Sys.remove path
 
-let test_wal_compact () =
-  let path = tmp_path ".wal" in
-  write_wal path sample_records;
-  (* simulate a torn tail, then compact it away *)
-  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
-      Out_channel.output_string oc "PW1 0000dead");
-  (match Wal.load path with
-  | Ok (records, Wal.Torn _) -> (
-      match Wal.compact ~sync:false ~path records with
-      | Error e -> Alcotest.failf "compact: %s" e
-      | Ok () -> (
-          match Wal.load path with
-          | Ok (records', Wal.Clean) -> check_true "compaction preserves records" (records' = sample_records)
-          | Ok (_, Wal.Torn _) -> Alcotest.fail "compaction left a torn tail"
-          | Error e -> Alcotest.failf "reload after compact: %s" e))
-  | Ok (_, Wal.Clean) -> Alcotest.fail "expected a torn tail before compaction"
-  | Error e -> Alcotest.failf "load with torn tail: %s" e);
-  Sys.remove path
-
 let test_wal_histories () =
   let hs = Wal.histories sample_records in
   Alcotest.(check int) "two streams" 2 (List.length hs);
@@ -645,6 +626,45 @@ let temp_dir () =
 
 let soak_jobs = "one_cluster t_fraction=0.45 eps=0.3 delta=1e-7\nquantile q=0.5 axis=0 eps=0.1\n"
 
+(* A start cuts a torn final write off the journal, so a record appended
+   after it follows the last whole frame and the next load is clean; a
+   start on a clean journal writes nothing to it.  Appending behind the
+   torn bytes instead would leave a bad frame followed by a valid one,
+   which load refuses as corruption. *)
+let test_wal_torn_tail_cut_at_start () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let path = cfg.Server.Daemon.wal_path in
+  write_wal path sample_records;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+      Out_channel.output_string oc "PW1 0000dead");
+  (match Wal.load path with
+  | Ok (records, Wal.Torn 12) -> check_true "torn load keeps every whole record" (records = sample_records)
+  | Ok _ -> Alcotest.fail "expected a 12-byte torn tail"
+  | Error e -> Alcotest.failf "load with torn tail: %s" e);
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore
+        (expect_ok "register"
+           (Server.Client.register c ~dataset:"d2" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+              ~budget:(p ~eps:2.0 ~delta:1e-5) ()));
+      Server.Client.close c);
+  let after_cut = In_channel.with_open_bin path In_channel.input_all in
+  (match Wal.load path with
+  | Ok (records, Wal.Clean) -> (
+      check_int "one record appended after the cut" (List.length sample_records + 1)
+        (List.length records);
+      check_true "the whole records survive the cut"
+        (List.filteri (fun i _ -> i < List.length sample_records) records = sample_records);
+      match List.rev records with
+      | { Wal.tenant = "acme"; dataset = "d2"; op = Wal.Open _ } :: _ -> ()
+      | _ -> Alcotest.fail "the appended record is d2's open")
+  | Ok (_, Wal.Torn _) -> Alcotest.fail "the torn tail survived the start"
+  | Error e -> Alcotest.failf "reload after the cut: %s" e);
+  with_daemon cfg (fun _d -> ());
+  Alcotest.(check string) "a start on a clean journal writes nothing" after_cut
+    (In_channel.with_open_bin path In_channel.input_all)
+
 let test_daemon_lifecycle () =
   let dir = temp_dir () in
   let cfg = daemon_cfg ~dir () in
@@ -888,9 +908,8 @@ let test_daemon_old_signature_recomputes () =
         records
     in
     check_int (label ^ ": both answers were journaled") 2 !rewritten;
-    (match Wal.compact ~sync:false ~path old with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "compact: %s" e);
+    Sys.remove path;
+    write_wal path old;
     with_daemon cfg (fun _d ->
         let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
         check_true (label ^ ": the old journal replays")
@@ -967,6 +986,54 @@ let test_daemon_reply_size_independent_of_history () =
       Alcotest.(check string) "reply bytes after K and 2K charged requests" (bytes after_k) (bytes after_2k);
       Server.Client.close c)
 
+(* A [register] that replays a journal, and a [datasets] reply, carry the
+   ledger's balance, never its history: after a restart that replays K
+   charges and one that replays 2K, both replies have the same length in
+   bytes once [replayed_ops] and the request id are set aside.  Each charge costs
+   ε = 0.25 of a budget of 8, so the spent and remaining values (1 and 7,
+   then 2 and 6) render at the same length. *)
+let test_daemon_register_reply_independent_of_history () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let k = 4 in
+  let charged = ref 0 in
+  let session () =
+    with_daemon cfg (fun _d ->
+        let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+        let reg =
+          expect_ok "register"
+            (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+               ~budget:(p ~eps:8.0 ~delta:1e-4) ())
+        in
+        let listed = expect_ok "datasets" (Server.Client.For_testing.datasets c) in
+        let target = !charged + k in
+        while !charged < target do
+          incr charged;
+          ignore
+            (expect_ok "charged"
+               (Server.Client.run c ~dataset:"d1" ~seed:(100 + !charged)
+                  ~jobs:"quantile q=0.5 axis=0 eps=0.25\n" ()))
+        done;
+        Server.Client.close c;
+        (reg, listed))
+  in
+  let bytes reply =
+    match reply with
+    | Obs.Json.Obj kvs ->
+        Obs.Json.to_string ~indent:false
+          (Obs.Json.Obj (List.remove_assoc "id" (List.remove_assoc "replayed_ops" kvs)))
+    | _ -> Alcotest.fail "reply is not an object"
+  in
+  ignore (session ());
+  let reg_k, listed_k = session () in
+  let reg_2k, listed_2k = session () in
+  check_true "the register replays the journal"
+    (Obs.Json.member "replayed" reg_2k = Some (Obs.Json.Bool true));
+  Alcotest.(check int) "register bytes after replaying K and 2K charges"
+    (String.length (bytes reg_k)) (String.length (bytes reg_2k));
+  Alcotest.(check int) "datasets bytes after K and 2K charges"
+    (String.length (bytes listed_k)) (String.length (bytes listed_2k))
+
 (* A journal written before [Job.parse] checked [t_fraction] may hold a
    standing query registered at a value now rejected.  Its line no longer
    parses, so the query is not re-armed, but the journal still replays:
@@ -1013,9 +1080,8 @@ let test_daemon_replays_rejected_standing_line () =
       records
   in
   check_int "the standing query was journaled" 1 !rewritten;
-  (match Wal.compact ~sync:false ~path old with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "compact: %s" e);
+  Sys.remove path;
+  write_wal path old;
   with_daemon cfg (fun _d ->
       let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
       check_true "the old journal replays"
@@ -1532,8 +1598,6 @@ let test_daemon_health_stats_metrics () =
       ignore (expect_ok "run" (Server.Client.run c ~dataset:"d1" ~seed:7 ~jobs:soak_jobs ()));
       (* stats reflects the traffic per verb x tenant *)
       let stats = expect_ok "stats" (Server.Client.stats c) in
-      check_true "stats says serving_stats on"
-        (Obs.Json.member "serving_stats" stats = Some (Obs.Json.Bool true));
       let rows =
         match Option.bind (Obs.Json.member "requests" stats) Obs.Json.to_list with
         | Some l -> l
@@ -1578,20 +1642,6 @@ let test_daemon_health_stats_metrics () =
       check_true "request counters present" (counter_sum m1 > 0.);
       check_true "request counters monotone across scrapes"
         (counter_sum m2 >= counter_sum m1);
-      Server.Client.close c);
-  (* with serving stats disabled both verbs still answer, honestly *)
-  let dir2 = temp_dir () in
-  let cfg2 = { (daemon_cfg ~dir:dir2 ()) with Server.Daemon.serving_stats = false } in
-  with_daemon cfg2 (fun _d ->
-      let c = expect_ok "connect" (connect cfg2 ~tenant:"acme" ~token:"s3cret") in
-      let st, verdicts, payload = expect_ok "health" (Server.Client.health c) in
-      check_true "disabled health is ok" (st = Obs.Slo.Ok);
-      check_true "disabled health has no verdicts" (verdicts = []);
-      check_true "disabled health says so"
-        (Obs.Json.member "serving_stats" payload = Some (Obs.Json.Bool false));
-      let stats = expect_ok "stats" (Server.Client.stats c) in
-      check_true "disabled stats says so"
-        (Obs.Json.member "serving_stats" stats = Some (Obs.Json.Bool false));
       Server.Client.close c)
 
 let test_daemon_exemplar_ring () =
@@ -1724,7 +1774,7 @@ let suite =
     test_wal_hex_float_bitexact;
     case "wal torn tail tolerated" test_wal_torn_tail;
     case "wal mid-file corruption refused" test_wal_corruption_mid_file;
-    case "wal compaction" test_wal_compact;
+    case "wal torn tail cut at start" test_wal_torn_tail_cut_at_start;
     case "wal histories and opening" test_wal_histories;
     case "accountant event stream" test_event_stream;
     case "events don't perturb the ledger" test_events_do_not_perturb_ledger;
@@ -1762,4 +1812,6 @@ let suite =
       test_daemon_replays_rejected_standing_line;
     slow_case "daemon reply size does not grow with the ledger's history"
       test_daemon_reply_size_independent_of_history;
+    slow_case "daemon register and datasets replies do not grow with the ledger's history"
+      test_daemon_register_reply_independent_of_history;
   ]
