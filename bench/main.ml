@@ -371,7 +371,7 @@ let run_experiments ~jobs cfg selected =
    same statuses and bit-identical outputs (per-job RNG streams are
    derived from the submission index).  Only [run_batch] is timed, not
    service creation or registration (the index build), but each fresh
-   service's batch pays its first r_opt bounds and count-matrix fill.
+   service's batch pays its first count-matrix fill.
    A second, ungated bag of long k_cluster jobs reports what a second
    domain buys once jobs outlast a domain spawn. *)
 let run_engine_bench tier fx =

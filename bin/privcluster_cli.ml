@@ -264,8 +264,6 @@ let batch_cmd =
     Workload.Report.subhead "privacy ledger";
     Workload.Report.kv "spent" (Printf.sprintf "(%g, %g)" spent.Prim.Dp.eps spent.Prim.Dp.delta);
     Workload.Report.kv "refused jobs" (string_of_int (Engine.Accountant.refusals accountant));
-    let lookups, hits = Engine.Registry.bounds_cache_stats dataset in
-    Workload.Report.kv "r_opt cache" (Printf.sprintf "%d lookups, %d hits" lookups hits);
     Workload.Report.subhead "telemetry";
     List.iter
       (fun line ->
@@ -330,7 +328,7 @@ let batch_cmd =
   let slack = Arg.(value & opt float 1e-9 & info [ "slack" ] ~doc:"δ' slack for the advanced/zcdp modes.") in
   let jobs = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~doc:"Worker domains. Results are identical for any value under a fixed --seed.") in
   let retries = Arg.(value & opt int 2 & info [ "retries" ] ~doc:"In-place retry attempts per job after an exception (a crash-before-output retry replays the same RNG stream and consumes no extra budget).") in
-  let faults = Arg.(value & opt (some string) None & info [ "faults" ] ~doc:"Fault-injection schedule (e.g. 'crash\\@2,stall\\@5=0.25' or 'seed=1,rate=0.3'); a faulted job raises before drawing noise and is retried in place. Defaults to \\$(b,PRIVCLUSTER_FAULTS) from the environment.") in
+  let faults = Arg.(value & opt (some string) None & info [ "faults" ] ~doc:"Fault-injection schedule (e.g. 'crash@2,stall@5=0.25' or 'seed=1,rate=0.3'); a faulted job raises before drawing noise and is retried in place. Defaults to $(b,PRIVCLUSTER_FAULTS) from the environment.") in
   let json_out = Arg.(value & opt (some string) None & info [ "json" ] ~doc:"Write the JSON report to this file ('-' for stdout).") in
   let metrics_out =
     Arg.(

@@ -15,8 +15,6 @@ type acct_row = {
   spent_delta : float;
   refusals : int;
   epoch : int;
-  bounds_lookups : int;
-  bounds_hits : int;
 }
 
 type source = {
@@ -132,17 +130,6 @@ let families_of_source src =
               help = "Current dataset epoch (bumped by every append/retire).";
               samples = samples (fun l a -> [ (l, float_of_int a.epoch) ]);
             };
-          Counter
-            {
-              name = "privcluster_bounds_cache_total";
-              help = "r_opt-bounds cache lookups and hits, across all epochs.";
-              samples =
-                samples (fun l a ->
-                    [
-                      (l @ [ ("event", "lookup") ], float_of_int a.bounds_lookups);
-                      (l @ [ ("event", "hit") ], float_of_int a.bounds_hits);
-                    ]);
-            };
         ]
   in
   let rcache =
@@ -230,7 +217,6 @@ let source_of_live ?dataset ?(datasets = []) ?result_cache telemetry =
       (fun d ->
         let a = Registry.accountant d in
         let budget = Accountant.budget a and spent = Accountant.spent a in
-        let bounds_lookups, bounds_hits = Registry.bounds_cache_stats d in
         {
           dataset = Registry.name d;
           budget_eps = budget.Prim.Dp.eps;
@@ -239,8 +225,6 @@ let source_of_live ?dataset ?(datasets = []) ?result_cache telemetry =
           spent_delta = spent.Prim.Dp.delta;
           refusals = Accountant.refusals a;
           epoch = Registry.epoch d;
-          bounds_lookups;
-          bounds_hits;
         })
       (Option.to_list dataset @ datasets)
   in
@@ -287,7 +271,7 @@ let kind_of_json (kind, j) =
   in
   Ok { kind; statuses; latency }
 
-let acct_of_json ~dataset ?(epoch = 0) ?(bounds = (0, 0)) j =
+let acct_of_json ~dataset ?(epoch = 0) j =
   let* budget = field "budget" j in
   let* spent = field "spent" j in
   let* budget_eps = num "budget.eps" (Option.value ~default:Obs.Json.Null (Obs.Json.member "eps" budget)) in
@@ -297,19 +281,7 @@ let acct_of_json ~dataset ?(epoch = 0) ?(bounds = (0, 0)) j =
   let refusals =
     Option.value ~default:0 (Option.bind (Obs.Json.member "refusals" j) Obs.Json.to_int)
   in
-  let bounds_lookups, bounds_hits = bounds in
-  Ok
-    {
-      dataset;
-      budget_eps;
-      budget_delta;
-      spent_eps;
-      spent_delta;
-      refusals;
-      epoch;
-      bounds_lookups;
-      bounds_hits;
-    }
+  Ok { dataset; budget_eps; budget_delta; spent_eps; spent_delta; refusals; epoch }
 
 let of_report_json json =
   let* telemetry = field "telemetry" json in
@@ -343,19 +315,10 @@ let of_report_json json =
         let epoch =
           Option.value ~default:0 (Option.bind (Obs.Json.member "epoch" d) Obs.Json.to_int)
         in
-        let bounds =
-          match Obs.Json.member "r_opt_bounds_cache" d with
-          | None -> (0, 0)
-          | Some b ->
-              let geti k =
-                Option.value ~default:0 (Option.bind (Obs.Json.member k b) Obs.Json.to_int)
-              in
-              (geti "lookups", geti "hits")
-        in
         match Obs.Json.member "accountant" d with
         | None -> Ok []
         | Some a ->
-            let* row = acct_of_json ~dataset:name ~epoch ~bounds a in
+            let* row = acct_of_json ~dataset:name ~epoch a in
             Ok [ row ])
   in
   Ok (families_of_source { kinds = List.rev kinds; counters; acct; result_cache = [] })

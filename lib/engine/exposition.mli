@@ -15,8 +15,6 @@
       [{dataset,quantity="budget"|"spent"}] and
       [privcluster_budget_refusals_total{dataset}] — the ledger;
     - [privcluster_epoch{dataset}] — the dataset's current epoch;
-    - [privcluster_bounds_cache_total{dataset,event="lookup"|"hit"}] —
-      the registry's r_opt-bounds cache;
     - [privcluster_result_cache_total{dataset,event="hit"|"miss"}] —
       the service's result cache (when a cache is passed);
     - the [privcluster_spans_*] families of {!Obs.Prom.of_spans}.

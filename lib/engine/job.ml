@@ -315,11 +315,11 @@ let spec_to_line spec =
 
 (* --- results ----------------------------------------------------------- *)
 
-type ball = { center : Geometry.Vec.t; radius : float; covered : int }
+type ball = { center : Geometry.Vec.t; radius : float }
 
 type output =
-  | Cluster of { ball : ball; t : int; ratio_vs_hi : float; delta_bound : float }
-  | Clusters of { balls : ball list; uncovered : int; failures : int }
+  | Cluster of { ball : ball; t : int; delta_bound : float }
+  | Clusters of { balls : ball list; failures : int }
   | Quantile_value of { value : float; target_rank : float }
   | Radius of { radius : float; t : int; delta_bound : float }
   | Epoch_advanced of { epoch : int; n : int }
@@ -346,31 +346,16 @@ type result = { spec : spec; status : status; latency_ms : float; attempts : int
    are decimal and untagged, the human-readable reply form. *)
 let encode_output ~exact output =
   let float x = if exact then Json.String (hex x) else Json.Float x in
-  let ball { center; radius; covered } =
+  let ball { center; radius } =
     Json.Obj
-      [
-        ("center", Json.List (Array.to_list (Array.map float center)));
-        ("radius", float radius);
-        ("covered", Json.Int covered);
-      ]
+      [ ("center", Json.List (Array.to_list (Array.map float center))); ("radius", float radius) ]
   in
   let tag, fields =
     match output with
-    | Cluster { ball = b; t; ratio_vs_hi; delta_bound } ->
-        ( "cluster",
-          [
-            ("ball", ball b);
-            ("t", Json.Int t);
-            ("ratio_vs_hi", float ratio_vs_hi);
-            ("delta_bound", float delta_bound);
-          ] )
-    | Clusters { balls; uncovered; failures } ->
-        ( "clusters",
-          [
-            ("balls", Json.List (List.map ball balls));
-            ("uncovered", Json.Int uncovered);
-            ("failures", Json.Int failures);
-          ] )
+    | Cluster { ball = b; t; delta_bound } ->
+        ("cluster", [ ("ball", ball b); ("t", Json.Int t); ("delta_bound", float delta_bound) ])
+    | Clusters { balls; failures } ->
+        ("clusters", [ ("balls", Json.List (List.map ball balls)); ("failures", Json.Int failures) ])
     | Quantile_value { value; target_rank } ->
         ("quantile", [ ("value", float value); ("target_rank", float target_rank) ])
     | Radius { radius; t; delta_bound } ->
@@ -408,11 +393,9 @@ let result_to_json r =
   Json.Obj (base @ extra)
 
 let output_detail = function
-  | Cluster { ball; t; ratio_vs_hi; _ } ->
-      Printf.sprintf "radius %.4f covered %d/%d (w=%.2f)" ball.radius ball.covered t ratio_vs_hi
-  | Clusters { balls; uncovered; failures } ->
-      Printf.sprintf "%d balls, %d uncovered, %d failed iters" (List.length balls) uncovered
-        failures
+  | Cluster { ball; t; _ } -> Printf.sprintf "radius %.4f for t=%d" ball.radius t
+  | Clusters { balls; failures } ->
+      Printf.sprintf "%d balls, %d failed iters" (List.length balls) failures
   | Quantile_value { value; target_rank } ->
       Printf.sprintf "value %.4f (target rank %.0f)" value target_rank
   | Radius { radius; t; _ } -> Printf.sprintf "radius %.4f for t=%d (no center)" radius t
@@ -455,9 +438,8 @@ let output_of_wire json =
   in
   let ball b =
     let* center = list b "center" dehex in
-    let* radius = float b "radius" in
-    let+ covered = int b "covered" in
-    { center = Array.of_list center; radius; covered }
+    let+ radius = float b "radius" in
+    { center = Array.of_list center; radius }
   in
   let* kind =
     Result.bind (field json "kind") (fun v ->
@@ -467,14 +449,12 @@ let output_of_wire json =
   | "cluster" ->
       let* ball = Result.bind (field json "ball") ball in
       let* t = int json "t" in
-      let* ratio_vs_hi = float json "ratio_vs_hi" in
       let+ delta_bound = float json "delta_bound" in
-      Cluster { ball; t; ratio_vs_hi; delta_bound }
+      Cluster { ball; t; delta_bound }
   | "clusters" ->
       let* balls = list json "balls" ball in
-      let* uncovered = int json "uncovered" in
       let+ failures = int json "failures" in
-      Clusters { balls; uncovered; failures }
+      Clusters { balls; failures }
   | "quantile" ->
       let* value = float json "value" in
       let+ target_rank = float json "target_rank" in

@@ -136,13 +136,18 @@ val spec_to_line : spec -> string
 
 (** {1 Results} *)
 
-type ball = { center : Geometry.Vec.t; radius : float; covered : int }
+(** An output carries only what a mechanism released and the public
+    parameters it ran at: no count of the points a ball covers, no ratio
+    against the true optimum.  Such diagnostics read the data with no
+    noise, so no ε would bound what a reply reveals; the evaluation path
+    ({!Workload.Metrics}, the experiments) measures them on synthetic data
+    instead. *)
+
+type ball = { center : Geometry.Vec.t; radius : float }
 
 type output =
-  | Cluster of { ball : ball; t : int; ratio_vs_hi : float; delta_bound : float }
-      (** [ratio_vs_hi] is radius / r_hi against the registry's cached
-          sandwich (the experiment suite's [w_private]). *)
-  | Clusters of { balls : ball list; uncovered : int; failures : int }
+  | Cluster of { ball : ball; t : int; delta_bound : float }
+  | Clusters of { balls : ball list; failures : int }
   | Quantile_value of { value : float; target_rank : float }
   | Radius of { radius : float; t : int; delta_bound : float }
       (** The degraded fallback's output: a GoodRadius-only answer — a
@@ -201,3 +206,7 @@ val output_to_wire : output -> Obs.Json.t
     bit-for-bit through {!output_of_wire}. *)
 
 val output_of_wire : Obs.Json.t -> (output, string) Stdlib.result
+(** Decode {!output_to_wire}'s form.  Members it does not read are
+    ignored, so a record journaled by an older build that still carries
+    the exact coverage counts or the ratio against the r_opt sandwich
+    restores. *)

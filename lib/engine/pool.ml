@@ -9,10 +9,11 @@ let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 (* Backoff before retry [attempt] (attempt ≥ 1): capped exponential.  Purely a
    pacing concern — determinism never depends on it, because every attempt of a
    task replays the same derived RNG stream. *)
-let backoff_delay ~backoff_s attempt =
-  Float.min 0.25 (backoff_s *. (2. ** float_of_int (attempt - 1)))
+let backoff_base_s = 1e-3
 
-let run ?(retries = 0) ?(backoff_s = 1e-3) ?(on_retry = fun ~index:_ ~attempt:_ -> ())
+let backoff_delay attempt = Float.min 0.25 (backoff_base_s *. (2. ** float_of_int (attempt - 1)))
+
+let run ?(retries = 0) ?(on_retry = fun ~index:_ ~attempt:_ -> ())
     ?trace_parent ~domains ~f tasks =
   let n = Array.length tasks in
   if n = 0 then [||]
@@ -37,7 +38,7 @@ let run ?(retries = 0) ?(backoff_s = 1e-3) ?(on_retry = fun ~index:_ ~attempt:_ 
             Obs.Span.event ~cat:"pool" ?parent:trace_parent
               ~attrs:(fun () -> [ ("index", Obs.Span.I i); ("attempt", Obs.Span.I a) ])
               "pool.retry";
-            Unix.sleepf (backoff_delay ~backoff_s a)
+            Unix.sleepf (backoff_delay a)
           end;
           if expired () then Timed_out { elapsed_ms = elapsed_ms () }
           else

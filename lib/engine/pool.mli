@@ -19,8 +19,8 @@
 
     + {b Retries.} A task whose work function raises is re-run {e in
       place} (same worker, same index) up to [retries] extra attempts,
-      with capped exponential backoff ([backoff_s · 2^(attempt−1)],
-      capped at 250 ms) between attempts.  Only when every attempt has
+      with capped exponential backoff ([1 ms · 2^(attempt−1)], capped
+      at 250 ms) between attempts.  Only when every attempt has
       raised does the task report {!Failed}; the failure is confined to
       the task and the worker moves on to the next one.  No exception a
       task raises ends its worker.
@@ -55,7 +55,6 @@ val recommended_domains : unit -> int
 
 val run :
   ?retries:int ->
-  ?backoff_s:float ->
   ?on_retry:(index:int -> attempt:int -> unit) ->
   ?trace_parent:Obs.Span.id ->
   domains:int ->
@@ -65,9 +64,9 @@ val run :
 (** [run ~domains ~f tasks] — [f ~index ~attempt payload] for every task;
     [domains] is clamped to [[1, Array.length tasks]], and the call
     spawns one domain fewer (the caller works); [retries] extra
-    attempts per task (default 0); [backoff_s] base backoff (default
-    1 ms); [on_retry ~index ~attempt] runs before attempt [attempt ≥ 1]
-    of task [index].  Blocks until the batch is drained.
+    attempts per task (default 0); [on_retry ~index ~attempt] runs
+    before attempt [attempt ≥ 1] of task [index].  Blocks until the
+    batch is drained.
 
     When tracing is enabled ({!Obs.Span.set_enabled}), retries
     additionally emit [cat="pool"] instant events parented under

@@ -10,12 +10,11 @@ module Json = Obs.Json
    keep working through structural sharing — their views and trees hold a
    reference to whatever array backed them.
 
-   An epoch holds its view, its index and two caches that are pure
-   functions of its rows: the r_opt-bounds table (in the epoch state) and
-   the index's one-entry memo of GoodRadius's sweep and its count matrix
-   (inside [Pointset.index]).  Every mutation builds a fresh index
-   ([Pointset.build_index], as registration does) and a fresh table, so a
-   new epoch starts cold.  The build (about 1 ms at n = 2000) is small
+   An epoch holds its view and its index, which carries a one-entry memo
+   of GoodRadius's sweep and its count matrix, a pure function of the
+   epoch's rows.  Every mutation builds a fresh index
+   ([Pointset.build_index], as registration does), so a new epoch starts
+   cold.  The build (about 1 ms at n = 2000) is small
    beside the epoch's first GoodRadius sweep, which reads only the tree's
    leaf order (PERFORMANCE.md §4, "One build per epoch" and "Stop the
    first sweep at saturation"). *)
@@ -24,7 +23,6 @@ type epoch_state = {
   epoch : int;
   pointset : Geometry.Pointset.t;
   index : Geometry.Pointset.index;  (** carries the epoch's count-matrix memo *)
-  bounds : (int, float * float) Hashtbl.t;
 }
 
 type mutation =
@@ -38,9 +36,7 @@ type dataset = {
   mutable arena : float array;
   mutable used : int;  (** elements of [arena] below the high-water mark *)
   mutable current : epoch_state;
-  mu : Mutex.t;  (** serializes mutations and guards the bounds tables *)
-  mutable bounds_lookups : int;
-  mutable bounds_hits : int;
+  mu : Mutex.t;  (** serializes mutations *)
   mutable mutation_listeners : (mutation -> unit) list;
 }
 
@@ -51,8 +47,7 @@ let create () = { datasets = [] }
 let find t name = List.find_opt (fun d -> d.name = name) t.datasets
 let names t = List.rev_map (fun d -> d.name) t.datasets
 
-let fresh_epoch ~epoch ps =
-  { epoch; pointset = ps; index = Geometry.Pointset.build_index ps; bounds = Hashtbl.create 8 }
+let fresh_epoch ~epoch ps = { epoch; pointset = ps; index = Geometry.Pointset.build_index ps }
 
 let register t ~name ~grid ?mode ~budget points =
   if find t name <> None then
@@ -69,8 +64,6 @@ let register t ~name ~grid ?mode ~budget points =
       used = Geometry.Pointset.n pointset * Geometry.Pointset.dim pointset;
       current = fresh_epoch ~epoch:0 pointset;
       mu = Mutex.create ();
-      bounds_lookups = 0;
-      bounds_hits = 0;
       mutation_listeners = [];
     }
   in
@@ -155,42 +148,9 @@ let retire d ~from_ ~count =
       notify d (Retired { epoch = epoch'; from_; count });
       epoch')
 
-(* The table is looked up and filled under [d.mu]; the scan runs outside
-   it, so a miss never holds up another job's lookup, append or retire.
-   Two first requests for the same [t] may both scan: their answers are
-   equal bit for bit (the scan returns the unpruned scan's first
-   minimizing row, whatever final columns of the index's sweep it
-   peeked), so whichever inserts last changes nothing.  The pruned
-   2-approximation scan is short: after the job's GoodRadius sweep those
-   columns leave only the distinct points in the lowest radius bracket
-   that reaches [t] (every distinct point when there is no final column),
-   one tree query each, plus one exact t-th neighbor evaluation per
-   improvement of (or tie with) the running best.  A scan that outlives
-   its epoch fills that epoch's own table. *)
-let r_opt_bounds d ~t =
-  let cur, cached =
-    Mutex.protect d.mu (fun () ->
-        let cur = d.current in
-        d.bounds_lookups <- d.bounds_lookups + 1;
-        let cached = Hashtbl.find_opt cur.bounds t in
-        if cached <> None then d.bounds_hits <- d.bounds_hits + 1;
-        (cur, cached))
-  in
-  match cached with
-  | Some b -> b
-  | None ->
-      let b = Workload.Metrics.r_opt_bounds_indexed cur.index ~t in
-      Mutex.protect d.mu (fun () -> Hashtbl.replace cur.bounds t b);
-      b
-
-let bounds_cache_stats d =
-  Mutex.lock d.mu;
-  let s = (d.bounds_lookups, d.bounds_hits) in
-  Mutex.unlock d.mu;
-  s
+let r_opt_bounds d ~t = Workload.Metrics.r_opt_bounds_indexed (index d) ~t
 
 let to_json d =
-  let lookups, hits = bounds_cache_stats d in
   Json.Obj
     [
       ("name", Json.String d.name);
@@ -199,6 +159,5 @@ let to_json d =
       ("dim", Json.Int (dim d));
       ("axis_size", Json.Int (Geometry.Grid.axis_size d.grid));
       ("index_backend", Json.String "kdtree");
-      ("r_opt_bounds_cache", Json.Obj [ ("lookups", Json.Int lookups); ("hits", Json.Int hits) ]);
       ("accountant", Accountant.summary_json d.accountant);
     ]

@@ -6,14 +6,11 @@
     against the dataset reuses both.
 
     {b Epochs.}  {!append} and {!retire} each publish a new {e epoch} — an
-    immutable snapshot (pointset view + index + r_opt-bounds cache) over
-    the dataset's append-only arena.  Readers holding the previous epoch
+    immutable snapshot (pointset view + index) over the dataset's
+    append-only arena.  Readers holding the previous epoch
     keep computing against it unchanged (structural sharing); new work
     sees the new epoch.  Every epoch builds its own index with
-    {!Geometry.Pointset.build_index}, exactly as registration does.  The
-    [(r_lo, r_hi)] sandwich of {!Workload.Metrics.r_opt_bounds_indexed}
-    is cached per epoch, keyed by the target [t] — a mutation invalidates
-    it wholesale.
+    {!Geometry.Pointset.build_index}, exactly as registration does.
 
     Worker domains read the current epoch's pointset and index
     concurrently; mutations are serialized by an internal mutex and
@@ -91,20 +88,13 @@ val n : dataset -> int
 val dim : dataset -> int
 
 val r_opt_bounds : dataset -> t:int -> float * float
-(** The cached [(r_lo, r_hi)] sandwich for target size [t] on the current
-    epoch; computed on first request ({!Geometry.Seb.two_approx_indexed}
-    on the epoch's index, narrowed by its sweep's final count columns
-    when a job has swept it), then served from the epoch's cache.  Safe to call from
-    worker domains: the scan runs outside the dataset's lock, so
-    concurrent first requests for one [t] may each scan, and they get the
-    same sandwich bit for bit. *)
-
-val bounds_cache_stats : dataset -> int * int
-(** [(lookups, hits)] of the r_opt-bounds cache, accumulated across all
-    epochs — the reuse the registry exists to provide, surfaced for
-    telemetry and tests. *)
+(** {!Workload.Metrics.r_opt_bounds_indexed} on the current epoch's index:
+    the noise-free [(r_lo, r_hi)] sandwich for target size [t], scanned
+    afresh on every call.  It is not private, and no served output
+    carries it; it stays for the frozen end-to-end bench, which times
+    it. *)
 
 val to_json : dataset -> Obs.Json.t
-(** Shape, epoch, index backend, cache stats and the ledger's
+(** Shape, epoch, index backend and the ledger's
     {!Accountant.summary_json}: no charge history, so the size does not
     grow with the number of charges. *)

@@ -24,7 +24,6 @@ type t = {
   domains : int;
   seed : int;
   retries : int;
-  backoff_s : float;
   faults : Faults.t;
   base_rng : Prim.Rng.t;  (* never drawn from; only [Rng.derive]d per job *)
   registry : Registry.t;
@@ -35,8 +34,8 @@ type t = {
     (dataset:string -> line:string -> seed:int -> stream:int -> unit) list;
 }
 
-let create ?(profile = Privcluster.Profile.practical) ?domains ?(seed = 1) ?(retries = 2)
-    ?(backoff_s = 1e-3) ?faults () =
+let create ?(profile = Privcluster.Profile.practical) ?domains ?(seed = 1) ?(retries = 2) ?faults
+    () =
   let domains =
     max 1 (match domains with Some d -> d | None -> Pool.recommended_domains ())
   in
@@ -46,7 +45,6 @@ let create ?(profile = Privcluster.Profile.practical) ?domains ?(seed = 1) ?(ret
     domains;
     seed;
     retries = max 0 retries;
-    backoff_s;
     faults;
     base_rng = Prim.Rng.create ~seed ();
     registry = Registry.create ();
@@ -71,30 +69,20 @@ let target_of spec dataset =
   | None -> 1
 
 (* One admitted job, on a worker domain.  Everything read from [dataset] is
-   immutable after registration except the r_opt-bounds cache, which locks
-   internally. *)
+   immutable after registration.  A completed output carries only what the
+   mechanism released and the public parameters it ran at. *)
 let execute t dataset rng (spec : Job.spec) : Job.status =
   let grid = Registry.grid dataset in
   let ps = Registry.pointset dataset in
   let eps = spec.Job.eps and delta = spec.Job.delta and beta = spec.Job.beta in
-  (* The three 1-cluster solvers share one output: the released ball, its
-     true coverage, and its radius against the registry's r_opt sandwich. *)
+  (* The three 1-cluster solvers share one output: the released ball. *)
   let cluster run pp_failure answer =
     let target = target_of spec dataset in
     match run target with
     | Error f -> Job.Solver_failed (Format.asprintf "%a" pp_failure f)
     | Ok r ->
         let center, radius, delta_bound = answer r in
-        let covered = Geometry.Pointset.ball_count ps ~center ~radius in
-        let _, r_hi = Registry.r_opt_bounds dataset ~t:target in
-        Job.Completed
-          (Job.Cluster
-             {
-               ball = { Job.center; radius; covered };
-               t = target;
-               ratio_vs_hi = (if r_hi > 0. then radius /. r_hi else Float.infinity);
-               delta_bound;
-             })
+        Job.Completed (Job.Cluster { ball = { Job.center; radius }; t = target; delta_bound })
   in
   match spec.Job.kind with
   | Job.One_cluster _ ->
@@ -124,17 +112,10 @@ let execute t dataset rng (spec : Job.spec) : Job.status =
       in
       let balls =
         List.map
-          (fun { Privcluster.K_cluster.center; radius; _ } ->
-            { Job.center; radius; covered = Geometry.Pointset.ball_count ps ~center ~radius })
+          (fun { Privcluster.K_cluster.center; radius; _ } -> { Job.center; radius })
           r.Privcluster.K_cluster.balls
       in
-      Job.Completed
-        (Job.Clusters
-           {
-             balls;
-             uncovered = r.Privcluster.K_cluster.uncovered;
-             failures = r.Privcluster.K_cluster.failures;
-           })
+      Job.Completed (Job.Clusters { balls; failures = r.Privcluster.K_cluster.failures })
   | Job.Quantile { axis; q } ->
       let d = Registry.dim dataset in
       if axis < 0 || axis >= d then
@@ -458,7 +439,7 @@ let run_batch ?domains ?seed t ~dataset specs =
     in
     let on_retry ~index:_ ~attempt:_ = Telemetry.incr t.telemetry "retries" in
     let outcomes =
-      Pool.run ~retries ~backoff_s:t.backoff_s ~on_retry ?trace_parent:batch_id ~domains
+      Pool.run ~retries ~on_retry ?trace_parent:batch_id ~domains
         ~f:(fun ~index:_ ~attempt (stream, spec) ->
           job_span spec ~stream
             ~attrs:(fun () ->

@@ -55,7 +55,6 @@ val create :
   ?domains:int ->
   ?seed:int ->
   ?retries:int ->
-  ?backoff_s:float ->
   ?faults:Faults.t ->
   unit ->
   t
@@ -64,8 +63,8 @@ val create :
     workers a batch runs on, the caller included: a batch spawns
     [domains − 1] domains); [seed] (default 1)
     is the base of every per-job derived stream; [retries] (default 2,
-    clamped to ≥ 0) is the per-job in-place retry allowance; [backoff_s]
-    (default 1 ms) the base retry backoff; [faults] defaults to
+    clamped to ≥ 0) is the per-job in-place retry allowance (backoff as
+    in {!Pool.run}); [faults] defaults to
     {!Faults.of_env} — the [PRIVCLUSTER_FAULTS] schedule, or no faults
     when the variable is unset. *)
 

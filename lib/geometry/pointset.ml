@@ -110,7 +110,7 @@ type sweep = {
    it.  [mu] serializes replacing the entry and every [advance] of it: a
    concurrent caller that needs a column not yet final waits for the
    advance in flight instead of redoing it.  The entry is read without
-   [mu] (see [memo_peek]). *)
+   [mu] (see [memo_sweep]). *)
 type memo = { mu : Mutex.t; sweep : sweep option Atomic.t }
 
 (* [reps] is the row grouping ([group_rows]), computed when the index is
@@ -465,67 +465,7 @@ let kth_neighbor_distance idx ~k i =
     ~out:row;
   Kernel.kth_smallest row ~len:count ~k
 
-(* The memo's count matrix and how many of its columns are final, when
-   it holds a sweep with a final column; never waits.  Without [mu]: an
-   advance publishes [exact] only after writing its columns, columns
-   below [exact] are never written again, and an advance in flight
-   writes only columns at or above it, so the columns read here are
-   final and no write races with the read. *)
-let memo_peek idx =
-  match Atomic.get idx.memo.sweep with
-  | Some sw ->
-      let exact = Atomic.get sw.exact in
-      if exact > 0 then Some (sw.counts, exact) else None
-  | None -> None
-
-(* The representatives that can hold the smallest k-th neighbour
-   distance.  With final count columns for radii r_0 <= … <= r_last, a
-   point's count reaches k at r_j exactly when its k-th distance is at
-   most r_j (one predicate, see [kth_neighbor_distance]).  Let j be the
-   first radius at which some point's count reaches k: the minimum is at
-   most r_j, and a point whose count is below k at r_j has a k-th
-   distance above r_j, so only the points whose count reaches k at r_j
-   can attain (or tie) the minimum.  With no final column to peek (no
-   sweep memoized, or none advanced yet), or when no point reaches k
-   within r_last, every representative is a candidate.  A sweep stopped
-   at saturation for cap t holds t points reaching t at its last final
-   column, so the bracket for k = t is always found. *)
-let kth_candidates idx ~k =
-  let count = n idx.ps and reps = idx.reps in
-  (* The representatives [i] with [keep i], ascending, in one loop. *)
-  let collect keep =
-    let buf = Array.make count 0 and m = ref 0 in
-    for i = 0 to count - 1 do
-      if reps.(i) = i && keep i then begin
-        buf.(!m) <- i;
-        incr m
-      end
-    done;
-    Array.sub buf 0 !m
-  in
-  let all _ = true in
-  match memo_peek idx with
-  | None -> collect all
-  | Some (counts, exact) ->
-      (* Column [j] is [counts.(j·count ..)], contiguous: stop at its first
-         representative reaching k. *)
-      let reached j =
-        let base = j * count and i = ref 0 in
-        while !i < count && not (reps.(!i) = !i && counts.(base + !i) >= k) do
-          incr i
-        done;
-        !i < count
-      in
-      let j = ref 0 in
-      while !j < exact && not (reached !j) do
-        incr j
-      done;
-      if !j = exact then collect all
-      else
-        let base = !j * count in
-        collect (fun i -> counts.(base + i) >= k)
-
-(* Pruned but exact: a candidate is evaluated only if its ball of
+(* Pruned but exact: a representative is evaluated only if its ball of
    radius [Float.pred best] already holds k points, that is, only if its
    k-th distance is strictly below the running best.  The count and the
    k-th distance share one predicate, so a count below k means the
@@ -533,23 +473,24 @@ let kth_candidates idx ~k =
    fired; a tie, which cannot replace the best, is never evaluated.  The
    first probe, at radius infinity, always holds; once the best is 0
    nothing can beat it.  A duplicate has its representative's distance,
-   and a point outside the candidates a distance above the minimum, so
-   neither could win either: the result — the first row attaining the
+   so it could not win either: the result — the first row attaining the
    smallest k-th distance — is the unpruned scan's over every row. *)
 let min_kth_neighbor_distance idx ~k =
-  if k <= 0 || k > n idx.ps then invalid_arg "Pointset.min_kth_neighbor_distance: bad k";
+  let count = n idx.ps in
+  if k <= 0 || k > count then invalid_arg "Pointset.min_kth_neighbor_distance: bad k";
   let best = ref infinity and best_i = ref 0 in
-  Array.iter
-    (fun i ->
+  for i = 0 to count - 1 do
+    if idx.reps.(i) = i && !best > 0. then begin
       let probe = if !best = infinity then infinity else Float.pred !best in
-      if !best > 0. && holds_at_least idx ~radius:probe ~k i then begin
+      if holds_at_least idx ~radius:probe ~k i then begin
         let r = kth_neighbor_distance idx ~k i in
         if r < !best then begin
           best := r;
           best_i := i
         end
-      end)
-    (kth_candidates idx ~k);
+      end
+    end
+  done;
   (!best_i, !best)
 
 module For_testing = struct
@@ -596,9 +537,6 @@ module For_testing = struct
 
   (* Every call that memoizes a sweep advances it to at least one column. *)
   let memo_holds idx ~radii = memo_exact idx ~radii > 0
-
-  let kth_candidate_count idx ~k = Array.length (kth_candidates idx ~k)
-  let with_memo_locked idx f = Mutex.protect idx.memo.mu f
 
   let holds_at_least = holds_at_least
   let memo_exact = memo_exact

@@ -196,19 +196,11 @@ val min_kth_neighbor_distance : index -> k:int -> int * float
 (** [(i, r)]: the first row [i] attaining the smallest [k]-th neighbour
     distance [r] over every row — what scanning {!kth_neighbor_distance}
     over all rows with a strict [<] returns, bit for bit, found by a
-    pruned scan over the distinct points.  When the memoized sweep has
-    final count columns, the first of their radii at which some point's
-    count reaches [k] brackets the minimum: a point whose count is below
-    [k] there has a [k]-th distance above that radius, so only the points
-    whose count reaches [k] are candidates.  A sweep stopped at
-    saturation for cap [t] always brackets [k = t].  With no final
-    column, or when no point reaches [k] at the last final radius, every
-    distinct point is.  The final columns are read without the memo's
-    mutex, so the scan never waits on a sweep, even while another domain
-    advances it.  Each candidate is probed with
+    pruned scan over the distinct points.  It does not read the memoized
+    sweep.  Each distinct point is probed with
     {!For_testing.holds_at_least} just below the running best
     ([Float.pred], or [infinity] for the first probe) and evaluated exactly only when it
-    holds, so a candidate that can at most tie the best costs one count.
+    holds, so a point that can at most tie the best costs one count.
     This is the scan behind {!Seb.two_approx_indexed}.
     @raise Invalid_argument if [k] is not in [1, n]. *)
 
@@ -239,15 +231,6 @@ module For_testing : sig
       every coordinate, so [0.0] and [-0.0] are distinct).  The
       representatives are the index's distinct points; the grouping is
       computed once, when the index is built. *)
-
-  val kth_candidate_count : index -> k:int -> int
-  (** How many distinct points {!min_kth_neighbor_distance} would probe
-      right now: below the number of distinct points only when the memo
-      narrowed the scan. *)
-
-  val with_memo_locked : index -> (unit -> 'a) -> 'a
-  (** Runs the function while holding the mutex that serializes building
-      and advancing the memoized sweep, as an advance in flight does. *)
 
   val map_points : (Vec.t -> Vec.t) -> t -> t
   (** Applies [f] to a copy of each point and packs the results into a new

@@ -356,7 +356,6 @@ let exec_epoch _t tenant ~dataset =
   match Service.find_dataset svc dataset with
   | Error msg -> err Wire.Unknown_dataset "%s" msg
   | Ok ds ->
-      let lookups, hits = Registry.bounds_cache_stats ds in
       let chits, cmisses = Result_cache.stats (Service.result_cache svc) ~dataset in
       Ok
         (Json.Obj
@@ -366,8 +365,6 @@ let exec_epoch _t tenant ~dataset =
              ("n", Json.Int (Registry.n ds));
              ("dim", Json.Int (Registry.dim ds));
              ("index_backend", Json.String "kdtree");
-             ( "bounds_cache",
-               Json.Obj [ ("lookups", Json.Int lookups); ("hits", Json.Int hits) ] );
              ( "result_cache",
                Json.Obj [ ("hits", Json.Int chits); ("misses", Json.Int cmisses) ] );
            ])

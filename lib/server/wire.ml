@@ -1,7 +1,7 @@
 module Json = Obs.Json
 module Accountant = Engine.Accountant
 
-let version = 3
+let version = 4
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

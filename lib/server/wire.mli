@@ -28,7 +28,7 @@
     - [retire]   — [dataset], [from], [count]; retire a contiguous row
       range, advancing the epoch.
     - [epoch]    — [dataset]; current epoch, size, index backend and
-      cache statistics.
+      result-cache statistics.
     - [standing] — [dataset], [job] (the query id), [t_fraction] (in
       (0, 1], as a jobs file requires), [eps],
       [delta] (the {e total} budget), [periods], optional [seed];
@@ -50,12 +50,17 @@
     - [ping]     — liveness probe; answered even while draining. *)
 
 val version : int
-(** Protocol version ([3]); [hello] with any other value is refused.
+(** Protocol version ([4]); [hello] with any other value is refused.
     Version 2 replies to [run], [append], [retire] and [standing] with
     [spent] and [remaining] instead of the whole ledger.  Version 3 does
     the same for [register] and [datasets] (each dataset's [accountant]
     is {!Engine.Accountant.summary_json}), and [stats] no longer says
-    whether telemetry is on: it always is. *)
+    whether telemetry is on: it always is.  Version 4 serves only what
+    the mechanisms release: a result's [output] drops each ball's exact
+    coverage count, a [k_cluster]'s count of the points outside its balls
+    and the radius's ratio against the noise-free r_opt sandwich, and the
+    [epoch] reply drops the statistics of the r_opt cache, which is
+    gone. *)
 
 type request =
   | Hello of { version : int; tenant : string; token : string }

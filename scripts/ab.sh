@@ -16,8 +16,10 @@
 # many pairs B wins and ties (the better direction comes from
 # BENCHMARK.json; lower when a metric is not listed), the exact two-sided
 # sign-test p over the untied pairs, and two verdicts:
-#   claim       — B wins at least 9 in 10 pairs AND B's median is better
-#                 than A's by more than A's Q1–Q3 spread (PERFORMANCE.md §4);
+#   claim       — at least 10 pairs, B wins at least 9 in 10 of them, the
+#                 sign-test p is below 0.05, AND B's median is better than
+#                 A's by more than A's Q1–Q3 spread (PERFORMANCE.md §4); a
+#                 refused claim is followed by every condition it missed;
 #   regression  — for an end-to-end metric with a bound, B's median is
 #                 worse than A's by more than that bound.
 # Exit status: 0 when every run was correct (whatever the verdicts), 1 on
@@ -145,7 +147,7 @@ done | awk -F'\t' '
     if (d > 0) wins[k]++; else if (d == 0) ties[k]++; else losses[k]++
   }
   END {
-    printf "\n%-34s %-28s %-28s %7s %4s %8s  %-6s %s\n", "metric", "A Q1 / median / Q3", "B Q1 / median / Q3", "B wins", "ties", "sign p", "claim", "regression"
+    printf "\n%-34s %-28s %-28s %7s %4s %8s  %-16s %s\n", "metric", "A Q1 / median / Q3", "B Q1 / median / Q3", "B wins", "ties", "sign p", "regression", "claim"
     for (j = 1; j <= nk; j++) {
       k = order[j]; n = cnt[k]
       for (i = 1; i <= n; i++) { a[i] = A[k, i]; b[i] = B[k, i] }
@@ -153,12 +155,18 @@ done | awk -F'\t' '
       a1 = q(a, n, .25); am = q(a, n, .5); a3 = q(a, n, .75)
       b1 = q(b, n, .25); bm = q(b, n, .5); b3 = q(b, n, .75)
       gap = (better[k] == "higher") ? bm - am : am - bm
-      claim = (10 * wins[k] >= 9 * n && gap > a3 - a1) ? "yes" : "no"
+      p = sign_p(wins[k] + 0, losses[k] + 0)
+      why = ""
+      if (n < 10) why = why sprintf("; %d pairs < 10", n)
+      if (10 * wins[k] < 9 * n) why = why sprintf("; %d/%d wins < 9 in 10", wins[k], n)
+      if (p >= 0.05) why = why sprintf("; sign p %.3g >= 0.05", p)
+      if (gap <= a3 - a1) why = why "; median gap within A\047s Q1-Q3"
+      claim = (why == "") ? "yes" : "no (" substr(why, 3) ")"
       if (bound[k] == "-") reg = "-"
       else {
         worse = (better[k] == "higher") ? (am - bm) : (bm - am)
         reg = (am != 0 && worse / am > bound[k]) ? sprintf("FAIL (> %g%%)", 100 * bound[k]) : sprintf("ok (<= %g%%)", 100 * bound[k])
       }
-      printf "%-34s %-28s %-28s %4d/%-2d %4d %8.3g  %-6s %s\n", k, sprintf("%.4g / %.4g / %.4g", a1, am, a3), sprintf("%.4g / %.4g / %.4g", b1, bm, b3), wins[k] + 0, n, ties[k] + 0, sign_p(wins[k] + 0, losses[k] + 0), claim, reg
+      printf "%-34s %-28s %-28s %4d/%-2d %4d %8.3g  %-16s %s\n", k, sprintf("%.4g / %.4g / %.4g", a1, am, a3), sprintf("%.4g / %.4g / %.4g", b1, bm, b3), wins[k] + 0, n, ties[k] + 0, p, reg, claim
     }
   }'

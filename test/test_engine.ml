@@ -126,24 +126,18 @@ let test_registry_caches_bounds () =
       w.Workload.Synth.points
   in
   let b1 = Engine.Registry.r_opt_bounds ds ~t:100 in
-  let b2 = Engine.Registry.r_opt_bounds ds ~t:100 in
-  let _b3 = Engine.Registry.r_opt_bounds ds ~t:150 in
-  check_true "cached bounds identical" (b1 = b2);
-  let lookups, hits = Engine.Registry.bounds_cache_stats ds in
-  check_int "three lookups" 3 lookups;
-  check_int "one hit" 1 hits;
-  (* Cached sandwich must agree with a fresh computation. *)
+  (* The sandwich must agree with a fresh computation. *)
   let idx = Engine.Registry.index ds in
   let lo, hi = Workload.Metrics.r_opt_bounds_indexed idx ~t:100 in
-  check_float "cached r_lo" lo (fst b1);
-  check_float "cached r_hi" hi (snd b1);
+  check_float "r_lo" lo (fst b1);
+  check_float "r_hi" hi (snd b1);
   (match Engine.Registry.register reg ~name:"d1" ~grid ~budget:(p ~eps:1. ~delta:1e-6) w.Workload.Synth.points with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate registration accepted")
 
-(* The r_opt scan runs on the registry's k-d tree: at n = 4200 the cached
-   sandwich must equal the one from a freshly built tree over the same
-   points, bit for bit. *)
+(* The r_opt scan runs on the registry's k-d tree: at n = 4200, after
+   GoodRadius-style sweeps of its index, the sandwich must equal the one
+   from a freshly built tree over the same points, bit for bit. *)
 let test_registry_bounds_on_tree () =
   let _, grid, w = small_workload ~n:4200 () in
   let reg = Engine.Registry.create () in
@@ -156,42 +150,14 @@ let test_registry_bounds_on_tree () =
   let radii =
     Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
   in
-  let n = Geometry.Pointset.n (Engine.Registry.pointset ds) in
-  let distinct =
-    List.length (List.filter (Geometry.Pointset.For_testing.is_representative idx) (List.init n Fun.id))
-  in
-  let ts = [ 1260; 1680; 2100 ] in
-  (* A [~cap:1] sweep saturates at the first radius (every point holds
-     itself), so only that column is final, and no point reaches any of
-     these t there: the scan still probes every distinct point. *)
-  ignore (Geometry.Pointset.score_l_many idx ~cap:1 ~radii);
-  check_true "a cap-1 sweep stops at the first radius" (Geometry.Pointset.For_testing.memo_exact idx ~radii = 1);
-  List.iter
-    (fun t ->
-      check_true
-        (Printf.sprintf "t=%d: after a cap-1 sweep the scan probes every distinct point" t)
-        (Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t = distinct))
-    ts;
-  (* Warm the registry index's sweep as GoodRadius does, with [~cap:t]
-     before each t's miss, so the misses narrow their scans with it;
-     [fresh] stays cold and scans every distinct point. *)
   List.iter
     (fun t ->
       ignore (Geometry.Pointset.score_l_many idx ~cap:t ~radii);
-      check_true
-        (Printf.sprintf "t=%d: the memo narrows the scan" t)
-        (Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t < distinct);
-      check_true
-        (Printf.sprintf "t=%d: the cold index probes every distinct point" t)
-        (Geometry.Pointset.For_testing.kth_candidate_count fresh ~k:t = distinct);
       let lo, hi = Engine.Registry.r_opt_bounds ds ~t in
       let lo', hi' = Workload.Metrics.r_opt_bounds_indexed fresh ~t in
       check_float ~tol:0. (Printf.sprintf "r_lo t=%d" t) lo' lo;
       check_float ~tol:0. (Printf.sprintf "r_hi t=%d" t) hi' hi)
-    ts;
-  check_true "three misses" (Engine.Registry.bounds_cache_stats ds = (3, 0));
-  ignore (Engine.Registry.r_opt_bounds ds ~t:1680);
-  check_true "then a hit" (Engine.Registry.bounds_cache_stats ds = (4, 1))
+    [ 1260; 1680; 2100 ]
 
 (* Every epoch gets a fresh index, so the count-matrix memo can never
    outlive the rows it was filled from: after an append and a retire,
@@ -257,29 +223,56 @@ let test_memo_concurrent_first_calls () =
   check_true "and equal a cold index" (v1 = expected);
   check_true "memo filled once for both" (Geometry.Pointset.For_testing.memo_holds idx ~radii)
 
-(* An advance in flight holds the memo's mutex; the r_opt scan reads the
-   sweep's final columns without it, so it still probes only the bracket,
-   never every distinct point. *)
-let test_kth_candidates_while_memo_locked () =
-  let _, grid, w = small_workload ~n:1500 () in
-  let idx = Geometry.Pointset.build_index (Geometry.Pointset.create w.Workload.Synth.points) in
-  let radii =
-    Array.init (Geometry.Grid.geometric_candidates grid) (Geometry.Grid.geometric_radius_of_index grid)
+(* A completed output carries what the mechanism released (centers and
+   radii, a failure count) and the public parameters it ran at (t, the
+   certified Δ), nothing read off the data without noise: no coverage
+   count, no ratio against the true optimum. *)
+let test_served_outputs_private () =
+  let service = Engine.Service.create ~domains:1 ~seed:21 ~faults:Engine.Faults.none () in
+  let _, grid, w = small_workload ~seed:4 ~n:20_000 ~axis:256 ~fraction:0.7 ~radius:0.05 () in
+  let ds =
+    Engine.Service.register service ~name:"w" ~grid ~budget:(p ~eps:20. ~delta:1e-4)
+      w.Workload.Synth.points
   in
-  let distinct =
-    List.length (List.filter (Geometry.Pointset.For_testing.is_representative idx) (List.init 1500 Fun.id))
+  let spec id kind ~eps ~delta =
+    { Engine.Job.id; kind; eps; delta; beta = 0.1; deadline_s = None; fallback = false }
   in
+  let results =
+    Engine.Service.run_batch service ~dataset:ds
+      [
+        spec "one" (Engine.Job.One_cluster { t_fraction = 0.5 }) ~eps:2. ~delta:1e-6;
+        spec "ldp" (Engine.Job.Local_cluster { t_fraction = 0.5 }) ~eps:2. ~delta:0.;
+        spec "meb" (Engine.Job.Meb { t_fraction = 0.6; coreset = 200 }) ~eps:1. ~delta:1e-7;
+        spec "k" (Engine.Job.K_cluster { k = 2; t_fraction = 0.3 }) ~eps:2. ~delta:1e-6;
+      ]
+  in
+  let keys what json expected =
+    match json with
+    | Obs.Json.Obj fields ->
+        Alcotest.(check (list string)) what expected (List.sort compare (List.map fst fields))
+    | _ -> Alcotest.failf "%s: not an object" what
+  in
+  let ball what b = keys (what ^ " ball") b [ "center"; "radius" ] in
+  check_int "four results" 4 (List.length results);
   List.iter
-    (fun t ->
-      ignore (Geometry.Pointset.score_l_many idx ~cap:t ~radii);
-      let free = Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t in
-      let locked =
-        Geometry.Pointset.For_testing.with_memo_locked idx (fun () ->
-            Geometry.Pointset.For_testing.kth_candidate_count idx ~k:t)
-      in
-      check_true (Printf.sprintf "t=%d: the sweep narrows the scan" t) (free < distinct);
-      check_int (Printf.sprintf "t=%d: candidates while the memo's mutex is held" t) free locked)
-    [ 300; 600 ]
+    (fun (r : Engine.Job.result) ->
+      let id = r.Engine.Job.spec.Engine.Job.id in
+      let json = Engine.Job.result_to_json r in
+      check_true (id ^ " ok") (Engine.Job.status_name r.Engine.Job.status = "ok");
+      keys id json [ "attempts"; "delta"; "eps"; "id"; "kind"; "latency_ms"; "output"; "status" ];
+      let output = Option.get (Obs.Json.member "output" json) in
+      match r.Engine.Job.spec.Engine.Job.kind with
+      | Engine.Job.K_cluster _ -> (
+          keys id output [ "balls"; "failures" ];
+          match Obs.Json.member "balls" output with
+          | Some (Obs.Json.List bs) ->
+              check_true (id ^ " released a ball") (bs <> []);
+              List.iter (ball id) bs
+          | _ -> Alcotest.failf "%s: no ball list" id)
+      | _ ->
+          keys id output [ "ball"; "delta_bound"; "t" ];
+          ball id (Option.get (Obs.Json.member "ball" output)))
+    results
 
 (* Two domains ask the registry for r_opt sandwiches, first for the same
    t, then for different ones, while a third call advances the epoch's
@@ -318,10 +311,7 @@ let test_registry_bounds_concurrent () =
     List.iter
       (fun (t, b) ->
         check_true (Printf.sprintf "round %d, t=%d: equals a cold scan" round t) (b = expected t))
-      (Domain.join d1 @ Domain.join d2);
-    check_true
-      (Printf.sprintf "round %d: every answer cached" round)
-      (List.for_all (fun t -> bits (Engine.Registry.r_opt_bounds ds ~t) = expected t) ts)
+      (Domain.join d1 @ Domain.join d2)
   done
 
 (* --- Job parsing -------------------------------------------------------- *)
@@ -511,22 +501,19 @@ let test_job_golden_bytes () =
     (fun (spec, expected) ->
       Alcotest.(check string) "signature" expected (Engine.Job.signature spec))
     signatures;
-  let ball = { Engine.Job.center = [| tenth; -.third |]; radius = 0.0625 +. 1e-9; covered = 17 } in
-  let ball_json = {|{"center":[0.3,-0.333333333333],"radius":0.062500001,"covered":17}|} in
+  let ball = { Engine.Job.center = [| tenth; -.third |]; radius = 0.0625 +. 1e-9 } in
+  let ball_json = {|{"center":[0.3,-0.333333333333],"radius":0.062500001}|} in
   let ball_wire =
-    {|{"center":["0x1.3333333333334p-2","-0x1.5555555555555p-2"],"radius":"0x1.00000044b82fap-4",|}
-    ^ {|"covered":17}|}
+    {|{"center":["0x1.3333333333334p-2","-0x1.5555555555555p-2"],"radius":"0x1.00000044b82fap-4"}|}
   in
   let outputs =
     [
-      ( Engine.Job.Cluster { ball; t = 40; ratio_vs_hi = 1.5 +. 1e-12; delta_bound = third },
-        {|{"ball":|} ^ ball_json ^ {|,"t":40,"ratio_vs_hi":1.5,"delta_bound":0.333333333333}|},
-        {|{"kind":"cluster","ball":|} ^ ball_wire
-        ^ {|,"t":40,"ratio_vs_hi":"0x1.8000000001198p+0","delta_bound":"0x1.5555555555555p-2"}|} );
-      ( Engine.Job.Clusters { balls = [ ball; ball ]; uncovered = 3; failures = 1 },
-        {|{"balls":[|} ^ ball_json ^ "," ^ ball_json ^ {|],"uncovered":3,"failures":1}|},
-        {|{"kind":"clusters","balls":[|} ^ ball_wire ^ "," ^ ball_wire
-        ^ {|],"uncovered":3,"failures":1}|} );
+      ( Engine.Job.Cluster { ball; t = 40; delta_bound = third },
+        {|{"ball":|} ^ ball_json ^ {|,"t":40,"delta_bound":0.333333333333}|},
+        {|{"kind":"cluster","ball":|} ^ ball_wire ^ {|,"t":40,"delta_bound":"0x1.5555555555555p-2"}|} );
+      ( Engine.Job.Clusters { balls = [ ball; ball ]; failures = 1 },
+        {|{"balls":[|} ^ ball_json ^ "," ^ ball_json ^ {|],"failures":1}|},
+        {|{"kind":"clusters","balls":[|} ^ ball_wire ^ "," ^ ball_wire ^ {|],"failures":1}|} );
       ( Engine.Job.Quantile_value { value = tenth; target_rank = 200.5 },
         {|{"value":0.3,"target_rank":200.5}|},
         {|{"kind":"quantile","value":"0x1.3333333333334p-2","target_rank":"0x1.91p+7"}|} );
@@ -558,7 +545,7 @@ let test_job_golden_bytes () =
 
 (* The journal form decodes back to the same output, bit for bit. *)
 let test_output_wire_roundtrip () =
-  let ball = { Engine.Job.center = [| 0.1 +. 0.2; -1. /. 3. |]; radius = 1e-300; covered = 5 } in
+  let ball = { Engine.Job.center = [| 0.1 +. 0.2; -1. /. 3. |]; radius = 1e-300 } in
   List.iter
     (fun o ->
       let wire = Engine.Job.output_to_wire o in
@@ -569,9 +556,9 @@ let test_output_wire_roundtrip () =
             (Obs.Json.to_string (Engine.Job.output_to_wire o') = Obs.Json.to_string wire)
       | Error e -> Alcotest.failf "output_of_wire: %s" e)
     [
-      Engine.Job.Cluster { ball; t = 40; ratio_vs_hi = Float.infinity; delta_bound = 1e-7 };
-      Engine.Job.Clusters { balls = [ ball; ball ]; uncovered = 3; failures = 1 };
-      Engine.Job.Clusters { balls = []; uncovered = 0; failures = 0 };
+      Engine.Job.Cluster { ball; t = 40; delta_bound = 1e-7 };
+      Engine.Job.Clusters { balls = [ ball; ball ]; failures = 1 };
+      Engine.Job.Clusters { balls = []; failures = 0 };
       Engine.Job.Quantile_value { value = 0.3; target_rank = 200.5 };
       Engine.Job.Radius { radius = 1. /. 3.; t = 9; delta_bound = 0. };
       Engine.Job.Epoch_advanced { epoch = 2; n = 500 };
@@ -812,8 +799,8 @@ let suite =
     case "jobs-file t_fraction must be in (0, 1]" test_job_t_fraction_range;
     case "pool at 2 domains: the caller works, one domain spawned" (test_pool_caller_works ~domains:2);
     case "pool at 4 domains: the caller works, at most three spawned" (test_pool_caller_works ~domains:4);
-    case "the r_opt scan reads the sweep's final columns while its mutex is held"
-      test_kth_candidates_while_memo_locked;
+    case "served outputs carry only mechanism outputs and public parameters"
+      test_served_outputs_private;
     case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
     case "accountant slack is relative to the budget" test_accountant_relative_slack;
   ]

@@ -44,25 +44,33 @@ let test_epoch_versioning () =
    with Invalid_argument _ -> ());
   check_int "failed mutations publish no epoch" 2 (Engine.Registry.epoch ds)
 
-let test_mutation_invalidates_bounds_cache () =
+(* After an append and after a retire, the registry's sandwich is a scan
+   of the new epoch's rows, equal bit for bit to one over a freshly built
+   index. *)
+let test_mutation_sandwich_is_new_epochs () =
   let _, grid, w = small_workload () in
   let reg = Engine.Registry.create () in
   let ds =
     Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
       (Array.sub w.Workload.Synth.points 0 300)
   in
-  ignore (Engine.Registry.r_opt_bounds ds ~t:100);
-  ignore (Engine.Registry.r_opt_bounds ds ~t:100);
-  check_true "warm lookup hits" (Engine.Registry.bounds_cache_stats ds = (2, 1));
+  let check_fresh what before =
+    let lo, hi = Engine.Registry.r_opt_bounds ds ~t:200 in
+    let lo', hi' =
+      Workload.Metrics.r_opt_bounds_indexed
+        (Geometry.Pointset.build_index (Engine.Registry.pointset ds))
+        ~t:200
+    in
+    check_float ~tol:0. (what ^ ": r_lo") lo' lo;
+    check_float ~tol:0. (what ^ ": r_hi") hi' hi;
+    check_true (what ^ ": the sandwich changed") ((lo, hi) <> before);
+    (lo, hi)
+  in
+  let b0 = Engine.Registry.r_opt_bounds ds ~t:200 in
   ignore (Engine.Registry.append ds (Array.sub w.Workload.Synth.points 300 50));
-  let b = Engine.Registry.r_opt_bounds ds ~t:100 in
-  let lookups, hits = Engine.Registry.bounds_cache_stats ds in
-  check_int "post-mutation lookup counted" 3 lookups;
-  check_int "post-mutation lookup is a miss" 1 hits;
-  (* And the recomputed sandwich is the new epoch's, not a stale replay. *)
-  let lo, hi = Workload.Metrics.r_opt_bounds_indexed (Engine.Registry.index ds) ~t:100 in
-  check_float ~tol:0. "fresh r_lo" lo (fst b);
-  check_float ~tol:0. "fresh r_hi" hi (snd b)
+  let b1 = check_fresh "after append" b0 in
+  ignore (Engine.Registry.retire ds ~from_:0 ~count:120);
+  ignore (check_fresh "after retire" b1)
 
 (* --- differential: any append/retire sequence ≡ fresh registration ------- *)
 
@@ -305,7 +313,7 @@ let test_standing_budget_schedule () =
 let suite =
   [
     case "epoch versioning and structural sharing" test_epoch_versioning;
-    case "mutation invalidates the bounds cache" test_mutation_invalidates_bounds_cache;
+    case "mutation: the r_opt sandwich is the new epoch's" test_mutation_sandwich_is_new_epochs;
     test_epoch_differential;
     slow_case "cache hit charges nothing" test_cache_hit_charges_nothing;
     slow_case "mutation forces recompute and recharge" test_mutation_forces_recompute;

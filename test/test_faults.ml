@@ -121,7 +121,7 @@ let test_pool_retry_recovers () =
       let tasks = Array.init 5 (fun i -> Engine.Pool.task i) in
       let retries_seen = Atomic.make 0 in
       let outcomes =
-        Engine.Pool.run ~retries:2 ~backoff_s:1e-5 ~domains
+        Engine.Pool.run ~retries:2 ~domains
           ~on_retry:(fun ~index:_ ~attempt:_ -> Atomic.incr retries_seen)
           ~f:(fun ~index:_ ~attempt i -> if i = 3 && attempt < 2 then failwith "flaky" else i * 10)
           tasks
@@ -141,7 +141,7 @@ let test_pool_retry_exhaustion () =
     (fun domains ->
       let tasks = Array.init 3 (fun i -> Engine.Pool.task i) in
       let outcomes =
-        Engine.Pool.run ~retries:2 ~backoff_s:1e-5 ~domains
+        Engine.Pool.run ~retries:2 ~domains
           ~f:(fun ~index:_ ~attempt:_ i -> if i = 1 then failwith "always" else i)
           tasks
       in
@@ -225,7 +225,7 @@ let canonical results =
     results
 
 let mk_service ?(domains = 2) ?(retries = 2) ?(faults = Engine.Faults.none) ?(seed = 11) () =
-  Engine.Service.create ~domains ~seed ~retries ~backoff_s:1e-4 ~faults ()
+  Engine.Service.create ~domains ~seed ~retries ~faults ()
 
 (* The acceptance diff: a crash schedule on a mixed batch, at 1 and at 4
    domains, must reproduce the fault-free outputs bit-for-bit and leave the

@@ -200,7 +200,8 @@ let batch_results ~domains ~seed =
     Engine.Service.register service ~name:"big" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
       w.Workload.Synth.points
   in
-  Engine.Service.run_batch service ~dataset:ds
+  ( Engine.Registry.pointset ds,
+    Engine.Service.run_batch service ~dataset:ds
     [
       {
         Engine.Job.id = "ldp";
@@ -211,7 +212,7 @@ let batch_results ~domains ~seed =
         deadline_s = None;
         fallback = false;
       };
-    ]
+    ] )
 
 let canonical results =
   List.map
@@ -221,7 +222,7 @@ let canonical results =
     results
 
 let test_engine_job_kind () =
-  let r1 = batch_results ~domains:1 ~seed:21 in
+  let ps, r1 = batch_results ~domains:1 ~seed:21 in
   (match r1 with
   | [ r ] -> (
       check_true "job ok" (Engine.Job.status_name r.Engine.Job.status = "ok");
@@ -229,10 +230,13 @@ let test_engine_job_kind () =
       | Engine.Job.Completed (Engine.Job.Cluster { ball; t; delta_bound; _ }) ->
           check_true "t from t_fraction" (t = 10_000);
           check_true "certificate non-vacuous" (delta_bound < float_of_int t);
-          check_true "ball covers something" (ball.Engine.Job.covered > 0)
+          check_true "ball covers something"
+            (Geometry.Pointset.ball_count ps ~center:ball.Engine.Job.center
+               ~radius:ball.Engine.Job.radius
+            > 0)
       | _ -> Alcotest.fail "expected a Cluster output")
   | _ -> Alcotest.fail "expected exactly one result");
-  let r4 = batch_results ~domains:4 ~seed:21 in
+  let _, r4 = batch_results ~domains:4 ~seed:21 in
   Alcotest.(check (list (triple string string string)))
     "4 domains bit-identical to 1 domain" (canonical r1) (canonical r4)
 

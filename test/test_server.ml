@@ -833,6 +833,13 @@ let test_daemon_epoch_crash_recovery () =
       (match Obs.Json.member "result_cache" ep with
       | Some rc -> check_true "epoch verb reports the cache hits" (get_int "hits" rc = Some 2)
       | None -> Alcotest.fail "epoch reply lacks result_cache");
+      (match ep with
+      | Obs.Json.Obj kvs ->
+          Alcotest.(check (list string))
+            "epoch reply fields"
+            [ "dataset"; "dim"; "epoch"; "id"; "index_backend"; "n"; "ok"; "result_cache" ]
+            (List.sort compare (List.map fst kvs))
+      | _ -> Alcotest.fail "epoch reply is not an object");
       spent_before :=
         spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
       Server.Client.close c);
@@ -864,7 +871,10 @@ let test_daemon_epoch_crash_recovery () =
    computes: one from before [Job.signature] carried its answers' version,
    or one at version 2 (cells in hash-table order).  Its [cached] records
    still replay, but the same request afterwards misses the cache, is
-   recomputed and is charged. *)
+   recomputed and is charged.  A version-3 journal whose cluster answers
+   still carry the exact counts and ratio that replies no longer serve
+   ([covered], [ratio_vs_hi]) keys the same answers: the request is a free
+   hit, its output drops both fields and keeps the recorded ball. *)
 let test_daemon_old_signature_recomputes () =
   let strip_version sg =
     let key = " version=" in
@@ -875,7 +885,8 @@ let test_daemon_old_signature_recomputes () =
     in
     String.sub sg 0 (find 0)
   in
-  let recomputes ~label rewrite =
+  let spent c = spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) in
+  let restart_over ~label rewrite after =
     let dir = temp_dir () in
     let cfg = daemon_cfg ~dir () in
     let register c =
@@ -888,10 +899,10 @@ let test_daemon_old_signature_recomputes () =
         let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
         ignore (register c);
         ignore (expect_ok "cold" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()));
-        spent_cold := spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1"));
+        spent_cold := spent c;
         Server.Client.close c);
     (* Rewrite the journal as the older build wrote it: every cached
-       record's signature through [rewrite]. *)
+       record's signature and output through [rewrite]. *)
     let path = cfg.Server.Daemon.wal_path in
     let records =
       match Wal.load path with Ok (records, _) -> records | Error e -> Alcotest.failf "load: %s" e
@@ -903,7 +914,8 @@ let test_daemon_old_signature_recomputes () =
           match r.op with
           | Wal.Cached c ->
               incr rewritten;
-              { r with op = Wal.Cached { c with signature = rewrite c.signature } }
+              let signature, output = rewrite (c.signature, c.output) in
+              { r with op = Wal.Cached { c with signature; output } }
           | _ -> r)
         records
     in
@@ -914,17 +926,78 @@ let test_daemon_old_signature_recomputes () =
         let c = expect_ok "reconnect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
         check_true (label ^ ": the old journal replays")
           (Obs.Json.member "replayed" (register c) = Some (Obs.Json.Bool true));
-        check_float ~tol:0. (label ^ ": spend replayed exactly") !spent_cold
-          (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")));
+        check_float ~tol:0. (label ^ ": spend replayed exactly") !spent_cold (spent c);
         let again = expect_ok "again" (Server.Client.run c ~dataset:"d1" ~seed:2 ~jobs:cache_jobs ()) in
-        check_true (label ^ ": the same request is recomputed")
-          (List.for_all (fun a -> a >= 1) (attempts_of again));
-        check_true (label ^ ": and charged")
-          (spent_eps_of (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) > !spent_cold);
+        after c ~spent:!spent_cold again;
         Server.Client.close c)
   in
+  let recomputes ~label rewrite =
+    restart_over ~label
+      (fun (sg, output) -> (rewrite sg, output))
+      (fun c ~spent:cold again ->
+        check_true (label ^ ": the same request is recomputed")
+          (List.for_all (fun a -> a >= 1) (attempts_of again));
+        check_true (label ^ ": and charged") (spent c > cold))
+  in
   recomputes ~label:"unversioned" strip_version;
-  recomputes ~label:"version 2" (fun sg -> strip_version sg ^ " version=2")
+  recomputes ~label:"version 2" (fun sg -> strip_version sg ^ " version=2");
+  (* The cluster answer as a build that still served the counts journaled
+     it, beside the record this build wrote. *)
+  let recorded = ref [] in
+  let with_old_fields (sg, output) =
+    let old =
+      match output with
+      | Obs.Json.Obj kvs when Obs.Json.member "kind" output = Some (Obs.Json.String "cluster") ->
+          let old =
+            Obs.Json.Obj
+              (List.concat_map
+                 (fun (k, v) ->
+                   match (k, v) with
+                   | "ball", Obs.Json.Obj b ->
+                       [ (k, Obs.Json.Obj (b @ [ ("covered", Obs.Json.Int 171) ])) ]
+                   | "t", _ -> [ (k, v); ("ratio_vs_hi", Obs.Json.String (Printf.sprintf "%h" 1.25)) ]
+                   | _ -> [ (k, v) ])
+                 kvs)
+          in
+          recorded := (output, old) :: !recorded;
+          old
+      | _ -> output
+    in
+    (sg, old)
+  in
+  restart_over ~label:"version 3 with counts" with_old_fields (fun c ~spent:cold again ->
+      check_true "version 3 with counts: a free hit" (attempts_of again = [ 0; 0 ]);
+      check_float ~tol:0. "version 3 with counts: charged nothing" cold (spent c);
+      let wire, old =
+        match !recorded with [ r ] -> r | _ -> Alcotest.fail "one cluster answer journaled"
+      in
+      let ball =
+        match Engine.Job.output_of_wire old with
+        | Ok (Engine.Job.Cluster { ball; _ } as o) ->
+            Alcotest.(check string)
+              "version 3 with counts: the old record decodes to the recorded bits"
+              (Obs.Json.to_string wire)
+              (Obs.Json.to_string (Engine.Job.output_to_wire o));
+            ball
+        | _ -> Alcotest.fail "journaled cluster answer does not decode"
+      in
+      let output =
+        match Option.bind (Obs.Json.member "results" again) Obs.Json.to_list with
+        | Some (r :: _) -> Option.get (Obs.Json.member "output" r)
+        | _ -> Alcotest.fail "results missing"
+      in
+      let reply_ball = Option.get (Obs.Json.member "ball" output) in
+      check_true "version 3 with counts: no ratio_vs_hi" (Obs.Json.member "ratio_vs_hi" output = None);
+      check_true "version 3 with counts: no covered" (Obs.Json.member "covered" reply_ball = None);
+      (* The reply prints floats to 12 digits: the recorded bits, so printed. *)
+      let printed x = float_of_string (Printf.sprintf "%.12g" x) in
+      check_true "version 3 with counts: the recorded radius"
+        (Option.bind (Obs.Json.member "radius" reply_ball) Obs.Json.to_float
+        = Some (printed ball.Engine.Job.radius));
+      check_true "version 3 with counts: the recorded center"
+        (Option.map (List.map Obs.Json.to_float)
+           (Option.bind (Obs.Json.member "center" reply_ball) Obs.Json.to_list)
+        = Some (List.map (fun x -> Some (printed x)) (Array.to_list ball.Engine.Job.center))))
 
 (* A [run] reply carries its batch's results and the ledger's spent and
    remaining, never the ledger's history: one fixed request (a cache hit,
