@@ -167,10 +167,18 @@ let synth_params_error ~frac ~radius =
     Some (Printf.sprintf "radius must be finite and >= 0 (got %g)" radius)
   else None
 
+(* The most slices a standing query may reserve.  Registration reserves
+   every slice up front, one ledger entry (and, in the daemon, one fsync'd
+   journal record) each, and each reservation reads the ledger's history,
+   so registration costs grow quadratically in [periods]; the cap keeps
+   one line from holding the executor for seconds. *)
+let max_periods = 1000
+
 (* Every check a spec passes before admission, wherever it was built:
-   [parse] runs each jobs-file line through it and the daemon each spec it
-   builds from a wire request, so nothing is charged or journaled for a spec
-   a jobs line could not carry.  Each comparison is false for NaN. *)
+   [parse] runs each jobs-file line through it (a daemon request's jobs
+   too) and the client each write it renders to a line, so nothing is
+   charged or journaled for a spec a jobs line could not carry.  Each
+   comparison is false for NaN. *)
 let validate spec =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let positive key v = if v > 0 then Ok () else bad "key %s: must be a positive integer" key in
@@ -194,7 +202,9 @@ let validate spec =
         match synth_params_error ~frac ~radius with Some m -> Error m | None -> Ok ())
     | Mutate (Retire_range { from_; count }) ->
         if from_ < 0 then bad "key from: must be >= 0" else positive "count" count
-    | Standing { periods; _ } -> positive "periods" periods
+    | Standing { periods; _ } ->
+        if periods > max_periods then bad "key periods: must be at most %d" max_periods
+        else positive "periods" periods
     | Meb { coreset; _ } -> positive "coreset" coreset
     | One_cluster _ | Local_cluster _ -> Ok ()
   in

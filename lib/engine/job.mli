@@ -49,7 +49,7 @@
     ["j<line-position>"]); for [mutate]: [op] (required, [append] or
     [retire]), [n]/[seed] (required for append), [frac] (default 0.5),
     [radius] (default 0.05), [from]/[count] (required for retire); for
-    [standing]: [periods] (required, ≥ 1); for [meb_fptas]: [coreset]
+    [standing]: [periods] (required, 1 to 1000); for [meb_fptas]: [coreset]
     (default 400).  [k], [coreset], [n], [count] and [periods] are
     positive integers, [axis], [seed] and [from] integers.  A key the
     line's kind does not read is an error.
@@ -118,7 +118,9 @@ val validate : spec -> (spec, string) result
 (** The checks every spec passes before admission, whoever built it:
     finite [eps > 0] for every kind but [mutate]; [delta] in [[0, 1)];
     [t_fraction] in (0, 1] and [q] in [[0, 1]] (NaN fails each); positive
-    [k], [coreset], [periods], [n] and [count], and [from ≥ 0]; an
+    [k], [coreset], [periods], [n] and [count], [periods ≤ 1000] (a
+    standing query reserves every slice at registration, at a cost
+    quadratic in [periods]), and [from ≥ 0]; an
     append's [frac] and [radius] as {!synth_params_error} checks them;
     [fallback] only on [one_cluster]; an [id] a jobs line can carry
     (non-empty, no whitespace, no ['#']).  [Error] names the key. *)

@@ -139,7 +139,10 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let h = String.sub s !pos 4 in
+    if not (String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) h)
+    then fail "malformed \\u escape";
+    let v = int_of_string ("0x" ^ h) in
     pos := !pos + 4;
     v
   in
@@ -199,6 +202,8 @@ let parse s =
     let start = !pos in
     let is_float = ref false in
     if peek () = Some '-' then advance ();
+    (* A run of digits; JSON wants at least one wherever a number has
+       one. *)
     let rec digits () =
       match peek () with
       | Some ('0' .. '9') ->
@@ -206,25 +211,28 @@ let parse s =
           digits ()
       | _ -> ()
     in
+    let some_digits () =
+      let from = !pos in
+      digits ();
+      if !pos = from then fail "malformed number"
+    in
     let int_start = !pos in
-    digits ();
+    some_digits ();
     (* JSON forbids leading zeros: 0 is fine, 01 is not. *)
-    if !pos - int_start = 0 then fail "malformed number";
     if !pos - int_start > 1 && s.[int_start] = '0' then fail "leading zero in number";
     if peek () = Some '.' then begin
       is_float := true;
       advance ();
-      digits ()
+      some_digits ()
     end;
     (match peek () with
     | Some ('e' | 'E') ->
         is_float := true;
         advance ();
         (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
+        some_digits ()
     | _ -> ());
     let text = String.sub s start (!pos - start) in
-    if text = "" || text = "-" then fail "malformed number";
     if !is_float then Float (float_of_string text)
     else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
   in

@@ -7,35 +7,17 @@ let fail_message = function
   | `Server (e : Wire.error) ->
       Printf.sprintf "%s: %s" (Wire.code_name e.Wire.code) e.Wire.message
 
-type t = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : bytes;
-  mutable next_rid : int;
-}
+type t = { fd : Unix.file_descr; reader : Line_io.reader; mutable next_rid : int }
 
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
-let rec read_line t =
-  let s = Buffer.contents t.buf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf (String.sub s (i + 1) (String.length s - i - 1));
-      Ok (String.sub s 0 i)
-  | None -> (
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-      | 0 -> Error (`Transport "connection closed by server")
-      | n ->
-          Buffer.add_subbytes t.buf t.chunk 0 n;
-          read_line t
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line t
-      | exception Unix.Unix_error (e, _, _) -> Error (`Transport (Unix.error_message e)))
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
+(* A reply may be of any length (a [ledger] reply grows with every
+   charge), so the reader has no line cap. *)
+let read_line t =
+  match Line_io.read_line t.reader with
+  | Line_io.Line l -> Ok l
+  | Line_io.Eof | Line_io.Overflow -> Error (`Transport "connection closed by server")
+  | exception Unix.Unix_error (e, _, _) -> Error (`Transport (Unix.error_message e))
 
 let ( let* ) = Result.bind
 
@@ -43,7 +25,7 @@ let request t req =
   let rid = t.next_rid in
   t.next_rid <- rid + 1;
   let* () =
-    match write_all t.fd (Wire.request_to_line { Wire.rid; request = req }) with
+    match Line_io.write_all t.fd (Wire.request_to_line { Wire.rid; request = req }) with
     | () -> Ok ()
     | exception Unix.Unix_error (e, _, _) -> Error (`Transport (Unix.error_message e))
   in
@@ -73,7 +55,7 @@ let connect listen ~tenant ~token =
   | exception Unix.Unix_error (e, _, _) -> Error (`Transport (Unix.error_message e))
   | Error _ as e -> e
   | Ok fd -> (
-      let t = { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096; next_rid = 1 } in
+      let t = { fd; reader = Line_io.reader fd; next_rid = 1 } in
       match request t (Wire.Hello { version = Wire.version; tenant; token }) with
       | Ok _ -> Ok t
       | Error _ as e ->
@@ -86,14 +68,32 @@ let register t ~dataset ?(n = 3000) ?(dim = 2) ?(axis = 256) ?(frac = 0.5) ?(rad
 
 let run t ~dataset ?seed ~jobs () = request t (Wire.Run { dataset; jobs; seed })
 
-let append t ~dataset ~n ~seed ?(frac = 0.5) ?(radius = 0.05) () =
-  request t (Wire.Append { dataset; n; seed; frac; radius })
+(* A write is a one-job [run] carrying the spec's jobs line.  The spec is
+   vetted first, as the daemon vets every line: an id with a newline or a
+   ['#'] would render to a line that says something else.  A refusal is
+   the [bad_request] the daemon would send, and nothing is sent. *)
+let run_spec t ~dataset ?seed ~verb ~id ?(eps = 0.) ?(delta = 0.) kind =
+  let spec =
+    { Engine.Job.id; kind; eps; delta; beta = Workload.Harness.default_beta;
+      deadline_s = None; fallback = false }
+  in
+  match Engine.Job.validate spec with
+  | Error e -> Error (`Server { Wire.code = Wire.Bad_request; message = verb ^ ": " ^ e })
+  | Ok spec -> run t ~dataset ?seed ~jobs:(Engine.Job.spec_to_line spec) ()
 
-let retire t ~dataset ~from_ ~count = request t (Wire.Retire { dataset; from_; count })
+let append t ~dataset ~n ~seed ?(frac = 0.5) ?(radius = 0.05) () =
+  run_spec t ~dataset ~verb:"append" ~id:"append"
+    (Engine.Job.Mutate (Engine.Job.Append_synth { n; seed; frac; radius }))
+
+let retire t ~dataset ~from_ ~count =
+  run_spec t ~dataset ~verb:"retire" ~id:"retire"
+    (Engine.Job.Mutate (Engine.Job.Retire_range { from_; count }))
+
 let epoch t ~dataset = request t (Wire.Epoch { dataset })
 
 let standing t ~dataset ~id ~t_fraction ~eps ~delta ~periods ?seed () =
-  request t (Wire.Standing { dataset; id; t_fraction; eps; delta; periods; seed })
+  run_spec t ~dataset ?seed ~verb:"standing" ~id ~eps ~delta
+    (Engine.Job.Standing { t_fraction; periods })
 
 let settle t ~dataset ~action ?label () =
   let* payload = request t (Wire.Settle { dataset; action; label }) in

@@ -4,7 +4,14 @@
     reply matched by id.  Errors split into transport failures
     ([`Transport] — the socket died or the reply was unparseable) and
     protocol errors ([`Server] — a typed {!Wire.error} from the daemon,
-    e.g. [Rejected Queue_full], which provably charged nothing). *)
+    e.g. [Rejected Queue_full], which provably charged nothing).
+
+    The writes {!append}, {!retire} and {!standing} are [run] requests
+    carrying one job line each ({!Engine.Job.spec_to_line} of the spec
+    they describe).  A spec that fails {!Engine.Job.validate} is refused
+    before anything is sent, with the [`Server] [Bad_request] the daemon
+    would reply, named after the write (["standing: key periods: ..."]).
+    A reply may be of any length: the client reads it with no line cap. *)
 
 type t
 
@@ -52,10 +59,12 @@ val append :
   unit ->
   (Obs.Json.t, fail) result
 (** Append [n] synthetic planted-ball points ([frac = 0.5],
-    [radius = 0.05] by default), advancing the dataset's epoch. *)
+    [radius = 0.05] by default), advancing the dataset's epoch: a [run]
+    of [mutate op=append ... id=append]. *)
 
 val retire : t -> dataset:string -> from_:int -> count:int -> (Obs.Json.t, fail) result
-(** Retire rows [[from_, from_ + count)], advancing the epoch. *)
+(** Retire rows [[from_, from_ + count)], advancing the epoch: a [run]
+    of [mutate op=retire ... id=retire]. *)
 
 val epoch : t -> dataset:string -> (Obs.Json.t, fail) result
 (** Current epoch, size, index backend, and cache statistics. *)
@@ -72,7 +81,8 @@ val standing :
   unit ->
   (Obs.Json.t, fail) result
 (** Register a standing 1-cluster query: [eps]/[delta] is the {e total}
-    budget, reserved up front as [periods] equal slices. *)
+    budget, reserved up front as [periods] equal slices (at most 1000).
+    A [run] of one [standing] line under [seed]. *)
 
 val settle :
   t ->

@@ -312,14 +312,13 @@ let ledger_json ds =
      ]
     @ attribution)
 
-(* The reply to [run], [append], [retire] and [standing]: the batch's
-   results, the dataset's epoch and size, and the ledger's spent and
-   remaining budget, but never the ledger's history (the [ledger] verb
-   serves that), so a reply's size does not grow with the number of
-   charges.  Mutations and standing registrations run through
-   [run_batch_named] like any other batch, so the engine's own machinery
-   — epoch publication, standing-query ticks, journaling subscriptions —
-   fires exactly as it would for a jobs-file submission. *)
+(* The reply to [run]: the batch's results, the dataset's epoch and size,
+   and the ledger's spent and remaining budget, but never the ledger's
+   history (the [ledger] verb serves that), so a reply's size does not
+   grow with the number of charges.  Mutations and standing registrations
+   are job lines like any other, so the engine's own machinery — epoch
+   publication, standing-query ticks, journaling subscriptions — fires
+   for them inside [run_batch_named]. *)
 let exec_batch tenant ~dataset ?seed specs =
   let svc = Tenants.service tenant in
   match Service.run_batch_named ?seed svc ~dataset specs with
@@ -335,21 +334,6 @@ let exec_batch tenant ~dataset ?seed specs =
               ("results", Json.List (List.map Job.result_to_json results));
             ]
            @ Accountant.balance_json (Registry.accountant ds)))
-
-(* The one-job batch an [append], [retire] or [standing] request stands
-   for.  [handle_request] runs it through [Job.validate] on the connection
-   thread, so a bad one is refused before anything is charged or
-   journaled. *)
-let verb_spec ~id ?(eps = 0.) ?(delta = 0.) kind =
-  {
-    Job.id;
-    kind;
-    eps;
-    delta;
-    beta = Workload.Harness.default_beta;
-    deadline_s = None;
-    fallback = false;
-  }
 
 let exec_epoch _t tenant ~dataset =
   let svc = Tenants.service tenant in
@@ -469,57 +453,11 @@ let health_json t =
 
 (* --- connection handling ------------------------------------------------- *)
 
-type reader = {
-  rfd : Unix.file_descr;
-  chunk : bytes;
-  line : Buffer.t;  (* the current partial line; bounded by [max_request_bytes] *)
-  mutable queued : string list;  (* complete lines, oldest first *)
-}
-
 (* Longest accepted request line.  Legitimate requests are small (a jobs
    file of thousands of lines stays well under 1 MiB); the cap exists so a
    client — including one that never authenticates — cannot grow the read
    buffer without bound by streaming bytes with no newline. *)
 let max_request_bytes = 8 * 1024 * 1024
-
-type read_outcome = Line of string | Eof | Overflow
-
-let make_reader fd =
-  { rfd = fd; chunk = Bytes.create 4096; line = Buffer.create 4096; queued = [] }
-
-let rec read_line r =
-  match r.queued with
-  | l :: rest ->
-      r.queued <- rest;
-      if String.length l > max_request_bytes then Overflow else Line l
-  | [] -> (
-      if Buffer.length r.line > max_request_bytes then Overflow
-      else
-        match Unix.read r.rfd r.chunk 0 (Bytes.length r.chunk) with
-        | 0 -> Eof
-        | n ->
-            (* Scan the fresh chunk only: completed lines move out of the
-               buffer and the trailing fragment is appended once, so no
-               already-buffered prefix is ever recopied or rescanned. *)
-            let start = ref 0 in
-            for i = 0 to n - 1 do
-              if Bytes.get r.chunk i = '\n' then begin
-                Buffer.add_subbytes r.line r.chunk !start (i - !start);
-                r.queued <- Buffer.contents r.line :: r.queued;
-                Buffer.clear r.line;
-                start := i + 1
-              end
-            done;
-            Buffer.add_subbytes r.line r.chunk !start (n - !start);
-            r.queued <- List.rev r.queued;
-            read_line r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
-        | exception Unix.Unix_error (_, _, _) -> Eof)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
 
 let submit_and_wait t ?control ?slot ~verb work =
   let mb = Mailbox.create () in
@@ -631,21 +569,6 @@ let validate_register ~n ~dim ~axis ~frac ~radius =
 let handle_request t authed (envelope : Wire.envelope) =
   let verb = Wire.request_name envelope.Wire.request in
   let rid = envelope.Wire.rid in
-  (* Data-path work items get the request root span + exemplar capture
-     and a burn-rate sample; [submit_data] keeps the data verbs from
-     repeating the plumbing, and [submit_spec] vets a one-job verb's spec
-     before it is submitted. *)
-  let submit_data tenant ~dataset work =
-    let work = (fun () -> let r = work () in sample_burn t tenant ~dataset; r) in
-    submit_and_wait t ~verb
-      ~slot:(Tenants.slot tenant, Tenants.max_in_flight tenant)
-      (traced t ~verb ~tenant_name:(Tenants.name tenant) ~rid work)
-  in
-  let submit_spec tenant ~dataset ?seed spec =
-    match Job.validate spec with
-    | Error e -> err Wire.Bad_request "%s: %s" verb e
-    | Ok spec -> submit_data tenant ~dataset (fun () -> exec_batch tenant ~dataset ?seed [ spec ])
-  in
   match (envelope.Wire.request, !authed) with
   | Wire.Hello { version; tenant; token }, None ->
       if version <> Wire.version then
@@ -673,10 +596,23 @@ let handle_request t authed (envelope : Wire.envelope) =
              ("draining", Json.Bool (Admission.draining t.admission));
            ])
   | Wire.Run { dataset; jobs; seed }, Some tenant -> (
+      (* Every write (mutations, standing registrations) is a job line too,
+         so [Job.parse] is the one place a request's jobs are vetted:
+         nothing is charged or journaled for a batch it refuses.  The batch
+         gets the request root span, exemplar capture and a burn-rate
+         sample. *)
       match Job.parse ~default_beta:Workload.Harness.default_beta jobs with
       | Error e -> err Wire.Bad_request "jobs: %s" e
       | Ok [] -> err Wire.Bad_request "jobs: empty batch"
-      | Ok specs -> submit_data tenant ~dataset (fun () -> exec_batch tenant ~dataset ?seed specs))
+      | Ok specs ->
+          let work () =
+            let r = exec_batch tenant ~dataset ?seed specs in
+            sample_burn t tenant ~dataset;
+            r
+          in
+          submit_and_wait t ~verb
+            ~slot:(Tenants.slot tenant, Tenants.max_in_flight tenant)
+            (traced t ~verb ~tenant_name:(Tenants.name tenant) ~rid work))
   | Wire.Register { dataset; n; dim; axis; frac; radius; seed; budget; mode }, Some tenant
     -> (
       match validate_register ~n ~dim ~axis ~frac ~radius with
@@ -692,15 +628,6 @@ let handle_request t authed (envelope : Wire.envelope) =
                     replayed spend, not at zero. *)
                  sample_burn t tenant ~dataset;
                  r)))
-  | Wire.Append { dataset; n; seed; frac; radius }, Some tenant ->
-      submit_spec tenant ~dataset
-        (verb_spec ~id:"append" (Job.Mutate (Job.Append_synth { n; seed; frac; radius })))
-  | Wire.Retire { dataset; from_; count }, Some tenant ->
-      submit_spec tenant ~dataset
-        (verb_spec ~id:"retire" (Job.Mutate (Job.Retire_range { from_; count })))
-  | Wire.Standing { dataset; id; t_fraction; eps; delta; periods; seed }, Some tenant ->
-      submit_spec tenant ~dataset ?seed
-        (verb_spec ~id ~eps ~delta (Job.Standing { t_fraction; periods }))
   | Wire.Epoch { dataset }, Some tenant ->
       submit_and_wait t ~control:true ~verb (fun () -> exec_epoch t tenant ~dataset)
   | Wire.Settle { dataset; action; label }, Some tenant ->
@@ -720,21 +647,21 @@ let handle_request t authed (envelope : Wire.envelope) =
   | Wire.Stats, Some _ -> Ok (Serving.stats_json t.serving ~now_ns:(Obs.Clock.now_ns ()))
 
 let handle_conn t fd =
-  let reader = make_reader fd in
+  let reader = Line_io.reader ~max_line:max_request_bytes fd in
   let authed = ref None in
   let rec loop () =
-    match read_line reader with
-    | Eof -> ()
-    | Overflow ->
+    match Line_io.read_line reader with
+    | Line_io.Eof -> ()
+    | Line_io.Overflow ->
         (* The stream cannot be resynchronised past an oversized line:
            reply once, then drop the connection. *)
         (try
-           write_all fd
+           Line_io.write_all fd
              (Wire.reply_to_line ~rid:0
                 (err Wire.Bad_request "request line exceeds %d bytes" max_request_bytes))
          with Unix.Unix_error (_, _, _) -> ())
-    | Line line when String.trim line = "" -> loop ()
-    | Line line ->
+    | Line_io.Line line when String.trim line = "" -> loop ()
+    | Line_io.Line line ->
         let received_ns = Obs.Clock.now_ns () in
         let rid, verb, body =
           match Wire.request_of_line line with
@@ -748,7 +675,7 @@ let handle_conn t fd =
         in
         let continue =
           try
-            write_all fd (Wire.reply_to_line ~rid body);
+            Line_io.write_all fd (Wire.reply_to_line ~rid body);
             true
           with Unix.Unix_error (_, _, _) -> false
         in

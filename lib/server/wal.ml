@@ -344,18 +344,13 @@ let open_ ?(sync = true) ?(tail = Clean) path =
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
-
 let append t record =
   let line = frame (payload_of_record record) in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      write_all t.fd line;
+      Line_io.write_all t.fd line;
       if t.sync then Unix.fsync t.fd)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -1,7 +1,7 @@
 module Json = Obs.Json
 module Accountant = Engine.Accountant
 
-let version = 4
+let version = 5
 
 type request =
   | Hello of { version : int; tenant : string; token : string }
@@ -17,18 +17,7 @@ type request =
       mode : Accountant.mode;
     }
   | Run of { dataset : string; jobs : string; seed : int option }
-  | Append of { dataset : string; n : int; seed : int; frac : float; radius : float }
-  | Retire of { dataset : string; from_ : int; count : int }
   | Epoch of { dataset : string }
-  | Standing of {
-      dataset : string;
-      id : string;
-      t_fraction : float;
-      eps : float;
-      delta : float;
-      periods : int;
-      seed : int option;
-    }
   | Settle of { dataset : string; action : settle_action; label : string option }
   | Ledger of { dataset : string }
   | Datasets
@@ -45,10 +34,7 @@ let request_name = function
   | Hello _ -> "hello"
   | Register _ -> "register"
   | Run _ -> "run"
-  | Append _ -> "append"
-  | Retire _ -> "retire"
   | Epoch _ -> "epoch"
-  | Standing _ -> "standing"
   | Settle _ -> "settle"
   | Ledger _ -> "ledger"
   | Datasets -> "datasets"
@@ -124,24 +110,8 @@ let request_to_line { rid; request } =
           ("jobs", Json.String jobs);
         ]
         @ (match seed with None -> [] | Some s -> [ ("seed", Json.Int s) ])
-    | Append { dataset; n; seed; frac; radius } ->
-        [ ("req", Json.String "append"); ("dataset", Json.String dataset);
-          ("n", Json.Int n); ("seed", Json.Int seed); ("frac", Json.Float frac);
-          ("radius", Json.Float radius);
-        ]
-    | Retire { dataset; from_; count } ->
-        [ ("req", Json.String "retire"); ("dataset", Json.String dataset);
-          ("from", Json.Int from_); ("count", Json.Int count);
-        ]
     | Epoch { dataset } ->
         [ ("req", Json.String "epoch"); ("dataset", Json.String dataset) ]
-    | Standing { dataset; id; t_fraction; eps; delta; periods; seed } ->
-        [ ("req", Json.String "standing"); ("dataset", Json.String dataset);
-          ("job", Json.String id); ("t_fraction", Json.Float t_fraction);
-          ("eps", Json.Float eps); ("delta", Json.Float delta);
-          ("periods", Json.Int periods);
-        ]
-        @ (match seed with None -> [] | Some s -> [ ("seed", Json.Int s) ])
     | Settle { dataset; action; label } ->
         [ ("req", Json.String "settle"); ("dataset", Json.String dataset);
           ("action", Json.String (settle_action_name action));
@@ -208,34 +178,9 @@ let request_of_json json =
         | Some _ -> Result.map Option.some (field Json.to_int "seed" json)
       in
       Ok (Run { dataset; jobs; seed })
-  | "append" ->
-      let* dataset = field Json.to_str "dataset" json in
-      let* n = field Json.to_int "n" json in
-      let* seed = field Json.to_int "seed" json in
-      let* frac = field_or 0.5 Json.to_float "frac" json in
-      let* radius = field_or 0.05 Json.to_float "radius" json in
-      Ok (Append { dataset; n; seed; frac; radius })
-  | "retire" ->
-      let* dataset = field Json.to_str "dataset" json in
-      let* from_ = field Json.to_int "from" json in
-      let* count = field Json.to_int "count" json in
-      Ok (Retire { dataset; from_; count })
   | "epoch" ->
       let* dataset = field Json.to_str "dataset" json in
       Ok (Epoch { dataset })
-  | "standing" ->
-      let* dataset = field Json.to_str "dataset" json in
-      let* id = field Json.to_str "job" json in
-      let* t_fraction = field Json.to_float "t_fraction" json in
-      let* eps = field Json.to_float "eps" json in
-      let* delta = field Json.to_float "delta" json in
-      let* periods = field Json.to_int "periods" json in
-      let* seed =
-        match Json.member "seed" json with
-        | None -> Ok None
-        | Some _ -> Result.map Option.some (field Json.to_int "seed" json)
-      in
-      Ok (Standing { dataset; id; t_fraction; eps; delta; periods; seed })
   | "settle" ->
       let* dataset = field Json.to_str "dataset" json in
       let* action_s = field Json.to_str "action" json in

@@ -22,18 +22,12 @@
       optional [seed] overriding the batch RNG base (a fixed seed makes
       verdicts deterministic regardless of how clients interleave).
       Replies with [dataset], [epoch], [n], [results], [spent] and
-      [remaining], as [append], [retire] and [standing] do.
-    - [append]   — [dataset], [n], [seed], [frac], [radius]; append [n]
-      synthetic planted-ball points, advancing the dataset's epoch.
-    - [retire]   — [dataset], [from], [count]; retire a contiguous row
-      range, advancing the epoch.
+      [remaining].  Writes are job lines too: [mutate op=append ...] and
+      [mutate op=retire ...] advance the dataset's epoch, and [standing
+      ...] registers a standing 1-cluster query re-answered on every
+      epoch transition until its [periods] slices are spent.
     - [epoch]    — [dataset]; current epoch, size, index backend and
       result-cache statistics.
-    - [standing] — [dataset], [job] (the query id), [t_fraction] (in
-      (0, 1], as a jobs file requires), [eps],
-      [delta] (the {e total} budget), [periods], optional [seed];
-      register a standing 1-cluster query re-answered on every epoch
-      transition until [periods] slices are spent.
     - [settle]   — [dataset], [action] (["commit"] or ["release"]),
       optional [label]; settle reservations orphaned by a crash (held
       after WAL replay).  Operator-only by intent: nothing settles
@@ -50,7 +44,7 @@
     - [ping]     — liveness probe; answered even while draining. *)
 
 val version : int
-(** Protocol version ([4]); [hello] with any other value is refused.
+(** Protocol version ([5]); [hello] with any other value is refused.
     Version 2 replies to [run], [append], [retire] and [standing] with
     [spent] and [remaining] instead of the whole ledger.  Version 3 does
     the same for [register] and [datasets] (each dataset's [accountant]
@@ -60,7 +54,8 @@ val version : int
     coverage count, a [k_cluster]'s count of the points outside its balls
     and the radius's ratio against the noise-free r_opt sandwich, and the
     [epoch] reply drops the statistics of the r_opt cache, which is
-    gone. *)
+    gone.  Version 5 drops the [append], [retire] and [standing]
+    requests: those writes travel as job lines of a [run]. *)
 
 type request =
   | Hello of { version : int; tenant : string; token : string }
@@ -76,18 +71,7 @@ type request =
       mode : Engine.Accountant.mode;
     }
   | Run of { dataset : string; jobs : string; seed : int option }
-  | Append of { dataset : string; n : int; seed : int; frac : float; radius : float }
-  | Retire of { dataset : string; from_ : int; count : int }
   | Epoch of { dataset : string }
-  | Standing of {
-      dataset : string;
-      id : string;
-      t_fraction : float;
-      eps : float;
-      delta : float;
-      periods : int;
-      seed : int option;
-    }
   | Settle of { dataset : string; action : settle_action; label : string option }
   | Ledger of { dataset : string }
   | Datasets

@@ -15,7 +15,11 @@
 # metric as well with --trace 1) it prints both medians and Q1–Q3, how
 # many pairs B wins and ties (the better direction comes from
 # BENCHMARK.json; lower when a metric is not listed), the exact two-sided
-# sign-test p over the untied pairs, and two verdicts:
+# sign-test p over the untied pairs, the median of the per-pair
+# differences B - A with a distribution-free 95% interval for it (order
+# statistics d(k) and d(n+1-k) of the sorted differences, k the largest
+# with P(Bin(n, 1/2) < k) <= 0.025; "n/a" below 6 pairs, where no such
+# k exists), and two verdicts:
 #   claim       — at least 10 pairs, B wins at least 9 in 10 of them, the
 #                 sign-test p is below 0.05, AND B's median is better than
 #                 A's by more than A's Q1–Q3 spread (PERFORMANCE.md §4); a
@@ -142,16 +146,32 @@ done | awk -F'\t' '
   {
     k = $1
     if (!(k in seen)) { seen[k] = 1; order[++nk] = k; better[k] = $2; bound[k] = $3 }
-    c = ++cnt[k]; A[k, c] = $4; B[k, c] = $5
+    c = ++cnt[k]; A[k, c] = $4; B[k, c] = $5; D[k, c] = $5 - $4
     d = (better[k] == "higher") ? $5 - $4 : $4 - $5
     if (d > 0) wins[k]++; else if (d == 0) ties[k]++; else losses[k]++
   }
+  # Rank of the lower end of a 95% interval for the median of n paired
+  # differences: the largest k with P(X < k) <= 0.025, X ~ Bin(n, 1/2),
+  # or 0 if there is none.  Summed in log space, so a large n underflows
+  # only terms too small to matter.
+  function ci_rank(n,   i, lp, cum, k) {
+    lp = n * log(0.5); cum = 0; k = 0
+    for (i = 0; i < n; i++) {
+      cum += exp(lp)
+      if (cum > 0.025) break
+      k = i + 1
+      lp += log(n - i) - log(i + 1)
+    }
+    return k
+  }
   END {
-    printf "\n%-34s %-28s %-28s %7s %4s %8s  %-16s %s\n", "metric", "A Q1 / median / Q3", "B Q1 / median / Q3", "B wins", "ties", "sign p", "regression", "claim"
+    printf "\n%-34s %-28s %-28s %7s %4s %8s  %-34s %-16s %s\n", "metric", "A Q1 / median / Q3", "B Q1 / median / Q3", "B wins", "ties", "sign p", "B-A median [95% interval]", "regression", "claim"
     for (j = 1; j <= nk; j++) {
       k = order[j]; n = cnt[k]
-      for (i = 1; i <= n; i++) { a[i] = A[k, i]; b[i] = B[k, i] }
-      sort(a, n); sort(b, n)
+      for (i = 1; i <= n; i++) { a[i] = A[k, i]; b[i] = B[k, i]; dd[i] = D[k, i] }
+      sort(a, n); sort(b, n); sort(dd, n)
+      r = ci_rank(n)
+      diff = sprintf("%.4g ", q(dd, n, .5)) ((r == 0) ? "[n/a]" : sprintf("[%.4g, %.4g]", dd[r], dd[n + 1 - r]))
       a1 = q(a, n, .25); am = q(a, n, .5); a3 = q(a, n, .75)
       b1 = q(b, n, .25); bm = q(b, n, .5); b3 = q(b, n, .75)
       gap = (better[k] == "higher") ? bm - am : am - bm
@@ -167,6 +187,6 @@ done | awk -F'\t' '
         worse = (better[k] == "higher") ? (am - bm) : (bm - am)
         reg = (am != 0 && worse / am > bound[k]) ? sprintf("FAIL (> %g%%)", 100 * bound[k]) : sprintf("ok (<= %g%%)", 100 * bound[k])
       }
-      printf "%-34s %-28s %-28s %4d/%-2d %4d %8.3g  %-16s %s\n", k, sprintf("%.4g / %.4g / %.4g", a1, am, a3), sprintf("%.4g / %.4g / %.4g", b1, bm, b3), wins[k] + 0, n, ties[k] + 0, p, reg, claim
+      printf "%-34s %-28s %-28s %4d/%-2d %4d %8.3g  %-34s %-16s %s\n", k, sprintf("%.4g / %.4g / %.4g", a1, am, a3), sprintf("%.4g / %.4g / %.4g", b1, bm, b3), wins[k] + 0, n, ties[k] + 0, p, diff, reg, claim
     }
   }'

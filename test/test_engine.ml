@@ -363,7 +363,8 @@ let spec_gen =
           (fun n seed frac radius -> Engine.Job.Mutate (Engine.Job.Append_synth { n; seed; frac; radius }))
           pos int fraction (map Float.abs finite);
         map2 (fun from_ count -> Engine.Job.Mutate (Engine.Job.Retire_range { from_; count })) nat pos;
-        map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) fraction pos;
+        map2 (fun t_fraction periods -> Engine.Job.Standing { t_fraction; periods }) fraction
+          (int_range 1 1000);
         map (fun t_fraction -> Engine.Job.Local_cluster { t_fraction }) fraction;
         map2 (fun t_fraction coreset -> Engine.Job.Meb { t_fraction; coreset }) fraction pos;
       ]
@@ -403,6 +404,7 @@ let test_job_parse_errors () =
       "mutate op=append n=10 seed=1 frac=0";
       "mutate op=append n=10 seed=1 radius=-1";
       "mutate op=append n=10 seed=1 radius=inf";
+      "standing periods=1001 eps=1 delta=1e-7";
     ]
   in
   List.iter

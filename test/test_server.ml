@@ -529,15 +529,7 @@ let test_wire_request_roundtrip () =
       Wire.Run { dataset = "d1"; jobs = "quantile q=0.5 eps=0.1\n# c\n"; seed = Some 7 };
       Wire.Run { dataset = "d1"; jobs = "x"; seed = None };
       Wire.Ledger { dataset = "d1" };
-      Wire.Append { dataset = "d1"; n = 120; seed = 4; frac = 0.4; radius = 0.07 };
-      Wire.Retire { dataset = "d1"; from_ = 10; count = 25 };
       Wire.Epoch { dataset = "d1" };
-      Wire.Standing
-        { dataset = "d1"; id = "sq"; t_fraction = 0.45; eps = 1.5; delta = 3e-7;
-          periods = 3; seed = Some 9 };
-      Wire.Standing
-        { dataset = "d1"; id = "watch"; t_fraction = 0.5; eps = 0.9; delta = 0.;
-          periods = 1; seed = None };
       Wire.Settle { dataset = "d1"; action = Wire.Commit_orphans; label = Some "sq#2" };
       Wire.Settle { dataset = "d1"; action = Wire.Release_orphans; label = None };
       Wire.Datasets;
@@ -1402,12 +1394,13 @@ let test_daemon_standing_survives_restart_exactly () =
       | ticks -> Alcotest.failf "expected one post-restart tick, got %d" (List.length ticks));
       Server.Client.close c)
 
-(* A standing query's spec is built from wire fields, not from a jobs line,
-   so the daemon runs it through [Job.validate] on the connection thread:
-   each bad request below gets bad_request and leaves the ledger and the
-   WAL as they were.  (A negative eps used to reserve and commit a negative
-   slice, lowering the spend.)  A query whose id passes is journaled,
-   re-armed after a restart, and ticks on the next append. *)
+(* A standing query travels as a [standing] job line of a [run]: the client
+   vets the spec before rendering it, and the daemon vets the line again
+   in [Job.parse].  Each bad query below gets bad_request on either path
+   and leaves the ledger and the WAL as they were.  (A negative eps used
+   to reserve and commit a negative slice, lowering the spend.)  A query
+   whose id passes is journaled, re-armed after a restart, and ticks on
+   the next append. *)
 let test_daemon_standing_validation () =
   let dir = temp_dir () in
   let cfg = daemon_cfg ~dir () in
@@ -1442,6 +1435,19 @@ let test_daemon_standing_validation () =
       expect_bad "delta 1" (standing c ~delta:1. ());
       expect_bad "periods 0" (standing c ~periods:0 ());
       expect_bad "id with a space" (standing c ~id:"a b" ());
+      expect_bad "id with a newline" (standing c ~id:"a\nmutate op=retire from=0 count=9" ());
+      List.iter
+        (fun args ->
+          let line = "standing t_fraction=0.45 id=sq " ^ args in
+          expect_bad line (Server.Client.run c ~dataset:"d1" ~jobs:line ()))
+        [
+          "eps=-2 delta=1e-6 periods=1";
+          "eps=0 delta=1e-6 periods=2";
+          "eps=nan delta=1e-6 periods=2";
+          "eps=1 delta=1 periods=2";
+          "eps=1 delta=1e-6 periods=0";
+          "eps=1 delta=1e-6 periods=2 beta";
+        ];
       check_true "ledger unchanged" (ledger () = before);
       check_true "nothing journaled" (journal () = wal);
       ignore (expect_ok "valid standing" (standing c ~id ()));
@@ -1530,6 +1536,22 @@ let test_daemon_append_validation () =
       expect_bad "radius -1" (append ~radius:(-1.) ());
       expect_bad "radius inf" (append ~radius:infinity ());
       expect_bad "radius nan" (append ~radius:nan ());
+      (* The client refuses those before sending; the daemon refuses the
+         same job lines in a [run], where [Job.parse] vets them. *)
+      List.iter
+        (fun line -> expect_bad line (Server.Client.run c ~dataset:"d1" ~jobs:line ()))
+        [
+          "mutate op=append n=50 seed=7 frac=5";
+          "mutate op=append n=50 seed=7 frac=-1";
+          "mutate op=append n=50 seed=7 frac=0";
+          "mutate op=append n=50 seed=7 frac=nan";
+          "mutate op=append n=50 seed=7 radius=-1";
+          "mutate op=append n=50 seed=7 radius=inf";
+          "mutate op=append n=50 seed=7 radius=nan";
+          "mutate op=append n=0 seed=7";
+          "mutate op=retire from=-1 count=5";
+          "mutate op=retire from=0 count=0";
+        ];
       check_true "epoch and ledger unchanged" ((epoch (), ledger ()) = before);
       check_true "nothing journaled" (journal () = wal);
       ignore (expect_ok "valid append" (append ~frac:1. ~radius:0. ()));
@@ -1839,6 +1861,225 @@ let test_daemon_sampling_deterministic () =
   check_true "sampled daemon wrote exemplars"
     (Sys.file_exists slow_dir && Sys.readdir slow_dir <> [||])
 
+(* One raw request line after another on a fresh connection, past the
+   client's own checks; each reply decoded. *)
+let raw_exchange cfg lines =
+  let path = match cfg.Server.Daemon.listen with `Unix p -> p | `Tcp _ -> assert false in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let r = Server.Line_io.reader fd in
+      List.map
+        (fun line ->
+          Server.Line_io.write_all fd (line ^ "\n");
+          match Server.Line_io.read_line r with
+          | Server.Line_io.Line reply -> (
+              match Wire.reply_of_line reply with
+              | Ok (_, body) -> body
+              | Error e -> Alcotest.failf "reply to %s: %s" line e)
+          | Server.Line_io.Eof | Server.Line_io.Overflow ->
+              Alcotest.failf "no reply to %s" line)
+        lines)
+
+let hello_line version =
+  Printf.sprintf {|{"id":1,"req":"hello","version":%d,"tenant":"acme","token":"s3cret"}|}
+    version
+
+(* Protocol 5 has no [append], [retire] or [standing] request: a client of
+   protocol 4 is refused at [hello], and one of those requests on a
+   version-5 connection is a bad_request.  Neither charges, journals or
+   advances anything. *)
+let test_daemon_refuses_old_protocol () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let journal () = In_channel.with_open_bin cfg.Server.Daemon.wal_path In_channel.input_all in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore
+        (expect_ok "register"
+           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+              ~budget:(p ~eps:4.0 ~delta:1e-4) ()));
+      let state () =
+        ( Obs.Json.member "epoch" (expect_ok "epoch" (Server.Client.epoch c ~dataset:"d1")),
+          Obs.Json.member "ledger" (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) )
+      in
+      let before = state () and wal = journal () in
+      let refused code what = function
+        | Error (e : Wire.error) -> check_true (what ^ " refused as " ^ Wire.code_name code) (e.Wire.code = code)
+        | Ok _ -> Alcotest.failf "%s must be refused" what
+      in
+      check_int "protocol version" 5 Wire.version;
+      (match raw_exchange cfg [ hello_line 4 ] with
+      | [ r ] -> refused Wire.Unsupported_version "a version-4 hello" r
+      | _ -> Alcotest.fail "one reply");
+      let old =
+        [
+          {|{"id":2,"req":"append","dataset":"d1","n":50,"seed":7}|};
+          {|{"id":3,"req":"retire","dataset":"d1","from":0,"count":5}|};
+          {|{"id":4,"req":"standing","dataset":"d1","job":"sq","t_fraction":0.45,"eps":1,"delta":1e-6,"periods":2}|};
+        ]
+      in
+      (match raw_exchange cfg (hello_line Wire.version :: old) with
+      | Ok _ :: replies ->
+          List.iter2 (fun line r -> refused Wire.Bad_request line r) old replies
+      | _ -> Alcotest.fail "hello at the current version must succeed");
+      check_true "epoch and ledger unchanged" (state () = before);
+      check_true "nothing journaled" (journal () = wal);
+      Server.Client.close c)
+
+(* A standing query reserves all its slices at registration, so [periods]
+   is capped: one past the cap is a bad_request that reserves and
+   journals nothing, over [run] and through the client alike; the cap
+   itself is accepted. *)
+let test_daemon_standing_periods_cap () =
+  let dir = temp_dir () in
+  let cfg = daemon_cfg ~dir () in
+  let journal () = In_channel.with_open_bin cfg.Server.Daemon.wal_path In_channel.input_all in
+  let cap = 1000 in
+  let line periods =
+    Printf.sprintf "standing t_fraction=0.45 periods=%d eps=1 delta=1e-6 id=sq%d" periods periods
+  in
+  with_daemon cfg (fun _d ->
+      let c = expect_ok "connect" (connect cfg ~tenant:"acme" ~token:"s3cret") in
+      ignore
+        (expect_ok "register"
+           (Server.Client.register c ~dataset:"d1" ~n:400 ~axis:128 ~radius:0.06 ~seed:3
+              ~budget:(p ~eps:4.0 ~delta:1e-4) ()));
+      let ledger () = Obs.Json.member "ledger" (expect_ok "ledger" (Server.Client.ledger c ~dataset:"d1")) in
+      let before = ledger () and wal = journal () in
+      let expect_bad what = function
+        | Error (`Server e) -> check_true (what ^ " is bad_request") (e.Wire.code = Wire.Bad_request)
+        | Ok _ -> Alcotest.failf "%s must be rejected" what
+        | Error (`Transport m) -> Alcotest.failf "%s: transport: %s" what m
+      in
+      expect_bad "periods past the cap over run"
+        (Server.Client.run c ~dataset:"d1" ~jobs:(line (cap + 1)) ());
+      expect_bad "periods past the cap through the client"
+        (Server.Client.standing c ~dataset:"d1" ~id:"sq" ~t_fraction:0.45 ~eps:1. ~delta:1e-6
+           ~periods:(cap + 1) ());
+      check_true "nothing reserved" (ledger () = before);
+      check_true "nothing journaled" (journal () = wal);
+      let reply = expect_ok "periods at the cap" (Server.Client.run c ~dataset:"d1" ~jobs:(line cap) ()) in
+      let statuses =
+        match Option.bind (Obs.Json.member "results" reply) Obs.Json.to_list with
+        | Some rs -> List.filter_map (fun r -> Option.bind (Obs.Json.member "status" r) Obs.Json.to_str) rs
+        | None -> []
+      in
+      check_true "accepted and ticked once" (statuses = [ "ok"; "ok" ] || statuses = [ "ok"; "failed" ]);
+      Server.Client.close c)
+
+(* The one line reader, over a socketpair: many lines in one chunk, lines
+   that straddle the 4 KiB chunk boundaries, an 8 MiB line (read in time
+   linear in its length: the reader this replaced took 14.5 s for it),
+   an empty line, and a final fragment cut short by EOF, which is
+   dropped.  With a cap, a longer line is an [Overflow]. *)
+let test_line_io_reader () =
+  let module L = Server.Line_io in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let small = List.init 50 (fun i -> Printf.sprintf "s%d" i) in
+  let straddling = List.init 20 (fun i -> String.make 1000 (Char.chr (Char.code 'a' + i))) in
+  let big = String.make (8 * 1024 * 1024) 'x' in
+  let lines = small @ straddling @ [ big; ""; "last" ] in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ "cut short" in
+  let writer = Thread.create (fun () -> L.write_all a payload; Unix.close a) () in
+  let r = L.reader b in
+  let t0 = Unix.gettimeofday () in
+  List.iteri
+    (fun i want ->
+      match L.read_line r with
+      | L.Line got -> check_true (Printf.sprintf "line %d" i) (got = want)
+      | L.Eof | L.Overflow -> Alcotest.failf "line %d missing" i)
+    lines;
+  let dt = Unix.gettimeofday () -. t0 in
+  check_true "a fragment cut short by EOF is dropped" (L.read_line r = L.Eof);
+  Thread.join writer;
+  Unix.close b;
+  check_true (Printf.sprintf "an 8 MiB line read in %.3f s (< 2 s)" dt) (dt < 2.);
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  L.write_all a ("short\n" ^ String.make 100 'y' ^ "\n");
+  Unix.close a;
+  let r = L.reader ~max_line:50 b in
+  check_true "a line within the cap" (L.read_line r = L.Line "short");
+  check_true "a line past the cap overflows" (L.read_line r = L.Overflow);
+  Unix.close b
+
+(* Hostile bytes against the decoders a request passes through: the wire
+   line decoder and, for a [run], the jobs parser.  Each must answer [Ok]
+   or [Error] within a second, never raise. *)
+let decodes_safely line =
+  let t0 = Unix.gettimeofday () in
+  let parse_jobs text =
+    match Engine.Job.parse text with
+    | Ok _ | Error _ -> ()
+    | exception e -> QCheck2.Test.fail_reportf "Job.parse raised %s" (Printexc.to_string e)
+  in
+  (match Wire.request_of_line line with
+  | Ok { Wire.request = Wire.Run { jobs; _ }; _ } -> parse_jobs jobs
+  | Ok _ | Error _ -> ()
+  | exception e -> QCheck2.Test.fail_reportf "Wire.request_of_line raised %s" (Printexc.to_string e));
+  parse_jobs line;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 1. then QCheck2.Test.fail_reportf "took %.2f s" dt;
+  true
+
+let valid_request_lines =
+  List.map
+    (fun request -> String.trim (Wire.request_to_line { Wire.rid = 7; request }))
+    [
+      Wire.Hello { version = Wire.version; tenant = "acme"; token = "s3cret" };
+      Wire.Register
+        { dataset = "d1"; n = 800; dim = 2; axis = 128; frac = 0.5; radius = 0.05; seed = 9;
+          budget = p ~eps:2.0 ~delta:1e-5; mode = Acct.Advanced { slack = 1e-9 } };
+      Wire.Run
+        { dataset = "d1"; seed = Some 3;
+          jobs = "one_cluster t_fraction=0.45 eps=0.3 delta=1e-7\nquantile q=0.5 axis=0 eps=0.1 id=m\n" };
+      Wire.Run
+        { dataset = "d1"; seed = None;
+          jobs = "mutate op=append n=50 seed=7 frac=0.4 radius=0.07 id=append\nmutate op=retire from=10 count=25 id=retire" };
+      Wire.Run
+        { dataset = "d1"; seed = Some 9;
+          jobs = "standing t_fraction=0.45 periods=3 eps=1.5 delta=3e-7 id=sq # watch\nk_cluster k=3 t_fraction=0.2 eps=1 delta=1e-7 deadline=30" };
+      Wire.Epoch { dataset = "d1" };
+      Wire.Settle { dataset = "d1"; action = Wire.Commit_orphans; label = Some "sq#2" };
+      Wire.Ledger { dataset = "d1" };
+      Wire.Ping;
+    ]
+
+(* Up to 64 KiB, half the bytes drawn from JSON's and the jobs format's
+   punctuation so that the decoders get past their first byte.  The bytes
+   come from a seeded stream rather than per-byte generators, which keeps
+   a 64 KiB case cheap to draw. *)
+let test_decoders_arbitrary_bytes =
+  let json_ish = "{}[]\":,.-+eE0123456789 \\/ntrufals=#\n" in
+  let gen =
+    QCheck2.Gen.(
+      let* size = oneof [ int_bound 256; int_bound 65536 ] in
+      let+ seed = int in
+      let st = Random.State.make [| seed |] in
+      String.init size (fun _ ->
+          if Random.State.bool st then Char.chr (Random.State.int st 256)
+          else json_ish.[Random.State.int st (String.length json_ish)]))
+  in
+  qcheck "wire and jobs decoders never raise on arbitrary bytes" gen decodes_safely
+
+let test_decoders_mutated_lines =
+  let gen =
+    QCheck2.Gen.(
+      let* line = oneofl valid_request_lines in
+      let* pos = int_bound (String.length line) in
+      let* byte = char in
+      let+ how = int_bound 2 in
+      let n = String.length line in
+      match how with
+      | 0 when pos < n -> String.mapi (fun i c -> if i = pos then byte else c) line
+      | 1 when pos < n -> String.sub line 0 pos ^ String.sub line (pos + 1) (n - pos - 1)
+      | _ -> String.sub line 0 pos ^ String.make 1 byte ^ String.sub line pos (n - pos))
+  in
+  qcheck ~count:1000 "wire and jobs decoders never raise on one-byte mutations of valid lines"
+    gen decodes_safely
+
 let suite =
   [
     case "crc32 vectors and hex" test_crc_vectors;
@@ -1866,6 +2107,9 @@ let suite =
     case "wire request roundtrip" test_wire_request_roundtrip;
     case "wire reply roundtrip" test_wire_reply_roundtrip;
     case "settle reply roundtrip" test_settle_reply_roundtrip;
+    case "line reader over a socketpair" test_line_io_reader;
+    test_decoders_arbitrary_bytes;
+    test_decoders_mutated_lines;
     slow_case "daemon lifecycle" test_daemon_lifecycle;
     slow_case "daemon crash recovery" test_daemon_crash_recovery;
     slow_case "daemon epoch and cache crash recovery" test_daemon_epoch_crash_recovery;
@@ -1875,6 +2119,8 @@ let suite =
     slow_case "daemon append validation" test_daemon_append_validation;
     slow_case "daemon refuses a bad standing spec before charging" test_daemon_standing_validation;
     slow_case "daemon request line cap" test_daemon_request_line_cap;
+    slow_case "daemon refuses protocol 4 and its write requests" test_daemon_refuses_old_protocol;
+    slow_case "daemon caps a standing query's periods" test_daemon_standing_periods_cap;
     slow_case "daemon concurrent soak" test_daemon_concurrent_soak;
     slow_case "daemon health, stats and serving metrics" test_daemon_health_stats_metrics;
     slow_case "daemon exemplar ring bounded and valid" test_daemon_exemplar_ring;
