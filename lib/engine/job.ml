@@ -158,6 +158,13 @@ let price_of kind =
   let _, price, _ = List.find (fun (name, _, _) -> name = kind_name kind) kinds in
   price
 
+(* Whether a worker running the kind reads the epoch's memoized GoodRadius
+   sweep ([Registry.index]); the first such job of a cold epoch builds it
+   while later ones wait on the memo.  [k_cluster] builds its own index. *)
+let reads_sweep = function
+  | One_cluster _ -> true
+  | K_cluster _ | Quantile _ | Mutate _ | Standing _ | Local_cluster _ | Meb _ -> false
+
 (* The range of the synthesis parameters an append and a registration
    share: [Synth.planted_ball] needs a cluster fraction in (0, 1] and a
    finite, non-negative radius.  Each comparison is false for NaN. *)

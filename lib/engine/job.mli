@@ -56,7 +56,8 @@
 
     This module is the one place a kind's facts are stated: its name,
     the keys and defaults it is parsed from, the order its arguments are
-    printed in, its price and its target fraction.  Adding a kind touches
+    printed in, its price, its target fraction and whether it reads the
+    epoch's sweep.  Adding a kind touches
     this module and its one arm in [Service.execute] (a coordinator kind,
     like [mutate] and [standing], also its arm in [Service.run_batch]);
     the compiler's exhaustiveness check finds them. *)
@@ -108,6 +109,14 @@ val t_fraction : kind -> float option
 (** The fraction of the dataset a cluster-locating kind targets, [t =
     ⌈t_fraction · n⌉]: [Some] for [one_cluster], [k_cluster], [standing],
     [local_cluster] and [meb_fptas]; [None] for [quantile] and [mutate]. *)
+
+val reads_sweep : kind -> bool
+(** Whether a worker running the kind reads the epoch's memoized GoodRadius
+    sweep through {!Registry.index}: [true] for [one_cluster] only.  An
+    epoch's first reader builds the sweep under the memo's mutex and every
+    later reader of the batch waits for it, so {!Service.run_batch} runs
+    the first reader, then every job that does not read the sweep, then
+    the remaining readers.  [k_cluster] builds its own index. *)
 
 val parse : ?default_beta:float -> string -> (spec list, string) result
 (** Parse a whole jobs file (the contents, not a path); every spec passes

@@ -164,6 +164,16 @@ let run_fallback t dataset ~base_rng ~stream (spec : Job.spec) cost =
       delta_bound = r.Privcluster.Good_radius.delta_bound;
     }
 
+(* The order the pool takes a segment's admitted jobs in: the first job
+   that reads the epoch's sweep (on a cold epoch it builds it), then every
+   job that does not read it, which the other domains run beside the
+   build instead of waiting on the memo, then the remaining readers.  Each
+   group keeps submission order. *)
+let execution_order jobs =
+  match List.partition (fun (_, (spec : Job.spec)) -> Job.reads_sweep spec.Job.kind) jobs with
+  | first :: readers, others -> (first :: others) @ readers
+  | [], others -> others
+
 type admission =
   | Refused_at_admission of string
   | Cache_hit of Job.output  (* recorded answer returned; nothing charged *)
@@ -425,16 +435,19 @@ let run_batch ?domains ?seed t ~dataset specs =
                           Admitted None))))
         pairs
     in
-    (* Phase 2 — execution.  Stream index = submission index (refusals
-       included), so admitting a different prefix never reshuffles the
-       randomness of later jobs; and every retry attempt re-derives the same
+    (* Phase 2 — execution, in [execution_order].  Stream index =
+       submission index (refusals included), so admitting a different
+       prefix never reshuffles the randomness of later jobs, and neither
+       does the execution order; every retry attempt re-derives the same
        stream, so a crash-before-output replay is bit-identical and free. *)
     let tasks =
       List.map2 (fun (i, spec) a -> (i, spec, a)) pairs admitted
-      |> List.filter_map (fun (i, (spec : Job.spec), a) ->
+      |> List.filter_map (fun (i, spec, a) ->
              match a with
-             | Admitted _ -> Some (Pool.task ?deadline_s:spec.Job.deadline_s (i, spec))
+             | Admitted _ -> Some (i, spec)
              | Refused_at_admission _ | Cache_hit _ -> None)
+      |> execution_order
+      |> List.map (fun (i, (spec : Job.spec)) -> Pool.task ?deadline_s:spec.Job.deadline_s (i, spec))
       |> Array.of_list
     in
     let on_retry ~index:_ ~attempt:_ = Telemetry.incr t.telemetry "retries" in

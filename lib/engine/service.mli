@@ -14,8 +14,19 @@
       accept/refuse set a pure function of the submission list, never of
       worker timing.
     + {b Execution} (parallel): admitted jobs run on a {!Pool} of
-      [domains] workers — the calling domain and [domains − 1] spawned
-      ones.  A job that raises is re-run in place, on the same worker,
+      [domains] workers — the calling domain and up to [domains − 1]
+      helper domains.  The pool takes them in {e execution order}: the
+      first job that reads the epoch's memoized sweep
+      ({!Job.reads_sweep}), then every job that does not, then the
+      remaining readers, each group in submission order.  On a cold
+      epoch the first reader builds the sweep under the memo's mutex and
+      any other reader that starts meanwhile waits on it, so the other
+      domains run the sweep-free jobs in that window.  The execution
+      order decides only which domain runs what, and when: streams,
+      result slots, fault arming, result-cache keys, settlement and
+      result order all follow the submission index.  Deadlines count
+      from the start of the batch.
+      A job that raises is re-run in place, on the same worker,
       up to [retries] more times; if every attempt raises it reports
       {!Job.Solver_failed} and keeps its charge.  Job [i] (by submission index, counting refused
       jobs) draws its randomness from [Prim.Rng.derive base ~stream:i] on

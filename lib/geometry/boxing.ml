@@ -1,14 +1,28 @@
-type t = { partitions : Interval.partition array }
+(* [shifts] and [lens] copy each partition's phase and length into flat
+   float arrays, so that [index_of] reads them unboxed. *)
+type t = { partitions : Interval.partition array; shifts : float array; lens : float array }
 type key = int array
+
+let of_partitions partitions =
+  {
+    partitions;
+    shifts = Array.map Interval.shift partitions;
+    lens = Array.map Interval.len partitions;
+  }
 
 let make rng ~dim ~len =
   if dim <= 0 then invalid_arg "Boxing.make: dim must be positive";
-  { partitions = Array.init dim (fun _ -> Interval.make rng ~len) }
+  of_partitions (Array.init dim (fun _ -> Interval.make rng ~len))
 
 let dim t = Array.length t.partitions
+
+(* [Interval.index_of] on axis [a], computed here: a call across the
+   module boundary boxes its float argument, once per coordinate. *)
+let[@inline] index_of t a x = int_of_float (Float.floor ((x -. t.shifts.(a)) /. t.lens.(a)))
+
 let key_of t v =
   if Vec.dim v <> dim t then invalid_arg "Boxing.key_of: dimension mismatch";
-  Array.mapi (fun i x -> Interval.index_of t.partitions.(i) x) v
+  Array.mapi (fun i x -> index_of t i x) v
 
 let bounds t key =
   if Array.length key <> dim t then invalid_arg "Boxing.bounds: bad key";
@@ -17,13 +31,13 @@ let bounds t key =
 let center t key = Array.map (fun (lo, hi) -> 0.5 *. (lo +. hi)) (bounds t key)
 
 let key_of_row t st ~off =
-  Array.init (dim t) (fun i -> Interval.index_of t.partitions.(i) st.(off + i))
+  Array.init (dim t) (fun i -> index_of t i st.(off + i))
 
 let row_in_box t st ~off key =
   let d = dim t in
   if Array.length key <> d then invalid_arg "Boxing.row_in_box: bad key";
   let i = ref 0 in
-  while !i < d && Interval.index_of t.partitions.(!i) st.(off + !i) = key.(!i) do
+  while !i < d && index_of t !i st.(off + !i) = key.(!i) do
     incr i
   done;
   !i = d
@@ -40,7 +54,7 @@ let occupancy t ps =
   for i = 0 to count - 1 do
     let off = offs.(i) in
     for a = 0 to d - 1 do
-      cells.((i * d) + a) <- Interval.index_of t.partitions.(a) st.(off + a)
+      cells.((i * d) + a) <- index_of t a st.(off + a)
     done
   done;
   let same_cell i r =
@@ -83,7 +97,7 @@ let occupancy t ps =
 module For_testing = struct
   let of_partitions partitions =
     if Array.length partitions = 0 then invalid_arg "Boxing.of_partitions: empty";
-    { partitions }
+    of_partitions partitions
 
   let side t i = Interval.len t.partitions.(i)
 

@@ -5,6 +5,7 @@ let make rng ~len =
   { p_shift = Prim.Rng.float rng len; p_len = len }
 
 let len p = p.p_len
+let shift p = p.p_shift
 let index_of p x = int_of_float (Float.floor ((x -. p.p_shift) /. p.p_len))
 
 let bounds p j =

@@ -16,6 +16,9 @@ val make : Prim.Rng.t -> len:float -> partition
 
 val len : partition -> float
 
+val shift : partition -> float
+(** The phase: interval [j] starts at [shift + j·len]. *)
+
 val index_of : partition -> float -> int
 (** Interval index containing the given coordinate. *)
 

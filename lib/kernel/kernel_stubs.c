@@ -402,6 +402,17 @@ static inline long ph_bucket(const ph_table *t, const double *r2, long nr,
   return j;
 }
 
+/* Squared distance of rows pa and pb, as a - b per axis in axis order. */
+static inline double ph_d2(const double *pa, const double *pb, long dim)
+{
+  double d2 = 0.;
+  for (long k = 0; k < dim; k++) {
+    double d = pa[k] - pb[k];
+    d2 += d * d;
+  }
+  return d2;
+}
+
 /* Pairs the rows of the block pairs lo..hi-1 of pairs[] (block p holds
  * rows starts[p] .. starts[p+1]-1 of the contiguous rows[a*dim ..], the
  * distinct points with weights w[]).  Pair s is (pairs[2s], pairs[2s+1])
@@ -409,7 +420,9 @@ static inline long ph_bucket(const ph_table *t, const double *r2, long nr,
  * included once; an off-diagonal one pairs every a in p with every b in
  * q.  For each point pair, d2 is computed once and, with j its bucket
  * against the ascending thresholds r2s, w[b] is credited to
- * hist[a*nr + j] and, for b != a, w[a] to hist[b*nr + j].  d2 is
+ * hist[a*nr + j] and, for b != a, w[a] to hist[b*nr + j].  A diagonal
+ * block credits its self pair a = b before the b loop, which then starts
+ * at a + 1 and credits both rows.  d2 is
  * evaluated as a - b per axis in axis order; fl(x - y) = -fl(y - x), so
  * its square equals that of the b - a a query from a computes
  * (pc_count_within), bit for bit.  A credit is one add on the tagged
@@ -434,17 +447,17 @@ CAMLprim value pc_pair_hist_blocks(value rows, value vdim, value w,
       const double *pa = x + a * dim;
       value wa = wt[a] - 1;
       value *rowa = h + a * nr;
-      for (long b = p == q ? a : b0; b < b1; b++) {
-        const double *pb = x + b * dim;
-        double d2 = 0.;
-        for (long k = 0; k < dim; k++) {
-          double d = pa[k] - pb[k];
-          d2 += d * d;
-        }
-        long j = ph_bucket(&t, r2, nr, d2);
+      long b = b0;
+      if (p == q) {
+        long j = ph_bucket(&t, r2, nr, ph_d2(pa, pa, dim));
+        if (j < nr) rowa[j] += wa;
+        b = a + 1;
+      }
+      for (; b < b1; b++) {
+        long j = ph_bucket(&t, r2, nr, ph_d2(pa, x + b * dim, dim));
         if (j < nr) {
           rowa[j] += wt[b] - 1;
-          if (b != a) h[b * nr + j] += wa;
+          h[b * nr + j] += wa;
         }
       }
     }

@@ -776,6 +776,147 @@ let test_pool_caller_works ~domains () =
     (Printf.sprintf "%d spawned domains ran tasks, at most %d" (List.length spawned) (domains - 1))
     (List.length spawned <= domains - 1)
 
+(* --- Execution order ------------------------------------------------------- *)
+
+(* A cold-epoch batch of every worker kind that reads the sweep or not:
+   one_cluster jobs (readers) around a quantile and the two competitors. *)
+let mixed_specs =
+  let job id kind ~eps ~delta =
+    { Engine.Job.id; kind; eps; delta; beta = 0.1; deadline_s = None; fallback = false }
+  in
+  [
+    job "a" (Engine.Job.One_cluster { t_fraction = 0.45 }) ~eps:2.0 ~delta:1e-6;
+    job "q" (Engine.Job.Quantile { axis = 0; q = 0.5 }) ~eps:0.3 ~delta:0.;
+    job "b" (Engine.Job.One_cluster { t_fraction = 0.4 }) ~eps:2.0 ~delta:1e-6;
+    job "ldp" (Engine.Job.Local_cluster { t_fraction = 0.5 }) ~eps:2.0 ~delta:0.;
+    job "meb" (Engine.Job.Meb { t_fraction = 0.5; coreset = 200 }) ~eps:1.0 ~delta:1e-7;
+    job "c" (Engine.Job.One_cluster { t_fraction = 0.3 }) ~eps:1.0 ~delta:1e-7;
+  ]
+
+let run_mixed ?(retries = 0) ~domains ~faults () =
+  let service = Engine.Service.create ~domains ~seed:21 ~retries ~faults () in
+  let _, grid, w = small_workload ~n:1500 ~axis:256 ~radius:0.05 () in
+  let ds =
+    Engine.Service.register service ~name:"mixed" ~grid ~budget:(p ~eps:20. ~delta:1e-4)
+      w.Workload.Synth.points
+  in
+  Engine.Service.run_batch service ~dataset:ds mixed_specs
+
+(* Status and exact (hex-float) output of every job, in reply order. *)
+let mixed_bytes results =
+  String.concat "\n"
+    (List.map
+       (fun (r : Engine.Job.result) ->
+         let out =
+           match r.Engine.Job.status with
+           | Engine.Job.Completed o -> Obs.Json.to_string (Engine.Job.output_to_wire o)
+           | _ -> Engine.Job.detail r
+         in
+         Printf.sprintf "%s %s %s" r.Engine.Job.spec.Engine.Job.id
+           (Engine.Job.status_name r.Engine.Job.status) out)
+       results)
+
+(* Pinned before the pool ran sweep-free jobs beside the first sweep: the
+   execution order must not move a bit of any answer, at any domain count
+   or under injected crashes. *)
+let mixed_golden = "aafbfa529ee3a6ed377a64a93a5b13af"
+
+let test_mixed_batch_golden () =
+  let digest rs = Digest.to_hex (Digest.string (mixed_bytes rs)) in
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d domains" domains)
+        mixed_golden
+        (digest (run_mixed ~domains ~faults:Engine.Faults.none ())))
+    [ 1; 2; 4 ];
+  let crashes =
+    Engine.Faults.explicit
+      (List.map (fun i -> (i, Engine.Faults.rule ~attempts:2 Engine.Faults.Crash)) [ 0; 1; 3; 5 ])
+  in
+  Alcotest.(check string) "crash faults, 2 domains" mixed_golden
+    (digest (run_mixed ~retries:2 ~domains:2 ~faults:crashes ()))
+
+(* At one domain the pool runs tasks in its order, so the job spans start
+   in it: the first sweep reader, the jobs that do not read the sweep,
+   then the other readers, each group in submission order. *)
+let test_mixed_batch_execution_order () =
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Span.set_enabled false;
+        Obs.Span.reset ())
+      (fun () ->
+        ignore (run_mixed ~domains:1 ~faults:Engine.Faults.none ());
+        Obs.Span.spans ())
+  in
+  let started =
+    List.filter_map
+      (fun (sp : Obs.Span.span) ->
+        match (sp.Obs.Span.cat, List.assoc_opt "id" sp.Obs.Span.attrs) with
+        | "job", Some (Obs.Span.S id) -> Some id
+        | _ -> None)
+      spans
+  in
+  Alcotest.(check (list string)) "job spans in start order" [ "a"; "q"; "ldp"; "meb"; "b"; "c" ] started
+
+let pool_sum outcomes =
+  Array.fold_left
+    (fun acc o -> match o with Engine.Pool.Done v -> acc + v | _ -> Alcotest.fail "a task did not finish")
+    0 outcomes
+
+(* Helpers persist: fifty batches at 2 and then at 4 domains start no
+   helper past the third (none at all if earlier tests started them). *)
+let test_pool_helpers_persist () =
+  let before = Engine.Pool.For_testing.helpers () in
+  List.iter
+    (fun domains ->
+      for b = 1 to 50 do
+        let out = Engine.Pool.run ~domains ~f:(fun ~index:_ ~attempt:_ i -> i + b) (Array.init 8 Engine.Pool.task) in
+        check_int (Printf.sprintf "batch %d at %d domains" b domains) (28 + (8 * b)) (pool_sum out)
+      done)
+    [ 2; 4 ];
+  let after = Engine.Pool.For_testing.helpers () in
+  check_true
+    (Printf.sprintf "%d helpers after 100 batches (%d before, at most 3 needed)" after before)
+    (after <= max before 3)
+
+(* A task may run a batch of its own, with every helper busy in the outer
+   batch or not, and an exception stays confined to its task at either
+   level; the helpers survive it. *)
+let test_pool_nested () =
+  List.iter
+    (fun (outer_d, inner_d) ->
+      let out =
+        Engine.Pool.run ~domains:outer_d
+          ~f:(fun ~index:_ ~attempt:_ i ->
+            if i = 3 then failwith "outer boom";
+            let inner =
+              Engine.Pool.run ~domains:inner_d
+                ~f:(fun ~index:_ ~attempt:_ j -> if j = 2 then failwith "inner boom" else (10 * i) + j)
+                (Array.init 5 Engine.Pool.task)
+            in
+            (match inner.(2) with
+            | Engine.Pool.Failed _ -> ()
+            | _ -> Alcotest.fail "inner task 2 should fail");
+            inner.(2) <- Engine.Pool.Done 0;
+            pool_sum inner)
+          (Array.init 6 Engine.Pool.task)
+      in
+      Array.iteri
+        (fun i o ->
+          match (i, o) with
+          | 3, Engine.Pool.Failed msg -> check_true "outer failure message" (contains_sub msg "outer boom")
+          | 3, _ -> Alcotest.fail "outer task 3 should fail"
+          | _, Engine.Pool.Done v -> check_int (Printf.sprintf "outer %d" i) ((40 * i) + 8) v
+          | _ -> Alcotest.fail "unexpected outer outcome")
+        out)
+    [ (2, 2); (2, 4); (4, 2); (4, 4) ];
+  check_int "helpers still serve" 36
+    (pool_sum (Engine.Pool.run ~domains:4 ~f:(fun ~index:_ ~attempt:_ i -> i + 1) (Array.init 8 Engine.Pool.task)))
+
 let suite =
   [
     case "rng derive is stream-keyed and state-independent" test_derive_state_independent;
@@ -805,4 +946,9 @@ let suite =
       test_served_outputs_private;
     case "registry: concurrent r_opt sandwiches equal a cold scan" test_registry_bounds_concurrent;
     case "accountant slack is relative to the budget" test_accountant_relative_slack;
+    slow_case "mixed cold batch keeps its bytes at 1, 2, 4 domains and under crashes"
+      test_mixed_batch_golden;
+    case "mixed cold batch: job spans start in the execution order" test_mixed_batch_execution_order;
+    case "pool helpers persist across batches" test_pool_helpers_persist;
+    case "pool: nested batches complete, exceptions stay confined" test_pool_nested;
   ]

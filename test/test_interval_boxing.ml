@@ -188,6 +188,33 @@ let qcheck_occupancy_matches_count_by =
       in
       Geometry.Boxing.occupancy b ps = reference)
 
+(* One [occupancy] call at n = 4200, d = 2 allocates O(cells) minor
+   words, not a boxed float per coordinate (about 17k words when each
+   interval index was a cross-module call), and its cells are the ones
+   [Interval.index_of] gives. *)
+let test_occupancy_minor_words () =
+  let r = rng_named "occupancy minor words" in
+  let parts =
+    Array.init 2 (fun _ ->
+        Geometry.Interval.For_testing.fixed ~shift:(Prim.Rng.float r 0.25) ~len:0.25)
+  in
+  let b = Geometry.Boxing.For_testing.of_partitions parts in
+  let points = Array.init 4200 (fun _ -> [| Prim.Rng.float r 1.0; Prim.Rng.float r 1.0 |]) in
+  let ps = Geometry.Pointset.create points in
+  ignore (Geometry.Boxing.occupancy b ps);
+  let w0 = Gc.minor_words () in
+  let occ = Geometry.Boxing.occupancy b ps in
+  let words = Gc.minor_words () -. w0 in
+  check_true
+    (Printf.sprintf "%.0f minor words for %d cells (< 2000)" words (List.length occ))
+    (words < 2000.);
+  let reference =
+    Prim.Stability_hist.count_by
+      ~key:(fun p -> Array.mapi (fun a x -> Geometry.Interval.index_of parts.(a) x) p)
+      points
+  in
+  check_true "the cells and order Interval.index_of gives" (occ = reference)
+
 let suite =
   [
     case "partition membership" test_partition_membership;
@@ -198,6 +225,7 @@ let suite =
     case "boxing key consistency" test_boxing_key_consistency;
     case "boxing center and diameter" test_boxing_center_and_diameter;
     case "occupancy" test_occupancy;
+    case "occupancy allocates O(cells) minor words" test_occupancy_minor_words;
     case "capture probability" test_capture_probability;
     qcheck_row_in_box_matches_key;
     qcheck_occupancy_matches_count_by;

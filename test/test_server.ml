@@ -2080,6 +2080,97 @@ let test_decoders_mutated_lines =
   qcheck ~count:1000 "wire and jobs decoders never raise on one-byte mutations of valid lines"
     gen decodes_safely
 
+(* Hostile bytes against the journal decoder: [Wal.load] answers [Ok] or
+   [Error] within a second and never raises. *)
+let loads_safely bytes =
+  let path = tmp_path ".wal" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  let t0 = Unix.gettimeofday () in
+  let raised = match Wal.load path with Ok _ | Error _ -> None | exception e -> Some e in
+  let dt = Unix.gettimeofday () -. t0 in
+  Sys.remove path;
+  Option.iter (fun e -> QCheck2.Test.fail_reportf "Wal.load raised %s" (Printexc.to_string e)) raised;
+  if dt > 1. then QCheck2.Test.fail_reportf "took %.2f s" dt;
+  true
+
+(* A journal holding every [Wal.op] ([sample_records]), its bytes and its
+   frames' payloads. *)
+let valid_journal =
+  lazy
+    (let path = tmp_path ".wal" in
+     write_wal path sample_records;
+     let bytes = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     let header = String.length "PW1 00000000 00000000 " in
+     let payloads =
+       String.split_on_char '\n' bytes
+       |> List.filter (fun l -> l <> "")
+       |> List.map (fun l -> String.sub l header (String.length l - header))
+     in
+     (bytes, Array.of_list payloads))
+
+let frame payload =
+  Printf.sprintf "PW1 %08x %s %s\n" (String.length payload)
+    (Server.Crc32.to_hex (Server.Crc32.string payload))
+    payload
+
+let mutate_one ~pos ~byte ~how s =
+  let n = String.length s in
+  match how with
+  | 0 when pos < n -> String.mapi (fun i c -> if i = pos then byte else c) s
+  | 1 when pos < n -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+  | _ -> String.sub s 0 pos ^ String.make 1 byte ^ String.sub s pos (n - pos)
+
+(* Up to 64 KiB: half the cases arbitrary bytes drawn half from the frame
+   and JSON alphabets, half valid frames with such noise between them. *)
+let test_wal_arbitrary_bytes =
+  let alphabet = "PW1 0123456789abcdef{}[]\":,.-+x\n" in
+  let gen =
+    QCheck2.Gen.(
+      let* size = oneof [ int_bound 256; int_bound 65536 ] in
+      let* framed = bool in
+      let+ seed = int in
+      let st = Random.State.make [| seed |] in
+      let noise k =
+        String.init k (fun _ ->
+            if Random.State.bool st then Char.chr (Random.State.int st 256)
+            else alphabet.[Random.State.int st (String.length alphabet)])
+      in
+      if not framed then noise size
+      else begin
+        let _, payloads = Lazy.force valid_journal in
+        let b = Buffer.create size in
+        while Buffer.length b < size do
+          if Random.State.int st 3 = 0 then Buffer.add_string b (noise (Random.State.int st 64))
+          else Buffer.add_string b (frame payloads.(Random.State.int st (Array.length payloads)))
+        done;
+        Buffer.contents b
+      end)
+  in
+  qcheck "wal load never raises on arbitrary bytes" gen loads_safely
+
+(* One-byte mutations of a journal holding every op: of its raw bytes
+   (mostly stopped by the frame checks), and of one payload re-framed with
+   a matching length and CRC, so that the record decoder sees it. *)
+let test_wal_mutated_journal =
+  let gen =
+    QCheck2.Gen.(
+      let bytes, payloads = Lazy.force valid_journal in
+      let* reframe = bool in
+      let* k = int_bound (Array.length payloads - 1) in
+      let* byte = char in
+      let* how = int_bound 2 in
+      let target = if reframe then payloads.(k) else bytes in
+      let+ pos = int_bound (String.length target) in
+      let mutated = mutate_one ~pos ~byte ~how target in
+      if not reframe then mutated
+      else
+        String.concat ""
+          (Array.to_list (Array.mapi (fun i p -> frame (if i = k then mutated else p)) payloads)))
+  in
+  qcheck ~count:1000 "wal load never raises on one-byte mutations of a valid journal" gen
+    loads_safely
+
 let suite =
   [
     case "crc32 vectors and hex" test_crc_vectors;
@@ -2133,4 +2224,6 @@ let suite =
       test_daemon_reply_size_independent_of_history;
     slow_case "daemon register and datasets replies do not grow with the ledger's history"
       test_daemon_register_reply_independent_of_history;
+    test_wal_arbitrary_bytes;
+    test_wal_mutated_journal;
   ]
