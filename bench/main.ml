@@ -448,7 +448,7 @@ let run_engine_bench tier fx =
      n = 4200, so the first one_cluster job builds the epoch's sweep while
      the other domain runs the sweep-free jobs.  Only [run_batch] is
      timed; rounds alternate 1 and 2 domains.  Gated on output identity
-     across the two; the ratio is reported, not gated. *)
+     across the two; the speedup is reported, not gated. *)
   let mixed_specs =
     Result.get_ok
       (Engine.Job.parse ~default_beta:beta
@@ -486,7 +486,7 @@ let run_engine_bench tier fx =
       [| 1; 2 |]
   done;
   let mixed_identical = !mixed_identical && mixed_prints.(0) = mixed_prints.(1) in
-  let mixed_ratio = mixed_best.(1) /. mixed_best.(0) in
+  let mixed_speedup = mixed_best.(0) /. mixed_best.(1) in
   let jobs_per_s ms = 1000. *. float_of_int n_jobs /. ms in
   Workload.Report.table ~csv:"b8_engine_throughput"
     ~header:[ "domains"; "wall"; "jobs/s"; "speedup" ]
@@ -505,7 +505,7 @@ let run_engine_bench tier fx =
   Workload.Report.kv
     (Printf.sprintf "first mixed batch (%d jobs) at n = %d, 1 / 2 domains"
        (List.length mixed_specs) long_n)
-    (Printf.sprintf "%.1f / %.1f ms, ratio %.2f" mixed_best.(0) mixed_best.(1) mixed_ratio);
+    (Printf.sprintf "%.1f / %.1f ms, speedup %.2f" mixed_best.(0) mixed_best.(1) mixed_speedup);
   Workload.Report.kv "outputs identical across domain counts" (yes_no deterministic);
   Workload.Report.kv "first mixed batch identical at 1 and 2 domains" (yes_no mixed_identical);
   Workload.Report.kv "outputs identical under injected crash faults"
@@ -543,7 +543,7 @@ let run_engine_bench tier fx =
               ("n", Int long_n);
               ("one_domain_ms", Float mixed_best.(0));
               ("two_domain_ms", Float mixed_best.(1));
-              ("ratio", Float mixed_ratio);
+              ("speedup", Float mixed_speedup);
               ("identical", Bool mixed_identical);
             ] );
       ];
